@@ -6,21 +6,20 @@
 //
 // Usage:
 //
-//	ampsim [-policy none|static|dynamic|oracle|hybrid] [-mode overhead]
-//	       [-online greedy|probe] [-spill] [-drift 0.05] [-slots 18]
-//	       [-duration 400] [-seed 5] [-machine quad|tri|hex] [-delta 0.06]
-//	       [-technique loop] [-min 45] [-window 8000] [-alt N]
+//	ampsim [-policy static] [-slots 18] [-duration 400] [-seed 5]
+//	       [-machine quad|tri|hex] [-delta 0.06] [-technique loop]
+//	       [-min 45] [-window 8000] [-alt N]
 //	       [-arrivals poisson|bursty|diurnal] [-load 1.0] [-progress]
 //	       [-trace out.json] [-ledger out.json]
 //
-// -policy selects the placement policy (default static). -spill enables
-// capacity-aware spill arbitration in the static runtime (the shared
-// placement engine's ablation). -drift sets the hybrid's re-decision
-// damping threshold ε (0 re-decides on every accepted window). -alt N
-// replaces the suite workload with the anchored alternation fleet at N
-// alternations (workload.Spec.Materialize) — the breakdown experiment's
-// rate axis, one point at a time. -mode overhead is the legacy all-cores
-// overhead methodology and overrides -policy.
+// -policy selects the placement policy by its one name (default static):
+// none, static, static/spill (capacity-aware spill arbitration through the
+// shared placement engine), dynamic/greedy, dynamic/probe, hybrid,
+// hybrid/damped (re-decision drift damping at ε = 0.05), oracle, or
+// overhead (Fig. 4's all-cores methodology). -alt N replaces the suite
+// workload with the anchored alternation fleet at N alternations
+// (workload.Spec.Materialize) — the breakdown experiment's rate axis, one
+// point at a time.
 //
 // -arrivals switches the run to the open-system serving form: serving-fleet
 // jobs arrive under the selected process at -load times machine capacity
@@ -53,25 +52,22 @@ import (
 	"os/signal"
 
 	"phasetune"
+	"phasetune/internal/amp"
 	"phasetune/internal/metrics"
 	"phasetune/internal/textplot"
 	"phasetune/internal/transition"
 )
 
 func main() {
-	policy := flag.String("policy", "static", "placement policy: none, static, dynamic, oracle, or hybrid")
-	mode := flag.String("mode", "", "legacy mode override: baseline, tuned, overhead")
-	onlinePolicy := flag.String("online", "probe", "dynamic reassignment policy: greedy or probe")
-	spill := flag.Bool("spill", false, "capacity-aware spill in the static runtime (shared engine)")
+	policy := flag.String("policy", "static", "placement policy: none, static, static/spill, dynamic/greedy, dynamic/probe, hybrid, hybrid/damped, oracle, or overhead")
 	slots := flag.Int("slots", 18, "workload slots")
 	duration := flag.Float64("duration", 400, "duration in simulated seconds")
 	seed := flag.Uint64("seed", 5, "workload seed")
-	machineFlag := flag.String("machine", "quad", "quad, tri, or hex")
+	machineFlag := flag.String("machine", "quad", "quad, tri, or hex (or a full machine name)")
 	delta := flag.Float64("delta", 0.06, "IPC threshold")
 	technique := flag.String("technique", "loop", "bb, interval, or loop")
 	minSize := flag.Int("min", 45, "minimum section size")
 	window := flag.Uint64("window", 0, "online detection window in instructions (0 = default)")
-	drift := flag.Float64("drift", 0, "hybrid re-decision damping threshold ε (0 = undamped)")
 	alt := flag.Int("alt", 0, "run the synthetic alternator at N alternations instead of the suite (0 = suite)")
 	arrivals := flag.String("arrivals", "", "open-system serving: arrival process kind (poisson, bursty, or diurnal)")
 	load := flag.Float64("load", 1.0, "serving offered load in multiples of machine capacity (with -arrivals)")
@@ -88,10 +84,9 @@ func main() {
 	})
 
 	if err := run(options{
-		policy: *policy, mode: *mode, onlinePolicy: *onlinePolicy, spill: *spill,
-		slots: *slots, duration: *duration, seed: *seed,
+		policy: *policy, slots: *slots, duration: *duration, seed: *seed,
 		machine: *machineFlag, delta: *delta, technique: *technique,
-		minSize: *minSize, window: *window, drift: *drift, alt: *alt,
+		minSize: *minSize, window: *window, alt: *alt,
 		arrivals: *arrivals, load: *load, loadSet: loadSet,
 		progress: *progress, trace: *tracePath, ledger: *ledgerPath,
 	}); err != nil {
@@ -101,63 +96,68 @@ func main() {
 }
 
 type options struct {
-	policy, mode, onlinePolicy string
-	spill                      bool
-	slots                      int
-	duration                   float64
-	seed                       uint64
-	machine, technique         string
-	delta                      float64
-	minSize                    int
-	window                     uint64
-	drift                      float64
-	alt                        int
-	arrivals                   string
-	load                       float64
-	loadSet                    bool
-	progress                   bool
-	trace                      string
-	ledger                     string
+	policy             string
+	slots              int
+	duration           float64
+	seed               uint64
+	machine, technique string
+	delta              float64
+	minSize            int
+	window             uint64
+	alt                int
+	arrivals           string
+	load               float64
+	loadSet            bool
+	progress           bool
+	trace              string
+	ledger             string
 }
 
 // validate rejects flag combinations that would otherwise run zero jobs (or
-// nonsense) silently, with a message naming the offending flag.
-func (o options) validate() error {
+// nonsense) silently, with a message naming the offending flag, and returns
+// the parsed policy.
+func (o options) validate() (phasetune.Policy, error) {
 	if !(o.duration > 0) {
-		return fmt.Errorf("-duration must be positive (a zero-duration run admits no jobs)")
+		return 0, fmt.Errorf("-duration must be positive (a zero-duration run admits no jobs)")
 	}
-	if o.trace != "" && o.mode == "overhead" {
-		return fmt.Errorf("-trace does not support -mode overhead (isolation runs are untraced); pick a -policy instead")
+	pol, err := phasetune.ParsePolicy(o.policy)
+	if err != nil {
+		return 0, fmt.Errorf("-policy: %w", err)
 	}
-	if o.ledger != "" && o.mode == "overhead" {
-		return fmt.Errorf("-ledger does not support -mode overhead (isolation runs are unaccounted); pick a -policy instead")
+	overhead := pol == phasetune.PolicyOverhead
+	if o.trace != "" && overhead {
+		return 0, fmt.Errorf("-trace does not support -policy overhead (overhead runs are untraced); pick another policy")
+	}
+	if o.ledger != "" && overhead {
+		return 0, fmt.Errorf("-ledger does not support -policy overhead (overhead runs are unaccounted); pick another policy")
 	}
 	if o.arrivals != "" {
 		if _, err := phasetune.ParseArrivalKind(o.arrivals); err != nil {
-			return fmt.Errorf("-arrivals: %w", err)
+			return 0, fmt.Errorf("-arrivals: %w", err)
 		}
 		if !(o.load > 0) {
-			return fmt.Errorf("-load must be positive (got %g): it is the offered load in multiples of machine capacity", o.load)
+			return 0, fmt.Errorf("-load must be positive (got %g): it is the offered load in multiples of machine capacity", o.load)
 		}
 		if o.alt > 0 {
-			return fmt.Errorf("-arrivals and -alt are mutually exclusive: the serving fleet replaces the alternator workload")
+			return 0, fmt.Errorf("-arrivals and -alt are mutually exclusive: the serving fleet replaces the alternator workload")
 		}
-		if o.mode == "overhead" {
-			return fmt.Errorf("-arrivals does not support -mode overhead (overhead is a closed all-cores methodology); pick a -policy instead")
+		if overhead {
+			return 0, fmt.Errorf("-arrivals does not support -policy overhead (overhead is a closed all-cores methodology); pick another policy")
 		}
-		return nil
+		return pol, nil
 	}
 	if o.loadSet {
-		return fmt.Errorf("-load only applies with -arrivals (closed slot-queue workloads have no offered load)")
+		return 0, fmt.Errorf("-load only applies with -arrivals (closed slot-queue workloads have no offered load)")
 	}
 	if o.slots <= 0 {
-		return fmt.Errorf("-slots must be positive (got %d)", o.slots)
+		return 0, fmt.Errorf("-slots must be positive (got %d)", o.slots)
 	}
-	return nil
+	return pol, nil
 }
 
 func run(o options) error {
-	if err := o.validate(); err != nil {
+	pol, err := o.validate()
+	if err != nil {
 		return err
 	}
 	// Validate the trace path up front: create/truncate it now so a bad
@@ -177,40 +177,11 @@ func run(o options) error {
 		}
 		f.Close()
 	}
-	var machine *phasetune.Machine
-	switch o.machine {
-	case "quad":
-		machine = phasetune.QuadAMP()
-	case "tri":
-		machine = phasetune.ThreeCoreAMP()
-	case "hex":
-		machine = phasetune.TriTypeAMP()
-	default:
-		return fmt.Errorf("unknown machine %q (want quad|tri|hex)", o.machine)
+	machine, err := amp.ByName(o.machine)
+	if err != nil {
+		return err
 	}
-
-	spec := phasetune.RunSpec{DurationSec: o.duration, Seed: o.seed}
-	label := ""
-	switch o.mode {
-	case "":
-		pol, err := phasetune.ParsePolicy(o.policy)
-		if err != nil {
-			return err
-		}
-		spec.Policy = pol
-		label = pol.String()
-	case "baseline":
-		spec.Policy = phasetune.PolicyNone
-		label = "baseline"
-	case "tuned":
-		spec.Policy = phasetune.PolicyStatic
-		label = "tuned"
-	case "overhead":
-		spec.Mode = phasetune.Overhead
-		label = "overhead"
-	default:
-		return fmt.Errorf("unknown mode %q", o.mode)
-	}
+	spec := phasetune.RunSpec{DurationSec: o.duration, Seed: o.seed, Policy: pol}
 
 	var tech transition.Technique
 	switch o.technique {
@@ -252,22 +223,10 @@ func run(o options) error {
 
 	tcfg := phasetune.DefaultTuning()
 	tcfg.Delta = o.delta
-	tcfg.Spill = o.spill
 	ocfg := phasetune.DefaultOnline()
 	ocfg.Delta = o.delta
 	if o.window > 0 {
 		ocfg.WindowInstrs = o.window
-	}
-	if o.drift != 0 {
-		ocfg.Hybrid.Drift = o.drift
-	}
-	switch o.onlinePolicy {
-	case "greedy":
-		ocfg.Policy = phasetune.OnlineGreedy
-	case "probe":
-		ocfg.Policy = phasetune.OnlineProbe
-	default:
-		return fmt.Errorf("unknown online policy %q", o.onlinePolicy)
 	}
 
 	var events phasetune.Events
@@ -325,10 +284,7 @@ func run(o options) error {
 
 	t := textplot.NewTable("metric", "value")
 	t.AddRow("machine", machine.Name)
-	t.AddRow("policy", label)
-	if label == "dynamic" {
-		t.AddRow("online policy", ocfg.Policy.String())
-	}
+	t.AddRow("policy", pol.String())
 	if o.alt > 0 {
 		t.AddRow("workload", fmt.Sprintf("alt.x%d anchored fleet", o.alt))
 	}
@@ -367,7 +323,7 @@ func run(o options) error {
 		t.AddRow("probe decisions", fmt.Sprintf("%d", res.Online.Decisions))
 		t.AddRow("monitor cycles", fmt.Sprintf("%d", res.Online.ChargedCycles))
 		t.AddRow("online switches", fmt.Sprintf("%d", res.Online.Switches))
-		if label == "hybrid" {
+		if pol == phasetune.PolicyHybrid || pol == phasetune.PolicyHybridDamped {
 			t.AddRow("decision refreshes", fmt.Sprintf("%d", res.Online.Refreshes))
 			t.AddRow("damped refreshes", fmt.Sprintf("%d", res.Online.Damped))
 		}

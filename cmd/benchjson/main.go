@@ -359,7 +359,7 @@ func gridSpecs() []phasetune.RunSpec {
 		q := &phasetune.WorkloadSpec{Slots: 4, QueueLen: 8, Seed: seed}
 		for _, params := range variants {
 			specs = append(specs, phasetune.RunSpec{
-				Queues: q, DurationSec: 10, Mode: phasetune.Tuned,
+				Queues: q, DurationSec: 10, Policy: phasetune.PolicyStatic,
 				Params: params, Seed: seed,
 			})
 		}
@@ -383,13 +383,11 @@ func run(out string, reps, shards int) error {
 
 	seq, seqAllocs, err := timeMin(reps, func() error {
 		for _, spec := range specs {
-			w := phasetune.NewWorkload(suite, spec.Queues.Slots, spec.Queues.QueueLen, spec.Queues.Seed)
-			if _, err := phasetune.Run(phasetune.RunConfig{
-				Workload: w, DurationSec: spec.DurationSec,
-				Mode: spec.Mode, Params: spec.Params,
-				Tuning:     phasetune.DefaultTuning(),
-				TypingOpts: phasetune.DefaultTyping(), Seed: spec.Seed,
-			}); err != nil {
+			// A fresh memo-less session per run shares nothing, so every run
+			// re-executes the static pipeline: the pre-sweep architecture.
+			spec.Workload = phasetune.NewWorkload(suite, spec.Queues.Slots, spec.Queues.QueueLen, spec.Queues.Seed)
+			spec.Queues = nil
+			if _, err := phasetune.NewSession(phasetune.WithoutSegmentMemo()).Run(spec); err != nil {
 				return err
 			}
 		}
@@ -454,7 +452,7 @@ func run(out string, reps, shards int) error {
 		policy phasetune.Policy
 	}{
 		{"workload_second_baseline", phasetune.PolicyNone},
-		{"workload_second_dynamic", phasetune.PolicyDynamic},
+		{"workload_second_dynamic", phasetune.PolicyDynamicProbe},
 	} {
 		sess := phasetune.NewSession()
 		d, dAllocs, err := timeMin(reps, func() error {

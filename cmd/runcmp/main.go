@@ -1,6 +1,6 @@
 // Command runcmp diffs two runs' cycle ledgers category by category — the
 // where-did-the-cycles-go answer to "why is policy A faster than policy B
-// here". Each side is either a showdown policy name (the run is executed
+// here". Each side is either a policy name (the run is executed
 // on the selected machine with accounting on) or a path to a result JSON
 // file (as committed by the dist fabric or written by `ampsim -ledger`),
 // so the same tool compares policy-vs-policy and file-vs-file — two
@@ -33,8 +33,8 @@ import (
 )
 
 func main() {
-	aFlag := flag.String("a", "static", "side A: showdown policy name or result-JSON path")
-	bFlag := flag.String("b", "hybrid", "side B: showdown policy name or result-JSON path")
+	aFlag := flag.String("a", "static", "side A: policy name or result-JSON path")
+	bFlag := flag.String("b", "hybrid", "side B: policy name or result-JSON path")
 	machineFlag := flag.String("machine", "hex", "machine for policy sides: quad|tri|hex (or a full machine name)")
 	slots := flag.Int("slots", 0, "workload slots for policy sides (0 = default 18)")
 	duration := flag.Float64("duration", 0, "duration in simulated seconds for policy sides (0 = default 800)")
@@ -94,8 +94,8 @@ func ms(ps int64) float64 { return float64(ps) / 1e9 }
 
 // resolveSide materializes one side of the diff: an existing file loads as
 // a committed result (its run must have carried a ledger); anything else
-// parses as a showdown policy and runs on the selected machine with
-// accounting forced on.
+// parses as a policy name (sim.ParsePolicy) and runs on the selected
+// machine with accounting forced on.
 func resolveSide(arg, machineName string, slots int, duration float64, seed uint64, quick bool) (*ledger.Ledger, string, error) {
 	if _, err := os.Stat(arg); err == nil {
 		data, err := os.ReadFile(arg)
@@ -124,11 +124,11 @@ func resolveSide(arg, machineName string, slots int, duration float64, seed uint
 		return res.Ledger, arg, nil
 	}
 
-	p, err := experiments.ParseShowdownPolicy(arg)
+	p, err := sim.ParsePolicy(arg)
 	if err != nil {
 		return nil, "", err
 	}
-	machine, err := pickMachine(machineName)
+	machine, err := amp.ByName(machineName)
 	if err != nil {
 		return nil, "", err
 	}
@@ -153,26 +153,6 @@ func resolveSide(arg, machineName string, slots int, duration float64, seed uint
 	desc := fmt.Sprintf("%s on %s (seed %d, %d slots, %.0fs)",
 		p, machine.Name, seed, cfg.Slots, cfg.DurationSec)
 	return res.Ledger, desc, nil
-}
-
-// pickMachine resolves a machine by short or full name.
-func pickMachine(name string) (*amp.Machine, error) {
-	for _, m := range []*amp.Machine{
-		amp.Quad2Fast2Slow(), amp.ThreeCore2Fast1Slow(), amp.Hex2Big2Medium2Little(),
-	} {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	switch name {
-	case "quad":
-		return amp.Quad2Fast2Slow(), nil
-	case "tri":
-		return amp.ThreeCore2Fast1Slow(), nil
-	case "hex":
-		return amp.Hex2Big2Medium2Little(), nil
-	}
-	return nil, fmt.Errorf("unknown machine %q (want quad|tri|hex)", name)
 }
 
 func fatal(err error) {

@@ -7,8 +7,8 @@
 // Coordinator:
 //
 //	sweepd -coordinator [-addr 127.0.0.1:7077]
-//	       [-campaign showdown|grid|window|breakdown|serving]
-//	       [-machine quad|tri|hex]
+//	       [-campaign showdown|grid|window|breakdown|serving|contention]
+//	       [-machine quad|tri|hex|<full machine name>]
 //	       [-quick] [-slots N] [-duration SEC] [-seeds a,b,c]
 //	       [-chunk N] [-lease-ttl 30s] [-spawn N] [-verify] [-out FILE]
 //
@@ -68,8 +68,8 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:7077", "coordinator listen address")
 		connect     = flag.String("connect", "", "coordinator URL (worker mode)")
 		name        = flag.String("name", "", "worker label")
-		campaign    = flag.String("campaign", "showdown", "campaign to serve: showdown|grid|window|breakdown|serving")
-		machineFlag = flag.String("machine", "quad", "campaign machine: quad|tri|hex")
+		campaign    = flag.String("campaign", "showdown", "campaign to serve: showdown|grid|window|breakdown|serving|contention")
+		machineFlag = flag.String("machine", "quad", "campaign machine: quad|tri|hex (or a full machine name)")
 		quick       = flag.Bool("quick", false, "shrink workloads for a fast pass")
 		slots       = flag.Int("slots", 0, "workload slots (0 = default)")
 		duration    = flag.Float64("duration", 0, "workload duration in simulated seconds (0 = default)")
@@ -148,52 +148,31 @@ func config(o coordOpts) (experiments.Config, error) {
 	return cfg, nil
 }
 
-// parseMachine resolves the -machine flag.
-func parseMachine(name string) (*amp.Machine, error) {
-	switch name {
-	case "quad":
-		return amp.Quad2Fast2Slow(), nil
-	case "tri":
-		return amp.ThreeCore2Fast1Slow(), nil
-	case "hex":
-		return amp.Hex2Big2Medium2Little(), nil
-	}
-	return nil, fmt.Errorf("unknown machine %q (want quad|tri|hex)", name)
-}
-
 // buildCampaign cuts the selected campaign from the configuration.
 func buildCampaign(o coordOpts, cfg experiments.Config) (dist.Campaign, error) {
 	switch o.campaign {
-	case "showdown":
-		m, err := parseMachine(o.machine)
-		if err != nil {
-			return dist.Campaign{}, err
-		}
-		return experiments.ShowdownCampaign(cfg, m), nil
 	case "grid":
 		return experiments.TechniqueCampaign(cfg), nil
 	case "window":
 		return experiments.WindowCampaign(cfg, nil, nil), nil
-	case "breakdown":
-		m, err := parseMachine(o.machine)
-		if err != nil {
-			return dist.Campaign{}, err
-		}
-		return experiments.BreakdownCampaign(cfg, m, nil, nil), nil
-	case "serving":
-		m, err := parseMachine(o.machine)
-		if err != nil {
-			return dist.Campaign{}, err
-		}
-		return experiments.ServingCampaign(cfg, m), nil
-	case "contention":
-		m, err := parseMachine(o.machine)
-		if err != nil {
-			return dist.Campaign{}, err
-		}
-		return experiments.ContentionCampaign(cfg, m), nil
 	}
-	return dist.Campaign{}, fmt.Errorf("unknown campaign %q (want showdown|grid|window|breakdown|serving|contention)", o.campaign)
+	perMachine := map[string]func(experiments.Config, *amp.Machine) dist.Campaign{
+		"showdown":   experiments.ShowdownCampaign,
+		"serving":    experiments.ServingCampaign,
+		"contention": experiments.ContentionCampaign,
+		"breakdown": func(cfg experiments.Config, m *amp.Machine) dist.Campaign {
+			return experiments.BreakdownCampaign(cfg, m, nil, nil)
+		},
+	}
+	build, ok := perMachine[o.campaign]
+	if !ok {
+		return dist.Campaign{}, fmt.Errorf("unknown campaign %q (want showdown|grid|window|breakdown|serving|contention)", o.campaign)
+	}
+	m, err := amp.ByName(o.machine)
+	if err != nil {
+		return dist.Campaign{}, err
+	}
+	return build(cfg, m), nil
 }
 
 func runCoordinator(o coordOpts) error {

@@ -24,9 +24,9 @@ import (
 var ErrNeedQueues = fmt.Errorf("distributed sweeps need serializable specs: set RunSpec.Queues (a WorkloadSpec), not a built Workload")
 
 // campaign lowers run specs onto the wire format: the session environment
-// plus one serializable spec per run, with session policy defaults
-// resolved exactly as RunContext resolves them — which is why the fabric's
-// merged output is byte-identical to a local Sweep of the same specs.
+// plus one serializable spec per run, with policies lowered exactly as
+// RunContext lowers them — which is why the fabric's merged output is
+// byte-identical to a local Sweep of the same specs.
 func (s *Session) campaign(specs []RunSpec) (dist.Campaign, error) {
 	camp := dist.Campaign{
 		Env: dist.EnvSpec{Version: dist.SpecVersion, Machine: *s.machine, Cost: s.cost,
@@ -46,7 +46,7 @@ func (s *Session) campaign(specs []RunSpec) (dist.Campaign, error) {
 		if spec.Workload != nil || queues == nil {
 			return dist.Campaign{}, fmt.Errorf("spec %d: %w", i, ErrNeedQueues)
 		}
-		mode, params, tcfg, ocfg, pcfg := s.resolve(spec)
+		mode, params, tcfg, ocfg, pcfg := s.lower(spec)
 		camp.Specs[i] = dist.Spec{
 			Queues:      *queues,
 			DurationSec: spec.DurationSec,

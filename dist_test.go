@@ -19,7 +19,7 @@ func shardedGrid() []phasetune.RunSpec {
 		specs = append(specs,
 			phasetune.RunSpec{Queues: q, DurationSec: 5, Policy: phasetune.PolicyNone, Seed: seed},
 			phasetune.RunSpec{Queues: q, DurationSec: 5, Policy: phasetune.PolicyStatic, Params: loop45, Seed: seed},
-			phasetune.RunSpec{Queues: q, DurationSec: 5, Policy: phasetune.PolicyDynamic, Seed: seed},
+			phasetune.RunSpec{Queues: q, DurationSec: 5, Policy: phasetune.PolicyDynamicProbe, Seed: seed},
 			phasetune.RunSpec{Queues: q, DurationSec: 5, Policy: phasetune.PolicyHybrid, Seed: seed},
 		)
 	}

@@ -31,9 +31,9 @@ func main() {
 		phasetune.WithMachine(machine),
 		phasetune.WithCost(cost),
 	)
-	run := func(mode phasetune.RunMode) *phasetune.RunResult {
+	run := func(policy phasetune.Policy) *phasetune.RunResult {
 		res, err := sess.RunContext(context.Background(), phasetune.RunSpec{
-			Workload: w, DurationSec: duration, Mode: mode,
+			Workload: w, DurationSec: duration, Policy: policy,
 			Params: phasetune.BestParams(), Seed: 3,
 		})
 		if err != nil {
@@ -42,8 +42,8 @@ func main() {
 		return res
 	}
 
-	base := run(phasetune.Baseline)
-	tuned := run(phasetune.Tuned)
+	base := run(phasetune.PolicyNone)
+	tuned := run(phasetune.PolicyStatic)
 
 	bAvg := phasetune.AvgProcessTime(base.Tasks)
 	tAvg := phasetune.AvgProcessTime(tuned.Tasks)

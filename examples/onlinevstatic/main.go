@@ -27,18 +27,15 @@ func main() {
 	)
 	w := phasetune.NewWorkload(suite, slots, 256, seed)
 
-	greedy := phasetune.DefaultOnline()
-	greedy.Policy = phasetune.OnlineGreedy
-
-	specs := []phasetune.RunSpec{
-		{Workload: w, DurationSec: duration, Seed: seed, Policy: phasetune.PolicyNone},
-		{Workload: w, DurationSec: duration, Seed: seed, Policy: phasetune.PolicyStatic},
-		{Workload: w, DurationSec: duration, Seed: seed, Policy: phasetune.PolicyDynamic, Online: &greedy},
-		{Workload: w, DurationSec: duration, Seed: seed, Policy: phasetune.PolicyDynamic},
-		{Workload: w, DurationSec: duration, Seed: seed, Policy: phasetune.PolicyHybrid},
-		{Workload: w, DurationSec: duration, Seed: seed, Policy: phasetune.PolicyOracle},
+	policies := []phasetune.Policy{
+		phasetune.PolicyNone, phasetune.PolicyStatic,
+		phasetune.PolicyDynamicGreedy, phasetune.PolicyDynamicProbe,
+		phasetune.PolicyHybrid, phasetune.PolicyOracle,
 	}
-	labels := []string{"none", "static", "dynamic/greedy", "dynamic/probe", "hybrid", "oracle"}
+	specs := make([]phasetune.RunSpec, len(policies))
+	for i, p := range policies {
+		specs[i] = phasetune.RunSpec{Workload: w, DurationSec: duration, Seed: seed, Policy: p}
+	}
 
 	results, err := sess.Sweep(context.Background(), specs)
 	if err != nil {
@@ -60,7 +57,7 @@ func main() {
 			windows, cycles = res.Online.Windows, res.Online.ChargedCycles
 		}
 		fmt.Printf("%-15s %14.4g %+7.2f%% %10d %10d %12d\n",
-			labels[i], tput, 100*(tput-base)/base, switches, windows, cycles)
+			policies[i], tput, 100*(tput-base)/base, switches, windows, cycles)
 	}
 	fmt.Println("\nThe paper's claim is the ranking: static beats dynamic (no monitoring,")
 	fmt.Println("no misprediction), dynamic still beats the asymmetry-unaware baseline.")

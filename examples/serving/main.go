@@ -29,9 +29,8 @@ func main() {
 	loads := []float64{0.75, 1.25}
 	policies := []phasetune.Policy{
 		phasetune.PolicyNone, phasetune.PolicyStatic,
-		phasetune.PolicyDynamic, phasetune.PolicyHybrid,
+		phasetune.PolicyDynamicProbe, phasetune.PolicyHybrid,
 	}
-	labels := []string{"none", "static", "dynamic/probe", "hybrid"}
 
 	var specs []phasetune.RunSpec
 	for _, load := range loads {
@@ -55,7 +54,7 @@ func main() {
 	for i, res := range results {
 		st := phasetune.SummarizeServing(res)
 		fmt.Printf("%4.2fx  %-14s %8d %6d %7.2f %7.2f %7.2f %7.2f %9d\n",
-			loads[i/len(policies)], labels[i%len(policies)],
+			loads[i/len(policies)], policies[i%len(policies)],
 			st.Admitted, st.Completed, st.P50, st.P95, st.P99, st.P999, st.PeakRunnable)
 	}
 	fmt.Println("\nBelow saturation the policies bunch; past it they separate — and the")

@@ -24,9 +24,8 @@ func main() {
 
 	sess := phasetune.NewSession()
 	results, err := sess.Sweep(context.Background(), []phasetune.RunSpec{
-		{Workload: w, DurationSec: duration, Mode: phasetune.Baseline, Seed: 7},
-		{Workload: w, DurationSec: duration, Mode: phasetune.Tuned,
-			Params: phasetune.BestParams(), Seed: 7},
+		{Workload: w, DurationSec: duration, Policy: phasetune.PolicyNone, Seed: 7},
+		{Workload: w, DurationSec: duration, Policy: phasetune.PolicyStatic, Seed: 7},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -277,6 +277,23 @@ func Symmetric(n int, ghz float64) *Machine {
 	return m
 }
 
+// ByName resolves a preset machine by its short name (quad, tri, hex) or
+// its full name (quad-2f2s, tri-2f1s, hex-2b2m2l) — the one resolver
+// behind every command's -machine flag.
+func ByName(name string) (*Machine, error) {
+	for _, p := range []struct {
+		short string
+		build func() *Machine
+	}{
+		{"quad", Quad2Fast2Slow}, {"tri", ThreeCore2Fast1Slow}, {"hex", Hex2Big2Medium2Little},
+	} {
+		if m := p.build(); name == p.short || name == m.Name {
+			return m, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown machine %q (want quad|tri|hex or a full machine name)", name)
+}
+
 // MaskCores expands an affinity mask into core IDs, ascending.
 func MaskCores(mask uint64, numCores int) []int {
 	var out []int

@@ -168,3 +168,23 @@ func TestThreeCoreShape(t *testing.T) {
 		t.Error("3-core preset shape wrong")
 	}
 }
+
+func TestByName(t *testing.T) {
+	cases := []struct{ name, want string }{
+		{"quad", "quad-2f2s"}, {"quad-2f2s", "quad-2f2s"},
+		{"tri", "tri-2f1s"}, {"tri-2f1s", "tri-2f1s"},
+		{"hex", "hex-2b2m2l"}, {"hex-2b2m2l", "hex-2b2m2l"},
+		{"", ""}, {"octo", ""}, {"Quad", ""}, {"sym-4x2.0", ""},
+	}
+	for _, tc := range cases {
+		m, err := ByName(tc.name)
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("ByName(%q) = %s, want an error", tc.name, m.Name)
+		case tc.want != "" && err != nil:
+			t.Errorf("ByName(%q): %v", tc.name, err)
+		case tc.want != "" && m.Name != tc.want:
+			t.Errorf("ByName(%q) = %s, want %s", tc.name, m.Name, tc.want)
+		}
+	}
+}

@@ -131,7 +131,8 @@ type Spec struct {
 	Queues workload.Spec `json:"queues"`
 	// DurationSec is the run length in simulated seconds.
 	DurationSec float64 `json:"duration_sec"`
-	// Mode selects baseline/tuned/overhead/dynamic/oracle execution.
+	// Mode is the run mode a placement policy lowered to
+	// (sim.Policy.Lower), with Tuning and Online as that lowering set them.
 	Mode sim.Mode `json:"mode"`
 	// Params is the marking technique for instrumented modes.
 	Params transition.Params `json:"params"`

@@ -4,6 +4,7 @@ import (
 	"phasetune/internal/amp"
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
+	"phasetune/internal/sim"
 	"phasetune/internal/workload"
 )
 
@@ -34,16 +35,16 @@ import (
 // spill arbitration only costs), spill arbitration where types > 2 (the
 // plain pin leaves the middle type idle and herding would drown the
 // misprediction signal the map is after).
-func breakdownFixed(machine *amp.Machine) []ShowdownPolicy {
-	static := ShowdownStatic
+func breakdownFixed(machine *amp.Machine) []sim.Policy {
+	static := sim.PolicyStatic
 	if len(machine.Types) > 2 {
-		static = ShowdownStaticSpill
+		static = sim.PolicyStaticSpill
 	}
-	return []ShowdownPolicy{ShowdownNone, static, ShowdownOracle}
+	return []sim.Policy{sim.PolicyNone, static, sim.PolicyOracle}
 }
 
 // breakdownSwept are the window-dependent detection policies of the map.
-var breakdownSwept = []ShowdownPolicy{ShowdownDynamicProbe, ShowdownHybrid}
+var breakdownSwept = []sim.Policy{sim.PolicyDynamicProbe, sim.PolicyHybrid}
 
 // BreakdownMachines returns the default machine set of the breakdown map:
 // the paper's quad AMP and the three-type big/medium/little hex.
@@ -67,7 +68,7 @@ type BreakdownRow struct {
 	WindowInstrs uint64
 	// StaticPolicy names the machine's static reference variant (plain pin
 	// on two-type machines, spill arbitration beyond — see breakdownFixed).
-	StaticPolicy ShowdownPolicy
+	StaticPolicy sim.Policy
 	// StaticPct, DynamicPct, HybridPct, OraclePct are throughput
 	// improvements over the stock scheduler on the same (machine, rate)
 	// workload, in percent.
@@ -119,10 +120,10 @@ type BreakdownResult struct {
 	Windows []uint64
 }
 
-// breakdownRunCfg builds one wire spec: a showdown policy cell re-pointed
+// breakdownRunCfg builds one wire spec: a policy cell (showdownRunCfg) re-pointed
 // at the alternation-axis workload, with the detection window overridden
 // for the window-swept policies.
-func breakdownRunCfg(cfg Config, p ShowdownPolicy, alternations int, window uint64, seed uint64) dist.Spec {
+func breakdownRunCfg(cfg Config, p sim.Policy, alternations int, window uint64, seed uint64) dist.Spec {
 	sp := showdownRunCfg(cfg, p, seed)
 	sp.Queues.Alternations = alternations
 	if window > 0 {

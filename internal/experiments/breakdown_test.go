@@ -8,6 +8,7 @@ import (
 	"phasetune/internal/amp"
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
+	"phasetune/internal/sim"
 )
 
 // TestBreakdownShape covers the driver plumbing on a tiny grid: row order
@@ -35,9 +36,9 @@ func TestBreakdownShape(t *testing.T) {
 	}
 	i := 0
 	for _, m := range machines {
-		wantStatic := ShowdownStatic
+		wantStatic := sim.PolicyStatic
 		if len(m.Types) > 2 {
-			wantStatic = ShowdownStaticSpill
+			wantStatic = sim.PolicyStaticSpill
 		}
 		for _, a := range alts {
 			for _, w := range windows {
@@ -147,9 +148,9 @@ func TestShowdownDampedHybridTrade(t *testing.T) {
 	cfg := showdownConfig(t, 5)
 	seed := cfg.Seeds[0]
 	grid := []dist.Spec{
-		showdownRunCfg(cfg, ShowdownNone, seed),
-		showdownRunCfg(cfg, ShowdownHybrid, seed),
-		showdownRunCfg(cfg, ShowdownHybridDamped, seed),
+		showdownRunCfg(cfg, sim.PolicyNone, seed),
+		showdownRunCfg(cfg, sim.PolicyHybrid, seed),
+		showdownRunCfg(cfg, sim.PolicyHybridDamped, seed),
 	}
 	results, err := cfg.sweep(grid)
 	if err != nil {

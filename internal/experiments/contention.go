@@ -5,6 +5,7 @@ import (
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
 	"phasetune/internal/place"
+	"phasetune/internal/sim"
 	"phasetune/internal/workload"
 )
 
@@ -31,21 +32,11 @@ import (
 // contention-priced: static marks with spill arbitration, the online
 // detector (probe placement), the marks+windows hybrid, and the
 // perfect-knowledge oracle.
-func ContentionPolicies() []ShowdownPolicy {
-	return []ShowdownPolicy{
-		ShowdownNone, ShowdownStaticSpill, ShowdownDynamicProbe,
-		ShowdownHybrid, ShowdownOracle,
+func ContentionPolicies() []sim.Policy {
+	return []sim.Policy{
+		sim.PolicyNone, sim.PolicyStaticSpill, sim.PolicyDynamicProbe,
+		sim.PolicyHybrid, sim.PolicyOracle,
 	}
-}
-
-// contentionPriceable reports whether a policy's placements flow through
-// engine arbitration — the precondition for a priced variant of its cell.
-func contentionPriceable(p ShowdownPolicy) bool {
-	switch p {
-	case ShowdownStaticSpill, ShowdownDynamicProbe, ShowdownHybrid, ShowdownOracle:
-		return true
-	}
-	return false
 }
 
 // ContentionMachines returns the campaign machine set: the three-type hex is
@@ -59,7 +50,7 @@ func ContentionMachines() []*amp.Machine {
 // ContentionCell is one (policy, priced) column of the campaign grid.
 type ContentionCell struct {
 	// Policy is the placement policy.
-	Policy ShowdownPolicy
+	Policy sim.Policy
 	// Priced reports whether the cell ran with contention pricing
 	// (place.Config.Contention at defaults).
 	Priced bool
@@ -74,7 +65,7 @@ func ContentionCells() []ContentionCell {
 		cells = append(cells, ContentionCell{Policy: p})
 	}
 	for _, p := range ContentionPolicies() {
-		if contentionPriceable(p) {
+		if p.EngineBacked() {
 			cells = append(cells, ContentionCell{Policy: p, Priced: true})
 		}
 	}
@@ -86,13 +77,13 @@ type ContentionRow struct {
 	// Machine is the machine name.
 	Machine string
 	// Policy is the placement policy.
-	Policy ShowdownPolicy
+	Policy sim.Policy
 	// Priced reports whether the engine ran contention-priced.
 	Priced bool
 	// Throughput is mean committed instructions per second.
 	Throughput float64
 	// ThroughputPct is the improvement over the same machine's unpriced
-	// ShowdownNone row, in percent.
+	// sim.PolicyNone row, in percent.
 	ThroughputPct float64
 	// MemShare is the per-cache-group share of memory-bound core time
 	// (Σ = 1 when any antagonist ran), averaged over seeds, in machine
@@ -111,7 +102,7 @@ type ContentionRow struct {
 	Switches float64
 }
 
-// contentionRunCfg builds one wire spec: the showdown policy lowering with
+// contentionRunCfg builds one wire spec: the policy cell (showdownRunCfg) with
 // the workload swapped for the antagonist fleet, the kernel's cache-group
 // residency map enabled, and — for priced cells — the contention config at
 // defaults.
@@ -150,7 +141,7 @@ func ContentionCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 // ContentionMachines — hex then quad). Rows come back machine-major in
 // ContentionCells order: every policy unpriced, then the engine-backed
 // policies priced. The improvement column is relative to the same machine's
-// unpriced ShowdownNone row.
+// unpriced sim.PolicyNone row.
 func Contention(cfg Config, machines []*amp.Machine) ([]ContentionRow, error) {
 	if machines == nil {
 		machines = ContentionMachines()

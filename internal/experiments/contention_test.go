@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -26,7 +27,34 @@ func contentionTestConfig(t *testing.T) Config {
 	return cfg.Scale(12, 60, []uint64{5})
 }
 
-func contentionRowOf(t *testing.T, rows []ContentionRow, p ShowdownPolicy, priced bool) ContentionRow {
+// TestContentionPricedCellsAreEngineBacked pins Policy.EngineBacked
+// against the contention column set: the priced cells are exactly the
+// engine-arbitrated columns, and the stock scheduler is the one unpriced
+// reference.
+func TestContentionPricedCellsAreEngineBacked(t *testing.T) {
+	var priced []sim.Policy
+	for _, c := range ContentionCells() {
+		if c.Priced {
+			priced = append(priced, c.Policy)
+		}
+	}
+	want := []sim.Policy{sim.PolicyStaticSpill, sim.PolicyDynamicProbe, sim.PolicyHybrid, sim.PolicyOracle}
+	if !reflect.DeepEqual(priced, want) {
+		t.Errorf("priced cells %v, want %v", priced, want)
+	}
+	for _, p := range ContentionPolicies() {
+		if p.EngineBacked() == (p == sim.PolicyNone) {
+			t.Errorf("%s: EngineBacked() = %v", p, p.EngineBacked())
+		}
+	}
+	for _, p := range []sim.Policy{sim.PolicyStatic, sim.PolicyDynamicGreedy, sim.PolicyOverhead} {
+		if p.EngineBacked() {
+			t.Errorf("%s places without engine arbitration but reports EngineBacked", p)
+		}
+	}
+}
+
+func contentionRowOf(t *testing.T, rows []ContentionRow, p sim.Policy, priced bool) ContentionRow {
 	t.Helper()
 	for _, r := range rows {
 		if r.Policy == p && r.Priced == priced {
@@ -54,7 +82,7 @@ func TestContentionSeparatesAntagonistsOnHex(t *testing.T) {
 
 	// Herding: the unpriced oracle concentrates essentially all antagonist
 	// core time on one cache group.
-	herd := contentionRowOf(t, rows, ShowdownOracle, false)
+	herd := contentionRowOf(t, rows, sim.PolicyOracle, false)
 	if herd.MaxMemShare < 0.9 {
 		t.Errorf("unpriced oracle max group share %.3f, want >= 0.9 (herding)", herd.MaxMemShare)
 	}
@@ -64,7 +92,7 @@ func TestContentionSeparatesAntagonistsOnHex(t *testing.T) {
 
 	// The fix: the priced oracle spreads antagonists over >= 2 groups and
 	// recovers a large fraction of the herding loss.
-	priced := contentionRowOf(t, rows, ShowdownOracle, true)
+	priced := contentionRowOf(t, rows, sim.PolicyOracle, true)
 	if priced.MaxMemShare > 0.6 {
 		t.Errorf("priced oracle max group share %.3f, want <= 0.6 (separated)", priced.MaxMemShare)
 	}
@@ -83,7 +111,7 @@ func TestContentionSeparatesAntagonistsOnHex(t *testing.T) {
 	var unpricedSum, pricedSum float64
 	var n int
 	for _, p := range ContentionPolicies() {
-		if !contentionPriceable(p) {
+		if !p.EngineBacked() {
 			continue
 		}
 		unpricedSum += contentionRowOf(t, rows, p, false).MaxMemShare
@@ -125,7 +153,7 @@ func TestContentionLedgerConservationPriced(t *testing.T) {
 			}
 			mcfg.Suite = suite
 			for _, p := range ContentionPolicies() {
-				if !contentionPriceable(p) {
+				if !p.EngineBacked() {
 					continue
 				}
 				var spec dist.Spec
@@ -169,7 +197,7 @@ func TestContentionLedgerConservationPriced(t *testing.T) {
 // carry them.
 func TestContentionSpecWireCompat(t *testing.T) {
 	cfg := contentionTestConfig(t)
-	plain := showdownRunCfg(cfg, ShowdownStaticSpill, 5)
+	plain := showdownRunCfg(cfg, sim.PolicyStaticSpill, 5)
 	blob, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +224,7 @@ func TestContentionSpecWireCompat(t *testing.T) {
 		t.Errorf("suite-draw spec encodes queues.fleet: %s", m["queues"])
 	}
 
-	priced := contentionRunCfg(cfg, ContentionCell{Policy: ShowdownStaticSpill, Priced: true}, 5)
+	priced := contentionRunCfg(cfg, ContentionCell{Policy: sim.PolicyStaticSpill, Priced: true}, 5)
 	blob, err = json.Marshal(priced)
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +254,8 @@ func TestContentionShardedMergeByteIdentical(t *testing.T) {
 	}
 	cfg.Suite = suite
 	grid := []dist.Spec{
-		contentionRunCfg(cfg, ContentionCell{Policy: ShowdownStaticSpill, Priced: true}, 5),
-		contentionRunCfg(cfg, ContentionCell{Policy: ShowdownOracle, Priced: true}, 5),
+		contentionRunCfg(cfg, ContentionCell{Policy: sim.PolicyStaticSpill, Priced: true}, 5),
+		contentionRunCfg(cfg, ContentionCell{Policy: sim.PolicyOracle, Priced: true}, 5),
 	}
 	camp := dist.Campaign{Env: cfg.Env(), Specs: grid}
 

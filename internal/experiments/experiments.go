@@ -21,6 +21,7 @@ import (
 	"phasetune/internal/dist"
 	"phasetune/internal/exec"
 	"phasetune/internal/metrics"
+	"phasetune/internal/online"
 	"phasetune/internal/osched"
 	"phasetune/internal/phase"
 	"phasetune/internal/sim"
@@ -131,15 +132,20 @@ func (c *Config) Env() dist.EnvSpec {
 
 // runCfg assembles one sweep cell in the fabric's wire form: the workload
 // travels as its construction parameters, so the same cell runs locally or
-// on a remote worker with bit-identical results.
-func (c *Config) runCfg(mode sim.Mode, params transition.Params, tcfg tuning.Config,
+// on a remote worker with bit-identical results. The policy lowers onto
+// the cell through sim.Policy.Lower; detector policies start from the
+// online detector's defaults at the run's δ.
+func (c *Config) runCfg(p sim.Policy, params transition.Params, tcfg tuning.Config,
 	errFrac float64, seed uint64, durationSec float64) dist.Spec {
 
-	return dist.Spec{
+	sp := dist.Spec{
 		Queues:      workload.Spec{Slots: c.Slots, QueueLen: c.QueueLen, Seed: seed},
-		DurationSec: durationSec, Mode: mode, Params: params, Tuning: tcfg,
+		DurationSec: durationSec, Params: params, Tuning: tcfg, Online: online.DefaultConfig(),
 		TypingError: errFrac, Seed: seed,
 	}
+	sp.Online.Delta = tcfg.Delta
+	sp.Mode = p.Lower(&sp.Params, &sp.Tuning, &sp.Online)
+	return sp
 }
 
 // sweep executes the grid: through the distributed fabric when Shards > 1,
@@ -172,7 +178,7 @@ func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
 func (c *Config) baselines(durationSec float64) (map[uint64]*sim.Result, error) {
 	grid := make([]dist.Spec, len(c.Seeds))
 	for i, seed := range c.Seeds {
-		grid[i] = c.runCfg(sim.Baseline, transition.Params{}, tuning.Config{}, 0, seed, durationSec)
+		grid[i] = c.runCfg(sim.PolicyNone, transition.Params{}, tuning.Config{}, 0, seed, durationSec)
 	}
 	results, err := c.sweep(grid)
 	if err != nil {
@@ -220,9 +226,7 @@ func TechniqueGrid() []transition.Params {
 }
 
 // BestParams is the paper's best variant: Loop[45].
-func BestParams() transition.Params {
-	return transition.Params{Technique: transition.Loop, MinSize: 45, PropagateThroughUntyped: true}
-}
+func BestParams() transition.Params { return sim.BestParams() }
 
 // ---------------------------------------------------------------------------
 // Fig. 3 — space overhead box plots per technique variant.
@@ -305,7 +309,7 @@ func Fig4TimeOverhead(cfg Config, variants []transition.Params) ([]TimeOverheadR
 	grid := make([]dist.Spec, 0, len(variants)*len(cfg.Seeds))
 	for _, params := range variants {
 		for _, seed := range cfg.Seeds {
-			grid = append(grid, cfg.runCfg(sim.Overhead, params, tuning.Config{}, 0, seed, cfg.DurationSec))
+			grid = append(grid, cfg.runCfg(sim.PolicyOverhead, params, tuning.Config{}, 0, seed, cfg.DurationSec))
 		}
 	}
 	results, err := cfg.sweep(grid)
@@ -476,7 +480,7 @@ func throughputImprovements(cfg Config, specs []tunedSpec) ([]float64, error) {
 	grid := make([]dist.Spec, 0, len(specs)*len(cfg.Seeds))
 	for _, s := range specs {
 		for _, seed := range cfg.Seeds {
-			grid = append(grid, cfg.runCfg(sim.Tuned, s.params, s.tuning, s.errFrac, seed, window))
+			grid = append(grid, cfg.runCfg(sim.PolicyStatic, s.params, s.tuning, s.errFrac, seed, window))
 		}
 	}
 	results, err := cfg.sweep(grid)
@@ -592,7 +596,7 @@ func Table2Fairness(cfg Config, variants []transition.Params) ([]FairnessRow, er
 	grid := make([]dist.Spec, 0, len(variants)*len(cfg.Seeds))
 	for _, params := range variants {
 		for _, seed := range cfg.Seeds {
-			grid = append(grid, cfg.runCfg(sim.Tuned, params, cfg.Tuning, 0, seed, cfg.DurationSec))
+			grid = append(grid, cfg.runCfg(sim.PolicyStatic, params, cfg.Tuning, 0, seed, cfg.DurationSec))
 		}
 	}
 	results, err := cfg.sweep(grid)

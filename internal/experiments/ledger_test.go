@@ -30,10 +30,10 @@ func ledgerConfig(t *testing.T) Config {
 // scheduler, both paper techniques, a pure dynamic detector, and the
 // oracle — every distinct charge-site combination (no instrumentation;
 // marks; marks+windows; windows+probes; perfect knowledge).
-func ledgerPolicies() []ShowdownPolicy {
-	return []ShowdownPolicy{
-		ShowdownNone, ShowdownStatic, ShowdownDynamicProbe,
-		ShowdownHybrid, ShowdownOracle,
+func ledgerPolicies() []sim.Policy {
+	return []sim.Policy{
+		sim.PolicyNone, sim.PolicyStatic, sim.PolicyDynamicProbe,
+		sim.PolicyHybrid, sim.PolicyOracle,
 	}
 }
 
@@ -111,8 +111,8 @@ func TestLedgerShardedMergeByteIdentical(t *testing.T) {
 	}
 	mcfg.Suite = suite
 	grid := []dist.Spec{
-		showdownRunCfg(mcfg, ShowdownStatic, mcfg.Seeds[0]),
-		showdownRunCfg(mcfg, ShowdownHybrid, mcfg.Seeds[0]),
+		showdownRunCfg(mcfg, sim.PolicyStatic, mcfg.Seeds[0]),
+		showdownRunCfg(mcfg, sim.PolicyHybrid, mcfg.Seeds[0]),
 	}
 	camp := dist.Campaign{Env: mcfg.Env(), Specs: grid}
 

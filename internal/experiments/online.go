@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"phasetune/internal/amp"
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
-	"phasetune/internal/online"
 	"phasetune/internal/sim"
 	"phasetune/internal/transition"
 	"phasetune/internal/workload"
@@ -21,66 +18,12 @@ import (
 // against the literature; this driver measures it, running the same
 // workloads under every placement policy on both AMP machines.
 
-// ShowdownPolicy identifies one column of the showdown.
-type ShowdownPolicy int
-
-const (
-	// ShowdownNone is the stock scheduler baseline.
-	ShowdownNone ShowdownPolicy = iota
-	// ShowdownStatic is the paper's technique (phase marks, Loop[45]).
-	ShowdownStatic
-	// ShowdownStaticSpill is the paper's technique with capacity-aware
-	// spill arbitration (tuning.Config.Spill through the shared placement
-	// engine) — the ablation that fixes static pin-to-type herding on
-	// memory-dominant mixes.
-	ShowdownStaticSpill
-	// ShowdownDynamicGreedy is online detection with greedy IPC placement.
-	ShowdownDynamicGreedy
-	// ShowdownDynamicProbe is online detection with the sampling probe and
-	// Algorithm 2 placement.
-	ShowdownDynamicProbe
-	// ShowdownHybrid is the marks+windows hybrid: mark boundaries, window-
-	// refreshed IPC estimates, shared-engine arbitration.
-	ShowdownHybrid
-	// ShowdownHybridDamped is the hybrid with re-decision drift damping
-	// (online.HybridConfig.Drift at online.DefaultDrift): refreshed
-	// estimates re-enter Algorithm 2 only when the per-phase means moved
-	// more than ε — the switch-volume-vs-throughput trade as a column.
-	ShowdownHybridDamped
-	// ShowdownOracle is perfect-knowledge placement (upper bound).
-	ShowdownOracle
-)
-
-// String names the policy column.
-func (p ShowdownPolicy) String() string {
-	switch p {
-	case ShowdownNone:
-		return "none"
-	case ShowdownStatic:
-		return "static"
-	case ShowdownStaticSpill:
-		return "static/spill"
-	case ShowdownDynamicGreedy:
-		return "dynamic/greedy"
-	case ShowdownDynamicProbe:
-		return "dynamic/probe"
-	case ShowdownHybrid:
-		return "hybrid"
-	case ShowdownHybridDamped:
-		return "hybrid/damped"
-	case ShowdownOracle:
-		return "oracle"
-	}
-	return fmt.Sprintf("showdown(%d)", int(p))
-}
-
-// ShowdownPolicies returns the full column set in display order.
-func ShowdownPolicies() []ShowdownPolicy {
-	return []ShowdownPolicy{
-		ShowdownNone, ShowdownStatic, ShowdownStaticSpill,
-		ShowdownDynamicGreedy, ShowdownDynamicProbe,
-		ShowdownHybrid, ShowdownHybridDamped, ShowdownOracle,
-	}
+// showdownPolicies is the showdown's column set in display order: every
+// placement policy except Fig. 4's overhead methodology.
+var showdownPolicies = []sim.Policy{
+	sim.PolicyNone, sim.PolicyStatic, sim.PolicyStaticSpill,
+	sim.PolicyDynamicGreedy, sim.PolicyDynamicProbe,
+	sim.PolicyHybrid, sim.PolicyHybridDamped, sim.PolicyOracle,
 }
 
 // ShowdownRow is one (machine, policy) cell of the showdown table, averaged
@@ -89,14 +32,14 @@ type ShowdownRow struct {
 	// Machine is the machine name (quad-2f2s, tri-2f1s).
 	Machine string
 	// Policy is the placement policy.
-	Policy ShowdownPolicy
+	Policy sim.Policy
 	// Throughput is mean committed instructions per second.
 	Throughput float64
-	// ThroughputPct is the throughput improvement over ShowdownNone on the
+	// ThroughputPct is the throughput improvement over sim.PolicyNone on the
 	// same machine, in percent.
 	ThroughputPct float64
 	// AvgTimePct and MatchedAvgPct are average-process-time decreases versus
-	// ShowdownNone (raw and instance-matched).
+	// sim.PolicyNone (raw and instance-matched).
 	AvgTimePct, MatchedAvgPct float64
 	// Switches is the mean core-switch count across the run.
 	Switches float64
@@ -132,56 +75,11 @@ type ShowdownRow struct {
 	UsefulPct, AsymmetryPct, SpillPct, OverheadPct, IdlePct float64
 }
 
-// ParseShowdownPolicy maps a policy column name (the String form, e.g.
-// "static" or "hybrid/damped") back to its ShowdownPolicy — the CLI entry
-// point cmd/runcmp uses to diff two named policies.
-func ParseShowdownPolicy(name string) (ShowdownPolicy, error) {
-	for _, p := range ShowdownPolicies() {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown showdown policy %q (want one of %v)", name, ShowdownPolicies())
-}
-
 // showdownRunCfg builds one wire spec for a policy on a machine-specific
-// config (cfg.Machine and cfg.Suite must already match).
-func showdownRunCfg(cfg Config, p ShowdownPolicy, seed uint64) dist.Spec {
-	mode := sim.Baseline
-	params := transition.Params{}
-	ocfg := online.Config{}
-	tcfg := cfg.Tuning
-	switch p {
-	case ShowdownStatic:
-		mode, params = sim.Tuned, BestParams()
-	case ShowdownStaticSpill:
-		mode, params = sim.Tuned, BestParams()
-		tcfg.Spill = true
-	case ShowdownDynamicGreedy:
-		mode = sim.Dynamic
-		ocfg = online.DefaultConfig()
-		ocfg.Policy = online.Greedy
-		ocfg.Delta = cfg.Tuning.Delta
-	case ShowdownDynamicProbe:
-		mode = sim.Dynamic
-		ocfg = online.DefaultConfig()
-		ocfg.Policy = online.Probe
-		ocfg.Delta = cfg.Tuning.Delta
-	case ShowdownHybrid:
-		mode, params = sim.Hybrid, BestParams()
-		ocfg = online.DefaultConfig()
-		ocfg.Delta = cfg.Tuning.Delta
-	case ShowdownHybridDamped:
-		mode, params = sim.Hybrid, BestParams()
-		ocfg = online.DefaultConfig()
-		ocfg.Delta = cfg.Tuning.Delta
-		ocfg.Hybrid.Drift = online.DefaultDrift
-	case ShowdownOracle:
-		mode, params = sim.Oracle, BestParams()
-	}
-	rc := cfg.runCfg(mode, params, tcfg, 0, seed, cfg.DurationSec)
-	rc.Online = ocfg
-	return rc
+// config (cfg.Machine and cfg.Suite must already match): the policy
+// lowered onto the configured tuning, default technique, and horizon.
+func showdownRunCfg(cfg Config, p sim.Policy, seed uint64) dist.Spec {
+	return cfg.runCfg(p, transition.Params{}, cfg.Tuning, 0, seed, cfg.DurationSec)
 }
 
 // ShowdownMachines returns the default showdown machine set: the paper's
@@ -194,7 +92,7 @@ func ShowdownMachines() []*amp.Machine {
 // showdownGrid builds one machine's full (policy x seed) grid in wire form
 // (cfg.Machine must already be set to that machine).
 func showdownGrid(cfg Config) []dist.Spec {
-	policies := ShowdownPolicies()
+	policies := showdownPolicies
 	grid := make([]dist.Spec, 0, len(policies)*len(cfg.Seeds))
 	for _, p := range policies {
 		for _, seed := range cfg.Seeds {
@@ -215,15 +113,15 @@ func ShowdownCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 // Showdown runs the full static-vs-dynamic-vs-oracle comparison on the
 // given machines (default: ShowdownMachines — the paper's quad AMP, the
 // §VII tri-core, and the three-type hex). Rows come back machine-major in
-// ShowdownPolicies order; every improvement column is relative to the same
-// machine's ShowdownNone row. All runs of a machine share workload queues
+// showdownPolicies order; every improvement column is relative to the same
+// machine's sim.PolicyNone row. All runs of a machine share workload queues
 // per seed (the paper's comparison protocol) and sweep concurrently over
 // the shared artifact cache — or across the fabric when cfg.Shards > 1.
 func Showdown(cfg Config, machines []*amp.Machine) ([]ShowdownRow, error) {
 	if machines == nil {
 		machines = ShowdownMachines()
 	}
-	policies := ShowdownPolicies()
+	policies := showdownPolicies
 	var rows []ShowdownRow
 	for _, machine := range machines {
 		mcfg := cfg
@@ -315,7 +213,7 @@ func Showdown(cfg Config, machines []*amp.Machine) ([]ShowdownRow, error) {
 // cmd/runcmp uses it to rebuild the two sides of a policy diff without
 // sweeping the whole grid; cfg.Machine selects the machine and cfg.Suite
 // may be nil (it is regenerated here).
-func LedgerCell(cfg Config, p ShowdownPolicy, seed uint64) (*sim.Result, error) {
+func LedgerCell(cfg Config, p sim.Policy, seed uint64) (*sim.Result, error) {
 	mcfg := cfg
 	mcfg.Ledger = true
 	suite, err := workload.Suite(mcfg.Cost, mcfg.Machine)
@@ -353,8 +251,8 @@ func ShowdownCounterContention(cfg Config, slots int) (ShowdownContentionResult,
 	c.Sched = sched
 	seed := c.Seeds[0]
 	grid := []dist.Spec{
-		showdownRunCfg(c, ShowdownNone, seed),
-		showdownRunCfg(c, ShowdownDynamicProbe, seed),
+		showdownRunCfg(c, sim.PolicyNone, seed),
+		showdownRunCfg(c, sim.PolicyDynamicProbe, seed),
 	}
 	results, err := c.sweep(grid)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"phasetune/internal/amp"
+	"phasetune/internal/sim"
 )
 
 // showdownConfig returns a scaled config: paper workload width (18 slots)
@@ -19,7 +20,7 @@ func showdownConfig(t *testing.T, seed uint64) Config {
 }
 
 // rowOf extracts one policy's row for a machine.
-func rowOf(t *testing.T, rows []ShowdownRow, machine string, p ShowdownPolicy) ShowdownRow {
+func rowOf(t *testing.T, rows []ShowdownRow, machine string, p sim.Policy) ShowdownRow {
 	t.Helper()
 	for _, r := range rows {
 		if r.Machine == machine && r.Policy == p {
@@ -55,9 +56,9 @@ func TestShowdownStaticBeatsDynamicOnPhaseStableWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		none := rowOf(t, rows, quad.Name, ShowdownNone)
-		static := rowOf(t, rows, quad.Name, ShowdownStatic)
-		probe := rowOf(t, rows, quad.Name, ShowdownDynamicProbe)
+		none := rowOf(t, rows, quad.Name, sim.PolicyNone)
+		static := rowOf(t, rows, quad.Name, sim.PolicyStatic)
+		probe := rowOf(t, rows, quad.Name, sim.PolicyDynamicProbe)
 
 		if probe.Throughput <= none.Throughput {
 			t.Errorf("seed %d: dynamic/probe throughput %.4g does not beat no-tuning %.4g",
@@ -95,8 +96,8 @@ func TestShowdownDynamicBeatsNoneOnTri(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	none := rowOf(t, rows, tri.Name, ShowdownNone)
-	for _, p := range []ShowdownPolicy{ShowdownDynamicGreedy, ShowdownDynamicProbe} {
+	none := rowOf(t, rows, tri.Name, sim.PolicyNone)
+	for _, p := range []sim.Policy{sim.PolicyDynamicGreedy, sim.PolicyDynamicProbe} {
 		r := rowOf(t, rows, tri.Name, p)
 		if r.Throughput <= none.Throughput {
 			t.Errorf("%s throughput %.4g does not beat no-tuning %.4g", p, r.Throughput, none.Throughput)
@@ -139,8 +140,8 @@ func TestShowdownHybridAtLeastStaticOnTriType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := rowOf(t, rows, hex.Name, ShowdownStatic)
-	hybrid := rowOf(t, rows, hex.Name, ShowdownHybrid)
+	static := rowOf(t, rows, hex.Name, sim.PolicyStatic)
+	hybrid := rowOf(t, rows, hex.Name, sim.PolicyHybrid)
 	if hybrid.Throughput < static.Throughput {
 		t.Errorf("hybrid throughput %.4g below static %.4g on the tri-type machine",
 			hybrid.Throughput, static.Throughput)
@@ -171,8 +172,8 @@ func TestShowdownSpillLiftsStaticOnTri(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := rowOf(t, rows, tri.Name, ShowdownStatic)
-	spill := rowOf(t, rows, tri.Name, ShowdownStaticSpill)
+	static := rowOf(t, rows, tri.Name, sim.PolicyStatic)
+	spill := rowOf(t, rows, tri.Name, sim.PolicyStaticSpill)
 	if spill.Throughput <= static.Throughput {
 		t.Errorf("static/spill throughput %.4g does not beat plain static %.4g on tri",
 			spill.Throughput, static.Throughput)

@@ -30,10 +30,10 @@ import (
 // ServingPolicies returns the serving policy columns: the stock scheduler,
 // the paper's static marks, the online detector (probe placement), the
 // marks+windows hybrid, and the perfect-knowledge oracle.
-func ServingPolicies() []ShowdownPolicy {
-	return []ShowdownPolicy{
-		ShowdownNone, ShowdownStatic, ShowdownDynamicProbe,
-		ShowdownHybrid, ShowdownOracle,
+func ServingPolicies() []sim.Policy {
+	return []sim.Policy{
+		sim.PolicyNone, sim.PolicyStatic, sim.PolicyDynamicProbe,
+		sim.PolicyHybrid, sim.PolicyOracle,
 	}
 }
 
@@ -63,7 +63,7 @@ type ServingRow struct {
 	// RatePerSec is the realized arrival rate.
 	RatePerSec float64
 	// Policy is the placement policy column.
-	Policy ShowdownPolicy
+	Policy sim.Policy
 	// Admitted and Completed are mean per-seed job counts.
 	Admitted, Completed float64
 	// P50, P95, P99, P999 are exact sojourn-time quantiles in seconds,
@@ -100,9 +100,9 @@ func servingConfig(cfg Config, machine *amp.Machine) Config {
 	return mcfg
 }
 
-// servingRunCfg builds one wire spec: the showdown policy lowering with
+// servingRunCfg builds one wire spec: the policy cell (showdownRunCfg) with
 // the workload swapped for the open-system arrival form.
-func servingRunCfg(cfg Config, p ShowdownPolicy, load float64, seed uint64) dist.Spec {
+func servingRunCfg(cfg Config, p sim.Policy, load float64, seed uint64) dist.Spec {
 	rc := showdownRunCfg(cfg, p, seed)
 	arr := serve.Arrivals(cfg.Machine, workload.Poisson, load, ServingHorizonSec(cfg.DurationSec))
 	rc.Queues = workload.Spec{Seed: seed, Arrivals: &arr}
@@ -143,7 +143,7 @@ func ServingCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 func ServingTraceRun(cfg Config, tr *trace.Tracer) (serve.Stats, error) {
 	machine := ServingMachines()[0]
 	mcfg := servingConfig(cfg, machine)
-	spec := servingRunCfg(mcfg, ShowdownHybrid, 1.0, mcfg.Seeds[0])
+	spec := servingRunCfg(mcfg, sim.PolicyHybrid, 1.0, mcfg.Seeds[0])
 	rc, err := mcfg.Env().RunConfig(spec, mcfg.Suite, nil)
 	if err != nil {
 		return serve.Stats{}, err

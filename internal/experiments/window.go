@@ -3,9 +3,7 @@ package experiments
 import (
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
-	"phasetune/internal/online"
 	"phasetune/internal/sim"
-	"phasetune/internal/transition"
 )
 
 // ---------------------------------------------------------------------------
@@ -28,8 +26,8 @@ func DefaultWindowGrid() []uint64 {
 type WindowRow struct {
 	// WindowInstrs is the detection window size.
 	WindowInstrs uint64
-	// Policy is the dynamic reassignment policy.
-	Policy online.PolicyKind
+	// Policy is the detector policy (dynamic/greedy or dynamic/probe).
+	Policy sim.Policy
 	// ThroughputPct is throughput improvement over the stock-scheduler
 	// baseline, in percent.
 	ThroughputPct float64
@@ -43,17 +41,13 @@ type WindowRow struct {
 }
 
 // windowGrid builds the (window x policy x seed) dynamic grid in wire form.
-func windowGrid(cfg Config, windows []uint64, policies []online.PolicyKind) []dist.Spec {
+func windowGrid(cfg Config, windows []uint64, policies []sim.Policy) []dist.Spec {
 	grid := make([]dist.Spec, 0, len(windows)*len(policies)*len(cfg.Seeds))
 	for _, wsize := range windows {
-		for _, pol := range policies {
+		for _, p := range policies {
 			for _, seed := range cfg.Seeds {
-				sp := cfg.runCfg(sim.Dynamic, transition.Params{}, cfg.Tuning, 0, seed, cfg.DurationSec)
-				ocfg := online.DefaultConfig()
-				ocfg.Policy = pol
-				ocfg.Delta = cfg.Tuning.Delta
-				ocfg.WindowInstrs = wsize
-				sp.Online = ocfg
+				sp := showdownRunCfg(cfg, p, seed)
+				sp.Online.WindowInstrs = wsize
 				grid = append(grid, sp)
 			}
 		}
@@ -61,14 +55,17 @@ func windowGrid(cfg Config, windows []uint64, policies []online.PolicyKind) []di
 	return grid
 }
 
+// windowPolicies are the swept detector policies.
+var windowPolicies = []sim.Policy{sim.PolicyDynamicGreedy, sim.PolicyDynamicProbe}
+
 // WindowCampaign packages the window sweep's dynamic grid as a
 // distributable campaign (cmd/sweepd -campaign window).
-func WindowCampaign(cfg Config, windows []uint64, policies []online.PolicyKind) dist.Campaign {
+func WindowCampaign(cfg Config, windows []uint64, policies []sim.Policy) dist.Campaign {
 	if windows == nil {
 		windows = DefaultWindowGrid()
 	}
 	if policies == nil {
-		policies = []online.PolicyKind{online.Greedy, online.Probe}
+		policies = windowPolicies
 	}
 	return dist.Campaign{Env: cfg.Env(), Specs: windowGrid(cfg, windows, policies)}
 }
@@ -76,12 +73,12 @@ func WindowCampaign(cfg Config, windows []uint64, policies []online.PolicyKind) 
 // WindowSweep sweeps the online detector's window size per policy against
 // per-seed baselines. The whole grid runs on the sweep engine, so
 // cfg.Shards fans it across fabric workers unchanged.
-func WindowSweep(cfg Config, windows []uint64, policies []online.PolicyKind) ([]WindowRow, error) {
+func WindowSweep(cfg Config, windows []uint64, policies []sim.Policy) ([]WindowRow, error) {
 	if windows == nil {
 		windows = DefaultWindowGrid()
 	}
 	if policies == nil {
-		policies = []online.PolicyKind{online.Greedy, online.Probe}
+		policies = windowPolicies
 	}
 	bases, err := cfg.baselines(cfg.DurationSec)
 	if err != nil {
@@ -95,8 +92,8 @@ func WindowSweep(cfg Config, windows []uint64, policies []online.PolicyKind) ([]
 	rows := make([]WindowRow, 0, len(windows)*len(policies))
 	i := 0
 	for _, wsize := range windows {
-		for _, pol := range policies {
-			row := WindowRow{WindowInstrs: wsize, Policy: pol}
+		for _, p := range policies {
+			row := WindowRow{WindowInstrs: wsize, Policy: p}
 			var tputs []float64
 			for _, seed := range cfg.Seeds {
 				res := results[i]
@@ -137,7 +134,7 @@ func TechniqueCampaign(cfg Config) dist.Campaign {
 	grid := make([]dist.Spec, 0, len(variants)*len(cfg.Seeds))
 	for _, params := range variants {
 		for _, seed := range cfg.Seeds {
-			grid = append(grid, cfg.runCfg(sim.Tuned, params, cfg.Tuning, 0, seed, cfg.DurationSec))
+			grid = append(grid, cfg.runCfg(sim.PolicyStatic, params, cfg.Tuning, 0, seed, cfg.DurationSec))
 		}
 	}
 	return dist.Campaign{Env: cfg.Env(), Specs: grid}

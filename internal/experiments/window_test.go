@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	"phasetune/internal/online"
+	"phasetune/internal/sim"
 )
 
 // windowConfig returns a small config for window-sweep assertions.
@@ -23,7 +23,7 @@ func windowConfig(t *testing.T) Config {
 func TestWindowSweepShape(t *testing.T) {
 	cfg := windowConfig(t)
 	windows := []uint64{4000, 16000}
-	policies := []online.PolicyKind{online.Greedy, online.Probe}
+	policies := []sim.Policy{sim.PolicyDynamicGreedy, sim.PolicyDynamicProbe}
 	rows, err := WindowSweep(cfg, windows, policies)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestWindowSweepShape(t *testing.T) {
 // worker pool yields byte-identical results.
 func TestSweepShardsMatchesLocalPool(t *testing.T) {
 	cfg := windowConfig(t)
-	grid := windowGrid(cfg, []uint64{8000}, []online.PolicyKind{online.Probe})
+	grid := windowGrid(cfg, []uint64{8000}, []sim.Policy{sim.PolicyDynamicProbe})
 	grid = append(grid, showdownGrid(cfg)[:2]...) // add none + static cells
 
 	local := cfg

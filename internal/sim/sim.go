@@ -94,7 +94,7 @@ type RunConfig struct {
 	Stream *workload.Stream
 	// DurationSec is the experiment length in simulated seconds.
 	DurationSec float64
-	// Mode selects baseline/tuned/overhead.
+	// Mode is the run mode a placement policy lowers to (Policy.Lower).
 	Mode Mode
 	// Params is the marking technique (used when Mode != Baseline).
 	Params transition.Params

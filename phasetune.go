@@ -30,7 +30,8 @@
 //     (NewSession(WithMachine(...), WithCost(...), ...)) whose RunContext
 //     executes one cancellable run through the session cache, under a
 //     selectable placement Policy — none, the paper's static marks, the
-//     online dynamic detector, or the perfect-knowledge oracle;
+//     online dynamic detector, the marks+windows hybrid, or the
+//     perfect-knowledge oracle;
 //   - Session.Sweep, which fans a grid of RunSpecs across a bounded worker
 //     pool with deterministic, input-ordered results;
 //   - the distributed sweep fabric (Serve, Work, Session.SweepSharded, and
@@ -45,13 +46,14 @@
 //	w := phasetune.NewWorkload(suite, 18, 256, 1)
 //	sess := phasetune.NewSession()
 //	results, _ := sess.Sweep(ctx, []phasetune.RunSpec{
-//	    {Workload: w, DurationSec: 400, Seed: 7},
-//	    {Workload: w, DurationSec: 400, Seed: 7, Mode: phasetune.Tuned,
-//	     Params: phasetune.BestParams()},
+//	    {Workload: w, DurationSec: 400, Seed: 7, Policy: phasetune.PolicyNone},
+//	    {Workload: w, DurationSec: 400, Seed: 7, Policy: phasetune.PolicyStatic},
 //	})
 //
-// The one-shot Run and Instrument helpers remain as thin wrappers over the
-// same machinery.
+// A Policy is one named choice — none, static, static/spill,
+// dynamic/greedy, dynamic/probe, hybrid, hybrid/damped, oracle, or
+// overhead — and the only policy input a run has (ParsePolicy reads the
+// names).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-versus-measured results.
@@ -148,21 +150,10 @@ const (
 )
 
 // BestParams returns the paper's best variant, Loop[45].
-func BestParams() TechniqueParams { return experiments.BestParams() }
+func BestParams() TechniqueParams { return sim.BestParams() }
 
 // DefaultTyping returns the standard typing options (k = 2 phase types).
 func DefaultTyping() TypingOptions { return phase.Options{K: 2, MinBlockInstrs: 5} }
-
-// Instrument runs the full static pipeline — CFG construction, phase typing,
-// summarization, transition marking, binary rewriting — and returns an
-// executable image plus instrumentation statistics.
-//
-// It is a one-shot compatibility wrapper over the staged API: Analyze
-// followed by Analysis.Instrument, with no caching. Repeated preparations
-// should go through a Session (or an ImageCache) instead.
-func Instrument(p *Program, params TechniqueParams, topts TypingOptions, cost CostModel) (*Image, ImageStats, error) {
-	return sim.PrepareImage(p, params, topts, 0, 1, cost)
-}
 
 // Dynamic tuning.
 type (
@@ -170,15 +161,14 @@ type (
 	// sampling).
 	TuningConfig = tuning.Config
 	// OnlineConfig parameterizes the online phase detector (window size,
-	// tick period, classification threshold, reassignment policy) used by
-	// PolicyDynamic runs.
+	// tick period, classification threshold) used by the dynamic and
+	// hybrid policies; the policy sets its reassignment rule and drift
+	// threshold.
 	OnlineConfig = online.Config
 	// OnlineStats reports what the online detector did during a run
 	// (windows sampled, monitoring cycles charged, switches); see
 	// RunResult.Online.
 	OnlineStats = online.Stats
-	// OnlinePolicyKind selects the dynamic reassignment policy.
-	OnlinePolicyKind = online.PolicyKind
 	// PlacementConfig parameterizes the shared placement engine's capacity
 	// arbitration (spill band, hysteresis) — the unified Algorithm-2/
 	// capacity core every placement policy funnels through
@@ -188,17 +178,6 @@ type (
 	// the engine's arbitration (PlacementConfig.Contention). Nil — the
 	// default — keeps every placement bit-identical to unpriced builds.
 	ContentionConfig = place.ContentionConfig
-)
-
-// Online reassignment policies (OnlineConfig.Policy).
-const (
-	// OnlineGreedy ranks tasks by smoothed IPC and grants fast-core slots
-	// to the highest ranks.
-	OnlineGreedy = online.Greedy
-	// OnlineProbe measures each detected phase on every core type and fixes
-	// its placement with Algorithm 2 — the mark-free temporal analogue of
-	// the static runtime.
-	OnlineProbe = online.Probe
 )
 
 // DefaultTuning returns the headline tuning configuration.
@@ -228,24 +207,10 @@ type (
 	// (slots, queue length, seed) — the serializable identity a session
 	// resolves against its own suite. Distributed sweeps require it.
 	WorkloadSpec = workload.Spec
-	// RunConfig configures one simulation run.
-	RunConfig = sim.RunConfig
 	// RunResult is the outcome of a run.
 	RunResult = sim.Result
 	// TaskStat is one job's record.
 	TaskStat = metrics.TaskStat
-	// RunMode selects baseline, tuned, or overhead-measurement execution.
-	RunMode = sim.Mode
-)
-
-// Run modes.
-const (
-	// Baseline runs uninstrumented programs under the stock scheduler.
-	Baseline = sim.Baseline
-	// Tuned runs instrumented programs with the tuning runtime.
-	Tuned = sim.Tuned
-	// Overhead runs instrumented programs in all-cores mode.
-	Overhead = sim.Overhead
 )
 
 // Suite generates the 15 SPEC-like benchmark personalities of the paper's
@@ -264,11 +229,6 @@ func SuiteFor(cost CostModel, m *Machine) ([]*Benchmark, error) {
 func NewWorkload(suite []*Benchmark, slots, queueLen int, seed uint64) *Workload {
 	return workload.BuildWorkload(suite, slots, queueLen, seed)
 }
-
-// Run executes one workload simulation. It is a compatibility wrapper: new
-// code should prefer Session.RunContext, which adds cancellation, progress
-// hooks, and artifact caching (see the migration note in README.md).
-func Run(cfg RunConfig) (*RunResult, error) { return sim.Run(cfg) }
 
 // Metrics.
 

@@ -29,10 +29,15 @@ func TestPublicPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	img, stats, err := phasetune.Instrument(p, phasetune.BestParams(), phasetune.DefaultTyping(), phasetune.DefaultCost())
+	analysis, err := phasetune.Analyze(p, phasetune.DefaultTyping())
 	if err != nil {
 		t.Fatal(err)
 	}
+	art, err := analysis.Instrument(phasetune.BestParams(), phasetune.DefaultCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, stats := art.Image, art.Stats
 	if stats.Marks == 0 {
 		t.Fatal("no phase marks for a two-phase program")
 	}
@@ -53,7 +58,7 @@ func TestPublicSuiteAndWorkload(t *testing.T) {
 		t.Fatalf("suite has %d members", len(suite))
 	}
 	w := phasetune.NewWorkload(suite, 4, 8, 1)
-	res, err := phasetune.Run(phasetune.RunConfig{Workload: w, DurationSec: 20, Seed: 1})
+	res, err := phasetune.NewSession().Run(phasetune.RunSpec{Workload: w, DurationSec: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,86 +11,47 @@ import (
 	"phasetune/internal/workload"
 )
 
-// Policy selects how a run places processes on the asymmetric cores — the
-// axis of the paper's central comparison (§I, §V).
-type Policy int
+// Policy names a placement policy — the axis of the paper's central
+// comparison (§I, §V). Its String form is the one policy name used by
+// RunSpec, the experiment columns, and the command-line tools; the zero
+// value is PolicyNone.
+type Policy = sim.Policy
 
+// Placement policies (RunSpec.Policy).
 const (
-	// PolicyDefault inherits the session's policy (or, when the session has
-	// none, defers to the spec's legacy Mode field).
-	PolicyDefault Policy = iota
 	// PolicyNone runs unmodified binaries under the stock asymmetry-unaware
 	// scheduler (the baseline).
-	PolicyNone
+	PolicyNone = sim.PolicyNone
 	// PolicyStatic runs instrumented binaries with the paper's static phase
 	// marks and the Algorithm 2 runtime.
-	PolicyStatic
-	// PolicyDynamic runs unmodified binaries under the online phase
-	// detector: periodic counter sampling, window-signature classification,
-	// and runtime reassignment (internal/online).
-	PolicyDynamic
-	// PolicyOracle runs instrumented binaries with perfect-knowledge
-	// placement — zero monitoring, zero misprediction; the upper bound both
-	// techniques chase.
-	PolicyOracle
+	PolicyStatic = sim.PolicyStatic
+	// PolicyStaticSpill is PolicyStatic with capacity-aware spill
+	// arbitration through the shared placement engine.
+	PolicyStaticSpill = sim.PolicyStaticSpill
+	// PolicyDynamicGreedy runs unmodified binaries under the online phase
+	// detector with greedy IPC-rank placement.
+	PolicyDynamicGreedy = sim.PolicyDynamicGreedy
+	// PolicyDynamicProbe runs unmodified binaries under the online phase
+	// detector, probing each detected phase on every core type and fixing
+	// its placement with Algorithm 2.
+	PolicyDynamicProbe = sim.PolicyDynamicProbe
 	// PolicyHybrid runs instrumented binaries under the marks+windows
 	// hybrid: marks define phase boundaries, monitor windows keep the
-	// per-phase IPC estimates fresh, and the shared placement engine
-	// re-arbitrates at boundaries (the paper's §VI-B feedback mechanism
-	// grown into a full policy).
-	PolicyHybrid
+	// per-phase IPC estimates fresh.
+	PolicyHybrid = sim.PolicyHybrid
+	// PolicyHybridDamped is PolicyHybrid with re-decision drift damping.
+	PolicyHybridDamped = sim.PolicyHybridDamped
+	// PolicyOracle runs instrumented binaries with perfect-knowledge
+	// placement — the upper bound the other policies chase.
+	PolicyOracle = sim.PolicyOracle
+	// PolicyOverhead runs instrumented binaries in all-cores mode, so
+	// marks cost time but never move a process (Fig. 4's methodology).
+	PolicyOverhead = sim.PolicyOverhead
 )
 
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyDefault:
-		return "default"
-	case PolicyNone:
-		return "none"
-	case PolicyStatic:
-		return "static"
-	case PolicyDynamic:
-		return "dynamic"
-	case PolicyOracle:
-		return "oracle"
-	case PolicyHybrid:
-		return "hybrid"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// ParsePolicy resolves a policy name (as accepted by cmd/ampsim -policy).
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "none", "baseline":
-		return PolicyNone, nil
-	case "static", "tuned":
-		return PolicyStatic, nil
-	case "dynamic", "online":
-		return PolicyDynamic, nil
-	case "oracle":
-		return PolicyOracle, nil
-	case "hybrid":
-		return PolicyHybrid, nil
-	}
-	return PolicyDefault, fmt.Errorf("unknown policy %q (want none|static|dynamic|oracle|hybrid)", s)
-}
-
-// mode lowers a policy onto the simulator run mode.
-func (p Policy) mode() RunMode {
-	switch p {
-	case PolicyStatic:
-		return sim.Tuned
-	case PolicyDynamic:
-		return sim.Dynamic
-	case PolicyOracle:
-		return sim.Oracle
-	case PolicyHybrid:
-		return sim.Hybrid
-	}
-	return sim.Baseline
-}
+// ParsePolicy resolves a policy name (the String form, as accepted by
+// cmd/ampsim -policy and cmd/runcmp -a/-b).
+func ParsePolicy(s string) (Policy, error) { return sim.ParsePolicy(s) }
 
 // Session is a configured simulation environment: machine, cost model,
 // scheduler, typing and tuning defaults, a shared artifact cache, and a
@@ -108,7 +69,6 @@ type Session struct {
 	tuning    TuningConfig
 	online    OnlineConfig
 	placement PlacementConfig
-	policy    Policy
 	cache     *ImageCache
 	memo      *SegmentMemo
 	memoOff   bool
@@ -161,19 +121,15 @@ func WithTyping(t TypingOptions) SessionOption {
 // DefaultTuning). Individual runs may override it via RunSpec.Tuning.
 func WithTuning(t TuningConfig) SessionOption { return func(s *Session) { s.tuning = t } }
 
-// WithPolicy sets the session's default placement policy, used by every run
-// whose spec leaves Policy at PolicyDefault. A spec's own Policy always
-// wins; a spec that sets the legacy Mode field (non-Baseline) also wins.
-func WithPolicy(p Policy) SessionOption { return func(s *Session) { s.policy = p } }
-
-// WithOnline sets the default online-detector configuration used by
-// PolicyDynamic and PolicyHybrid runs (default: DefaultOnline). Individual
-// runs may override it via RunSpec.Online.
+// WithOnline sets the default online-detector configuration used by the
+// dynamic and hybrid policies (default: DefaultOnline). Individual runs may
+// override it via RunSpec.Online; the policy sets its reassignment rule and
+// drift threshold.
 func WithOnline(c OnlineConfig) SessionOption { return func(s *Session) { s.online = c } }
 
 // WithPlacement sets the default shared-placement-engine configuration —
-// capacity spill band and hysteresis — used by every engine-backed run
-// (PolicyDynamic, PolicyHybrid, and static runs with TuningConfig.Spill).
+// capacity spill band and hysteresis — used by every engine-backed policy
+// (Policy.EngineBacked).
 // Individual runs may override it via RunSpec.Placement.
 func WithPlacement(c PlacementConfig) SessionOption { return func(s *Session) { s.placement = c } }
 
@@ -297,24 +253,18 @@ type RunSpec struct {
 	// runs, keep it comfortably past ArrivalSpec.HorizonSec so admitted
 	// jobs can drain.
 	DurationSec float64
-	// Policy selects the placement policy (none/static/dynamic/oracle).
-	// PolicyDefault inherits the session policy; when the session has none
-	// either, the legacy Mode field decides.
+	// Policy selects the placement policy (default PolicyNone).
 	Policy Policy
-	// Mode selects baseline/tuned/overhead (default Baseline). Ignored when
-	// this spec or the session resolves to an explicit Policy.
-	Mode RunMode
-	// Params is the marking technique, used by instrumented runs (static
-	// marks, overhead mode, oracle). Policy-selected runs with zero Params
-	// default to BestParams.
+	// Params is the marking technique, used by instrumented policies
+	// (static, hybrid, oracle, overhead). Zero Params default to BestParams.
 	Params TechniqueParams
 	// Tuning overrides the session tuning configuration when non-nil.
 	Tuning *TuningConfig
 	// Online overrides the session online-detector configuration when
-	// non-nil (PolicyDynamic and PolicyHybrid runs).
+	// non-nil (dynamic and hybrid policies).
 	Online *OnlineConfig
 	// Placement overrides the session placement-engine configuration when
-	// non-nil (engine-backed runs: dynamic, hybrid, static with spill).
+	// non-nil (engine-backed policies, see Policy.EngineBacked).
 	Placement *PlacementConfig
 	// TypingError injects clustering error (Fig. 7 methodology).
 	TypingError float64
@@ -322,34 +272,20 @@ type RunSpec struct {
 	Seed uint64
 }
 
-// resolve lowers a spec's policy and per-run overrides onto concrete run
-// parameters: the spec's Policy wins, then an explicit legacy Mode, then
-// the session policy, then legacy Baseline.
-func (s *Session) resolve(spec RunSpec) (mode RunMode, params TechniqueParams, tcfg TuningConfig, ocfg OnlineConfig, pcfg PlacementConfig) {
-	tcfg = s.tuning
+// lower resolves a spec's per-run overrides against the session defaults
+// and lowers its policy onto them (sim.Policy.Lower).
+func (s *Session) lower(spec RunSpec) (mode sim.Mode, params TechniqueParams, tcfg TuningConfig, ocfg OnlineConfig, pcfg PlacementConfig) {
+	params, tcfg, ocfg, pcfg = spec.Params, s.tuning, s.online, s.placement
 	if spec.Tuning != nil {
 		tcfg = *spec.Tuning
 	}
-	ocfg = s.online
 	if spec.Online != nil {
 		ocfg = *spec.Online
 	}
-	pcfg = s.placement
 	if spec.Placement != nil {
 		pcfg = *spec.Placement
 	}
-	mode = spec.Mode
-	policy := spec.Policy
-	if policy == PolicyDefault && mode == Baseline {
-		policy = s.policy
-	}
-	params = spec.Params
-	if policy != PolicyDefault {
-		mode = policy.mode()
-		if params == (TechniqueParams{}) && (policy == PolicyStatic || policy == PolicyOracle || policy == PolicyHybrid) {
-			params = BestParams()
-		}
-	}
+	mode = spec.Policy.Lower(&params, &tcfg, &ocfg)
 	return mode, params, tcfg, ocfg, pcfg
 }
 
@@ -365,7 +301,7 @@ func (s *Session) Suite() ([]*Benchmark, error) {
 
 // runConfig lowers a spec onto the session environment.
 func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
-	mode, params, tcfg, ocfg, pcfg := s.resolve(spec)
+	mode, params, tcfg, ocfg, pcfg := s.lower(spec)
 	w := spec.Workload
 	var stream *workload.Stream
 	queues := spec.Queues
@@ -440,8 +376,7 @@ func (s *Session) Run(spec RunSpec) (*RunResult, error) {
 }
 
 // Instrument prepares one program's image under the session environment,
-// through the session cache. It is the session-scoped equivalent of the
-// package-level Instrument helper.
+// through the session cache.
 func (s *Session) Instrument(p *Program, params TechniqueParams) (*Artifact, error) {
 	return s.cache.Get(p, ImageSpec{Params: params, Typing: s.typing}, s.cost)
 }

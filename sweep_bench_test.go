@@ -1,5 +1,5 @@
-// Benchmarks comparing the legacy sequential experiment loop (one-shot Run,
-// no artifact sharing) against the sweep engine (bounded worker pool plus
+// Benchmarks comparing the sequential experiment loop (a fresh session per
+// run, no artifact sharing) against the sweep engine (bounded worker pool plus
 // content-keyed image cache) on the same technique grid, so BENCH_*.json
 // tracks the win. The grid is the shape every experiment driver has: a few
 // technique variants by a few workload seeds over one suite.
@@ -30,7 +30,7 @@ func benchSweepSpecs(b *testing.B) []phasetune.RunSpec {
 		w := phasetune.NewWorkload(suite, 4, 8, seed)
 		for _, params := range variants {
 			specs = append(specs, phasetune.RunSpec{
-				Workload: w, DurationSec: 10, Mode: phasetune.Tuned,
+				Workload: w, DurationSec: 10, Policy: phasetune.PolicyStatic,
 				Params: params, Seed: seed,
 			})
 		}
@@ -38,22 +38,16 @@ func benchSweepSpecs(b *testing.B) []phasetune.RunSpec {
 	return specs
 }
 
-// BenchmarkGridSequential is the pre-sweep architecture: every run calls
-// the one-shot Run wrapper, which re-executes the full static pipeline for
-// every benchmark in every run.
+// BenchmarkGridSequential is the pre-sweep architecture: every run gets a
+// fresh session without a segment memo, so it re-executes the full static
+// pipeline for every benchmark in every run.
 func BenchmarkGridSequential(b *testing.B) {
 	specs := benchSweepSpecs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
-			_, err := phasetune.Run(phasetune.RunConfig{
-				Workload: spec.Workload, DurationSec: spec.DurationSec,
-				Mode: spec.Mode, Params: spec.Params,
-				Tuning:     phasetune.DefaultTuning(),
-				TypingOpts: phasetune.DefaultTyping(), Seed: spec.Seed,
-			})
-			if err != nil {
+			if _, err := phasetune.NewSession(phasetune.WithoutSegmentMemo()).Run(spec); err != nil {
 				b.Fatal(err)
 			}
 		}

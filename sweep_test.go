@@ -19,9 +19,9 @@ func sweepGrid(t testing.TB, suite []*phasetune.Benchmark) []phasetune.RunSpec {
 	for _, seed := range []uint64{1, 2} {
 		w := phasetune.NewWorkload(suite, 4, 8, seed)
 		specs = append(specs,
-			phasetune.RunSpec{Workload: w, DurationSec: 15, Mode: phasetune.Baseline, Seed: seed},
-			phasetune.RunSpec{Workload: w, DurationSec: 15, Mode: phasetune.Tuned, Params: loop45, Seed: seed},
-			phasetune.RunSpec{Workload: w, DurationSec: 15, Mode: phasetune.Tuned, Params: bb15, Seed: seed},
+			phasetune.RunSpec{Workload: w, DurationSec: 15, Policy: phasetune.PolicyNone, Seed: seed},
+			phasetune.RunSpec{Workload: w, DurationSec: 15, Policy: phasetune.PolicyStatic, Params: loop45, Seed: seed},
+			phasetune.RunSpec{Workload: w, DurationSec: 15, Policy: phasetune.PolicyStatic, Params: bb15, Seed: seed},
 		)
 	}
 	return specs
@@ -41,8 +41,8 @@ func encode(t testing.TB, res *phasetune.RunResult) []byte {
 // TestSweepMatchesSequentialRun asserts the acceptance property of the
 // sweep engine: for a fixed grid, Sweep over a concurrent worker pool with
 // a shared artifact cache returns results byte-identical to the equivalent
-// sequential loop over the compatibility wrapper Run (which shares nothing
-// and re-runs the static pipeline every time).
+// sequential loop over one fresh, memo-less session per run (which shares
+// nothing and re-runs the static pipeline every time).
 func TestSweepMatchesSequentialRun(t *testing.T) {
 	suite, err := phasetune.Suite()
 	if err != nil {
@@ -50,15 +50,10 @@ func TestSweepMatchesSequentialRun(t *testing.T) {
 	}
 	specs := sweepGrid(t, suite)
 
-	// Sequential reference: the old one-shot API, no cache.
+	// Sequential reference: nothing shared between runs.
 	var want [][]byte
 	for _, spec := range specs {
-		tuning := phasetune.DefaultTuning()
-		res, err := phasetune.Run(phasetune.RunConfig{
-			Workload: spec.Workload, DurationSec: spec.DurationSec,
-			Mode: spec.Mode, Params: spec.Params, Tuning: tuning,
-			TypingOpts: phasetune.DefaultTyping(), Seed: spec.Seed,
-		})
+		res, err := phasetune.NewSession(phasetune.WithoutSegmentMemo()).Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +118,7 @@ func TestSweepInstrumentsOncePerBenchmarkTechnique(t *testing.T) {
 				}
 				seen[b.Name()] = true
 				requests++
-				distinct[pairKey{b.Name(), spec.Params, spec.Mode == phasetune.Baseline}] = true
+				distinct[pairKey{b.Name(), spec.Params, spec.Policy == phasetune.PolicyNone}] = true
 			}
 		}
 	}
@@ -169,7 +164,7 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 // TestStagedPipelineMatchesInstrument asserts the staged API composes to
-// the one-shot wrapper.
+// the session's cached preparation of the same image.
 func TestStagedPipelineMatchesInstrument(t *testing.T) {
 	suite, err := phasetune.Suite()
 	if err != nil {
@@ -178,10 +173,11 @@ func TestStagedPipelineMatchesInstrument(t *testing.T) {
 	p := suite[0].Prog
 	cost := phasetune.DefaultCost()
 
-	img, stats, err := phasetune.Instrument(p, phasetune.BestParams(), phasetune.DefaultTyping(), cost)
+	cached, err := phasetune.NewSession().Instrument(p, phasetune.BestParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, stats := cached.Image, cached.Stats
 	analysis, err := phasetune.Analyze(p, phasetune.DefaultTyping())
 	if err != nil {
 		t.Fatal(err)
@@ -191,10 +187,10 @@ func TestStagedPipelineMatchesInstrument(t *testing.T) {
 		t.Fatal(err)
 	}
 	if art.Stats != stats {
-		t.Errorf("staged stats %+v != one-shot stats %+v", art.Stats, stats)
+		t.Errorf("staged stats %+v != session stats %+v", art.Stats, stats)
 	}
 	if art.Image.NumMarks() != img.NumMarks() {
-		t.Errorf("staged image has %d marks, one-shot %d", art.Image.NumMarks(), img.NumMarks())
+		t.Errorf("staged image has %d marks, session image %d", art.Image.NumMarks(), img.NumMarks())
 	}
 
 	// One analysis serves multiple techniques.
