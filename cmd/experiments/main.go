@@ -15,7 +15,8 @@
 // numbers where applicable. -quick shrinks workload sizes for a fast pass.
 // All drivers run on the concurrent sweep engine with one shared artifact
 // cache for the whole invocation: -workers bounds the pool (0 = GOMAXPROCS)
-// and -cachestats reports how often the static pipeline was actually run.
+// and -cachestats reports how often the static pipeline was actually run,
+// and how full the segment memo got and how often it served a lookup.
 // -shards N routes every sweep through the distributed fabric with N local
 // workers instead of the in-process pool — results are byte-identical, and
 // the same campaigns can be served to real worker processes with
@@ -98,7 +99,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "route sweeps through the distributed fabric with N local workers")
-	cachestats := flag.Bool("cachestats", false, "print artifact cache statistics at exit")
+	cachestats := flag.Bool("cachestats", false, "print artifact cache and segment memo statistics at exit")
 	altsFlag := flag.String("alts", "", "breakdown: comma-separated alternation counts (default 4,16,64,256,1024,4096)")
 	windowsFlag := flag.String("windows", "", "breakdown: comma-separated window sizes in instructions (default 2000,4000,8000,16000,32000)")
 	benchout := flag.String("benchout", "", "breakdown: append the map to this measurement history (e.g. BENCH_sweep.json)")
@@ -232,6 +233,9 @@ func main() {
 		s := cfg.Cache.Stats()
 		fmt.Printf("\nartifact cache: %d entries, %d pipeline runs, %d hits\n",
 			s.Entries, s.Misses, s.Hits)
+		m := cfg.Memo.Stats()
+		fmt.Printf("segment memo: %d lanes, %d of %d chunks (fill %.2f), hit rate %.3f, %d steps replayed, %d recorded\n",
+			m.Lanes, m.Chunks, m.Limit, m.Fill(), m.HitRate(), m.ReplayedSteps, m.RecordedSteps)
 	}
 }
 

@@ -37,6 +37,14 @@
 // are immutable once published, lookups take a read lock, and the first
 // recorder to finish a chunk wins (a losing duplicate is discarded — both
 // are correct by construction, so results never depend on the race).
+//
+// Allocation discipline. A recording lives in its process's reusable
+// recorder and allocates nothing; only a chunk the memo keeps is copied
+// out, exact-size, into the memo's slabs. A recording the memo would refuse
+// (it is full, or another recorder already published the state) is never
+// copied, and once the memo is full new recordings only count their steps:
+// chunk boundaries, and with them the lookup cadence and the hit and miss
+// counts, are those of a memo that records and discards.
 package exec
 
 import (
@@ -51,9 +59,38 @@ import (
 const maxChunkSteps = 256
 
 // DefaultMemoChunks is the default bound on cached chunks across all
-// lanes (~tens of MB at typical chunk sizes). When full, the memo stops
-// recording new chunks but keeps serving hits.
+// lanes (~50 MB when full on the campaign grids, lane maps included).
+// When full, the memo stops recording new chunks but keeps serving hits.
 const DefaultMemoChunks = 1 << 18
+
+// Slab block sizes, in elements: a memo's first block of each kind is
+// small, so short-lived memos stay cheap, and blocks double up to the cap.
+const (
+	slabMin = 64
+	slabMax = 4096
+)
+
+// slab carves exact-length slices out of shared blocks, so a memo holding
+// hundreds of thousands of chunks makes a few hundred allocations rather
+// than a few per chunk. The unused tail of the current block is the only
+// slack. Not safe for concurrent use.
+type slab[T any] struct {
+	block []T
+}
+
+// take returns a zeroed slice of length and capacity n (nil for n == 0).
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > cap(s.block)-len(s.block) {
+		size := min(max(2*cap(s.block), slabMin), slabMax)
+		s.block = make([]T, 0, max(size, n))
+	}
+	i := len(s.block)
+	s.block = s.block[:i+n]
+	return s.block[i : i+n : i+n]
+}
 
 // laneKey identifies a pricing environment: runs that agree on every field
 // price every block identically and may share cached chunks. Images are
@@ -136,21 +173,32 @@ func (l *Lane) lookup(key chunkKey) *chunk {
 	return c
 }
 
-// insert publishes a recorded chunk. First writer wins: concurrent
+// insert publishes a recorded chunk, copying it with its end stack and
+// loop writes into the memo's slabs. First writer wins: concurrent
 // recorders starting from the same state record byte-equivalent prefixes,
-// so replay correctness never depends on which one lands.
-func (l *Lane) insert(key chunkKey, c *chunk) {
+// so replay correctness never depends on which one lands. A refused chunk
+// (memo full, state already published) allocates nothing.
+func (l *Lane) insert(key chunkKey, c *chunk, stack []frame, writes []loopWrite) {
 	m := l.memo
-	if m.entries.Load() >= m.limit {
+	if m.full() {
 		return
 	}
 	l.mu.Lock()
-	if _, ok := l.chunks[key]; !ok {
-		l.chunks[key] = c
-		m.entries.Add(1)
-		m.recordedSteps.Add(uint64(c.steps))
+	defer l.mu.Unlock()
+	if l.chunks[key] != nil {
+		return
 	}
-	l.mu.Unlock()
+	m.slabMu.Lock()
+	kept := &m.chunkSlab.take(1)[0]
+	*kept = *c
+	kept.endStack = m.frameSlab.take(len(stack))
+	copy(kept.endStack, stack)
+	kept.loopWrites = m.writeSlab.take(len(writes))
+	copy(kept.loopWrites, writes)
+	m.slabMu.Unlock()
+	l.chunks[key] = kept
+	m.entries.Add(1)
+	m.recordedSteps.Add(uint64(c.steps))
 }
 
 // SegmentMemo is a shared store of memoized segment outcomes. Safe for
@@ -167,7 +215,16 @@ type SegmentMemo struct {
 
 	mu    sync.RWMutex
 	lanes map[laneKey]*Lane
+
+	// The slabs hold every kept chunk, across all lanes.
+	slabMu    sync.Mutex
+	chunkSlab slab[chunk]
+	frameSlab slab[frame]
+	writeSlab slab[loopWrite]
 }
+
+// full reports whether the memo has reached its chunk bound.
+func (m *SegmentMemo) full() bool { return m.entries.Load() >= m.limit }
 
 // NewSegmentMemo creates a memo bounded to maxChunks cached chunks
 // (DefaultMemoChunks when maxChunks <= 0).
@@ -180,13 +237,21 @@ func NewSegmentMemo(maxChunks int) *SegmentMemo {
 
 // MemoStats is a point-in-time snapshot of memo effectiveness.
 type MemoStats struct {
-	// Lanes and Chunks size the store.
-	Lanes, Chunks int
+	// Lanes and Chunks size the store; Limit is its chunk bound.
+	Lanes, Chunks, Limit int
 	// Hits and Misses count chunk lookups during dispatch.
 	Hits, Misses uint64
-	// ReplayedSteps and RecordedSteps count interpreter steps served from
-	// cache versus stepped while recording.
+	// ReplayedSteps counts interpreter steps served from cache, and
+	// RecordedSteps the steps of the chunks the memo kept.
 	ReplayedSteps, RecordedSteps uint64
+}
+
+// Fill returns Chunks/Limit: 1 once the memo has stopped recording.
+func (s MemoStats) Fill() float64 {
+	if s.Limit == 0 {
+		return 0
+	}
+	return float64(s.Chunks) / float64(s.Limit)
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
@@ -209,6 +274,7 @@ func (m *SegmentMemo) Stats() MemoStats {
 	return MemoStats{
 		Lanes:         lanes,
 		Chunks:        int(m.entries.Load()),
+		Limit:         int(m.limit),
 		Hits:          m.hits.Load(),
 		Misses:        m.misses.Load(),
 		ReplayedSteps: m.replayedSteps.Load(),
@@ -308,9 +374,15 @@ type memoState struct {
 	rec       recorder
 }
 
-// recorder accumulates an in-progress chunk.
+// recorder accumulates an in-progress chunk. It is reused across
+// recordings, so recording allocates nothing once its writes buffer has
+// grown to the process's widest loop nest.
 type recorder struct {
-	active                bool
+	active bool
+	// keep is false for a recording the memo will refuse because it was
+	// full when the recording started: such a recording only counts steps,
+	// so it closes where a kept one would.
+	keep                  bool
 	lane                  *Lane
 	key                   chunkKey
 	startProc, startBlock int32
@@ -321,11 +393,13 @@ type recorder struct {
 	idealPs               int64
 	startInstrs           uint64
 	startMemRefs          uint64
-	touched               []loopWrite
+	// writes holds each loop-counter cell the recording wrote, once, in
+	// first-write order; finalize fills in the final values.
+	writes []loopWrite
 }
 
 // noteLoopWrite maintains the loop-counter hash across one cell update and
-// feeds the recorder's touched set.
+// feeds the recorder's write set.
 func (m *memoState) noteLoopWrite(proc, block, old, val int32) {
 	if old != 0 {
 		m.loopHash ^= loopCellHash(proc, block, old)
@@ -333,14 +407,26 @@ func (m *memoState) noteLoopWrite(proc, block, old, val int32) {
 	if val != 0 {
 		m.loopHash ^= loopCellHash(proc, block, val)
 	}
-	if m.rec.active {
-		m.rec.touched = append(m.rec.touched, loopWrite{proc: proc, block: block})
+	if m.rec.active && m.rec.keep {
+		m.rec.touch(proc, block)
 	}
+}
+
+// touch adds a loop-counter cell to the write set unless it is already
+// there. A chunk writes a handful of distinct cells, so a scan beats a map.
+func (r *recorder) touch(proc, block int32) {
+	for _, w := range r.writes {
+		if w.proc == proc && w.block == block {
+			return
+		}
+	}
+	r.writes = append(r.writes, loopWrite{proc: proc, block: block})
 }
 
 // start arms the recorder at the current state (a lookup miss).
 func (r *recorder) start(p *Process, lane *Lane, key chunkKey) {
 	r.active = true
+	r.keep = !lane.memo.full()
 	r.lane = lane
 	r.key = key
 	r.startProc, r.startBlock = p.curProc, p.curBlock
@@ -351,17 +437,21 @@ func (r *recorder) start(p *Process, lane *Lane, key chunkKey) {
 	r.idealPs = 0
 	r.startInstrs = p.Counters.Instructions
 	r.startMemRefs = p.Counters.MemRefs
-	r.touched = r.touched[:0]
+	r.writes = r.writes[:0]
 }
 
-// finalize closes the active recording and publishes the chunk.
+// finalize closes the active recording and offers the chunk to its lane.
 func (m *memoState) finalize(p *Process) {
 	r := &m.rec
 	r.active = false
-	if r.steps == 0 {
+	if !r.keep || r.steps == 0 {
 		return
 	}
-	c := &chunk{
+	for i := range r.writes {
+		w := &r.writes[i]
+		w.val = p.loopCounts[w.proc][w.block]
+	}
+	c := chunk{
 		startProc:     r.startProc,
 		startBlock:    r.startBlock,
 		startStackLen: r.startStackLen,
@@ -373,28 +463,11 @@ func (m *memoState) finalize(p *Process) {
 		idealPs:       r.idealPs,
 		endProc:       p.curProc,
 		endBlock:      p.curBlock,
-		endStack:      append([]frame(nil), p.stack...),
 		endStackHash:  m.stackHash,
 		endLoopHash:   m.loopHash,
 		endRng:        p.rand.State(),
 	}
-	// Dedupe the touched loop cells and capture their final values.
-	if len(r.touched) > 0 {
-		c.loopWrites = make([]loopWrite, 0, len(r.touched))
-	outer:
-		for _, t := range r.touched {
-			for _, w := range c.loopWrites {
-				if w.proc == t.proc && w.block == t.block {
-					continue outer
-				}
-			}
-			c.loopWrites = append(c.loopWrites, loopWrite{
-				proc: t.proc, block: t.block,
-				val: p.loopCounts[t.proc][t.block],
-			})
-		}
-	}
-	r.lane.insert(r.key, c)
+	r.lane.insert(r.key, &c, p.stack, r.writes)
 }
 
 // EnableMemo arms segment memoization for this process. Must be called

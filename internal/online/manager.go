@@ -1,7 +1,8 @@
 package online
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"phasetune/internal/amp"
 	"phasetune/internal/osched"
@@ -71,6 +72,12 @@ type Manager struct {
 	live  []*taskState
 	stats Stats
 	tr    *trace.Tracer
+
+	// placed and claims are the rebalance passes' per-tick scratch: the
+	// engine reads the claims without keeping them, so one pair of buffers
+	// serves every tick of the run.
+	placed []*taskState
+	claims []place.Claim
 }
 
 // NewManager builds the runtime for one kernel. The hardware pool should be
@@ -275,8 +282,7 @@ func (m *Manager) probeRebalance(k *osched.Kernel) {
 	if len(m.machine.Types) < 2 {
 		return
 	}
-	var placed []*taskState
-	var claims []place.Claim
+	placed, claims := m.placed[:0], m.claims[:0]
 	for _, ts := range m.live {
 		if ts.probing || ts.phase < 0 {
 			continue
@@ -289,6 +295,7 @@ func (m *Manager) probeRebalance(k *osched.Kernel) {
 		placed = append(placed, ts)
 		claims = append(claims, place.Claim{Dec: dec, Prev: prev, HasPrev: hasPrev})
 	}
+	m.placed, m.claims = placed, claims
 	if len(claims) == 0 {
 		return
 	}
@@ -322,23 +329,25 @@ func (m *Manager) greedyRebalance(k *osched.Kernel) {
 	if cap.FastType() == cap.SlowType() {
 		return // symmetric machine: nothing to place
 	}
-	scored := make([]*taskState, 0, len(m.live))
+	scored := m.placed[:0]
 	for _, ts := range m.live {
 		if ts.windows > 0 {
 			scored = append(scored, ts)
 		}
 	}
+	m.placed = scored
 	if len(scored) == 0 {
 		return
 	}
-	sort.SliceStable(scored, func(a, b int) bool {
-		return scored[a].ipcEWMA > scored[b].ipcEWMA
+	slices.SortStableFunc(scored, func(a, b *taskState) int {
+		return cmp.Compare(b.ipcEWMA, a.ipcEWMA) // descending IPC
 	})
-	claims := make([]place.Claim, len(scored))
-	for i, ts := range scored {
+	claims := m.claims[:0]
+	for _, ts := range scored {
 		prev, hasPrev := ts.prevType(m.machine)
-		claims[i] = place.Claim{Prev: prev, HasPrev: hasPrev}
+		claims = append(claims, place.Claim{Prev: prev, HasPrev: hasPrev})
 	}
+	m.claims = claims
 	assigned := m.engine.AssignRanked(claims)
 	for i, ts := range scored {
 		m.apply(k, ts, m.machine.TypeMask(assigned[i]))

@@ -27,47 +27,59 @@ import (
 // trip count), ws/loc/stride (memory locality descriptor), mark (phase-mark
 // ID), bytes (encoded-size override).
 
-// Encode writes the program image to w.
+// Encode writes the program image to w. Each line is rendered into one
+// reused buffer, so hashing a program (the image cache keys programs by
+// their encoding) allocates nothing per instruction.
 func Encode(w io.Writer, p *Program) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "program %s entry=%d\n", p.Name, p.Entry)
+	line := append([]byte("program "), p.Name...)
+	line = append(appendIntAttr(line, " entry=", p.Entry), '\n')
+	bw.Write(line)
 	for _, proc := range p.Procs {
-		fmt.Fprintf(bw, "proc %s\n", proc.Name)
+		line = append(append(line[:0], "proc "...), proc.Name...)
+		line = append(line, '\n')
+		bw.Write(line)
 		for _, in := range proc.Instrs {
-			bw.WriteString(encodeInstr(in))
-			bw.WriteByte('\n')
+			line = append(appendInstr(line[:0], in), '\n')
+			bw.Write(line)
 		}
 		bw.WriteString("end\n")
 	}
 	return bw.Flush()
 }
 
-// encodeInstr renders one instruction.
-func encodeInstr(in isa.Instruction) string {
-	var b strings.Builder
-	b.WriteString(in.Op.String())
+// appendInstr renders one instruction onto dst. Floats use the shortest
+// representation that round-trips (fmt's %g).
+func appendInstr(dst []byte, in isa.Instruction) []byte {
+	dst = append(dst, in.Op.String()...)
 	switch in.Op {
 	case isa.Branch:
-		fmt.Fprintf(&b, " target=%d", in.Target)
+		dst = appendIntAttr(dst, " target=", in.Target)
 		if in.TripCount > 0 {
-			fmt.Fprintf(&b, " trips=%d", in.TripCount)
+			dst = appendIntAttr(dst, " trips=", int(in.TripCount))
 		} else {
-			fmt.Fprintf(&b, " p=%g", in.TakenProb)
+			dst = strconv.AppendFloat(append(dst, " p="...), in.TakenProb, 'g', -1, 64)
 		}
 	case isa.Jump, isa.Call:
-		fmt.Fprintf(&b, " target=%d", in.Target)
+		dst = appendIntAttr(dst, " target=", in.Target)
 	case isa.Load, isa.Store:
-		fmt.Fprintf(&b, " ws=%g loc=%g", in.Mem.WorkingSetKB, in.Mem.Locality)
+		dst = strconv.AppendFloat(append(dst, " ws="...), in.Mem.WorkingSetKB, 'g', -1, 64)
+		dst = strconv.AppendFloat(append(dst, " loc="...), in.Mem.Locality, 'g', -1, 64)
 		if in.Mem.StrideB != 0 {
-			fmt.Fprintf(&b, " stride=%d", in.Mem.StrideB)
+			dst = appendIntAttr(dst, " stride=", in.Mem.StrideB)
 		}
 	case isa.PhaseMark:
-		fmt.Fprintf(&b, " mark=%d", in.MarkID)
+		dst = appendIntAttr(dst, " mark=", in.MarkID)
 	}
 	if in.Bytes > 0 {
-		fmt.Fprintf(&b, " bytes=%d", in.Bytes)
+		dst = appendIntAttr(dst, " bytes=", in.Bytes)
 	}
-	return b.String()
+	return dst
+}
+
+// appendIntAttr appends " key=value" (key carries the space and '=').
+func appendIntAttr(dst []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(dst, key...), int64(v), 10)
 }
 
 // mnemonics maps instruction names back to classes.

@@ -130,6 +130,39 @@ func TestMemoGoldenIdentity(t *testing.T) {
 	}
 }
 
+// TestMemoFullIdentity runs every policy through a memo that fills within
+// the first run, the state every campaign grid reaches at the default
+// bound: once full, the memo only counts the steps of new recordings, and
+// results must still be byte-identical, cold and warm.
+func TestMemoFullIdentity(t *testing.T) {
+	cache := NewImageCache()
+	for _, mode := range memoModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := memoConfig(t, amp.Hex2Big2Medium2Little(), mode, false, 13)
+			cfg.Ledger = true
+			cfg.Cache = cache
+
+			plain := runBytes(t, cfg, nil)
+			memo := exec.NewSegmentMemo(32)
+			cold := runBytes(t, cfg, memo)
+			full := memo.Stats()
+			warm := runBytes(t, cfg, memo)
+
+			if !bytes.Equal(plain, cold) || !bytes.Equal(plain, warm) {
+				t.Fatalf("full memo changed the result (cold equal %v, warm equal %v)",
+					bytes.Equal(plain, cold), bytes.Equal(plain, warm))
+			}
+			st := memo.Stats()
+			if full.Fill() != 1 || st.Chunks != full.Chunks || st.RecordedSteps != full.RecordedSteps {
+				t.Errorf("memo not full, or kept chunks once full: after cold %+v, after warm %+v", full, st)
+			}
+			if st.Hits == 0 {
+				t.Errorf("full memo served no hits: %+v", st)
+			}
+		})
+	}
+}
+
 // TestMemoPropertyRandomConfigs drives random (policy, machine, arrivals,
 // ledger, trace) combinations through memoized and unmemoized execution
 // and requires byte-identical results — and, when tracing, byte-identical
