@@ -65,6 +65,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -92,31 +93,45 @@ var servingOpts struct {
 }
 
 func main() {
-	runFlag := flag.String("run", "all", "experiment to run")
-	slots := flag.Int("slots", 0, "workload slots (0 = default 18)")
-	duration := flag.Float64("duration", 0, "workload duration in simulated seconds (0 = default 800)")
-	seedsFlag := flag.String("seeds", "", "comma-separated workload seeds (default 5,42,99)")
-	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "route sweeps through the distributed fabric with N local workers")
-	cachestats := flag.Bool("cachestats", false, "print artifact cache and segment memo statistics at exit")
-	altsFlag := flag.String("alts", "", "breakdown: comma-separated alternation counts (default 4,16,64,256,1024,4096)")
-	windowsFlag := flag.String("windows", "", "breakdown: comma-separated window sizes in instructions (default 2000,4000,8000,16000,32000)")
-	benchout := flag.String("benchout", "", "breakdown: append the map to this measurement history (e.g. BENCH_sweep.json)")
-	traceFlag := flag.String("trace", "", "serving: write a Chrome trace-event JSON timeline of one representative serving run to this path")
-	ledgerFlag := flag.Bool("ledger", false, "enable conserved cycle accounting and print attribution columns")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this path")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile (after final GC) to this path")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and runs the selected experiments, printing every table
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	breakdownOpts.alts, breakdownOpts.windows, breakdownOpts.out = nil, nil, ""
+	servingOpts.trace = ""
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	runFlag := fs.String("run", "all", "experiment to run")
+	slots := fs.Int("slots", 0, "workload slots (0 = default 18)")
+	duration := fs.Float64("duration", 0, "workload duration in simulated seconds (0 = default 800)")
+	seedsFlag := fs.String("seeds", "", "comma-separated workload seeds (default 5,42,99)")
+	quick := fs.Bool("quick", false, "shrink workloads for a fast pass")
+	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
+	shards := fs.Int("shards", 0, "route sweeps through the distributed fabric with N local workers")
+	cachestats := fs.Bool("cachestats", false, "print artifact cache and segment memo statistics at exit")
+	altsFlag := fs.String("alts", "", "breakdown: comma-separated alternation counts (default 4,16,64,256,1024,4096)")
+	windowsFlag := fs.String("windows", "", "breakdown: comma-separated window sizes in instructions (default 2000,4000,8000,16000,32000)")
+	benchout := fs.String("benchout", "", "breakdown: append the map to this measurement history (e.g. BENCH_sweep.json)")
+	traceFlag := fs.String("trace", "", "serving: write a Chrome trace-event JSON timeline of one representative serving run to this path")
+	ledgerFlag := fs.Bool("ledger", false, "enable conserved cycle accounting and print attribution columns")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this path")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile (after final GC) to this path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(fmt.Errorf("-cpuprofile: %w", err))
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			fatal(fmt.Errorf("-cpuprofile: %w", err))
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -128,7 +143,7 @@ func main() {
 		// taken at exit, when the heap reflects the whole invocation.
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fatal(fmt.Errorf("-memprofile: %w", err))
+			return fmt.Errorf("-memprofile: %w", err)
 		}
 		f.Close()
 		defer writeMemProfile(*memprofile)
@@ -136,13 +151,13 @@ func main() {
 
 	if *traceFlag != "" {
 		if *runFlag != "serving" {
-			fatal(fmt.Errorf("-trace only applies to -run serving (a tracer serves one run; sweeps run cells concurrently)"))
+			return fmt.Errorf("-trace only applies to -run serving (a tracer serves one run; sweeps run cells concurrently)")
 		}
 		// Validate the trace path up front: create/truncate it now so a
 		// bad path fails in milliseconds, not after the whole sweep.
 		f, err := os.Create(*traceFlag)
 		if err != nil {
-			fatal(fmt.Errorf("-trace: %w", err))
+			return fmt.Errorf("-trace: %w", err)
 		}
 		f.Close()
 		servingOpts.trace = *traceFlag
@@ -150,7 +165,7 @@ func main() {
 
 	cfg, err := experiments.Default()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *quick {
 		cfg = cfg.Scale(8, 200, []uint64{5})
@@ -169,7 +184,7 @@ func main() {
 		for _, s := range strings.Split(*seedsFlag, ",") {
 			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
 			if err != nil {
-				fatal(fmt.Errorf("bad seed %q: %w", s, err))
+				return fmt.Errorf("bad seed %q: %w", s, err)
 			}
 			seeds = append(seeds, v)
 		}
@@ -179,7 +194,7 @@ func main() {
 		for _, s := range strings.Split(*altsFlag, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || v < 1 {
-				fatal(fmt.Errorf("bad alternation count %q", s))
+				return fmt.Errorf("bad alternation count %q", s)
 			}
 			breakdownOpts.alts = append(breakdownOpts.alts, v)
 		}
@@ -188,7 +203,7 @@ func main() {
 		for _, s := range strings.Split(*windowsFlag, ",") {
 			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
 			if err != nil || v == 0 {
-				fatal(fmt.Errorf("bad window size %q", s))
+				return fmt.Errorf("bad window size %q", s)
 			}
 			breakdownOpts.windows = append(breakdownOpts.windows, v)
 		}
@@ -199,7 +214,7 @@ func main() {
 	ran := false
 	for _, exp := range []struct {
 		name string
-		fn   func(experiments.Config) error
+		fn   func(io.Writer, experiments.Config) error
 	}{
 		{"fig3", fig3},
 		{"fig4", fig4},
@@ -221,27 +236,23 @@ func main() {
 	} {
 		if all || *runFlag == exp.name {
 			ran = true
-			if err := exp.fn(cfg); err != nil {
-				fatal(fmt.Errorf("%s: %w", exp.name, err))
+			if err := exp.fn(stdout, cfg); err != nil {
+				return fmt.Errorf("%s: %w", exp.name, err)
 			}
 		}
 	}
 	if !ran {
-		fatal(fmt.Errorf("unknown experiment %q", *runFlag))
+		return fmt.Errorf("unknown experiment %q", *runFlag)
 	}
 	if *cachestats {
 		s := cfg.Cache.Stats()
-		fmt.Printf("\nartifact cache: %d entries, %d pipeline runs, %d hits\n",
+		fmt.Fprintf(stdout, "\nartifact cache: %d entries, %d pipeline runs, %d hits\n",
 			s.Entries, s.Misses, s.Hits)
 		m := cfg.Memo.Stats()
-		fmt.Printf("segment memo: %d lanes, %d of %d chunks (fill %.2f), hit rate %.3f, %d steps replayed, %d recorded\n",
+		fmt.Fprintf(stdout, "segment memo: %d lanes, %d of %d chunks (fill %.2f), hit rate %.3f, %d steps replayed, %d recorded\n",
 			m.Lanes, m.Chunks, m.Limit, m.Fill(), m.HitRate(), m.ReplayedSteps, m.RecordedSteps)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	return nil
 }
 
 // writeMemProfile records the heap after a final GC, so the profile shows
@@ -259,12 +270,12 @@ func writeMemProfile(path string) {
 	}
 }
 
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n\n", title)
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n=== %s ===\n\n", title)
 }
 
-func fig3(cfg experiments.Config) error {
-	header("Fig. 3 — space overhead per technique (paper: best Loop[45] < 4%)")
+func fig3(w io.Writer, cfg experiments.Config) error {
+	header(w, "Fig. 3 — space overhead per technique (paper: best Loop[45] < 4%)")
 	rows, err := experiments.Fig3SpaceOverhead(cfg)
 	if err != nil {
 		return err
@@ -287,14 +298,14 @@ func fig3(cfg experiments.Config) error {
 		q3s = append(q3s, 100*r.Box.Q3)
 		maxs = append(maxs, 100*r.Box.Max)
 	}
-	fmt.Print(t.String())
-	fmt.Println()
-	fmt.Print(textplot.BoxPlot(names, mins, q1s, meds, q3s, maxs, 48))
+	fmt.Fprint(w, t.String())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, textplot.BoxPlot(names, mins, q1s, meds, q3s, maxs, 48))
 	return nil
 }
 
-func fig4(cfg experiments.Config) error {
-	header("Fig. 4 — time overhead, all-cores mode (paper: as low as 0.14%)")
+func fig4(w io.Writer, cfg experiments.Config) error {
+	header(w, "Fig. 4 — time overhead, all-cores mode (paper: as low as 0.14%)")
 	rows, err := experiments.Fig4TimeOverhead(cfg, nil)
 	if err != nil {
 		return err
@@ -303,12 +314,12 @@ func fig4(cfg experiments.Config) error {
 	for _, r := range rows {
 		t.AddRow(r.Variant, fmt.Sprintf("%.3f", r.OverheadPct), fmt.Sprintf("%d", r.MarksExecuted))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 	return nil
 }
 
-func table1(cfg experiments.Config) error {
-	header(fmt.Sprintf("Table 1 — switches per benchmark, Loop[45] (paper values scaled by 1/%d)", workload.ScaleDivisor))
+func table1(w io.Writer, cfg experiments.Config) error {
+	header(w, fmt.Sprintf("Table 1 — switches per benchmark, Loop[45] (paper values scaled by 1/%d)", workload.ScaleDivisor))
 	rows, err := experiments.Table1Switches(cfg)
 	if err != nil {
 		return err
@@ -321,12 +332,12 @@ func table1(cfg experiments.Config) error {
 			fmt.Sprintf("%.1f", r.RuntimeSec),
 			fmt.Sprintf("%.1f", r.PaperRuntimeSec/workload.ScaleDivisor))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 	return nil
 }
 
-func fig5(cfg experiments.Config) error {
-	header("Fig. 5 — average cycles per core switch, log scale")
+func fig5(w io.Writer, cfg experiments.Config) error {
+	header(w, "Fig. 5 — average cycles per core switch, log scale")
 	rows, err := experiments.Table1Switches(cfg)
 	if err != nil {
 		return err
@@ -337,12 +348,12 @@ func fig5(cfg experiments.Config) error {
 		names = append(names, r.Benchmark)
 		vals = append(vals, r.CyclesPerSwitch)
 	}
-	fmt.Print(textplot.LogBars(names, vals, 48))
+	fmt.Fprint(w, textplot.LogBars(names, vals, 48))
 	return nil
 }
 
-func fig6(cfg experiments.Config) error {
-	header("Fig. 6 — throughput vs IPC threshold, BB[15,0] (paper: optimum between extremes)")
+func fig6(w io.Writer, cfg experiments.Config) error {
+	header(w, "Fig. 6 — throughput vs IPC threshold, BB[15,0] (paper: optimum between extremes)")
 	rows, err := experiments.Fig6Thresholds(cfg, nil)
 	if err != nil {
 		return err
@@ -352,12 +363,12 @@ func fig6(cfg experiments.Config) error {
 		xs = append(xs, r.Delta)
 		ys = append(ys, r.ImprovementPct)
 	}
-	fmt.Print(textplot.Series("delta", "tput +%", xs, ys, 36))
+	fmt.Fprint(w, textplot.Series("delta", "tput +%", xs, ys, 36))
 	return nil
 }
 
-func fig7(cfg experiments.Config) error {
-	header("Fig. 7 — throughput vs clustering error, BB[15,0] (paper: robust to 20%)")
+func fig7(w io.Writer, cfg experiments.Config) error {
+	header(w, "Fig. 7 — throughput vs clustering error, BB[15,0] (paper: robust to 20%)")
 	rows, err := experiments.Fig7ClusteringError(cfg, nil)
 	if err != nil {
 		return err
@@ -367,21 +378,21 @@ func fig7(cfg experiments.Config) error {
 		xs = append(xs, r.ErrorPct)
 		ys = append(ys, r.ImprovementPct)
 	}
-	fmt.Print(textplot.Series("error %", "tput +%", xs, ys, 36))
+	fmt.Fprint(w, textplot.Series("error %", "tput +%", xs, ys, 36))
 	return nil
 }
 
-func table2(cfg experiments.Config) error {
-	header("Table 2 — fairness vs stock Linux, % decrease (paper best Loop[45]: 12.04/20.41/35.95)")
+func table2(w io.Writer, cfg experiments.Config) error {
+	header(w, "Table 2 — fairness vs stock Linux, % decrease (paper best Loop[45]: 12.04/20.41/35.95)")
 	rows, err := experiments.Table2Fairness(cfg, nil)
 	if err != nil {
 		return err
 	}
-	printFairness(rows)
+	printFairness(w, rows)
 	return nil
 }
 
-func printFairness(rows []experiments.FairnessRow) {
+func printFairness(w io.Writer, rows []experiments.FairnessRow) {
 	t := textplot.NewTable("variant", "max-flow%", "max-stretch%", "avg-time%", "matched-avg%", "tput%")
 	for _, r := range rows {
 		t.AddRow(r.Variant,
@@ -391,11 +402,11 @@ func printFairness(rows []experiments.FairnessRow) {
 			fmt.Sprintf("%+.2f", r.MatchedAvgPct),
 			fmt.Sprintf("%+.2f", r.ThroughputPct))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 }
 
-func fig8(cfg experiments.Config) error {
-	header("Fig. 8 — speedup vs fairness trade-off (avg time vs max stretch)")
+func fig8(w io.Writer, cfg experiments.Config) error {
+	header(w, "Fig. 8 — speedup vs fairness trade-off (avg time vs max stretch)")
 	rows, err := experiments.Fig8Tradeoff(cfg, nil)
 	if err != nil {
 		return err
@@ -404,11 +415,11 @@ func fig8(cfg experiments.Config) error {
 	for _, r := range rows {
 		t.AddRow(r.Variant, fmt.Sprintf("%+.2f", r.MaxStretchPct), fmt.Sprintf("%+.2f", r.AvgTimePct))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 	return nil
 }
 
-func printAblation(rows []experiments.AblationRow) {
+func printAblation(w io.Writer, rows []experiments.AblationRow) {
 	t := textplot.NewTable("variant", "avg-time%", "tput%", "max-stretch%")
 	for _, r := range rows {
 		t.AddRow(r.Name,
@@ -416,44 +427,44 @@ func printAblation(rows []experiments.AblationRow) {
 			fmt.Sprintf("%+.2f", r.ThroughputPct),
 			fmt.Sprintf("%+.2f", r.MaxStretchPct))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 }
 
-func switchcost(cfg experiments.Config) error {
-	header("§IV-B3 — core switch cost (paper: ~1000 cycles)")
+func switchcost(w io.Writer, cfg experiments.Config) error {
+	header(w, "§IV-B3 — core switch cost (paper: ~1000 cycles)")
 	r, err := experiments.SwitchCost(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("measured: %.0f cycles/switch (scaled clock), %.0f cycles descaled; %d switches\n",
+	fmt.Fprintf(w, "measured: %.0f cycles/switch (scaled clock), %.0f cycles descaled; %d switches\n",
 		r.CyclesPerSwitch, r.DescaledCycles, r.Switches)
 	return nil
 }
 
-func typing(cfg experiments.Config) error {
-	header("§II-A3 — static typing accuracy (paper: ~15% misclassified)")
+func typing(w io.Writer, cfg experiments.Config) error {
+	header(w, "§II-A3 — static typing accuracy (paper: ~15% misclassified)")
 	r, err := experiments.TypingAccuracy(cfg, 0.06)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("agreement with IPC oracle: %.1f%% over %d blocks (misclassified %.1f%%)\n",
+	fmt.Fprintf(w, "agreement with IPC oracle: %.1f%% over %d blocks (misclassified %.1f%%)\n",
 		100*r.Agreement, r.Blocks, 100*(1-r.Agreement))
 	return nil
 }
 
-func threecore(cfg experiments.Config) error {
-	header("§VII — 3-core (2 fast, 1 slow) machine (paper: ~32% speedup)")
+func threecore(w io.Writer, cfg experiments.Config) error {
+	header(w, "§VII — 3-core (2 fast, 1 slow) machine (paper: ~32% speedup)")
 	r, err := experiments.ThreeCore(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("avg process time decrease: %+.2f%% (matched %+.2f%%), throughput: %+.2f%%\n",
+	fmt.Fprintf(w, "avg process time decrease: %+.2f%% (matched %+.2f%%), throughput: %+.2f%%\n",
 		r.AvgTimePct, r.MatchedAvgPct, r.ThroughputPct)
 	return nil
 }
 
-func showdown(cfg experiments.Config) error {
-	header("§V showdown — static marks vs dynamic online detection vs oracle (paper's central claim)")
+func showdown(w io.Writer, cfg experiments.Config) error {
+	header(w, "§V showdown — static marks vs dynamic online detection vs oracle (paper's central claim)")
 	rows, err := experiments.Showdown(cfg, nil)
 	if err != nil {
 		return err
@@ -474,10 +485,10 @@ func showdown(cfg experiments.Config) error {
 			fmt.Sprintf("%.0f", r.Damped),
 			fmt.Sprintf("%.0f", r.CounterDefers))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 
 	if len(rows) > 0 && rows[0].HasLedger {
-		fmt.Println("\ncycle attribution — % of machine time (cores × horizon), conserved to 100%")
+		fmt.Fprintln(w, "\ncycle attribution — % of machine time (cores × horizon), conserved to 100%")
 		lt := textplot.NewTable("machine", "policy", "useful%", "asym%", "spill%", "ovh%", "idle%")
 		var ledgerRows []benchhist.LedgerRow
 		for _, r := range rows {
@@ -493,7 +504,7 @@ func showdown(cfg experiments.Config) error {
 				SpillPct: r.SpillPct, OverheadPct: r.OverheadPct, IdlePct: r.IdlePct,
 			})
 		}
-		fmt.Print(lt.String())
+		fmt.Fprint(w, lt.String())
 
 		if breakdownOpts.out != "" {
 			err := benchhist.Append(breakdownOpts.out, benchhist.Entry{
@@ -506,22 +517,22 @@ func showdown(cfg experiments.Config) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("\nappended ledger entry to %s\n", breakdownOpts.out)
+			fmt.Fprintf(w, "\nappended ledger entry to %s\n", breakdownOpts.out)
 		}
 	}
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	cc, err := experiments.ShowdownCounterContention(cfg, 4)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dynamic/probe with 4 bounded event sets: %d deferrals, %d windows, tput %+.2f%%\n",
+	fmt.Fprintf(w, "dynamic/probe with 4 bounded event sets: %d deferrals, %d windows, tput %+.2f%%\n",
 		cc.Defers, cc.Windows, cc.ThroughputPct)
 	return nil
 }
 
-func window(cfg experiments.Config) error {
-	header("Window-size sweep — online WindowInstrs vs throughput and switches (dynamic Fig. 6 analogue)")
+func window(w io.Writer, cfg experiments.Config) error {
+	header(w, "Window-size sweep — online WindowInstrs vs throughput and switches (dynamic Fig. 6 analogue)")
 	rows, err := experiments.WindowSweep(cfg, nil, nil)
 	if err != nil {
 		return err
@@ -534,12 +545,12 @@ func window(cfg experiments.Config) error {
 			fmt.Sprintf("%.0f", r.Windows),
 			fmt.Sprintf("%.3f", r.MonitorPct))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 	return nil
 }
 
-func breakdown(cfg experiments.Config) error {
-	header("Misprediction-cost breakdown map — alternation rate × window size (§V, quantitative)")
+func breakdown(w io.Writer, cfg experiments.Config) error {
+	header(w, "Misprediction-cost breakdown map — alternation rate × window size (§V, quantitative)")
 	res, err := experiments.Breakdown(cfg, nil, breakdownOpts.alts, breakdownOpts.windows)
 	if err != nil {
 		return err
@@ -559,10 +570,10 @@ func breakdown(cfg experiments.Config) error {
 			fmt.Sprintf("%+.2f", r.DeltaPct),
 			fmt.Sprintf("%.0f", r.DynSwitches))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 
 	if len(res.Rows) > 0 && res.Rows[0].HasLedger {
-		fmt.Println("\nmisprediction attribution — % of machine time lost to slow-core placement (asym+spill)")
+		fmt.Fprintln(w, "\nmisprediction attribution — % of machine time lost to slow-core placement (asym+spill)")
 		lt := textplot.NewTable("machine", "alt", "window", "static-asym%", "dyn-asym%", "dyn-monitor%")
 		for _, r := range res.Rows {
 			lt.AddRow(r.Machine,
@@ -572,7 +583,7 @@ func breakdown(cfg experiments.Config) error {
 				fmt.Sprintf("%.2f", r.DynAsymmetryPct),
 				fmt.Sprintf("%.3f", r.DynMonitorPct))
 		}
-		fmt.Print(lt.String())
+		fmt.Fprint(w, lt.String())
 	}
 
 	// One heatmap per machine: rows = rates, cols = windows, cell =
@@ -606,8 +617,8 @@ func breakdown(cfg experiments.Config) error {
 		bd.DeltaPct = grid
 		entries = append(entries, bd)
 
-		fmt.Printf("\n%s — dynamic−static tput delta (pp) by (alternation rate × window)\n", machine)
-		fmt.Print(textplot.Heatmap("rate\\win", rowLabels, colLabels, grid, experiments.BreakdownTolerancePct))
+		fmt.Fprintf(w, "\n%s — dynamic−static tput delta (pp) by (alternation rate × window)\n", machine)
+		fmt.Fprint(w, textplot.Heatmap("rate\\win", rowLabels, colLabels, grid, experiments.BreakdownTolerancePct))
 		ft := textplot.NewTable("rate", "alternations", "break-even window")
 		for _, f := range res.Frontier {
 			if f.Machine != machine {
@@ -619,7 +630,7 @@ func breakdown(cfg experiments.Config) error {
 			}
 			ft.AddRow(fmt.Sprintf("%.0f", f.Rate), fmt.Sprintf("%d", f.Alternations), be)
 		}
-		fmt.Print(ft.String())
+		fmt.Fprint(w, ft.String())
 	}
 
 	if breakdownOpts.out != "" {
@@ -633,13 +644,13 @@ func breakdown(cfg experiments.Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nappended breakdown entry to %s\n", breakdownOpts.out)
+		fmt.Fprintf(w, "\nappended breakdown entry to %s\n", breakdownOpts.out)
 	}
 	return nil
 }
 
-func serving(cfg experiments.Config) error {
-	header("Open-system serving — sojourn-time tail by offered load × placement policy")
+func serving(w io.Writer, cfg experiments.Config) error {
+	header(w, "Open-system serving — sojourn-time tail by offered load × placement policy")
 	rows, err := experiments.Serving(cfg, nil)
 	if err != nil {
 		return err
@@ -662,10 +673,10 @@ func serving(cfg experiments.Config) error {
 			fmt.Sprintf("%d", r.PeakRunnable),
 			fmt.Sprintf("%.0f", r.OvercommitSlices))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 
 	if len(rows) > 0 && rows[0].HasLedger {
-		fmt.Println("\nsojourn decomposition — summed task-seconds per seed: queueing vs service vs slicing")
+		fmt.Fprintln(w, "\nsojourn decomposition — summed task-seconds per seed: queueing vs service vs slicing")
 		lt := textplot.NewTable("machine", "load", "policy", "queueing(s)", "service(s)", "slicing(s)", "queue/service")
 		for _, r := range rows {
 			ratio := "-"
@@ -680,7 +691,7 @@ func serving(cfg experiments.Config) error {
 				fmt.Sprintf("%.2f", r.SlicingSec),
 				ratio)
 		}
-		fmt.Print(lt.String())
+		fmt.Fprint(w, lt.String())
 	}
 
 	// One quantile strip per (machine, load): the policies' latency tails
@@ -723,8 +734,8 @@ func serving(cfg experiments.Config) error {
 			entry.P99Sec = append(entry.P99Sec, benchhist.SanitizeNaNs(p99s))
 			entry.P999Sec = append(entry.P999Sec, benchhist.SanitizeNaNs(p999s))
 			entry.PeakRunnable = append(entry.PeakRunnable, peak)
-			fmt.Printf("\n%s @ load %.2fx — sojourn quantiles (s), peak runnable %d\n", machine, load, peak)
-			fmt.Print(textplot.QuantileStrip(names, p50s, p95s, p99s, p999s, 48))
+			fmt.Fprintf(w, "\n%s @ load %.2fx — sojourn quantiles (s), peak runnable %d\n", machine, load, peak)
+			fmt.Fprint(w, textplot.QuantileStrip(names, p50s, p95s, p99s, p999s, 48))
 		}
 		entries = append(entries, entry)
 	}
@@ -740,7 +751,7 @@ func serving(cfg experiments.Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nappended serving entry to %s\n", breakdownOpts.out)
+		fmt.Fprintf(w, "\nappended serving entry to %s\n", breakdownOpts.out)
 	}
 
 	if servingOpts.trace != "" {
@@ -752,16 +763,16 @@ func serving(cfg experiments.Config) error {
 		if err := tr.WriteFile(servingOpts.trace); err != nil {
 			return fmt.Errorf("-trace: %w", err)
 		}
-		fmt.Printf("\ntraced representative run (hybrid, load 1.00x): %d admitted, %d completed\n",
+		fmt.Fprintf(w, "\ntraced representative run (hybrid, load 1.00x): %d admitted, %d completed\n",
 			st.Admitted, st.Completed)
-		fmt.Printf("wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n",
+		fmt.Fprintf(w, "wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n",
 			tr.Len(), servingOpts.trace)
 	}
 	return nil
 }
 
-func contention(cfg experiments.Config) error {
-	header("Shared-cache contention — antagonist herding vs contention-priced placement")
+func contention(w io.Writer, cfg experiments.Config) error {
+	header(w, "Shared-cache contention — antagonist herding vs contention-priced placement")
 	rows, err := experiments.Contention(cfg, nil)
 	if err != nil {
 		return err
@@ -794,7 +805,7 @@ func contention(cfg experiments.Config) error {
 			GroupsUsed: r.GroupsUsed, MemTasks: r.MemTasks,
 		})
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 
 	// One bar chart per machine: the herding signature by policy, unpriced
 	// vs priced side by side.
@@ -820,8 +831,8 @@ func contention(cfg experiments.Config) error {
 			names = append(names, label)
 			vals = append(vals, r.MaxMemShare)
 		}
-		fmt.Printf("\n%s — hottest cache group's share of memory-bound time (1.0 = herded)\n", machine)
-		fmt.Print(textplot.Bars(names, vals, 48))
+		fmt.Fprintf(w, "\n%s — hottest cache group's share of memory-bound time (1.0 = herded)\n", machine)
+		fmt.Fprint(w, textplot.Bars(names, vals, 48))
 	}
 
 	if breakdownOpts.out != "" {
@@ -835,7 +846,7 @@ func contention(cfg experiments.Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nappended contention entry to %s\n", breakdownOpts.out)
+		fmt.Fprintf(w, "\nappended contention entry to %s\n", breakdownOpts.out)
 	}
 	return nil
 }
@@ -854,29 +865,29 @@ func machinesOf(res *experiments.BreakdownResult) []string {
 	return out
 }
 
-func ablations(cfg experiments.Config) error {
-	header("Ablation — pin to core type vs single core")
+func ablations(w io.Writer, cfg experiments.Config) error {
+	header(w, "Ablation — pin to core type vs single core")
 	rows, err := experiments.AblationPinMode(cfg)
 	if err != nil {
 		return err
 	}
-	printAblation(rows)
+	printAblation(w, rows)
 
-	header("Ablation — bounded monitoring vs mark-only monitoring")
+	header(w, "Ablation — bounded monitoring vs mark-only monitoring")
 	rows, err = experiments.AblationMonitorBound(cfg)
 	if err != nil {
 		return err
 	}
-	printAblation(rows)
+	printAblation(w, rows)
 
-	header("Ablation — positional (phase marks) vs temporal (interval resampling)")
+	header(w, "Ablation — positional (phase marks) vs temporal (interval resampling)")
 	rows, err = experiments.AblationTemporal(cfg, 50000)
 	if err != nil {
 		return err
 	}
-	printAblation(rows)
+	printAblation(w, rows)
 
-	header("Ablation — static marks: propagation vs naive edge rule")
+	header(w, "Ablation — static marks: propagation vs naive edge rule")
 	rows, err = experiments.AblationPropagation(cfg)
 	if err != nil {
 		return err
@@ -885,13 +896,13 @@ func ablations(cfg experiments.Config) error {
 	for _, r := range rows {
 		t.AddRow(r.Name, fmt.Sprintf("%.0f", r.AvgTimePct))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 
-	header("Ablation — counter contention with 4 bounded event sets")
+	header(w, "Ablation — counter contention with 4 bounded event sets")
 	cc, err := experiments.CounterContentionCheck(cfg, 4)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("monitoring deferrals: %d (marks executed: %d)\n", cc.Defers, cc.Marks)
+	fmt.Fprintf(w, "monitoring deferrals: %d (marks executed: %d)\n", cc.Defers, cc.Marks)
 	return nil
 }
