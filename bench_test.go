@@ -156,7 +156,7 @@ func BenchmarkTable2Fairness(b *testing.B) {
 }
 
 // BenchmarkFig8Tradeoff regenerates the speedup-vs-fairness scatter for a
-// small variant subset (paper Fig. 8).
+// small variant subset (paper Fig. 8, drawn from the Table 2 rows).
 func BenchmarkFig8Tradeoff(b *testing.B) {
 	cfg := benchConfig(b)
 	variants := []transition.Params{
@@ -164,7 +164,7 @@ func BenchmarkFig8Tradeoff(b *testing.B) {
 		experiments.BestParams(),
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8Tradeoff(cfg, variants)
+		rows, err := experiments.Table2Fairness(cfg, variants)
 		if err != nil {
 			b.Fatal(err)
 		}

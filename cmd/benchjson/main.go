@@ -11,19 +11,13 @@
 // -history renders the recorded trajectory instead of running benchmarks:
 // one ASCII series per benchmark name (ns/op over entries) plus a
 // last-vs-previous comparison table. The history is shared with other
-// producers (internal/benchhist): `breakdown` entries appended by
-// `cmd/experiments -run breakdown -benchout` render as misprediction-cost
-// heatmaps after the timing series, `serving` entries appended by
-// `cmd/experiments -run serving -benchout` render as latency quantile
-// strips, `ledger` entries appended by `cmd/experiments -run showdown
-// -ledger -benchout` render as per-policy cycle-attribution stacked bars,
-// `contention` entries appended by `cmd/experiments -run contention
-// -benchout` render as a shared-cache herding table,
-// and entries of kinds this build does not know are called out by
+// producers (internal/benchhist): the newest `table` entry of each
+// campaign, appended by `cmd/experiments -run <campaign> -benchout`, is
+// redrawn with benchhist.Render — the function the campaign printed it
+// with — and entries of kinds this build does not know are called out by
 // kind and count rather than silently skipped. The regression gate
-// compares the last two *timing* entries, so appending a breakdown map, a
-// serving summary, an attribution rollup, or a herding table never masks
-// (or fakes) a benchmark regression. It exits
+// compares the last two *timing* entries, so appending campaign tables
+// never masks (or fakes) a benchmark regression. It exits
 // non-zero when any benchmark regressed by more than -regression percent —
 // CI wires it as a soft-fail step so the performance trajectory is
 // inspected on every push without blocking unrelated work.
@@ -94,34 +88,30 @@ func main() {
 }
 
 // runHistory renders the recorded trajectory and gates on regressions:
-// every benchmark's ns/op is plotted over the timing entries, the latest
-// breakdown entry (if any) renders as heatmaps, and the newest timing
-// entry is compared against the one before it.
+// every benchmark's ns/op is plotted over the timing entries, the newest
+// table entry of each campaign is redrawn, and the newest timing entry is
+// compared against the one before it.
 func runHistory(path string, regressionPct float64) error {
 	hist := benchhist.Load(path)
 	if len(hist.Entries) == 0 {
 		return fmt.Errorf("%s holds no history entries", path)
 	}
 
-	// Partition by kind: timings chart as series, the latest breakdown
-	// charts as heatmaps, the latest serving entry as quantile strips,
-	// anything newer than this build is surfaced.
+	// Partition by kind: timings chart as series, the newest table entry
+	// per campaign is redrawn, anything newer than this build is surfaced.
 	var timings []benchhist.Entry
-	var lastBreakdown, lastServing, lastLedger, lastContention *benchhist.Entry
+	var campaigns []string
+	latest := map[string]benchhist.Entry{}
 	unknown := map[string]int{}
-	for i := range hist.Entries {
-		e := hist.Entries[i]
+	for _, e := range hist.Entries {
 		switch e.Kind {
 		case benchhist.KindBench:
 			timings = append(timings, e)
-		case benchhist.KindBreakdown:
-			lastBreakdown = &hist.Entries[i]
-		case benchhist.KindServing:
-			lastServing = &hist.Entries[i]
-		case benchhist.KindLedger:
-			lastLedger = &hist.Entries[i]
-		case benchhist.KindContention:
-			lastContention = &hist.Entries[i]
+		case benchhist.KindTable:
+			if _, ok := latest[e.Campaign]; !ok {
+				campaigns = append(campaigns, e.Campaign)
+			}
+			latest[e.Campaign] = e
 		default:
 			unknown[e.Kind]++
 		}
@@ -168,87 +158,12 @@ func runHistory(path string, regressionPct float64) error {
 		fmt.Print(textplot.Series("entry", "ms/op", xs, ys, 40))
 	}
 
-	if lastBreakdown != nil {
-		fmt.Printf("\nmisprediction-cost breakdown (recorded %s): dynamic−static tput delta (pp)\n",
-			lastBreakdown.Timestamp)
-		for _, bd := range lastBreakdown.Breakdown {
-			var cols []string
-			for _, w := range bd.WindowInstrs {
-				cols = append(cols, fmt.Sprintf("%d", w))
-			}
-			var rows []string
-			for _, a := range bd.Alternations {
-				rows = append(rows, fmt.Sprintf("alt.x%d", a))
-			}
-			fmt.Printf("\n%s\n", bd.Machine)
-			fmt.Print(textplot.Heatmap("rate\\win", rows, cols, bd.DeltaPct, bd.TolerancePct))
+	for _, name := range campaigns {
+		e := latest[name]
+		fmt.Printf("\n=== %s (%s, recorded %s) ===\n\n", e.Title, e.Campaign, e.Timestamp)
+		if err := benchhist.Render(os.Stdout, e.Tables); err != nil {
+			return err
 		}
-	}
-
-	if lastServing != nil {
-		fmt.Printf("\nopen-system serving (recorded %s): sojourn quantiles by load × policy\n",
-			lastServing.Timestamp)
-		for _, sv := range lastServing.Serving {
-			for li, load := range sv.Loads {
-				if li >= len(sv.P50Sec) {
-					break
-				}
-				peak := 0
-				if li < len(sv.PeakRunnable) {
-					peak = sv.PeakRunnable[li]
-				}
-				fmt.Printf("\n%s @ load %.2fx (peak runnable %d)\n", sv.Machine, load, peak)
-				// The entry stores p50/p99/p999; reuse p99 for the strip's
-				// p95 slot so the markers stay ordered.
-				fmt.Print(textplot.QuantileStrip(sv.Policies,
-					sv.P50Sec[li], sv.P99Sec[li], sv.P99Sec[li], sv.P999Sec[li], 48))
-			}
-		}
-	}
-
-	if lastLedger != nil {
-		fmt.Printf("\ncycle attribution (recorded %s): %% of machine time by policy\n",
-			lastLedger.Timestamp)
-		segments := []string{"useful", "asymmetry", "spill", "overhead", "idle"}
-		var machines []string
-		seen := map[string]bool{}
-		for _, r := range lastLedger.Ledger {
-			if !seen[r.Machine] {
-				seen[r.Machine] = true
-				machines = append(machines, r.Machine)
-			}
-		}
-		for _, machine := range machines {
-			var names []string
-			var vals [][]float64
-			for _, r := range lastLedger.Ledger {
-				if r.Machine != machine {
-					continue
-				}
-				names = append(names, r.Policy)
-				vals = append(vals, []float64{
-					r.UsefulPct, r.AsymmetryPct, r.SpillPct, r.OverheadPct, r.IdlePct})
-			}
-			fmt.Printf("\n%s\n", machine)
-			fmt.Print(textplot.StackedBars(names, segments, vals, 48))
-		}
-	}
-
-	if lastContention != nil {
-		fmt.Printf("\nshared-cache contention (recorded %s): hottest-group share of memory-bound time\n",
-			lastContention.Timestamp)
-		t := textplot.NewTable("machine", "policy", "priced", "max-share", "groups", "tput%")
-		for _, r := range lastContention.Contention {
-			priced := "-"
-			if r.Priced {
-				priced = "yes"
-			}
-			t.AddRow(r.Machine, r.Policy, priced,
-				fmt.Sprintf("%.3f", r.MaxMemShare),
-				fmt.Sprintf("%.1f", r.GroupsUsed),
-				fmt.Sprintf("%+.2f", r.ThroughputPct))
-		}
-		fmt.Print(t.String())
 	}
 
 	if len(timings) < 2 {
@@ -260,7 +175,8 @@ func runHistory(path string, regressionPct float64) error {
 	for _, b := range prev.Benchmarks {
 		prevNs[b.Name] = b.NsPerOp
 	}
-	t := textplot.NewTable("benchmark", "prev ms", "last ms", "delta%")
+	t := benchhist.Table{Columns: []benchhist.Column{benchhist.Col("benchmark", "", ""),
+		benchhist.Col("prev ms", "ms", "%.1f"), benchhist.Col("last ms", "ms", "%.1f"), benchhist.Col("delta%", "%", "%+.1f")}}
 	var regressed []string
 	for _, b := range last.Benchmarks {
 		p, ok := prevNs[b.Name]
@@ -268,16 +184,15 @@ func runHistory(path string, regressionPct float64) error {
 			continue
 		}
 		deltaPct := 100 * (float64(b.NsPerOp) - float64(p)) / float64(p)
-		t.AddRow(b.Name,
-			fmt.Sprintf("%.1f", float64(p)/1e6),
-			fmt.Sprintf("%.1f", float64(b.NsPerOp)/1e6),
-			fmt.Sprintf("%+.1f", deltaPct))
+		t.AddRow(b.Name, float64(p)/1e6, float64(b.NsPerOp)/1e6, deltaPct)
 		if deltaPct > regressionPct {
 			regressed = append(regressed, fmt.Sprintf("%s (%+.1f%%)", b.Name, deltaPct))
 		}
 	}
 	fmt.Println()
-	fmt.Print(t.String())
+	if err := benchhist.Render(os.Stdout, []benchhist.Table{t}); err != nil {
+		return err
+	}
 
 	// Derived metrics and allocation counts of the newest entry: speedups,
 	// the segment-memo hit rate, and allocs/op per benchmark.
@@ -373,13 +288,9 @@ func run(out string, reps, shards int) error {
 		return err
 	}
 	specs := gridSpecs()
-	entry := benchhist.Entry{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		MaxProcs:  runtime.GOMAXPROCS(0),
-		Shards:    shards,
-		Derived:   map[string]float64{},
-	}
+	entry := benchhist.Stamp(benchhist.KindBench)
+	entry.Shards = shards
+	entry.Derived = map[string]float64{}
 
 	seq, seqAllocs, err := timeMin(reps, func() error {
 		for _, spec := range specs {

@@ -22,39 +22,42 @@
 // the same campaigns can be served to real worker processes with
 // cmd/sweepd.
 //
+// Six experiments are campaigns of the registry in internal/experiments:
+// showdown, window, breakdown, serving, contention, and table2 (the
+// registry's grid, also accepted as -run grid). Each prints its tables
+// through benchhist.Render, and -benchout appends them to the measurement
+// history (BENCH_sweep.json) as one `table` entry per campaign, which
+// `benchjson -history` redraws with the same function. -benchout needs a
+// campaign (or all).
+//
 // -run breakdown maps the misprediction cost of reactive detection: the
 // synthetic alternation-rate axis (-alts, alternation counts) against the
 // detector window sizes (-windows), rendered as a dynamic-vs-static delta
-// heatmap with the break-even frontier marked. -benchout appends the map
-// as a `breakdown` entry to the measurement history (BENCH_sweep.json),
-// where `benchjson -history` charts it alongside the timing trajectory.
+// heatmap with the break-even frontier marked. -alts and -windows need
+// -run breakdown (or all).
 //
 // -run serving is the open-system experiment: Poisson arrivals at offered
 // loads 0.5×–1.5× of machine capacity, overcommit scheduling, and the
 // sojourn-time tail (p50/p95/p99/p999) per placement policy on the quad
-// and hex machines. -benchout appends it as a `serving` entry. -trace
-// additionally re-runs one representative cell (first machine, hybrid
-// policy, load 1.0×) with the deterministic tracer attached and writes
-// the Chrome trace-event JSON timeline to the given path — one traced
-// run, outside the sweep, because concurrent cells would interleave
-// events nondeterministically. The path is validated (created) up front.
+// and hex machines. -trace additionally re-runs one representative cell
+// (first machine, hybrid policy, load 1.0×) with the deterministic tracer
+// attached and writes the Chrome trace-event JSON timeline to the given
+// path — one traced run, outside the sweep, because concurrent cells would
+// interleave events nondeterministically. The path is validated (created)
+// up front.
 //
-// -run contention is the shared-cache herding experiment: the
-// memory-antagonist fleet on the hex and quad machines, every placement
-// policy unpriced (measuring how IPC-only arbitration herds the
-// antagonists onto one cache group) and every engine-backed policy
-// contention-priced (measuring the separation and recovered throughput).
-// The table's max-share column is the hottest cache group's share of
-// memory-bound core time: 1.0 is fully herded, 1/groups a perfect spread.
-// -benchout appends the rows as a `contention` entry.
+// -run contention is the shared-cache herding experiment: every placement
+// policy unpriced and every engine-backed policy contention-priced on the
+// memory-antagonist fleet. Its max-share column is the hottest cache
+// group's share of memory-bound core time: 1.0 is fully herded, 1/groups a
+// perfect spread.
 //
 // -ledger enables conserved cycle accounting on every run: the showdown,
 // serving, and breakdown tables grow attribution columns decomposing each
 // cell's machine time (useful work, asymmetry loss, capacity spill,
-// instrumentation overhead, idle), and `-run showdown -ledger -benchout`
-// additionally appends the per-policy rollup as a `ledger` history entry
-// that `benchjson -history` renders as stacked bars. Accounting never
-// perturbs a run, so the timing columns are unchanged.
+// instrumentation overhead, idle), and the showdown adds one stacked
+// attribution bar chart per machine. Accounting never perturbs a run, so
+// the timing columns are unchanged.
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole invocation
 // (the CPU profile spans every sweep; the heap profile is taken after a
@@ -71,7 +74,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"phasetune/internal/benchhist"
 	"phasetune/internal/experiments"
@@ -80,16 +82,33 @@ import (
 	"phasetune/internal/workload"
 )
 
-// breakdownOpts carries the breakdown map's flag-selected axes.
-var breakdownOpts struct {
-	alts    []int
-	windows []uint64
-	out     string
+// experiment is one -run target: a paper figure or check printed by fn, or
+// a registry campaign.
+type experiment struct {
+	name     string
+	fn       func(io.Writer, experiments.Config) error
+	campaign string
 }
 
-// servingOpts carries the serving experiment's trace destination.
-var servingOpts struct {
-	trace string
+// all lists every experiment in -run all order.
+var all = []experiment{
+	{name: "fig3", fn: fig3},
+	{name: "fig4", fn: fig4},
+	{name: "table1", fn: table1},
+	{name: "fig5", fn: fig5},
+	{name: "fig6", fn: fig6},
+	{name: "fig7", fn: fig7},
+	{name: "table2", campaign: "grid"},
+	{name: "fig8", fn: fig8},
+	{name: "switchcost", fn: switchcost},
+	{name: "typing", fn: typing},
+	{name: "threecore", fn: threecore},
+	{name: "showdown", campaign: "showdown"},
+	{name: "window", campaign: "window"},
+	{name: "breakdown", campaign: "breakdown"},
+	{name: "serving", campaign: "serving"},
+	{name: "contention", campaign: "contention"},
+	{name: "ablations", fn: ablations},
 }
 
 func main() {
@@ -102,8 +121,6 @@ func main() {
 // run parses args and runs the selected experiments, printing every table
 // to stdout.
 func run(args []string, stdout io.Writer) error {
-	breakdownOpts.alts, breakdownOpts.windows, breakdownOpts.out = nil, nil, ""
-	servingOpts.trace = ""
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	runFlag := fs.String("run", "all", "experiment to run")
 	slots := fs.Int("slots", 0, "workload slots (0 = default 18)")
@@ -115,13 +132,31 @@ func run(args []string, stdout io.Writer) error {
 	cachestats := fs.Bool("cachestats", false, "print artifact cache and segment memo statistics at exit")
 	altsFlag := fs.String("alts", "", "breakdown: comma-separated alternation counts (default 4,16,64,256,1024,4096)")
 	windowsFlag := fs.String("windows", "", "breakdown: comma-separated window sizes in instructions (default 2000,4000,8000,16000,32000)")
-	benchout := fs.String("benchout", "", "breakdown: append the map to this measurement history (e.g. BENCH_sweep.json)")
+	benchout := fs.String("benchout", "", "campaigns: append each campaign's tables to this measurement history (e.g. BENCH_sweep.json)")
 	traceFlag := fs.String("trace", "", "serving: write a Chrome trace-event JSON timeline of one representative serving run to this path")
 	ledgerFlag := fs.Bool("ledger", false, "enable conserved cycle accounting and print attribution columns")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this path")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile (after final GC) to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+
+	var selected []experiment
+	for _, exp := range all {
+		if *runFlag == "all" || *runFlag == exp.name || *runFlag == exp.campaign {
+			selected = append(selected, exp)
+		}
+	}
+	switch {
+	case len(selected) == 0:
+		return fmt.Errorf("unknown experiment %q", *runFlag)
+	case *traceFlag != "" && *runFlag != "serving":
+		return fmt.Errorf("-trace only applies to -run serving (a tracer serves one run; sweeps run cells concurrently)")
+	case (*altsFlag != "" || *windowsFlag != "") && *runFlag != "breakdown" && *runFlag != "all":
+		return fmt.Errorf("-alts and -windows only apply to -run breakdown (or all)")
+	case *benchout != "" && *runFlag != "all" && selected[0].campaign == "":
+		return fmt.Errorf("-benchout records campaign tables; -run %s is not a campaign (want all or one of %s)",
+			*runFlag, strings.Join(experiments.CampaignNames(), ", "))
 	}
 
 	if *cpuprofile != "" {
@@ -138,111 +173,50 @@ func run(args []string, stdout io.Writer) error {
 			f.Close()
 		}()
 	}
-	if *memprofile != "" {
-		// Validate the path up front like -trace; the profile itself is
-		// taken at exit, when the heap reflects the whole invocation.
-		f, err := os.Create(*memprofile)
+	// Create the output paths now so a bad path fails in milliseconds; the
+	// heap profile itself is taken at exit, after the whole invocation.
+	for _, path := range []struct{ flag, path string }{{"-memprofile", *memprofile}, {"-trace", *traceFlag}} {
+		if path.path == "" {
+			continue
+		}
+		f, err := os.Create(path.path)
 		if err != nil {
-			return fmt.Errorf("-memprofile: %w", err)
+			return fmt.Errorf("%s: %w", path.flag, err)
 		}
 		f.Close()
+	}
+	if *memprofile != "" {
 		defer writeMemProfile(*memprofile)
 	}
 
-	if *traceFlag != "" {
-		if *runFlag != "serving" {
-			return fmt.Errorf("-trace only applies to -run serving (a tracer serves one run; sweeps run cells concurrently)")
-		}
-		// Validate the trace path up front: create/truncate it now so a
-		// bad path fails in milliseconds, not after the whole sweep.
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			return fmt.Errorf("-trace: %w", err)
-		}
-		f.Close()
-		servingOpts.trace = *traceFlag
-	}
-
-	cfg, err := experiments.Default()
+	cfg, err := experiments.FlagConfig(*quick, *slots, *duration, *seedsFlag)
 	if err != nil {
 		return err
 	}
-	if *quick {
-		cfg = cfg.Scale(8, 200, []uint64{5})
+	cfg.Workers, cfg.Shards, cfg.Ledger = *workers, *shards, *ledgerFlag
+	var axes experiments.Axes
+	if axes.Alts, err = parseList(*altsFlag, "alternation count", strconv.Atoi); err != nil {
+		return err
 	}
-	if *slots > 0 {
-		cfg.Slots = *slots
+	parseUint := func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) }
+	if axes.Windows, err = parseList(*windowsFlag, "window size", parseUint); err != nil {
+		return err
 	}
-	if *duration > 0 {
-		cfg.DurationSec = *duration
-	}
-	cfg.Workers = *workers
-	cfg.Shards = *shards
-	cfg.Ledger = *ledgerFlag
-	if *seedsFlag != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(*seedsFlag, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed %q: %w", s, err)
-			}
-			seeds = append(seeds, v)
-		}
-		cfg.Seeds = seeds
-	}
-	if *altsFlag != "" {
-		for _, s := range strings.Split(*altsFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				return fmt.Errorf("bad alternation count %q", s)
-			}
-			breakdownOpts.alts = append(breakdownOpts.alts, v)
-		}
-	}
-	if *windowsFlag != "" {
-		for _, s := range strings.Split(*windowsFlag, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil || v == 0 {
-				return fmt.Errorf("bad window size %q", s)
-			}
-			breakdownOpts.windows = append(breakdownOpts.windows, v)
-		}
-	}
-	breakdownOpts.out = *benchout
 
-	all := *runFlag == "all"
-	ran := false
-	for _, exp := range []struct {
-		name string
-		fn   func(io.Writer, experiments.Config) error
-	}{
-		{"fig3", fig3},
-		{"fig4", fig4},
-		{"table1", table1},
-		{"fig5", fig5},
-		{"fig6", fig6},
-		{"fig7", fig7},
-		{"table2", table2},
-		{"fig8", fig8},
-		{"switchcost", switchcost},
-		{"typing", typing},
-		{"threecore", threecore},
-		{"showdown", showdown},
-		{"window", window},
-		{"breakdown", breakdown},
-		{"serving", serving},
-		{"contention", contention},
-		{"ablations", ablations},
-	} {
-		if all || *runFlag == exp.name {
-			ran = true
-			if err := exp.fn(stdout, cfg); err != nil {
-				return fmt.Errorf("%s: %w", exp.name, err)
-			}
+	for _, exp := range selected {
+		if exp.campaign == "" {
+			err = exp.fn(stdout, cfg)
+		} else {
+			err = runCampaign(stdout, exp.campaign, cfg, axes, *benchout)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", exp.name, err)
 		}
 	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", *runFlag)
+	if *traceFlag != "" {
+		if err := traceServing(stdout, cfg, *traceFlag); err != nil {
+			return err
+		}
 	}
 	if *cachestats {
 		s := cfg.Cache.Stats()
@@ -252,6 +226,66 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "segment memo: %d lanes, %d of %d chunks (fill %.2f), hit rate %.3f, %d steps replayed, %d recorded\n",
 			m.Lanes, m.Chunks, m.Limit, m.Fill(), m.HitRate(), m.ReplayedSteps, m.RecordedSteps)
 	}
+	return nil
+}
+
+// parseList parses a comma-separated list of positive numbers.
+func parseList[T int | uint64](s, what string, parse func(string) (T, error)) ([]T, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []T
+	for _, f := range strings.Split(s, ",") {
+		v, err := parse(strings.TrimSpace(f))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad %s %q", what, f)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// runCampaign prints one registry campaign's tables and, with -benchout,
+// records them as one `table` history entry.
+func runCampaign(w io.Writer, name string, cfg experiments.Config, axes experiments.Axes, benchout string) error {
+	c, err := experiments.LookupCampaign(name)
+	if err != nil {
+		return err
+	}
+	header(w, c.Title)
+	tables, err := c.Tables(cfg, axes)
+	if err != nil {
+		return err
+	}
+	if err := benchhist.Render(w, tables); err != nil {
+		return err
+	}
+	if benchout == "" {
+		return nil
+	}
+	e := benchhist.Stamp(benchhist.KindTable)
+	e.Campaign, e.Title, e.Tables = c.Name, c.Title, tables
+	if err := benchhist.Append(benchout, e); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nappended %s table entry to %s\n", c.Name, benchout)
+	return nil
+}
+
+// traceServing re-runs the representative serving cell with the tracer
+// attached and writes its timeline to path.
+func traceServing(w io.Writer, cfg experiments.Config, path string) error {
+	tr := trace.New()
+	st, err := experiments.ServingTraceRun(cfg, tr)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteFile(path); err != nil {
+		return fmt.Errorf("-trace: %w", err)
+	}
+	fmt.Fprintf(w, "\ntraced representative run (hybrid, load 1.00x): %d admitted, %d completed\n",
+		st.Admitted, st.Completed)
+	fmt.Fprintf(w, "wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n", tr.Len(), path)
 	return nil
 }
 
@@ -274,6 +308,15 @@ func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n=== %s ===\n\n", title)
 }
 
+// col abbreviates benchhist.Col for the column lists below.
+var col = benchhist.Col
+
+// render prints one table through benchhist.Render, the function every
+// campaign table prints with.
+func render(w io.Writer, t benchhist.Table) error {
+	return benchhist.Render(w, []benchhist.Table{t})
+}
+
 func fig3(w io.Writer, cfg experiments.Config) error {
 	header(w, "Fig. 3 — space overhead per technique (paper: best Loop[45] < 4%)")
 	rows, err := experiments.Fig3SpaceOverhead(cfg)
@@ -282,23 +325,17 @@ func fig3(w io.Writer, cfg experiments.Config) error {
 	}
 	var names []string
 	var mins, q1s, meds, q3s, maxs []float64
-	t := textplot.NewTable("variant", "min%", "q1%", "median%", "q3%", "max%", "marks/bench")
+	t := benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""), col("min%", "%", "%.2f"),
+		col("q1%", "%", "%.2f"), col("median%", "%", "%.2f"), col("q3%", "%", "%.2f"), col("max%", "%", "%.2f"),
+		col("marks/bench", "marks", "%.2f")}}
 	for _, r := range rows {
-		t.AddRow(r.Variant,
-			fmt.Sprintf("%.2f", 100*r.Box.Min),
-			fmt.Sprintf("%.2f", 100*r.Box.Q1),
-			fmt.Sprintf("%.2f", 100*r.Box.Median),
-			fmt.Sprintf("%.2f", 100*r.Box.Q3),
-			fmt.Sprintf("%.2f", 100*r.Box.Max),
-			fmt.Sprintf("%.2f", r.MeanMarks))
+		b := r.Box
+		t.AddRow(r.Variant, 100*b.Min, 100*b.Q1, 100*b.Median, 100*b.Q3, 100*b.Max, r.MeanMarks)
 		names = append(names, r.Variant)
-		mins = append(mins, 100*r.Box.Min)
-		q1s = append(q1s, 100*r.Box.Q1)
-		meds = append(meds, 100*r.Box.Median)
-		q3s = append(q3s, 100*r.Box.Q3)
-		maxs = append(maxs, 100*r.Box.Max)
+		mins, q1s, meds = append(mins, 100*b.Min), append(q1s, 100*b.Q1), append(meds, 100*b.Median)
+		q3s, maxs = append(q3s, 100*b.Q3), append(maxs, 100*b.Max)
 	}
-	fmt.Fprint(w, t.String())
+	render(w, t)
 	fmt.Fprintln(w)
 	fmt.Fprint(w, textplot.BoxPlot(names, mins, q1s, meds, q3s, maxs, 48))
 	return nil
@@ -310,12 +347,12 @@ func fig4(w io.Writer, cfg experiments.Config) error {
 	if err != nil {
 		return err
 	}
-	t := textplot.NewTable("variant", "overhead%", "marks executed")
+	t := benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
+		col("overhead%", "%", "%.3f"), col("marks executed", "marks", "%.0f")}}
 	for _, r := range rows {
-		t.AddRow(r.Variant, fmt.Sprintf("%.3f", r.OverheadPct), fmt.Sprintf("%d", r.MarksExecuted))
+		t.AddRow(r.Variant, r.OverheadPct, r.MarksExecuted)
 	}
-	fmt.Fprint(w, t.String())
-	return nil
+	return render(w, t)
 }
 
 func table1(w io.Writer, cfg experiments.Config) error {
@@ -324,16 +361,13 @@ func table1(w io.Writer, cfg experiments.Config) error {
 	if err != nil {
 		return err
 	}
-	t := textplot.NewTable("benchmark", "switches", "paper/20", "runtime(s)", "paper(s)/20")
+	t := benchhist.Table{Columns: []benchhist.Column{col("benchmark", "", ""), col("switches", "count", "%.0f"),
+		col("paper/20", "count", "%.0f"), col("runtime(s)", "s", "%.1f"), col("paper(s)/20", "s", "%.1f")}}
 	for _, r := range rows {
-		t.AddRow(r.Benchmark,
-			fmt.Sprintf("%d", r.Switches),
-			fmt.Sprintf("%d", r.PaperSwitches/workload.ScaleDivisor),
-			fmt.Sprintf("%.1f", r.RuntimeSec),
-			fmt.Sprintf("%.1f", r.PaperRuntimeSec/workload.ScaleDivisor))
+		t.AddRow(r.Benchmark, r.Switches, r.PaperSwitches/workload.ScaleDivisor,
+			r.RuntimeSec, r.PaperRuntimeSec/workload.ScaleDivisor)
 	}
-	fmt.Fprint(w, t.String())
-	return nil
+	return render(w, t)
 }
 
 func fig5(w io.Writer, cfg experiments.Config) error {
@@ -382,52 +416,27 @@ func fig7(w io.Writer, cfg experiments.Config) error {
 	return nil
 }
 
-func table2(w io.Writer, cfg experiments.Config) error {
-	header(w, "Table 2 — fairness vs stock Linux, % decrease (paper best Loop[45]: 12.04/20.41/35.95)")
+func fig8(w io.Writer, cfg experiments.Config) error {
+	header(w, "Fig. 8 — speedup vs fairness trade-off (avg time vs max stretch)")
 	rows, err := experiments.Table2Fairness(cfg, nil)
 	if err != nil {
 		return err
 	}
-	printFairness(w, rows)
-	return nil
-}
-
-func printFairness(w io.Writer, rows []experiments.FairnessRow) {
-	t := textplot.NewTable("variant", "max-flow%", "max-stretch%", "avg-time%", "matched-avg%", "tput%")
+	t := benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
+		col("x=max-stretch%", "%", "%+.2f"), col("y=avg-time%", "%", "%+.2f")}}
 	for _, r := range rows {
-		t.AddRow(r.Variant,
-			fmt.Sprintf("%+.2f", r.MaxFlowPct),
-			fmt.Sprintf("%+.2f", r.MaxStretchPct),
-			fmt.Sprintf("%+.2f", r.AvgTimePct),
-			fmt.Sprintf("%+.2f", r.MatchedAvgPct),
-			fmt.Sprintf("%+.2f", r.ThroughputPct))
+		t.AddRow(r.Variant, r.MaxStretchPct, r.AvgTimePct)
 	}
-	fmt.Fprint(w, t.String())
-}
-
-func fig8(w io.Writer, cfg experiments.Config) error {
-	header(w, "Fig. 8 — speedup vs fairness trade-off (avg time vs max stretch)")
-	rows, err := experiments.Fig8Tradeoff(cfg, nil)
-	if err != nil {
-		return err
-	}
-	t := textplot.NewTable("variant", "x=max-stretch%", "y=avg-time%")
-	for _, r := range rows {
-		t.AddRow(r.Variant, fmt.Sprintf("%+.2f", r.MaxStretchPct), fmt.Sprintf("%+.2f", r.AvgTimePct))
-	}
-	fmt.Fprint(w, t.String())
-	return nil
+	return render(w, t)
 }
 
 func printAblation(w io.Writer, rows []experiments.AblationRow) {
-	t := textplot.NewTable("variant", "avg-time%", "tput%", "max-stretch%")
+	t := benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
+		col("avg-time%", "%", "%+.2f"), col("tput%", "%", "%+.2f"), col("max-stretch%", "%", "%+.2f")}}
 	for _, r := range rows {
-		t.AddRow(r.Name,
-			fmt.Sprintf("%+.2f", r.AvgTimePct),
-			fmt.Sprintf("%+.2f", r.ThroughputPct),
-			fmt.Sprintf("%+.2f", r.MaxStretchPct))
+		t.AddRow(r.Name, r.AvgTimePct, r.ThroughputPct, r.MaxStretchPct)
 	}
-	fmt.Fprint(w, t.String())
+	render(w, t)
 }
 
 func switchcost(w io.Writer, cfg experiments.Config) error {
@@ -463,408 +472,6 @@ func threecore(w io.Writer, cfg experiments.Config) error {
 	return nil
 }
 
-func showdown(w io.Writer, cfg experiments.Config) error {
-	header(w, "§V showdown — static marks vs dynamic online detection vs oracle (paper's central claim)")
-	rows, err := experiments.Showdown(cfg, nil)
-	if err != nil {
-		return err
-	}
-	t := textplot.NewTable("machine", "policy", "tput", "tput%", "avg-time%", "matched%",
-		"switches", "marks", "windows", "monitor%", "refresh", "damped", "defers")
-	for _, r := range rows {
-		t.AddRow(r.Machine, r.Policy.String(),
-			fmt.Sprintf("%.4g", r.Throughput),
-			fmt.Sprintf("%+.2f", r.ThroughputPct),
-			fmt.Sprintf("%+.2f", r.AvgTimePct),
-			fmt.Sprintf("%+.2f", r.MatchedAvgPct),
-			fmt.Sprintf("%.0f", r.Switches),
-			fmt.Sprintf("%.0f", r.MarksExecuted),
-			fmt.Sprintf("%.0f", r.MonitorWindows),
-			fmt.Sprintf("%.3f", r.MonitorPct),
-			fmt.Sprintf("%.0f", r.Refreshes),
-			fmt.Sprintf("%.0f", r.Damped),
-			fmt.Sprintf("%.0f", r.CounterDefers))
-	}
-	fmt.Fprint(w, t.String())
-
-	if len(rows) > 0 && rows[0].HasLedger {
-		fmt.Fprintln(w, "\ncycle attribution — % of machine time (cores × horizon), conserved to 100%")
-		lt := textplot.NewTable("machine", "policy", "useful%", "asym%", "spill%", "ovh%", "idle%")
-		var ledgerRows []benchhist.LedgerRow
-		for _, r := range rows {
-			lt.AddRow(r.Machine, r.Policy.String(),
-				fmt.Sprintf("%.2f", r.UsefulPct),
-				fmt.Sprintf("%.2f", r.AsymmetryPct),
-				fmt.Sprintf("%.2f", r.SpillPct),
-				fmt.Sprintf("%.2f", r.OverheadPct),
-				fmt.Sprintf("%.2f", r.IdlePct))
-			ledgerRows = append(ledgerRows, benchhist.LedgerRow{
-				Machine: r.Machine, Policy: r.Policy.String(),
-				UsefulPct: r.UsefulPct, AsymmetryPct: r.AsymmetryPct,
-				SpillPct: r.SpillPct, OverheadPct: r.OverheadPct, IdlePct: r.IdlePct,
-			})
-		}
-		fmt.Fprint(w, lt.String())
-
-		if breakdownOpts.out != "" {
-			err := benchhist.Append(breakdownOpts.out, benchhist.Entry{
-				Kind:      benchhist.KindLedger,
-				Timestamp: time.Now().UTC().Format(time.RFC3339),
-				GoVersion: runtime.Version(),
-				MaxProcs:  runtime.GOMAXPROCS(0),
-				Ledger:    ledgerRows,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "\nappended ledger entry to %s\n", breakdownOpts.out)
-		}
-	}
-
-	fmt.Fprintln(w)
-	cc, err := experiments.ShowdownCounterContention(cfg, 4)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "dynamic/probe with 4 bounded event sets: %d deferrals, %d windows, tput %+.2f%%\n",
-		cc.Defers, cc.Windows, cc.ThroughputPct)
-	return nil
-}
-
-func window(w io.Writer, cfg experiments.Config) error {
-	header(w, "Window-size sweep — online WindowInstrs vs throughput and switches (dynamic Fig. 6 analogue)")
-	rows, err := experiments.WindowSweep(cfg, nil, nil)
-	if err != nil {
-		return err
-	}
-	t := textplot.NewTable("window", "policy", "tput%", "online-switches", "windows", "monitor%")
-	for _, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", r.WindowInstrs), r.Policy.String(),
-			fmt.Sprintf("%+.2f", r.ThroughputPct),
-			fmt.Sprintf("%.0f", r.OnlineSwitches),
-			fmt.Sprintf("%.0f", r.Windows),
-			fmt.Sprintf("%.3f", r.MonitorPct))
-	}
-	fmt.Fprint(w, t.String())
-	return nil
-}
-
-func breakdown(w io.Writer, cfg experiments.Config) error {
-	header(w, "Misprediction-cost breakdown map — alternation rate × window size (§V, quantitative)")
-	res, err := experiments.Breakdown(cfg, nil, breakdownOpts.alts, breakdownOpts.windows)
-	if err != nil {
-		return err
-	}
-
-	t := textplot.NewTable("machine", "alt", "rate/Binstr", "window", "static-ref", "static%", "dynamic%", "hybrid%", "oracle%", "delta", "dyn-switches")
-	for _, r := range res.Rows {
-		t.AddRow(r.Machine,
-			fmt.Sprintf("%d", r.Alternations),
-			fmt.Sprintf("%.0f", r.Rate),
-			fmt.Sprintf("%d", r.WindowInstrs),
-			r.StaticPolicy.String(),
-			fmt.Sprintf("%+.2f", r.StaticPct),
-			fmt.Sprintf("%+.2f", r.DynamicPct),
-			fmt.Sprintf("%+.2f", r.HybridPct),
-			fmt.Sprintf("%+.2f", r.OraclePct),
-			fmt.Sprintf("%+.2f", r.DeltaPct),
-			fmt.Sprintf("%.0f", r.DynSwitches))
-	}
-	fmt.Fprint(w, t.String())
-
-	if len(res.Rows) > 0 && res.Rows[0].HasLedger {
-		fmt.Fprintln(w, "\nmisprediction attribution — % of machine time lost to slow-core placement (asym+spill)")
-		lt := textplot.NewTable("machine", "alt", "window", "static-asym%", "dyn-asym%", "dyn-monitor%")
-		for _, r := range res.Rows {
-			lt.AddRow(r.Machine,
-				fmt.Sprintf("%d", r.Alternations),
-				fmt.Sprintf("%d", r.WindowInstrs),
-				fmt.Sprintf("%.2f", r.StaticAsymmetryPct),
-				fmt.Sprintf("%.2f", r.DynAsymmetryPct),
-				fmt.Sprintf("%.3f", r.DynMonitorPct))
-		}
-		fmt.Fprint(w, lt.String())
-	}
-
-	// One heatmap per machine: rows = rates, cols = windows, cell =
-	// dynamic − static throughput delta in percentage points.
-	var colLabels []string
-	for _, w := range res.Windows {
-		colLabels = append(colLabels, fmt.Sprintf("%d", w))
-	}
-	var entries []benchhist.Breakdown
-	for _, machine := range machinesOf(res) {
-		bd := benchhist.Breakdown{Machine: machine, WindowInstrs: res.Windows,
-			TolerancePct: experiments.BreakdownTolerancePct}
-		var rowLabels []string
-		var grid [][]float64
-		for _, f := range res.Frontier {
-			if f.Machine != machine {
-				continue
-			}
-			bd.Alternations = append(bd.Alternations, f.Alternations)
-			bd.Rates = append(bd.Rates, f.Rate)
-			bd.BreakEvenWindow = append(bd.BreakEvenWindow, f.BreakEvenWindow)
-			rowLabels = append(rowLabels, fmt.Sprintf("alt.x%d", f.Alternations))
-			var row []float64
-			for _, r := range res.Rows {
-				if r.Machine == machine && r.Alternations == f.Alternations {
-					row = append(row, r.DeltaPct)
-				}
-			}
-			grid = append(grid, row)
-		}
-		bd.DeltaPct = grid
-		entries = append(entries, bd)
-
-		fmt.Fprintf(w, "\n%s — dynamic−static tput delta (pp) by (alternation rate × window)\n", machine)
-		fmt.Fprint(w, textplot.Heatmap("rate\\win", rowLabels, colLabels, grid, experiments.BreakdownTolerancePct))
-		ft := textplot.NewTable("rate", "alternations", "break-even window")
-		for _, f := range res.Frontier {
-			if f.Machine != machine {
-				continue
-			}
-			be := "none (dynamic loses at every window)"
-			if f.BreakEvenWindow > 0 {
-				be = fmt.Sprintf("%d", f.BreakEvenWindow)
-			}
-			ft.AddRow(fmt.Sprintf("%.0f", f.Rate), fmt.Sprintf("%d", f.Alternations), be)
-		}
-		fmt.Fprint(w, ft.String())
-	}
-
-	if breakdownOpts.out != "" {
-		err := benchhist.Append(breakdownOpts.out, benchhist.Entry{
-			Kind:      benchhist.KindBreakdown,
-			Timestamp: time.Now().UTC().Format(time.RFC3339),
-			GoVersion: runtime.Version(),
-			MaxProcs:  runtime.GOMAXPROCS(0),
-			Breakdown: entries,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nappended breakdown entry to %s\n", breakdownOpts.out)
-	}
-	return nil
-}
-
-func serving(w io.Writer, cfg experiments.Config) error {
-	header(w, "Open-system serving — sojourn-time tail by offered load × placement policy")
-	rows, err := experiments.Serving(cfg, nil)
-	if err != nil {
-		return err
-	}
-
-	t := textplot.NewTable("machine", "load", "rate/s", "policy", "admitted", "done",
-		"p50", "p95", "p99", "p999", "mean", "peak-run", "oc-slices")
-	for _, r := range rows {
-		t.AddRow(r.Machine,
-			fmt.Sprintf("%.2f", r.Load),
-			fmt.Sprintf("%.2f", r.RatePerSec),
-			r.Policy.String(),
-			fmt.Sprintf("%.0f", r.Admitted),
-			fmt.Sprintf("%.0f", r.Completed),
-			fmt.Sprintf("%.2f", r.P50),
-			fmt.Sprintf("%.2f", r.P95),
-			fmt.Sprintf("%.2f", r.P99),
-			fmt.Sprintf("%.2f", r.P999),
-			fmt.Sprintf("%.2f", r.MeanSojournSec),
-			fmt.Sprintf("%d", r.PeakRunnable),
-			fmt.Sprintf("%.0f", r.OvercommitSlices))
-	}
-	fmt.Fprint(w, t.String())
-
-	if len(rows) > 0 && rows[0].HasLedger {
-		fmt.Fprintln(w, "\nsojourn decomposition — summed task-seconds per seed: queueing vs service vs slicing")
-		lt := textplot.NewTable("machine", "load", "policy", "queueing(s)", "service(s)", "slicing(s)", "queue/service")
-		for _, r := range rows {
-			ratio := "-"
-			if r.ServiceSec > 0 {
-				ratio = fmt.Sprintf("%.2f", r.QueueingSec/r.ServiceSec)
-			}
-			lt.AddRow(r.Machine,
-				fmt.Sprintf("%.2f", r.Load),
-				r.Policy.String(),
-				fmt.Sprintf("%.1f", r.QueueingSec),
-				fmt.Sprintf("%.1f", r.ServiceSec),
-				fmt.Sprintf("%.2f", r.SlicingSec),
-				ratio)
-		}
-		fmt.Fprint(w, lt.String())
-	}
-
-	// One quantile strip per (machine, load): the policies' latency tails
-	// on a shared axis, where the separation at load >= 1x is visible.
-	loads, policies := experiments.ServingLoads(), experiments.ServingPolicies()
-	byCell := map[string]experiments.ServingRow{}
-	var machines []string
-	seen := map[string]bool{}
-	for _, r := range rows {
-		byCell[fmt.Sprintf("%s/%.2f/%s", r.Machine, r.Load, r.Policy)] = r
-		if !seen[r.Machine] {
-			seen[r.Machine] = true
-			machines = append(machines, r.Machine)
-		}
-	}
-	var entries []benchhist.Serving
-	for _, machine := range machines {
-		entry := benchhist.Serving{Machine: machine, Loads: loads}
-		for _, p := range policies {
-			entry.Policies = append(entry.Policies, p.String())
-		}
-		for _, load := range loads {
-			var names []string
-			var p50s, p95s, p99s, p999s []float64
-			peak := 0
-			for _, p := range policies {
-				r := byCell[fmt.Sprintf("%s/%.2f/%s", machine, load, p)]
-				names = append(names, p.String())
-				p50s = append(p50s, r.P50)
-				p95s = append(p95s, r.P95)
-				p99s = append(p99s, r.P99)
-				p999s = append(p999s, r.P999)
-				if r.PeakRunnable > peak {
-					peak = r.PeakRunnable
-				}
-			}
-			// History rows go through JSON, which rejects NaN; starved
-			// cells are recorded as benchhist.NoData instead.
-			entry.P50Sec = append(entry.P50Sec, benchhist.SanitizeNaNs(p50s))
-			entry.P99Sec = append(entry.P99Sec, benchhist.SanitizeNaNs(p99s))
-			entry.P999Sec = append(entry.P999Sec, benchhist.SanitizeNaNs(p999s))
-			entry.PeakRunnable = append(entry.PeakRunnable, peak)
-			fmt.Fprintf(w, "\n%s @ load %.2fx — sojourn quantiles (s), peak runnable %d\n", machine, load, peak)
-			fmt.Fprint(w, textplot.QuantileStrip(names, p50s, p95s, p99s, p999s, 48))
-		}
-		entries = append(entries, entry)
-	}
-
-	if breakdownOpts.out != "" {
-		err := benchhist.Append(breakdownOpts.out, benchhist.Entry{
-			Kind:      benchhist.KindServing,
-			Timestamp: time.Now().UTC().Format(time.RFC3339),
-			GoVersion: runtime.Version(),
-			MaxProcs:  runtime.GOMAXPROCS(0),
-			Serving:   entries,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nappended serving entry to %s\n", breakdownOpts.out)
-	}
-
-	if servingOpts.trace != "" {
-		tr := trace.New()
-		st, err := experiments.ServingTraceRun(cfg, tr)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteFile(servingOpts.trace); err != nil {
-			return fmt.Errorf("-trace: %w", err)
-		}
-		fmt.Fprintf(w, "\ntraced representative run (hybrid, load 1.00x): %d admitted, %d completed\n",
-			st.Admitted, st.Completed)
-		fmt.Fprintf(w, "wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n",
-			tr.Len(), servingOpts.trace)
-	}
-	return nil
-}
-
-func contention(w io.Writer, cfg experiments.Config) error {
-	header(w, "Shared-cache contention — antagonist herding vs contention-priced placement")
-	rows, err := experiments.Contention(cfg, nil)
-	if err != nil {
-		return err
-	}
-
-	t := textplot.NewTable("machine", "policy", "priced", "tput", "tput%",
-		"max-share", "groups", "mem-tasks", "switches", "shares")
-	var hist []benchhist.ContentionRow
-	for _, r := range rows {
-		priced := "-"
-		if r.Priced {
-			priced = "yes"
-		}
-		var shares []string
-		for _, s := range r.MemShare {
-			shares = append(shares, fmt.Sprintf("%.2f", s))
-		}
-		t.AddRow(r.Machine, r.Policy.String(), priced,
-			fmt.Sprintf("%.4g", r.Throughput),
-			fmt.Sprintf("%+.2f", r.ThroughputPct),
-			fmt.Sprintf("%.3f", r.MaxMemShare),
-			fmt.Sprintf("%.1f", r.GroupsUsed),
-			fmt.Sprintf("%.1f", r.MemTasks),
-			fmt.Sprintf("%.0f", r.Switches),
-			strings.Join(shares, "/"))
-		hist = append(hist, benchhist.ContentionRow{
-			Machine: r.Machine, Policy: r.Policy.String(), Priced: r.Priced,
-			Throughput: r.Throughput, ThroughputPct: r.ThroughputPct,
-			MemShare: r.MemShare, MaxMemShare: r.MaxMemShare,
-			GroupsUsed: r.GroupsUsed, MemTasks: r.MemTasks,
-		})
-	}
-	fmt.Fprint(w, t.String())
-
-	// One bar chart per machine: the herding signature by policy, unpriced
-	// vs priced side by side.
-	var machines []string
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if !seen[r.Machine] {
-			seen[r.Machine] = true
-			machines = append(machines, r.Machine)
-		}
-	}
-	for _, machine := range machines {
-		var names []string
-		var vals []float64
-		for _, r := range rows {
-			if r.Machine != machine {
-				continue
-			}
-			label := r.Policy.String()
-			if r.Priced {
-				label += "+price"
-			}
-			names = append(names, label)
-			vals = append(vals, r.MaxMemShare)
-		}
-		fmt.Fprintf(w, "\n%s — hottest cache group's share of memory-bound time (1.0 = herded)\n", machine)
-		fmt.Fprint(w, textplot.Bars(names, vals, 48))
-	}
-
-	if breakdownOpts.out != "" {
-		err := benchhist.Append(breakdownOpts.out, benchhist.Entry{
-			Kind:       benchhist.KindContention,
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoVersion:  runtime.Version(),
-			MaxProcs:   runtime.GOMAXPROCS(0),
-			Contention: hist,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nappended contention entry to %s\n", breakdownOpts.out)
-	}
-	return nil
-}
-
-// machinesOf lists the machines of a breakdown result in first-appearance
-// order.
-func machinesOf(res *experiments.BreakdownResult) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, r := range res.Rows {
-		if !seen[r.Machine] {
-			seen[r.Machine] = true
-			out = append(out, r.Machine)
-		}
-	}
-	return out
-}
-
 func ablations(w io.Writer, cfg experiments.Config) error {
 	header(w, "Ablation — pin to core type vs single core")
 	rows, err := experiments.AblationPinMode(cfg)
@@ -892,11 +499,11 @@ func ablations(w io.Writer, cfg experiments.Config) error {
 	if err != nil {
 		return err
 	}
-	t := textplot.NewTable("variant", "total static marks")
+	t := benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""), col("total static marks", "marks", "%.0f")}}
 	for _, r := range rows {
-		t.AddRow(r.Name, fmt.Sprintf("%.0f", r.AvgTimePct))
+		t.AddRow(r.Name, r.AvgTimePct)
 	}
-	fmt.Fprint(w, t.String())
+	render(w, t)
 
 	header(w, "Ablation — counter contention with 4 bounded event sets")
 	cc, err := experiments.CounterContentionCheck(cfg, 4)

@@ -4,7 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"phasetune/internal/benchhist"
+	"phasetune/internal/experiments"
 )
 
 // tiny is the smallest configuration every campaign still runs at.
@@ -28,7 +34,7 @@ var stdoutPins = []struct {
 	{"breakdown", append([]string{"-run", "breakdown"}, breakdownAxes...), "bcea381259bccf3d5a112d45b3177326201c426fd5f15e3881617f1a8b2172b4"},
 	{"serving", []string{"-run", "serving"}, "4ec7ffcc4769e5aee464d86a5e3ce60d41f5f02cfd8ed6027bf1caebe2e3cb30"},
 	{"contention", []string{"-run", "contention"}, "3e114b0670e715a54b9e25c5587e57608a7b8c4bf9d482bf87e8a9a82797d90c"},
-	{"showdown-ledger", []string{"-run", "showdown", "-ledger"}, "28b5f344e36ff7bde054f52d90616351ae162ddd94b665e4fe27952e861b10cb"},
+	{"showdown-ledger", []string{"-run", "showdown", "-ledger"}, "cdba6b13931d65a17137fea3de1c30079f1d6b492f2031bc8fc765f7ee624409"},
 	{"serving-ledger", []string{"-run", "serving", "-ledger"}, "45275ab04827e7d478a9d1d928f30f045d16f6993e9f5dcd570911bb4d675c9f"},
 	{"breakdown-ledger", append([]string{"-run", "breakdown", "-ledger"}, breakdownAxes...), "040ff177061a50c84f9b568f714e3e552bebad0e0bcb76cd3100b84b19ecbee2"},
 }
@@ -43,5 +49,80 @@ func TestPrintedTablesPinned(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != pin.sum {
 			t.Errorf("%s: stdout digest %s, pinned %s\n%s", pin.name, got, pin.sum, out.String())
 		}
+	}
+}
+
+// TestBenchoutAppendsOneTableEntry runs every registry campaign with
+// -benchout and checks the history holds exactly one `table` entry for it,
+// free of NaN, whose tables redraw to the bytes the run printed.
+func TestBenchoutAppendsOneTableEntry(t *testing.T) {
+	for _, name := range experiments.CampaignNames() {
+		c, err := experiments.LookupCampaign(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "hist.json")
+		args := append(append([]string{}, tiny...), "-run", c.Name, "-benchout", path)
+		if c.Name == "breakdown" {
+			args = append(args, breakdownAxes...)
+		}
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, []byte("NaN")) {
+			t.Errorf("%s: history holds NaN", c.Name)
+		}
+		h := benchhist.Load(path)
+		if len(h.Entries) != 1 {
+			t.Fatalf("%s: %d history entries, want 1", c.Name, len(h.Entries))
+		}
+		e := h.Entries[0]
+		if e.Kind != benchhist.KindTable || e.Campaign != c.Name || e.Title != c.Title || e.Timestamp == "" {
+			t.Errorf("%s: entry kind %q campaign %q title %q stamped %q", c.Name, e.Kind, e.Campaign, e.Title, e.Timestamp)
+		}
+		var redrawn bytes.Buffer
+		if err := benchhist.Render(&redrawn, e.Tables); err != nil {
+			t.Fatal(err)
+		}
+		printed := strings.TrimPrefix(out.String(), "\n=== "+c.Title+" ===\n\n")
+		printed = printed[:strings.LastIndex(printed, "\nappended ")]
+		if redrawn.String() != printed {
+			t.Errorf("%s: recorded tables redraw differently\nprinted:\n%s\nredrawn:\n%s", c.Name, printed, redrawn.String())
+		}
+	}
+}
+
+// TestFlagMisuseRejected checks that flags a run would silently ignore are
+// rejected before anything runs.
+func TestFlagMisuseRejected(t *testing.T) {
+	hist := filepath.Join(t.TempDir(), "hist.json")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-run", "showdown", "-alts", "8,512"}, "-alts"},
+		{[]string{"-run", "window", "-windows", "4000"}, "-windows"},
+		{[]string{"-run", "fig3", "-benchout", hist}, "not a campaign"},
+		{[]string{"-run", "table1", "-benchout", hist}, "not a campaign"},
+		{[]string{"-run", "contention", "-trace", hist}, "-trace"},
+		{[]string{"-run", "breakdown", "-alts", "0"}, "bad alternation count"},
+		{[]string{"-run", "nope"}, "unknown experiment"},
+	} {
+		var out bytes.Buffer
+		err := run(append(append([]string{}, tiny...), tc.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one mentioning %q", tc.args, err, tc.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: printed %q before failing", tc.args, out.String())
+		}
+	}
+	if _, err := os.Stat(hist); !os.IsNotExist(err) {
+		t.Errorf("a rejected run touched %s", hist)
 	}
 }

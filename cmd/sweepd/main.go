@@ -7,10 +7,12 @@
 // Coordinator:
 //
 //	sweepd -coordinator [-addr 127.0.0.1:7077]
-//	       [-campaign showdown|grid|window|breakdown|serving|contention]
-//	       [-machine quad|tri|hex|<full machine name>]
+//	       [-campaign NAME] [-machine quad|tri|hex|<full machine name>]
 //	       [-quick] [-slots N] [-duration SEC] [-seeds a,b,c]
 //	       [-chunk N] [-lease-ttl 30s] [-spawn N] [-verify] [-out FILE]
+//
+// -campaign takes any name of the campaign registry in internal/experiments
+// (showdown, grid, window, breakdown, serving, contention), cut for -machine.
 //
 // Worker:
 //
@@ -51,7 +53,6 @@ import (
 	osexec "os/exec"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -68,7 +69,7 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:7077", "coordinator listen address")
 		connect     = flag.String("connect", "", "coordinator URL (worker mode)")
 		name        = flag.String("name", "", "worker label")
-		campaign    = flag.String("campaign", "showdown", "campaign to serve: showdown|grid|window|breakdown|serving|contention")
+		campaign    = flag.String("campaign", "showdown", "campaign to serve: "+strings.Join(experiments.CampaignNames(), "|"))
 		machineFlag = flag.String("machine", "quad", "campaign machine: quad|tri|hex (or a full machine name)")
 		quick       = flag.Bool("quick", false, "shrink workloads for a fast pass")
 		slots       = flag.Int("slots", 0, "workload slots (0 = default)")
@@ -119,68 +120,26 @@ type coordOpts struct {
 	verify                              bool
 }
 
-// config assembles the experiment configuration the campaign is cut from.
-func config(o coordOpts) (experiments.Config, error) {
-	cfg, err := experiments.Default()
+// buildCampaign resolves the campaign and the machine through their
+// registries and cuts the campaign's grid from the configuration.
+func buildCampaign(o coordOpts) (dist.Campaign, error) {
+	c, err := experiments.LookupCampaign(o.campaign)
 	if err != nil {
-		return cfg, err
-	}
-	if o.quick {
-		cfg = cfg.Scale(8, 200, []uint64{5})
-	}
-	if o.slots > 0 {
-		cfg.Slots = o.slots
-	}
-	if o.duration > 0 {
-		cfg.DurationSec = o.duration
-	}
-	if o.seeds != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(o.seeds, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return cfg, fmt.Errorf("bad seed %q: %w", s, err)
-			}
-			seeds = append(seeds, v)
-		}
-		cfg.Seeds = seeds
-	}
-	return cfg, nil
-}
-
-// buildCampaign cuts the selected campaign from the configuration.
-func buildCampaign(o coordOpts, cfg experiments.Config) (dist.Campaign, error) {
-	switch o.campaign {
-	case "grid":
-		return experiments.TechniqueCampaign(cfg), nil
-	case "window":
-		return experiments.WindowCampaign(cfg, nil, nil), nil
-	}
-	perMachine := map[string]func(experiments.Config, *amp.Machine) dist.Campaign{
-		"showdown":   experiments.ShowdownCampaign,
-		"serving":    experiments.ServingCampaign,
-		"contention": experiments.ContentionCampaign,
-		"breakdown": func(cfg experiments.Config, m *amp.Machine) dist.Campaign {
-			return experiments.BreakdownCampaign(cfg, m, nil, nil)
-		},
-	}
-	build, ok := perMachine[o.campaign]
-	if !ok {
-		return dist.Campaign{}, fmt.Errorf("unknown campaign %q (want showdown|grid|window|breakdown|serving|contention)", o.campaign)
+		return dist.Campaign{}, err
 	}
 	m, err := amp.ByName(o.machine)
 	if err != nil {
 		return dist.Campaign{}, err
 	}
-	return build(cfg, m), nil
+	cfg, err := experiments.FlagConfig(o.quick, o.slots, o.duration, o.seeds)
+	if err != nil {
+		return dist.Campaign{}, err
+	}
+	return c.Build(cfg, m), nil
 }
 
 func runCoordinator(o coordOpts) error {
-	cfg, err := config(o)
-	if err != nil {
-		return err
-	}
-	camp, err := buildCampaign(o, cfg)
+	camp, err := buildCampaign(o)
 	if err != nil {
 		return err
 	}

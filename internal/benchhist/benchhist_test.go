@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -16,49 +18,29 @@ func TestAppendRoundTripsMixedKinds(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Append(path, Entry{
-		Kind: KindLedger,
-		Ledger: []LedgerRow{{
-			Machine: "hex-2b2m2l", Policy: "hybrid",
-			UsefulPct: 61.5, AsymmetryPct: 10.25, SpillPct: 3,
-			OverheadPct: 0.25, IdlePct: 25,
-		}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Append(path, Entry{
-		Kind: KindBreakdown,
-		Breakdown: []Breakdown{{
-			Machine:         "quad-2f2s",
-			Alternations:    []int{4, 4096},
-			Rates:           []float64{100, 102400},
-			WindowInstrs:    []uint64{2000, 32000},
-			DeltaPct:        [][]float64{{1, 0.5}, {-3, -8}},
-			BreakEvenWindow: []uint64{32000, 0},
-		}},
-	}); err != nil {
+	ledger := Table{Title: "hex-2b2m2l", Columns: []Column{Col("policy", "", ""),
+		Col("useful", "%", "%.2f"), Col("idle", "%", "%.2f")}, Chart: &Chart{Kind: ChartStackedBars}}
+	ledger.AddRow("hybrid", 61.5, 25.0)
+	shares := Table{Columns: []Column{Col("machine", "", ""), Col("groups", "groups", "%.0f"),
+		Col("shares", "share", "%.2f")}}
+	shares.AddRow("quad-2f2s", 2, []float64{0.25, 0.75})
+	if err := Append(path, Entry{Kind: KindTable, Campaign: "showdown", Title: "showdown",
+		Tables: []Table{ledger, shares}}); err != nil {
 		t.Fatal(err)
 	}
 	h := Load(path)
-	if h.Schema != HistorySchema || len(h.Entries) != 3 {
+	if h.Schema != HistorySchema || len(h.Entries) != 2 {
 		t.Fatalf("loaded %d entries under schema %q", len(h.Entries), h.Schema)
 	}
 	if h.Entries[0].Kind != KindBench || len(h.Entries[0].Benchmarks) != 1 {
 		t.Errorf("timing entry mangled: %+v", h.Entries[0])
 	}
-	lg := h.Entries[1]
-	if lg.Kind != KindLedger || len(lg.Ledger) != 1 {
-		t.Fatalf("ledger entry mangled: %+v", lg)
+	tb := h.Entries[1]
+	if tb.Kind != KindTable || tb.Campaign != "showdown" || len(tb.Tables) != 2 {
+		t.Fatalf("table entry mangled: %+v", tb)
 	}
-	if row := lg.Ledger[0]; row.Policy != "hybrid" || row.UsefulPct != 61.5 || row.IdlePct != 25 {
-		t.Errorf("ledger payload mangled: %+v", row)
-	}
-	bd := h.Entries[2]
-	if bd.Kind != KindBreakdown || len(bd.Breakdown) != 1 {
-		t.Fatalf("breakdown entry mangled: %+v", bd)
-	}
-	if bd.Breakdown[0].DeltaPct[1][1] != -8 || bd.Breakdown[0].BreakEvenWindow[0] != 32000 {
-		t.Errorf("breakdown payload mangled: %+v", bd.Breakdown[0])
+	if !reflect.DeepEqual(tb.Tables, []Table{ledger, shares}) {
+		t.Errorf("tables mangled:\n got %+v\nwant %+v", tb.Tables, []Table{ledger, shares})
 	}
 }
 
@@ -125,11 +107,15 @@ func TestSanitizeNaNs(t *testing.T) {
 	if SanitizeNaNs(nil) != nil {
 		t.Error("nil slice not preserved")
 	}
-	// The point of the sentinel: a sanitized serving entry must marshal.
-	e := Entry{Kind: KindServing, Serving: []Serving{{
-		Machine: "quad", P50Sec: [][]float64{SanitizeNaNs([]float64{nan})},
-	}}}
-	if _, err := json.Marshal(e); err != nil {
-		t.Errorf("sanitized entry failed to marshal: %v", err)
+	// The point of the sentinel: a table with starved cells must marshal,
+	// its NaNs recorded as NoData.
+	tb := Table{Columns: []Column{Col("p50", "s", "%.2f"), Col("shares", "share", "%.2f")}}
+	tb.AddRow(nan, []float64{0.5, nan})
+	blob, err := json.Marshal(Entry{Kind: KindTable, Tables: []Table{tb}})
+	if err != nil {
+		t.Fatalf("table with NaN cells failed to marshal: %v", err)
+	}
+	if !strings.Contains(string(blob), `"rows":[[-1,[0.5,-1]]]`) {
+		t.Errorf("NaN cells not recorded as NoData: %s", blob)
 	}
 }

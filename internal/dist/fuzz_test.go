@@ -32,9 +32,9 @@ func corpusSpecs(f *testing.F) []dist.Campaign {
 	hex := amp.Hex2Big2Medium2Little()
 	return []dist.Campaign{
 		experiments.ShowdownCampaign(cfg, amp.Quad2Fast2Slow()),
-		experiments.TechniqueCampaign(cfg),
-		experiments.WindowCampaign(cfg, nil, nil),
-		experiments.BreakdownCampaign(cfg, hex, nil, nil),
+		experiments.TechniqueCampaign(cfg, amp.Quad2Fast2Slow()),
+		experiments.WindowCampaign(cfg, amp.Quad2Fast2Slow()),
+		experiments.BreakdownCampaign(cfg, hex),
 		experiments.ServingCampaign(cfg, hex),
 		experiments.ContentionCampaign(cfg, hex),
 	}

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+
 	"phasetune/internal/amp"
+	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
 	"phasetune/internal/sim"
@@ -116,8 +119,6 @@ type BreakdownResult struct {
 	Rows []BreakdownRow
 	// Frontier holds one row per (machine, rate).
 	Frontier []BreakdownFrontierRow
-	// Windows echoes the swept window axis.
-	Windows []uint64
 }
 
 // breakdownRunCfg builds one wire spec: a policy cell (showdownRunCfg) re-pointed
@@ -156,18 +157,12 @@ func breakdownGrid(cfg Config, alts []int, windows []uint64) []dist.Spec {
 	return grid
 }
 
-// BreakdownCampaign packages one machine's breakdown grid as a
-// distributable campaign (cmd/sweepd -campaign breakdown).
-func BreakdownCampaign(cfg Config, machine *amp.Machine, alts []int, windows []uint64) dist.Campaign {
-	if alts == nil {
-		alts = workload.DefaultAltAlternations()
-	}
-	if windows == nil {
-		windows = DefaultWindowGrid()
-	}
-	mcfg := cfg
-	mcfg.Machine = machine
-	return dist.Campaign{Env: mcfg.Env(), Specs: breakdownGrid(mcfg, alts, windows)}
+// BreakdownCampaign packages one machine's breakdown grid on the default
+// axes as a distributable campaign (cmd/sweepd -campaign breakdown).
+func BreakdownCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
+	return cfg.campaign(machine, func(c Config) []dist.Spec {
+		return breakdownGrid(c, workload.DefaultAltAlternations(), DefaultWindowGrid())
+	})
 }
 
 // Breakdown runs the misprediction-cost map on the given machines
@@ -185,7 +180,7 @@ func Breakdown(cfg Config, machines []*amp.Machine, alts []int, windows []uint64
 	if windows == nil {
 		windows = DefaultWindowGrid()
 	}
-	out := &BreakdownResult{Windows: windows}
+	out := &BreakdownResult{}
 	for _, machine := range machines {
 		mcfg := cfg
 		mcfg.Machine = machine
@@ -272,4 +267,64 @@ func Breakdown(cfg Config, machines []*amp.Machine, alts []int, windows []uint64
 		}
 	}
 	return out, nil
+}
+
+// breakdownTables runs the map on the given axes and reduces it: the cell
+// table, with -ledger the attribution table, then per machine the delta
+// heatmap (one long-form row per cell) and its break-even frontier.
+func breakdownTables(cfg Config, ax Axes) ([]benchhist.Table, error) {
+	res, err := Breakdown(cfg, nil, ax.Alts, ax.Windows)
+	if err != nil {
+		return nil, err
+	}
+	main := benchhist.Table{Columns: []benchhist.Column{
+		col("machine", "", ""), col("alt", "alternations", "%.0f"),
+		col("rate/Binstr", "alternations/Binstr", "%.0f"), col("window", "instr", "%.0f"),
+		col("static-ref", "", ""), col("static%", "%", "%+.2f"), col("dynamic%", "%", "%+.2f"),
+		col("hybrid%", "%", "%+.2f"), col("oracle%", "%", "%+.2f"), col("delta", "pp", "%+.2f"),
+		col("dyn-switches", "count", "%.0f"),
+	}}
+	for _, r := range res.Rows {
+		main.AddRow(r.Machine, r.Alternations, r.Rate, r.WindowInstrs, r.StaticPolicy.String(),
+			r.StaticPct, r.DynamicPct, r.HybridPct, r.OraclePct, r.DeltaPct, r.DynSwitches)
+	}
+	tables := []benchhist.Table{main}
+
+	if len(res.Rows) > 0 && res.Rows[0].HasLedger {
+		ledger := benchhist.Table{
+			Title: "misprediction attribution — % of machine time lost to slow-core placement (asym+spill)",
+			Columns: []benchhist.Column{col("machine", "", ""), col("alt", "alternations", "%.0f"),
+				col("window", "instr", "%.0f"), col("static-asym%", "%", "%.2f"),
+				col("dyn-asym%", "%", "%.2f"), col("dyn-monitor%", "%", "%.3f")},
+		}
+		for _, r := range res.Rows {
+			ledger.AddRow(r.Machine, r.Alternations, r.WindowInstrs,
+				r.StaticAsymmetryPct, r.DynAsymmetryPct, r.DynMonitorPct)
+		}
+		tables = append(tables, ledger)
+	}
+
+	frontiers := runs(res.Frontier, func(f BreakdownFrontierRow) string { return f.Machine })
+	for i, mrows := range runs(res.Rows, func(r BreakdownRow) string { return r.Machine }) {
+		heat := benchhist.Table{
+			Title: fmt.Sprintf("%s — dynamic−static tput delta (pp) by (alternation rate × window)", mrows[0].Machine),
+			Columns: []benchhist.Column{col("rate", "alternations", "alt.x%.0f"),
+				col("win", "instr", "%.0f"), col("delta", "pp", "%+.2f")},
+			Chart: &benchhist.Chart{Kind: benchhist.ChartHeatmap, Tolerance: BreakdownTolerancePct},
+		}
+		for _, r := range mrows {
+			heat.AddRow(r.Alternations, r.WindowInstrs, r.DeltaPct)
+		}
+		frontier := benchhist.Table{Columns: []benchhist.Column{col("rate", "alternations/Binstr", "%.0f"),
+			col("alternations", "alternations", "%.0f"), col("break-even window", "instr", "%.0f")}}
+		for _, f := range frontiers[i] {
+			var be any = f.BreakEvenWindow
+			if f.BreakEvenWindow == 0 {
+				be = "none (dynamic loses at every window)"
+			}
+			frontier.AddRow(f.Rate, f.Alternations, be)
+		}
+		tables = append(tables, heat, frontier)
+	}
+	return tables, nil
 }

@@ -38,8 +38,8 @@ func quickCampaigns(t *testing.T) map[string]dist.Campaign {
 	}
 	cfg = cfg.Scale(8, 200, []uint64{5})
 	out := map[string]dist.Campaign{
-		"window": WindowCampaign(cfg, nil, nil),
-		"grid":   TechniqueCampaign(cfg),
+		"window": WindowCampaign(cfg, amp.Quad2Fast2Slow()),
+		"grid":   TechniqueCampaign(cfg, amp.Quad2Fast2Slow()),
 	}
 	for _, m := range []*amp.Machine{amp.Quad2Fast2Slow(), amp.ThreeCore2Fast1Slow(), amp.Hex2Big2Medium2Little()} {
 		out["showdown/"+m.Name] = ShowdownCampaign(cfg, m)
@@ -51,7 +51,7 @@ func quickCampaigns(t *testing.T) map[string]dist.Campaign {
 		out["contention/"+m.Name] = ContentionCampaign(cfg, m)
 	}
 	for _, m := range BreakdownMachines() {
-		out["breakdown/"+m.Name] = BreakdownCampaign(cfg, m, nil, nil)
+		out["breakdown/"+m.Name] = BreakdownCampaign(cfg, m)
 	}
 	return out
 }

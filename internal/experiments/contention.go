@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+
 	"phasetune/internal/amp"
+	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
 	"phasetune/internal/place"
@@ -72,8 +75,9 @@ func ContentionCells() []ContentionCell {
 	return cells
 }
 
-// ContentionRow is one (machine, policy, priced) cell aggregated over seeds.
-type ContentionRow struct {
+// HerdingRow is one (machine, policy, priced) cell of the contention
+// campaign aggregated over seeds.
+type HerdingRow struct {
 	// Machine is the machine name.
 	Machine string
 	// Policy is the placement policy.
@@ -132,9 +136,7 @@ func contentionGrid(cfg Config) []dist.Spec {
 // ContentionCampaign packages one machine's contention grid as a
 // distributable campaign (cmd/sweepd serves it to workers).
 func ContentionCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
-	mcfg := cfg
-	mcfg.Machine = machine
-	return dist.Campaign{Env: mcfg.Env(), Specs: contentionGrid(mcfg)}
+	return cfg.campaign(machine, contentionGrid)
 }
 
 // Contention runs the herding campaign on the given machines (default:
@@ -142,23 +144,19 @@ func ContentionCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 // ContentionCells order: every policy unpriced, then the engine-backed
 // policies priced. The improvement column is relative to the same machine's
 // unpriced sim.PolicyNone row.
-func Contention(cfg Config, machines []*amp.Machine) ([]ContentionRow, error) {
+func Contention(cfg Config, machines []*amp.Machine) ([]HerdingRow, error) {
 	if machines == nil {
 		machines = ContentionMachines()
 	}
 	cells := ContentionCells()
-	var rows []ContentionRow
+	var rows []HerdingRow
 	for _, machine := range machines {
-		mcfg := cfg
-		mcfg.Machine = machine
 		// The antagonist fleet regenerates from (cost, machine); the suite
 		// still rides along in the environment for worker validation.
-		suite, err := workload.Suite(mcfg.Cost, machine)
+		mcfg, err := cfg.on(machine)
 		if err != nil {
 			return nil, err
 		}
-		mcfg.Suite = suite
-
 		results, err := mcfg.sweep(contentionGrid(mcfg))
 		if err != nil {
 			return nil, err
@@ -166,7 +164,7 @@ func Contention(cfg Config, machines []*amp.Machine) ([]ContentionRow, error) {
 		nSeeds := len(mcfg.Seeds)
 
 		for ci, cell := range cells {
-			row := ContentionRow{Machine: machine.Name, Policy: cell.Policy, Priced: cell.Priced}
+			row := HerdingRow{Machine: machine.Name, Policy: cell.Policy, Priced: cell.Priced}
 			var tputs, tputPcts []float64
 			for si := 0; si < nSeeds; si++ {
 				base, res := results[si], results[ci*nSeeds+si]
@@ -214,4 +212,46 @@ func Contention(cfg Config, machines []*amp.Machine) ([]ContentionRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// contentionTables runs the herding campaign and reduces it: the cell
+// table, then one bar chart per machine — the herding signature by policy,
+// unpriced vs priced side by side.
+func contentionTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Contention(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	main := benchhist.Table{Columns: []benchhist.Column{
+		col("machine", "", ""), col("policy", "", ""), col("priced", "", ""),
+		col("tput", "instr/s", "%.4g"), col("tput%", "%", "%+.2f"), col("max-share", "share", "%.3f"),
+		col("groups", "groups", "%.1f"), col("mem-tasks", "tasks", "%.1f"),
+		col("switches", "count", "%.0f"), col("shares", "share", "%.2f"),
+	}}
+	for _, r := range rows {
+		priced := "-"
+		if r.Priced {
+			priced = "yes"
+		}
+		main.AddRow(r.Machine, r.Policy.String(), priced, r.Throughput, r.ThroughputPct,
+			r.MaxMemShare, r.GroupsUsed, r.MemTasks, r.Switches, r.MemShare)
+	}
+	tables := []benchhist.Table{main}
+
+	for _, mrows := range runs(rows, func(r HerdingRow) string { return r.Machine }) {
+		bars := benchhist.Table{
+			Title:   fmt.Sprintf("%s — hottest cache group's share of memory-bound time (1.0 = herded)", mrows[0].Machine),
+			Columns: []benchhist.Column{col("policy", "", ""), col("max-share", "share", "%.3f")},
+			Chart:   &benchhist.Chart{Kind: benchhist.ChartBars},
+		}
+		for _, r := range mrows {
+			label := r.Policy.String()
+			if r.Priced {
+				label += "+price"
+			}
+			bars.AddRow(label, r.MaxMemShare)
+		}
+		tables = append(tables, bars)
+	}
+	return tables, nil
 }

@@ -54,7 +54,7 @@ func TestContentionPricedCellsAreEngineBacked(t *testing.T) {
 	}
 }
 
-func contentionRowOf(t *testing.T, rows []ContentionRow, p sim.Policy, priced bool) ContentionRow {
+func contentionRowOf(t *testing.T, rows []HerdingRow, p sim.Policy, priced bool) HerdingRow {
 	t.Helper()
 	for _, r := range rows {
 		if r.Policy == p && r.Priced == priced {
@@ -62,7 +62,7 @@ func contentionRowOf(t *testing.T, rows []ContentionRow, p sim.Policy, priced bo
 		}
 	}
 	t.Fatalf("no row for %s priced=%v", p, priced)
-	return ContentionRow{}
+	return HerdingRow{}
 }
 
 // TestContentionSeparatesAntagonistsOnHex is the tentpole assertion: on the

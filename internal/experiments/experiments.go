@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"phasetune/internal/amp"
+	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
 	"phasetune/internal/exec"
 	"phasetune/internal/metrics"
@@ -128,6 +129,21 @@ func (c *Config) artifact(b *workload.Benchmark, params transition.Params) (*sim
 func (c *Config) Env() dist.EnvSpec {
 	return dist.EnvSpec{Version: dist.SpecVersion, Machine: *c.Machine, Cost: c.Cost,
 		Sched: c.Sched, Typing: c.Typing, Ledger: c.Ledger}
+}
+
+// on specializes the config to one machine, with the machine's canonical
+// suite.
+func (c Config) on(machine *amp.Machine) (Config, error) {
+	c.Machine = machine
+	suite, err := workload.Suite(c.Cost, machine)
+	c.Suite = suite
+	return c, err
+}
+
+// campaign packages a grid cut on one machine as a distributable campaign.
+func (c Config) campaign(machine *amp.Machine, grid func(Config) []dist.Spec) dist.Campaign {
+	c.Machine = machine
+	return dist.Campaign{Env: c.Env(), Specs: grid(c)}
 }
 
 // runCfg assembles one sweep cell in the fabric's wire form: the workload
@@ -593,13 +609,7 @@ func Table2Fairness(cfg Config, variants []transition.Params) ([]FairnessRow, er
 		}
 	}
 
-	grid := make([]dist.Spec, 0, len(variants)*len(cfg.Seeds))
-	for _, params := range variants {
-		for _, seed := range cfg.Seeds {
-			grid = append(grid, cfg.runCfg(sim.PolicyStatic, params, cfg.Tuning, 0, seed, cfg.DurationSec))
-		}
-	}
-	results, err := cfg.sweep(grid)
+	results, err := cfg.sweep(techniqueGrid(cfg, variants))
 	if err != nil {
 		return nil, err
 	}
@@ -632,6 +642,40 @@ func Table2Fairness(cfg Config, variants []transition.Params) ([]FairnessRow, er
 	return rows, nil
 }
 
+// techniqueGrid builds the tuned (variant x seed) grid over the configured
+// duration in wire form.
+func techniqueGrid(cfg Config, variants []transition.Params) []dist.Spec {
+	grid := make([]dist.Spec, 0, len(variants)*len(cfg.Seeds))
+	for _, params := range variants {
+		for _, seed := range cfg.Seeds {
+			grid = append(grid, cfg.runCfg(sim.PolicyStatic, params, cfg.Tuning, 0, seed, cfg.DurationSec))
+		}
+	}
+	return grid
+}
+
+// TechniqueCampaign packages the Table 2 tuned grid (every technique
+// variant x seed) on one machine as a distributable campaign (cmd/sweepd
+// -campaign grid).
+func TechniqueCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
+	return cfg.campaign(machine, func(c Config) []dist.Spec { return techniqueGrid(c, TechniqueGrid()) })
+}
+
+// gridTables runs Table 2 and reduces it to one table.
+func gridTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Table2Fairness(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	t := benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
+		col("max-flow%", "%", "%+.2f"), col("max-stretch%", "%", "%+.2f"), col("avg-time%", "%", "%+.2f"),
+		col("matched-avg%", "%", "%+.2f"), col("tput%", "%", "%+.2f")}}
+	for _, r := range rows {
+		t.AddRow(r.Variant, r.MaxFlowPct, r.MaxStretchPct, r.AvgTimePct, r.MatchedAvgPct, r.ThroughputPct)
+	}
+	return []benchhist.Table{t}, nil
+}
+
 // IsolationTimes returns per-benchmark baseline isolation runtimes (the t_j
 // of max-stretch).
 func IsolationTimes(cfg Config) (map[string]float64, error) {
@@ -648,11 +692,4 @@ func IsolationTimes(cfg Config) (map[string]float64, error) {
 		out[n] = r.RuntimeSec
 	}
 	return out, nil
-}
-
-// Fig8Tradeoff reuses Table 2 rows: x = max-stretch decrease, y = average
-// time decrease. It exists as its own entry point for symmetry with the
-// paper's figures.
-func Fig8Tradeoff(cfg Config, variants []transition.Params) ([]FairnessRow, error) {
-	return Table2Fairness(cfg, variants)
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
+
 	"phasetune/internal/amp"
+	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
 	"phasetune/internal/sim"
 	"phasetune/internal/transition"
-	"phasetune/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -105,9 +107,7 @@ func showdownGrid(cfg Config) []dist.Spec {
 // ShowdownCampaign packages one machine's showdown grid as a distributable
 // campaign (cmd/sweepd serves it to workers).
 func ShowdownCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
-	mcfg := cfg
-	mcfg.Machine = machine
-	return dist.Campaign{Env: mcfg.Env(), Specs: showdownGrid(mcfg)}
+	return cfg.campaign(machine, showdownGrid)
 }
 
 // Showdown runs the full static-vs-dynamic-vs-oracle comparison on the
@@ -124,14 +124,10 @@ func Showdown(cfg Config, machines []*amp.Machine) ([]ShowdownRow, error) {
 	policies := showdownPolicies
 	var rows []ShowdownRow
 	for _, machine := range machines {
-		mcfg := cfg
-		mcfg.Machine = machine
-		suite, err := workload.Suite(mcfg.Cost, machine)
+		mcfg, err := cfg.on(machine)
 		if err != nil {
 			return nil, err
 		}
-		mcfg.Suite = suite
-
 		results, err := mcfg.sweep(showdownGrid(mcfg))
 		if err != nil {
 			return nil, err
@@ -214,13 +210,11 @@ func Showdown(cfg Config, machines []*amp.Machine) ([]ShowdownRow, error) {
 // sweeping the whole grid; cfg.Machine selects the machine and cfg.Suite
 // may be nil (it is regenerated here).
 func LedgerCell(cfg Config, p sim.Policy, seed uint64) (*sim.Result, error) {
-	mcfg := cfg
-	mcfg.Ledger = true
-	suite, err := workload.Suite(mcfg.Cost, mcfg.Machine)
+	mcfg, err := cfg.on(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
-	mcfg.Suite = suite
+	mcfg.Ledger = true
 	results, err := mcfg.sweep([]dist.Spec{showdownRunCfg(mcfg, p, seed)})
 	if err != nil {
 		return nil, err
@@ -270,4 +264,63 @@ func ShowdownCounterContention(cfg Config, slots int) (ShowdownContentionResult,
 		out.Windows = dyn.Online.Windows
 	}
 	return out, nil
+}
+
+// showdownTables runs the showdown and reduces it: the policy table, with
+// -ledger the cycle attribution table and one stacked bar chart per
+// machine, and the bounded-counter note.
+func showdownTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Showdown(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	cc, err := ShowdownCounterContention(cfg, 4)
+	if err != nil {
+		return nil, err
+	}
+	main := benchhist.Table{Columns: []benchhist.Column{
+		col("machine", "", ""), col("policy", "", ""),
+		col("tput", "instr/s", "%.4g"), col("tput%", "%", "%+.2f"),
+		col("avg-time%", "%", "%+.2f"), col("matched%", "%", "%+.2f"),
+		col("switches", "count", "%.0f"), col("marks", "count", "%.0f"),
+		col("windows", "count", "%.0f"), col("monitor%", "%", "%.3f"),
+		col("refresh", "count", "%.0f"), col("damped", "count", "%.0f"),
+		col("defers", "count", "%.0f"),
+	}}
+	for _, r := range rows {
+		main.AddRow(r.Machine, r.Policy.String(), r.Throughput, r.ThroughputPct,
+			r.AvgTimePct, r.MatchedAvgPct, r.Switches, r.MarksExecuted,
+			r.MonitorWindows, r.MonitorPct, r.Refreshes, r.Damped, r.CounterDefers)
+	}
+	tables := []benchhist.Table{main}
+
+	if len(rows) > 0 && rows[0].HasLedger {
+		ledger := benchhist.Table{
+			Title: "cycle attribution — % of machine time (cores × horizon), conserved to 100%",
+			Columns: []benchhist.Column{col("machine", "", ""), col("policy", "", ""),
+				col("useful%", "%", "%.2f"), col("asym%", "%", "%.2f"), col("spill%", "%", "%.2f"),
+				col("ovh%", "%", "%.2f"), col("idle%", "%", "%.2f")},
+		}
+		for _, r := range rows {
+			ledger.AddRow(r.Machine, r.Policy.String(),
+				r.UsefulPct, r.AsymmetryPct, r.SpillPct, r.OverheadPct, r.IdlePct)
+		}
+		tables = append(tables, ledger)
+		for _, mrows := range runs(rows, func(r ShowdownRow) string { return r.Machine }) {
+			bars := benchhist.Table{
+				Title: mrows[0].Machine,
+				Columns: []benchhist.Column{col("policy", "", ""),
+					col("useful", "%", "%.2f"), col("asymmetry", "%", "%.2f"), col("spill", "%", "%.2f"),
+					col("overhead", "%", "%.2f"), col("idle", "%", "%.2f")},
+				Chart: &benchhist.Chart{Kind: benchhist.ChartStackedBars},
+			}
+			for _, r := range mrows {
+				bars.AddRow(r.Policy.String(), r.UsefulPct, r.AsymmetryPct, r.SpillPct, r.OverheadPct, r.IdlePct)
+			}
+			tables = append(tables, bars)
+		}
+	}
+	return append(tables, benchhist.Table{Title: fmt.Sprintf(
+		"dynamic/probe with %d bounded event sets: %d deferrals, %d windows, tput %+.2f%%",
+		cc.Slots, cc.Defers, cc.Windows, cc.ThroughputPct)}), nil
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"phasetune/internal/amp"
+	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
 	"phasetune/internal/osched"
@@ -129,8 +131,7 @@ func servingGrid(cfg Config) []dist.Spec {
 // overcommit-enabled scheduler, so workers reproduce the open-system
 // semantics from the wire form alone.
 func ServingCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
-	mcfg := servingConfig(cfg, machine)
-	return dist.Campaign{Env: mcfg.Env(), Specs: servingGrid(mcfg)}
+	return servingConfig(cfg, machine).campaign(machine, servingGrid)
 }
 
 // ServingTraceRun re-runs one representative serving cell — the first
@@ -224,4 +225,61 @@ func Serving(cfg Config, machines []*amp.Machine) ([]ServingRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// servingTables runs the serving sweep and reduces it: the cell table, with
+// -ledger the sojourn decomposition, then one quantile strip per (machine,
+// load) — the policies' latency tails on a shared axis, where the
+// separation at load >= 1x is visible.
+func servingTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Serving(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	main := benchhist.Table{Columns: []benchhist.Column{
+		col("machine", "", ""), col("load", "x capacity", "%.2f"), col("rate/s", "jobs/s", "%.2f"),
+		col("policy", "", ""), col("admitted", "jobs", "%.0f"), col("done", "jobs", "%.0f"),
+		col("p50", "s", "%.2f"), col("p95", "s", "%.2f"), col("p99", "s", "%.2f"), col("p999", "s", "%.2f"),
+		col("mean", "s", "%.2f"), col("peak-run", "tasks", "%.0f"), col("oc-slices", "count", "%.0f"),
+	}}
+	for _, r := range rows {
+		main.AddRow(r.Machine, r.Load, r.RatePerSec, r.Policy.String(), r.Admitted, r.Completed,
+			r.P50, r.P95, r.P99, r.P999, r.MeanSojournSec, r.PeakRunnable, r.OvercommitSlices)
+	}
+	tables := []benchhist.Table{main}
+
+	if len(rows) > 0 && rows[0].HasLedger {
+		ledger := benchhist.Table{
+			Title: "sojourn decomposition — summed task-seconds per seed: queueing vs service vs slicing",
+			Columns: []benchhist.Column{col("machine", "", ""), col("load", "x capacity", "%.2f"),
+				col("policy", "", ""), col("queueing(s)", "s", "%.1f"), col("service(s)", "s", "%.1f"),
+				col("slicing(s)", "s", "%.2f"), col("queue/service", "ratio", "%.2f")},
+		}
+		for _, r := range rows {
+			var ratio any = "-"
+			if r.ServiceSec > 0 {
+				ratio = r.QueueingSec / r.ServiceSec
+			}
+			ledger.AddRow(r.Machine, r.Load, r.Policy.String(), r.QueueingSec, r.ServiceSec, r.SlicingSec, ratio)
+		}
+		tables = append(tables, ledger)
+	}
+
+	for _, cell := range runs(rows, func(r ServingRow) string { return fmt.Sprintf("%s/%g", r.Machine, r.Load) }) {
+		peak := 0
+		for _, r := range cell {
+			peak = max(peak, r.PeakRunnable)
+		}
+		strip := benchhist.Table{
+			Title: fmt.Sprintf("%s @ load %.2fx — sojourn quantiles (s), peak runnable %d", cell[0].Machine, cell[0].Load, peak),
+			Columns: []benchhist.Column{col("policy", "", ""),
+				col("p50", "s", "%.2f"), col("p95", "s", "%.2f"), col("p99", "s", "%.2f"), col("p999", "s", "%.2f")},
+			Chart: &benchhist.Chart{Kind: benchhist.ChartQuantileStrip},
+		}
+		for _, r := range cell {
+			strip.AddRow(r.Policy.String(), r.P50, r.P95, r.P99, r.P999)
+		}
+		tables = append(tables, strip)
+	}
+	return tables, nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"phasetune/internal/amp"
+	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
 	"phasetune/internal/sim"
@@ -58,16 +60,10 @@ func windowGrid(cfg Config, windows []uint64, policies []sim.Policy) []dist.Spec
 // windowPolicies are the swept detector policies.
 var windowPolicies = []sim.Policy{sim.PolicyDynamicGreedy, sim.PolicyDynamicProbe}
 
-// WindowCampaign packages the window sweep's dynamic grid as a
-// distributable campaign (cmd/sweepd -campaign window).
-func WindowCampaign(cfg Config, windows []uint64, policies []sim.Policy) dist.Campaign {
-	if windows == nil {
-		windows = DefaultWindowGrid()
-	}
-	if policies == nil {
-		policies = windowPolicies
-	}
-	return dist.Campaign{Env: cfg.Env(), Specs: windowGrid(cfg, windows, policies)}
+// WindowCampaign packages the window sweep's dynamic grid on one machine
+// as a distributable campaign (cmd/sweepd -campaign window).
+func WindowCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
+	return cfg.campaign(machine, func(c Config) []dist.Spec { return windowGrid(c, DefaultWindowGrid(), windowPolicies) })
 }
 
 // WindowSweep sweeps the online detector's window size per policy against
@@ -126,16 +122,19 @@ func WindowSweep(cfg Config, windows []uint64, policies []sim.Policy) ([]WindowR
 	return rows, nil
 }
 
-// TechniqueCampaign packages the Table 2 tuned grid (every technique
-// variant x seed over the configured duration) as a distributable campaign
-// (cmd/sweepd -campaign grid).
-func TechniqueCampaign(cfg Config) dist.Campaign {
-	variants := TechniqueGrid()
-	grid := make([]dist.Spec, 0, len(variants)*len(cfg.Seeds))
-	for _, params := range variants {
-		for _, seed := range cfg.Seeds {
-			grid = append(grid, cfg.runCfg(sim.PolicyStatic, params, cfg.Tuning, 0, seed, cfg.DurationSec))
-		}
+// windowTables runs the window sweep and reduces it to one table.
+func windowTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := WindowSweep(cfg, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	return dist.Campaign{Env: cfg.Env(), Specs: grid}
+	t := benchhist.Table{Columns: []benchhist.Column{
+		col("window", "instr", "%.0f"), col("policy", "", ""), col("tput%", "%", "%+.2f"),
+		col("online-switches", "count", "%.0f"), col("windows", "count", "%.0f"),
+		col("monitor%", "%", "%.3f"),
+	}}
+	for _, r := range rows {
+		t.AddRow(r.WindowInstrs, r.Policy.String(), r.ThroughputPct, r.OnlineSwitches, r.Windows, r.MonitorPct)
+	}
+	return []benchhist.Table{t}, nil
 }
