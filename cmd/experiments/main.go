@@ -311,12 +311,6 @@ func header(w io.Writer, title string) {
 // col abbreviates benchhist.Col for the column lists below.
 var col = benchhist.Col
 
-// render prints one table through benchhist.Render, the function every
-// campaign table prints with.
-func render(w io.Writer, t benchhist.Table) error {
-	return benchhist.Render(w, []benchhist.Table{t})
-}
-
 func fig3(w io.Writer, cfg experiments.Config) error {
 	header(w, "Fig. 3 — space overhead per technique (paper: best Loop[45] < 4%)")
 	rows, err := experiments.Fig3SpaceOverhead(cfg)
@@ -335,7 +329,7 @@ func fig3(w io.Writer, cfg experiments.Config) error {
 		mins, q1s, meds = append(mins, 100*b.Min), append(q1s, 100*b.Q1), append(meds, 100*b.Median)
 		q3s, maxs = append(q3s, 100*b.Q3), append(maxs, 100*b.Max)
 	}
-	render(w, t)
+	benchhist.Render(w, []benchhist.Table{t})
 	fmt.Fprintln(w)
 	fmt.Fprint(w, textplot.BoxPlot(names, mins, q1s, meds, q3s, maxs, 48))
 	return nil
@@ -352,7 +346,7 @@ func fig4(w io.Writer, cfg experiments.Config) error {
 	for _, r := range rows {
 		t.AddRow(r.Variant, r.OverheadPct, r.MarksExecuted)
 	}
-	return render(w, t)
+	return benchhist.Render(w, []benchhist.Table{t})
 }
 
 func table1(w io.Writer, cfg experiments.Config) error {
@@ -367,7 +361,7 @@ func table1(w io.Writer, cfg experiments.Config) error {
 		t.AddRow(r.Benchmark, r.Switches, r.PaperSwitches/workload.ScaleDivisor,
 			r.RuntimeSec, r.PaperRuntimeSec/workload.ScaleDivisor)
 	}
-	return render(w, t)
+	return benchhist.Render(w, []benchhist.Table{t})
 }
 
 func fig5(w io.Writer, cfg experiments.Config) error {
@@ -427,7 +421,7 @@ func fig8(w io.Writer, cfg experiments.Config) error {
 	for _, r := range rows {
 		t.AddRow(r.Variant, r.MaxStretchPct, r.AvgTimePct)
 	}
-	return render(w, t)
+	return benchhist.Render(w, []benchhist.Table{t})
 }
 
 func printAblation(w io.Writer, rows []experiments.AblationRow) {
@@ -436,7 +430,7 @@ func printAblation(w io.Writer, rows []experiments.AblationRow) {
 	for _, r := range rows {
 		t.AddRow(r.Name, r.AvgTimePct, r.ThroughputPct, r.MaxStretchPct)
 	}
-	render(w, t)
+	benchhist.Render(w, []benchhist.Table{t})
 }
 
 func switchcost(w io.Writer, cfg experiments.Config) error {
@@ -503,7 +497,7 @@ func ablations(w io.Writer, cfg experiments.Config) error {
 	for _, r := range rows {
 		t.AddRow(r.Name, r.AvgTimePct)
 	}
-	render(w, t)
+	benchhist.Render(w, []benchhist.Table{t})
 
 	header(w, "Ablation — counter contention with 4 bounded event sets")
 	cc, err := experiments.CounterContentionCheck(cfg, 4)
