@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchjson [-out BENCH_sweep.json] [-reps 3] [-shards N]
+//	benchjson [-out BENCH_sweep.json] [-reps 3]
 //	benchjson -history [-out BENCH_sweep.json] [-regression 10]
 //
 // -history renders the recorded trajectory instead of running benchmarks:
@@ -28,19 +28,13 @@
 //     grid (no artifact sharing);
 //   - grid_sweep: the identical grid through Session.Sweep (bounded worker
 //     pool + shared image cache);
-//   - grid_sweep_sharded (with -shards N): the identical grid through the
-//     distributed fabric (Session.SweepSharded) with N local workers —
-//     wire-format specs, per-worker caches, deterministic merge. Note the
-//     protocols differ on repetition: grid_sweep reuses one session, so
-//     reps after the first run cache-warm, while every sharded rep builds
-//     fresh per-worker caches (workers live per call). Compare both
-//     against grid_sequential (always cold), not against each other;
 //   - workload_second_baseline / workload_second_dynamic: the cost of
 //     simulating one loaded second under the stock scheduler and under the
 //     online phase detector (the dynamic subsystem's overhead on the
 //     simulator hot path).
 //
-// Each benchmark runs -reps times and reports the minimum (the standard
+// Each benchmark runs -reps times (at least once; a smaller -reps is
+// rejected before anything runs) and reports the minimum (the standard
 // noise-rejection choice for wall-clock microbenchmarks). Every timing
 // benchmark additionally records its heap allocation count for the fastest
 // rep (metric allocs_per_op, the `-benchmem` analogue), and grid_sweep
@@ -71,7 +65,6 @@ import (
 func main() {
 	out := flag.String("out", "BENCH_sweep.json", "output path (history is appended)")
 	reps := flag.Int("reps", 3, "repetitions per benchmark (minimum is reported)")
-	shards := flag.Int("shards", 0, "also time the grid through the distributed fabric with N local workers")
 	history := flag.Bool("history", false, "render the recorded history and check for regressions instead of running")
 	regression := flag.Float64("regression", 10, "history mode: fail when a benchmark slowed by more than this percent vs the previous entry")
 	flag.Parse()
@@ -79,7 +72,7 @@ func main() {
 	if *history {
 		err = runHistory(*out, *regression)
 	} else {
-		err = run(*out, *reps, *shards)
+		err = run(*out, *reps)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -207,26 +200,10 @@ func runHistory(path string, regressionPct float64) error {
 			fmt.Printf("  %s = %.3f\n", k, last.Derived[k])
 		}
 	}
-	var seqNs, shdNs int64
 	for _, b := range last.Benchmarks {
-		switch b.Name {
-		case "grid_sequential":
-			seqNs = b.NsPerOp
-		case "grid_sweep_sharded":
-			shdNs = b.NsPerOp
-		}
 		if a, ok := b.Metrics["allocs_per_op"]; ok {
 			fmt.Printf("  %s allocs/op = %.0f\n", b.Name, a)
 		}
-	}
-	// Flag the sharded-vs-sequential inversion explicitly: at this grid
-	// size the fabric's per-rep worker lifecycle, cold per-worker caches,
-	// and JSON transport outweigh the parallelism, and that is a finding,
-	// not a charting artifact (EXPERIMENTS.md, "Why the sharded grid is
-	// slower than the sequential loop").
-	if shdNs > 0 && seqNs > 0 && shdNs > seqNs {
-		fmt.Printf("\nnote: grid_sweep_sharded (%.1f ms) is SLOWER than grid_sequential (%.1f ms): the distributed fabric's per-rep overhead dominates cells this small — see EXPERIMENTS.md\n",
-			float64(shdNs)/1e6, float64(seqNs)/1e6)
 	}
 
 	if len(regressed) > 0 {
@@ -261,8 +238,8 @@ func timeMin(reps int, f func() error) (time.Duration, uint64, error) {
 }
 
 // gridSpecs mirrors the root sweep benchmark: 3 technique variants x 2
-// seeds, 4-slot workloads, 10 simulated seconds. Workloads are described
-// as Queues so the identical grid also runs through the fabric.
+// seeds, 4-slot workloads, 10 simulated seconds, with workloads described
+// as Queues.
 func gridSpecs() []phasetune.RunSpec {
 	variants := []phasetune.TechniqueParams{
 		phasetune.BestParams(),
@@ -282,14 +259,18 @@ func gridSpecs() []phasetune.RunSpec {
 	return specs
 }
 
-func run(out string, reps, shards int) error {
+func run(out string, reps int) error {
+	if reps < 1 {
+		// Zero reps would record an all-zero entry, and the next -history
+		// gate skips every row whose previous time is zero.
+		return fmt.Errorf("-reps %d: need at least one repetition", reps)
+	}
 	suite, err := phasetune.Suite()
 	if err != nil {
 		return err
 	}
 	specs := gridSpecs()
 	entry := benchhist.Stamp(benchhist.KindBench)
-	entry.Shards = shards
 	entry.Derived = map[string]float64{}
 
 	seq, seqAllocs, err := timeMin(reps, func() error {
@@ -335,27 +316,6 @@ func run(out string, reps, shards int) error {
 		entry.Derived["sweep_speedup"] = float64(seq) / float64(swp)
 	}
 	entry.Derived["memo_hit_rate"] = memo.HitRate()
-
-	if shards > 1 {
-		shardSess := phasetune.NewSession()
-		shd, shdAllocs, err := timeMin(reps, func() error {
-			_, err := shardSess.SweepSharded(context.Background(), specs, shards)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		entry.Benchmarks = append(entry.Benchmarks, benchhist.Benchmark{
-			Name: "grid_sweep_sharded", NsPerOp: shd.Nanoseconds(), Reps: reps,
-			Metrics: map[string]float64{
-				"shards":        float64(shards),
-				"allocs_per_op": float64(shdAllocs),
-			},
-		})
-		if shd > 0 {
-			entry.Derived["sharded_speedup"] = float64(seq) / float64(shd)
-		}
-	}
 
 	w := phasetune.NewWorkload(suite, 8, 64, 1)
 	for _, bench := range []struct {

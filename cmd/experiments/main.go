@@ -7,7 +7,7 @@
 //	             switchcost|typing|threecore|showdown|window|breakdown|
 //	             serving|contention|ablations]
 //	            [-slots N] [-duration SEC] [-seeds a,b,c] [-quick]
-//	            [-workers N] [-shards N] [-cachestats] [-ledger]
+//	            [-workers N] [-cachestats] [-ledger]
 //	            [-alts a,b,c] [-windows a,b,c] [-benchout FILE]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -17,10 +17,8 @@
 // cache for the whole invocation: -workers bounds the pool (0 = GOMAXPROCS)
 // and -cachestats reports how often the static pipeline was actually run,
 // and how full the segment memo got and how often it served a lookup.
-// -shards N routes every sweep through the distributed fabric with N local
-// workers instead of the in-process pool — results are byte-identical, and
-// the same campaigns can be served to real worker processes with
-// cmd/sweepd.
+// The same campaigns can be served to worker processes with cmd/sweepd,
+// with byte-identical results.
 //
 // Six experiments are campaigns of the registry in internal/experiments:
 // showdown, window, breakdown, serving, contention, and table2 (the
@@ -128,7 +126,6 @@ func run(args []string, stdout io.Writer) error {
 	seedsFlag := fs.String("seeds", "", "comma-separated workload seeds (default 5,42,99)")
 	quick := fs.Bool("quick", false, "shrink workloads for a fast pass")
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "route sweeps through the distributed fabric with N local workers")
 	cachestats := fs.Bool("cachestats", false, "print artifact cache and segment memo statistics at exit")
 	altsFlag := fs.String("alts", "", "breakdown: comma-separated alternation counts (default 4,16,64,256,1024,4096)")
 	windowsFlag := fs.String("windows", "", "breakdown: comma-separated window sizes in instructions (default 2000,4000,8000,16000,32000)")
@@ -193,7 +190,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.Workers, cfg.Shards, cfg.Ledger = *workers, *shards, *ledgerFlag
+	cfg.Workers, cfg.Ledger = *workers, *ledgerFlag
 	var axes experiments.Axes
 	if axes.Alts, err = parseList(*altsFlag, "alternation count", strconv.Atoi); err != nil {
 		return err

@@ -112,6 +112,7 @@ func TestFlagMisuseRejected(t *testing.T) {
 		{[]string{"-run", "contention", "-trace", hist}, "-trace"},
 		{[]string{"-run", "breakdown", "-alts", "0"}, "bad alternation count"},
 		{[]string{"-run", "nope"}, "unknown experiment"},
+		{[]string{"-run", "showdown", "-shards", "2"}, "flag provided but not defined"},
 	} {
 		var out bytes.Buffer
 		err := run(append(append([]string{}, tiny...), tc.args...), &out)

@@ -2,6 +2,7 @@ package phasetune
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -13,67 +14,33 @@ import (
 
 // This file is the public surface of the distributed sweep fabric
 // (internal/dist): campaigns shard across worker processes and merge
-// byte-identically to a single-process Sweep. Serve runs a coordinator,
-// Work runs a worker, and Session.SweepSharded runs the whole fabric
-// in-process (no sockets) — the cheap way to put idle cores behind a
-// campaign while keeping the distributed code path exercised.
+// byte-identically to a single-process Sweep. Serve runs a coordinator and
+// Work runs a worker; cmd/sweepd wraps both. The fabric runs multi-process
+// only: in-process sharding never beat Session.Sweep, so the protocol's
+// in-process transport (dist.RunLocal) is kept as a test harness.
 
-// ErrNeedQueues reports a spec that cannot cross a process boundary;
-// SweepSharded and Serve wrap it per offending spec (match with
+// ErrNeedQueues reports a spec with no serializable workload: it sets no
+// workload at all, or (for Serve) a built Workload, which cannot cross a
+// process boundary. Serve wraps it per offending spec (match with
 // errors.Is).
-var ErrNeedQueues = fmt.Errorf("distributed sweeps need serializable specs: set RunSpec.Queues (a WorkloadSpec), not a built Workload")
+var ErrNeedQueues = errors.New("phasetune: spec has no serializable workload: set RunSpec.Queues or Arrivals")
 
 // campaign lowers run specs onto the wire format: the session environment
-// plus one serializable spec per run, with policies lowered exactly as
-// RunContext lowers them — which is why the fabric's merged output is
-// byte-identical to a local Sweep of the same specs.
+// plus one wire spec per run, lowered exactly as a local run is
+// (Session.wireSpec).
 func (s *Session) campaign(specs []RunSpec) (dist.Campaign, error) {
-	camp := dist.Campaign{
-		Env: dist.EnvSpec{Version: dist.SpecVersion, Machine: *s.machine, Cost: s.cost,
-			Sched: s.sched, Typing: s.typing},
-	}
-	camp.Specs = make([]dist.Spec, len(specs))
+	camp := dist.Campaign{Env: s.env(), Specs: make([]dist.Spec, len(specs))}
 	for i, spec := range specs {
-		queues := spec.Queues
-		if spec.Arrivals != nil {
-			if spec.Workload != nil || queues != nil {
-				return dist.Campaign{}, fmt.Errorf("spec %d: RunSpec.Arrivals is mutually exclusive with Workload and Queues", i)
-			}
-			// Arrivals specs are serializable by construction: lower them to
-			// the same wire form RunContext resolves them to.
-			queues = &WorkloadSpec{Seed: spec.Seed, Arrivals: spec.Arrivals}
+		if spec.Workload != nil {
+			return dist.Campaign{}, fmt.Errorf("spec %d: built Workload: %w", i, ErrNeedQueues)
 		}
-		if spec.Workload != nil || queues == nil {
-			return dist.Campaign{}, fmt.Errorf("spec %d: %w", i, ErrNeedQueues)
+		sp, err := s.wireSpec(spec)
+		if err != nil {
+			return dist.Campaign{}, fmt.Errorf("spec %d: %w", i, err)
 		}
-		mode, params, tcfg, ocfg, pcfg := s.lower(spec)
-		camp.Specs[i] = dist.Spec{
-			Queues:      *queues,
-			DurationSec: spec.DurationSec,
-			Mode:        mode,
-			Params:      params,
-			Tuning:      tcfg,
-			Online:      ocfg,
-			Placement:   pcfg,
-			TypingError: spec.TypingError,
-			Seed:        spec.Seed,
-		}
+		camp.Specs[i] = sp
 	}
 	return camp, nil
-}
-
-// SweepSharded is Sweep through the distributed fabric, entirely
-// in-process: the grid is lowered to the wire format, sharded across
-// `shards` workers (each with its own artifact cache, as separate worker
-// processes would have), and merged deterministically. The result slice is
-// byte-identical to Sweep's — the property the fabric's tests pin down.
-// Specs must be serializable (Queues, not Workload).
-func (s *Session) SweepSharded(ctx context.Context, specs []RunSpec, shards int) ([]*RunResult, error) {
-	camp, err := s.campaign(specs)
-	if err != nil {
-		return nil, err
-	}
-	return dist.RunLocal(ctx, camp, dist.LocalOptions{Workers: shards})
 }
 
 // ServeOptions configures a fabric coordinator.

@@ -2,6 +2,7 @@ package phasetune_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -26,35 +27,10 @@ func shardedGrid() []phasetune.RunSpec {
 	return specs
 }
 
-// TestSweepShardedMatchesSweep is the public fabric contract: the sharded
-// sweep (wire specs, per-worker caches, deterministic merge) returns
-// results byte-identical to the local Sweep of the same specs.
-func TestSweepShardedMatchesSweep(t *testing.T) {
-	specs := shardedGrid()
-	sess := phasetune.NewSession()
-	want, err := sess.Sweep(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 3} {
-		got, err := phasetune.NewSession().SweepSharded(context.Background(), specs, shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d results, want %d", shards, len(got), len(want))
-		}
-		for i := range got {
-			if string(encode(t, got[i])) != string(encode(t, want[i])) {
-				t.Errorf("shards=%d: spec %d differs from Sweep", shards, i)
-			}
-		}
-	}
-}
-
 // TestHybridShardedCampaignGolden is the golden contract for the new
-// policy: a PolicyHybrid campaign sharded across the fabric — per-worker
-// caches, wire-format specs, placement engines rebuilt on each worker —
+// policy: a PolicyHybrid campaign served over loopback to fabric workers —
+// per-worker caches, wire-format specs, placement engines rebuilt on each
+// worker —
 // merges byte-identically to running the same specs sequentially through
 // RunContext. The hybrid runtime spans both hook planes (marks and the
 // kernel monitor), so this pins that the whole engine-backed path is a
@@ -76,15 +52,11 @@ func TestHybridShardedCampaignGolden(t *testing.T) {
 		}
 		want = append(want, string(encode(t, res)))
 	}
-	for _, shards := range []int{2, 3} {
-		got, err := phasetune.NewSession(phasetune.WithMachine(phasetune.TriTypeAMP())).
-			SweepSharded(context.Background(), specs, shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+	for _, workers := range []int{2, 3} {
+		got := serveLoopback(t, phasetune.NewSession(phasetune.WithMachine(phasetune.TriTypeAMP())), specs, workers)
 		for i := range got {
 			if string(encode(t, got[i])) != want[i] {
-				t.Errorf("shards=%d: hybrid spec %d differs from sequential run", shards, i)
+				t.Errorf("workers=%d: hybrid spec %d differs from sequential run", workers, i)
 			}
 		}
 	}
@@ -93,7 +65,8 @@ func TestHybridShardedCampaignGolden(t *testing.T) {
 // TestServingShardedCampaignGolden pins the open-system serving form's
 // fabric contract: Arrivals specs — fleet, arrival schedule, and per-job
 // seeds regenerated on each worker, overcommit dispatcher rebuilt from the
-// environment — shard and merge byte-identically to sequential RunContext
+// environment — are served to fabric workers over loopback and merge
+// byte-identically to sequential RunContext
 // runs of the same specs. This is what lets sweepd workers split a serving
 // campaign.
 func TestServingShardedCampaignGolden(t *testing.T) {
@@ -129,38 +102,41 @@ func TestServingShardedCampaignGolden(t *testing.T) {
 	if !overcommitted {
 		t.Error("no serving run ever exceeded the core count at 1.2x load")
 	}
-	for _, shards := range []int{2, 3} {
-		got, err := newSess().SweepSharded(context.Background(), specs, shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+	for _, workers := range []int{2, 3} {
+		got := serveLoopback(t, newSess(), specs, workers)
 		for i := range got {
 			if string(encode(t, got[i])) != want[i] {
-				t.Errorf("shards=%d: serving spec %d differs from sequential run", shards, i)
+				t.Errorf("workers=%d: serving spec %d differs from sequential run", workers, i)
 			}
 		}
 	}
 }
 
-// TestSweepShardedRejectsBuiltWorkloads: specs that cannot cross a process
-// boundary are rejected up front.
-func TestSweepShardedRejectsBuiltWorkloads(t *testing.T) {
+// TestServeRejectsUnserializableSpecs: specs that cannot cross a process
+// boundary — a built Workload, or no workload at all — are rejected with
+// ErrNeedQueues before the coordinator listens.
+func TestServeRejectsUnserializableSpecs(t *testing.T) {
 	suite, err := phasetune.Suite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := phasetune.NewSession()
-	_, err = sess.SweepSharded(context.Background(), []phasetune.RunSpec{
-		{Workload: phasetune.NewWorkload(suite, 2, 2, 1), DurationSec: 1, Seed: 1},
-	}, 2)
-	if err == nil {
-		t.Fatal("SweepSharded accepted a built *Workload")
-	}
-	_, err = sess.SweepSharded(context.Background(), []phasetune.RunSpec{
-		{DurationSec: 1, Seed: 1},
-	}, 2)
-	if err == nil {
-		t.Fatal("SweepSharded accepted a spec with no workload at all")
+	for name, spec := range map[string]phasetune.RunSpec{
+		"built workload": {Workload: phasetune.NewWorkload(suite, 2, 2, 1), DurationSec: 1, Seed: 1},
+		"no workload":    {DurationSec: 1, Seed: 1},
+	} {
+		// A coordinator that listens would wait for workers forever;
+		// cancelling on listen turns that into a prompt failure.
+		ctx, cancel := context.WithCancel(context.Background())
+		listened := false
+		_, err := phasetune.Serve(ctx, phasetune.NewSession(), []phasetune.RunSpec{spec},
+			phasetune.ServeOptions{Addr: "127.0.0.1:0", OnListen: func(string) { listened = true; cancel() }})
+		cancel()
+		if !errors.Is(err, phasetune.ErrNeedQueues) {
+			t.Errorf("%s: error %v, want ErrNeedQueues", name, err)
+		}
+		if listened {
+			t.Errorf("%s: Serve listened before rejecting the spec", name)
+		}
 	}
 }
 
@@ -190,16 +166,33 @@ func TestQueuesSpecsRunLocally(t *testing.T) {
 	}
 }
 
-// TestServeAndWorkLoopback drives the full public fabric over loopback
-// HTTP: Serve coordinates, two Work goroutines execute, and the merged
-// results match a local Sweep byte for byte.
+// TestServeAndWorkLoopback is the public fabric contract over loopback
+// HTTP: Serve coordinates, 1 to 3 Work goroutines execute (wire specs,
+// per-worker caches, deterministic merge), and the merged results match a
+// local Sweep byte for byte.
 func TestServeAndWorkLoopback(t *testing.T) {
 	specs := shardedGrid()
 	want, err := phasetune.NewSession().Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, workers := range []int{1, 2, 3} {
+		got := serveLoopback(t, phasetune.NewSession(), specs, workers)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
+		}
+		for i := range got {
+			if string(encode(t, got[i])) != string(encode(t, want[i])) {
+				t.Errorf("workers=%d: spec %d: fabric result differs from Sweep", workers, i)
+			}
+		}
+	}
+}
 
+// serveLoopback serves specs from sess on a kernel-picked loopback port to
+// n Work goroutines and returns the merged results.
+func serveLoopback(t *testing.T, sess *phasetune.Session, specs []phasetune.RunSpec, n int) []*phasetune.RunResult {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	addrCh := make(chan string, 1)
@@ -209,16 +202,21 @@ func TestServeAndWorkLoopback(t *testing.T) {
 	}
 	serveCh := make(chan serveOut, 1)
 	go func() {
-		results, err := phasetune.Serve(ctx, phasetune.NewSession(), specs, phasetune.ServeOptions{
+		results, err := phasetune.Serve(ctx, sess, specs, phasetune.ServeOptions{
 			Addr:     "127.0.0.1:0",
 			OnListen: func(addr string) { addrCh <- addr },
 		})
 		serveCh <- serveOut{results, err}
 	}()
-	addr := <-addrCh
+	var addr string
+	select {
+	case addr = <-addrCh:
+	case out := <-serveCh:
+		t.Fatalf("Serve returned before listening: %v", out.err)
+	}
 
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -230,14 +228,7 @@ func TestServeAndWorkLoopback(t *testing.T) {
 	out := <-serveCh
 	wg.Wait()
 	if out.err != nil {
-		t.Fatal(out.err)
+		t.Fatalf("%d workers: %v", n, out.err)
 	}
-	if len(out.results) != len(want) {
-		t.Fatalf("%d results, want %d", len(out.results), len(want))
-	}
-	for i := range out.results {
-		if string(encode(t, out.results[i])) != string(encode(t, want[i])) {
-			t.Errorf("spec %d: fabric result differs from Sweep", i)
-		}
-	}
+	return out.results
 }

@@ -66,11 +66,14 @@ func SanitizeNaNs(vs []float64) []float64 {
 // the campaign (Campaign, Title) and the Tables it printed. Consumers must
 // treat unknown kinds as data to be surfaced, not silently dropped.
 type Entry struct {
-	Schema     string             `json:"schema,omitempty"`
-	Kind       string             `json:"kind,omitempty"`
-	Timestamp  string             `json:"timestamp,omitempty"`
-	GoVersion  string             `json:"go_version,omitempty"`
-	MaxProcs   int                `json:"gomaxprocs,omitempty"`
+	Schema    string `json:"schema,omitempty"`
+	Kind      string `json:"kind,omitempty"`
+	Timestamp string `json:"timestamp,omitempty"`
+	GoVersion string `json:"go_version,omitempty"`
+	MaxProcs  int    `json:"gomaxprocs,omitempty"`
+	// Shards appears only in older timing entries, recorded when benchjson
+	// could also time the grid on an in-process fabric (its removed -shards
+	// flag). It is kept so rewriting the history preserves those entries.
 	Shards     int                `json:"shards,omitempty"`
 	Benchmarks []Benchmark        `json:"benchmarks,omitempty"`
 	Derived    map[string]float64 `json:"derived,omitempty"`

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"phasetune/internal/sim"
 )
@@ -17,10 +16,6 @@ type LocalOptions struct {
 	Workers int
 	// ChunkSize is the lease chunk size (default 1).
 	ChunkSize int
-	// LeaseTTL is the lease lifetime (default DefaultLeaseTTL).
-	LeaseTTL time.Duration
-	// OnResult streams completions (see Options.OnResult).
-	OnResult func(index int, res *sim.Result)
 }
 
 // RunLocal executes a campaign on an in-process fabric: one coordinator
@@ -29,13 +24,11 @@ type LocalOptions struct {
 // so the merged output is byte-identical to the HTTP fabric's and to a
 // sequential execution of the same grid; only the sockets are elided.
 // Each worker keeps its own artifact cache, exactly as separate worker
-// processes would.
+// processes would. It is the in-process harness of the coordinator/worker
+// protocol: production campaigns run multi-process (Serve and Work, or
+// cmd/sweepd), and tests check them against RunLocal.
 func RunLocal(ctx context.Context, camp Campaign, opts LocalOptions) ([]*sim.Result, error) {
-	coord, err := NewCoordinator(camp, Options{
-		ChunkSize: opts.ChunkSize,
-		LeaseTTL:  opts.LeaseTTL,
-		OnResult:  opts.OnResult,
-	})
+	coord, err := NewCoordinator(camp, Options{ChunkSize: opts.ChunkSize})
 	if err != nil {
 		return nil, err
 	}

@@ -158,30 +158,36 @@ type Spec struct {
 // RunConfig lowers a wire spec onto the environment. The machine, cost,
 // and scheduler are copied so the returned config is self-contained; suite
 // must be the environment's suite (EnvSpec.Suite or an equal generation).
-// Alternation-axis specs regenerate their workload from (cost, machine)
-// instead of the suite, which is the only path that can fail.
+// Alternation-axis, fleet and serving specs regenerate their workload from
+// (cost, machine) instead of the suite; materialization is the only step
+// that can fail.
 func (e EnvSpec) RunConfig(sp Spec, suite []*workload.Benchmark, cache *sim.ImageCache) (sim.RunConfig, error) {
-	m := e.Machine
-	cost := e.Cost
-	sched := e.Sched
-	var w *workload.Workload
-	var stream *workload.Stream
+	cfg := e.BuiltRunConfig(sp, nil, cache)
 	var err error
 	if sp.Queues.Arrivals != nil {
 		// Open-system serving spec: the worker regenerates the serving
 		// fleet and the arrival schedule from (cost, machine, spec, seed),
 		// both pure functions, exactly as it regenerates the suite.
-		stream, err = sp.Queues.MaterializeOpen(cost, &m)
+		cfg.Stream, err = sp.Queues.MaterializeOpen(e.Cost, cfg.Machine)
 	} else {
-		w, err = sp.Queues.Materialize(suite, cost, &m)
+		cfg.Workload, err = sp.Queues.Materialize(suite, e.Cost, cfg.Machine)
 	}
 	if err != nil {
 		return sim.RunConfig{}, fmt.Errorf("dist: materialize workload: %w", err)
 	}
+	return cfg, nil
+}
+
+// BuiltRunConfig is RunConfig around a workload built in-process, which
+// stands in for sp.Queues and is not materialized. Built workloads have no
+// wire form, so only in-process runs (phasetune.Session) take this path.
+func (e EnvSpec) BuiltRunConfig(sp Spec, w *workload.Workload, cache *sim.ImageCache) sim.RunConfig {
+	m := e.Machine
+	cost := e.Cost
+	sched := e.Sched
 	return sim.RunConfig{
 		Machine: &m, Cost: &cost, Sched: &sched,
 		Workload:    w,
-		Stream:      stream,
 		DurationSec: sp.DurationSec,
 		Mode:        sp.Mode,
 		Params:      sp.Params,
@@ -194,7 +200,7 @@ func (e EnvSpec) RunConfig(sp Spec, suite []*workload.Benchmark, cache *sim.Imag
 		Cache:       cache,
 		Ledger:      e.Ledger,
 		CacheStats:  sp.CacheStats,
-	}, nil
+	}
 }
 
 // Campaign is a complete distributable sweep: one environment plus the run

@@ -28,8 +28,8 @@ import (
 // still holds its own at each alternation rate. Window-independent policies
 // (none, static, oracle) run once per rate; window-dependent ones
 // (dynamic/probe, hybrid) run once per (rate, window). Everything flows
-// through Config.sweep, so cfg.Shards routes the grid across the fabric
-// with byte-identical results.
+// through Config.sweep; BreakdownCampaign serves the same grid to fabric
+// workers with byte-identical results.
 
 // breakdownFixed returns the window-independent reference columns of the
 // map for a machine. The static reference is the machine's best realizable

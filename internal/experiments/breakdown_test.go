@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -64,8 +62,8 @@ func TestBreakdownShape(t *testing.T) {
 }
 
 // TestBreakdownGridShardsByteIdentical is the breakdown's determinism pin:
-// the same grid through the fabric (Config.Shards) and through the local
-// worker pool commits byte-identical results — the alternation-axis specs
+// the same grid through the local worker pool and sharded across fabric
+// workers commits byte-identical results — the alternation-axis specs
 // (workload regenerated from (cost, machine) on the worker) included.
 func TestBreakdownGridShardsByteIdentical(t *testing.T) {
 	cfg, err := Default()
@@ -73,36 +71,7 @@ func TestBreakdownGridShardsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = cfg.Scale(4, 30, []uint64{5})
-	grid := breakdownGrid(cfg, []int{16, 1024}, []uint64{8000})
-
-	local := cfg
-	want, err := local.sweep(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric := cfg
-	fabric.Cache = nil // workers bring their own caches
-	fabric.Shards = 2
-	got, err := fabric.sweep(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		w, err := json.Marshal(want[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := json.Marshal(got[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(w, g) {
-			t.Errorf("cell %d: fabric result differs from local pool", i)
-		}
-	}
+	requireFabricMatchesSweep(t, cfg, breakdownGrid(cfg, []int{16, 1024}, []uint64{8000}))
 }
 
 // TestBreakdownDynamicDegradesPastWindow pins the map's monotone segment —

@@ -56,19 +56,13 @@ type Config struct {
 	Tuning tuning.Config
 	// Workers bounds concurrent runs in sweeps (<=0 uses GOMAXPROCS).
 	Workers int
-	// Shards, when > 1, routes every sweep through the distributed fabric
-	// (internal/dist) with that many in-process workers instead of the
-	// local worker pool. Results are byte-identical either way; the fabric
-	// path additionally exercises spec serialization and gives each worker
-	// its own artifact cache, exactly as separate processes would.
-	Shards int
 	// Cache is the shared artifact cache; every driver's image
-	// preparations go through it.
+	// preparations go through it. Fabric workers keep their own.
 	Cache *sim.ImageCache
 	// Memo is the shared segment memo: repeated segment executions across
 	// a campaign's policy columns and seeds replay in O(1). Invisible to
 	// results, so memoized campaigns reproduce unmemoized ones byte for
-	// byte. Sharded sweeps ignore it (workers attach their own).
+	// byte. Fabric workers attach their own.
 	Memo *exec.SegmentMemo
 	// Ledger enables conserved cycle accounting on every run of every
 	// driver (sim.RunConfig.Ledger via the environment wire form). The
@@ -164,14 +158,10 @@ func (c *Config) runCfg(p sim.Policy, params transition.Params, tcfg tuning.Conf
 	return sp
 }
 
-// sweep executes the grid: through the distributed fabric when Shards > 1,
-// otherwise across the local worker pool with the shared artifact cache.
-// Results come back in input order and are byte-identical either way.
+// sweep executes the grid across the local worker pool with the shared
+// artifact cache and segment memo. Results come back in input order,
+// byte-identical to the same campaign served to fabric workers.
 func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
-	if c.Shards > 1 {
-		return dist.RunLocal(context.Background(), dist.Campaign{Env: c.Env(), Specs: grid},
-			dist.LocalOptions{Workers: c.Shards})
-	}
 	env := c.Env()
 	cfgs := make([]sim.RunConfig, len(grid))
 	for i := range grid {

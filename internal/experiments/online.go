@@ -116,7 +116,7 @@ func ShowdownCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 // showdownPolicies order; every improvement column is relative to the same
 // machine's sim.PolicyNone row. All runs of a machine share workload queues
 // per seed (the paper's comparison protocol) and sweep concurrently over
-// the shared artifact cache — or across the fabric when cfg.Shards > 1.
+// the shared artifact cache.
 func Showdown(cfg Config, machines []*amp.Machine) ([]ShowdownRow, error) {
 	if machines == nil {
 		machines = ShowdownMachines()

@@ -67,8 +67,7 @@ func WindowCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 }
 
 // WindowSweep sweeps the online detector's window size per policy against
-// per-seed baselines. The whole grid runs on the sweep engine, so
-// cfg.Shards fans it across fabric workers unchanged.
+// per-seed baselines. The whole grid runs on the sweep engine.
 func WindowSweep(cfg Config, windows []uint64, policies []sim.Policy) ([]WindowRow, error) {
 	if windows == nil {
 		windows = DefaultWindowGrid()

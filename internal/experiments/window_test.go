@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
+	"phasetune/internal/dist"
 	"phasetune/internal/sim"
 )
 
@@ -50,22 +52,26 @@ func TestWindowSweepShape(t *testing.T) {
 }
 
 // TestSweepShardsMatchesLocalPool is the experiments-layer determinism
-// check: the same grid through the fabric (Shards) and through the local
-// worker pool yields byte-identical results.
+// check: the same grid through the local worker pool (Config.sweep) and
+// sharded across in-process fabric workers yields byte-identical results.
 func TestSweepShardsMatchesLocalPool(t *testing.T) {
 	cfg := windowConfig(t)
 	grid := windowGrid(cfg, []uint64{8000}, []sim.Policy{sim.PolicyDynamicProbe})
 	grid = append(grid, showdownGrid(cfg)[:2]...) // add none + static cells
+	requireFabricMatchesSweep(t, cfg, grid)
+}
 
-	local := cfg
-	want, err := local.sweep(grid)
+// requireFabricMatchesSweep runs grid through cfg.sweep and through a
+// 2-worker dist.RunLocal fabric on the same campaign, and requires
+// byte-identical results.
+func requireFabricMatchesSweep(t *testing.T, cfg Config, grid []dist.Spec) {
+	t.Helper()
+	want, err := cfg.sweep(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := cfg
-	fabric.Cache = nil // workers bring their own caches
-	fabric.Shards = 2
-	got, err := fabric.sweep(grid)
+	got, err := dist.RunLocal(context.Background(), dist.Campaign{Env: cfg.Env(), Specs: grid},
+		dist.LocalOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

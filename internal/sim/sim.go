@@ -571,40 +571,30 @@ type IsolationResult struct {
 // IsolationSpec configures an isolation campaign: every suite benchmark
 // runs alone on the machine.
 type IsolationSpec struct {
-	Suite     []*workload.Benchmark
-	Machine   *amp.Machine
-	Cost      exec.CostModel
-	Sched     osched.Config
-	Mode      Mode
-	Params    transition.Params
-	Tuning    tuning.Config
-	Online    online.Config
-	Placement place.Config
-	Typing    phase.Options
-	Seed      uint64
+	Suite   []*workload.Benchmark
+	Machine *amp.Machine
+	Cost    exec.CostModel
+	Sched   osched.Config
+	// Mode is Baseline (the t_j reference times) or Tuned (Table 1's
+	// switch counts); any other mode is an error.
+	Mode   Mode
+	Params transition.Params
+	Tuning tuning.Config
+	Typing phase.Options
+	Seed   uint64
 	// Workers bounds concurrent isolation runs (<=1 means sequential).
 	Workers int
 	// Cache, when set, serves prepared images.
 	Cache *ImageCache
 }
 
-// Isolation runs each benchmark alone on the machine and returns per-name
-// results. mode selects baseline (for t_j reference times) or tuned (for
-// Table 1 switch counts).
-func Isolation(suite []*workload.Benchmark, machine *amp.Machine, cost exec.CostModel,
-	sched osched.Config, mode Mode, params transition.Params, tcfg tuning.Config,
-	topts phase.Options, seed uint64) (map[string]IsolationResult, error) {
-
-	return IsolationContext(context.Background(), IsolationSpec{
-		Suite: suite, Machine: machine, Cost: cost, Sched: sched, Mode: mode,
-		Params: params, Tuning: tcfg, Typing: topts, Seed: seed,
-	})
-}
-
 // IsolationContext runs the isolation campaign with cancellation, fanning
 // the suite across spec.Workers goroutines. Results are independent of the
 // worker count: each benchmark's run is a pure function of the spec.
 func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]IsolationResult, error) {
+	if spec.Mode != Baseline && spec.Mode != Tuned {
+		return nil, fmt.Errorf("sim: isolation runs baseline or tuned, not %v", spec.Mode)
+	}
 	machine := spec.Machine
 	if machine == nil {
 		machine = amp.Quad2Fast2Slow()
@@ -617,54 +607,29 @@ func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]Isola
 		topts.MinBlockInstrs = 5
 	}
 	tcfg := spec.Tuning
-	switch spec.Mode {
-	case Tuned:
-		tcfg.Mode = tuning.ModeTune
-	case Overhead:
-		tcfg.Mode = tuning.ModeAllCores
-	}
+	tcfg.Mode = tuning.ModeTune
 
-	onlCfg := spec.Online.Normalized()
 	results := make([]IsolationResult, len(spec.Suite))
 	runOne := func(b *workload.Benchmark) (IsolationResult, error) {
 		art, _, err := prepare(spec.Cache, b.Prog, ImageSpec{
-			Baseline: spec.Mode == Baseline || spec.Mode == Dynamic,
+			Baseline: spec.Mode == Baseline,
 			Params:   spec.Params, Typing: topts, ErrSeed: spec.Seed,
 		}, spec.Cost)
 		if err != nil {
 			return IsolationResult{}, fmt.Errorf("sim: isolation %s: %w", b.Name(), err)
 		}
 		img := art.Image
-		sched := spec.Sched
-		if spec.Mode == Dynamic || spec.Mode == Hybrid {
-			sched.MonitorIntervalSec = onlCfg.TickSec
-		}
-		kernel, err := osched.NewKernel(machine, spec.Cost, sched)
+		kernel, err := osched.NewKernel(machine, spec.Cost, spec.Sched)
 		if err != nil {
 			return IsolationResult{}, err
 		}
-		pcfg := spec.Placement.Normalized()
 		var hook exec.MarkHook
-		switch spec.Mode {
-		case Tuned, Overhead:
+		if spec.Mode == Tuned {
 			t := tuning.NewTuner(tcfg, machine, kernel.Hardware, img)
 			if tcfg.Spill {
-				eng := place.NewEngine(machine, tcfg.Delta, pcfg)
-				t.SetEngine(eng)
+				t.SetEngine(place.NewEngine(machine, tcfg.Delta, place.Config{}.Normalized()))
 			}
 			hook = t
-		case Dynamic:
-			kernel.Monitor = online.NewManager(onlCfg, pcfg, machine, kernel.Hardware)
-		case Hybrid:
-			hm := online.NewHybrid(onlCfg, pcfg, machine, kernel.Hardware)
-			kernel.Monitor = hm
-			hook = hm.Hook(img)
-		case Oracle:
-			masks, err := online.OracleAssignments(img, topts, spec.Cost, machine, tcfg.Delta)
-			if err != nil {
-				return IsolationResult{}, fmt.Errorf("sim: isolation oracle %s: %w", b.Name(), err)
-			}
-			hook = online.NewOracleHook(img, masks)
 		}
 		p := exec.NewProcess(kernel.NextPID(), img, &kernel.Cost, spec.Seed^uint64(len(b.Name())), hook)
 		task := kernel.Spawn(p, b.Name(), 0, 0)

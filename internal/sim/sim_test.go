@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -172,10 +173,20 @@ func TestIsolationTable(t *testing.T) {
 		t.Skip("isolation simulation")
 	}
 	s := suite(t)
-	iso, err := Isolation(s, amp.Quad2Fast2Slow(), exec.DefaultCostModel(),
-		osched.DefaultConfig(), Baseline, transition.Params{}, tuning.Config{}, phase.Options{}, 1)
+	spec := IsolationSpec{Suite: s, Machine: amp.Quad2Fast2Slow(), Cost: exec.DefaultCostModel(),
+		Sched: osched.DefaultConfig(), Mode: Baseline, Seed: 1}
+	iso, err := IsolationContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Isolation runs only the two modes its callers use; the rest must fail
+	// loudly instead of running as a silent baseline.
+	for _, mode := range []Mode{Overhead, Dynamic, Hybrid, Oracle, Mode(99)} {
+		bad := spec
+		bad.Mode = mode
+		if _, err := IsolationContext(context.Background(), bad); err == nil {
+			t.Errorf("isolation accepted mode %v", mode)
+		}
 	}
 	if len(iso) != len(s) {
 		t.Fatalf("isolation results for %d benchmarks, want %d", len(iso), len(s))

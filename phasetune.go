@@ -34,10 +34,10 @@
 //     perfect-knowledge oracle;
 //   - Session.Sweep, which fans a grid of RunSpecs across a bounded worker
 //     pool with deterministic, input-ordered results;
-//   - the distributed sweep fabric (Serve, Work, Session.SweepSharded, and
-//     the cmd/sweepd binary), which shards a campaign of serializable
-//     specs (RunSpec.Queues) across worker processes — leases, heartbeats,
-//     crash re-dispatch — and merges results byte-identically to a
+//   - the distributed sweep fabric (Serve, Work, and the cmd/sweepd
+//     binary), which shards a campaign of serializable specs
+//     (RunSpec.Queues) across worker processes — leases, heartbeats, crash
+//     re-dispatch — and merges results byte-identically to a
 //     single-process Sweep.
 //
 // The quickest way in:

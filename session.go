@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"phasetune/internal/dist"
 	"phasetune/internal/exec"
 	"phasetune/internal/perfcnt"
 	"phasetune/internal/sim"
@@ -237,17 +238,16 @@ type RunSpec struct {
 	// Queues describes the workload by its construction parameters
 	// (slots, queue length, seed) instead of a built queue set; the
 	// session builds it against its own suite. Queues-based specs are
-	// serializable, which is what distributed sweeps (Serve, SweepSharded)
-	// require.
+	// serializable, which is what the distributed fabric (Serve) requires.
 	Queues *WorkloadSpec
 	// Arrivals switches the run to the open-system serving form: instead of
 	// constant-size slot queues, jobs from the serving fleet arrive under
 	// the described process (Poisson, bursty, diurnal) and the run reports
 	// per-job sojourn times. Mutually exclusive with Workload and Queues;
 	// Seed drives both the arrival schedule and per-job process seeds.
-	// Arrivals-based specs are serializable, so they shard (Serve,
-	// SweepSharded) like Queues-based ones. Open systems usually want the
-	// overcommit dispatcher on — see WithOvercommit.
+	// Arrivals-based specs are serializable, so they shard (Serve) like
+	// Queues-based ones. Open systems usually want the overcommit
+	// dispatcher on — see WithOvercommit.
 	Arrivals *ArrivalSpec
 	// DurationSec is the run length in simulated seconds. For arrivals
 	// runs, keep it comfortably past ArrivalSpec.HorizonSec so admitted
@@ -272,23 +272,6 @@ type RunSpec struct {
 	Seed uint64
 }
 
-// lower resolves a spec's per-run overrides against the session defaults
-// and lowers its policy onto them (sim.Policy.Lower).
-func (s *Session) lower(spec RunSpec) (mode sim.Mode, params TechniqueParams, tcfg TuningConfig, ocfg OnlineConfig, pcfg PlacementConfig) {
-	params, tcfg, ocfg, pcfg = spec.Params, s.tuning, s.online, s.placement
-	if spec.Tuning != nil {
-		tcfg = *spec.Tuning
-	}
-	if spec.Online != nil {
-		ocfg = *spec.Online
-	}
-	if spec.Placement != nil {
-		pcfg = *spec.Placement
-	}
-	mode = spec.Policy.Lower(&params, &tcfg, &ocfg)
-	return mode, params, tcfg, ocfg, pcfg
-}
-
 // Suite returns the benchmark suite for the session's cost model and
 // machine, generated once per session and reused. Queues-based run specs
 // build their workloads against it.
@@ -299,63 +282,76 @@ func (s *Session) Suite() ([]*Benchmark, error) {
 	return s.suite, s.suiteErr
 }
 
-// runConfig lowers a spec onto the session environment.
-func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
-	mode, params, tcfg, ocfg, pcfg := s.lower(spec)
-	w := spec.Workload
-	var stream *workload.Stream
+// env is the session environment in wire form: what every run of the
+// session is lowered onto, locally or on a fabric worker.
+func (s *Session) env() dist.EnvSpec {
+	return dist.EnvSpec{Version: dist.SpecVersion, Machine: *s.machine, Cost: s.cost,
+		Sched: s.sched, Typing: s.typing, Ledger: s.ledger}
+}
+
+// wireSpec is the one lowering of a run spec onto the fabric's wire form:
+// it resolves the per-run overrides against the session defaults, lowers
+// the policy onto them (sim.Policy.Lower), and folds Arrivals into the
+// workload description. Local runs and fabric campaigns both go through
+// it, which is why a fabric's merged output is byte-identical to a local
+// Sweep. A built Workload has no wire form; its Spec carries zero Queues.
+func (s *Session) wireSpec(spec RunSpec) (dist.Spec, error) {
 	queues := spec.Queues
 	if spec.Arrivals != nil {
-		if w != nil || queues != nil {
-			return sim.RunConfig{}, fmt.Errorf("phasetune: RunSpec.Arrivals is mutually exclusive with Workload and Queues")
+		if spec.Workload != nil || queues != nil {
+			return dist.Spec{}, fmt.Errorf("phasetune: RunSpec.Arrivals is mutually exclusive with Workload and Queues")
 		}
 		queues = &WorkloadSpec{Seed: spec.Seed, Arrivals: spec.Arrivals}
 	}
-	if w == nil && queues != nil && queues.Arrivals != nil {
-		var err error
-		stream, err = queues.MaterializeOpen(s.cost, s.machine)
-		if err != nil {
-			return sim.RunConfig{}, err
-		}
-	} else if w == nil && queues != nil {
-		// Alternation-axis specs (Queues.Alternations > 0) generate the
-		// synthetic alternator and never touch the suite.
+	if spec.Workload == nil && queues == nil {
+		return dist.Spec{}, ErrNeedQueues
+	}
+	sp := dist.Spec{
+		DurationSec: spec.DurationSec, Params: spec.Params,
+		Tuning: s.tuning, Online: s.online, Placement: s.placement,
+		TypingError: spec.TypingError, Seed: spec.Seed,
+	}
+	if spec.Workload == nil {
+		sp.Queues = *queues
+	}
+	if spec.Tuning != nil {
+		sp.Tuning = *spec.Tuning
+	}
+	if spec.Online != nil {
+		sp.Online = *spec.Online
+	}
+	if spec.Placement != nil {
+		sp.Placement = *spec.Placement
+	}
+	sp.Mode = spec.Policy.Lower(&sp.Params, &sp.Tuning, &sp.Online)
+	return sp, nil
+}
+
+// runConfig lowers a spec onto the session environment through the wire
+// form, exactly as a fabric worker does, then attaches the session's
+// process-local memo and observers. Only a built Workload skips
+// materialization, and only suite-drawn workloads generate the suite.
+func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
+	sp, err := s.wireSpec(spec)
+	if err != nil {
+		return sim.RunConfig{}, err
+	}
+	var cfg sim.RunConfig
+	if spec.Workload != nil {
+		cfg = s.env().BuiltRunConfig(sp, spec.Workload, s.cache)
+	} else {
 		var suite []*Benchmark
-		if queues.Alternations <= 0 {
-			var err error
-			suite, err = s.Suite()
-			if err != nil {
+		if q := sp.Queues; q.Arrivals == nil && q.Alternations <= 0 && q.Fleet == "" {
+			if suite, err = s.Suite(); err != nil {
 				return sim.RunConfig{}, err
 			}
 		}
-		var err error
-		w, err = queues.Materialize(suite, s.cost, s.machine)
-		if err != nil {
+		if cfg, err = s.env().RunConfig(sp, suite, s.cache); err != nil {
 			return sim.RunConfig{}, err
 		}
 	}
-
-	cost := s.cost
-	sched := s.sched
-	return sim.RunConfig{
-		Machine: s.machine, Cost: &cost, Sched: &sched,
-		Workload:    w,
-		Stream:      stream,
-		DurationSec: spec.DurationSec,
-		Mode:        mode,
-		Params:      params,
-		Tuning:      tcfg,
-		Online:      ocfg,
-		Placement:   pcfg,
-		TypingOpts:  s.typing,
-		TypingError: spec.TypingError,
-		Seed:        spec.Seed,
-		Cache:       s.cache,
-		Memo:        s.memo,
-		Events:      s.events,
-		Trace:       s.tracer,
-		Ledger:      s.ledger,
-	}, nil
+	cfg.Memo, cfg.Events, cfg.Trace = s.memo, s.events, s.tracer
+	return cfg, nil
 }
 
 // RunContext executes one run with cancellation: the simulation polls ctx
