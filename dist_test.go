@@ -167,16 +167,30 @@ func TestQueuesSpecsRunLocally(t *testing.T) {
 }
 
 // TestServeAndWorkLoopback is the public fabric contract over loopback
-// HTTP: Serve coordinates, 1 to 3 Work goroutines execute (wire specs,
+// HTTP: Serve coordinates, two Work goroutines execute (wire specs,
 // per-worker caches, deterministic merge), and the merged results match a
 // local Sweep byte for byte.
 func TestServeAndWorkLoopback(t *testing.T) {
+	checkFabricMatchesSweep(t, 2)
+}
+
+// TestSweepShardedMatchesSweep pins that sharding a sweep does not change
+// it: the same grid served to one worker and to three Work goroutines
+// merges to Sweep's results.
+func TestSweepShardedMatchesSweep(t *testing.T) {
+	checkFabricMatchesSweep(t, 1, 3)
+}
+
+// checkFabricMatchesSweep serves shardedGrid to each worker count in turn
+// and compares the merged results with a local Sweep byte for byte.
+func checkFabricMatchesSweep(t *testing.T, workerCounts ...int) {
+	t.Helper()
 	specs := shardedGrid()
 	want, err := phasetune.NewSession().Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 3} {
+	for _, workers := range workerCounts {
 		got := serveLoopback(t, phasetune.NewSession(), specs, workers)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
