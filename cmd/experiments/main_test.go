@@ -20,9 +20,10 @@ var tiny = []string{"-quick", "-slots", "4", "-duration", "24", "-workers", "2"}
 // each side of the frontier.
 var breakdownAxes = []string{"-alts", "8,512", "-windows", "4000,16000"}
 
-// stdoutPins are sha256 digests of the printed tables of every campaign at
-// the tiny configuration. They pin the bytes a reader sees: a change to a
-// column, a format verb, a caption or a chart changes a digest.
+// stdoutPins are sha256 digests of the printed tables of every -run target
+// at the tiny configuration: each campaign, and each paper figure or check
+// printed outside the registry. They pin the bytes a reader sees: a change
+// to a column, a format verb, a caption or a chart changes a digest.
 var stdoutPins = []struct {
 	name string
 	args []string
@@ -37,6 +38,17 @@ var stdoutPins = []struct {
 	{"showdown-ledger", []string{"-run", "showdown", "-ledger"}, "cdba6b13931d65a17137fea3de1c30079f1d6b492f2031bc8fc765f7ee624409"},
 	{"serving-ledger", []string{"-run", "serving", "-ledger"}, "45275ab04827e7d478a9d1d928f30f045d16f6993e9f5dcd570911bb4d675c9f"},
 	{"breakdown-ledger", append([]string{"-run", "breakdown", "-ledger"}, breakdownAxes...), "040ff177061a50c84f9b568f714e3e552bebad0e0bcb76cd3100b84b19ecbee2"},
+	{"fig3", []string{"-run", "fig3"}, "807d70c8c09adbd83582a4277729509289d20a6db4a4bd9e439eed4af01578ff"},
+	{"fig4", []string{"-run", "fig4"}, "cb9935f17e40af48b27ae5c6caacc88167141dc9f7d881c1b2309b353c7e1e1a"},
+	{"table1", []string{"-run", "table1"}, "eba79c90829b59a001c6b8c88ca27a61ae9025dc6cce7791c6c9478784636c3a"},
+	{"fig5", []string{"-run", "fig5"}, "8a4f48278351aae7f82c00aa3d304bf8820eaa40aec68e5a1822ee7c1f780d03"},
+	{"fig6", []string{"-run", "fig6"}, "bcdb3e278b1a81dc6daf635dcb3c93baa39ba3b0ce42d4701fcca629e20d6eff"},
+	{"fig7", []string{"-run", "fig7"}, "68ef0e7010bf37683575c70403c661a39d7800319f51fbee3d456d8c2ebd2e7b"},
+	{"fig8", []string{"-run", "fig8"}, "c69a2a91acf5cf116bda36dbddffb42617f50e390e644a17e80e9804e5a03fb9"},
+	{"switchcost", []string{"-run", "switchcost"}, "8bc9c27bb296cb5b0c21660679200522c07f41b810f5ff7c8237607c84515b1c"},
+	{"typing", []string{"-run", "typing"}, "65799f0d27b8ed6369c75a63fbb67406e274b15194bb35e9e82287babcb5fad3"},
+	{"threecore", []string{"-run", "threecore"}, "db2b96b32a075705caf6d855694edab5d919046fe5825174f07b0bf7e2fb87df"},
+	{"ablations", []string{"-run", "ablations"}, "7f21a50f5bb8844b02b3148428c17048f07f8101e71cc5083abf5ffd764ced5a"},
 }
 
 func TestPrintedTablesPinned(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"phasetune/internal/instrument"
 	"phasetune/internal/isa"
 	"phasetune/internal/phase"
+	"phasetune/internal/place"
 	"phasetune/internal/prog"
 	"phasetune/internal/reuse"
 )
@@ -64,14 +65,13 @@ type Image struct {
 
 	blocks [][]blockInfo
 	entry  int32
-	memSig MemSig
+	memSig place.MemStats
 }
 
-// MemSig is an image's aggregate shared-cache pressure signature: the
-// statically estimated density of references reaching the shared L2 and
-// the reference-weighted reuse profile behind them. The placement engine's
-// contention pricing (place.MemStats) consumes it to project the marginal
-// stall of cache-group crowding.
+// MemSignature returns the image's aggregate shared-cache pressure
+// signature, precomputed at image build, in the form a placement Decision
+// carries (Decision.Mem): every runtime attaches this pointer as is, and
+// the engine only reads it. A nil image has no signature.
 //
 // The aggregate is instruction-weighted over static blocks, not dynamic
 // executions: loop-heavy phase bodies and cold utility code weigh by their
@@ -83,17 +83,12 @@ type Image struct {
 // phase-signature library of PAPERS.md's phase-distance mapping, or real
 // L2 miss counters) would sharpen it; the oracle already computes the
 // per-phase version from the same block data (online.OracleDecisions).
-type MemSig struct {
-	// L2RefsPerInstr is the expected references per retired instruction
-	// that miss the private L1 and reach the shared cache.
-	L2RefsPerInstr float64
-	// Profile is the reference-weighted aggregate reuse profile.
-	Profile reuse.Profile
+func (img *Image) MemSignature() *place.MemStats {
+	if img == nil {
+		return nil
+	}
+	return &img.memSig
 }
-
-// MemSignature returns the image's aggregate shared-cache signature,
-// precomputed at image build.
-func (img *Image) MemSignature() MemSig { return img.memSig }
 
 // NewImage precomputes an image for execution. bin may be nil to execute an
 // uninstrumented program; otherwise bin.Prog must equal p.
@@ -133,9 +128,10 @@ func NewImage(p *prog.Program, bin *instrument.Binary, cm CostModel) (*Image, er
 	return img, nil
 }
 
-// memSignature aggregates the per-block summaries into the image's MemSig.
-func memSignature(blocks [][]blockInfo) MemSig {
-	var sig MemSig
+// memSignature aggregates the per-block summaries into the image's
+// shared-cache signature.
+func memSignature(blocks [][]blockInfo) place.MemStats {
+	var sig place.MemStats
 	var instrs int64
 	var l1Miss float64
 	refs := 0

@@ -3,6 +3,7 @@ package experiments
 import (
 	"phasetune/internal/amp"
 	"phasetune/internal/cfg"
+	"phasetune/internal/dist"
 	"phasetune/internal/exec"
 	"phasetune/internal/instrument"
 	"phasetune/internal/isa"
@@ -310,18 +311,12 @@ type CounterContentionResult struct {
 
 // CounterContentionCheck runs one tuned workload with a small bounded pool.
 func CounterContentionCheck(cfg Config, slots int) (CounterContentionResult, error) {
-	sched := cfg.Sched
-	sched.CounterSlots = slots
-	w := workload.BuildWorkload(cfg.Suite, cfg.Slots, cfg.QueueLen, cfg.Seeds[0])
-	res, err := sim.Run(sim.RunConfig{
-		Machine: cfg.Machine, Cost: &cfg.Cost, Sched: &sched,
-		Workload: w, DurationSec: cfg.DurationSec, Mode: sim.Tuned,
-		Params: BestParams(), Tuning: cfg.Tuning, TypingOpts: cfg.Typing, Seed: cfg.Seeds[0],
-		Cache: cfg.cache(),
-	})
+	cfg.Sched.CounterSlots = slots
+	results, err := cfg.sweep([]dist.Spec{cfg.runCfg(sim.PolicyStatic, BestParams(), cfg.Tuning, 0, cfg.Seeds[0], cfg.DurationSec)})
 	if err != nil {
 		return CounterContentionResult{}, err
 	}
+	res := results[0]
 	marks := uint64(0)
 	for _, t := range res.Tasks {
 		marks += t.MarksExecuted
@@ -416,9 +411,8 @@ func AblationTemporal(cfg Config, resampleCycles uint64) ([]AblationRow, error) 
 	}
 	var avgs, tputs, mss []float64
 	for _, seed := range cfg.Seeds {
-		w := workload.BuildWorkload(cfg.Suite, cfg.Slots, cfg.QueueLen, seed)
 		base := bases[seed]
-		temporal, err := runTemporal(cfg, w, seed, resampleCycles)
+		temporal, err := runTemporal(cfg, seed, resampleCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -443,14 +437,15 @@ func AblationTemporal(cfg Config, resampleCycles uint64) ([]AblationRow, error) 
 	return out, nil
 }
 
-// runTemporal mirrors sim.Run with TemporalTuner hooks on uninstrumented
-// images.
-func runTemporal(cfg Config, w *workload.Workload, seed uint64, resampleCycles uint64) (*sim.Result, error) {
-	return sim.RunWithHook(sim.RunConfig{
-		Machine: cfg.Machine, Cost: &cfg.Cost, Sched: &cfg.Sched,
-		Workload: w, DurationSec: cfg.DurationSec, Mode: sim.Baseline, Seed: seed,
-		Cache: cfg.cache(),
-	}, func(k *osched.Kernel, img *exec.Image) exec.MarkHook {
+// runTemporal is the baseline cell of one seed with TemporalTuner hooks on
+// its uninstrumented images.
+func runTemporal(cfg Config, seed uint64, resampleCycles uint64) (*sim.Result, error) {
+	sp := cfg.runCfg(sim.PolicyNone, transition.Params{}, tuning.Config{}, 0, seed, cfg.DurationSec)
+	rc, err := cfg.Env().RunConfig(sp, cfg.Suite, cfg.cache())
+	if err != nil {
+		return nil, err
+	}
+	return sim.RunWithHook(rc, func(k *osched.Kernel, img *exec.Image) exec.MarkHook {
 		return NewTemporalTuner(cfg.Tuning, cfg.Machine, resampleCycles)
 	})
 }

@@ -171,11 +171,8 @@ func (h *hybridHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction
 	}
 	if dec := st.table.DecisionOf(int(pt)); dec != nil {
 		st.probing = false
-		m.engine.Enter(st.pid, *dec)
-		mask := m.engine.MaskFor(st.pid)
-		// Ledger attribution: the engine parking the task off its chosen
-		// type is a knowing spill, not a misprediction.
-		p.SetSpilled(mask != m.machine.TypeMask(dec.Choice))
+		mask, spilled := m.engine.Place(st.pid, *dec)
+		p.SetSpilled(spilled)
 		return m.request(st, mask)
 	}
 	// Unmeasured phase: probe. Not a capacity claim until decided.
@@ -287,7 +284,7 @@ func (m *Hybrid) record(st *hybridState, pt phase.Type, ct amp.CoreTypeID, ipc f
 		return
 	}
 	dec := m.engine.Decide(st.table.Means(key))
-	dec.Mem = memStatsOf(st.proc.Img)
+	dec.Mem = st.proc.Img.MemSignature()
 	st.table.SetDecision(key, dec)
 	if first {
 		m.stats.Decisions++
@@ -351,9 +348,8 @@ func (m *Hybrid) OnTick(k *osched.Kernel, atPs int64) {
 		if dec == nil {
 			continue
 		}
-		m.engine.Enter(st.pid, *dec)
-		mask := m.engine.MaskFor(st.pid)
-		st.proc.SetSpilled(mask != m.machine.TypeMask(dec.Choice))
+		mask, spilled := m.engine.Place(st.pid, *dec)
+		st.proc.SetSpilled(spilled)
 		m.apply(k, st, mask)
 	}
 }

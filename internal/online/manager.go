@@ -263,7 +263,7 @@ func (m *Manager) probe(k *osched.Kernel, ts *taskState) {
 		f[i], _ = ts.cls.TypeIPC(phase, amp.CoreTypeID(i))
 	}
 	dec := m.engine.Decide(f)
-	dec.Mem = memStatsOf(ts.task.Proc.Img)
+	dec.Mem = ts.task.Proc.Img.MemSignature()
 	ts.decisions[phase] = &dec
 	ts.probing = false
 	m.stats.Decisions++

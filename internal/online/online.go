@@ -33,9 +33,13 @@
 //
 // The package also houses the two mark-aware runtimes that bracket the
 // detector: Hybrid (marks give phase boundaries, windows keep refreshing
-// the per-phase IPC estimates; HybridConfig.Drift damps its re-decisions
-// to estimate movements above an ε threshold) and the perfect-knowledge
-// oracle hook (OracleAssignments), the showdown's upper bound.
+// its per-phase place.Table; HybridConfig.Drift damps its re-decisions to
+// estimate movements above an ε threshold) and the perfect-knowledge
+// oracle (OracleDecisions precomputed, OracleHook at marks), the
+// showdown's upper bound. All three turn evidence into masks through
+// internal/place alone: Engine.Decide fixes a decision, Engine.Place or
+// Engine.Arbitrate arbitrates it, and a decision carries the image's
+// exec.Image.MemSignature as is.
 package online
 
 import (

@@ -204,10 +204,12 @@ func TestUnboundedPoolNoDefers(t *testing.T) {
 
 // --- Oracle ---------------------------------------------------------------
 
-// TestOracleAssignmentsSplitTypes checks the oracle computes opposite
+// TestOracleDecisionsSplitTypes checks the oracle computes opposite
 // placements for a memory-bound and a compute-bound phase of an
-// alternating benchmark (the discriminating signal of the whole paper).
-func TestOracleAssignmentsSplitTypes(t *testing.T) {
+// alternating benchmark (the discriminating signal of the whole paper),
+// and that an engine-backed precompute fixes the same choices with the
+// spill-pricing rates and per-phase signature filled in.
+func TestOracleDecisionsSplitTypes(t *testing.T) {
 	machine := amp.Quad2Fast2Slow()
 	cm := exec.DefaultCostModel()
 	suite, err := workload.Suite(cm, machine)
@@ -229,15 +231,25 @@ func TestOracleAssignmentsSplitTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks, err := online.OracleAssignments(img, topts, cm, machine, 0.06)
+	decs, err := online.OracleDecisions(img, topts, cm, machine, 0.06, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	distinct := map[uint64]bool{}
-	for _, m := range masks {
-		distinct[m] = true
+	distinct := map[amp.CoreTypeID]bool{}
+	for _, dec := range decs {
+		distinct[dec.Choice] = true
 	}
 	if len(distinct) < 2 {
-		t.Fatalf("oracle assignments %v use %d distinct masks, want both core types", masks, len(distinct))
+		t.Fatalf("oracle decisions %v use %d distinct core types, want both", decs, len(distinct))
+	}
+	priced, err := online.OracleDecisions(img, topts, cm, machine, 0.06, place.NewEngine(machine, 0.06, place.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pt, dec := range decs {
+		got := priced[pt]
+		if got.Choice != dec.Choice || len(got.Rates) != len(machine.Types) || got.Mem == nil || *got.Mem != *dec.Mem {
+			t.Errorf("phase %d: engine-backed decision %+v, plain %+v", pt, got, dec)
+		}
 	}
 }

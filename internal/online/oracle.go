@@ -8,32 +8,25 @@ import (
 	"phasetune/internal/reuse"
 )
 
-// memStatsOf converts an image's shared-cache signature into the engine's
-// MemStats, the form Decision.Mem carries. All three runtime consumers
-// (tuner spill, online probe, hybrid refresh) attach it through this one
-// helper so the engine prices every policy from the same signature.
-func memStatsOf(img *exec.Image) *place.MemStats {
-	if img == nil {
-		return nil
-	}
-	sig := img.MemSignature()
-	return &place.MemStats{L2RefsPerInstr: sig.L2RefsPerInstr, Profile: sig.Profile}
-}
-
-// oracleRow is one phase type's perfect-knowledge estimate: per-core-type
-// IPC plus the phase's shared-cache pressure, both instruction-weighted
-// over the phase's blocks.
-type oracleRow struct {
-	ipc []float64
-	mem place.MemStats
-}
-
-// oracleTables computes the per-phase-type estimates behind both oracle
-// forms: for every typed block, the static per-block IPC estimate on each
-// core type (exec.BlockIPC at the solo L2 share) and the block's shared-
-// cache reference density, instruction-weighted into per-phase rows.
-func oracleTables(img *exec.Image, topts phase.Options, cm exec.CostModel,
-	m *amp.Machine) (map[phase.Type]*oracleRow, error) {
+// OracleDecisions computes the perfect-knowledge placement of an
+// instrumented image: for every phase type, the instruction-weighted mean
+// of the static per-block IPC estimate on each core type (exec.BlockIPC at
+// the solo L2 share) feeds the paper's Algorithm 2, and the phase's own
+// shared-cache signature — sharper than the image-level aggregate the
+// runtime policies carry, as befits a clairvoyant baseline — rides along
+// as Decision.Mem. The oracle is the upper bound of the showdown:
+// placements are exact from the first mark, with zero monitoring overhead
+// and zero misprediction.
+//
+// With eng nil the choice is place.Select at delta. Contention-priced runs
+// pass the run-wide engine, whose Decide adds the spill-pricing rates its
+// arbitration needs (delta is then the engine's own).
+//
+// The image must have been instrumented under the same typing options with
+// no injected clustering error (block typing is re-derived here and must
+// match the mark types the instrumenter embedded).
+func OracleDecisions(img *exec.Image, topts phase.Options, cm exec.CostModel,
+	m *amp.Machine, delta float64, eng *place.Engine) (map[phase.Type]place.Decision, error) {
 
 	typing, err := phase.ClusterBlocks(img.Prog, img.Graphs, topts)
 	if err != nil {
@@ -81,135 +74,70 @@ func oracleTables(img *exec.Image, topts phase.Options, cm exec.CostModel,
 		}
 	}
 
-	out := make(map[phase.Type]*oracleRow, len(accs))
+	out := make(map[phase.Type]place.Decision, len(accs))
 	for pt, a := range accs {
 		if a.w <= 0 {
 			continue
 		}
-		row := &oracleRow{ipc: make([]float64, len(a.ipcW))}
-		for t := range row.ipc {
-			row.ipc[t] = a.ipcW[t] / a.w
+		ipc := make([]float64, len(a.ipcW))
+		for t := range ipc {
+			ipc[t] = a.ipcW[t] / a.w
 		}
-		row.mem = place.MemStats{L2RefsPerInstr: a.l2W / a.w, Profile: a.prof}
-		out[pt] = row
-	}
-	return out, nil
-}
-
-// OracleAssignments computes the perfect-knowledge placement for an
-// instrumented image: for every phase type, the instruction-weighted mean
-// of the static per-block IPC estimate on each core type feeds the paper's
-// Algorithm 2, yielding the mask a clairvoyant runtime would pin the phase
-// to. The oracle is the upper bound of the showdown: placements are exact
-// from the first mark, with zero monitoring overhead and zero misprediction.
-//
-// The image must have been instrumented under the same typing options with
-// no injected clustering error (block typing is re-derived here and must
-// match the mark types the instrumenter embedded).
-func OracleAssignments(img *exec.Image, topts phase.Options, cm exec.CostModel,
-	m *amp.Machine, delta float64) (map[phase.Type]uint64, error) {
-
-	rows, err := oracleTables(img, topts, cm, m)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[phase.Type]uint64, len(rows))
-	for pt, row := range rows {
-		out[pt] = m.TypeMask(place.Select(m, row.ipc, delta))
-	}
-	return out, nil
-}
-
-// OracleDecisions is the engine-backed oracle form: the same perfect
-// per-phase estimates, fixed into full engine Decisions (Algorithm 2 choice,
-// spill-pricing rates, and the phase's *per-phase* shared-cache signature —
-// sharper than the image-level aggregate the runtime policies carry, as
-// befits a clairvoyant baseline). Contention-priced oracle runs register
-// these through a shared engine so even the upper bound pays for cache-group
-// crowding; unpriced runs keep the plain mask path (OracleAssignments).
-func OracleDecisions(eng *place.Engine, img *exec.Image, topts phase.Options,
-	cm exec.CostModel, m *amp.Machine) (map[phase.Type]place.Decision, error) {
-
-	rows, err := oracleTables(img, topts, cm, m)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[phase.Type]place.Decision, len(rows))
-	for pt, row := range rows {
-		dec := eng.Decide(row.ipc)
-		mem := row.mem
-		dec.Mem = &mem
+		var dec place.Decision
+		if eng != nil {
+			dec = eng.Decide(ipc)
+		} else {
+			dec = place.Decision{Choice: place.Select(m, ipc, delta)}
+		}
+		dec.Mem = &place.MemStats{L2RefsPerInstr: a.l2W / a.w, Profile: a.prof}
 		out[pt] = dec
 	}
 	return out, nil
 }
 
 // OracleHook is the per-process mark hook of oracle runs: every phase mark
-// resolves to its precomputed mask instantly — no sampling, no counters, no
-// decision latency. It implements exec.MarkHook.
+// resolves to its precomputed decision instantly — no sampling, no
+// counters, no decision latency. Without an engine the mark pins the
+// section to every core of the chosen type; with the contention-priced
+// run's shared engine the decision is a capacity claim, and the mask comes
+// out of its arbitration — quota spills, contention pricing, and relief
+// included. It implements exec.MarkHook.
 type OracleHook struct {
-	img   *exec.Image
-	masks map[phase.Type]uint64
+	machine *amp.Machine
+	eng     *place.Engine
+	img     *exec.Image
+	decs    map[phase.Type]place.Decision
 	// SwitchRequests counts affinity calls issued (diagnostics).
 	SwitchRequests int
 }
 
-// NewOracleHook builds the hook from precomputed assignments (one shared
-// map serves every process executing the same image).
-func NewOracleHook(img *exec.Image, masks map[phase.Type]uint64) *OracleHook {
-	return &OracleHook{img: img, masks: masks}
+// NewOracleHook builds the hook; decs is the image's OracleDecisions table
+// (one map serves every process executing the image), eng the run-wide
+// engine of a contention-priced run or nil.
+func NewOracleHook(m *amp.Machine, eng *place.Engine, img *exec.Image, decs map[phase.Type]place.Decision) *OracleHook {
+	return &OracleHook{machine: m, eng: eng, img: img, decs: decs}
 }
 
 // OnMark implements exec.MarkHook.
 func (h *OracleHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction {
-	mask, ok := h.masks[h.img.MarkType(markID)]
-	if !ok {
-		return exec.MarkAction{}
-	}
-	h.SwitchRequests++
-	return exec.MarkAction{Mask: mask}
-}
-
-// OnExit implements exec.MarkHook.
-func (h *OracleHook) OnExit(p *exec.Process) {}
-
-// OracleEngineHook is the contention-priced oracle's mark hook: phase marks
-// register the precomputed Decision as a capacity claim on one engine
-// shared by every process of the run, and the affinity mask comes out of
-// the engine's arbitration — quota spills, contention pricing, and relief
-// included. It implements exec.MarkHook.
-type OracleEngineHook struct {
-	eng  *place.Engine
-	img  *exec.Image
-	decs map[phase.Type]place.Decision
-	// SwitchRequests counts affinity calls issued (diagnostics).
-	SwitchRequests int
-}
-
-// NewOracleEngineHook builds the engine-backed hook; decs is the image's
-// OracleDecisions table (shared across the image's processes), eng the
-// run-wide oracle engine.
-func NewOracleEngineHook(eng *place.Engine, img *exec.Image, decs map[phase.Type]place.Decision) *OracleEngineHook {
-	return &OracleEngineHook{eng: eng, img: img, decs: decs}
-}
-
-// OnMark implements exec.MarkHook.
-func (h *OracleEngineHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction {
 	dec, ok := h.decs[h.img.MarkType(markID)]
 	if !ok {
 		return exec.MarkAction{}
 	}
-	h.eng.Enter(p.PID, dec)
-	mask := h.eng.MaskFor(p.PID)
-	// Ledger attribution: arbitration overriding the oracle's own choice
-	// is a knowing spill, not a misprediction.
-	p.SetSpilled(mask != h.eng.Capacity().Machine().TypeMask(dec.Choice))
 	h.SwitchRequests++
+	if h.eng == nil {
+		return exec.MarkAction{Mask: h.machine.TypeMask(dec.Choice)}
+	}
+	mask, spilled := h.eng.Place(p.PID, dec)
+	p.SetSpilled(spilled)
 	return exec.MarkAction{Mask: mask}
 }
 
 // OnExit implements exec.MarkHook: withdraw the process's capacity claim.
-func (h *OracleEngineHook) OnExit(p *exec.Process) {
+func (h *OracleHook) OnExit(p *exec.Process) {
+	if h.eng == nil {
+		return
+	}
 	h.eng.Leave(p.PID)
 	p.SetSpilled(false)
 }

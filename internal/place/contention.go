@@ -109,10 +109,11 @@ func (c ContentionConfig) Normalized() ContentionConfig {
 	return c
 }
 
-// MemStats is a phase's shared-cache pressure signature, attached to a
-// Decision by the consumer that fixed it (all three runtimes derive it from
-// the image's MemSignature). The engine reads it only under contention
-// pricing; decisions without it are treated as cache-neutral.
+// MemStats is a shared-cache pressure signature, attached to a Decision by
+// the consumer that fixed it: the runtimes attach the whole image's
+// (exec.Image.MemSignature returns this type), the oracle one per phase.
+// The engine reads it only under contention pricing; decisions without it
+// are treated as cache-neutral.
 type MemStats struct {
 	// L2RefsPerInstr is the expected number of references per retired
 	// instruction that miss the private L1 and reach the shared cache.

@@ -3,33 +3,38 @@
 // model, and the capacity-aware spill arbitration that every placement
 // consumer in the system shares.
 //
-// Three runtimes make placement decisions — the static phase-mark runtime
-// (internal/tuning), the online phase detector (internal/online), and the
-// marks+windows hybrid (online.Hybrid) — and they differ only in *how* the
-// per-(phase, core-type) IPC estimates are obtained: representative-section
-// sampling at marks, windowed counter sampling on ticks, or marks for
-// boundaries with windows for refresh. What they do with those estimates is
-// one algorithm, and it lives here:
+// Four runtimes make placement decisions — the static phase-mark runtime
+// (internal/tuning), the online phase detector (internal/online), the
+// marks+windows hybrid (online.Hybrid), and the perfect-knowledge oracle —
+// and they differ only in *how* the per-(phase, core-type) IPC estimates
+// are obtained: representative-section sampling at marks, windowed counter
+// sampling on ticks, marks for boundaries with windows for refresh, or the
+// static cost model. What they do with those estimates is one algorithm,
+// and it lives here:
 //
-//	IPC per core type ──Decide──▶ Decision{Choice, Rates}
+//	IPC per core type ──Decide──▶ Decision{Choice, Rates, Mem}
 //	                                    │ (per-task claims)
-//	       claims ──Arbitrate──▶ per-task core types under capacity quotas
+//	  claim ──Place──▶ arbitrated mask + spilled?   (mark-driven runtimes)
+//	  claims ──Arbitrate──▶ per-task core types      (the detector's tick)
 //
 // Decide is Algorithm 2 (Select) plus the per-type instruction rates the
 // arbitration prices spills with. Arbitrate treats per-task choices as
 // demands and spills overflow beyond a core type's cycle-capacity share —
 // cheapest task first, where "cheap" is the measured rate lost by running on
 // the spill target (a DRAM-bound task loses ~nothing on a fast core, so
-// memory phases spill to idle fast cores first). Feeding identical IPC
-// tables through any consumer therefore produces identical placements — the
-// property internal/place/place_test.go pins down.
+// memory phases spill to idle fast cores first). Place is the claim step
+// over registered tasks: enter the decision, read the arbitrated mask, and
+// learn whether it holds the task off its own choice. Feeding identical
+// IPC tables through any consumer therefore produces identical placements
+// — the property internal/place/place_test.go pins down.
 //
-// Table is the shared per-phase decision table behind the consumers'
-// estimates: running per-(phase, core-type) IPC means plus the fixed
-// Decision. It snapshots the means each decision was fixed from, and
-// Table.Drift prices how far later samples have moved them — the signal
-// the hybrid's re-decision damping (online.HybridConfig.Drift) thresholds
-// so estimate jitter refreshes data without re-entering Decide.
+// Table is the per-phase evidence table the static tuner and the hybrid
+// accumulate into: running per-(phase, core-type) IPC means, the
+// least-measured probe target, and the fixed Decision. It snapshots the
+// means each decision was fixed from, and Table.Drift prices how far later
+// samples have moved them — the signal the hybrid's re-decision damping
+// (online.HybridConfig.Drift) thresholds so estimate jitter refreshes data
+// without re-entering Decide.
 //
 // The package is pure decision math over an amp.Machine: it has no
 // dependency on the simulator, scheduler, or counter layers, which is what
@@ -247,23 +252,6 @@ type Claim struct {
 	HasPrev bool
 }
 
-// Placer is the placement-engine interface shared by the static marks
-// runtime, the online detector, and the hybrid policy: fix per-phase
-// decisions from measured IPC, register per-task claims, and read arbitrated
-// affinity masks. Engine is the only implementation; the interface exists so
-// runtimes depend on the contract, not the struct.
-type Placer interface {
-	// Decide fixes a phase's placement from per-core-type IPC.
-	Decide(ipc []float64) Decision
-	// Enter registers (or refreshes) a task's active decision under id.
-	Enter(id int, dec Decision)
-	// Leave withdraws a task's claim (process exit, phase under probe).
-	Leave(id int)
-	// MaskFor returns the arbitrated affinity mask for a registered task
-	// (0 when the id holds no claim).
-	MaskFor(id int) uint64
-}
-
 // claim is one registered task's arbitration state.
 type claim struct {
 	dec      Decision
@@ -310,8 +298,8 @@ func (e *Engine) Capacity() *Capacity { return e.capacity }
 // reads tracer state, so placements are identical with or without it.
 func (e *Engine) SetTracer(tr *trace.Tracer) { e.tr = tr }
 
-// Decide implements Placer: Algorithm 2 over the measured IPC vector plus
-// the per-type instruction rates arbitration prices spills with.
+// Decide fixes a phase's placement: Algorithm 2 over the measured IPC
+// vector plus the per-type instruction rates arbitration prices spills with.
 func (e *Engine) Decide(ipc []float64) Decision {
 	rates := make([]float64, len(ipc))
 	for i := range ipc {
@@ -329,7 +317,8 @@ func (e *Engine) Decide(ipc []float64) Decision {
 	return dec
 }
 
-// Enter implements Placer. A refreshed decision with an unchanged
+// Enter registers (or refreshes) a task's active decision under id. A
+// refreshed decision with an unchanged
 // Algorithm 2 choice updates the spill-pricing rates in place without
 // forcing a global re-arbitration: window-refreshed estimates drift a
 // little every sample, and re-arbitrating on each drift would churn
@@ -348,7 +337,7 @@ func (e *Engine) Enter(id int, dec Decision) {
 	e.dirty = true
 }
 
-// Leave implements Placer.
+// Leave withdraws a task's claim (process exit, phase under probe).
 func (e *Engine) Leave(id int) {
 	if _, ok := e.claims[id]; !ok {
 		return
@@ -363,8 +352,9 @@ func (e *Engine) Leave(id int) {
 	e.dirty = true
 }
 
-// MaskFor implements Placer: the arbitrated type-level affinity mask of a
-// registered task, re-running arbitration first if claims changed.
+// MaskFor returns the arbitrated type-level affinity mask of a registered
+// task (0 when the id holds no claim), re-running arbitration first if
+// claims changed.
 func (e *Engine) MaskFor(id int) uint64 {
 	c, ok := e.claims[id]
 	if !ok {
@@ -374,6 +364,16 @@ func (e *Engine) MaskFor(id int) uint64 {
 		e.rebalance()
 	}
 	return e.capacity.machine.TypeMask(c.assigned)
+}
+
+// Place is the claim step every mark-driven runtime takes: it enters id's
+// decision, reads the arbitrated mask, and reports whether arbitration
+// holds the task off dec.Choice — a knowing spill, which the cycle ledger
+// charges apart from misprediction.
+func (e *Engine) Place(id int, dec Decision) (mask uint64, spilled bool) {
+	e.Enter(id, dec)
+	mask = e.MaskFor(id)
+	return mask, mask != e.capacity.machine.TypeMask(dec.Choice)
 }
 
 // rebalance arbitrates all registered claims in registration order.

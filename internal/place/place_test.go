@@ -185,7 +185,7 @@ func TestArbitrateSpillsCheapestFromHerd(t *testing.T) {
 //
 //   - dynamic shape: per-tick slice arbitration (Manager.probeRebalance);
 //   - static shape:  claims registered per process in PID order, masks
-//     read back at marks (Tuner.maskFor via Enter/MaskFor);
+//     read back at marks (Engine.Place, which is Enter then MaskFor);
 //   - hybrid shape:  claims registered at boundaries in first-mark order,
 //     masks re-read on the monitor tick (Hybrid.OnTick).
 func TestCrossPathPlacementParity(t *testing.T) {
@@ -264,9 +264,37 @@ func TestEngineClaimLifecycle(t *testing.T) {
 	e.Leave(99)
 }
 
-// TestEngineImplementsPlacer pins the interface contract at compile time.
-func TestEngineImplementsPlacer(t *testing.T) {
-	var _ Placer = NewEngine(quad(), 0.06, Config{})
+// TestEnginePlace pins the claim step: Place enters the decision, returns
+// the arbitrated mask, and reports a spill exactly when that mask is not
+// the decision's own type.
+func TestEnginePlace(t *testing.T) {
+	m := quad()
+	e := NewEngine(m, 0.06, Config{})
+	mem := e.Decide([]float64{0.4, 0.7})
+	if mem.Choice != amp.SlowType {
+		t.Fatalf("memory-bound decision chose %d, want slow", mem.Choice)
+	}
+	slowMask := m.TypeMask(amp.SlowType)
+	if mask, spilled := e.Place(1, mem); mask != slowMask || spilled {
+		t.Fatalf("lone slow claim: mask %b spilled %v, want %b unspilled", mask, spilled, slowMask)
+	}
+	// Three slow claims overflow the slow pair's quota (1 of 3, band 1),
+	// so arbitration parks exactly one of them on the fast pair.
+	e.Place(2, mem)
+	e.Place(3, mem)
+	spills := 0
+	for id := 1; id <= 3; id++ {
+		mask, spilled := e.Place(id, mem)
+		if spilled != (mask != slowMask) {
+			t.Errorf("claim %d: mask %b but spilled %v", id, mask, spilled)
+		}
+		if spilled {
+			spills++
+		}
+	}
+	if spills != 1 {
+		t.Errorf("%d claims spilled, want 1", spills)
+	}
 }
 
 // TestTableDriftTracksDecisionBaseline pins the drift metric the hybrid's

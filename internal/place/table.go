@@ -6,11 +6,12 @@ import (
 	"phasetune/internal/amp"
 )
 
-// Table is the per-phase decision table every placement consumer
-// accumulates into: running per-(phase, core-type) IPC means plus the fixed
-// Decision once enough evidence exists. Phases are opaque small integers —
-// the static runtime keys by phase.Type, the online runtimes by cluster or
-// mark-declared phase index.
+// Table is the per-phase evidence table the mark-driven runtimes
+// accumulate into: running per-(phase, core-type) IPC means plus the fixed
+// Decision once enough evidence exists. The static tuner and the hybrid
+// both key it by the mark-declared phase.Type, probe with LeastMeasured,
+// and decide once Ready; the online detector's classifier keeps its own
+// incremental means instead.
 type Table struct {
 	numTypes int
 	rows     map[int]*tableRow

@@ -284,16 +284,15 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	}
 	if cfg.Mode == Oracle {
 		// The oracle is perfect knowledge by definition: injected clustering
-		// error never reaches its images (OracleAssignments re-derives clean
+		// error never reaches its images (OracleDecisions re-derives clean
 		// typing and requires the mark types to match it).
 		spec.ErrFrac = 0
 	}
 	images := map[*workload.Benchmark]*exec.Image{}
-	oracleMasks := map[*exec.Image]map[phase.Type]uint64{}
 	// Contention-priced oracle runs register claims on one run-wide engine
 	// (built from the same normalized placement config every other
-	// engine-backed mode uses); the plain mask path stays untouched — and
-	// byte-identical — when pricing is off.
+	// engine-backed mode uses); unpriced oracle marks pin to the chosen
+	// type without one.
 	pcfg := cfg.Placement.Normalized()
 	var oracleEng *place.Engine
 	oracleDecs := map[*exec.Image]map[phase.Type]place.Decision{}
@@ -323,19 +322,11 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 			images[b] = art.Image
 			res.Images[b.Name()] = art.Stats
 			if cfg.Mode == Oracle {
-				if oracleEng != nil {
-					decs, err := online.OracleDecisions(oracleEng, art.Image, topts, cost, machine)
-					if err != nil {
-						return nil, fmt.Errorf("sim: oracle %s: %w", b.Name(), err)
-					}
-					oracleDecs[art.Image] = decs
-				} else {
-					masks, err := online.OracleAssignments(art.Image, topts, cost, machine, cfg.Tuning.Delta)
-					if err != nil {
-						return nil, fmt.Errorf("sim: oracle %s: %w", b.Name(), err)
-					}
-					oracleMasks[art.Image] = masks
+				decs, err := online.OracleDecisions(art.Image, topts, cost, machine, cfg.Tuning.Delta, oracleEng)
+				if err != nil {
+					return nil, fmt.Errorf("sim: oracle %s: %w", b.Name(), err)
 				}
+				oracleDecs[art.Image] = decs
 			}
 			if cfg.Events.OnImage != nil {
 				cfg.Events.OnImage(b.Name(), art.Stats, cached)
@@ -420,11 +411,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 			t.SetTracer(cfg.Trace)
 			hook = t
 		case cfg.Mode == Oracle:
-			if oracleEng != nil {
-				hook = online.NewOracleEngineHook(oracleEng, img, oracleDecs[img])
-			} else {
-				hook = online.NewOracleHook(img, oracleMasks[img])
-			}
+			hook = online.NewOracleHook(machine, oracleEng, img, oracleDecs[img])
 		case cfg.Mode == Hybrid:
 			hook = hybrid.Hook(img)
 		}

@@ -6,7 +6,6 @@ import (
 	"phasetune/internal/amp"
 	"phasetune/internal/exec"
 	"phasetune/internal/perfcnt"
-	"phasetune/internal/phase"
 )
 
 // TestOnQuantumClosesLongSections verifies the bounded-monitoring extension:
@@ -36,7 +35,7 @@ func TestOnQuantumClosesLongSections(t *testing.T) {
 	if !tu.Decided(0) {
 		t.Fatal("quantum-closed sections never produced a decision")
 	}
-	if got := tu.Decisions[phase.Type(0)]; got != amp.FastType {
+	if got := choice(tu, 0); got != amp.FastType {
 		t.Errorf("compute-like section assigned to %d, want fast", got)
 	}
 	if hw.InUse() != 0 {
@@ -102,8 +101,8 @@ func TestOnQuantumSteersDecidedSections(t *testing.T) {
 	if !tu.Decided(0) {
 		t.Fatal("no decision")
 	}
-	if tu.Decisions[phase.Type(0)] != amp.SlowType {
-		t.Errorf("memory-like section assigned %d, want slow", tu.Decisions[phase.Type(0)])
+	if choice(tu, 0) != amp.SlowType {
+		t.Errorf("memory-like section assigned %d, want slow", choice(tu, 0))
 	}
 	if lastMask != m.TypeMask(amp.SlowType) {
 		t.Errorf("last steering mask = %b, want slow type mask", lastMask)

@@ -32,8 +32,6 @@ const (
 	// cores — the paper's time-overhead measurement (§IV-B2): marks run,
 	// affinity API is exercised, but placement never changes.
 	ModeAllCores
-	// ModeOff executes marks with their cost but takes no action.
-	ModeOff
 )
 
 // Config parameterizes the tuner.
@@ -89,18 +87,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// typeTable is the per-phase-type measurement and decision state.
-type typeTable struct {
-	samples [][]float64 // per core type: measured IPCs
-	counts  []int
-	decided bool
-	target  amp.CoreTypeID
-	mask    uint64
-	// dec is the engine decision when spill arbitration is on (nil
-	// otherwise): masks then come from the shared engine, not mask.
-	dec *place.Decision
-}
-
 // monitorState is an in-flight representative-section measurement.
 type monitorState struct {
 	active   bool
@@ -121,7 +107,9 @@ type Tuner struct {
 	engine *place.Engine
 	pid    int
 
-	tables  map[phase.Type]*typeTable
+	// table accumulates representative-section IPC per (phase type, core
+	// type) and holds each phase type's Decision once it is fixed.
+	table   *place.Table
 	cur     phase.Type
 	mon     monitorState
 	allMask uint64
@@ -132,8 +120,6 @@ type Tuner struct {
 	SwitchRequests int
 	// SamplesTaken counts accepted monitoring samples.
 	SamplesTaken int
-	// Decisions records the final core-type choice per phase type.
-	Decisions map[phase.Type]amp.CoreTypeID
 }
 
 // markTable resolves mark IDs to phase types; exec.Image satisfies it.
@@ -152,14 +138,13 @@ func NewTuner(cfg Config, machine *amp.Machine, hw *perfcnt.Hardware, marks mark
 		cfg.SamplesPerType = 1
 	}
 	return &Tuner{
-		cfg:       cfg,
-		machine:   machine,
-		hw:        hw,
-		marks:     marks,
-		tables:    map[phase.Type]*typeTable{},
-		cur:       phase.Untyped,
-		allMask:   machine.AllMask(),
-		Decisions: map[phase.Type]amp.CoreTypeID{},
+		cfg:     cfg,
+		machine: machine,
+		hw:      hw,
+		marks:   marks,
+		table:   place.NewTable(len(machine.Types)),
+		cur:     phase.Untyped,
+		allMask: machine.AllMask(),
 	}
 }
 
@@ -175,25 +160,17 @@ func (tu *Tuner) spilling() bool { return tu.engine != nil && tu.cfg.Spill }
 // arbitrated mask under spill, the fixed pin otherwise. The ledger learns
 // whether arbitration parked the process off its chosen type, so asymmetry
 // loss under a knowing spill is charged to the spill category.
-func (tu *Tuner) maskFor(p *exec.Process, tbl *typeTable) uint64 {
-	if tu.spilling() && tbl.dec != nil {
-		tu.engine.Enter(tu.pid, *tbl.dec)
-		mask := tu.engine.MaskFor(tu.pid)
-		p.SetSpilled(mask != tu.machine.TypeMask(tbl.dec.Choice))
+func (tu *Tuner) maskFor(p *exec.Process, dec *place.Decision) uint64 {
+	if !tu.spilling() {
+		mask := tu.machine.TypeMask(dec.Choice)
+		if tu.cfg.PinSingleCore {
+			mask &= -mask // the type's lowest-numbered core
+		}
 		return mask
 	}
-	return tbl.mask
-}
-
-// table returns (allocating) the state for a phase type.
-func (tu *Tuner) table(pt phase.Type) *typeTable {
-	t, ok := tu.tables[pt]
-	if !ok {
-		n := len(tu.machine.Types)
-		t = &typeTable{samples: make([][]float64, n), counts: make([]int, n)}
-		tu.tables[pt] = t
-	}
-	return t
+	mask, spilled := tu.engine.Place(tu.pid, *dec)
+	p.SetSpilled(spilled)
+	return mask
 }
 
 // OnMark implements exec.MarkHook: the executable payload of a phase mark.
@@ -206,11 +183,7 @@ func (tu *Tuner) OnMark(p *exec.Process, markID int, coreID int) exec.MarkAction
 		tu.finishMonitor(p)
 	}
 
-	switch tu.cfg.Mode {
-	case ModeOff:
-		tu.cur = pt
-		return exec.MarkAction{}
-	case ModeAllCores:
+	if tu.cfg.Mode == ModeAllCores {
 		tu.cur = pt
 		tu.SwitchRequests++
 		return exec.MarkAction{Mask: tu.allMask}
@@ -220,54 +193,40 @@ func (tu *Tuner) OnMark(p *exec.Process, markID int, coreID int) exec.MarkAction
 		return exec.MarkAction{} // no transition: nothing to do
 	}
 	tu.cur = pt
-	tbl := tu.table(pt)
 
-	if tbl.decided {
+	if dec := tu.table.DecisionOf(int(pt)); dec != nil {
 		tu.SwitchRequests++
-		return exec.MarkAction{Mask: tu.maskFor(p, tbl)}
+		return exec.MarkAction{Mask: tu.maskFor(p, dec)}
 	}
-
-	// Still sampling: steer this representative section to the core type
-	// with the fewest samples and start monitoring there if a counter event
-	// set is free. If none is free we still steer, and sample next time
-	// (the paper waits on counters; the deferral is counted by perfcnt).
 	// An undecided phase is not a capacity claim — probing overrides
 	// arbitration until the decision lands.
 	if tu.spilling() {
 		tu.engine.Leave(p.PID)
 		p.SetSpilled(false)
 	}
-	ct := tu.nextProbe(tbl, p.PID)
-	mask := tu.machine.TypeMask(ct)
+	return tu.probe(p, pt)
+}
+
+// probe steers a representative section of an undecided phase type to the
+// core type with the fewest samples and starts monitoring there if a
+// counter event set is free. If none is free it still steers, and samples
+// next time (the paper waits on counters; the deferral is counted by
+// perfcnt). Ties resolve round-robin from a PID-derived offset so that
+// concurrently monitoring processes spread their representative sections
+// across core types instead of all probing type 0 first (which would herd
+// every fresh process onto the fast pair).
+func (tu *Tuner) probe(p *exec.Process, pt phase.Type) exec.MarkAction {
+	ct := tu.table.LeastMeasured(int(pt), p.PID+tu.SamplesTaken)
 	if tu.hw.TryAcquire() {
 		tu.mon = monitorState{active: true, ptype: pt, coreType: ct, es: perfcnt.Start(&p.Counters)}
 	}
 	tu.SwitchRequests++
-	return exec.MarkAction{Mask: mask}
+	return exec.MarkAction{Mask: tu.machine.TypeMask(ct)}
 }
 
-// nextProbe picks the core type with the fewest accepted samples. Ties
-// resolve round-robin from a PID-derived offset so that concurrently
-// monitoring processes spread their representative sections across core
-// types instead of all probing type 0 first (which would herd every fresh
-// process onto the fast pair).
-func (tu *Tuner) nextProbe(tbl *typeTable, pid int) amp.CoreTypeID {
-	n := len(tbl.counts)
-	start := (pid + tu.SamplesTaken) % n
-	if start < 0 {
-		start = 0
-	}
-	best, bestN := start, int(^uint(0)>>1)
-	for i := 0; i < n; i++ {
-		ct := (start + i) % n
-		if tbl.counts[ct] < bestN {
-			best, bestN = ct, tbl.counts[ct]
-		}
-	}
-	return amp.CoreTypeID(best)
-}
-
-// finishMonitor closes the active measurement and records the sample.
+// finishMonitor closes the active measurement and records the sample,
+// fixing the phase type's decision once every core type has
+// SamplesPerType of them.
 func (tu *Tuner) finishMonitor(p *exec.Process) {
 	instrs, cycles := tu.mon.es.Stop(&p.Counters)
 	tu.hw.Release()
@@ -276,60 +235,41 @@ func (tu *Tuner) finishMonitor(p *exec.Process) {
 	if instrs < tu.cfg.MinSectionInstrs || cycles == 0 {
 		return // too short to be a representative measurement
 	}
-	tbl := tu.table(mon.ptype)
-	if tbl.decided {
+	key := int(mon.ptype)
+	if tu.table.DecisionOf(key) != nil {
 		return
 	}
-	ct := int(mon.coreType)
-	tbl.samples[ct] = append(tbl.samples[ct], perfcnt.IPC(instrs, cycles))
-	tbl.counts[ct]++
+	tu.table.Add(key, mon.coreType, perfcnt.IPC(instrs, cycles))
 	tu.SamplesTaken++
-
-	for _, n := range tbl.counts {
-		if n < tu.cfg.SamplesPerType {
-			return
-		}
+	if tu.table.Ready(key, tu.cfg.SamplesPerType) {
+		tu.decide(p, mon.ptype)
 	}
-	tu.decide(p, mon.ptype, tbl)
 }
 
-// decide fixes the section-to-core assignment for a phase type.
-func (tu *Tuner) decide(p *exec.Process, pt phase.Type, tbl *typeTable) {
-	f := make([]float64, len(tbl.samples))
-	for ct, s := range tbl.samples {
-		f[ct] = mean(s)
-	}
-	tbl.decided = true
+// decide fixes the section-to-core assignment for a phase type from its
+// mean representative IPC per core type.
+func (tu *Tuner) decide(p *exec.Process, pt phase.Type) {
+	f := tu.table.Means(int(pt))
+	var dec place.Decision
 	if tu.spilling() {
-		dec := tu.engine.Decide(f)
+		dec = tu.engine.Decide(f)
 		// Attach the image's shared-cache signature so contention-priced
 		// arbitration can project crowding costs. Inert (never read) when
 		// the engine's pricing is off.
-		if p != nil && p.Img != nil {
-			sig := p.Img.MemSignature()
-			dec.Mem = &place.MemStats{L2RefsPerInstr: sig.L2RefsPerInstr, Profile: sig.Profile}
-		}
-		tbl.dec = &dec
-		tbl.target = dec.Choice
+		dec.Mem = p.Img.MemSignature()
 	} else {
-		tbl.target = place.Select(tu.machine, f, tu.cfg.Delta)
-		if tu.cfg.PinSingleCore {
-			cores := tu.machine.CoresOfType(tbl.target)
-			tbl.mask = amp.CoreMask(cores[0])
-		} else {
-			tbl.mask = tu.machine.TypeMask(tbl.target)
-		}
+		dec = place.Decision{Choice: place.Select(tu.machine, f, tu.cfg.Delta)}
 		// The spill path's decision is traced inside engine.Decide; the
 		// plain pin-to-type path reports its rationale here.
 		if tu.tr != nil {
 			tu.tr.InstantNow("place", "decide", trace.PidTasks, tu.pid,
-				trace.Arg{Key: "ipc", Value: append([]float64(nil), f...)},
-				trace.Arg{Key: "choice", Value: tu.machine.Types[tbl.target].Name},
+				trace.Arg{Key: "ipc", Value: f},
+				trace.Arg{Key: "choice", Value: tu.machine.Types[dec.Choice].Name},
 				trace.Arg{Key: "delta", Value: tu.cfg.Delta},
 				trace.Arg{Key: "phase", Value: int(pt)})
 		}
 	}
-	tu.Decisions[pt] = tbl.target
+	tu.table.SetDecision(int(pt), dec)
 }
 
 // OnExit implements exec.MarkHook: release any held event set and withdraw
@@ -358,34 +298,16 @@ func (tu *Tuner) OnQuantum(p *exec.Process, coreID int) exec.MarkAction {
 	}
 	pt := tu.mon.ptype
 	tu.finishMonitor(p)
-	tbl := tu.table(pt)
-	if tbl.decided {
+	if dec := tu.table.DecisionOf(int(pt)); dec != nil {
 		tu.SwitchRequests++
-		return exec.MarkAction{Mask: tu.maskFor(p, tbl)}
+		return exec.MarkAction{Mask: tu.maskFor(p, dec)}
 	}
-	ct := tu.nextProbe(tbl, p.PID)
-	if tu.hw.TryAcquire() {
-		tu.mon = monitorState{active: true, ptype: pt, coreType: ct, es: perfcnt.Start(&p.Counters)}
-	}
-	tu.SwitchRequests++
-	return exec.MarkAction{Mask: tu.machine.TypeMask(ct)}
+	return tu.probe(p, pt)
 }
 
 // Decided reports whether the phase type has a fixed assignment.
 func (tu *Tuner) Decided(pt phase.Type) bool {
-	t, ok := tu.tables[pt]
-	return ok && t.decided
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
+	return tu.table.DecisionOf(int(pt)) != nil
 }
 
 // String renders a mode for diagnostics.
@@ -395,8 +317,6 @@ func (m Mode) String() string {
 		return "tune"
 	case ModeAllCores:
 		return "all-cores"
-	case ModeOff:
-		return "off"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }

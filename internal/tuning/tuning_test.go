@@ -88,6 +88,19 @@ func newProc() *exec.Process {
 	return &exec.Process{}
 }
 
+// choice returns a decided phase type's Algorithm 2 core type.
+func choice(tu *Tuner, pt phase.Type) amp.CoreTypeID {
+	return tu.table.DecisionOf(int(pt)).Choice
+}
+
+// enter lands the process in decided phase type pt through a real
+// transition from the other type of a two-type mark table, returning the
+// mark's mask.
+func enter(tu *Tuner, p *exec.Process, pt phase.Type) uint64 {
+	tu.OnMark(p, int(1-pt), 0)
+	return tu.OnMark(p, int(pt), 0).Mask
+}
+
 func TestTunerDecidesAfterSampling(t *testing.T) {
 	m := quad()
 	hw := perfcnt.NewHardware(8)
@@ -192,15 +205,15 @@ func TestTunerComputePinsFastMemoryPinsSlow(t *testing.T) {
 		feed(cur)
 		cur = 1 - cur
 	}
-	if got := tu.Decisions[0]; got != amp.FastType {
+	if got := choice(tu, 0); got != amp.FastType {
 		t.Errorf("compute phase assigned to %d, want fast", got)
 	}
-	if got := tu.Decisions[1]; got != amp.SlowType {
+	if got := choice(tu, 1); got != amp.SlowType {
 		t.Errorf("memory phase assigned to %d, want slow", got)
 	}
 	// Masks: type pin by default.
-	if tbl := tu.tables[0]; tbl.mask != m.TypeMask(amp.FastType) {
-		t.Errorf("compute mask = %b, want fast type mask", tbl.mask)
+	if mask := enter(tu, p, 0); mask != m.TypeMask(amp.FastType) {
+		t.Errorf("compute mask = %b, want fast type mask", mask)
 	}
 }
 
@@ -219,9 +232,9 @@ func TestTunerPinSingleCore(t *testing.T) {
 		tu.OnMark(p, 1, 0)
 		p.Counters.Add(1000, 1000)
 	}
-	tbl := tu.tables[0]
-	if n := len(amp.MaskCores(tbl.mask, m.NumCores())); n != 1 {
-		t.Errorf("single-core pin selected %d cores", n)
+	mask := enter(tu, p, 0)
+	if cores := amp.MaskCores(mask, m.NumCores()); len(cores) != 1 || cores[0] != m.CoresOfType(choice(tu, 0))[0] {
+		t.Errorf("single-core pin selected cores %v, want the first core of the chosen type", cores)
 	}
 }
 
@@ -243,17 +256,6 @@ func TestAllCoresMode(t *testing.T) {
 	}
 	if tu.SwitchRequests != 10 {
 		t.Errorf("switch requests = %d, want 10 (every mark issues the API call)", tu.SwitchRequests)
-	}
-}
-
-func TestOffMode(t *testing.T) {
-	m := quad()
-	cfg := DefaultConfig()
-	cfg.Mode = ModeOff
-	tu := NewTuner(cfg, m, perfcnt.NewHardware(8), fakeMarks{0: 0})
-	p := newProc()
-	if act := tu.OnMark(p, 0, 0); act.Mask != 0 {
-		t.Error("off mode returned a mask")
 	}
 }
 
@@ -341,7 +343,7 @@ func TestOnExitReleasesEventSet(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	if ModeTune.String() != "tune" || ModeAllCores.String() != "all-cores" || ModeOff.String() != "off" {
+	if ModeTune.String() != "tune" || ModeAllCores.String() != "all-cores" || Mode(7).String() != "mode(7)" {
 		t.Error("mode strings wrong")
 	}
 }
@@ -393,8 +395,8 @@ func TestTunerSpillArbitratesHerd(t *testing.T) {
 		tu.SetEngine(eng)
 		p := &exec.Process{PID: pid}
 		driveMemDecision(t, tu, p)
-		if tu.Decisions[0] != amp.SlowType {
-			t.Fatalf("pid %d: memory phase decision %d, want slow", pid, tu.Decisions[0])
+		if c := choice(tu, 0); c != amp.SlowType {
+			t.Fatalf("pid %d: memory phase decision %d, want slow", pid, c)
 		}
 		// Land the process in its memory phase (via the compute phase, so
 		// the mark is a real transition) and read the arbitrated mask.

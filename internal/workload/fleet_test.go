@@ -6,6 +6,7 @@ import (
 
 	"phasetune/internal/amp"
 	"phasetune/internal/exec"
+	"phasetune/internal/place"
 )
 
 func TestMaterializeAntagonistFleet(t *testing.T) {
@@ -70,7 +71,7 @@ func TestAntagonistMemSignature(t *testing.T) {
 		t.Fatalf("AntagonistSpecs = %v, want [ant.mem ant.cpu]", specs)
 	}
 
-	sig := func(bs BenchSpec) exec.MemSig {
+	sig := func(bs BenchSpec) *place.MemStats {
 		t.Helper()
 		b, err := Generate(bs, cm, m)
 		if err != nil {
