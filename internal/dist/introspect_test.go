@@ -58,8 +58,56 @@ func TestStatusReportsWorkerRows(t *testing.T) {
 	}
 }
 
-// TestWriteMetricsCountsFabricEvents pins the Prometheus export: event
-// counters advance with fabric activity and gauges reflect current state.
+// metricsGolden is the exact GET /metrics body of the fake-clock scenario
+// in TestWriteMetricsCountsFabricEvents: all 13 HELP lines in their fixed
+// order, the zero-valued counters, and the cumulative bucket lines.
+const metricsGolden = `# HELP workers_registered_total workers admitted to the campaign
+workers_registered_total 1
+# HELP leases_granted_total spec chunks granted to workers
+leases_granted_total 2
+# HELP lease_waits_total lease polls answered with wait (no work queued)
+lease_waits_total 0
+# HELP commits_total results accepted
+commits_total 1
+# HELP duplicate_commits_total commits rejected as duplicates (at-most-once per index)
+duplicate_commits_total 1
+# HELP failed_commits_total commits reporting a deterministic run failure
+failed_commits_total 0
+# HELP expired_leases_total leases reclaimed after missed heartbeats
+expired_leases_total 1
+# HELP heartbeats_total heartbeats received
+heartbeats_total 1
+# HELP specs_total campaign grid size
+specs_total 1
+# HELP specs_done specs with a committed result
+specs_done 1
+# HELP specs_queued specs awaiting dispatch
+specs_queued 0
+# HELP specs_leased specs granted and not yet committed
+specs_leased 0
+# HELP leases_in_flight outstanding leases
+leases_in_flight 0
+# HELP commit_roundtrip_us microseconds from lease grant to accepted commit, per spec
+# TYPE commit_roundtrip_us histogram
+commit_roundtrip_us_bucket{le="100"} 0
+commit_roundtrip_us_bucket{le="1000"} 0
+commit_roundtrip_us_bucket{le="10000"} 0
+commit_roundtrip_us_bucket{le="100000"} 0
+commit_roundtrip_us_bucket{le="1000000"} 0
+commit_roundtrip_us_bucket{le="10000000"} 1
+commit_roundtrip_us_bucket{le="60000000"} 1
+commit_roundtrip_us_bucket{le="+Inf"} 1
+commit_roundtrip_us_sum 2000000
+commit_roundtrip_us_count 1
+`
+
+// statusGolden is the exact GET /status body of the same scenario.
+const statusGolden = `{"progress":{"Total":1,"Done":1,"Queued":0,"Leased":0,"Workers":1,"ExpiredLeases":1,"DuplicateCommits":1,"Failed":false},"workers":[{"id":"w1-w","heartbeat_age_sec":0,"commits":1,"throughput_per_sec":0.07692307692307693,"done":false}]}
+`
+
+// TestWriteMetricsCountsFabricEvents pins the introspection views byte for
+// byte: event counters advance with fabric activity, gauges reflect
+// current state, and /status carries the same progress.
 func TestWriteMetricsCountsFabricEvents(t *testing.T) {
 	camp := testCampaign()
 	camp.Specs = camp.Specs[:1]
@@ -74,6 +122,8 @@ func TestWriteMetricsCountsFabricEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Expire the lease, re-lease, then commit twice (second is duplicate).
+	// The accepted commit lands 2s (2e6 µs) after its re-grant, so it falls
+	// in the (1e6, 1e7] bucket; the duplicate observes nothing.
 	clock.Advance(11 * time.Second)
 	lr2, _ := coord.Lease(r1.WorkerID)
 	clock.Advance(2 * time.Second)
@@ -85,34 +135,32 @@ func TestWriteMetricsCountsFabricEvents(t *testing.T) {
 		t.Fatalf("second commit = %+v", rep)
 	}
 
-	var sb strings.Builder
-	if err := coord.WriteMetrics(&sb); err != nil {
+	srv := httptest.NewServer(NewHandler(coord))
+	defer srv.Close()
+	if got := httpGet(t, srv.URL+"/metrics", http.StatusOK); got != metricsGolden {
+		t.Errorf("/metrics body:\n%s\nwant:\n%s", got, metricsGolden)
+	}
+	if got := httpGet(t, srv.URL+"/status", http.StatusOK); got != statusGolden {
+		t.Errorf("/status body:\n%s\nwant:\n%s", got, statusGolden)
+	}
+}
+
+// httpGet fetches url, requires the status code, and returns the body.
+func httpGet(t *testing.T, url string, code int) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		"workers_registered_total 1",
-		"leases_granted_total 2",
-		"expired_leases_total 1",
-		"commits_total 1",
-		"duplicate_commits_total 1",
-		"heartbeats_total 1",
-		"specs_total 1",
-		"specs_done 1",
-		"# HELP commits_total",
-		// The accepted commit landed 2s (2e6 µs) after its re-grant, so it
-		// falls in the (1e6, 1e7] bucket; the duplicate observes nothing.
-		"# TYPE commit_roundtrip_us histogram",
-		`commit_roundtrip_us_bucket{le="1000000"} 0`,
-		`commit_roundtrip_us_bucket{le="10000000"} 1`,
-		`commit_roundtrip_us_bucket{le="+Inf"} 1`,
-		"commit_roundtrip_us_sum 2000000",
-		"commit_roundtrip_us_count 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics export missing %q:\n%s", want, out)
-		}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if resp.StatusCode != code {
+		t.Fatalf("GET %s = %d, want %d", url, resp.StatusCode, code)
+	}
+	return string(body)
 }
 
 // TestHTTPIntrospectionEndpoints serves /status and /metrics over a real
