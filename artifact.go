@@ -43,7 +43,7 @@ type (
 // Instrument the result under one or more techniques with
 // Analysis.Instrument.
 func Analyze(p *Program, topts TypingOptions) (*Analysis, error) {
-	return sim.Analyze(p, withTypingDefaults(topts), 0, 1)
+	return sim.Analyze(p, topts.Normalized(), 0, 1)
 }
 
 // NewImageCache returns an empty artifact cache. Pass it to sessions with
@@ -57,14 +57,3 @@ func NewSegmentMemo(maxChunks int) *SegmentMemo { return exec.NewSegmentMemo(max
 
 // DefaultMemoChunks is the default segment-memo size bound.
 const DefaultMemoChunks = exec.DefaultMemoChunks
-
-// withTypingDefaults fills the zero-value typing options the way Run does.
-func withTypingDefaults(topts TypingOptions) TypingOptions {
-	if topts.K == 0 {
-		topts.K = 2
-	}
-	if topts.MinBlockInstrs == 0 {
-		topts.MinBlockInstrs = 5
-	}
-	return topts
-}

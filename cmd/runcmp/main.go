@@ -132,18 +132,10 @@ func resolveSide(arg, machineName string, slots int, duration float64, seed uint
 	if err != nil {
 		return nil, "", err
 	}
-	cfg, err := experiments.Default()
+	// LedgerCell runs the one -seed cell, so the config's seed list is unused.
+	cfg, err := experiments.FlagConfig(quick, slots, duration, "")
 	if err != nil {
 		return nil, "", err
-	}
-	if quick {
-		cfg = cfg.Scale(8, 200, cfg.Seeds)
-	}
-	if slots > 0 {
-		cfg.Slots = slots
-	}
-	if duration > 0 {
-		cfg.DurationSec = duration
 	}
 	cfg.Machine = machine
 	res, err := experiments.LedgerCell(cfg, p, seed)

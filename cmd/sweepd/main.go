@@ -47,8 +47,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	osexec "os/exec"
 	"runtime"
@@ -155,19 +153,14 @@ func runCoordinator(o coordOpts) error {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: dist.NewHandler(coord)}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	url := "http://" + ln.Addr().String()
-	fmt.Printf("sweepd: coordinating %q (%d specs) on %s\n", o.campaign, total, url)
-	fmt.Printf("sweepd: introspection at %s/status (JSON) and %s/metrics (Prometheus text)\n", url, url)
-
 	var workers []*osexec.Cmd
-	if o.spawn > 0 {
+	_, err = dist.Serve(context.Background(), coord, o.addr, func(addr string) error {
+		url := "http://" + addr
+		fmt.Printf("sweepd: coordinating %q (%d specs) on %s\n", o.campaign, total, url)
+		fmt.Printf("sweepd: introspection at %s/status (JSON) and %s/metrics (Prometheus text)\n", url, url)
+		if o.spawn == 0 {
+			return nil
+		}
 		exe, err := os.Executable()
 		if err != nil {
 			return err
@@ -180,17 +173,13 @@ func runCoordinator(o coordOpts) error {
 			}
 			workers = append(workers, cmd)
 		}
-	}
-
-	if _, err := coord.Wait(context.Background()); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	// Keep serving until every registered worker heard "done" (bounded),
-	// then collect spawned subprocesses.
-	quiesce := time.Now().Add(10 * time.Second)
-	for !coord.Quiesced() && time.Now().Before(quiesce) {
-		time.Sleep(20 * time.Millisecond)
-	}
+	// Serve returns once every registered worker heard "done" (bounded);
+	// collect the spawned subprocesses.
 	for i, cmd := range workers {
 		if err := cmd.Wait(); err != nil {
 			return fmt.Errorf("spawned worker %d: %w", i, err)

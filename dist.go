@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"time"
 
 	"phasetune/internal/dist"
@@ -85,25 +83,11 @@ func Serve(ctx context.Context, sess *Session, specs []RunSpec, opts ServeOption
 	if addr == "" {
 		addr = "127.0.0.1:7077"
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: dist.NewHandler(coord)}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
+	var onListen func(string) error
 	if opts.OnListen != nil {
-		opts.OnListen(ln.Addr().String())
+		onListen = func(addr string) error { opts.OnListen(addr); return nil }
 	}
-
-	results, err := coord.Wait(ctx)
-	// Keep answering polls briefly so workers hear "done" and exit clean
-	// instead of dying on a closed socket.
-	quiesce := time.Now().Add(3 * time.Second)
-	for !coord.Quiesced() && time.Now().Before(quiesce) && ctx.Err() == nil {
-		time.Sleep(20 * time.Millisecond)
-	}
-	return results, err
+	return dist.Serve(ctx, coord, addr, onListen)
 }
 
 // WorkOptions configures a fabric worker.

@@ -300,19 +300,6 @@ func TestIntervalCapturesLoop(t *testing.T) {
 	}
 }
 
-func TestReducibleGraphReducesToOneInterval(t *testing.T) {
-	for name, g := range map[string]*Graph{
-		"loop":    loopProc(t),
-		"diamond": diamond(t),
-		"nested":  nestedLoops(t),
-	} {
-		order, _ := IntervalOrder(g)
-		if order < 1 {
-			t.Errorf("%s: interval order = %d, want >= 1 (reducible)", name, order)
-		}
-	}
-}
-
 func TestCallGraph(t *testing.T) {
 	b := prog.NewBuilder("cg")
 	leaf := b.Proc("leaf")

@@ -121,87 +121,3 @@ func IntervalOf(g *Graph, ivs []*Interval) []int {
 	}
 	return of
 }
-
-// IntervalGraph is the derived (higher-order) graph whose nodes are the
-// intervals of the underlying graph. Iterating the derivation yields Allen's
-// interval sequence; a graph whose derivation reaches a single node is
-// reducible. The paper's interval technique operates on the first-order
-// graph, but the derived sequence is exposed for analysis and tests.
-type IntervalGraph struct {
-	// Intervals are the nodes.
-	Intervals []*Interval
-	// Succs and Preds are adjacency lists over interval IDs.
-	Succs, Preds [][]int
-	// Entry is the interval containing the original entry block.
-	Entry int
-}
-
-// DeriveIntervalGraph builds the interval graph of g.
-func DeriveIntervalGraph(g *Graph) *IntervalGraph {
-	ivs := g.Intervals()
-	of := IntervalOf(g, ivs)
-	ig := &IntervalGraph{
-		Intervals: ivs,
-		Succs:     make([][]int, len(ivs)),
-		Preds:     make([][]int, len(ivs)),
-	}
-	seen := map[[2]int]bool{}
-	for _, e := range g.Edges {
-		fi, ti := of[e.From], of[e.To]
-		if fi == -1 || ti == -1 || fi == ti {
-			continue
-		}
-		k := [2]int{fi, ti}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		ig.Succs[fi] = append(ig.Succs[fi], ti)
-		ig.Preds[ti] = append(ig.Preds[ti], fi)
-	}
-	for i := range ig.Succs {
-		sort.Ints(ig.Succs[i])
-		sort.Ints(ig.Preds[i])
-	}
-	ig.Entry = of[g.Entry]
-	return ig
-}
-
-// Order returns the number of derivation steps needed to reduce g to a single
-// interval, or -1 if the sequence stops shrinking first (irreducible graph).
-// The first-order interval count is also returned.
-func IntervalOrder(g *Graph) (order, firstOrderCount int) {
-	ig := DeriveIntervalGraph(g)
-	firstOrderCount = len(ig.Intervals)
-	order = 1
-	n := len(ig.Intervals)
-	for n > 1 {
-		next := deriveFromIntervalGraph(ig)
-		if len(next.Intervals) == n {
-			return -1, firstOrderCount
-		}
-		ig = next
-		n = len(ig.Intervals)
-		order++
-	}
-	return order, firstOrderCount
-}
-
-// deriveFromIntervalGraph applies one more interval derivation to an interval
-// graph, treating intervals as atomic nodes.
-func deriveFromIntervalGraph(ig *IntervalGraph) *IntervalGraph {
-	// Build a temporary Graph shape with one synthetic block per interval.
-	n := len(ig.Intervals)
-	g := &Graph{Blocks: make([]*Block, n), Entry: ig.Entry}
-	for i := 0; i < n; i++ {
-		g.Blocks[i] = &Block{ID: i, CalleeProc: -1}
-	}
-	for from, succs := range ig.Succs {
-		for _, to := range succs {
-			g.Blocks[from].Succs = append(g.Blocks[from].Succs, to)
-			g.Blocks[to].Preds = append(g.Blocks[to].Preds, from)
-			g.Edges = append(g.Edges, Edge{From: from, To: to})
-		}
-	}
-	return DeriveIntervalGraph(g)
-}

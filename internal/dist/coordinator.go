@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"phasetune/internal/sim"
-	"phasetune/internal/trace"
 )
 
 // Status is a lease poll outcome.
@@ -91,7 +90,8 @@ type HeartbeatReply struct {
 	Done bool `json:"done"`
 }
 
-// Progress is a coordinator state snapshot (the /v1/status payload).
+// Progress is a coordinator state snapshot (the "progress" half of the
+// /status payload).
 type Progress struct {
 	// Total, Done, Queued, and Leased partition the campaign grid
 	// (Done + Queued + Leased == Total while healthy).
@@ -153,10 +153,6 @@ type Coordinator struct {
 	specs []Spec
 	opts  Options
 
-	// met counts fabric events (registrations, leases, commits, expiries)
-	// on the shared trace.Metrics primitive; WriteMetrics exports it.
-	met *trace.Metrics
-
 	mu         sync.Mutex
 	queue      []int // spec indices awaiting dispatch
 	grantedAt  map[int]time.Time
@@ -166,12 +162,21 @@ type Coordinator struct {
 	workers    map[string]*workerState
 	nextWorker int
 	nextLease  int
-	expired    int
-	duplicates int
 	failErr    error
 	failIndex  int
 	done       chan struct{}
 	doneClosed bool
+
+	// Protocol event counters for the introspection views, each advanced
+	// at exactly one site. Registrations and accepted commits need no
+	// counter: they are len(workers) and len(specs)-remaining.
+	leasesGranted int
+	leaseWaits    int
+	duplicates    int
+	failedCommits int
+	expired       int
+	heartbeats    int
+	roundtrip     histogram
 }
 
 // NewCoordinator validates the campaign and builds a coordinator with the
@@ -193,7 +198,6 @@ func NewCoordinator(camp Campaign, opts Options) (*Coordinator, error) {
 		env:       camp.Env,
 		specs:     camp.Specs,
 		opts:      opts,
-		met:       trace.NewMetrics(),
 		results:   make([]json.RawMessage, len(camp.Specs)),
 		remaining: len(camp.Specs),
 		queue:     make([]int, len(camp.Specs)),
@@ -203,7 +207,6 @@ func NewCoordinator(camp Campaign, opts Options) (*Coordinator, error) {
 		failIndex: len(camp.Specs),
 		done:      make(chan struct{}),
 	}
-	c.describeMetrics()
 	for i := range camp.Specs {
 		c.queue[i] = i
 	}
@@ -250,7 +253,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		c.queue = append(c.queue, back...)
 		delete(c.leases, id)
 		c.expired++
-		c.met.Inc("expired_leases_total", 1)
 	}
 }
 
@@ -271,7 +273,6 @@ func (c *Coordinator) Register(name string, version int) (*RegisterReply, error)
 	}
 	now := c.opts.Clock()
 	c.workers[id] = &workerState{registeredAt: now, lastSeen: now}
-	c.met.Inc("workers_registered_total", 1)
 	return &RegisterReply{
 		WorkerID:    id,
 		Env:         c.env,
@@ -300,7 +301,7 @@ func (c *Coordinator) Lease(workerID string) (*LeaseReply, error) {
 		if retry > 0.5 {
 			retry = 0.5
 		}
-		c.met.Inc("lease_waits_total", 1)
+		c.leaseWaits++
 		return &LeaseReply{Status: StatusWait, RetrySec: retry}, nil
 	}
 	n := c.opts.ChunkSize
@@ -320,7 +321,7 @@ func (c *Coordinator) Lease(workerID string) (*LeaseReply, error) {
 		c.grantedAt[idx] = now
 	}
 	c.leases[id] = l
-	c.met.Inc("leases_granted_total", 1)
+	c.leasesGranted++
 	specs := make([]Spec, len(indices))
 	for i, idx := range indices {
 		specs[i] = c.specs[idx]
@@ -346,7 +347,7 @@ func (c *Coordinator) Commit(req CommitRequest) (*CommitReply, error) {
 	ws.lastSeen = now
 	c.expireLocked(now)
 	if req.Error != "" {
-		c.met.Inc("failed_commits_total", 1)
+		c.failedCommits++
 		c.failLocked(req.Index, fmt.Errorf("dist: spec %d failed on %s: %s", req.Index, req.WorkerID, req.Error))
 		c.mu.Unlock()
 		return &CommitReply{Status: CommitOK}, nil
@@ -357,16 +358,14 @@ func (c *Coordinator) Commit(req CommitRequest) (*CommitReply, error) {
 	}
 	if c.results[req.Index] != nil {
 		c.duplicates++
-		c.met.Inc("duplicate_commits_total", 1)
 		c.mu.Unlock()
 		return &CommitReply{Status: CommitDuplicate}, nil
 	}
 	c.results[req.Index] = append(json.RawMessage(nil), req.Result...)
 	c.remaining--
 	ws.commits++
-	c.met.Inc("commits_total", 1)
 	if granted, ok := c.grantedAt[req.Index]; ok {
-		c.met.Observe("commit_roundtrip_us", now.Sub(granted).Microseconds())
+		c.roundtrip.observe(now.Sub(granted).Microseconds())
 		delete(c.grantedAt, req.Index)
 	}
 	// Retire the index everywhere it may still be scheduled: its own
@@ -420,7 +419,7 @@ func (c *Coordinator) Heartbeat(workerID string) (*HeartbeatReply, error) {
 	}
 	now := c.opts.Clock()
 	ws.lastSeen = now
-	c.met.Inc("heartbeats_total", 1)
+	c.heartbeats++
 	c.expireLocked(now)
 	for _, l := range c.leases {
 		if l.worker == workerID {
@@ -434,6 +433,12 @@ func (c *Coordinator) Heartbeat(workerID string) (*HeartbeatReply, error) {
 func (c *Coordinator) Progress() Progress {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.progressLocked()
+}
+
+// progressLocked is Progress with c.mu held; every introspection view
+// renders from it.
+func (c *Coordinator) progressLocked() Progress {
 	leased := 0
 	for _, l := range c.leases {
 		leased += len(l.pending)

@@ -6,15 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"time"
+
+	"phasetune/internal/sim"
 )
 
-// The HTTP protocol is four POST endpoints mirroring Transport, plus a
-// read-only status endpoint, all JSON. Protocol errors (unknown worker,
-// bad index) come back as 400 with {"error": "..."}; transport-level
-// failures are whatever net/http surfaces.
+// The HTTP protocol is four JSON POST endpoints mirroring Transport, plus
+// the read-only /status and /metrics views. Protocol errors (unknown
+// worker, bad index) come back as 400 with {"error": "..."};
+// transport-level failures are whatever net/http surfaces.
 
 // RegisterRequest is the /v1/register payload. Version is the worker's
 // wire-format version (SpecVersion); a worker from an older build omits
@@ -84,9 +87,6 @@ func NewHandler(c *Coordinator) http.Handler {
 	handlePost(mux, "/v1/heartbeat", func(req HeartbeatRequest) (*HeartbeatReply, error) {
 		return c.Heartbeat(req.WorkerID)
 	})
-	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Progress())
-	})
 	// Fabric introspection: /status is the human/script-facing JSON view
 	// (progress plus per-worker rows), /metrics the Prometheus text view
 	// of the same counters. Both are read-only snapshots.
@@ -98,6 +98,46 @@ func NewHandler(c *Coordinator) http.Handler {
 		_ = c.WriteMetrics(w)
 	})
 	return mux
+}
+
+// quiesceTimeout bounds how long Serve keeps answering polls after the
+// campaign ends. Only a worker that died after registering makes Serve
+// wait that long; live workers hear "done" on their next poll.
+const quiesceTimeout = 10 * time.Second
+
+// Serve hosts c over HTTP on addr until its campaign finishes or ctx is
+// canceled, and returns Wait's results. It then keeps answering polls
+// until every registered worker has heard "done" (bounded by
+// quiesceTimeout), so workers exit clean instead of dying on a closed
+// socket. onListen, when set, runs with the bound address once the
+// listener is up; its error stops the server and is returned.
+func Serve(ctx context.Context, c *Coordinator, addr string, onListen func(addr string) error) ([]*sim.Result, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := &http.Server{Handler: NewHandler(c)}
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+	if onListen != nil {
+		if err := onListen(ln.Addr().String()); err != nil {
+			return nil, err
+		}
+	}
+	results, err := c.Wait(ctx)
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(quiesceTimeout)
+	for !c.Quiesced() {
+		select {
+		case <-ctx.Done():
+			return results, err
+		case <-deadline:
+			return results, err
+		case <-tick.C:
+		}
+	}
+	return results, err
 }
 
 // Client speaks the coordinator protocol over HTTP; it implements

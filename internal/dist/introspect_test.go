@@ -143,6 +143,26 @@ func TestWriteMetricsCountsFabricEvents(t *testing.T) {
 	if got := httpGet(t, srv.URL+"/status", http.StatusOK); got != statusGolden {
 		t.Errorf("/status body:\n%s\nwant:\n%s", got, statusGolden)
 	}
+	// /status carries the progress; there is no second progress route.
+	httpGet(t, srv.URL+"/v1/status", http.StatusNotFound)
+}
+
+// TestHistogramBucketing pins the commit round-trip bucket math:
+// upper-inclusive bounds, the overflow slot, and the exact sum.
+func TestHistogramBucketing(t *testing.T) {
+	var h histogram
+	for _, v := range []int64{1, 100, 101, 1_000, 60_000_000, 60_000_001, 90_000_000} {
+		h.observe(v)
+	}
+	// le=100 gets {1,100}; le=1000 gets {101,1000}; le=6e7 gets {6e7};
+	// overflow gets {6e7+1, 9e7}.
+	want := [len(roundtripBoundsUS) + 1]int64{2, 2, 0, 0, 0, 0, 1, 2}
+	if h.counts != want {
+		t.Errorf("buckets = %v, want %v", h.counts, want)
+	}
+	if wantSum := int64(1 + 100 + 101 + 1_000 + 60_000_000 + 60_000_001 + 90_000_000); h.sum != wantSum {
+		t.Errorf("sum = %d, want %d", h.sum, wantSum)
+	}
 }
 
 // httpGet fetches url, requires the status code, and returns the body.
@@ -205,5 +225,39 @@ func TestHTTPIntrospectionEndpoints(t *testing.T) {
 	}
 	if ct := resp2.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("/metrics content type = %q", ct)
+	}
+}
+
+// TestHistogramPrometheusExport pins the histogram export: bucket lines
+// are cumulative in bound order, the +Inf bucket and _count equal the
+// number of observations, and _sum is the raw total.
+func TestHistogramPrometheusExport(t *testing.T) {
+	camp := testCampaign()
+	camp.Specs = nil
+	coord, err := NewCoordinator(camp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int64{50, 500, 2_000_000_000} {
+		coord.roundtrip.observe(v)
+	}
+	var sb strings.Builder
+	if err := coord.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE commit_roundtrip_us histogram
+commit_roundtrip_us_bucket{le="100"} 1
+commit_roundtrip_us_bucket{le="1000"} 2
+commit_roundtrip_us_bucket{le="10000"} 2
+commit_roundtrip_us_bucket{le="100000"} 2
+commit_roundtrip_us_bucket{le="1000000"} 2
+commit_roundtrip_us_bucket{le="10000000"} 2
+commit_roundtrip_us_bucket{le="60000000"} 2
+commit_roundtrip_us_bucket{le="+Inf"} 3
+commit_roundtrip_us_sum 2000000550
+commit_roundtrip_us_count 3
+`
+	if out := sb.String(); !strings.HasSuffix(out, want) {
+		t.Errorf("histogram export:\n%s\nwant suffix:\n%s", out, want)
 	}
 }

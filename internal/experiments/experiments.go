@@ -87,7 +87,7 @@ func Default() (Config, error) {
 		QueueLen:    256,
 		DurationSec: 800,
 		Seeds:       []uint64{5, 42, 99},
-		Typing:      phase.Options{K: 2, MinBlockInstrs: 5},
+		Typing:      phase.Options{}.Normalized(),
 		Tuning:      tuning.DefaultConfig(),
 		Cache:       sim.NewImageCache(),
 		Memo:        exec.NewSegmentMemo(0),

@@ -120,7 +120,8 @@ type Options struct {
 	// types suffice in practice (§VI-C); K defaults to 2.
 	K int
 	// MinBlockInstrs excludes blocks smaller than this from typing (the
-	// paper's threshold-size filter, Fig. 1 step 2). Zero types every block.
+	// paper's threshold-size filter, Fig. 1 step 2). ClusterBlocks types
+	// every block at zero; Normalized fills zero with 5.
 	MinBlockInstrs int
 	// Seed drives k-means seeding.
 	Seed uint64
@@ -130,6 +131,19 @@ type Options struct {
 	// must end up with a single phase type rather than an arbitrary split of
 	// near-identical blocks. Negative disables; zero uses DefaultMergeEps.
 	MergeEps float64
+}
+
+// Normalized fills the zero-value fields with the standard typing: k = 2
+// phase types over blocks of at least 5 instructions. Every run path
+// types through it, so a zero Options means the same typing everywhere.
+func (o Options) Normalized() Options {
+	if o.K == 0 {
+		o.K = 2
+	}
+	if o.MinBlockInstrs == 0 {
+		o.MinBlockInstrs = 5
+	}
+	return o
 }
 
 // DefaultMergeEps is the default centroid-merge distance. Features live in

@@ -220,3 +220,16 @@ func TestClusterBlocksDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionsNormalized pins the one typing-default fill: a zero Options
+// becomes k = 2 over blocks of at least 5 instructions, and set fields
+// (including a negative MinBlockInstrs, which types every block) survive.
+func TestOptionsNormalized(t *testing.T) {
+	if got := (Options{}).Normalized(); got.K != 2 || got.MinBlockInstrs != 5 {
+		t.Errorf("zero Options normalized to %+v, want K=2 MinBlockInstrs=5", got)
+	}
+	o := Options{K: 3, MinBlockInstrs: -1, Seed: 7, MergeEps: 0.1}
+	if got := o.Normalized(); got != o {
+		t.Errorf("set Options normalized to %+v, want %+v", got, o)
+	}
+}

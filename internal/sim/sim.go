@@ -265,13 +265,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	case !closed && !open:
 		return nil, fmt.Errorf("sim: empty workload")
 	}
-	topts := cfg.TypingOpts
-	if topts.K == 0 {
-		topts.K = 2
-	}
-	if topts.MinBlockInstrs == 0 {
-		topts.MinBlockInstrs = 5
-	}
+	topts := cfg.TypingOpts.Normalized()
 
 	// Prepare one image per distinct benchmark. With a cache, preparation
 	// is a lookup after the first run that needs the same artifact.
@@ -586,13 +580,7 @@ func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]Isola
 	if machine == nil {
 		machine = amp.Quad2Fast2Slow()
 	}
-	topts := spec.Typing
-	if topts.K == 0 {
-		topts.K = 2
-	}
-	if topts.MinBlockInstrs == 0 {
-		topts.MinBlockInstrs = 5
-	}
+	topts := spec.Typing.Normalized()
 	tcfg := spec.Tuning
 	tcfg.Mode = tuning.ModeTune
 

@@ -438,6 +438,3 @@ func StackedBars(rows, segments []string, vals [][]float64, width int) string {
 	b.WriteByte('\n')
 	return b.String()
 }
-
-// Pct formats a percentage with sign.
-func Pct(v float64) string { return fmt.Sprintf("%+.2f%%", v) }

@@ -110,15 +110,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestPct(t *testing.T) {
-	if Pct(1.5) != "+1.50%" {
-		t.Errorf("Pct = %q", Pct(1.5))
-	}
-	if Pct(-2) != "-2.00%" {
-		t.Errorf("Pct = %q", Pct(-2))
-	}
-}
-
 func TestHeatmap(t *testing.T) {
 	out := Heatmap("rate\\win",
 		[]string{"r1", "r2"},

@@ -137,53 +137,3 @@ func TestSummary(t *testing.T) {
 		}
 	}
 }
-
-func TestMetrics(t *testing.T) {
-	var nilM *Metrics
-	nilM.Inc("x", 1)
-	nilM.Set("x", 2)
-	if nilM.Get("x") != 0 || nilM.Snapshot() != nil {
-		t.Fatal("nil Metrics reported state")
-	}
-
-	m := NewMetrics()
-	m.Describe("commits_total", "specs committed")
-	m.Inc("leases_granted", 2)
-	m.Inc("commits_total", 1)
-	m.Set("workers", 3)
-	m.Inc("leases_granted", 1)
-
-	snap := m.Snapshot()
-	wantOrder := []string{"commits_total", "leases_granted", "workers"}
-	if len(snap) != len(wantOrder) {
-		t.Fatalf("snapshot len = %d, want %d", len(snap), len(wantOrder))
-	}
-	for i, name := range wantOrder {
-		if snap[i].Name != name {
-			t.Fatalf("snapshot[%d] = %q, want %q (registration order)", i, snap[i].Name, name)
-		}
-	}
-	if m.Get("leases_granted") != 3 || m.Get("workers") != 3 {
-		t.Fatalf("values: leases=%d workers=%d", m.Get("leases_granted"), m.Get("workers"))
-	}
-
-	var buf bytes.Buffer
-	if err := m.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{"# HELP commits_total specs committed", "commits_total 1", "leases_granted 3", "workers 3"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("prometheus text missing %q:\n%s", want, text)
-		}
-	}
-}
-
-func TestSanitizeMetricName(t *testing.T) {
-	if got := sanitizeMetricName("lease.expired-total"); got != "lease_expired_total" {
-		t.Fatalf("sanitize = %q", got)
-	}
-	if got := sanitizeMetricName("9lives"); got != "_lives" {
-		t.Fatalf("sanitize leading digit = %q", got)
-	}
-}

@@ -153,7 +153,7 @@ const (
 func BestParams() TechniqueParams { return sim.BestParams() }
 
 // DefaultTyping returns the standard typing options (k = 2 phase types).
-func DefaultTyping() TypingOptions { return phase.Options{K: 2, MinBlockInstrs: 5} }
+func DefaultTyping() TypingOptions { return phase.Options{}.Normalized() }
 
 // Dynamic tuning.
 type (

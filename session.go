@@ -115,7 +115,7 @@ func WithOvercommit(oc OvercommitConfig) SessionOption {
 
 // WithTyping sets the static typing options (default: DefaultTyping).
 func WithTyping(t TypingOptions) SessionOption {
-	return func(s *Session) { s.typing = withTypingDefaults(t) }
+	return func(s *Session) { s.typing = t.Normalized() }
 }
 
 // WithTuning sets the default runtime tuning configuration (default:
