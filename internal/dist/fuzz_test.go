@@ -84,6 +84,43 @@ func FuzzSpecDecode(f *testing.F) {
 	})
 }
 
+// FuzzSpecLower carries the trust boundary one step further: a decoded
+// spec is what a worker lowers and runs, so lowering it onto the quad
+// environment (workload materialization included) must return a config or
+// an error, never panic.
+func FuzzSpecLower(f *testing.F) {
+	camps := corpusSpecs(f)
+	env := camps[0].Env // the showdown campaign's quad environment
+	for _, camp := range camps {
+		for _, sp := range camp.Specs {
+			blob, err := json.Marshal(sp)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob)
+		}
+	}
+	suite, err := env.Suite()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"queues":{"slots":-1,"queue_len":4}}`))
+	f.Add([]byte(`{"queues":{"slots":4,"queue_len":-1,"fleet":"antagonist"}}`))
+	f.Add([]byte(`{"queues":{"slots":-2,"queue_len":3,"alternations":64}}`))
+	f.Add([]byte(`{"queues":{"slots":1048576,"queue_len":1048576}}`))
+	f.Add([]byte(`{"queues":{"seed":3,"arrivals":{"kind":1,"rate_per_sec":2,"horizon_sec":9}}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sp dist.Spec
+		if err := json.Unmarshal(data, &sp); err != nil {
+			return
+		}
+		cfg, err := env.RunConfig(sp, suite, nil)
+		if err == nil && cfg.Workload == nil && cfg.Stream == nil {
+			t.Fatalf("RunConfig returned neither a workload nor a stream for %s", data)
+		}
+	})
+}
+
 func FuzzEnvSpecDecode(f *testing.F) {
 	for _, camp := range corpusSpecs(f) {
 		blob, err := json.Marshal(camp.Env)

@@ -289,24 +289,11 @@ func ServingMeanServiceSec() float64 {
 	return sum / float64(len(specs))
 }
 
-// ServingFleet generates the serving fleet benchmarks deterministically.
-func ServingFleet(cm exec.CostModel, machine *amp.Machine) ([]*Benchmark, error) {
-	specs := ServingSpecs()
-	out := make([]*Benchmark, len(specs))
-	for i, s := range specs {
-		b, err := Generate(s, cm, machine)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
 // MaterializeOpen builds the open-system stream for a spec carrying an
-// arrival process: the serving fleet is generated against (cost, machine)
-// exactly like the suite, and the arrival schedule is generated from
-// (Arrivals, Seed). Both are pure functions of their inputs, so
+// arrival process: the serving fleet comes from the environment's
+// generation table (generated against (cost, machine) once, then shared by
+// every stream of that environment), and the arrival schedule is generated
+// from (Arrivals, Seed). Both are pure functions of their inputs, so
 // arrival-axis specs rebuild bit-identically across processes — the same
 // contract Materialize gives closed workloads.
 func (s Spec) MaterializeOpen(cm exec.CostModel, machine *amp.Machine) (*Stream, error) {
@@ -316,7 +303,7 @@ func (s Spec) MaterializeOpen(cm exec.CostModel, machine *amp.Machine) (*Stream,
 	if err := s.Arrivals.Validate(); err != nil {
 		return nil, err
 	}
-	fleet, err := ServingFleet(cm, machine)
+	fleet, err := generated(ServingSpecs(), cm, machine)
 	if err != nil {
 		return nil, err
 	}

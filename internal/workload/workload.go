@@ -748,6 +748,28 @@ func (s Spec) Build(suite []*Benchmark) *Workload {
 	return BuildWorkload(suite, s.Slots, s.QueueLen, s.Seed)
 }
 
+// MaxQueuedJobs caps a closed workload's job count, Slots×QueueLen, as a
+// runaway guard on wire specs (the campaigns queue a few thousand jobs).
+const MaxQueuedJobs = 1 << 20
+
+// Validate checks the closed-workload construction parameters: queue
+// lengths must be non-negative, Slots×QueueLen must stay within
+// MaxQueuedJobs, and a named fleet must exist. Materialize calls it; open
+// specs (Arrivals set) leave Slots and QueueLen unused, and MaterializeOpen
+// validates their arrival process instead.
+func (s Spec) Validate() error {
+	if s.Slots < 0 || s.QueueLen < 0 {
+		return fmt.Errorf("workload: negative queues (%d slots of %d jobs)", s.Slots, s.QueueLen)
+	}
+	if s.QueueLen > 0 && s.Slots > MaxQueuedJobs/s.QueueLen {
+		return fmt.Errorf("workload: %d slots of %d jobs exceed the %d-job ceiling", s.Slots, s.QueueLen, MaxQueuedJobs)
+	}
+	if s.Fleet != "" && s.Fleet != FleetAntagonist {
+		return fmt.Errorf("workload: unknown fleet %q (want %q)", s.Fleet, FleetAntagonist)
+	}
+	return nil
+}
+
 // Materialize builds the workload, generating the synthetic alternation
 // fleet when the spec carries an alternation-rate axis: slots cycle
 // through [alternator, cpu anchor, reversed alternator, mem anchor], so
@@ -757,14 +779,15 @@ func (s Spec) Build(suite []*Benchmark) *Workload {
 // altPersonality for why an alternator-only fleet is degenerate).
 // Generation is a pure function of (cost, machine, alternations), so
 // alternation specs rebuild bit-identically across processes exactly like
-// suite draws do; Seed keeps driving per-process branch seeds through the
-// run configuration.
+// suite draws do, and within a process every spec of one environment
+// shares the fleet's generated benchmarks; Seed keeps driving per-process
+// branch seeds through the run configuration.
 func (s Spec) Materialize(suite []*Benchmark, cm exec.CostModel, machine *amp.Machine) (*Workload, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	switch {
 	case s.Fleet != "":
-		if s.Fleet != FleetAntagonist {
-			return nil, fmt.Errorf("workload: unknown fleet %q (want %q)", s.Fleet, FleetAntagonist)
-		}
 		return s.materializeFleet(AntagonistSpecs(), cm, machine)
 	case s.Alternations > 0:
 		anchors := AltAnchorSpecs()
@@ -774,17 +797,14 @@ func (s Spec) Materialize(suite []*Benchmark, cm exec.CostModel, machine *amp.Ma
 	return s.Build(suite), nil
 }
 
-// materializeFleet generates the named fleet members and cycles them across
-// the spec's slots, each slot queue repeating one benchmark — the shape both
-// synthetic axes (alternation rate, antagonist contention) share.
+// materializeFleet draws the fleet members from the environment's
+// generation table and cycles them across the spec's slots, each slot
+// queue repeating one benchmark — the shape both synthetic axes
+// (alternation rate, antagonist contention) share.
 func (s Spec) materializeFleet(specs []BenchSpec, cm exec.CostModel, machine *amp.Machine) (*Workload, error) {
-	fleet := make([]*Benchmark, len(specs))
-	for i, sp := range specs {
-		b, err := Generate(sp, cm, machine)
-		if err != nil {
-			return nil, err
-		}
-		fleet[i] = b
+	fleet, err := generated(specs, cm, machine)
+	if err != nil {
+		return nil, err
 	}
 	w := &Workload{Slots: make([][]*Benchmark, s.Slots)}
 	for i := range w.Slots {
