@@ -24,7 +24,9 @@ func servingSpec(seed uint64, rate float64) Spec {
 
 // TestRunConfigRejectsBadQueues lowers wire specs whose queue lengths are
 // negative or past the job ceiling on every closed form: each must come
-// back as an error, not a makeslice panic that would crash a worker.
+// back as an error, not a makeslice panic that would crash a worker. Open
+// specs whose arrival generation would run past the ceiling must be
+// refused too, not stall the worker generating them.
 func TestRunConfigRejectsBadQueues(t *testing.T) {
 	env := testCampaign().Env
 	suite, err := env.Suite()
@@ -56,6 +58,18 @@ func TestRunConfigRejectsBadQueues(t *testing.T) {
 				}
 			})
 		}
+	}
+	for name, a := range map[string]workload.ArrivalSpec{
+		"stalling bursty":    {Kind: workload.Bursty, RatePerSec: 1, HorizonSec: 1e6, CycleSec: 1e-6},
+		"oversized max_jobs": {Kind: workload.Poisson, RatePerSec: 1, HorizonSec: 10, MaxJobs: 1 << 40},
+		"stalling diurnal":   {Kind: workload.Diurnal, RatePerSec: 1, HorizonSec: 1e12, DiurnalPeriodSec: 1e-310},
+	} {
+		t.Run("arrivals/"+name, func(t *testing.T) {
+			sp := Spec{Queues: workload.Spec{Arrivals: &a}, DurationSec: 1}
+			if _, err := env.RunConfig(sp, suite, nil); err == nil || !strings.Contains(err.Error(), "workload: arrivals") {
+				t.Fatalf("RunConfig(%+v) error = %v, want an arrivals error", a, err)
+			}
+		})
 	}
 }
 

@@ -25,7 +25,8 @@
 //     control there);
 //   - replay is refused unless the whole chunk fits the remaining slice
 //     budget exactly as the unmemoized loop would have stepped it
-//     (cyclesButLast < remaining ⇔ every step would have started).
+//     (cycles before the last step < remaining ⇔ every step would have
+//     started).
 //
 // Within a chunk nothing is observable: counters and the ledger are plain
 // integer sums, so one batched add equals the per-step adds it replaces,
@@ -40,11 +41,14 @@
 //
 // Allocation discipline. A recording lives in its process's reusable
 // recorder and allocates nothing; only a chunk the memo keeps is copied
-// out, exact-size, into the memo's slabs. A recording the memo would refuse
-// (it is full, or another recorder already published the state) is never
-// copied, and once the memo is full new recordings only count their steps:
-// chunk boundaries, and with them the lookup cadence and the hit and miss
-// counts, are those of a memo that records and discards.
+// out, into two memo-wide slabs: its header, and one exact-size tail
+// holding its end stack and loop writes. Each lane files its chunks in one
+// open-addressed table keyed by the state hash, so a kept chunk costs its
+// header, its tail and a table slot or two. A recording the memo would
+// refuse (it is full, or another recorder already published the state) is
+// never copied, and once the memo is full new recordings only count their
+// steps: chunk boundaries, and with them the lookup cadence and the hit
+// and miss counts, are those of a memo that records and discards.
 package exec
 
 import (
@@ -58,9 +62,14 @@ import (
 // the point where the per-chunk overhead stops mattering.
 const maxChunkSteps = 256
 
+// A chunk counts its steps in 16 bits; this fails to compile otherwise.
+const _ = uint16(maxChunkSteps)
+
 // DefaultMemoChunks is the default bound on cached chunks across all
-// lanes (~50 MB when full on the campaign grids, lane maps included).
-// When full, the memo stops recording new chunks but keeps serving hits.
+// lanes. On the quick showdown grid a kept chunk costs 146.5 bytes (its
+// 120-byte header, 12.7 bytes of tail and 13.8 bytes of lane table), so
+// the full memo holds about 38 MB. When full, the memo stops recording
+// new chunks but keeps serving hits.
 const DefaultMemoChunks = 1 << 18
 
 // Slab block sizes, in elements: a memo's first block of each kind is
@@ -124,25 +133,37 @@ type loopWrite struct {
 	val         int32
 }
 
-// chunk is the recorded outcome of a run of steps: the observable deltas
-// plus the end state to restore. Immutable once published.
+// chunk is the recorded outcome of a run of steps, filed under the state
+// it starts from: the observable deltas plus the end state to restore.
+// Immutable once published. The 32-bit deltas bound what one chunk may
+// record; finalize keeps no recording that would not fit them.
 type chunk struct {
+	key chunkKey
+
+	cycles       int64 // total body cycles of all steps
+	idealPs      int64 // ledger fastest-clock counterfactual, integer sum
+	endStackHash uint64
+	endLoopHash  uint64
+	endRng       uint64
+
+	// tail holds the end stack as endStackLen (proc, block) pairs, bottom
+	// frame first, then the loop writes as (proc, block, val) triples.
+	tail []int32
+
+	instrs, memRefs uint32
+	lastCycles      uint32 // the final step's cycles (budget check)
+
 	startProc, startBlock int32
 	startStackLen         int32
-	steps                 int32
+	endProc, endBlock     int32
+	endStackLen           int32
+	steps                 uint16
+}
 
-	cycles        int64 // total body cycles of all steps
-	cyclesButLast int64 // total excluding the final step (budget check)
-	instrs        uint64
-	memRefs       uint64
-	idealPs       int64 // ledger fastest-clock counterfactual, integer sum
-
-	endProc, endBlock int32
-	endStack          []frame
-	endStackHash      uint64
-	endLoopHash       uint64
-	endRng            uint64
-	loopWrites        []loopWrite
+// split returns the tail's end stack and loop writes.
+func (c *chunk) split() (stack, writes []int32) {
+	n := 2 * int(c.endStackLen)
+	return c.tail[:n], c.tail[n:]
 }
 
 // blockCost is one block's precomputed pricing under a lane. Building it
@@ -153,6 +174,9 @@ type blockCost struct {
 	idealPs  int64 // fastest-clock counterfactual picoseconds
 }
 
+// laneMinSlots is a fresh lane's table length.
+const laneMinSlots = 8
+
 // Lane is the per-pricing-environment view of the memo: the block cost
 // tables plus the chunk store.
 type Lane struct {
@@ -161,23 +185,52 @@ type Lane struct {
 	shareKB float64
 	cost    [][]blockCost
 
-	mu     sync.RWMutex
-	chunks map[chunkKey]*chunk
+	// table is an open-addressed chunk store indexed by key.pos with
+	// linear probing; nil slots are empty. Its length is a power of two
+	// and n, the chunks it holds, stays at or below 3/4 of it, so every
+	// probe sequence reaches an empty slot.
+	mu    sync.RWMutex
+	table []*chunk
+	n     int
+}
+
+// slot returns the index of key's chunk in the table, or of the empty slot
+// where it would go.
+func (l *Lane) slot(key chunkKey) uint64 {
+	mask := uint64(len(l.table) - 1)
+	i := key.pos & mask
+	for c := l.table[i]; c != nil && c.key != key; c = l.table[i] {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // lookup returns the cached chunk for a state key, or nil.
 func (l *Lane) lookup(key chunkKey) *chunk {
 	l.mu.RLock()
-	c := l.chunks[key]
+	c := l.table[l.slot(key)]
 	l.mu.RUnlock()
 	return c
 }
 
-// insert publishes a recorded chunk, copying it with its end stack and
-// loop writes into the memo's slabs. First writer wins: concurrent
-// recorders starting from the same state record byte-equivalent prefixes,
-// so replay correctness never depends on which one lands. A refused chunk
-// (memo full, state already published) allocates nothing.
+// grow doubles the table and re-files every chunk. The caller holds the
+// write lock.
+func (l *Lane) grow() {
+	old := l.table
+	l.table = make([]*chunk, 2*len(old))
+	for _, c := range old {
+		if c != nil {
+			l.table[l.slot(c.key)] = c
+		}
+	}
+}
+
+// insert publishes a recorded chunk under key, copying its header into the
+// memo's chunk slab and its end stack and loop writes into one exact-size
+// tail. First writer wins: concurrent recorders starting from the same
+// state record byte-equivalent prefixes, so replay correctness never
+// depends on which one lands. A refused chunk (memo full, state already
+// published) allocates nothing.
 func (l *Lane) insert(key chunkKey, c *chunk, stack []frame, writes []loopWrite) {
 	m := l.memo
 	if m.full() {
@@ -185,18 +238,32 @@ func (l *Lane) insert(key chunkKey, c *chunk, stack []frame, writes []loopWrite)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.chunks[key] != nil {
+	i := l.slot(key)
+	if l.table[i] != nil {
 		return
+	}
+	if 4*(l.n+1) > 3*len(l.table) {
+		l.grow()
+		i = l.slot(key)
 	}
 	m.slabMu.Lock()
 	kept := &m.chunkSlab.take(1)[0]
-	*kept = *c
-	kept.endStack = m.frameSlab.take(len(stack))
-	copy(kept.endStack, stack)
-	kept.loopWrites = m.writeSlab.take(len(writes))
-	copy(kept.loopWrites, writes)
+	tail := m.tailSlab.take(2*len(stack) + 3*len(writes))
 	m.slabMu.Unlock()
-	l.chunks[key] = kept
+	*kept = *c
+	kept.key = key
+	kept.endStackLen = int32(len(stack))
+	kept.tail = tail
+	for _, f := range stack {
+		tail[0], tail[1] = f.proc, f.block
+		tail = tail[2:]
+	}
+	for _, w := range writes {
+		tail[0], tail[1], tail[2] = w.proc, w.block, w.val
+		tail = tail[3:]
+	}
+	l.table[i] = kept
+	l.n++
 	m.entries.Add(1)
 	m.recordedSteps.Add(uint64(c.steps))
 }
@@ -216,11 +283,11 @@ type SegmentMemo struct {
 	mu    sync.RWMutex
 	lanes map[laneKey]*Lane
 
-	// The slabs hold every kept chunk, across all lanes.
+	// The slabs hold every kept chunk across all lanes: its header and
+	// its tail.
 	slabMu    sync.Mutex
 	chunkSlab slab[chunk]
-	frameSlab slab[frame]
-	writeSlab slab[loopWrite]
+	tailSlab  slab[int32]
 }
 
 // full reports whether the memo has reached its chunk bound.
@@ -307,7 +374,7 @@ func (m *SegmentMemo) LaneFor(p *Process, par *CoreParams, shareKB float64, fast
 		memo:    m,
 		par:     *par,
 		shareKB: shareKB,
-		chunks:  map[chunkKey]*chunk{},
+		table:   make([]*chunk, laneMinSlots),
 		cost:    make([][]blockCost, len(p.Img.blocks)),
 	}
 	for proc := range p.Img.blocks {
@@ -440,11 +507,17 @@ func (r *recorder) start(p *Process, lane *Lane, key chunkKey) {
 	r.writes = r.writes[:0]
 }
 
-// finalize closes the active recording and offers the chunk to its lane.
+// finalize closes the active recording and offers the chunk to its lane,
+// unless its deltas are too wide for the chunk's 32-bit fields.
 func (m *memoState) finalize(p *Process) {
 	r := &m.rec
 	r.active = false
 	if !r.keep || r.steps == 0 {
+		return
+	}
+	instrs := p.Counters.Instructions - r.startInstrs
+	memRefs := p.Counters.MemRefs - r.startMemRefs
+	if instrs > math.MaxUint32 || memRefs > math.MaxUint32 || r.lastCycles > math.MaxUint32 {
 		return
 	}
 	for i := range r.writes {
@@ -452,20 +525,20 @@ func (m *memoState) finalize(p *Process) {
 		w.val = p.loopCounts[w.proc][w.block]
 	}
 	c := chunk{
-		startProc:     r.startProc,
-		startBlock:    r.startBlock,
-		startStackLen: r.startStackLen,
-		steps:         r.steps,
 		cycles:        r.cycles,
-		cyclesButLast: r.cycles - r.lastCycles,
-		instrs:        p.Counters.Instructions - r.startInstrs,
-		memRefs:       p.Counters.MemRefs - r.startMemRefs,
 		idealPs:       r.idealPs,
-		endProc:       p.curProc,
-		endBlock:      p.curBlock,
 		endStackHash:  m.stackHash,
 		endLoopHash:   m.loopHash,
 		endRng:        p.rand.State(),
+		instrs:        uint32(instrs),
+		memRefs:       uint32(memRefs),
+		lastCycles:    uint32(r.lastCycles),
+		startProc:     r.startProc,
+		startBlock:    r.startBlock,
+		startStackLen: r.startStackLen,
+		endProc:       p.curProc,
+		endBlock:      p.curBlock,
+		steps:         uint16(r.steps),
 	}
 	r.lane.insert(r.key, &c, p.stack, r.writes)
 }
@@ -483,7 +556,8 @@ func (p *Process) EnableMemo() {
 // given lane, returning the cycles consumed (0: no replay — the caller
 // must take a native step). budget is the remaining slice budget; a chunk
 // replays only if the unmemoized loop would have started every one of its
-// steps (strict cyclesButLast < budget, matching `for used < slice`).
+// steps (cycles before the last step strictly below budget, matching
+// `for used < slice`).
 // A lookup miss arms the recorder, so the following native steps build the
 // chunk that will serve this state next time.
 func (p *Process) Advance(lane *Lane, budget int64) int64 {
@@ -509,7 +583,7 @@ func (p *Process) Advance(lane *Lane, budget int64) int64 {
 		lane.memo.misses.Add(1)
 		return 0
 	}
-	if c.cyclesButLast >= budget {
+	if c.cycles-int64(c.lastCycles) >= budget {
 		return 0
 	}
 	p.replayChunk(lane, c)
@@ -518,14 +592,18 @@ func (p *Process) Advance(lane *Lane, budget int64) int64 {
 
 // replayChunk applies a chunk's deltas and restores its end state.
 func (p *Process) replayChunk(lane *Lane, c *chunk) {
-	p.Counters.AddBatch(c.instrs, uint64(c.cycles), c.memRefs)
+	p.Counters.AddBatch(uint64(c.instrs), uint64(c.cycles), uint64(c.memRefs))
 	if p.Work != nil {
 		p.Work.Add(c.cycles*lane.par.PsPerCycle, c.idealPs)
 	}
-	for _, w := range c.loopWrites {
-		*p.loopCell(w.proc, w.block) = w.val
+	stack, writes := c.split()
+	for ; len(writes) > 0; writes = writes[3:] {
+		*p.loopCell(writes[0], writes[1]) = writes[2]
 	}
-	p.stack = append(p.stack[:0], c.endStack...)
+	p.stack = p.stack[:0]
+	for ; len(stack) > 0; stack = stack[2:] {
+		p.stack = append(p.stack, frame{proc: stack[0], block: stack[1]})
+	}
 	p.curProc, p.curBlock = c.endProc, c.endBlock
 	p.rand.SetState(c.endRng)
 	p.memo.stackHash = c.endStackHash

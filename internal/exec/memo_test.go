@@ -2,7 +2,10 @@ package exec
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"phasetune/internal/amp"
 	"phasetune/internal/prog"
@@ -74,8 +77,21 @@ func (f *memoFixture) lane(m *SegmentMemo, p *Process) *Lane {
 	return m.LaneFor(p, f.par, 4096, f.par.PsPerCycle)
 }
 
+// kept returns every chunk filed in the memo's lane tables.
+func kept(m *SegmentMemo) []*chunk {
+	var out []*chunk
+	for _, l := range m.lanes {
+		for _, c := range l.table {
+			if c != nil {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
 func TestSlabTake(t *testing.T) {
-	var s slab[loopWrite]
+	var s slab[int32]
 	if got := s.take(0); got != nil {
 		t.Fatalf("take(0) = %v, want nil", got)
 	}
@@ -84,14 +100,14 @@ func TestSlabTake(t *testing.T) {
 	if len(a) != 3 || cap(a) != 3 || len(b) != 2 || cap(b) != 2 {
 		t.Fatalf("take sizes: a len %d cap %d, b len %d cap %d, want exact", len(a), cap(a), len(b), cap(b))
 	}
-	a[2] = loopWrite{val: 7}
-	if b[0] != (loopWrite{}) {
+	a[2] = 7
+	if b[0] != 0 {
 		t.Fatal("neighbouring takes alias")
 	}
 	// Appending to a full-capacity take must copy, never write into the
 	// next chunk's cells.
-	_ = append(a, loopWrite{val: 9})
-	if b[0] != (loopWrite{}) {
+	_ = append(a, 9)
+	if b[0] != 0 {
 		t.Fatal("append to a take overwrote its neighbour")
 	}
 	for i := 0; i < 4*slabMax; i++ {
@@ -106,9 +122,9 @@ func TestSlabTake(t *testing.T) {
 }
 
 // TestMemoKeepsExactChunks runs processes through a fresh memo and checks
-// every kept chunk: end stack and loop writes are stored at their exact
-// size, each loop cell at most once, and memoized execution matches the
-// plain interpreter step for step.
+// every kept chunk: its tail holds the end stack and loop writes at their
+// exact size, each loop cell at most once, and memoized execution matches
+// the plain interpreter step for step.
 func TestMemoKeepsExactChunks(t *testing.T) {
 	f := newMemoFixture(t, 300)
 	memo := NewSegmentMemo(0)
@@ -128,26 +144,25 @@ func TestMemoKeepsExactChunks(t *testing.T) {
 		t.Fatalf("fixture never replayed: %+v", st)
 	}
 	var deep, multi int
-	for _, l := range memo.lanes {
-		for _, c := range l.chunks {
-			if cap(c.endStack) != len(c.endStack) || cap(c.loopWrites) != len(c.loopWrites) {
-				t.Fatalf("chunk slices not exact: stack %d/%d, writes %d/%d",
-					len(c.endStack), cap(c.endStack), len(c.loopWrites), cap(c.loopWrites))
+	for _, c := range kept(memo) {
+		stack, writes := c.split()
+		if cap(c.tail) != len(c.tail) || len(writes)%3 != 0 {
+			t.Fatalf("chunk tail not exact: len %d cap %d, %d frames and %d write cells",
+				len(c.tail), cap(c.tail), c.endStackLen, len(writes))
+		}
+		seen := map[[2]int32]bool{}
+		for ; len(writes) > 0; writes = writes[3:] {
+			cell := [2]int32{writes[0], writes[1]}
+			if seen[cell] {
+				t.Fatalf("loop cell %v stored twice in one chunk", cell)
 			}
-			seen := map[[2]int32]bool{}
-			for _, w := range c.loopWrites {
-				cell := [2]int32{w.proc, w.block}
-				if seen[cell] {
-					t.Fatalf("loop cell %v stored twice in one chunk", cell)
-				}
-				seen[cell] = true
-			}
-			if len(c.endStack) > 0 {
-				deep++
-			}
-			if len(c.loopWrites) > 1 {
-				multi++
-			}
+			seen[cell] = true
+		}
+		if len(stack) > 0 {
+			deep++
+		}
+		if len(seen) > 1 {
+			multi++
 		}
 	}
 	if deep == 0 || multi == 0 {
@@ -167,12 +182,12 @@ func TestLaneInsertFirstWriterWins(t *testing.T) {
 	lane.insert(chunkKey{pos: 1}, &chunk{steps: 3}, stack, writes)
 	lane.insert(chunkKey{pos: 1}, &chunk{steps: 5}, nil, nil)
 	c := lane.lookup(chunkKey{pos: 1})
-	if c == nil || c.steps != 3 || len(c.endStack) != 1 || len(c.loopWrites) != 1 {
+	if c == nil || c.steps != 3 || c.key != (chunkKey{pos: 1}) || c.endStackLen != 1 || len(c.tail) != 5 {
 		t.Fatalf("first writer lost: %+v", c)
 	}
 	stack[0], writes[0] = frame{}, loopWrite{}
-	if c.endStack[0] != (frame{proc: 1, block: 2}) || c.loopWrites[0].val != 4 {
-		t.Fatal("kept chunk shares the recorder's buffers")
+	if want := []int32{1, 2, 1, 3, 4}; !slices.Equal(c.tail, want) {
+		t.Fatalf("kept tail %v, want %v: it shares the recorder's buffers", c.tail, want)
 	}
 
 	lane.insert(chunkKey{pos: 2}, &chunk{steps: 1}, nil, nil)
@@ -185,37 +200,210 @@ func TestLaneInsertFirstWriterWins(t *testing.T) {
 	}
 }
 
-// TestMemoFullRecordsNothing fills a small memo, then requires further
-// dispatch to allocate nothing and keep nothing while still serving hits.
-func TestMemoFullRecordsNothing(t *testing.T) {
+// TestLaneTableProbesPastCollisions files keys whose positions share their
+// low bits, so each probes past the others: the last ones wrap around the
+// table's end. Every key must still be found, in probe order, and an
+// absent key with the same low bits must miss.
+func TestLaneTableProbesPastCollisions(t *testing.T) {
+	f := newMemoFixture(t, 10)
+	lane := f.lane(NewSegmentMemo(0), f.process(1))
+	const last = laneMinSlots - 1
+	keys := []chunkKey{{pos: last}, {pos: last | 1<<40}, {pos: last | 2<<40, rng: 9}, {pos: last, rng: 1}}
+	for i, k := range keys {
+		lane.insert(k, &chunk{steps: uint16(i + 1)}, nil, nil)
+	}
+	if len(lane.table) != laneMinSlots {
+		t.Fatalf("table grew to %d slots for %d chunks", len(lane.table), len(keys))
+	}
+	for i, k := range keys {
+		slot := (last + i) % laneMinSlots
+		if c := lane.table[slot]; c == nil || c.key != k {
+			t.Fatalf("key %d: slot %d holds %+v, want it after %d collisions", i, slot, c, i)
+		}
+		if c := lane.lookup(k); c == nil || int(c.steps) != i+1 {
+			t.Fatalf("key %d: lookup = %+v", i, c)
+		}
+	}
+	if c := lane.lookup(chunkKey{pos: last | 3<<40}); c != nil {
+		t.Fatalf("absent colliding key found %+v", c)
+	}
+}
+
+// TestLaneTableGrows files many chunks into one lane: the table must stay
+// a power of two at or below 3/4 load, find every chunk after each growth,
+// and miss every absent key.
+func TestLaneTableGrows(t *testing.T) {
+	f := newMemoFixture(t, 10)
+	memo := NewSegmentMemo(0)
+	lane := f.lane(memo, f.process(1))
+	const n = 5000
+	key := func(i int) chunkKey { return chunkKey{pos: mix64(uint64(i)), rng: uint64(i)} }
+	for i := 0; i < n; i++ {
+		lane.insert(key(i), &chunk{steps: uint16(i%maxChunkSteps + 1)}, nil, nil)
+	}
+	size := len(lane.table)
+	if size&(size-1) != 0 || 4*lane.n > 3*size || lane.n != n {
+		t.Fatalf("%d chunks in %d slots", lane.n, size)
+	}
+	for i := 0; i < n; i++ {
+		if c := lane.lookup(key(i)); c == nil || c.key != key(i) {
+			t.Fatalf("chunk %d lost after growth: %+v", i, c)
+		}
+		if c := lane.lookup(chunkKey{pos: key(i).pos, rng: n + uint64(i)}); c != nil {
+			t.Fatalf("absent key %d found %+v", i, c)
+		}
+	}
+	if st := memo.Stats(); st.Chunks != n {
+		t.Fatalf("memo counts %d chunks, want %d", st.Chunks, n)
+	}
+}
+
+// TestLaneConcurrentInsertLookup mixes inserts and lookups on one lane
+// from several goroutines while its table grows. Goroutines insert
+// overlapping key ranges, so first-writer-wins refusals race too; every
+// key must end up filed once. The race detector checks the locking.
+func TestLaneConcurrentInsertLookup(t *testing.T) {
+	f := newMemoFixture(t, 10)
+	memo := NewSegmentMemo(0)
+	lane := f.lane(memo, f.process(1))
+	const goroutines, keys = 4, 2000
+	key := func(i int) chunkKey { return chunkKey{pos: mix64(uint64(i))} }
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g * keys / 2; i < g*keys/2+keys; i++ {
+				if c := lane.lookup(key(i)); c != nil && c.key != key(i) {
+					t.Errorf("lookup %d returned the chunk of %+v", i, c.key)
+					return
+				}
+				lane.insert(key(i), &chunk{steps: 1}, []frame{{proc: int32(g)}}, nil)
+				if lane.lookup(key(i)) == nil {
+					t.Errorf("chunk %d missing after its insert", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	total := (goroutines + 1) * keys / 2
+	if st := memo.Stats(); st.Chunks != total || lane.n != total {
+		t.Fatalf("%d chunks filed (lane holds %d), want %d", st.Chunks, lane.n, total)
+	}
+	for i := 0; i < total; i++ {
+		if lane.lookup(key(i)) == nil {
+			t.Fatalf("chunk %d lost", i)
+		}
+	}
+}
+
+// TestChunkHeaderSize pins the compact header, key included.
+func TestChunkHeaderSize(t *testing.T) {
+	if size := unsafe.Sizeof(chunk{}); size > 120 {
+		t.Fatalf("chunk header is %d bytes, want at most 120", size)
+	}
+}
+
+// maxBytesPerChunk bounds what a kept chunk of the fill fixture costs:
+// header, tail and its share of the table slots. The implementation
+// measured 179.9 bytes (a 120-byte header, 43.9 bytes of tail and 16
+// bytes of table at half load); the bound leaves 10% on top.
+const maxBytesPerChunk = 198
+
+// TestMemoBytesPerChunk fills a memo from the fixture and bounds the bytes
+// each kept chunk holds: its header, its tail, and the lane table slots
+// divided among the chunks they file.
+func TestMemoBytesPerChunk(t *testing.T) {
 	f := newMemoFixture(t, 1e6)
-	memo := NewSegmentMemo(16)
-	first := f.process(1)
-	dispatch(first, f.lane(memo, first), 5000, 20000)
-	full := memo.Stats()
-	if full.Chunks != 16 || full.Fill() != 1 {
-		t.Fatalf("memo did not fill: %+v", full)
+	const limit = 1 << 12
+	memo := NewSegmentMemo(limit)
+	for seed := uint64(1); memo.Stats().Fill() < 1; seed++ {
+		p := f.process(seed)
+		dispatch(p, f.lane(memo, p), 5000, 100000)
 	}
+	var tail, slots int
+	for _, l := range memo.lanes {
+		slots += len(l.table)
+	}
+	chunks := kept(memo)
+	for _, c := range chunks {
+		tail += len(c.tail)
+	}
+	header := unsafe.Sizeof(chunk{})
+	total := int(header)*len(chunks) + int(unsafe.Sizeof(int32(0)))*tail + int(unsafe.Sizeof((*chunk)(nil)))*slots
+	perChunk := float64(total) / float64(len(chunks))
+	t.Logf("%d chunks: %d-byte headers, %d tail cells, %d table slots: %.1f bytes per chunk",
+		len(chunks), header, tail, slots, perChunk)
+	if perChunk > maxBytesPerChunk {
+		t.Fatalf("%.1f bytes per kept chunk, want at most %d", perChunk, maxBytesPerChunk)
+	}
+}
 
-	p := f.process(2)
-	lane := f.lane(memo, p)
-	dispatch(p, lane, 5000, 20000) // grow the recorder's buffers
-	allocs := testing.AllocsPerRun(20, func() { dispatch(p, lane, 5000, 5000) })
-	if allocs != 0 {
-		t.Errorf("full memo: %v allocations per 5000 moves, want 0", allocs)
-	}
-	st := memo.Stats()
-	if st.Chunks != full.Chunks || st.RecordedSteps != full.RecordedSteps {
-		t.Errorf("full memo kept more: %+v, was %+v", st, full)
-	}
-	if st.Misses <= full.Misses {
-		t.Errorf("full memo stopped looking up: %+v", st)
-	}
+// wideTrips is how often wideSyscallProgram executes its syscall.
+const wideTrips = 40
 
-	again := f.process(1)
-	dispatch(again, f.lane(memo, again), 5000, 20000)
-	if memo.Stats().Hits == 0 {
-		t.Error("full memo stopped serving hits")
+// wideSyscallProgram loops over a syscall, whose cost a test may set past
+// 32 bits, between two ordinary blocks.
+func wideSyscallProgram() *prog.Program {
+	b := prog.NewBuilder("wide")
+	b.Proc("main").Loop(wideTrips, func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{IntALU: 3}).Syscall().Straight(prog.BlockMix{IntALU: 2})
+	}).Ret()
+	return b.MustBuild()
+}
+
+// TestMemoRefusesWideRecordings runs a program whose syscall step costs
+// more cycles than a chunk's 32-bit last-step field holds. Each such step
+// ends its slice, and so its recording: no kept chunk may cover it, so a
+// second pass misses at every syscall again, and both passes must count
+// exactly what the plain interpreter counts. At the default syscall cost
+// the same recordings are kept and replayed.
+func TestMemoRefusesWideRecordings(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		syscall float64
+		wide    bool
+	}{
+		{"wide", 1 << 33, true},
+		{"narrow", DefaultCostModel().SyscallCycles, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cm := DefaultCostModel()
+			cm.SyscallCycles = tc.syscall
+			img, err := NewImage(wideSyscallProgram(), nil, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par := &ParamsFor(cm, amp.Quad2Fast2Slow())[0]
+			plain := NewProcess(1, img, &cm, 1, nil)
+			plain.RunIsolated(par, 0, 4096, 0)
+			memo := NewSegmentMemo(0)
+			var misses [2]uint64
+			for pass := range misses {
+				before := memo.Stats().Misses
+				p := NewProcess(1, img, &cm, 1, nil)
+				p.EnableMemo()
+				dispatch(p, memo.LaneFor(p, par, 4096, par.PsPerCycle), 5000, math.MaxInt)
+				if !p.Exited() || p.Counters != plain.Counters {
+					t.Fatalf("pass %d: memoized counters %+v, plain %+v", pass, p.Counters, plain.Counters)
+				}
+				misses[pass] = memo.Stats().Misses - before
+			}
+			covered := 0
+			for _, c := range kept(memo) {
+				if c.cycles >= int64(tc.syscall) {
+					covered++
+				}
+			}
+			if tc.wide && (covered > 0 || misses[1] < wideTrips) {
+				t.Fatalf("%d kept chunks cover the wide step; second pass missed %d times, want at least %d",
+					covered, misses[1], wideTrips)
+			}
+			if !tc.wide && (covered == 0 || misses[1] >= wideTrips) {
+				t.Fatalf("no kept chunk covers the syscall (%d) or the second pass missed %d times", covered, misses[1])
+			}
+		})
 	}
 }
 

@@ -103,11 +103,16 @@ type ArrivalSpec struct {
 	// Non-positive defaults to HorizonSec (one full day per run).
 	DiurnalPeriodSec float64 `json:"diurnal_period_sec,omitempty"`
 	// MaxJobs caps the generated stream length as a runaway guard.
-	// Non-positive defaults to 100000.
+	// Non-positive defaults to 100000; at most MaxQueuedJobs.
 	MaxJobs int `json:"max_jobs,omitempty"`
 }
 
-// Validate checks the spec can generate a non-degenerate stream.
+// Validate checks the spec can generate a non-degenerate stream in bounded
+// time: MaxJobs bounds the arrivals, and a bursty spec's expected state
+// switches, about 2·HorizonSec/CycleSec, which admit no job, may not exceed
+// MaxQueuedJobs either. A diurnal period so short that the rate curve's
+// phase overflows within the horizon is refused too: past the overflow
+// the curve is NaN, so thinning rejects every draw until the horizon.
 func (a ArrivalSpec) Validate() error {
 	if a.Kind < Poisson || a.Kind > Diurnal {
 		return fmt.Errorf("workload: arrivals: unknown kind %d", int(a.Kind))
@@ -121,6 +126,22 @@ func (a ArrivalSpec) Validate() error {
 	if math.IsNaN(a.RatePerSec) || math.IsInf(a.RatePerSec, 0) ||
 		math.IsNaN(a.HorizonSec) || math.IsInf(a.HorizonSec, 0) {
 		return fmt.Errorf("workload: arrivals: rate and horizon must be finite")
+	}
+	if a.MaxJobs > MaxQueuedJobs {
+		return fmt.Errorf("workload: arrivals: max_jobs %d exceeds the %d-job ceiling", a.MaxJobs, MaxQueuedJobs)
+	}
+	d := a.withDefaults()
+	switch a.Kind {
+	case Bursty:
+		if switches := 2 * a.HorizonSec / d.CycleSec; !(switches <= MaxQueuedJobs) {
+			return fmt.Errorf("workload: arrivals: a %gs horizon of %gs bursty cycles switches state about %.3g times, past the %d-switch ceiling",
+				a.HorizonSec, d.CycleSec, switches, MaxQueuedJobs)
+		}
+	case Diurnal:
+		if phase := 2 * math.Pi * a.HorizonSec / d.DiurnalPeriodSec; math.IsInf(phase, 0) || math.IsNaN(phase) {
+			return fmt.Errorf("workload: arrivals: a %gs diurnal period overflows the rate curve's phase within the %gs horizon",
+				d.DiurnalPeriodSec, a.HorizonSec)
+		}
 	}
 	return nil
 }

@@ -129,9 +129,15 @@ func TestArrivalScheduleShape(t *testing.T) {
 }
 
 func TestArrivalSpecValidate(t *testing.T) {
-	good := ArrivalSpec{Kind: Poisson, RatePerSec: 1, HorizonSec: 10}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	for _, good := range []ArrivalSpec{
+		{Kind: Poisson, RatePerSec: 1, HorizonSec: 10},
+		{Kind: Bursty, RatePerSec: 1, HorizonSec: 1e3, MaxJobs: MaxQueuedJobs},
+		{Kind: Bursty, RatePerSec: 1, HorizonSec: MaxQueuedJobs / 2, CycleSec: 1},
+		{Kind: Diurnal, RatePerSec: 1, HorizonSec: 1e3, DiurnalPeriodSec: 1e-300},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid spec %+v rejected: %v", good, err)
+		}
 	}
 	for name, bad := range map[string]ArrivalSpec{
 		"zero rate":     {Kind: Poisson, RatePerSec: 0, HorizonSec: 10},
@@ -139,6 +145,10 @@ func TestArrivalSpecValidate(t *testing.T) {
 		"zero horizon":  {Kind: Poisson, RatePerSec: 1, HorizonSec: 0},
 		"bad kind":      {Kind: ArrivalKind(99), RatePerSec: 1, HorizonSec: 10},
 		"inf rate":      {Kind: Poisson, RatePerSec: math.Inf(1), HorizonSec: 10},
+		"max_jobs":      {Kind: Poisson, RatePerSec: 1, HorizonSec: 10, MaxJobs: MaxQueuedJobs + 1},
+		"switches":      {Kind: Bursty, RatePerSec: 1, HorizonSec: 1e6, CycleSec: 1e-6},
+		"nan cycle":     {Kind: Bursty, RatePerSec: 1, HorizonSec: 10, CycleSec: math.NaN()},
+		"phase":         {Kind: Diurnal, RatePerSec: 1, HorizonSec: 1e12, DiurnalPeriodSec: 1e-310},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s accepted", name)
