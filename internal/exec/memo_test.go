@@ -200,6 +200,40 @@ func TestLaneInsertFirstWriterWins(t *testing.T) {
 	}
 }
 
+// TestMemoFullRecordsNothing fills a small memo, then requires further
+// dispatch to allocate nothing and keep nothing while still serving hits.
+func TestMemoFullRecordsNothing(t *testing.T) {
+	f := newMemoFixture(t, 1e6)
+	memo := NewSegmentMemo(16)
+	first := f.process(1)
+	dispatch(first, f.lane(memo, first), 5000, 20000)
+	full := memo.Stats()
+	if full.Chunks != 16 || full.Fill() != 1 {
+		t.Fatalf("memo did not fill: %+v", full)
+	}
+
+	p := f.process(2)
+	lane := f.lane(memo, p)
+	dispatch(p, lane, 5000, 20000) // grow the recorder's buffers
+	allocs := testing.AllocsPerRun(20, func() { dispatch(p, lane, 5000, 5000) })
+	if allocs != 0 {
+		t.Errorf("full memo: %v allocations per 5000 moves, want 0", allocs)
+	}
+	st := memo.Stats()
+	if st.Chunks != full.Chunks || st.RecordedSteps != full.RecordedSteps {
+		t.Errorf("full memo kept more: %+v, was %+v", st, full)
+	}
+	if st.Misses <= full.Misses {
+		t.Errorf("full memo stopped looking up: %+v", st)
+	}
+
+	again := f.process(1)
+	dispatch(again, f.lane(memo, again), 5000, 20000)
+	if memo.Stats().Hits == 0 {
+		t.Error("full memo stopped serving hits")
+	}
+}
+
 // TestLaneTableProbesPastCollisions files keys whose positions share their
 // low bits, so each probes past the others: the last ones wrap around the
 // table's end. Every key must still be found, in probe order, and an
