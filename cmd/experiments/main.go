@@ -75,6 +75,7 @@ import (
 
 	"phasetune/internal/benchhist"
 	"phasetune/internal/experiments"
+	"phasetune/internal/sim"
 	"phasetune/internal/textplot"
 	"phasetune/internal/trace"
 	"phasetune/internal/workload"
@@ -497,7 +498,7 @@ func ablations(w io.Writer, cfg experiments.Config) error {
 	benchhist.Render(w, []benchhist.Table{t})
 
 	header(w, "Ablation — counter contention with 4 bounded event sets")
-	cc, err := experiments.CounterContentionCheck(cfg, 4)
+	cc, err := experiments.CounterContention(cfg, sim.PolicyStatic, 4)
 	if err != nil {
 		return err
 	}

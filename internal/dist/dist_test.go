@@ -538,3 +538,56 @@ func TestRegisterRejectsWireVersionMismatch(t *testing.T) {
 		t.Errorf("coordinator rejected a matching worker: %v", err)
 	}
 }
+
+// TestStallingSchedulerRefused pins that scheduler periods which never
+// advance the simulated clock come back as errors instead of a worker
+// spinning until its context fires, which on the fabric is never: the
+// worker's heartbeats keep its lease alive. Environment periods are
+// refused by Validate, NewCoordinator and the run; a detector tick under
+// 1 ps, which the run copies into the kernel's monitor period, by the run.
+// Every run has a deadline, so a regression fails instead of hanging.
+func TestStallingSchedulerRefused(t *testing.T) {
+	probe := Spec{Queues: workload.Spec{Slots: 2, QueueLen: 2, Seed: 1}, DurationSec: 2,
+		Tuning: tuning.DefaultConfig(), Online: online.DefaultConfig(), Seed: 1}
+	probe.Mode = sim.PolicyDynamicProbe.Lower(&probe.Params, &probe.Tuning, &probe.Online)
+	run := func(t *testing.T, env EnvSpec, sp Spec) {
+		t.Helper()
+		suite, err := env.Suite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := env.RunConfig(sp, suite, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		if _, err := sim.RunContext(ctx, rc); err == nil || ctx.Err() != nil {
+			t.Fatalf("run error = %v, want a scheduler error before the deadline", err)
+		}
+	}
+	for name, edit := range map[string]func(*osched.Config){
+		"timeslice 0":          func(c *osched.Config) { c.TimesliceSec = 0 },
+		"timeslice -1":         func(c *osched.Config) { c.TimesliceSec = -1 },
+		"balance interval 0":   func(c *osched.Config) { c.BalanceIntervalSec = 0 },
+		"sample interval 0":    func(c *osched.Config) { c.SampleIntervalSec = 0 },
+		"sample interval tiny": func(c *osched.Config) { c.SampleIntervalSec = 1e-300 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			camp := testCampaign()
+			edit(&camp.Env.Sched)
+			if err := camp.Env.Validate(); err == nil {
+				t.Error("Validate accepted the environment")
+			}
+			if _, err := NewCoordinator(camp, Options{}); err == nil {
+				t.Error("NewCoordinator accepted the campaign")
+			}
+			run(t, camp.Env, probe)
+		})
+	}
+	t.Run("probe tick tiny", func(t *testing.T) {
+		sp := probe
+		sp.Online.TickSec = 1e-300
+		run(t, testCampaign().Env, sp)
+	})
+}

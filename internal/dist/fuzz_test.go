@@ -18,6 +18,7 @@ import (
 	"phasetune/internal/amp"
 	"phasetune/internal/dist"
 	"phasetune/internal/experiments"
+	"phasetune/internal/osched"
 )
 
 // corpusSpecs cuts representative wire specs from every campaign family at
@@ -125,7 +126,8 @@ func FuzzSpecLower(f *testing.F) {
 }
 
 func FuzzEnvSpecDecode(f *testing.F) {
-	for _, camp := range corpusSpecs(f) {
+	camps := corpusSpecs(f)
+	for _, camp := range camps {
 		blob, err := json.Marshal(camp.Env)
 		if err != nil {
 			f.Fatal(err)
@@ -134,13 +136,37 @@ func FuzzEnvSpecDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":-9,"machine":{"cores":null}}`))
+	// Environments whose scheduler periods never advance the clock: each
+	// once spun a worker forever, so Validate must refuse them.
+	for _, stall := range []func(*osched.Config){
+		func(c *osched.Config) { c.TimesliceSec = 0 },
+		func(c *osched.Config) { c.TimesliceSec = -1 },
+		func(c *osched.Config) { c.BalanceIntervalSec = 0 },
+		func(c *osched.Config) { c.SampleIntervalSec = 0 },
+		func(c *osched.Config) { c.SampleIntervalSec = 1e-300 },
+		func(c *osched.Config) { c.MonitorIntervalSec = 1e-300 },
+	} {
+		env := camps[0].Env
+		stall(&env.Sched)
+		blob, err := json.Marshal(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env dist.EnvSpec
 		if err := json.Unmarshal(data, &env); err != nil {
 			return
 		}
-		// Validate must classify, never panic, on any decodable environment.
-		_ = env.Validate()
+		// Validate must classify, never panic, on any decodable environment,
+		// and an environment it accepts must boot a kernel.
+		if env.Validate() == nil {
+			m := env.Machine
+			if _, err := osched.NewKernel(&m, env.Cost, env.Sched); err != nil {
+				t.Fatalf("Validate accepted an environment NewKernel refuses: %v\n%s", err, data)
+			}
+		}
 		roundTrip[dist.EnvSpec](t, data)
 	})
 }

@@ -97,13 +97,17 @@ type EnvSpec struct {
 	Ledger bool `json:"ledger,omitempty"`
 }
 
-// Validate checks the environment is structurally sound and speaks this
-// build's wire version.
+// Validate checks the environment is structurally sound, speaks this
+// build's wire version, and has scheduler periods that advance the clock
+// (osched.Config.Validate).
 func (e *EnvSpec) Validate() error {
 	if e.Version != SpecVersion {
 		return fmt.Errorf("dist: env: wire version %d, this build speaks %d", e.Version, SpecVersion)
 	}
 	if err := e.Machine.Validate(); err != nil {
+		return fmt.Errorf("dist: env: %w", err)
+	}
+	if err := e.Sched.Validate(&e.Machine); err != nil {
 		return fmt.Errorf("dist: env: %w", err)
 	}
 	return nil

@@ -254,6 +254,3 @@ func (img *Image) MarkType(id int) phase.Type {
 
 // NumMarks returns the image's mark count.
 func (img *Image) NumMarks() int { return len(img.Marks) }
-
-// StaticInstrs returns the static instruction count (diagnostics).
-func (img *Image) StaticInstrs() int { return img.Prog.NumInstrs() }

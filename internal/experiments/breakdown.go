@@ -6,6 +6,7 @@ import (
 	"phasetune/internal/amp"
 	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
+	"phasetune/internal/ledger"
 	"phasetune/internal/metrics"
 	"phasetune/internal/sim"
 	"phasetune/internal/workload"
@@ -133,28 +134,38 @@ func breakdownRunCfg(cfg Config, p sim.Policy, alternations int, window uint64, 
 	return sp
 }
 
-// breakdownGrid builds one machine's full grid in wire form: per rate, the
+// breakdownKey names one cell of the map; window is 0 for the
+// window-independent reference policies.
+type breakdownKey struct {
+	policy       sim.Policy
+	alternations int
+	window       uint64
+}
+
+// breakdownKeys lists one machine's cells in grid order: per rate, the
 // window-independent reference cells, then the (window × swept-policy)
-// detection cells — each over every seed.
-func breakdownGrid(cfg Config, alts []int, windows []uint64) []dist.Spec {
-	fixed := breakdownFixed(cfg.Machine)
-	perRate := (len(fixed) + len(windows)*len(breakdownSwept)) * len(cfg.Seeds)
-	grid := make([]dist.Spec, 0, len(alts)*perRate)
+// detection cells.
+func breakdownKeys(machine *amp.Machine, alts []int, windows []uint64) []breakdownKey {
+	var keys []breakdownKey
 	for _, a := range alts {
-		for _, p := range fixed {
-			for _, seed := range cfg.Seeds {
-				grid = append(grid, breakdownRunCfg(cfg, p, a, 0, seed))
-			}
+		for _, p := range breakdownFixed(machine) {
+			keys = append(keys, breakdownKey{p, a, 0})
 		}
 		for _, w := range windows {
 			for _, p := range breakdownSwept {
-				for _, seed := range cfg.Seeds {
-					grid = append(grid, breakdownRunCfg(cfg, p, a, w, seed))
-				}
+				keys = append(keys, breakdownKey{p, a, w})
 			}
 		}
 	}
-	return grid
+	return keys
+}
+
+// breakdownGrid builds one machine's full grid in wire form: every
+// breakdownKeys cell over every seed.
+func breakdownGrid(cfg Config, alts []int, windows []uint64) []dist.Spec {
+	return seedGrid(cfg.Seeds, breakdownKeys(cfg.Machine, alts, windows), func(k breakdownKey, seed uint64) dist.Spec {
+		return breakdownRunCfg(cfg, k.policy, k.alternations, k.window, seed)
+	})
 }
 
 // BreakdownCampaign packages one machine's breakdown grid on the default
@@ -184,79 +195,52 @@ func Breakdown(cfg Config, machines []*amp.Machine, alts []int, windows []uint64
 	for _, machine := range machines {
 		mcfg := cfg
 		mcfg.Machine = machine
-		results, err := mcfg.sweep(breakdownGrid(mcfg, alts, windows))
+		keys := breakdownKeys(machine, alts, windows)
+		cells, err := mcfg.sweepCells(breakdownGrid(mcfg, alts, windows))
 		if err != nil {
 			return nil, err
 		}
-
-		// tput averages one policy's cells over seeds; i walks the grid in
-		// build order.
-		i := 0
-		tput := func() float64 {
-			var v float64
-			for range mcfg.Seeds {
-				v += metrics.ThroughputOver(results[i].Samples, 0, mcfg.DurationSec)
-				i++
-			}
-			return v / float64(len(mcfg.Seeds))
+		at := make(map[breakdownKey]cell, len(keys))
+		for i, k := range keys {
+			at[k] = cells[i]
 		}
-		onlineSwitches := func(at int) float64 {
-			var v float64
-			for k := 0; k < len(mcfg.Seeds); k++ {
-				if res := results[at+k]; res.Online != nil {
-					v += float64(res.Online.Switches)
-				}
-			}
-			return v / float64(len(mcfg.Seeds))
-		}
-		// ledgerPcts averages one policy's placement loss (asymmetry + spill)
-		// and monitoring overhead over seeds, as percents of total core time.
-		ledgerPcts := func(at int) (asym, mon float64, has bool) {
-			for k := 0; k < len(mcfg.Seeds); k++ {
-				if l := results[at+k].Ledger; l != nil && l.HorizonPs > 0 {
-					has = true
-					total := float64(l.Cores) * float64(l.HorizonPs)
-					asym += 100 * float64(l.Total.AsymmetryPs+l.Total.SpillPs) / total
-					mon += 100 * float64(l.Total.MonitorPs) / total
-				}
-			}
-			n := float64(len(mcfg.Seeds))
-			return asym / n, mon / n, has
-		}
+		staticPolicy := breakdownFixed(machine)[1]
+		tp := tput(mcfg.DurationSec)
+		// Placement loss (asymmetry + spill) and monitoring overhead, as
+		// percents of total core time.
+		loss := share(func(b ledger.Breakdown) int64 { return b.AsymmetryPs + b.SpillPs })
+		monitor := share(func(b ledger.Breakdown) int64 { return b.MonitorPs })
 
 		for _, a := range alts {
 			rate := workload.AltSpec(a).AltRate(mcfg.Cost, machine)
-			base := tput()
-			staticAt := i
-			static := tput()
-			oracle := tput()
-			staticAsym, _, hasLedger := ledgerPcts(staticAt)
-			pct := func(v float64) float64 { return metrics.PercentIncrease(base, v) }
+			base := at[breakdownKey{sim.PolicyNone, a, 0}].mean(tp)
+			static := at[breakdownKey{staticPolicy, a, 0}]
+			oracle := at[breakdownKey{sim.PolicyOracle, a, 0}]
+			// pct compares cell means: the map's columns are improvements
+			// of mean throughput over the mean baseline.
+			pct := func(c cell) float64 { return metrics.PercentIncrease(base, c.mean(tp)) }
 
 			frontier := BreakdownFrontierRow{Machine: machine.Name, Alternations: a, Rate: rate}
 			for _, w := range windows {
-				dynAt := i
-				dynamic := tput()
-				hybrid := tput()
+				dynamic := at[breakdownKey{sim.PolicyDynamicProbe, a, w}]
 				row := BreakdownRow{
 					Machine:      machine.Name,
 					Alternations: a,
 					Rate:         rate,
 					WindowInstrs: w,
-					StaticPolicy: breakdownFixed(machine)[1],
+					StaticPolicy: staticPolicy,
 					StaticPct:    pct(static),
 					DynamicPct:   pct(dynamic),
-					HybridPct:    pct(hybrid),
+					HybridPct:    pct(at[breakdownKey{sim.PolicyHybrid, a, w}]),
 					OraclePct:    pct(oracle),
 					DeltaPct:     pct(dynamic) - pct(static),
-					DynSwitches:  onlineSwitches(dynAt),
+					DynSwitches:  dynamic.mean(onlineSwitches),
 				}
-				if hasLedger {
-					dynAsym, dynMon, _ := ledgerPcts(dynAt)
+				if static.hasLedger() {
 					row.HasLedger = true
-					row.StaticAsymmetryPct = staticAsym
-					row.DynAsymmetryPct = dynAsym
-					row.DynMonitorPct = dynMon
+					row.StaticAsymmetryPct = static.mean(loss)
+					row.DynAsymmetryPct = dynamic.mean(loss)
+					row.DynMonitorPct = dynamic.mean(monitor)
 				}
 				if row.DeltaPct >= -BreakdownTolerancePct && w > frontier.BreakEvenWindow {
 					frontier.BreakEvenWindow = w

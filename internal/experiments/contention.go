@@ -6,7 +6,7 @@ import (
 	"phasetune/internal/amp"
 	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
-	"phasetune/internal/metrics"
+	"phasetune/internal/osched"
 	"phasetune/internal/place"
 	"phasetune/internal/sim"
 	"phasetune/internal/workload"
@@ -123,14 +123,9 @@ func contentionRunCfg(cfg Config, cell ContentionCell, seed uint64) dist.Spec {
 // contentionGrid builds one machine's (cell × seed) grid, cell-major
 // (cfg.Machine must already be set).
 func contentionGrid(cfg Config) []dist.Spec {
-	cells := ContentionCells()
-	grid := make([]dist.Spec, 0, len(cells)*len(cfg.Seeds))
-	for _, cell := range cells {
-		for _, seed := range cfg.Seeds {
-			grid = append(grid, contentionRunCfg(cfg, cell, seed))
-		}
-	}
-	return grid
+	return seedGrid(cfg.Seeds, ContentionCells(), func(cell ContentionCell, seed uint64) dist.Spec {
+		return contentionRunCfg(cfg, cell, seed)
+	})
 }
 
 // ContentionCampaign packages one machine's contention grid as a
@@ -148,7 +143,6 @@ func Contention(cfg Config, machines []*amp.Machine) ([]HerdingRow, error) {
 	if machines == nil {
 		machines = ContentionMachines()
 	}
-	cells := ContentionCells()
 	var rows []HerdingRow
 	for _, machine := range machines {
 		// The antagonist fleet regenerates from (cost, machine); the suite
@@ -157,61 +151,71 @@ func Contention(cfg Config, machines []*amp.Machine) ([]HerdingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, err := mcfg.sweep(contentionGrid(mcfg))
+		cells, err := mcfg.sweepCells(contentionGrid(mcfg))
 		if err != nil {
 			return nil, err
 		}
-		nSeeds := len(mcfg.Seeds)
-
-		for ci, cell := range cells {
-			row := HerdingRow{Machine: machine.Name, Policy: cell.Policy, Priced: cell.Priced}
-			var tputs, tputPcts []float64
-			for si := 0; si < nSeeds; si++ {
-				base, res := results[si], results[ci*nSeeds+si]
-				bt := metrics.ThroughputOver(base.Samples, 0, mcfg.DurationSec)
-				rt := metrics.ThroughputOver(res.Samples, 0, mcfg.DurationSec)
-				tputs = append(tputs, rt)
-				tputPcts = append(tputPcts, metrics.PercentIncrease(bt, rt))
-				for _, t := range res.Tasks {
-					row.Switches += float64(t.Migrations)
-				}
-				if cs := res.CacheStats; cs != nil {
-					var totalMem int64
-					for _, ps := range cs.GroupMemPs {
-						totalMem += ps
-					}
-					if row.MemShare == nil {
-						row.MemShare = make([]float64, len(cs.GroupMemPs))
-					}
-					if totalMem > 0 {
-						for g, ps := range cs.GroupMemPs {
-							row.MemShare[g] += float64(ps) / float64(totalMem)
-						}
-					}
-					for _, ps := range cs.GroupMemPs {
-						if ps > 0 {
-							row.GroupsUsed++
-						}
-					}
-					row.MemTasks += float64(cs.MemTasks)
-				}
+		d, base := mcfg.DurationSec, cells[0]
+		for ci, key := range ContentionCells() {
+			c := cells[ci]
+			row := HerdingRow{
+				Machine:       machine.Name,
+				Policy:        key.Policy,
+				Priced:        key.Priced,
+				Throughput:    c.mean(tput(d)),
+				ThroughputPct: c.vs(base, tputPct(d)),
+				GroupsUsed:    c.mean(residency(groupsUsed)),
+				MemTasks:      c.mean(residency(func(cs *osched.CacheStats) float64 { return float64(cs.MemTasks) })),
+				Switches:      c.mean(migrations),
 			}
-			n := float64(nSeeds)
-			row.Throughput = metrics.Mean(tputs)
-			row.ThroughputPct = metrics.Mean(tputPcts)
-			row.Switches /= n
-			row.GroupsUsed /= n
-			row.MemTasks /= n
+			if cs := c[0].CacheStats; cs != nil {
+				row.MemShare = make([]float64, len(cs.GroupMemPs))
+			}
 			for g := range row.MemShare {
-				row.MemShare[g] /= n
-				if row.MemShare[g] > row.MaxMemShare {
-					row.MaxMemShare = row.MemShare[g]
-				}
+				row.MemShare[g] = c.mean(residency(memShare(g)))
+				row.MaxMemShare = max(row.MaxMemShare, row.MemShare[g])
 			}
 			rows = append(rows, row)
 		}
 	}
 	return rows, nil
+}
+
+// residency reads the run's cache-group residency map; 0 for runs without
+// one.
+func residency(f func(*osched.CacheStats) float64) metric {
+	return func(r *sim.Result) float64 {
+		if r.CacheStats == nil {
+			return 0
+		}
+		return f(r.CacheStats)
+	}
+}
+
+// memShare is group g's share of the run's memory-bound core time; 0 when
+// no memory-bound time was recorded.
+func memShare(g int) func(*osched.CacheStats) float64 {
+	return func(cs *osched.CacheStats) float64 {
+		var total int64
+		for _, ps := range cs.GroupMemPs {
+			total += ps
+		}
+		if total <= 0 {
+			return 0
+		}
+		return float64(cs.GroupMemPs[g]) / float64(total)
+	}
+}
+
+// groupsUsed counts the cache groups that hosted any memory-bound time.
+func groupsUsed(cs *osched.CacheStats) float64 {
+	n := 0
+	for _, ps := range cs.GroupMemPs {
+		if ps > 0 {
+			n++
+		}
+	}
+	return float64(n)
 }
 
 // contentionTables runs the herding campaign and reduces it: the cell

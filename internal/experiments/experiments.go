@@ -178,23 +178,17 @@ func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
 	})
 }
 
-// baselines runs one baseline per seed (concurrently) and returns them
-// keyed by seed. Baseline runs depend only on (workload seed, duration), so
-// every driver that needs them builds the same grid.
-func (c *Config) baselines(durationSec float64) (map[uint64]*sim.Result, error) {
-	grid := make([]dist.Spec, len(c.Seeds))
-	for i, seed := range c.Seeds {
-		grid[i] = c.runCfg(sim.PolicyNone, transition.Params{}, tuning.Config{}, 0, seed, durationSec)
-	}
-	results, err := c.sweep(grid)
+// baselines runs the stock-scheduler cell, one run per seed (concurrently).
+// Baseline runs depend only on (workload seed, duration), so every driver
+// that needs them builds the same grid.
+func (c *Config) baselines(durationSec float64) (cell, error) {
+	cells, err := c.sweepCells(seedGrid(c.Seeds, []sim.Policy{sim.PolicyNone}, func(p sim.Policy, seed uint64) dist.Spec {
+		return c.runCfg(p, transition.Params{}, tuning.Config{}, 0, seed, durationSec)
+	}))
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[uint64]*sim.Result, len(c.Seeds))
-	for i, seed := range c.Seeds {
-		out[seed] = results[i]
-	}
-	return out, nil
+	return cells[0], nil
 }
 
 // Scale shrinks the workload dimensions for quick runs (benchmarks use it
@@ -307,39 +301,23 @@ func Fig4TimeOverhead(cfg Config, variants []transition.Params) ([]TimeOverheadR
 	if variants == nil {
 		variants = TechniqueGrid()
 	}
-	bases, err := cfg.baselines(cfg.DurationSec)
+	base, err := cfg.baselines(cfg.DurationSec)
 	if err != nil {
 		return nil, err
 	}
-
-	grid := make([]dist.Spec, 0, len(variants)*len(cfg.Seeds))
-	for _, params := range variants {
-		for _, seed := range cfg.Seeds {
-			grid = append(grid, cfg.runCfg(sim.PolicyOverhead, params, tuning.Config{}, 0, seed, cfg.DurationSec))
-		}
-	}
-	results, err := cfg.sweep(grid)
+	cells, err := cfg.sweepCells(seedGrid(cfg.Seeds, variants, func(params transition.Params, seed uint64) dist.Spec {
+		return cfg.runCfg(sim.PolicyOverhead, params, tuning.Config{}, 0, seed, cfg.DurationSec)
+	}))
 	if err != nil {
 		return nil, err
 	}
-
+	loss := func(b, r *sim.Result) float64 { return -instrPct(b, r) }
 	rows := make([]TimeOverheadRow, len(variants))
 	for vi, params := range variants {
-		var overheads []float64
-		var marks uint64
-		for si, seed := range cfg.Seeds {
-			base := bases[seed]
-			over := results[vi*len(cfg.Seeds)+si]
-			loss := -metrics.PercentIncrease(float64(base.TotalInstructions), float64(over.TotalInstructions))
-			overheads = append(overheads, loss)
-			for _, t := range over.Tasks {
-				marks += t.MarksExecuted
-			}
-		}
 		rows[vi] = TimeOverheadRow{
 			Variant:       params.Name(),
-			OverheadPct:   metrics.Mean(overheads),
-			MarksExecuted: marks,
+			OverheadPct:   cells[vi].vs(base, loss),
+			MarksExecuted: uint64(cells[vi].sum(marks)),
 		}
 	}
 	return rows, nil
@@ -479,30 +457,19 @@ func throughputImprovements(cfg Config, specs []tunedSpec) ([]float64, error) {
 	if window > 400 {
 		window = 400
 	}
-	bases, err := cfg.baselines(window)
+	base, err := cfg.baselines(window)
 	if err != nil {
 		return nil, err
 	}
-	grid := make([]dist.Spec, 0, len(specs)*len(cfg.Seeds))
-	for _, s := range specs {
-		for _, seed := range cfg.Seeds {
-			grid = append(grid, cfg.runCfg(sim.PolicyStatic, s.params, s.tuning, s.errFrac, seed, window))
-		}
-	}
-	results, err := cfg.sweep(grid)
+	cells, err := cfg.sweepCells(seedGrid(cfg.Seeds, specs, func(s tunedSpec, seed uint64) dist.Spec {
+		return cfg.runCfg(sim.PolicyStatic, s.params, s.tuning, s.errFrac, seed, window)
+	}))
 	if err != nil {
 		return nil, err
 	}
-
 	out := make([]float64, len(specs))
-	for si := range specs {
-		var imps []float64
-		for k, seed := range cfg.Seeds {
-			bt := metrics.ThroughputOver(bases[seed].Samples, 0, window)
-			tt := metrics.ThroughputOver(results[si*len(cfg.Seeds)+k].Samples, 0, window)
-			imps = append(imps, metrics.PercentIncrease(bt, tt))
-		}
-		out[si] = metrics.Mean(imps)
+	for si, c := range cells {
+		out[si] = c.vs(base, tputPct(window))
 	}
 	return out, nil
 }
@@ -575,73 +542,52 @@ func Table2Fairness(cfg Config, variants []transition.Params) ([]FairnessRow, er
 	if err != nil {
 		return nil, err
 	}
-
-	type baseRes struct {
-		avg, maxFlow, maxStretch, tput float64
-		tasks                          []metrics.TaskStat
-	}
-	baseRuns, err := cfg.baselines(cfg.DurationSec)
+	base, err := cfg.baselines(cfg.DurationSec)
 	if err != nil {
 		return nil, err
 	}
-	bases := map[uint64]baseRes{}
-	for seed, base := range baseRuns {
-		ms, err := metrics.MaxStretch(base.Tasks, isoSec)
-		if err != nil {
-			return nil, err
-		}
-		bases[seed] = baseRes{
-			avg:        metrics.AvgProcessTime(base.Tasks),
-			maxFlow:    metrics.MaxFlow(base.Tasks),
-			maxStretch: ms,
-			tput:       float64(base.TotalInstructions),
-			tasks:      base.Tasks,
-		}
-	}
-
-	results, err := cfg.sweep(techniqueGrid(cfg, variants))
+	cells, err := cfg.sweepCells(techniqueGrid(cfg, variants))
 	if err != nil {
 		return nil, err
 	}
-
 	rows := make([]FairnessRow, len(variants))
 	for vi, params := range variants {
-		var mf, mstr, avg, matched, tp []float64
-		for si, seed := range cfg.Seeds {
-			tuned := results[vi*len(cfg.Seeds)+si]
-			ms, err := metrics.MaxStretch(tuned.Tasks, isoSec)
-			if err != nil {
-				return nil, err
-			}
-			b := bases[seed]
-			mf = append(mf, metrics.PercentDecrease(b.maxFlow, metrics.MaxFlow(tuned.Tasks)))
-			mstr = append(mstr, metrics.PercentDecrease(b.maxStretch, ms))
-			avg = append(avg, metrics.PercentDecrease(b.avg, metrics.AvgProcessTime(tuned.Tasks)))
-			matched = append(matched, matchedAvgImprovement(b.tasks, tuned.Tasks))
-			tp = append(tp, metrics.PercentIncrease(b.tput, float64(tuned.TotalInstructions)))
+		if rows[vi], err = fairness(isoSec, base, cells[vi]); err != nil {
+			return nil, err
 		}
-		rows[vi] = FairnessRow{
-			Variant:       params.Name(),
-			MaxFlowPct:    metrics.Mean(mf),
-			MaxStretchPct: metrics.Mean(mstr),
-			AvgTimePct:    metrics.Mean(avg),
-			MatchedAvgPct: metrics.Mean(matched),
-			ThroughputPct: metrics.Mean(tp),
-		}
+		rows[vi].Variant = params.Name()
 	}
 	return rows, nil
+}
+
+// fairness reduces a cell against the baseline cell to the Table 2
+// comparisons, seed-matched and averaged (Variant is left to the caller).
+// isoSec holds the isolation runtimes max-stretch divides by.
+func fairness(isoSec map[string]float64, base, c cell) (FairnessRow, error) {
+	var err error
+	stretch := func(r *sim.Result) float64 {
+		ms, e := metrics.MaxStretch(r.Tasks, isoSec)
+		if err == nil {
+			err = e
+		}
+		return ms
+	}
+	row := FairnessRow{
+		MaxFlowPct:    c.vs(base, decrease(func(r *sim.Result) float64 { return metrics.MaxFlow(r.Tasks) })),
+		MaxStretchPct: c.vs(base, decrease(stretch)),
+		AvgTimePct:    c.vs(base, avgTimePct),
+		MatchedAvgPct: c.vs(base, matchedPct),
+		ThroughputPct: c.vs(base, instrPct),
+	}
+	return row, err
 }
 
 // techniqueGrid builds the tuned (variant x seed) grid over the configured
 // duration in wire form.
 func techniqueGrid(cfg Config, variants []transition.Params) []dist.Spec {
-	grid := make([]dist.Spec, 0, len(variants)*len(cfg.Seeds))
-	for _, params := range variants {
-		for _, seed := range cfg.Seeds {
-			grid = append(grid, cfg.runCfg(sim.PolicyStatic, params, cfg.Tuning, 0, seed, cfg.DurationSec))
-		}
-	}
-	return grid
+	return seedGrid(cfg.Seeds, variants, func(params transition.Params, seed uint64) dist.Spec {
+		return cfg.runCfg(sim.PolicyStatic, params, cfg.Tuning, 0, seed, cfg.DurationSec)
+	})
 }
 
 // TechniqueCampaign packages the Table 2 tuned grid (every technique

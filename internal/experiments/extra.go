@@ -3,11 +3,9 @@ package experiments
 import (
 	"phasetune/internal/amp"
 	"phasetune/internal/cfg"
-	"phasetune/internal/dist"
 	"phasetune/internal/exec"
 	"phasetune/internal/instrument"
 	"phasetune/internal/isa"
-	"phasetune/internal/metrics"
 	"phasetune/internal/osched"
 	"phasetune/internal/perfcnt"
 	"phasetune/internal/phase"
@@ -194,12 +192,10 @@ type ThreeCoreResult struct {
 
 // ThreeCore runs the Table 2 headline comparison on the 3-core machine.
 func ThreeCore(cfg Config) (ThreeCoreResult, error) {
-	cfg.Machine = amp.ThreeCore2Fast1Slow()
-	suite, err := workload.Suite(cfg.Cost, cfg.Machine)
+	cfg, err := cfg.on(amp.ThreeCore2Fast1Slow())
 	if err != nil {
 		return ThreeCoreResult{}, err
 	}
-	cfg.Suite = suite
 	rows, err := Table2Fairness(cfg, []transition.Params{BestParams()})
 	if err != nil {
 		return ThreeCoreResult{}, err
@@ -222,58 +218,45 @@ type AblationRow struct {
 	MaxStretchPct float64
 }
 
-// AblationPinMode compares pin-to-core-type (default) against pin-to-single-
-// core (the paper's literal Algorithm 2 output) for the best technique.
-func AblationPinMode(cfg Config) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, single := range []bool{false, true} {
-		t := cfg.Tuning
-		t.PinSingleCore = single
+// ablationRow names a Table 2 row's ablation columns.
+func ablationRow(name string, r FairnessRow) AblationRow {
+	return AblationRow{Name: name, AvgTimePct: r.AvgTimePct, ThroughputPct: r.ThroughputPct,
+		MaxStretchPct: r.MaxStretchPct}
+}
+
+// ablateTuning runs the best technique's Table 2 row once per named
+// variant of the runtime configuration; edit turns cfg.Tuning into
+// variant i.
+func ablateTuning(cfg Config, names []string, edit func(t *tuning.Config, i int)) ([]AblationRow, error) {
+	rows := make([]AblationRow, len(names))
+	for i, name := range names {
 		c := cfg
-		c.Tuning = t
+		edit(&c.Tuning, i)
 		res, err := Table2Fairness(c, []transition.Params{BestParams()})
 		if err != nil {
 			return nil, err
 		}
-		name := "pin-type"
-		if single {
-			name = "pin-core"
-		}
-		rows = append(rows, AblationRow{
-			Name:          name,
-			AvgTimePct:    res[0].AvgTimePct,
-			ThroughputPct: res[0].ThroughputPct,
-			MaxStretchPct: res[0].MaxStretchPct,
-		})
+		rows[i] = ablationRow(name, res[0])
 	}
 	return rows, nil
 }
 
-// AblationMonitorBound compares bounded monitoring windows (default) against
-// the strict paper reading (samples close only at marks).
+// AblationPinMode compares pin-to-core-type (default) against pin-to-single-
+// core (the paper's literal Algorithm 2 output) for the best technique.
+func AblationPinMode(cfg Config) ([]AblationRow, error) {
+	return ablateTuning(cfg, []string{"pin-type", "pin-core"}, func(t *tuning.Config, i int) {
+		t.PinSingleCore = i == 1
+	})
+}
+
+// AblationMonitorBound compares bounded monitoring windows (the configured
+// bound) against the strict paper reading (samples close only at marks).
 func AblationMonitorBound(cfg Config) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, bound := range []uint64{cfg.Tuning.MaxMonitorCycles, 0} {
-		t := cfg.Tuning
-		t.MaxMonitorCycles = bound
-		c := cfg
-		c.Tuning = t
-		res, err := Table2Fairness(c, []transition.Params{BestParams()})
-		if err != nil {
-			return nil, err
+	return ablateTuning(cfg, []string{"bounded-monitor", "mark-only-monitor"}, func(t *tuning.Config, i int) {
+		if i == 1 {
+			t.MaxMonitorCycles = 0
 		}
-		name := "bounded-monitor"
-		if bound == 0 {
-			name = "mark-only-monitor"
-		}
-		rows = append(rows, AblationRow{
-			Name:          name,
-			AvgTimePct:    res[0].AvgTimePct,
-			ThroughputPct: res[0].ThroughputPct,
-			MaxStretchPct: res[0].MaxStretchPct,
-		})
-	}
-	return rows, nil
+	})
 }
 
 // AblationPropagation compares type propagation through untyped sections
@@ -298,30 +281,6 @@ func AblationPropagation(cfg Config) ([]AblationRow, error) {
 		rows = append(rows, AblationRow{Name: name, AvgTimePct: float64(marks)})
 	}
 	return rows, nil
-}
-
-// CounterContention reports event-set contention under a bounded counter
-// pool (the paper's "processes seldom have to wait" claim, §III).
-type CounterContentionResult struct {
-	// Defers counts monitoring requests that found no free event set.
-	Defers uint64
-	// Samples counts accepted samples across all processes.
-	Marks uint64
-}
-
-// CounterContentionCheck runs one tuned workload with a small bounded pool.
-func CounterContentionCheck(cfg Config, slots int) (CounterContentionResult, error) {
-	cfg.Sched.CounterSlots = slots
-	results, err := cfg.sweep([]dist.Spec{cfg.runCfg(sim.PolicyStatic, BestParams(), cfg.Tuning, 0, cfg.Seeds[0], cfg.DurationSec)})
-	if err != nil {
-		return CounterContentionResult{}, err
-	}
-	res := results[0]
-	marks := uint64(0)
-	for _, t := range res.Tasks {
-		marks += t.MarksExecuted
-	}
-	return CounterContentionResult{Defers: res.CounterDefers, Marks: marks}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -394,47 +353,25 @@ func AblationTemporal(cfg Config, resampleCycles uint64) ([]AblationRow, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := []AblationRow{{
-		Name:          "positional(loop45)",
-		AvgTimePct:    rows[0].AvgTimePct,
-		ThroughputPct: rows[0].ThroughputPct,
-		MaxStretchPct: rows[0].MaxStretchPct,
-	}}
-
 	isoSec, err := IsolationTimes(cfg)
 	if err != nil {
 		return nil, err
 	}
-	bases, err := cfg.baselines(cfg.DurationSec)
+	base, err := cfg.baselines(cfg.DurationSec)
 	if err != nil {
 		return nil, err
 	}
-	var avgs, tputs, mss []float64
-	for _, seed := range cfg.Seeds {
-		base := bases[seed]
-		temporal, err := runTemporal(cfg, seed, resampleCycles)
-		if err != nil {
+	temporal := make(cell, len(cfg.Seeds))
+	for i, seed := range cfg.Seeds {
+		if temporal[i], err = runTemporal(cfg, seed, resampleCycles); err != nil {
 			return nil, err
 		}
-		bms, err := metrics.MaxStretch(base.Tasks, isoSec)
-		if err != nil {
-			return nil, err
-		}
-		tms, err := metrics.MaxStretch(temporal.Tasks, isoSec)
-		if err != nil {
-			return nil, err
-		}
-		avgs = append(avgs, metrics.PercentDecrease(metrics.AvgProcessTime(base.Tasks), metrics.AvgProcessTime(temporal.Tasks)))
-		tputs = append(tputs, metrics.PercentIncrease(float64(base.TotalInstructions), float64(temporal.TotalInstructions)))
-		mss = append(mss, metrics.PercentDecrease(bms, tms))
 	}
-	out = append(out, AblationRow{
-		Name:          "temporal(kumar)",
-		AvgTimePct:    metrics.Mean(avgs),
-		ThroughputPct: metrics.Mean(tputs),
-		MaxStretchPct: metrics.Mean(mss),
-	})
-	return out, nil
+	row, err := fairness(isoSec, base, temporal)
+	if err != nil {
+		return nil, err
+	}
+	return []AblationRow{ablationRow("positional(loop45)", rows[0]), ablationRow("temporal(kumar)", row)}, nil
 }
 
 // runTemporal is the baseline cell of one seed with TemporalTuner hooks on

@@ -6,7 +6,7 @@ import (
 	"phasetune/internal/amp"
 	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
-	"phasetune/internal/metrics"
+	"phasetune/internal/ledger"
 	"phasetune/internal/sim"
 	"phasetune/internal/transition"
 )
@@ -93,15 +93,13 @@ func ShowdownMachines() []*amp.Machine {
 
 // showdownGrid builds one machine's full (policy x seed) grid in wire form
 // (cfg.Machine must already be set to that machine).
-func showdownGrid(cfg Config) []dist.Spec {
-	policies := showdownPolicies
-	grid := make([]dist.Spec, 0, len(policies)*len(cfg.Seeds))
-	for _, p := range policies {
-		for _, seed := range cfg.Seeds {
-			grid = append(grid, showdownRunCfg(cfg, p, seed))
-		}
-	}
-	return grid
+func showdownGrid(cfg Config) []dist.Spec { return policyGrid(cfg, showdownPolicies) }
+
+// policyGrid builds the (policy x seed) grid of showdown cells.
+func policyGrid(cfg Config, policies []sim.Policy) []dist.Spec {
+	return seedGrid(cfg.Seeds, policies, func(p sim.Policy, seed uint64) dist.Spec {
+		return showdownRunCfg(cfg, p, seed)
+	})
 }
 
 // ShowdownCampaign packages one machine's showdown grid as a distributable
@@ -121,84 +119,44 @@ func Showdown(cfg Config, machines []*amp.Machine) ([]ShowdownRow, error) {
 	if machines == nil {
 		machines = ShowdownMachines()
 	}
-	policies := showdownPolicies
 	var rows []ShowdownRow
 	for _, machine := range machines {
 		mcfg, err := cfg.on(machine)
 		if err != nil {
 			return nil, err
 		}
-		results, err := mcfg.sweep(showdownGrid(mcfg))
+		cells, err := mcfg.sweepCells(showdownGrid(mcfg))
 		if err != nil {
 			return nil, err
 		}
-		cell := func(pi, si int) *sim.Result { return results[pi*len(mcfg.Seeds)+si] }
-
-		for pi, p := range policies {
-			row := ShowdownRow{Machine: machine.Name, Policy: p}
-			var tputs, tputPcts, avgPcts, matchedPcts []float64
-			for si := range mcfg.Seeds {
-				base, res := cell(0, si), cell(pi, si)
-				bt := metrics.ThroughputOver(base.Samples, 0, mcfg.DurationSec)
-				rt := metrics.ThroughputOver(res.Samples, 0, mcfg.DurationSec)
-				tputs = append(tputs, rt)
-				tputPcts = append(tputPcts, metrics.PercentIncrease(bt, rt))
-				avgPcts = append(avgPcts, metrics.PercentDecrease(
-					metrics.AvgProcessTime(base.Tasks), metrics.AvgProcessTime(res.Tasks)))
-				matchedPcts = append(matchedPcts, matchedAvgImprovement(base.Tasks, res.Tasks))
-
-				var switches int
-				var marks, cycles uint64
-				for _, t := range res.Tasks {
-					switches += t.Migrations
-					marks += t.MarksExecuted
-					cycles += t.Cycles
-				}
-				row.Switches += float64(switches)
-				row.MarksExecuted += float64(marks)
-				row.CounterDefers += float64(res.CounterDefers)
-				if res.Online != nil {
-					row.MonitorWindows += float64(res.Online.Windows)
-					row.MonitorCycles += float64(res.Online.ChargedCycles)
-					row.OnlineSwitches += float64(res.Online.Switches)
-					row.Refreshes += float64(res.Online.Refreshes)
-					row.Damped += float64(res.Online.Damped)
-					if cycles > 0 {
-						row.MonitorPct += 100 * float64(res.Online.ChargedCycles) / float64(cycles)
-					}
-				}
-				if l := res.Ledger; l != nil && l.HorizonPs > 0 {
-					row.HasLedger = true
-					total := float64(l.Cores) * float64(l.HorizonPs)
-					overheadPs := l.Total.MarksPs + l.Total.MonitorPs +
-						l.Total.MigrationPs + l.Total.CtxSwitchPs + l.Total.SlicingPs
-					row.UsefulPct += 100 * float64(l.Total.UsefulPs) / total
-					row.AsymmetryPct += 100 * float64(l.Total.AsymmetryPs) / total
-					row.SpillPct += 100 * float64(l.Total.SpillPs) / total
-					row.OverheadPct += 100 * float64(overheadPs) / total
-					row.IdlePct += 100 * float64(l.Total.IdlePs) / total
-				}
-			}
-			n := float64(len(mcfg.Seeds))
-			row.Throughput = metrics.Mean(tputs)
-			row.ThroughputPct = metrics.Mean(tputPcts)
-			row.AvgTimePct = metrics.Mean(avgPcts)
-			row.MatchedAvgPct = metrics.Mean(matchedPcts)
-			row.Switches /= n
-			row.MarksExecuted /= n
-			row.MonitorWindows /= n
-			row.MonitorCycles /= n
-			row.MonitorPct /= n
-			row.OnlineSwitches /= n
-			row.Refreshes /= n
-			row.Damped /= n
-			row.CounterDefers /= n
-			row.UsefulPct /= n
-			row.AsymmetryPct /= n
-			row.SpillPct /= n
-			row.OverheadPct /= n
-			row.IdlePct /= n
-			rows = append(rows, row)
+		d, base := mcfg.DurationSec, cells[0]
+		for pi, p := range showdownPolicies {
+			c := cells[pi]
+			rows = append(rows, ShowdownRow{
+				Machine:        machine.Name,
+				Policy:         p,
+				Throughput:     c.mean(tput(d)),
+				ThroughputPct:  c.vs(base, tputPct(d)),
+				AvgTimePct:     c.vs(base, avgTimePct),
+				MatchedAvgPct:  c.vs(base, matchedPct),
+				Switches:       c.mean(migrations),
+				MarksExecuted:  c.mean(marks),
+				MonitorWindows: c.mean(onlineWindows),
+				MonitorCycles:  c.mean(chargedCycles),
+				MonitorPct:     c.mean(monitorPct),
+				OnlineSwitches: c.mean(onlineSwitches),
+				Refreshes:      c.mean(refreshes),
+				Damped:         c.mean(damped),
+				CounterDefers:  c.mean(counterDefers),
+				HasLedger:      c.hasLedger(),
+				UsefulPct:      c.mean(share(func(b ledger.Breakdown) int64 { return b.UsefulPs })),
+				AsymmetryPct:   c.mean(share(func(b ledger.Breakdown) int64 { return b.AsymmetryPs })),
+				SpillPct:       c.mean(share(func(b ledger.Breakdown) int64 { return b.SpillPs })),
+				OverheadPct: c.mean(share(func(b ledger.Breakdown) int64 {
+					return b.MarksPs + b.MonitorPs + b.MigrationPs + b.CtxSwitchPs + b.SlicingPs
+				})),
+				IdlePct: c.mean(share(func(b ledger.Breakdown) int64 { return b.IdlePs })),
+			})
 		}
 	}
 	return rows, nil
@@ -222,48 +180,41 @@ func LedgerCell(cfg Config, p sim.Policy, seed uint64) (*sim.Result, error) {
 	return results[0], nil
 }
 
-// ShowdownContention reruns the probe showdown cell with a small bounded
-// counter pool, reporting how the dynamic detector degrades when event sets
-// are scarce (the perfcnt deferral path under periodic sampling).
-type ShowdownContentionResult struct {
+// CounterContentionResult reports one policy under a bounded counter pool
+// (the paper's "processes seldom have to wait" claim, §III).
+type CounterContentionResult struct {
 	// Slots is the bounded pool size.
 	Slots int
 	// Defers counts monitoring requests that found no free event set.
 	Defers uint64
-	// Windows counts detection windows still accepted.
+	// Windows counts detection windows still accepted (detector policies).
 	Windows uint64
-	// ThroughputPct is the throughput improvement over baseline.
+	// Marks counts dynamic phase-mark executions (mark-based policies).
+	Marks uint64
+	// ThroughputPct is the throughput improvement over the stock scheduler
+	// under the same pool.
 	ThroughputPct float64
 }
 
-// ShowdownCounterContention measures the dynamic detector under counter
-// scarcity on the config machine.
-func ShowdownCounterContention(cfg Config, slots int) (ShowdownContentionResult, error) {
-	sched := cfg.Sched
-	sched.CounterSlots = slots
-	c := cfg
-	c.Sched = sched
-	seed := c.Seeds[0]
-	grid := []dist.Spec{
-		showdownRunCfg(c, sim.PolicyNone, seed),
-		showdownRunCfg(c, sim.PolicyDynamicProbe, seed),
-	}
-	results, err := c.sweep(grid)
+// CounterContention reruns the first seed's showdown cell of policy p, and
+// its stock-scheduler baseline, with a pool of slots counter event sets on
+// the config machine: how monitoring degrades when event sets are scarce
+// (the perfcnt deferral path).
+func CounterContention(cfg Config, p sim.Policy, slots int) (CounterContentionResult, error) {
+	cfg.Sched.CounterSlots = slots
+	cfg.Seeds = cfg.Seeds[:1]
+	cells, err := cfg.sweepCells(policyGrid(cfg, []sim.Policy{sim.PolicyNone, p}))
 	if err != nil {
-		return ShowdownContentionResult{}, err
+		return CounterContentionResult{}, err
 	}
-	base, dyn := results[0], results[1]
-	out := ShowdownContentionResult{
-		Slots:  slots,
-		Defers: dyn.CounterDefers,
-		ThroughputPct: metrics.PercentIncrease(
-			metrics.ThroughputOver(base.Samples, 0, c.DurationSec),
-			metrics.ThroughputOver(dyn.Samples, 0, c.DurationSec)),
-	}
-	if dyn.Online != nil {
-		out.Windows = dyn.Online.Windows
-	}
-	return out, nil
+	base, c := cells[0], cells[1]
+	return CounterContentionResult{
+		Slots:         slots,
+		Defers:        uint64(c.sum(counterDefers)),
+		Windows:       uint64(c.sum(onlineWindows)),
+		Marks:         uint64(c.sum(marks)),
+		ThroughputPct: c.vs(base, tputPct(cfg.DurationSec)),
+	}, nil
 }
 
 // showdownTables runs the showdown and reduces it: the policy table, with
@@ -274,7 +225,7 @@ func showdownTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc, err := ShowdownCounterContention(cfg, 4)
+	cc, err := CounterContention(cfg, sim.PolicyDynamicProbe, 4)
 	if err != nil {
 		return nil, err
 	}

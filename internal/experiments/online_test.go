@@ -107,21 +107,35 @@ func TestShowdownDynamicBeatsNoneOnTri(t *testing.T) {
 
 // TestShowdownCounterContention covers the deferral path at the driver
 // level: a tiny bounded pool must defer most window-open attempts while the
-// detector still samples.
+// detector still samples (the showdown note), and must defer the static
+// tuner's mark-driven monitoring while its marks still run (the ablation).
 func TestShowdownCounterContention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload sweep")
 	}
 	cfg := showdownConfig(t, 5)
-	res, err := ShowdownCounterContention(cfg, 4)
+	res, err := CounterContention(cfg, sim.PolicyDynamicProbe, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Slots != 4 {
+		t.Errorf("slots = %d, want 4", res.Slots)
 	}
 	if res.Defers == 0 {
 		t.Errorf("expected deferrals with 4 event sets over 18 slots")
 	}
 	if res.Windows == 0 {
 		t.Errorf("detector sampled no windows under contention")
+	}
+	res, err = CounterContention(cfg, sim.PolicyStatic, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Defers == 0 {
+		t.Errorf("static: expected deferrals with 4 event sets over 18 slots")
+	}
+	if res.Marks == 0 {
+		t.Errorf("static: no phase marks executed under contention")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
 	"phasetune/internal/metrics"
-	"phasetune/internal/osched"
 	"phasetune/internal/serve"
 	"phasetune/internal/sim"
 	"phasetune/internal/trace"
@@ -111,19 +110,25 @@ func servingRunCfg(cfg Config, p sim.Policy, load float64, seed uint64) dist.Spe
 	return rc
 }
 
+// servingRows lists one machine's (load × policy) cells, load-major, as
+// rows with only their keys set.
+func servingRows(machine *amp.Machine) []ServingRow {
+	var rows []ServingRow
+	for _, load := range ServingLoads() {
+		for _, p := range ServingPolicies() {
+			rows = append(rows, ServingRow{Machine: machine.Name, Load: load,
+				RatePerSec: serve.OfferedRate(machine, load), Policy: p})
+		}
+	}
+	return rows
+}
+
 // servingGrid builds one machine's (load × policy × seed) grid, load-major
 // (cfg must already be specialized via servingConfig).
 func servingGrid(cfg Config) []dist.Spec {
-	loads, policies := ServingLoads(), ServingPolicies()
-	grid := make([]dist.Spec, 0, len(loads)*len(policies)*len(cfg.Seeds))
-	for _, load := range loads {
-		for _, p := range policies {
-			for _, seed := range cfg.Seeds {
-				grid = append(grid, servingRunCfg(cfg, p, load, seed))
-			}
-		}
-	}
-	return grid
+	return seedGrid(cfg.Seeds, servingRows(cfg.Machine), func(r ServingRow, seed uint64) dist.Spec {
+		return servingRunCfg(cfg, r.Policy, r.Load, seed)
+	})
 }
 
 // ServingCampaign packages one machine's serving grid as a distributable
@@ -165,64 +170,40 @@ func Serving(cfg Config, machines []*amp.Machine) ([]ServingRow, error) {
 	if machines == nil {
 		machines = ServingMachines()
 	}
-	loads, policies := ServingLoads(), ServingPolicies()
 	var rows []ServingRow
 	for _, machine := range machines {
 		mcfg := servingConfig(cfg, machine)
-		results, err := mcfg.sweep(servingGrid(mcfg))
+		cells, err := mcfg.sweepCells(servingGrid(mcfg))
 		if err != nil {
 			return nil, err
 		}
-		nSeeds := len(mcfg.Seeds)
-		cell := func(li, pi, si int) int { return (li*len(policies)+pi)*nSeeds + si }
-		for li, load := range loads {
-			for pi, p := range policies {
-				row := ServingRow{
-					Machine:    machine.Name,
-					Load:       load,
-					RatePerSec: serve.OfferedRate(machine, load),
-					Policy:     p,
-				}
-				var pooled []float64
-				for si := 0; si < nSeeds; si++ {
-					res := results[cell(li, pi, si)]
-					row.Admitted += float64(len(res.Tasks))
-					soj := metrics.SojournTimes(res.Tasks)
-					row.Completed += float64(len(soj))
-					pooled = append(pooled, soj...)
-					if res.PeakRunnable > row.PeakRunnable {
-						row.PeakRunnable = res.PeakRunnable
-					}
-					row.OvercommitSlices += float64(res.OvercommitSlices)
-					if l := res.Ledger; l != nil {
-						row.HasLedger = true
-						var queuePs, busyPs, slicePs int64
-						for _, t := range l.PerTask {
-							queuePs += t.QueuePs
-							busyPs += t.BusyPs()
-							slicePs += t.SlicingPs
-						}
-						row.QueueingSec += osched.PsToSec(queuePs)
-						row.ServiceSec += osched.PsToSec(busyPs - slicePs)
-						row.SlicingSec += osched.PsToSec(slicePs)
-					}
-				}
-				n := float64(nSeeds)
-				row.Admitted /= n
-				row.Completed /= n
-				row.OvercommitSlices /= n
-				row.QueueingSec /= n
-				row.ServiceSec /= n
-				row.SlicingSec /= n
-				qs := metrics.Quantiles(pooled, 0.50, 0.95, 0.99, 0.999)
-				row.P50, row.P95, row.P99, row.P999 = qs[0], qs[1], qs[2], qs[3]
-				row.MeanSojournSec = math.NaN()
-				if len(pooled) > 0 {
-					row.MeanSojournSec = metrics.Mean(pooled)
-				}
-				rows = append(rows, row)
+		// Each seed reads through serve.Summarize; counts average over
+		// seeds, sojourn quantiles and mean pool across them.
+		mrows := servingRows(machine)
+		for i, c := range cells {
+			row := &mrows[i]
+			sts := make([]serve.Stats, len(c))
+			var pooled []float64
+			for si, r := range c {
+				sts[si] = serve.Summarize(r)
+				pooled = append(pooled, metrics.SojournTimes(r.Tasks)...)
+				row.PeakRunnable = max(row.PeakRunnable, sts[si].PeakRunnable)
+				row.HasLedger = row.HasLedger || sts[si].HasLedger
+			}
+			row.Admitted = meanOf(sts, func(s serve.Stats) float64 { return float64(s.Admitted) })
+			row.Completed = meanOf(sts, func(s serve.Stats) float64 { return float64(s.Completed) })
+			row.OvercommitSlices = meanOf(sts, func(s serve.Stats) float64 { return float64(s.OvercommitSlices) })
+			row.QueueingSec = meanOf(sts, func(s serve.Stats) float64 { return s.QueueingSec })
+			row.ServiceSec = meanOf(sts, func(s serve.Stats) float64 { return s.ServiceSec })
+			row.SlicingSec = meanOf(sts, func(s serve.Stats) float64 { return s.SlicingSec })
+			qs := metrics.Quantiles(pooled, 0.50, 0.95, 0.99, 0.999)
+			row.P50, row.P95, row.P99, row.P999 = qs[0], qs[1], qs[2], qs[3]
+			row.MeanSojournSec = math.NaN()
+			if len(pooled) > 0 {
+				row.MeanSojournSec = metrics.Mean(pooled)
 			}
 		}
+		rows = append(rows, mrows...)
 	}
 	return rows, nil
 }

@@ -4,7 +4,6 @@ import (
 	"phasetune/internal/amp"
 	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
-	"phasetune/internal/metrics"
 	"phasetune/internal/sim"
 )
 
@@ -42,19 +41,25 @@ type WindowRow struct {
 	MonitorPct float64
 }
 
-// windowGrid builds the (window x policy x seed) dynamic grid in wire form.
-func windowGrid(cfg Config, windows []uint64, policies []sim.Policy) []dist.Spec {
-	grid := make([]dist.Spec, 0, len(windows)*len(policies)*len(cfg.Seeds))
+// windowRows lists the sweep's (window x policy) cells, window-major, as
+// rows with only their keys set.
+func windowRows(windows []uint64, policies []sim.Policy) []WindowRow {
+	rows := make([]WindowRow, 0, len(windows)*len(policies))
 	for _, wsize := range windows {
 		for _, p := range policies {
-			for _, seed := range cfg.Seeds {
-				sp := showdownRunCfg(cfg, p, seed)
-				sp.Online.WindowInstrs = wsize
-				grid = append(grid, sp)
-			}
+			rows = append(rows, WindowRow{WindowInstrs: wsize, Policy: p})
 		}
 	}
-	return grid
+	return rows
+}
+
+// windowGrid builds the (window x policy x seed) dynamic grid in wire form.
+func windowGrid(cfg Config, windows []uint64, policies []sim.Policy) []dist.Spec {
+	return seedGrid(cfg.Seeds, windowRows(windows, policies), func(r WindowRow, seed uint64) dist.Spec {
+		sp := showdownRunCfg(cfg, r.Policy, seed)
+		sp.Online.WindowInstrs = r.WindowInstrs
+		return sp
+	})
 }
 
 // windowPolicies are the swept detector policies.
@@ -75,48 +80,20 @@ func WindowSweep(cfg Config, windows []uint64, policies []sim.Policy) ([]WindowR
 	if policies == nil {
 		policies = windowPolicies
 	}
-	bases, err := cfg.baselines(cfg.DurationSec)
+	base, err := cfg.baselines(cfg.DurationSec)
 	if err != nil {
 		return nil, err
 	}
-	results, err := cfg.sweep(windowGrid(cfg, windows, policies))
+	cells, err := cfg.sweepCells(windowGrid(cfg, windows, policies))
 	if err != nil {
 		return nil, err
 	}
-
-	rows := make([]WindowRow, 0, len(windows)*len(policies))
-	i := 0
-	for _, wsize := range windows {
-		for _, p := range policies {
-			row := WindowRow{WindowInstrs: wsize, Policy: p}
-			var tputs []float64
-			for _, seed := range cfg.Seeds {
-				res := results[i]
-				i++
-				base := bases[seed]
-				bt := metrics.ThroughputOver(base.Samples, 0, cfg.DurationSec)
-				rt := metrics.ThroughputOver(res.Samples, 0, cfg.DurationSec)
-				tputs = append(tputs, metrics.PercentIncrease(bt, rt))
-				if res.Online == nil {
-					continue
-				}
-				row.OnlineSwitches += float64(res.Online.Switches)
-				row.Windows += float64(res.Online.Windows)
-				var cycles uint64
-				for _, t := range res.Tasks {
-					cycles += t.Cycles
-				}
-				if cycles > 0 {
-					row.MonitorPct += 100 * float64(res.Online.ChargedCycles) / float64(cycles)
-				}
-			}
-			n := float64(len(cfg.Seeds))
-			row.ThroughputPct = metrics.Mean(tputs)
-			row.OnlineSwitches /= n
-			row.Windows /= n
-			row.MonitorPct /= n
-			rows = append(rows, row)
-		}
+	rows := windowRows(windows, policies)
+	for i, c := range cells {
+		rows[i].ThroughputPct = c.vs(base, tputPct(cfg.DurationSec))
+		rows[i].OnlineSwitches = c.mean(onlineSwitches)
+		rows[i].Windows = c.mean(onlineWindows)
+		rows[i].MonitorPct = c.mean(monitorPct)
 	}
 	return rows, nil
 }

@@ -92,14 +92,8 @@ func NewHybrid(cfg Config, pcfg place.Config, machine *amp.Machine, hw *perfcnt.
 	}
 }
 
-// Config returns the effective (default-filled) configuration.
-func (m *Hybrid) Config() Config { return m.cfg }
-
 // Stats returns the aggregate monitoring statistics.
 func (m *Hybrid) Stats() Stats { return m.stats }
-
-// Engine returns the shared placement engine (test and diagnostic access).
-func (m *Hybrid) Engine() *place.Engine { return m.engine }
 
 // SetTracer attaches a trace sink to the runtime and its placement
 // engine: boundary window closes, re-decisions, and drift-damped

@@ -94,14 +94,8 @@ func NewManager(cfg Config, pcfg place.Config, machine *amp.Machine, hw *perfcnt
 	}
 }
 
-// Config returns the effective (default-filled) configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // Stats returns the aggregate monitoring statistics.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// Engine returns the shared placement engine (test and diagnostic access).
-func (m *Manager) Engine() *place.Engine { return m.engine }
 
 // SetTracer attaches a trace sink to the runtime and its placement
 // engine: window closes, classifications, and decisions are emitted
@@ -109,17 +103,6 @@ func (m *Manager) Engine() *place.Engine { return m.engine }
 func (m *Manager) SetTracer(tr *trace.Tracer) {
 	m.tr = tr
 	m.engine.SetTracer(tr)
-}
-
-// PhasesOf returns the classifier of a task (nil if the task was never
-// monitored) — test and diagnostic access.
-func (m *Manager) PhasesOf(t *osched.Task) *Classifier {
-	for _, ts := range m.live {
-		if ts.task == t {
-			return ts.cls
-		}
-	}
-	return nil
 }
 
 // OnTick implements osched.TaskMonitor: adopt newly spawned tasks, retire

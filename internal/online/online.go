@@ -322,21 +322,3 @@ func (cl *Classifier) TypeIPC(phase int, t amp.CoreTypeID) (mean float64, n int)
 	st := cl.clusters[phase].ipc[t]
 	return st.mean, st.n
 }
-
-// Centroid returns a phase's centroid signature (IPC averaged over the core
-// types it was observed on).
-func (cl *Classifier) Centroid(phase int) Signature {
-	c := cl.clusters[phase]
-	sum, n := 0.0, 0
-	for _, st := range c.ipc {
-		if st.n > 0 {
-			sum += st.mean
-			n++
-		}
-	}
-	sig := Signature{MemFrac: c.memFrac}
-	if n > 0 {
-		sig.IPC = sum / float64(n)
-	}
-	return sig
-}

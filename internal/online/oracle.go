@@ -107,8 +107,6 @@ type OracleHook struct {
 	eng     *place.Engine
 	img     *exec.Image
 	decs    map[phase.Type]place.Decision
-	// SwitchRequests counts affinity calls issued (diagnostics).
-	SwitchRequests int
 }
 
 // NewOracleHook builds the hook; decs is the image's OracleDecisions table
@@ -124,7 +122,6 @@ func (h *OracleHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction
 	if !ok {
 		return exec.MarkAction{}
 	}
-	h.SwitchRequests++
 	if h.eng == nil {
 		return exec.MarkAction{Mask: h.machine.TypeMask(dec.Choice)}
 	}

@@ -118,6 +118,30 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate rejects periods that never advance the simulated clock: a
+// timeslice shorter than one cycle of m's slowest core type (its bursts
+// would retire nothing), and a balance, sample or positive monitor period
+// under 1 ps (its event would re-fire at the same instant). A monitor
+// period <= 0 disables the monitor. Long periods are slow, not stuck, and
+// pass.
+func (c Config) Validate(m *amp.Machine) error {
+	for _, t := range m.Types {
+		if !(c.TimesliceSec*t.CyclesPerSec >= 1) {
+			return fmt.Errorf("osched: timeslice %g s is shorter than one %s cycle", c.TimesliceSec, t.Name)
+		}
+	}
+	if SecToPs(c.BalanceIntervalSec) < 1 {
+		return fmt.Errorf("osched: balance interval %g s is under 1 ps", c.BalanceIntervalSec)
+	}
+	if SecToPs(c.SampleIntervalSec) < 1 {
+		return fmt.Errorf("osched: sample interval %g s is under 1 ps", c.SampleIntervalSec)
+	}
+	if c.MonitorIntervalSec > 0 && SecToPs(c.MonitorIntervalSec) < 1 {
+		return fmt.Errorf("osched: monitor interval %g s is under 1 ps", c.MonitorIntervalSec)
+	}
+	return nil
+}
+
 // TaskState is a task's lifecycle state.
 type TaskState uint8
 
@@ -346,9 +370,13 @@ type Kernel struct {
 	traceNamed bool
 }
 
-// NewKernel boots a kernel on the machine.
+// NewKernel boots a kernel on the machine. It refuses an invalid machine
+// and scheduler periods that could not advance time (Config.Validate).
 func NewKernel(m *amp.Machine, cost exec.CostModel, cfg Config) (*Kernel, error) {
 	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(m); err != nil {
 		return nil, err
 	}
 	k := &Kernel{

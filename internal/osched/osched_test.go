@@ -1,6 +1,7 @@
 package osched
 
 import (
+	"math"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -348,5 +349,48 @@ func TestSecPsConversions(t *testing.T) {
 	}
 	if PsToSec(2e12) != 2 {
 		t.Errorf("PsToSec(2e12) = %g", PsToSec(2e12))
+	}
+}
+
+// TestConfigValidateRejectsStallingPeriods pins the scheduler check: every
+// period that cannot advance the simulated clock is refused, by Validate
+// and by NewKernel, while 1 ps periods, a one-cycle timeslice and a
+// disabled monitor still pass.
+func TestConfigValidateRejectsStallingPeriods(t *testing.T) {
+	m := amp.Quad2Fast2Slow()
+	slowCycle := 1 / m.Types[len(m.Types)-1].CyclesPerSec
+	cases := []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"timeslice zero", func(c *Config) { c.TimesliceSec = 0 }, false},
+		{"timeslice negative", func(c *Config) { c.TimesliceSec = -1 }, false},
+		{"timeslice NaN", func(c *Config) { c.TimesliceSec = math.NaN() }, false},
+		{"timeslice half a slow cycle", func(c *Config) { c.TimesliceSec = slowCycle / 2 }, false},
+		{"timeslice one slow cycle", func(c *Config) { c.TimesliceSec = slowCycle }, true},
+		{"balance zero", func(c *Config) { c.BalanceIntervalSec = 0 }, false},
+		{"sample zero", func(c *Config) { c.SampleIntervalSec = 0 }, false},
+		{"sample 1e-300", func(c *Config) { c.SampleIntervalSec = 1e-300 }, false},
+		{"monitor 1e-300", func(c *Config) { c.MonitorIntervalSec = 1e-300 }, false},
+		{"periods 1 ps", func(c *Config) {
+			c.BalanceIntervalSec, c.SampleIntervalSec, c.MonitorIntervalSec = 1e-12, 1e-12, 1e-12
+		}, true},
+		{"monitor zero disables", func(c *Config) { c.MonitorIntervalSec = 0 }, true},
+		{"monitor negative disables", func(c *Config) { c.MonitorIntervalSec = -1 }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.edit(&cfg)
+			err := cfg.Validate(m)
+			if (err == nil) != tc.ok {
+				t.Fatalf("Validate(%+v) = %v, want ok=%v", cfg, err, tc.ok)
+			}
+			if _, kerr := NewKernel(m, exec.DefaultCostModel(), cfg); (kerr == nil) != tc.ok {
+				t.Fatalf("NewKernel error = %v, want ok=%v", kerr, tc.ok)
+			}
+		})
 	}
 }

@@ -21,7 +21,6 @@ import (
 
 	"phasetune/internal/cfg"
 	"phasetune/internal/cluster"
-	"phasetune/internal/isa"
 	"phasetune/internal/prog"
 	"phasetune/internal/reuse"
 	"phasetune/internal/rng"
@@ -386,24 +385,4 @@ func Agreement(a, b *Typing) float64 {
 		return 0
 	}
 	return float64(agree) / float64(common)
-}
-
-// FeatureSpace returns the feature vectors of all typed blocks, for
-// diagnostics and tests.
-func FeatureSpace(graphs []*cfg.Graph, minInstrs int) map[BlockKey]Features {
-	out := map[BlockKey]Features{}
-	for pi, g := range graphs {
-		for _, b := range g.Blocks {
-			if b.Kind != cfg.KindNormal || b.NumInstrs() < minInstrs {
-				continue
-			}
-			out[BlockKey{Proc: pi, Block: b.ID}] = BlockFeatures(b)
-		}
-	}
-	return out
-}
-
-// MixSummary renders a block mix compactly for diagnostics.
-func MixSummary(m isa.Mix) string {
-	return fmt.Sprintf("mem=%d fp=%d total=%d", m.MemOps(), m.FloatOps(), m.Total())
 }
