@@ -341,12 +341,10 @@ func run(out string, reps int) error {
 		})
 	}
 
-	hist := benchhist.Load(out)
-	hist.Entries = append(hist.Entries, entry)
-	if err := benchhist.Save(out, hist); err != nil {
+	if err := benchhist.Append(out, entry); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (entry %d, %d benchmarks, sweep speedup %.2fx)\n",
-		out, len(hist.Entries), len(entry.Benchmarks), entry.Derived["sweep_speedup"])
+	fmt.Printf("appended to %s (%d benchmarks, sweep speedup %.2fx)\n",
+		out, len(entry.Benchmarks), entry.Derived["sweep_speedup"])
 	return nil
 }

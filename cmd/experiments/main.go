@@ -64,6 +64,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -118,7 +119,7 @@ func main() {
 }
 
 // run parses args and runs the selected experiments, printing every table
-// to stdout.
+// to stdout. A failed write to stdout fails the run.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	runFlag := fs.String("run", "all", "experiment to run")
@@ -201,30 +202,47 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	out := &errWriter{w: stdout}
 	for _, exp := range selected {
 		if exp.campaign == "" {
-			err = exp.fn(stdout, cfg)
+			err = exp.fn(out, cfg)
 		} else {
-			err = runCampaign(stdout, exp.campaign, cfg, axes, *benchout)
+			err = runCampaign(out, exp.campaign, cfg, axes, *benchout)
 		}
-		if err != nil {
+		if err = cmp.Or(err, out.err); err != nil {
 			return fmt.Errorf("%s: %w", exp.name, err)
 		}
 	}
 	if *traceFlag != "" {
-		if err := traceServing(stdout, cfg, *traceFlag); err != nil {
+		if err := traceServing(out, cfg, *traceFlag); err != nil {
 			return err
 		}
 	}
 	if *cachestats {
 		s := cfg.Cache.Stats()
-		fmt.Fprintf(stdout, "\nartifact cache: %d entries, %d pipeline runs, %d hits\n",
+		fmt.Fprintf(out, "\nartifact cache: %d entries, %d pipeline runs, %d hits\n",
 			s.Entries, s.Misses, s.Hits)
 		m := cfg.Memo.Stats()
-		fmt.Fprintf(stdout, "segment memo: %d lanes, %d of %d chunks (fill %.2f), hit rate %.3f, %d steps replayed, %d recorded\n",
+		fmt.Fprintf(out, "segment memo: %d lanes, %d of %d chunks (fill %.2f), hit rate %.3f, %d steps replayed, %d recorded\n",
 			m.Lanes, m.Chunks, m.Limit, m.Fill(), m.HitRate(), m.ReplayedSteps, m.RecordedSteps)
 	}
-	return nil
+	return out.err
+}
+
+// errWriter keeps the first write error and fails every later write with
+// it, so run sees a broken stdout even through printers that ignore it.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
 }
 
 // parseList parses a comma-separated list of positive numbers.

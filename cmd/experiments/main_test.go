@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,5 +138,22 @@ func TestFlagMisuseRejected(t *testing.T) {
 	}
 	if _, err := os.Stat(hist); !os.IsNotExist(err) {
 		t.Errorf("a rejected run touched %s", hist)
+	}
+}
+
+// brokenStdout fails every write, like a closed pipe.
+type brokenStdout struct{}
+
+func (brokenStdout) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+
+// TestStdoutWriteErrorFails pins that a run whose tables cannot be written
+// fails, whichever printer hit the error: fig3 and typing ignore what
+// fmt.Fprint returns, fig4 returns Render's error.
+func TestStdoutWriteErrorFails(t *testing.T) {
+	for _, name := range []string{"fig3", "typing", "fig4"} {
+		err := run(append(append([]string{}, tiny...), "-run", name), brokenStdout{})
+		if err == nil || !strings.Contains(err.Error(), "broken pipe") {
+			t.Errorf("-run %s into a broken stdout: error %v, want the write error", name, err)
+		}
 	}
 }

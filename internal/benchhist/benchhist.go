@@ -9,9 +9,13 @@ package benchhist
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"time"
 )
@@ -71,6 +75,11 @@ type Entry struct {
 	Timestamp string `json:"timestamp,omitempty"`
 	GoVersion string `json:"go_version,omitempty"`
 	MaxProcs  int    `json:"gomaxprocs,omitempty"`
+	// Revision and Dirty are the build's VCS stamp (empty without one, as
+	// under go test); Host names the machine that recorded the entry.
+	Revision string `json:"revision,omitempty"`
+	Dirty    bool   `json:"dirty,omitempty"`
+	Host     string `json:"host,omitempty"`
 	// Shards appears only in older timing entries, recorded when benchjson
 	// could also time the grid on an in-process fabric (its removed -shards
 	// flag). It is kept so rewriting the history preserves those entries.
@@ -83,14 +92,34 @@ type Entry struct {
 }
 
 // Stamp returns an entry of the given kind carrying the provenance every
-// entry records: the time, the Go version and GOMAXPROCS.
+// entry records: the time, the Go version, GOMAXPROCS, and, where known,
+// the build's VCS revision and the host name.
 func Stamp(kind string) Entry {
-	return Entry{
+	e := Entry{
 		Kind:      kind,
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		MaxProcs:  runtime.GOMAXPROCS(0),
 	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		e.Revision, e.Dirty = revision(info)
+	}
+	e.Host, _ = os.Hostname()
+	return e
+}
+
+// revision reads the VCS revision and modified flag the go command stamps
+// into a build from a checkout.
+func revision(info *debug.BuildInfo) (rev string, dirty bool) {
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	return rev, dirty
 }
 
 // History is the file format: one entry per invocation, oldest first.
@@ -99,40 +128,52 @@ type History struct {
 	Entries []Entry `json:"entries"`
 }
 
-// Load reads a history file, absorbing a legacy single-report file as the
-// first entry. Unreadable or unrecognized content starts a fresh history —
-// the file is a derived artifact, never a source of truth.
+// Load reads a history file for display, absorbing a legacy single-report
+// file as the first entry. Unreadable or unrecognized content reads as an
+// empty history.
 func Load(path string) History {
-	h := History{Schema: HistorySchema}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return h
-	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if json.Unmarshal(data, &probe) != nil {
-		return h
-	}
-	switch probe.Schema {
-	case HistorySchema:
-		var old History
-		if json.Unmarshal(data, &old) == nil {
-			h.Entries = old.Entries
-		}
-	case LegacySchema:
-		var legacy Entry
-		if json.Unmarshal(data, &legacy) == nil {
-			legacy.Schema = LegacySchema
-			h.Entries = []Entry{legacy}
-		}
-	}
+	h, _ := load(path)
 	return h
 }
 
-// Append loads path, appends the entry, and writes the history back.
+// load is Load that reports why an existing file did not load (returning
+// an empty history); a missing file is an empty history, not an error.
+func load(path string) (History, error) {
+	h := History{Schema: HistorySchema}
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return h, nil
+	} else if err != nil {
+		return h, err
+	}
+	// One decode serves both schemas: a history's top level is its schema
+	// and entries, a legacy report's is one timing entry.
+	var file struct {
+		Entry
+		Entries []Entry `json:"entries"`
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		return h, err
+	}
+	switch file.Schema {
+	case HistorySchema:
+		h.Entries = file.Entries
+	case LegacySchema:
+		h.Entries = []Entry{file.Entry}
+	default:
+		return h, fmt.Errorf("unknown schema %q", file.Schema)
+	}
+	return h, nil
+}
+
+// Append loads path, appends the entry, and writes the history back. A
+// file that exists but does not load is left untouched and reported:
+// rewriting it would drop every entry it holds.
 func Append(path string, e Entry) error {
-	h := Load(path)
+	h, err := load(path)
+	if err != nil {
+		return fmt.Errorf("benchhist: %s does not load, not appending: %w", path, err)
+	}
 	h.Entries = append(h.Entries, e)
 	return Save(path, h)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -92,6 +93,72 @@ func TestLoadMissingOrGarbageStartsFresh(t *testing.T) {
 	}
 	if h := Load(bad); len(h.Entries) != 0 {
 		t.Errorf("garbage file produced entries")
+	}
+}
+
+// TestAppendRefusesUnloadableHistory pins that Append never clobbers a
+// history it cannot read: a merge-conflicted or foreign file is reported
+// and left byte-for-byte as it was, with every entry it holds.
+func TestAppendRefusesUnloadableHistory(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	for i := 0; i < 2; i++ {
+		if err := Append(good, Entry{GoVersion: "go-test"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string]string{
+		"conflict":  "<<<<<<< HEAD\n" + string(data) + "=======\n" + string(data) + ">>>>>>> other\n",
+		"truncated": string(data[:len(data)/2]),
+		"foreign":   `{"schema":"someone-else/v1","entries":[]}`,
+		"bad entry": `{"schema":"phasetune-bench-history/v1","entries":[{"gomaxprocs":"two"}]}`,
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".json")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := Append(path, Entry{GoVersion: "go-new"}); err == nil {
+			t.Errorf("%s: Append accepted an unloadable history", name)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(after) != content {
+			t.Errorf("%s: Append rewrote the file:\n%s", name, after)
+		}
+	}
+}
+
+// TestRevisionFromBuildInfo pins the provenance Stamp reads from a build
+// stamped by the go command, and that an unstamped build records none.
+func TestRevisionFromBuildInfo(t *testing.T) {
+	info := &debug.BuildInfo{Settings: []debug.BuildSetting{
+		{Key: "vcs", Value: "git"},
+		{Key: "vcs.revision", Value: "4f2c1e0d9b8a7f6e5d4c3b2a1f0e9d8c7b6a5f4e"},
+		{Key: "vcs.modified", Value: "true"},
+	}}
+	if rev, dirty := revision(info); rev != "4f2c1e0d9b8a7f6e5d4c3b2a1f0e9d8c7b6a5f4e" || !dirty {
+		t.Errorf("stamped build: revision %q, dirty %v", rev, dirty)
+	}
+	info.Settings[2].Value = "false"
+	if _, dirty := revision(info); dirty {
+		t.Error("clean build marked dirty")
+	}
+	if rev, dirty := revision(&debug.BuildInfo{}); rev != "" || dirty {
+		t.Errorf("unstamped build: revision %q, dirty %v", rev, dirty)
+	}
+	// Old entries carry no provenance and must encode as they did.
+	blob, err := json.Marshal(Entry{GoVersion: "go-old"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob) != `{"go_version":"go-old"}` {
+		t.Errorf("entry without provenance encodes as %s", blob)
 	}
 }
 

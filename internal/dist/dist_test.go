@@ -543,9 +543,9 @@ func TestRegisterRejectsWireVersionMismatch(t *testing.T) {
 // advance the simulated clock come back as errors instead of a worker
 // spinning until its context fires, which on the fabric is never: the
 // worker's heartbeats keep its lease alive. Environment periods are
-// refused by Validate, NewCoordinator and the run; a detector tick under
-// 1 ps, which the run copies into the kernel's monitor period, by the run.
-// Every run has a deadline, so a regression fails instead of hanging.
+// refused by Validate, NewCoordinator and the run; that includes the
+// monitor period the dynamic detector ticks on. Every run has a deadline,
+// so a regression fails instead of hanging.
 func TestStallingSchedulerRefused(t *testing.T) {
 	probe := Spec{Queues: workload.Spec{Slots: 2, QueueLen: 2, Seed: 1}, DurationSec: 2,
 		Tuning: tuning.DefaultConfig(), Online: online.DefaultConfig(), Seed: 1}
@@ -572,6 +572,9 @@ func TestStallingSchedulerRefused(t *testing.T) {
 		"balance interval 0":   func(c *osched.Config) { c.BalanceIntervalSec = 0 },
 		"sample interval 0":    func(c *osched.Config) { c.SampleIntervalSec = 0 },
 		"sample interval tiny": func(c *osched.Config) { c.SampleIntervalSec = 1e-300 },
+		// The detector ticks on the monitor period, so a sub-picosecond
+		// monitor would stall the probe run below.
+		"probe tick tiny": func(c *osched.Config) { c.MonitorIntervalSec = 1e-300 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			camp := testCampaign()
@@ -585,9 +588,4 @@ func TestStallingSchedulerRefused(t *testing.T) {
 			run(t, camp.Env, probe)
 		})
 	}
-	t.Run("probe tick tiny", func(t *testing.T) {
-		sp := probe
-		sp.Online.TickSec = 1e-300
-		run(t, testCampaign().Env, sp)
-	})
 }

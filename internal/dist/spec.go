@@ -70,8 +70,10 @@ import (
 // sim.RunConfig.CacheStats, sim.Result.CacheStats in result encodings)
 // — all omitempty, so specs and results not using them encode
 // byte-identically to v5 payloads, but run semantics diverge whenever
-// they are set, hence the bump.
-const SpecVersion = 6
+// they are set, hence the bump; v7 dropped thirteen fixed runtime knobs
+// (DESIGN.md §8): a v7 spec is its v6 form minus those keys, every Result
+// is unchanged, and dynamic and hybrid specs need the monitor period.
+const SpecVersion = 7
 
 // EnvSpec is the serialized session environment: everything a worker needs
 // to rebuild the simulation stack that is shared by every run of a

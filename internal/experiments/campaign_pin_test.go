@@ -17,17 +17,17 @@ import (
 // config — changes a digest. Update them only together with a SpecVersion
 // bump.
 var campaignPins = map[string]string{
-	"showdown/quad-2f2s":    "b5fe6681d73c7659bd167c3cd89ea2544a59e16320e4560b50c359627e7e3a5e",
-	"showdown/tri-2f1s":     "38ad6eeb716221fbfe1c2bfb481beb1a51b60ef57c80bc0b4ec212c48cb336fb",
-	"showdown/hex-2b2m2l":   "3daa0cf33401e8a8f4033502a22127f0d4e12d443f02c45d778c0aebf8966633",
-	"serving/quad-2f2s":     "4cfdb2b621c96eaa5b2c60447d3200d9f96bbd05e7e645f3d847ac4af294e8d9",
-	"serving/hex-2b2m2l":    "2fe760149a1f29f9032db2216884fa96434f5b7d0e2b6475d9406c4c5391f7a4",
-	"contention/hex-2b2m2l": "8a7f63ed40ff0d379cf06a357605fbbb2f2e7da16223300d8ecaa3723ef246b4",
-	"contention/quad-2f2s":  "2ea93fb652269d71655e1717a4ca77bdf08beb5b659eee9635fc2aa7e087190f",
-	"breakdown/quad-2f2s":   "874fb57c195a7e52706aa966c5a1475c75506b9c6b484be61912d73e1f21a806",
-	"breakdown/hex-2b2m2l":  "8873b7eb0b0a4e45c0480fbf3ace1ad79facdf142945ef6b0e99e636c5972d84",
-	"window":                "6d0e745bfeaa73e76958371fe80d6a1d8169da24e224f3113d7f97f4871c4536",
-	"grid":                  "72bdf3f38717d55b30c1a6027dc71ef6488d921edc441d72dfd7853f66add350",
+	"showdown/quad-2f2s":    "cc343c4e571810d1949c07d2ef277f3f399fceaa29a34a2f3e08c4d95152ffa2",
+	"showdown/tri-2f1s":     "f02bdb25b1a83c5c4e056df8577dbd07b614795996d9770af087d496c85749d8",
+	"showdown/hex-2b2m2l":   "a1d37a83d389ef72d893a7614afc98e89cc89717202b2e96a51f83928b4f2bc8",
+	"serving/quad-2f2s":     "07c8dd67d951c26a20b81131d1af83a9113cd8fa27663446260a332eda0164a8",
+	"serving/hex-2b2m2l":    "40ee0990819506e35053d0e83345e8d0d59a3a15d39d221e8bec6f4f653fc5ff",
+	"contention/hex-2b2m2l": "580bd66764b5de92d20267708a26b42923eb27d54c1f7d274aaf8e5f866b42f3",
+	"contention/quad-2f2s":  "a4faf92635d2ba081845e4e20257b6a3eebdb5d545c6474c351431862f73c943",
+	"breakdown/quad-2f2s":   "9d5a81c94c13ca8cffcd85cc279261000c7ce1fba46c2bf574aef75fbeef4ac0",
+	"breakdown/hex-2b2m2l":  "5dd06b9825e17edfc37ba84100d39231246925d7c158e1a1c58bfa02d8d7dcca",
+	"window":                "25261240f90f993f52af297a448ecc416d5cb0d9bc45ae70cb7a0eba09da490c",
+	"grid":                  "942b6b4cfb97b52e8a28d37ca1e8244a4d944cb30a0f25c496979b9e6a379450",
 }
 
 func quickCampaigns(t *testing.T) map[string]dist.Campaign {
@@ -62,8 +62,8 @@ func TestCampaignWirePinned(t *testing.T) {
 		t.Fatalf("%d campaigns built, %d pinned", len(camps), len(campaignPins))
 	}
 	for name, camp := range camps {
-		if camp.Env.Version != 6 {
-			t.Errorf("%s: SpecVersion %d, pinned at 6", name, camp.Env.Version)
+		if camp.Env.Version != 7 {
+			t.Errorf("%s: SpecVersion %d, pinned at 7", name, camp.Env.Version)
 		}
 		blob, err := json.Marshal(camp)
 		if err != nil {

@@ -77,9 +77,9 @@ const minBoundaryInstrs = 200
 
 // NewHybrid builds the hybrid runtime for one kernel. The hardware pool
 // should be the kernel's own so counter contention stays modeled; pcfg
-// parameterizes the shared engine's capacity arbitration. Of cfg, the
-// hybrid consumes WindowInstrs, TickSec, SampleCycles, Delta, ProbeWindows,
-// and Hybrid.Drift; the classification knobs are unused (marks classify).
+// parameterizes the shared engine's capacity arbitration (the zero value
+// is unpriced). Of cfg, the hybrid consumes WindowInstrs, Delta and
+// Hybrid.Drift; the policy is unused (marks classify, the engine places).
 func NewHybrid(cfg Config, pcfg place.Config, machine *amp.Machine, hw *perfcnt.Hardware) *Hybrid {
 	cfg = cfg.Normalized()
 	return &Hybrid{
@@ -215,7 +215,7 @@ func (m *Hybrid) request(st *hybridState, mask uint64) exec.MarkAction {
 }
 
 // closeWindow settles one measurement window. atTick windows matured on the
-// kernel tick and are charged SampleCycles through the caller; boundary
+// kernel tick and are charged sampleCycles through the caller; boundary
 // windows (atTick false) close inside the mark and ride its payload cost.
 // The sample is attributed to the phase the window ran under (st.cur at
 // close time) on the core it ran on.
@@ -259,7 +259,7 @@ func (m *Hybrid) record(st *hybridState, pt phase.Type, ct amp.CoreTypeID, ipc f
 	key := int(pt)
 	st.table.Add(key, ct, ipc)
 	m.stats.Windows++
-	if !st.table.Ready(key, m.cfg.ProbeWindows) {
+	if !st.table.Ready(key) {
 		return
 	}
 	first := st.table.DecisionOf(key) == nil
@@ -357,10 +357,8 @@ func (m *Hybrid) sample(k *osched.Kernel, st *hybridState) {
 	if st.open {
 		instrs, _ := st.es.Stop(&st.proc.Counters)
 		if instrs >= m.cfg.WindowInstrs {
-			if m.cfg.SampleCycles > 0 {
-				k.Penalize(st.task, m.cfg.SampleCycles)
-				m.stats.ChargedCycles += uint64(m.cfg.SampleCycles)
-			}
+			k.Penalize(st.task, sampleCycles)
+			m.stats.ChargedCycles += sampleCycles
 			m.closeWindow(st, st.task.Core(), true)
 			if st.cur != phase.Untyped && st.table.DecisionOf(int(st.cur)) == nil {
 				st.probing = true

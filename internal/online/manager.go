@@ -83,7 +83,7 @@ type Manager struct {
 // NewManager builds the runtime for one kernel. The hardware pool should be
 // the kernel's own (kernel.Hardware) so counter contention with any other
 // monitoring stays modeled. pcfg parameterizes the shared placement
-// engine's arbitration (zero value takes defaults).
+// engine's arbitration (the zero value is unpriced).
 func NewManager(cfg Config, pcfg place.Config, machine *amp.Machine, hw *perfcnt.Hardware) *Manager {
 	cfg = cfg.Normalized()
 	return &Manager{
@@ -118,7 +118,7 @@ func (m *Manager) OnTick(k *osched.Kernel, atPs int64) {
 		}
 		m.live = append(m.live, &taskState{
 			task:      t,
-			cls:       NewClassifier(m.cfg.ClassifyEps, m.cfg.MaxPhases, len(m.machine.Types)),
+			cls:       NewClassifier(classifyEps, maxPhases, len(m.machine.Types)),
 			phase:     -1,
 			decisions: map[int]*place.Decision{},
 		})
@@ -163,10 +163,8 @@ func (m *Manager) sample(k *osched.Kernel, ts *taskState) {
 		// cannot avoid.
 		m.hw.Release()
 		ts.open = false
-		if m.cfg.SampleCycles > 0 {
-			k.Penalize(t, m.cfg.SampleCycles)
-			m.stats.ChargedCycles += uint64(m.cfg.SampleCycles)
-		}
+		k.Penalize(t, sampleCycles)
+		m.stats.ChargedCycles += sampleCycles
 
 		if cycles == 0 || t.Migrations != ts.openMigr || t.Core() < 0 {
 			m.stats.Discarded++
@@ -195,11 +193,10 @@ func (m *Manager) sample(k *osched.Kernel, ts *taskState) {
 					trace.Arg{Key: "core_type", Value: m.machine.Types[coreType].Name},
 					trace.Arg{Key: "new_phase", Value: founded})
 			}
-			a := m.cfg.IPCSmoothing
 			if ts.windows == 1 {
 				ts.ipcEWMA = sig.IPC
 			} else {
-				ts.ipcEWMA += a * (sig.IPC - ts.ipcEWMA)
+				ts.ipcEWMA += ipcSmoothing * (sig.IPC - ts.ipcEWMA)
 			}
 			if m.cfg.Policy == Probe {
 				m.probe(k, ts)
@@ -215,9 +212,9 @@ func (m *Manager) sample(k *osched.Kernel, ts *taskState) {
 
 // probe drives the sampling policy for one task after a window closed on
 // phase ts.phase: steer the task toward the least-measured core type until
-// every type has ProbeWindows accepted windows, then fix the phase's
-// placement with the shared engine's Algorithm 2. Decided tasks are placed
-// by probeRebalance.
+// every type has one accepted window, then fix the phase's placement with
+// the shared engine's Algorithm 2. Decided tasks are placed by
+// probeRebalance.
 func (m *Manager) probe(k *osched.Kernel, ts *taskState) {
 	phase := ts.phase
 	if _, ok := ts.decisions[phase]; ok {
@@ -226,17 +223,12 @@ func (m *Manager) probe(k *osched.Kernel, ts *taskState) {
 	}
 	// Find the least-measured core type; decide once all are covered.
 	probeType, probeN := amp.CoreTypeID(0), int(^uint(0)>>1)
-	done := true
 	for i := range m.machine.Types {
-		_, n := ts.cls.TypeIPC(phase, amp.CoreTypeID(i))
-		if n < m.cfg.ProbeWindows {
-			done = false
-		}
-		if n < probeN {
+		if _, n := ts.cls.TypeIPC(phase, amp.CoreTypeID(i)); n < probeN {
 			probeType, probeN = amp.CoreTypeID(i), n
 		}
 	}
-	if !done {
+	if probeN == 0 {
 		ts.probing = true
 		m.apply(k, ts, m.machine.TypeMask(probeType))
 		return

@@ -79,41 +79,38 @@ func (p PolicyKind) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// Config parameterizes the online detector.
+// Config parameterizes the online detector, which ticks on the kernel's
+// monitor period (osched.Config.MonitorIntervalSec).
 type Config struct {
 	// Policy selects the reassignment policy.
 	Policy PolicyKind
 	// WindowInstrs is the detection window: a signature is produced every
 	// time a monitored process retires this many instructions.
 	WindowInstrs uint64
-	// TickSec is the kernel monitor period (osched.Config.MonitorIntervalSec);
-	// windows are opened and closed on these ticks.
-	TickSec float64
-	// SampleCycles is the per-window monitoring overhead charged to the
-	// sampled task (counter reads, signature computation, classification).
-	// Zero takes the default; a negative value means free monitoring (the
-	// no-overhead ablation) and normalizes to an explicit 0.
-	SampleCycles int64
-	// ClassifyEps is the leader-follower distance threshold: a window
-	// signature farther than this from every known phase centroid founds a
-	// new phase.
-	ClassifyEps float64
-	// MaxPhases bounds the phases tracked per process; once reached, outlier
-	// windows join the nearest phase instead of founding new ones.
-	MaxPhases int
 	// Delta is the IPC threshold of Algorithm 2 for the probe policy's
 	// placement decisions.
 	Delta float64
-	// ProbeWindows is how many accepted windows the probe policy measures
-	// per (phase, core type) before deciding.
-	ProbeWindows int
-	// IPCSmoothing is the EWMA weight of the newest window in the greedy
-	// policy's per-task IPC estimate, in (0, 1].
-	IPCSmoothing float64
 	// Hybrid holds the knobs only the marks+windows hybrid runtime reads;
 	// the window detector ignores them.
 	Hybrid HybridConfig
 }
+
+// The detector's fixed design choices.
+const (
+	// sampleCycles is the per-window monitoring overhead charged to the
+	// sampled task (counter reads, signature computation, classification).
+	sampleCycles = 25
+	// classifyEps is the leader-follower distance threshold: a window
+	// signature farther than this from every known phase centroid founds a
+	// new phase.
+	classifyEps = 0.25
+	// maxPhases bounds the phases tracked per process; once reached,
+	// outlier windows join the nearest phase instead of founding new ones.
+	maxPhases = 6
+	// ipcSmoothing is the EWMA weight of the newest window in the greedy
+	// policy's per-task IPC estimate.
+	ipcSmoothing = 0.4
+)
 
 // HybridConfig parameterizes the marks+windows hybrid runtime beyond the
 // shared detector knobs.
@@ -137,21 +134,15 @@ type HybridConfig struct {
 const DefaultDrift = 0.05
 
 // DefaultConfig returns the operating point used by the showdown
-// experiments: 0.1 s ticks (one scheduler timeslice), windows of 8000
-// instructions (a loaded task closes one every tick or two), and the same
-// δ as the static runtime so placement decisions differ only in how the
-// IPC samples were obtained.
+// experiments: windows of 8000 instructions (at the default 0.1 s monitor
+// tick a loaded task closes one every tick or two), and the same δ as the
+// static runtime so placement decisions differ only in how the IPC samples
+// were obtained.
 func DefaultConfig() Config {
 	return Config{
 		Policy:       Probe,
 		WindowInstrs: 8000,
-		TickSec:      0.1,
-		SampleCycles: 25,
-		ClassifyEps:  0.25,
-		MaxPhases:    6,
 		Delta:        0.06,
-		ProbeWindows: 1,
-		IPCSmoothing: 0.4,
 	}
 }
 
@@ -162,31 +153,8 @@ func (c Config) Normalized() Config {
 	if c.WindowInstrs == 0 {
 		c.WindowInstrs = d.WindowInstrs
 	}
-	if c.TickSec <= 0 {
-		c.TickSec = d.TickSec
-	}
-	if c.SampleCycles == 0 {
-		c.SampleCycles = d.SampleCycles
-	} else if c.SampleCycles < 0 {
-		c.SampleCycles = 0
-	}
-	if c.ClassifyEps <= 0 {
-		c.ClassifyEps = d.ClassifyEps
-	}
-	if c.MaxPhases <= 0 {
-		c.MaxPhases = d.MaxPhases
-	}
 	if c.Delta == 0 {
 		c.Delta = d.Delta
-	}
-	if c.ProbeWindows <= 0 {
-		c.ProbeWindows = d.ProbeWindows
-	}
-	if c.IPCSmoothing <= 0 || c.IPCSmoothing > 1 {
-		c.IPCSmoothing = d.IPCSmoothing
-	}
-	if c.Hybrid.Drift < 0 {
-		c.Hybrid.Drift = 0
 	}
 	return c
 }

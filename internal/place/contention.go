@@ -20,7 +20,7 @@
 //     projected occupancies, so a memory phase spilling onto a crowded
 //     group is no longer "free";
 //   - a relief pass then moves memory-priced claims whose adjusted rate
-//     improves by more than ReliefMargin onto types with spare quota —
+//     improves by more than reliefMargin onto types with spare quota —
 //     the move that actually separates antagonists, since herding never
 //     trips the quota loop in the first place.
 //
@@ -37,77 +37,25 @@ import (
 	"phasetune/internal/trace"
 )
 
-// Contention pricing defaults.
+// Contention pricing's fixed operating point.
 const (
-	// DefaultMissNs mirrors exec.CostModel.MemLatencyNS: the DRAM miss
-	// latency in nanoseconds the marginal-stall term is priced with.
-	DefaultMissNs = 83.0
-	// DefaultBandwidthWeight scales the bandwidth-overdraft multiplier.
-	DefaultBandwidthWeight = 1.0
-	// DefaultReliefMargin is the relative adjusted-rate gain a relief move
-	// must clear, damping moves inside estimate noise.
-	DefaultReliefMargin = 0.05
-	// DefaultBudgetFrac derives the DRAM budget from machine capacity when
-	// ContentionConfig.DRAMBudget is zero: budget = frac × total cycles/sec
-	// (one miss per 50 cycles machine-wide before the overdraft factor
-	// starts inflating marginal stalls).
-	DefaultBudgetFrac = 0.02
+	// missNs mirrors exec.CostModel.MemLatencyNS: the DRAM miss latency in
+	// nanoseconds the marginal-stall term is priced with.
+	missNs = 83.0
+	// reliefMargin is the relative adjusted-rate gain a relief move must
+	// clear, damping moves inside estimate noise.
+	reliefMargin = 0.05
+	// budgetFrac derives the machine-wide DRAM bandwidth budget, in
+	// shared-cache misses per simulated second, from machine capacity:
+	// budget = frac × total cycles/sec (one miss per 50 cycles machine-wide
+	// before the overdraft factor starts inflating marginal stalls).
+	budgetFrac = 0.02
 )
 
-// ContentionConfig prices shared-L2 occupancy and DRAM bandwidth into the
-// engine's arbitration. The zero/negative convention matches Config: a zero
-// field takes its default, a negative value selects the literal zero
-// operating point. The struct travels on the dist wire inside place.Config;
-// a nil pointer (the default) keeps both the wire encoding and the engine's
-// behavior byte-identical to unpriced builds.
-type ContentionConfig struct {
-	// MissNs is the DRAM miss latency in nanoseconds used to price the
-	// marginal stall of cache-group crowding. 0 = default (83, matching
-	// the cost model's MemLatencyNS).
-	MissNs float64 `json:"miss_ns,omitempty"`
-	// DRAMBudget is the machine-wide DRAM bandwidth budget in shared-cache
-	// misses per simulated second. 0 = derived from machine capacity
-	// (DefaultBudgetFrac × total cycles/sec); negative = no budget (the
-	// overdraft factor stays 1).
-	DRAMBudget float64 `json:"dram_budget,omitempty"`
-	// BandwidthWeight scales the overdraft multiplier applied to marginal
-	// stalls when projected miss traffic exceeds DRAMBudget.
-	// 0 = default (1); negative = bandwidth term disabled.
-	BandwidthWeight float64 `json:"bandwidth_weight,omitempty"`
-	// ReliefMargin is the relative adjusted-rate gain a relief move must
-	// clear before a claim migrates to a roomier type.
-	// 0 = default (0.05); negative = no margin.
-	ReliefMargin float64 `json:"relief_margin,omitempty"`
-}
-
-// Normalized fills zero fields from the defaults and folds the negative
-// "explicitly zero" sentinels, mirroring Config.Normalized.
-func (c ContentionConfig) Normalized() ContentionConfig {
-	switch {
-	case c.MissNs == 0:
-		c.MissNs = DefaultMissNs
-	case c.MissNs < 0:
-		c.MissNs = 0
-	}
-	// DRAMBudget: 0 means "derive from capacity" at pricing time (the
-	// config does not know the machine); negative means no budget.
-	if c.DRAMBudget < 0 {
-		c.DRAMBudget = -1
-	}
-	switch {
-	case c.BandwidthWeight == 0:
-		c.BandwidthWeight = DefaultBandwidthWeight
-	case c.BandwidthWeight < 0:
-		c.BandwidthWeight = 0
-	}
-	switch {
-	case c.ReliefMargin == 0:
-		c.ReliefMargin = DefaultReliefMargin
-	case c.ReliefMargin < 0:
-		c.ReliefMargin = 0
-	}
-	return c
-}
+// ContentionConfig has no fields: a non-nil *ContentionConfig in Config
+// switches pricing on at the fixed operating point above, and travels on
+// the dist wire as "contention":{}. Nil (the default) is unpriced.
+type ContentionConfig struct{}
 
 // MemStats is a shared-cache pressure signature, attached to a Decision by
 // the consumer that fixed it: the runtimes attach the whole image's
@@ -190,11 +138,11 @@ func (c *Capacity) EffectiveShareKB(t amp.CoreTypeID, demand int) float64 {
 }
 
 // missSecPerRef is the simulated seconds one DRAM miss stalls a core of
-// type t: MissNs nanoseconds priced in nominal-frequency cycles, then
+// type t: missNs nanoseconds priced in nominal-frequency cycles, then
 // divided by the scaled clock. Because scaled clocks preserve nominal
 // frequency ratios (amp.Machine.Validate), the value is type-invariant —
 // DRAM latency is wall-clock, not core-clock.
-func missSecPerRef(missNs float64, ty amp.CoreType) float64 {
+func missSecPerRef(ty amp.CoreType) float64 {
 	return missNs * ty.FreqGHz / ty.CyclesPerSec
 }
 
@@ -206,7 +154,7 @@ func missSecPerRef(missNs float64, ty amp.CoreType) float64 {
 // task (miss ratio flat in the share) all price at their raw rate.
 func (e *Engine) adjustedRate(dec *Decision, t int, demand int, bw float64) float64 {
 	r := dec.Rates[t]
-	if e.cc == nil || dec.Mem == nil || r <= 0 {
+	if !e.priced || dec.Mem == nil || r <= 0 {
 		return r
 	}
 	ct := amp.CoreTypeID(t)
@@ -216,35 +164,20 @@ func (e *Engine) adjustedRate(dec *Decision, t int, demand int, bw float64) floa
 	if extra <= 0 {
 		return r
 	}
-	stall := extra * missSecPerRef(e.cc.MissNs, e.capacity.machine.Types[t]) * bw
+	stall := extra * missSecPerRef(e.capacity.machine.Types[t]) * bw
 	// r instructions/sec at 1/r sec/instr picks up `stall` extra seconds
 	// per instruction: rate' = 1 / (1/r + stall).
 	return r / (1 + r*stall)
 }
 
-// AdjustedRate exposes the contention-priced rate of a decision on type t
-// at the given projected demand (bandwidth overdraft factor 1). It is the
-// unit the showdown's contention column and the engine's own tests reason
-// in; with pricing disabled it returns the raw measured rate.
-func (e *Engine) AdjustedRate(dec *Decision, t amp.CoreTypeID, demand int) float64 {
-	return e.adjustedRate(dec, int(t), demand, 1)
-}
-
 // bwFactor projects the machine-wide DRAM miss traffic of the claims at
 // their current demands and converts budget overdraft into a marginal-stall
-// multiplier: 1 while traffic fits the budget, growing linearly with the
-// overshoot beyond it. Computed once per arbitration pass from the initial
+// multiplier: 1 while traffic fits the budget, and the traffic-to-budget
+// ratio beyond it. Computed once per arbitration pass from the initial
 // assignment so every candidate move is priced against one consistent
 // bandwidth picture.
 func (e *Engine) bwFactor(claims []Claim, demand []int) float64 {
-	cc := e.cc
-	if cc == nil || cc.BandwidthWeight <= 0 {
-		return 1
-	}
-	budget := cc.DRAMBudget
-	if budget == 0 {
-		budget = DefaultBudgetFrac * e.capacity.totalCps
-	}
+	budget := budgetFrac * e.capacity.totalCps
 	if budget <= 0 {
 		return 1
 	}
@@ -261,12 +194,12 @@ func (e *Engine) bwFactor(claims []Claim, demand []int) float64 {
 	if total <= budget {
 		return 1
 	}
-	return 1 + cc.BandwidthWeight*(total/budget-1)
+	return total / budget
 }
 
 // relieve is the contention relief pass: after the quota loop, repeatedly
 // apply the single best move of a memory-priced claim onto a type with
-// spare quota, as long as the adjusted-rate gain clears ReliefMargin
+// spare quota, as long as the adjusted-rate gain clears reliefMargin
 // (plus the hysteresis discount when the claim would leave its previous
 // assignment). Targets stay strictly inside quota+band, so relief never
 // re-creates the oversubscription the quota loop just resolved, and each
@@ -275,8 +208,6 @@ func (e *Engine) bwFactor(claims []Claim, demand []int) float64 {
 // claim index, then the lowest target type: deterministic.
 func (e *Engine) relieve(claims []Claim, assigned []amp.CoreTypeID, demand, quota []int, bw float64) {
 	nTypes := e.capacity.NumTypes()
-	band := e.cfg.Band
-	margin := e.cc.ReliefMargin
 	for round := 0; round < len(claims)*nTypes; round++ {
 		bestI, bestT, bestGain := -1, -1, 0.0
 		for i := range claims {
@@ -286,9 +217,9 @@ func (e *Engine) relieve(claims []Claim, assigned []amp.CoreTypeID, demand, quot
 			}
 			cur := int(assigned[i])
 			curRate := e.adjustedRate(dec, cur, demand[cur], bw)
-			thr := margin
+			thr := reliefMargin
 			if claims[i].HasPrev && int(claims[i].Prev) == cur {
-				thr += e.cfg.Hysteresis
+				thr += hysteresis
 			}
 			for t := 0; t < nTypes; t++ {
 				if t == cur || demand[t] >= quota[t]+band {

@@ -22,54 +22,6 @@ func flatDec(e *Engine, mem *MemStats) Decision {
 	return dec
 }
 
-// --- ContentionConfig.Normalized -------------------------------------------
-
-func TestContentionConfigNormalizedDefaults(t *testing.T) {
-	n := ContentionConfig{}.Normalized()
-	if n.MissNs != DefaultMissNs {
-		t.Errorf("MissNs = %v, want default %v", n.MissNs, DefaultMissNs)
-	}
-	if n.DRAMBudget != 0 {
-		t.Errorf("DRAMBudget = %v, want 0 (derive from capacity)", n.DRAMBudget)
-	}
-	if n.BandwidthWeight != DefaultBandwidthWeight {
-		t.Errorf("BandwidthWeight = %v, want default %v", n.BandwidthWeight, DefaultBandwidthWeight)
-	}
-	if n.ReliefMargin != DefaultReliefMargin {
-		t.Errorf("ReliefMargin = %v, want default %v", n.ReliefMargin, DefaultReliefMargin)
-	}
-}
-
-func TestContentionConfigNormalizedExplicitZero(t *testing.T) {
-	n := ContentionConfig{MissNs: -1, DRAMBudget: -5, BandwidthWeight: -1, ReliefMargin: -1}.Normalized()
-	if n.MissNs != 0 {
-		t.Errorf("negative MissNs folds to %v, want 0", n.MissNs)
-	}
-	if n.DRAMBudget != -1 {
-		t.Errorf("negative DRAMBudget folds to %v, want -1 (no budget)", n.DRAMBudget)
-	}
-	if n.BandwidthWeight != 0 {
-		t.Errorf("negative BandwidthWeight folds to %v, want 0", n.BandwidthWeight)
-	}
-	if n.ReliefMargin != 0 {
-		t.Errorf("negative ReliefMargin folds to %v, want 0", n.ReliefMargin)
-	}
-}
-
-func TestConfigNormalizedCopiesContention(t *testing.T) {
-	cc := &ContentionConfig{}
-	cfg := Config{Contention: cc}.Normalized()
-	if cfg.Contention == cc {
-		t.Fatal("Normalized shares the caller's ContentionConfig pointer")
-	}
-	if cc.MissNs != 0 {
-		t.Errorf("Normalized mutated the caller's config: MissNs = %v", cc.MissNs)
-	}
-	if cfg.Contention.MissNs != DefaultMissNs {
-		t.Errorf("normalized copy MissNs = %v, want %v", cfg.Contention.MissNs, DefaultMissNs)
-	}
-}
-
 // --- Cache-group topology ---------------------------------------------------
 
 func TestEffectiveShareKBHexTopology(t *testing.T) {
@@ -114,7 +66,7 @@ func TestAdjustedRateComputeNeutral(t *testing.T) {
 	// No Mem: pricing must return the raw measured rate at any demand.
 	for d := 0; d <= 4; d++ {
 		for ty := 0; ty < 3; ty++ {
-			if got := e.AdjustedRate(&dec, amp.CoreTypeID(ty), d); got != dec.Rates[ty] {
+			if got := e.adjustedRate(&dec, ty, d, 1); got != dec.Rates[ty] {
 				t.Fatalf("compute claim priced: type %d demand %d rate %v != raw %v",
 					ty, d, got, dec.Rates[ty])
 			}
@@ -123,7 +75,7 @@ func TestAdjustedRateComputeNeutral(t *testing.T) {
 	// L2-resident working set: crowding halves the share but the miss ratio
 	// barely moves, so the adjusted rate stays within a hair of raw.
 	dec.Mem = &MemStats{L2RefsPerInstr: 0.25, Profile: reuse.Profile{WorkingSetKB: 64, Locality: 0.9}}
-	got := e.AdjustedRate(&dec, 0, 2)
+	got := e.adjustedRate(&dec, 0, 2, 1)
 	if got < dec.Rates[0]*0.999 {
 		t.Errorf("L2-resident claim priced hard: %v vs raw %v", got, dec.Rates[0])
 	}
@@ -132,8 +84,8 @@ func TestAdjustedRateComputeNeutral(t *testing.T) {
 func TestAdjustedRateMonotoneInDemand(t *testing.T) {
 	e := NewEngine(hex(), 0.15, Config{Contention: &ContentionConfig{}})
 	dec := flatDec(e, antMem())
-	solo := e.AdjustedRate(&dec, 0, 1)
-	crowded := e.AdjustedRate(&dec, 0, 2)
+	solo := e.adjustedRate(&dec, 0, 1, 1)
+	crowded := e.adjustedRate(&dec, 0, 2, 1)
 	if solo != dec.Rates[0] {
 		t.Errorf("solo occupancy priced: %v vs raw %v", solo, dec.Rates[0])
 	}
@@ -141,8 +93,8 @@ func TestAdjustedRateMonotoneInDemand(t *testing.T) {
 		t.Errorf("crowded rate %v not below solo %v", crowded, solo)
 	}
 	// Crowding the half-size little group is priced too.
-	littleSolo := e.AdjustedRate(&dec, 2, 1)
-	littleCrowded := e.AdjustedRate(&dec, 2, 2)
+	littleSolo := e.adjustedRate(&dec, 2, 1, 1)
+	littleCrowded := e.adjustedRate(&dec, 2, 2, 1)
 	if littleCrowded >= littleSolo {
 		t.Errorf("little crowded rate %v not below solo %v", littleCrowded, littleSolo)
 	}
@@ -291,15 +243,15 @@ func TestBwFactorOverdraft(t *testing.T) {
 	if over <= 1 {
 		t.Errorf("four antagonists within budget: bwFactor = %v, want > 1", over)
 	}
-	// A sky-high explicit budget absorbs the same traffic.
-	e2 := NewEngine(hex(), 0.15, Config{Contention: &ContentionConfig{DRAMBudget: 1e18}})
-	if got := e2.bwFactor(claims, demand); got != 1 {
-		t.Errorf("bwFactor under huge budget = %v, want 1", got)
+	// Claims without a memory signature draw no DRAM traffic.
+	var neutral []Claim
+	for _, c := range claims {
+		dec := *c.Dec
+		dec.Mem = nil
+		neutral = append(neutral, Claim{Dec: &dec})
 	}
-	// Budget disabled: factor pinned to 1 regardless of traffic.
-	e3 := NewEngine(hex(), 0.15, Config{Contention: &ContentionConfig{DRAMBudget: -1}})
-	if got := e3.bwFactor(claims, demand); got != 1 {
-		t.Errorf("bwFactor with budget disabled = %v, want 1", got)
+	if got := e.bwFactor(neutral, demand); got != 1 {
+		t.Errorf("bwFactor of cache-neutral claims = %v, want 1", got)
 	}
 	// Higher overdraft prices crowding harder than factor 1.
 	dec := e.Decide([]float64{0.4, 0.55, 0.8})

@@ -50,19 +50,8 @@ import (
 
 // Config parameterizes the arbitration (the Algorithm 2 threshold δ is a
 // separate Engine argument because each runtime carries its own δ knob).
-// Zero fields take defaults; a negative value selects the literal zero
-// operating point (no band / no hysteresis) — the same convention as
-// online.Config.SampleCycles.
+// The zero value is the unpriced engine every runtime uses by default.
 type Config struct {
-	// Band is the per-type oversubscription tolerance in tasks: a type may
-	// exceed its capacity quota by Band before arbitration spills from it,
-	// so a task sitting exactly at a quota boundary does not flap.
-	// 0 = default (1); negative = strict quotas (band 0).
-	Band int `json:"band,omitempty"`
-	// Hysteresis discounts the spill loss of a task already placed on the
-	// spill target, so marginal spill choices stick across passes.
-	// 0 = default (0.05); negative = no damping.
-	Hysteresis float64 `json:"hysteresis,omitempty"`
 	// Contention, when non-nil, prices shared-L2 occupancy and DRAM
 	// bandwidth into arbitration (see contention.go). Nil — the default —
 	// keeps both the wire encoding and every engine code path
@@ -70,33 +59,16 @@ type Config struct {
 	Contention *ContentionConfig `json:"contention,omitempty"`
 }
 
-// DefaultConfig is the operating point every runtime uses.
-func DefaultConfig() Config {
-	return Config{Band: 1, Hysteresis: 0.05}
-}
-
-// Normalized fills zero fields from DefaultConfig and folds the negative
-// "explicitly zero" sentinels to 0.
-func (c Config) Normalized() Config {
-	d := DefaultConfig()
-	switch {
-	case c.Band == 0:
-		c.Band = d.Band
-	case c.Band < 0:
-		c.Band = 0
-	}
-	switch {
-	case c.Hysteresis == 0:
-		c.Hysteresis = d.Hysteresis
-	case c.Hysteresis < 0:
-		c.Hysteresis = 0
-	}
-	if c.Contention != nil {
-		cc := c.Contention.Normalized()
-		c.Contention = &cc
-	}
-	return c
-}
+// The arbitration's fixed operating point.
+const (
+	// band is the per-type oversubscription tolerance in tasks: a type may
+	// exceed its capacity quota by band before arbitration spills from it,
+	// so a task sitting exactly at a quota boundary does not flap.
+	band = 1
+	// hysteresis discounts the spill loss of a task already placed on the
+	// spill target, so marginal spill choices stick across passes.
+	hysteresis = 0.05
+)
 
 // tieEps is the relative IPC difference below which two measurements are
 // treated as a tie when ordering candidates in Select. Measured IPC carries
@@ -264,8 +236,7 @@ type claim struct {
 // every consumer runs inside the kernel's single-threaded event loop.
 type Engine struct {
 	capacity *Capacity
-	cfg      Config
-	cc       *ContentionConfig // cfg.Contention (normalized); nil = unpriced
+	priced   bool // Config.Contention non-nil: contention pricing on
 	delta    float64
 
 	claims map[int]*claim
@@ -276,17 +247,15 @@ type Engine struct {
 }
 
 // NewEngine builds an engine for one machine. delta is the runtime's
-// Algorithm 2 threshold; cfg parameterizes arbitration (zero fields take
-// defaults).
+// Algorithm 2 threshold; cfg parameterizes arbitration (the zero value is
+// unpriced).
 func NewEngine(m *amp.Machine, delta float64, cfg Config) *Engine {
-	e := &Engine{
+	return &Engine{
 		capacity: NewCapacity(m),
-		cfg:      cfg.Normalized(),
+		priced:   cfg.Contention != nil,
 		delta:    delta,
 		claims:   map[int]*claim{},
 	}
-	e.cc = e.cfg.Contention
-	return e
 }
 
 // Capacity returns the engine's capacity model.
@@ -423,7 +392,7 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 			trace.Arg{Key: "claims", Value: len(claims)},
 			trace.Arg{Key: "demand", Value: append([]int(nil), demand...)},
 			trace.Arg{Key: "quota", Value: append([]int(nil), quota...)},
-			trace.Arg{Key: "band", Value: e.cfg.Band})
+			trace.Arg{Key: "band", Value: band})
 	}
 
 	// Contention pricing: one bandwidth-overdraft factor per pass, computed
@@ -431,11 +400,10 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 	// priced against a consistent machine-wide bandwidth picture. bw stays
 	// 1 — and adjustedRate returns raw rates — when pricing is off.
 	bw := 1.0
-	if e.cc != nil {
+	if e.priced {
 		bw = e.bwFactor(claims, demand)
 	}
 
-	band := e.cfg.Band
 	for round := 0; round < len(claims)*nTypes; round++ {
 		// Most oversubscribed type, most undersubscribed type.
 		over, under := -1, -1
@@ -462,14 +430,14 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 				continue
 			}
 			var loss float64
-			if e.cc != nil {
+			if e.priced {
 				loss = e.adjustedRate(claims[i].Dec, over, demand[over], bw) -
 					e.adjustedRate(claims[i].Dec, under, demand[under]+1, bw)
 			} else {
 				loss = claims[i].Dec.Rates[over] - claims[i].Dec.Rates[under]
 			}
 			if claims[i].HasPrev && int(claims[i].Prev) == under {
-				loss -= claims[i].Dec.Rates[over] * e.cfg.Hysteresis
+				loss -= claims[i].Dec.Rates[over] * hysteresis
 			}
 			if best == -1 || loss < bestLoss {
 				best, bestLoss = i, loss
@@ -489,7 +457,7 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 		demand[over]--
 		demand[under]++
 	}
-	if e.cc != nil {
+	if e.priced {
 		e.relieve(claims, assigned, demand, quota, bw)
 	}
 	return assigned
@@ -498,7 +466,7 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 // AssignRanked places n utility-ranked tasks (index 0 = highest fast-core
 // marginal utility) across the fast and slow types: the fast type's
 // capacity share goes to the top of the ranking, the rest to the slowest
-// type. A Band-position hysteresis window keeps tasks at the quota boundary
+// type. A band-position hysteresis window keeps tasks at the quota boundary
 // from flapping between types every pass; inside the window a task with a
 // previous fast/slow assignment keeps its side, and an unplaced task takes
 // the raw quota cut — so the quota fills from a cold start even when it is
@@ -507,7 +475,6 @@ func (e *Engine) AssignRanked(claims []Claim) []amp.CoreTypeID {
 	c := e.capacity
 	out := make([]amp.CoreTypeID, len(claims))
 	quota := c.FastQuota(len(claims))
-	band := e.cfg.Band
 	for i := range claims {
 		switch {
 		case i < quota-band:

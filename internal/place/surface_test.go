@@ -43,21 +43,11 @@ func TestCapacityAccessors(t *testing.T) {
 	}
 }
 
-func TestConfigNormalizedSentinels(t *testing.T) {
-	d := Config{}.Normalized()
-	if d.Band != DefaultConfig().Band || d.Hysteresis != DefaultConfig().Hysteresis {
-		t.Errorf("zero config normalized to %+v, want defaults %+v", d, DefaultConfig())
-	}
-	z := Config{Band: -1, Hysteresis: -1}.Normalized()
-	if z.Band != 0 || z.Hysteresis != 0 {
-		t.Errorf("negative sentinels normalized to %+v, want explicit zeros", z)
-	}
-}
-
 func TestAssignRankedQuotaSplit(t *testing.T) {
 	for _, m := range []*amp.Machine{quad(), hex()} {
-		// Band -1 = strict quotas: the split must be exactly FastQuota.
-		e := NewEngine(m, 0.06, Config{Band: -1})
+		// Cold claims (no previous assignment) take the raw quota cut, band
+		// or no band: the split must be exactly FastQuota.
+		e := NewEngine(m, 0.06, Config{})
 		c := e.Capacity()
 		n := 8
 		out := e.AssignRanked(make([]Claim, n))
@@ -77,7 +67,7 @@ func TestAssignRankedQuotaSplit(t *testing.T) {
 
 func TestAssignRankedHysteresisBand(t *testing.T) {
 	m := quad()
-	e := NewEngine(m, 0.06, Config{Band: 1})
+	e := NewEngine(m, 0.06, Config{})
 	c := e.Capacity()
 	n := 8
 	quota := c.FastQuota(n)
@@ -177,7 +167,7 @@ func TestTableQueries(t *testing.T) {
 	if tab.Count(0, 0) != 0 {
 		t.Error("empty table reports samples")
 	}
-	if tab.Ready(0, 1) {
+	if tab.Ready(0) {
 		t.Error("empty table reports ready")
 	}
 	if tab.DecisionOf(0) != nil {
@@ -189,15 +179,12 @@ func TestTableQueries(t *testing.T) {
 	if got := tab.Count(0, 0); got != 2 {
 		t.Errorf("Count = %d, want 2", got)
 	}
-	if tab.Ready(0, 1) {
+	if tab.Ready(0) {
 		t.Error("phase ready with an unsampled type")
 	}
 	tab.Add(0, 1, 0.9)
-	if !tab.Ready(0, 1) {
+	if !tab.Ready(0) {
 		t.Error("phase not ready with every type sampled")
-	}
-	if tab.Ready(0, 2) {
-		t.Error("phase ready at k=2 with a single-sample type")
 	}
 
 	// LeastMeasured prefers the unsampled type, round-robin from offset.

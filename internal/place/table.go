@@ -2,6 +2,7 @@ package place
 
 import (
 	"math"
+	"slices"
 
 	"phasetune/internal/amp"
 )
@@ -58,18 +59,11 @@ func (t *Table) Count(phase int, ct amp.CoreTypeID) int {
 	return r.n[ct]
 }
 
-// Ready reports whether every core type has at least k samples for a phase.
-func (t *Table) Ready(phase, k int) bool {
+// Ready reports whether every core type has a sample for a phase, which is
+// all any runtime waits for before deciding.
+func (t *Table) Ready(phase int) bool {
 	r, ok := t.rows[phase]
-	if !ok {
-		return false
-	}
-	for _, n := range r.n {
-		if n < k {
-			return false
-		}
-	}
-	return true
+	return ok && !slices.Contains(r.n, 0)
 }
 
 // Means returns the per-type IPC means of a phase (0 for unsampled types).

@@ -102,12 +102,12 @@ type RunConfig struct {
 	// forces all-cores mode). Oracle mode reads only Tuning.Delta.
 	Tuning tuning.Config
 	// Online configures the dynamic detector (used when Mode == Dynamic or
-	// Hybrid; zero fields take online.DefaultConfig values).
+	// Hybrid; zero fields take online.DefaultConfig values). The detector
+	// ticks on Sched.MonitorIntervalSec, which those modes require > 0.
 	Online online.Config
 	// Placement parameterizes the shared placement engine's capacity
-	// arbitration (spill band, hysteresis) for every engine-backed mode:
-	// Dynamic, Hybrid, and Tuned with Tuning.Spill. Zero fields take
-	// place.DefaultConfig values.
+	// arbitration (contention pricing on or off) for every engine-backed
+	// mode: Dynamic, Hybrid, Tuned with Tuning.Spill, and a priced Oracle.
 	Placement place.Config
 	// TypingOpts configures static block typing.
 	TypingOpts phase.Options
@@ -255,6 +255,10 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	if cfg.Sched != nil {
 		sched = *cfg.Sched
 	}
+	if (cfg.Mode == Dynamic || cfg.Mode == Hybrid) && sched.MonitorIntervalSec <= 0 {
+		return nil, fmt.Errorf("sim: %v mode needs the kernel monitor, but the monitor interval is %g s",
+			cfg.Mode, sched.MonitorIntervalSec)
+	}
 	closed := cfg.Workload != nil && cfg.Workload.NumSlots() > 0
 	open := cfg.Stream != nil
 	switch {
@@ -284,14 +288,12 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	}
 	images := map[*workload.Benchmark]*exec.Image{}
 	// Contention-priced oracle runs register claims on one run-wide engine
-	// (built from the same normalized placement config every other
-	// engine-backed mode uses); unpriced oracle marks pin to the chosen
-	// type without one.
-	pcfg := cfg.Placement.Normalized()
+	// (built from the same placement config every other engine-backed mode
+	// uses); unpriced oracle marks pin to the chosen type without one.
 	var oracleEng *place.Engine
 	oracleDecs := map[*exec.Image]map[phase.Type]place.Decision{}
-	if cfg.Mode == Oracle && pcfg.Contention != nil {
-		oracleEng = place.NewEngine(machine, cfg.Tuning.Delta, pcfg)
+	if cfg.Mode == Oracle && cfg.Placement.Contention != nil {
+		oracleEng = place.NewEngine(machine, cfg.Tuning.Delta, cfg.Placement)
 		oracleEng.SetTracer(cfg.Trace)
 	}
 	res := &Result{Images: map[string]ImageStats{}, DurationSec: cfg.DurationSec}
@@ -328,10 +330,6 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		}
 	}
 
-	onlCfg := cfg.Online.Normalized()
-	if cfg.Mode == Dynamic || cfg.Mode == Hybrid {
-		sched.MonitorIntervalSec = onlCfg.TickSec
-	}
 	kernel, err := osched.NewKernel(machine, cost, sched)
 	if err != nil {
 		return nil, err
@@ -358,11 +356,11 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	var hybrid *online.Hybrid
 	switch cfg.Mode {
 	case Dynamic:
-		monitor = online.NewManager(onlCfg, pcfg, machine, kernel.Hardware)
+		monitor = online.NewManager(cfg.Online, cfg.Placement, machine, kernel.Hardware)
 		monitor.SetTracer(cfg.Trace)
 		kernel.Monitor = monitor
 	case Hybrid:
-		hybrid = online.NewHybrid(onlCfg, pcfg, machine, kernel.Hardware)
+		hybrid = online.NewHybrid(cfg.Online, cfg.Placement, machine, kernel.Hardware)
 		hybrid.SetTracer(cfg.Trace)
 		kernel.Monitor = hybrid
 	}
@@ -384,7 +382,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	// tuner of the kernel — spill arbitration needs the machine-wide view.
 	var spillEng *place.Engine
 	if cfg.Mode == Tuned && tcfg.Spill {
-		spillEng = place.NewEngine(machine, tcfg.Delta, pcfg)
+		spillEng = place.NewEngine(machine, tcfg.Delta, cfg.Placement)
 		spillEng.SetTracer(cfg.Trace)
 	}
 
@@ -602,7 +600,7 @@ func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]Isola
 		if spec.Mode == Tuned {
 			t := tuning.NewTuner(tcfg, machine, kernel.Hardware, img)
 			if tcfg.Spill {
-				t.SetEngine(place.NewEngine(machine, tcfg.Delta, place.Config{}.Normalized()))
+				t.SetEngine(place.NewEngine(machine, tcfg.Delta, place.Config{}))
 			}
 			hook = t
 		}

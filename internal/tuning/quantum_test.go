@@ -15,7 +15,6 @@ func TestOnQuantumClosesLongSections(t *testing.T) {
 	m := amp.Quad2Fast2Slow()
 	hw := perfcnt.NewHardware(0)
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	cfg.MaxMonitorCycles = 1000
 	tu := NewTuner(cfg, m, hw, fakeMarks{0: 0})
@@ -80,7 +79,6 @@ func TestOnQuantumDisabled(t *testing.T) {
 func TestOnQuantumSteersDecidedSections(t *testing.T) {
 	m := amp.Quad2Fast2Slow()
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	cfg.MaxMonitorCycles = 1000
 	tu := NewTuner(cfg, m, perfcnt.NewHardware(0), fakeMarks{0: 0})

@@ -5,7 +5,7 @@
 // binary; the Tuner is their shared state). The first executions of each
 // phase type are *representative sections*: the tuner steers them across
 // core types and measures their IPC through the performance-counter
-// interface. Once every core type has enough samples for a phase type, the
+// interface. Once every core type has a sample for a phase type, the
 // assignment is fixed with Algorithm 2 and every later mark of that type
 // reduces to an affinity switch — no further monitoring, which is where the
 // paper's "negligible overhead" comes from.
@@ -38,9 +38,6 @@ const (
 type Config struct {
 	// Delta is the paper's IPC threshold δ in Algorithm 2.
 	Delta float64
-	// SamplesPerType is how many representative sections are measured per
-	// (phase type, core type) before deciding.
-	SamplesPerType int
 	// MinSectionInstrs discards monitoring samples shorter than this many
 	// instructions (too short to estimate IPC).
 	MinSectionInstrs uint64
@@ -81,7 +78,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Delta:            0.06,
-		SamplesPerType:   1,
 		MinSectionInstrs: 200,
 		MaxMonitorCycles: 40000,
 	}
@@ -134,9 +130,6 @@ func (tu *Tuner) SetTracer(tr *trace.Tracer) { tu.tr = tr }
 
 // NewTuner builds the runtime for one process.
 func NewTuner(cfg Config, machine *amp.Machine, hw *perfcnt.Hardware, marks markTable) *Tuner {
-	if cfg.SamplesPerType <= 0 {
-		cfg.SamplesPerType = 1
-	}
 	return &Tuner{
 		cfg:     cfg,
 		machine: machine,
@@ -225,8 +218,7 @@ func (tu *Tuner) probe(p *exec.Process, pt phase.Type) exec.MarkAction {
 }
 
 // finishMonitor closes the active measurement and records the sample,
-// fixing the phase type's decision once every core type has
-// SamplesPerType of them.
+// fixing the phase type's decision once every core type has one.
 func (tu *Tuner) finishMonitor(p *exec.Process) {
 	instrs, cycles := tu.mon.es.Stop(&p.Counters)
 	tu.hw.Release()
@@ -241,7 +233,7 @@ func (tu *Tuner) finishMonitor(p *exec.Process) {
 	}
 	tu.table.Add(key, mon.coreType, perfcnt.IPC(instrs, cycles))
 	tu.SamplesTaken++
-	if tu.table.Ready(key, tu.cfg.SamplesPerType) {
+	if tu.table.Ready(key) {
 		tu.decide(p, mon.ptype)
 	}
 }

@@ -106,7 +106,6 @@ func TestTunerDecidesAfterSampling(t *testing.T) {
 	hw := perfcnt.NewHardware(8)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	tu := NewTuner(cfg, m, hw, marks)
 	p := newProc()
@@ -148,7 +147,6 @@ func TestTunerDecidedMarksJustSwitch(t *testing.T) {
 	hw := perfcnt.NewHardware(8)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	tu := NewTuner(cfg, m, hw, marks)
 	p := newProc()
@@ -181,7 +179,6 @@ func TestTunerComputePinsFastMemoryPinsSlow(t *testing.T) {
 	hw := perfcnt.NewHardware(8)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	cfg.Delta = 0.15
 	tu := NewTuner(cfg, m, hw, marks)
@@ -221,7 +218,6 @@ func TestTunerPinSingleCore(t *testing.T) {
 	m := quad()
 	hw := perfcnt.NewHardware(8)
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	cfg.PinSingleCore = true
 	tu := NewTuner(cfg, m, hw, fakeMarks{0: 0, 1: 1})
@@ -262,7 +258,6 @@ func TestAllCoresMode(t *testing.T) {
 func TestSameTypeMarkIsNoop(t *testing.T) {
 	m := quad()
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	tu := NewTuner(cfg, m, perfcnt.NewHardware(8), fakeMarks{0: 0, 1: 0})
 	p := newProc()
@@ -282,7 +277,6 @@ func TestSameTypeMarkIsNoop(t *testing.T) {
 func TestShortSectionsRejected(t *testing.T) {
 	m := quad()
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 1000
 	tu := NewTuner(cfg, m, perfcnt.NewHardware(8), fakeMarks{0: 0, 1: 1})
 	p := newProc()
@@ -301,7 +295,6 @@ func TestCounterContentionDefersMonitoring(t *testing.T) {
 		t.Fatal("setup: could not hog slot")
 	}
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	tu := NewTuner(cfg, m, hw, fakeMarks{0: 0, 1: 1})
 	p := newProc()
@@ -324,7 +317,6 @@ func TestOnExitReleasesEventSet(t *testing.T) {
 	m := quad()
 	hw := perfcnt.NewHardware(4)
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	tu := NewTuner(cfg, m, hw, fakeMarks{0: 0})
 	p := newProc()
@@ -382,7 +374,6 @@ func TestTunerSpillArbitratesHerd(t *testing.T) {
 	hw := perfcnt.NewHardware(16)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	cfg.Delta = 0.15
 	cfg.Spill = true
@@ -422,7 +413,6 @@ func TestTunerWithoutSpillHerds(t *testing.T) {
 	hw := perfcnt.NewHardware(16)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.SamplesPerType = 1
 	cfg.MinSectionInstrs = 10
 	cfg.Delta = 0.15
 	slowMask := m.TypeMask(amp.SlowType)

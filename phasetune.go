@@ -161,18 +161,19 @@ type (
 	// sampling).
 	TuningConfig = tuning.Config
 	// OnlineConfig parameterizes the online phase detector (window size,
-	// tick period, classification threshold) used by the dynamic and
-	// hybrid policies; the policy sets its reassignment rule and drift
-	// threshold.
+	// Algorithm 2 threshold) used by the dynamic and hybrid policies; the
+	// policy sets its reassignment rule and drift threshold. The detector
+	// ticks on the scheduler's monitor period
+	// (SchedulerConfig.MonitorIntervalSec).
 	OnlineConfig = online.Config
 	// OnlineStats reports what the online detector did during a run
 	// (windows sampled, monitoring cycles charged, switches); see
 	// RunResult.Online.
 	OnlineStats = online.Stats
 	// PlacementConfig parameterizes the shared placement engine's capacity
-	// arbitration (spill band, hysteresis) — the unified Algorithm-2/
-	// capacity core every placement policy funnels through
-	// (internal/place).
+	// arbitration (contention pricing on or off; the zero value is
+	// unpriced) — the unified Algorithm-2/capacity core every placement
+	// policy funnels through (internal/place).
 	PlacementConfig = place.Config
 	// ContentionConfig prices shared-L2 occupancy and DRAM bandwidth into
 	// the engine's arbitration (PlacementConfig.Contention). Nil — the
@@ -185,10 +186,6 @@ func DefaultTuning() TuningConfig { return tuning.DefaultConfig() }
 
 // DefaultOnline returns the online detector's showdown operating point.
 func DefaultOnline() OnlineConfig { return online.DefaultConfig() }
-
-// DefaultPlacement returns the placement engine's default arbitration
-// parameters (spill band 1, hysteresis 5%).
-func DefaultPlacement() PlacementConfig { return place.DefaultConfig() }
 
 // Select is the paper's Algorithm 2: choose the core type for a phase given
 // per-type measured IPC and threshold delta. The single implementation

@@ -129,8 +129,8 @@ func WithTuning(t TuningConfig) SessionOption { return func(s *Session) { s.tuni
 func WithOnline(c OnlineConfig) SessionOption { return func(s *Session) { s.online = c } }
 
 // WithPlacement sets the default shared-placement-engine configuration —
-// capacity spill band and hysteresis — used by every engine-backed policy
-// (Policy.EngineBacked).
+// contention pricing on or off (default: unpriced) — used by every
+// engine-backed policy (Policy.EngineBacked).
 // Individual runs may override it via RunSpec.Placement.
 func WithPlacement(c PlacementConfig) SessionOption { return func(s *Session) { s.placement = c } }
 
@@ -193,14 +193,13 @@ func WithLedger() SessionOption { return func(s *Session) { s.ledger = true } }
 //	)
 func NewSession(opts ...SessionOption) *Session {
 	s := &Session{
-		machine:   QuadAMP(),
-		cost:      DefaultCost(),
-		sched:     DefaultScheduler(),
-		typing:    DefaultTyping(),
-		tuning:    DefaultTuning(),
-		online:    DefaultOnline(),
-		placement: DefaultPlacement(),
-		cache:     NewImageCache(),
+		machine: QuadAMP(),
+		cost:    DefaultCost(),
+		sched:   DefaultScheduler(),
+		typing:  DefaultTyping(),
+		tuning:  DefaultTuning(),
+		online:  DefaultOnline(),
+		cache:   NewImageCache(),
 	}
 	for _, opt := range opts {
 		opt(s)
