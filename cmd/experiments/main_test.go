@@ -90,7 +90,10 @@ func TestBenchoutAppendsOneTableEntry(t *testing.T) {
 		if bytes.Contains(raw, []byte("NaN")) {
 			t.Errorf("%s: history holds NaN", c.Name)
 		}
-		h := benchhist.Load(path)
+		h, err := benchhist.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(h.Entries) != 1 {
 			t.Fatalf("%s: %d history entries, want 1", c.Name, len(h.Entries))
 		}

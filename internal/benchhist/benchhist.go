@@ -1,10 +1,12 @@
 // Package benchhist is the schema and I/O for the repository's
 // machine-readable measurement history (BENCH_sweep.json). The file is an
-// append-only log with two entry kinds: cmd/benchjson's benchmark timings,
-// and the generic campaign tables that `cmd/experiments -benchout`
-// records. cmd/benchjson -history renders the accumulated trajectory.
-// Keeping the schema here, instead of private to one command, is what lets
-// several producers share one history without drifting.
+// append-only log of `table` entries: the campaign tables that
+// `cmd/experiments -benchout` records, and the bench/run.sh pass reports
+// that `cmd/benchjson -record` records under campaign "bench". Older
+// files also hold timing entries of a removed warm-grid harness; they load
+// and save unchanged. cmd/benchjson -history renders the accumulated
+// trajectory. Keeping the schema here, instead of private to one command,
+// is what lets several producers share one history without drifting.
 package benchhist
 
 import (
@@ -29,8 +31,8 @@ const (
 	LegacySchema = "phasetune-bench/v1"
 )
 
-// Entry kinds. An empty Kind means benchmark timings (the original entry
-// form, kept unnamed for backward compatibility with recorded histories).
+// Entry kinds. An empty Kind means benchmark timings, the original entry
+// form; nothing records it any more, but recorded histories hold it.
 const (
 	// KindBench marks a benchmark-timing entry ("" on the wire).
 	KindBench = ""
@@ -38,7 +40,7 @@ const (
 	KindTable = "table"
 )
 
-// Benchmark is one recorded timing measurement.
+// Benchmark is one measurement of a timing entry.
 type Benchmark struct {
 	Name    string             `json:"name"`
 	NsPerOp int64              `json:"ns_per_op"`
@@ -80,9 +82,9 @@ type Entry struct {
 	Revision string `json:"revision,omitempty"`
 	Dirty    bool   `json:"dirty,omitempty"`
 	Host     string `json:"host,omitempty"`
-	// Shards appears only in older timing entries, recorded when benchjson
-	// could also time the grid on an in-process fabric (its removed -shards
-	// flag). It is kept so rewriting the history preserves those entries.
+	// Shards, Benchmarks and Derived appear only in timing entries. Shards
+	// was recorded when benchjson could also time the grid on an in-process
+	// fabric. They are kept so rewriting the history preserves those entries.
 	Shards     int                `json:"shards,omitempty"`
 	Benchmarks []Benchmark        `json:"benchmarks,omitempty"`
 	Derived    map[string]float64 `json:"derived,omitempty"`
@@ -128,17 +130,10 @@ type History struct {
 	Entries []Entry `json:"entries"`
 }
 
-// Load reads a history file for display, absorbing a legacy single-report
-// file as the first entry. Unreadable or unrecognized content reads as an
-// empty history.
-func Load(path string) History {
-	h, _ := load(path)
-	return h
-}
-
-// load is Load that reports why an existing file did not load (returning
-// an empty history); a missing file is an empty history, not an error.
-func load(path string) (History, error) {
+// Load reads a history file, absorbing a legacy single-report file as
+// the first entry. A missing file is an empty history; a file that exists
+// but does not decode, or names another schema, is an error.
+func Load(path string) (History, error) {
 	h := History{Schema: HistorySchema}
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -170,7 +165,7 @@ func load(path string) (History, error) {
 // file that exists but does not load is left untouched and reported:
 // rewriting it would drop every entry it holds.
 func Append(path string, e Entry) error {
-	h, err := load(path)
+	h, err := Load(path)
 	if err != nil {
 		return fmt.Errorf("benchhist: %s does not load, not appending: %w", path, err)
 	}

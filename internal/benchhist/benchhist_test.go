@@ -29,7 +29,10 @@ func TestAppendRoundTripsMixedKinds(t *testing.T) {
 		Tables: []Table{ledger, shares}}); err != nil {
 		t.Fatal(err)
 	}
-	h := Load(path)
+	h, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h.Schema != HistorySchema || len(h.Entries) != 2 {
 		t.Fatalf("loaded %d entries under schema %q", len(h.Entries), h.Schema)
 	}
@@ -57,7 +60,10 @@ func TestUnknownKindSurvivesAppend(t *testing.T) {
 	if err := Append(path, Entry{Benchmarks: []Benchmark{{Name: "grid", NsPerOp: 7, Reps: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	h := Load(path)
+	h, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(h.Entries) != 2 {
 		t.Fatalf("entries = %d, want 2", len(h.Entries))
 	}
@@ -73,7 +79,10 @@ func TestLoadAbsorbsLegacyReport(t *testing.T) {
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h := Load(path)
+	h, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(h.Entries) != 1 || h.Entries[0].Schema != LegacySchema {
 		t.Fatalf("legacy report not absorbed: %+v", h)
 	}
@@ -84,15 +93,15 @@ func TestLoadAbsorbsLegacyReport(t *testing.T) {
 
 func TestLoadMissingOrGarbageStartsFresh(t *testing.T) {
 	dir := t.TempDir()
-	if h := Load(filepath.Join(dir, "absent.json")); len(h.Entries) != 0 {
-		t.Errorf("missing file produced entries")
+	if h, err := Load(filepath.Join(dir, "absent.json")); err != nil || len(h.Entries) != 0 {
+		t.Errorf("missing file: %d entries, error %v", len(h.Entries), err)
 	}
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if h := Load(bad); len(h.Entries) != 0 {
-		t.Errorf("garbage file produced entries")
+	if h, err := Load(bad); err == nil || len(h.Entries) != 0 {
+		t.Errorf("garbage file: %d entries, error %v", len(h.Entries), err)
 	}
 }
 

@@ -53,8 +53,8 @@ type Config struct {
 	// PinSingleCore pins decided phase types to the single chosen core
 	// instead of all cores of its type. The paper's Algorithm 2 returns one
 	// core; pinning to the core's *type* lets the OS balance within the
-	// type (see DESIGN.md). The type pin is the default; the ablation
-	// benchmark compares both.
+	// type (see DESIGN.md). The type pin is the default;
+	// experiments.AblationPinMode compares both.
 	PinSingleCore bool
 	// Spill enables capacity-aware spill arbitration: decided phase types
 	// register their measured per-type rates as claims with a shared
