@@ -78,3 +78,46 @@ func TestSessionMemoInvisibleAndWarm(t *testing.T) {
 		t.Errorf("adopted memo gained no hits (%d -> %d)", before, after)
 	}
 }
+
+// TestMemoCountersPinned runs a small grid sequentially and pins every
+// memo counter, for the default bound and for a bound the grid fills. The
+// grid runs one workload under policies that share images, so chunks
+// recorded by one cell replay in the next; a sequential sweep makes the
+// counts deterministic. A change to chunk boundaries, lookup cadence or
+// state keys shows here even when every Result byte holds.
+func TestMemoCountersPinned(t *testing.T) {
+	suite, err := phasetune.Suite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := phasetune.NewWorkload(suite, 4, 8, 1)
+	var specs []phasetune.RunSpec
+	for _, pol := range []phasetune.Policy{
+		phasetune.PolicyNone, phasetune.PolicyStatic, phasetune.PolicyStaticSpill,
+		phasetune.PolicyDynamicGreedy, phasetune.PolicyHybrid,
+	} {
+		specs = append(specs, phasetune.RunSpec{Workload: w, DurationSec: 15, Policy: pol, Params: phasetune.BestParams(), Seed: 1})
+	}
+	for _, tc := range []struct {
+		name string
+		opt  phasetune.SessionOption
+		want phasetune.MemoStats
+	}{
+		{"default", phasetune.WithWorkers(1), phasetune.MemoStats{
+			Lanes: 28, Chunks: 7212, Limit: 262144, Hits: 1348, Misses: 7212,
+			ReplayedSteps: 252532, RecordedSteps: 1397802,
+		}},
+		{"full", phasetune.WithSegmentMemoSize(2000), phasetune.MemoStats{
+			Lanes: 28, Chunks: 2000, Limit: 2000, Hits: 337, Misses: 8187,
+			ReplayedSteps: 66967, RecordedSteps: 413406,
+		}},
+	} {
+		sess := phasetune.NewSession(tc.opt, phasetune.WithWorkers(1))
+		if _, err := sess.Sweep(context.Background(), specs); err != nil {
+			t.Fatal(err)
+		}
+		if got := sess.MemoStats(); got != tc.want {
+			t.Errorf("%s memo counters:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+}
