@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"phasetune/internal/cfg"
 	"phasetune/internal/instrument"
@@ -23,31 +24,59 @@ const (
 )
 
 // blockInfo is the interpreter's precomputed view of one basic block.
+// Blocks are numbered by global id: the image's procedures' blocks laid
+// end to end in procedure order, so one index names a block anywhere.
 type blockInfo struct {
-	// baseCycles is the core-type-independent pipeline cost of the block's
-	// instructions (per-class CPI summed), excluding memory stalls.
-	baseCycles float64
+	// The fields a step reads come first, so they share cache lines.
+	kind termKind
+	// syscall marks syscall special nodes (extra fixed cost).
+	syscall   bool
+	tripCount int32 // >0: counted loop back edge (taken tripCount-1 times)
+	loop      int32 // counted back edge's loop-counter index (-1 none)
+	taken     int32 // global id of the taken successor
+	fall      int32 // global id of the fallthrough successor (-1 none: ret/exit)
+	callee    int32 // global id of the callee's entry block for termCall
+	// takenThresh is the branch's taken probability as a threshold on a
+	// 53-bit draw (branchThreshold).
+	takenThresh uint64
 	// instrs is the retired-instruction count (phase marks excluded; they
 	// are charged via CostModel.MarkInstrs).
 	instrs int64
 	// memRefs is the retired memory-reference count per execution.
 	memRefs int64
+	// markIDs lists phase marks executed at the top of this block, in order.
+	markIDs []int32
+
+	// The block's segment-memo keys, from k = proc<<32 | block (its
+	// procedure index and its index within the procedure): posKey =
+	// mix64(k+hashGamma) keys the program counter, loopKey =
+	// mix64(k+loopSeed) seeds its loop-counter cell, and frameKey =
+	// k+frameSeed seeds a call-stack frame returning to it.
+	posKey, loopKey, frameKey uint64
+
+	// baseCycles is the core-type-independent pipeline cost of the block's
+	// instructions (per-class CPI summed), excluding memory stalls.
+	baseCycles float64
 	// l1MissRefs is the expected number of references per execution that
 	// miss the private L1 and reach the shared cache.
 	l1MissRefs float64
 	// profile is the block's aggregated reuse profile.
 	profile reuse.Profile
-	// markIDs lists phase marks executed at the top of this block, in order.
-	markIDs []int32
-	// syscall marks syscall special nodes (extra fixed cost).
-	syscall bool
+}
 
-	kind      termKind
-	takenProb float64
-	tripCount int32 // >0: counted loop back edge (taken tripCount-1 times)
-	taken     int32 // block ID of taken successor
-	fall      int32 // block ID of fallthrough successor (-1 none: ret/exit)
-	callee    int32 // procedure index for termCall
+// branchThreshold converts a taken probability into the integer threshold
+// the interpreter compares a 53-bit draw against: a branch is taken when
+// rng.Uint64()>>11 < branchThreshold(p). Float64() is that draw times
+// 2⁻⁵³, exactly, so the compare takes the branch on exactly the draws
+// where Float64() < p does: never for p ≤ 0 or NaN, always for p ≥ 1.
+func branchThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Image is an executable program image: the (optionally instrumented)
@@ -63,8 +92,9 @@ type Image struct {
 	// Graphs are the CFGs of Prog.
 	Graphs []*cfg.Graph
 
-	blocks [][]blockInfo
-	entry  int32
+	blocks []blockInfo // indexed by global block id
+	entry  int32       // global id of the entry procedure's first block
+	loops  int32       // counted back edges, each with a loop-counter index
 	memSig place.MemStats
 }
 
@@ -103,26 +133,40 @@ func NewImage(p *prog.Program, bin *instrument.Binary, cm CostModel) (*Image, er
 	if err != nil {
 		return nil, err
 	}
+	// starts[pi] is the global id of procedure pi's first block.
+	starts := make([]int32, len(graphs))
+	n := 0
+	for pi, g := range graphs {
+		starts[pi] = int32(n)
+		n += len(g.Blocks)
+	}
 	img := &Image{
 		Name:   p.Name,
 		Prog:   p,
 		Graphs: graphs,
-		blocks: make([][]blockInfo, len(graphs)),
-		entry:  int32(p.Entry),
+		blocks: make([]blockInfo, 0, n),
+		entry:  starts[p.Entry],
 	}
 	if bin != nil {
 		img.Marks = bin.Marks
 	}
 	for pi, g := range graphs {
-		infos := make([]blockInfo, len(g.Blocks))
 		for bi, b := range g.Blocks {
-			info, err := summarizeBlock(b, g, cm)
+			info, err := summarizeBlock(b, g, cm, starts)
 			if err != nil {
 				return nil, fmt.Errorf("exec: %s/%s block %d: %w", p.Name, g.ProcName, bi, err)
 			}
-			infos[bi] = info
+			info.loop = -1
+			if info.tripCount > 0 {
+				info.loop = img.loops
+				img.loops++
+			}
+			k := uint64(uint32(pi))<<32 | uint64(uint32(bi))
+			info.posKey = mix64(k + hashGamma)
+			info.loopKey = mix64(k + loopSeed)
+			info.frameKey = k + frameSeed
+			img.blocks = append(img.blocks, info)
 		}
-		img.blocks[pi] = infos
 	}
 	img.memSig = memSignature(img.blocks)
 	return img, nil
@@ -130,20 +174,18 @@ func NewImage(p *prog.Program, bin *instrument.Binary, cm CostModel) (*Image, er
 
 // memSignature aggregates the per-block summaries into the image's
 // shared-cache signature.
-func memSignature(blocks [][]blockInfo) place.MemStats {
+func memSignature(blocks []blockInfo) place.MemStats {
 	var sig place.MemStats
 	var instrs int64
 	var l1Miss float64
 	refs := 0
-	for _, infos := range blocks {
-		for i := range infos {
-			info := &infos[i]
-			instrs += info.instrs
-			l1Miss += info.l1MissRefs
-			if info.memRefs > 0 {
-				sig.Profile = reuse.Combine(sig.Profile, refs, info.profile, int(info.memRefs))
-				refs += int(info.memRefs)
-			}
+	for i := range blocks {
+		info := &blocks[i]
+		instrs += info.instrs
+		l1Miss += info.l1MissRefs
+		if info.memRefs > 0 {
+			sig.Profile = reuse.Combine(sig.Profile, refs, info.profile, int(info.memRefs))
+			refs += int(info.memRefs)
 		}
 	}
 	if instrs > 0 {
@@ -152,8 +194,10 @@ func memSignature(blocks [][]blockInfo) place.MemStats {
 	return sig
 }
 
-// summarizeBlock precomputes the interpreter view of one block.
-func summarizeBlock(b *cfg.Block, g *cfg.Graph, cm CostModel) (blockInfo, error) {
+// summarizeBlock precomputes the interpreter view of one block. starts maps
+// procedure indexes to the global ids of their first blocks.
+func summarizeBlock(b *cfg.Block, g *cfg.Graph, cm CostModel, starts []int32) (blockInfo, error) {
+	base := starts[g.ProcIndex]
 	info := blockInfo{fall: -1, taken: -1, callee: -1}
 	var memRefs int
 	for _, in := range b.Instrs {
@@ -179,22 +223,22 @@ func summarizeBlock(b *cfg.Block, g *cfg.Graph, cm CostModel) (blockInfo, error)
 	switch last.Op {
 	case isa.Branch:
 		info.kind = termBranch
-		info.takenProb = last.TakenProb
+		info.takenThresh = branchThreshold(last.TakenProb)
 		info.tripCount = last.TripCount
-		info.taken = int32(g.BlockOf(last.Target))
+		info.taken = base + int32(g.BlockOf(last.Target))
 		if fall, ok := fallBlock(g, b); ok {
-			info.fall = int32(fall)
+			info.fall = base + int32(fall)
 		} else {
 			return info, fmt.Errorf("branch block has no fallthrough")
 		}
 	case isa.Jump:
 		info.kind = termFall
-		info.fall = int32(g.BlockOf(last.Target))
+		info.fall = base + int32(g.BlockOf(last.Target))
 	case isa.Call:
 		info.kind = termCall
-		info.callee = int32(last.Target)
+		info.callee = starts[last.Target]
 		if fall, ok := fallBlock(g, b); ok {
-			info.fall = int32(fall)
+			info.fall = base + int32(fall)
 		} else {
 			return info, fmt.Errorf("call block has no return-to block")
 		}
@@ -203,7 +247,7 @@ func summarizeBlock(b *cfg.Block, g *cfg.Graph, cm CostModel) (blockInfo, error)
 	default:
 		info.kind = termFall
 		if fall, ok := fallBlock(g, b); ok {
-			info.fall = int32(fall)
+			info.fall = base + int32(fall)
 		} else {
 			return info, fmt.Errorf("block falls off procedure end")
 		}

@@ -129,8 +129,7 @@ type chunkKey struct {
 
 // loopWrite is one loop-counter cell's final value within a chunk.
 type loopWrite struct {
-	proc, block int32
-	val         int32
+	loop, val int32
 }
 
 // chunk is the recorded outcome of a run of steps, filed under the state
@@ -146,24 +145,21 @@ type chunk struct {
 	endLoopHash  uint64
 	endRng       uint64
 
-	// tail holds the end stack as endStackLen (proc, block) pairs, bottom
-	// frame first, then the loop writes as (proc, block, val) triples.
+	// tail holds the end stack as endStackLen return-block ids, bottom
+	// frame first, then the loop writes as (loop, val) pairs.
 	tail []int32
 
 	instrs, memRefs uint32
 	lastCycles      uint32 // the final step's cycles (budget check)
 
-	startProc, startBlock int32
-	startStackLen         int32
-	endProc, endBlock     int32
-	endStackLen           int32
-	steps                 uint16
+	startPC, startStackLen int32
+	endPC, endStackLen     int32
+	steps                  uint16
 }
 
 // split returns the tail's end stack and loop writes.
 func (c *chunk) split() (stack, writes []int32) {
-	n := 2 * int(c.endStackLen)
-	return c.tail[:n], c.tail[n:]
+	return c.tail[:c.endStackLen], c.tail[c.endStackLen:]
 }
 
 // blockCost is one block's precomputed pricing under a lane. Building it
@@ -183,7 +179,7 @@ type Lane struct {
 	memo    *SegmentMemo
 	par     CoreParams
 	shareKB float64
-	cost    [][]blockCost
+	cost    []blockCost // indexed by global block id
 
 	// table is an open-addressed chunk store indexed by key.pos with
 	// linear probing; nil slots are empty. Its length is a power of two
@@ -231,7 +227,7 @@ func (l *Lane) grow() {
 // state record byte-equivalent prefixes, so replay correctness never
 // depends on which one lands. A refused chunk (memo full, state already
 // published) allocates nothing.
-func (l *Lane) insert(key chunkKey, c *chunk, stack []frame, writes []loopWrite) {
+func (l *Lane) insert(key chunkKey, c *chunk, stack []int32, writes []loopWrite) {
 	m := l.memo
 	if m.full() {
 		return
@@ -248,19 +244,16 @@ func (l *Lane) insert(key chunkKey, c *chunk, stack []frame, writes []loopWrite)
 	}
 	m.slabMu.Lock()
 	kept := &m.chunkSlab.take(1)[0]
-	tail := m.tailSlab.take(2*len(stack) + 3*len(writes))
+	tail := m.tailSlab.take(len(stack) + 2*len(writes))
 	m.slabMu.Unlock()
 	*kept = *c
 	kept.key = key
 	kept.endStackLen = int32(len(stack))
 	kept.tail = tail
-	for _, f := range stack {
-		tail[0], tail[1] = f.proc, f.block
-		tail = tail[2:]
-	}
+	tail = tail[copy(tail, stack):]
 	for _, w := range writes {
-		tail[0], tail[1], tail[2] = w.proc, w.block, w.val
-		tail = tail[3:]
+		tail[0], tail[1] = w.loop, w.val
+		tail = tail[2:]
 	}
 	l.table[i] = kept
 	l.n++
@@ -375,20 +368,16 @@ func (m *SegmentMemo) LaneFor(p *Process, par *CoreParams, shareKB float64, fast
 		par:     *par,
 		shareKB: shareKB,
 		table:   make([]*chunk, laneMinSlots),
-		cost:    make([][]blockCost, len(p.Img.blocks)),
+		cost:    make([]blockCost, len(p.Img.blocks)),
 	}
-	for proc := range p.Img.blocks {
-		row := make([]blockCost, len(p.Img.blocks[proc]))
-		for b := range row {
-			info := &p.Img.blocks[proc][b]
-			ic := bodyCycles(info, par, p.cm.SyscallCycles, shareKB)
-			row[b] = blockCost{
-				ic:       ic,
-				actualPs: ic * par.PsPerCycle,
-				idealPs:  bodyIdealPs(info, par, ic, shareKB, fastPs),
-			}
+	for b := range l.cost {
+		info := &p.Img.blocks[b]
+		ic := bodyCycles(info, par, p.cm.SyscallCycles, shareKB)
+		l.cost[b] = blockCost{
+			ic:       ic,
+			actualPs: ic * par.PsPerCycle,
+			idealPs:  bodyIdealPs(info, par, ic, shareKB, fastPs),
 		}
-		l.cost[proc] = row
 	}
 	m.lanes[key] = l
 	return l
@@ -403,34 +392,18 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// The state-hash constants. Each block's keys are precomputed from them
+// at image build (blockInfo.posKey, loopKey, frameKey): the position word
+// is posKey ^ stackHash ^ loopHash, a frame at a given depth hashes as
+// mix64(frameKey + depth·hashGamma), and a loop cell holding a non-zero
+// value as mix64(loopKey + value·hashGamma). Zero-valued cells contribute
+// nothing, and frames and cells combine by XOR, so pushing and popping
+// the same frame, or writing a cell and restoring it, cancels exactly.
 const (
 	hashGamma = 0x9e3779b97f4a7c15
 	frameSeed = 0x8f51a2c4b3e6d970
 	loopSeed  = 0x1d8e4f2a9c6b5e37
 )
-
-// frameHash hashes one call-stack frame at a given depth. Frames combine
-// by XOR, so pushing and popping the same frame cancels exactly — the
-// incremental stack hash.
-func frameHash(depth int, proc, block int32) uint64 {
-	k := uint64(uint32(proc))<<32 | uint64(uint32(block))
-	return mix64(k + uint64(depth)*hashGamma + frameSeed)
-}
-
-// loopCellHash hashes one loop-counter cell holding a non-zero value.
-// Zero-valued cells contribute nothing, so a lazily unallocated counter
-// and an explicit zero hash identically.
-func loopCellHash(proc, block, val int32) uint64 {
-	k := uint64(uint32(proc))<<32 | uint64(uint32(block))
-	return mix64(mix64(k+loopSeed) + uint64(uint32(val))*hashGamma)
-}
-
-// posHash folds the program counter and the state hashes into the chunk
-// key's position word.
-func posHash(proc, block int32, stackHash, loopHash uint64) uint64 {
-	k := uint64(uint32(proc))<<32 | uint64(uint32(block))
-	return mix64(k+hashGamma) ^ stackHash ^ loopHash
-}
 
 // memoState is a process's memoization side-state: incremental hashes
 // summarizing the parts of the interpreter state the program counter does
@@ -449,45 +422,51 @@ type recorder struct {
 	// keep is false for a recording the memo will refuse because it was
 	// full when the recording started: such a recording only counts steps,
 	// so it closes where a kept one would.
-	keep                  bool
-	lane                  *Lane
-	key                   chunkKey
-	startProc, startBlock int32
-	startStackLen         int32
-	steps                 int32
-	cycles                int64
-	lastCycles            int64
-	idealPs               int64
-	startInstrs           uint64
-	startMemRefs          uint64
+	keep          bool
+	lane          *Lane
+	key           chunkKey
+	startPC       int32
+	startStackLen int32
+	steps         int32
+	cycles        int64
+	lastCycles    int64
+	idealPs       int64
+	startInstrs   uint64
+	startMemRefs  uint64
 	// writes holds each loop-counter cell the recording wrote, once, in
 	// first-write order; finalize fills in the final values.
 	writes []loopWrite
 }
 
-// noteLoopWrite maintains the loop-counter hash across one cell update and
-// feeds the recorder's write set.
-func (m *memoState) noteLoopWrite(proc, block, old, val int32) {
+// noteFrame maintains the stack hash across pushing or popping a frame
+// that returns to the block with the given frameKey, at the given depth.
+func (m *memoState) noteFrame(frameKey uint64, depth int) {
+	m.stackHash ^= mix64(frameKey + uint64(depth)*hashGamma)
+}
+
+// noteLoopWrite maintains the loop-counter hash across one update of the
+// cell of the counted back edge info and feeds the recorder's write set.
+func (m *memoState) noteLoopWrite(info *blockInfo, old, val int32) {
 	if old != 0 {
-		m.loopHash ^= loopCellHash(proc, block, old)
+		m.loopHash ^= mix64(info.loopKey + uint64(uint32(old))*hashGamma)
 	}
 	if val != 0 {
-		m.loopHash ^= loopCellHash(proc, block, val)
+		m.loopHash ^= mix64(info.loopKey + uint64(uint32(val))*hashGamma)
 	}
 	if m.rec.active && m.rec.keep {
-		m.rec.touch(proc, block)
+		m.rec.touch(info.loop)
 	}
 }
 
 // touch adds a loop-counter cell to the write set unless it is already
 // there. A chunk writes a handful of distinct cells, so a scan beats a map.
-func (r *recorder) touch(proc, block int32) {
+func (r *recorder) touch(loop int32) {
 	for _, w := range r.writes {
-		if w.proc == proc && w.block == block {
+		if w.loop == loop {
 			return
 		}
 	}
-	r.writes = append(r.writes, loopWrite{proc: proc, block: block})
+	r.writes = append(r.writes, loopWrite{loop: loop})
 }
 
 // start arms the recorder at the current state (a lookup miss).
@@ -496,7 +475,7 @@ func (r *recorder) start(p *Process, lane *Lane, key chunkKey) {
 	r.keep = !lane.memo.full()
 	r.lane = lane
 	r.key = key
-	r.startProc, r.startBlock = p.curProc, p.curBlock
+	r.startPC = p.pc
 	r.startStackLen = int32(len(p.stack))
 	r.steps = 0
 	r.cycles = 0
@@ -522,7 +501,7 @@ func (m *memoState) finalize(p *Process) {
 	}
 	for i := range r.writes {
 		w := &r.writes[i]
-		w.val = p.loopCounts[w.proc][w.block]
+		w.val = p.loopCounts[w.loop]
 	}
 	c := chunk{
 		cycles:        r.cycles,
@@ -533,11 +512,9 @@ func (m *memoState) finalize(p *Process) {
 		instrs:        uint32(instrs),
 		memRefs:       uint32(memRefs),
 		lastCycles:    uint32(r.lastCycles),
-		startProc:     r.startProc,
-		startBlock:    r.startBlock,
+		startPC:       r.startPC,
 		startStackLen: r.startStackLen,
-		endProc:       p.curProc,
-		endBlock:      p.curBlock,
+		endPC:         p.pc,
 		steps:         uint16(r.steps),
 	}
 	r.lane.insert(r.key, &c, p.stack, r.writes)
@@ -559,25 +536,32 @@ func (p *Process) EnableMemo() {
 // steps (cycles before the last step strictly below budget, matching
 // `for used < slice`).
 // A lookup miss arms the recorder, so the following native steps build the
-// chunk that will serve this state next time.
+// chunk that will serve this state next time. No lookup happens while a
+// recording is open.
 func (p *Process) Advance(lane *Lane, budget int64) int64 {
-	m := p.memo
-	if m == nil || m.rec.active {
+	if m := p.memo; m == nil || m.rec.active {
 		return 0
 	}
-	info := &p.Img.blocks[p.curProc][p.curBlock]
+	return p.replay(lane, budget)
+}
+
+// replay is Advance past its gate: the memo is enabled and no recording
+// is open.
+func (p *Process) replay(lane *Lane, budget int64) int64 {
+	m := p.memo
+	info := &p.Img.blocks[p.pc]
 	if len(info.markIDs) > 0 || (info.kind == termRet && len(p.stack) == 0) {
 		// Observer boundary (mark hook / exit hook): always native.
 		return 0
 	}
-	key := chunkKey{pos: posHash(p.curProc, p.curBlock, m.stackHash, m.loopHash), rng: p.rand.State()}
+	key := chunkKey{pos: info.posKey ^ m.stackHash ^ m.loopHash, rng: p.rand.State()}
 	c := lane.lookup(key)
 	if c == nil {
 		lane.memo.misses.Add(1)
 		m.rec.start(p, lane, key)
 		return 0
 	}
-	if c.startProc != p.curProc || c.startBlock != p.curBlock || int(c.startStackLen) != len(p.stack) {
+	if c.startPC != p.pc || int(c.startStackLen) != len(p.stack) {
 		// ~128-bit key collision: vanishingly unlikely, but refuse rather
 		// than corrupt the run.
 		lane.memo.misses.Add(1)
@@ -597,14 +581,11 @@ func (p *Process) replayChunk(lane *Lane, c *chunk) {
 		p.Work.Add(c.cycles*lane.par.PsPerCycle, c.idealPs)
 	}
 	stack, writes := c.split()
-	for ; len(writes) > 0; writes = writes[3:] {
-		*p.loopCell(writes[0], writes[1]) = writes[2]
+	for ; len(writes) > 0; writes = writes[2:] {
+		p.loopCounts[writes[0]] = writes[1]
 	}
-	p.stack = p.stack[:0]
-	for ; len(stack) > 0; stack = stack[2:] {
-		p.stack = append(p.stack, frame{proc: stack[0], block: stack[1]})
-	}
-	p.curProc, p.curBlock = c.endProc, c.endBlock
+	p.stack = append(p.stack[:0], stack...)
+	p.pc = c.endPC
 	p.rand.SetState(c.endRng)
 	p.memo.stackHash = c.endStackHash
 	p.memo.loopHash = c.endLoopHash
@@ -613,47 +594,89 @@ func (p *Process) replayChunk(lane *Lane, c *chunk) {
 }
 
 // StepLane is Step with the block cost read from the lane's precomputed
-// tables (no per-step float math) and the chunk recorder attached. The
-// kernel uses it for every step of a memoized run; results are identical
-// to Step by construction (the tables are built from the same helpers).
+// tables (no per-step float math) and the chunk recorder attached: one
+// native step of runLane. Results are identical to Step by construction
+// (the tables are built from the same helpers). Without EnableMemo it is
+// Step.
 func (p *Process) StepLane(lane *Lane, coreID int) StepResult {
-	m := p.memo
-	if m == nil {
+	if p.memo == nil {
 		return p.Step(&lane.par, coreID, lane.shareKB)
 	}
-	info := &p.Img.blocks[p.curProc][p.curBlock]
-	if m.rec.active && (len(info.markIDs) > 0 || (info.kind == termRet && len(p.stack) == 0)) {
-		// Observer boundary: close the recording before executing it.
-		m.finalize(p)
-	}
-	var res StepResult
-	if len(info.markIDs) > 0 {
-		p.execMarks(info, &lane.par, coreID, &res)
-	}
-	bc := &lane.cost[p.curProc][p.curBlock]
-	if p.Work != nil {
-		p.Work.Add(bc.actualPs, bc.idealPs)
-	}
-	p.Counters.Add(uint64(info.instrs), uint64(bc.ic))
-	if info.memRefs > 0 {
-		p.Counters.AddMem(uint64(info.memRefs))
-	}
-	res.Cycles += bc.ic
+	_, res := p.runLane(lane, coreID, 0, false)
+	return res
+}
 
-	p.advanceControl(info, &res)
+// RunLane runs the process under a lane for up to budget cycles: the
+// loop of Advance and StepLane a dispatch burst would run, in one call.
+// It stops once the budget is spent, the process exits, or a phase mark
+// requests an affinity change, returning the cycles used and the last
+// native step's result (zero when a replay spent the budget). As with
+// Advance, it looks the memo up only while no recording is open, and
+// replays a chunk only if every one of its steps would have started
+// within the budget. The process must have EnableMemo armed.
+func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res StepResult) {
+	if budget <= 0 {
+		return 0, StepResult{}
+	}
+	return p.runLane(lane, coreID, budget, true)
+}
 
-	if m.rec.active {
-		// The recording was closed above if this step carried a mark or
-		// exited, so the whole step belongs to the chunk.
-		m.rec.steps++
-		m.rec.cycles += res.Cycles
-		m.rec.lastCycles = res.Cycles
-		m.rec.idealPs += bc.idealPs
-		if m.rec.steps >= maxChunkSteps {
+// runLane is the one interpreter loop under a lane, shared by StepLane and
+// RunLane. It checks the budget after each replay or native step, so with
+// lookup off and no budget it takes exactly one native step (StepLane),
+// and it returns after the move that spends the budget, at exit, or at a
+// mark's affinity request. With lookup set, each state reached while no
+// recording is open is first offered to the memo.
+func (p *Process) runLane(lane *Lane, coreID int, budget int64, lookup bool) (used int64, res StepResult) {
+	m := p.memo
+	blocks, cost := p.Img.blocks, lane.cost
+	for {
+		if lookup && !m.rec.active {
+			if c := p.replay(lane, budget-used); c > 0 {
+				used += c
+				if used >= budget {
+					return used, StepResult{}
+				}
+				continue
+			}
+		}
+		info := &blocks[p.pc]
+		if m.rec.active && (len(info.markIDs) > 0 || (info.kind == termRet && len(p.stack) == 0)) {
+			// Observer boundary: close the recording before executing it.
 			m.finalize(p)
 		}
+		res = StepResult{}
+		if len(info.markIDs) > 0 {
+			p.execMarks(info, &lane.par, coreID, &res)
+		}
+		bc := &cost[p.pc]
+		if p.Work != nil {
+			p.Work.Add(bc.actualPs, bc.idealPs)
+		}
+		p.Counters.Add(uint64(info.instrs), uint64(bc.ic))
+		if info.memRefs > 0 {
+			p.Counters.AddMem(uint64(info.memRefs))
+		}
+		res.Cycles += bc.ic
+
+		p.advanceControl(info, &res)
+
+		if m.rec.active {
+			// The recording was closed above if this step carried a mark
+			// or exited, so the whole step belongs to the chunk.
+			m.rec.steps++
+			m.rec.cycles += res.Cycles
+			m.rec.lastCycles = res.Cycles
+			m.rec.idealPs += bc.idealPs
+			if m.rec.steps >= maxChunkSteps {
+				m.finalize(p)
+			}
+		}
+		used += res.Cycles
+		if used >= budget || res.Exited || res.WantMask != 0 {
+			return used, res
+		}
 	}
-	return res
 }
 
 // EndSlice closes any recording in progress: a slice boundary is a point

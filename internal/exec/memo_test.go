@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"phasetune/internal/amp"
 	"phasetune/internal/prog"
+	"phasetune/internal/rng"
 )
 
 // nestedProgram calls a procedure holding two nested counted loops and a
@@ -34,20 +36,38 @@ func nestedProgram(outer float64) *prog.Program {
 	return b.MustBuild()
 }
 
-// dispatch drives p the way the kernel does, for up to moves moves (one
-// native step or one chunk replay each): replay when a chunk fits the
-// slice, otherwise step, and close the recording at every slice boundary.
-func dispatch(p *Process, lane *Lane, slice int64, moves int) {
-	for n := 0; n < moves && !p.Exited(); {
-		for used := int64(0); used < slice && !p.Exited() && n < moves; n++ {
-			if c := p.Advance(lane, slice-used); c > 0 {
-				used += c
-				continue
-			}
-			used += p.StepLane(lane, 0).Cycles
+// dispatch drives p the way the kernel does, for up to slices slices of
+// slice cycles each: RunLane until the slice is spent or the process
+// exits, then close the recording at the slice boundary.
+func dispatch(p *Process, lane *Lane, slice int64, slices int) {
+	for n := 0; n < slices && !p.Exited(); n++ {
+		for used := int64(0); used < slice && !p.Exited(); {
+			ran, _ := p.RunLane(lane, 0, slice-used)
+			used += ran
 		}
 		p.EndSlice()
 	}
+}
+
+// stepLoop is the per-step loop RunLane replaces, the reference it must
+// match: Advance where a chunk fits, StepLane otherwise, until the budget
+// is spent, the process exits or a mark requests an affinity change. Like
+// RunLane it returns the last native step's result, zero when the run
+// ended on a replay.
+func stepLoop(p *Process, lane *Lane, budget int64) (used int64, res StepResult) {
+	for used < budget {
+		if c := p.Advance(lane, budget-used); c > 0 {
+			used += c
+			res = StepResult{}
+			continue
+		}
+		res = p.StepLane(lane, 0)
+		used += res.Cycles
+		if res.Exited || res.WantMask != 0 {
+			break
+		}
+	}
+	return used, res
 }
 
 // memoFixture is one image, core and lane environment shared by a test's
@@ -146,13 +166,13 @@ func TestMemoKeepsExactChunks(t *testing.T) {
 	var deep, multi int
 	for _, c := range kept(memo) {
 		stack, writes := c.split()
-		if cap(c.tail) != len(c.tail) || len(writes)%3 != 0 {
+		if cap(c.tail) != len(c.tail) || len(writes)%2 != 0 {
 			t.Fatalf("chunk tail not exact: len %d cap %d, %d frames and %d write cells",
 				len(c.tail), cap(c.tail), c.endStackLen, len(writes))
 		}
-		seen := map[[2]int32]bool{}
-		for ; len(writes) > 0; writes = writes[3:] {
-			cell := [2]int32{writes[0], writes[1]}
+		seen := map[int32]bool{}
+		for ; len(writes) > 0; writes = writes[2:] {
+			cell := writes[0]
 			if seen[cell] {
 				t.Fatalf("loop cell %v stored twice in one chunk", cell)
 			}
@@ -176,17 +196,17 @@ func TestLaneInsertFirstWriterWins(t *testing.T) {
 	f := newMemoFixture(t, 10)
 	memo := NewSegmentMemo(2)
 	lane := f.lane(memo, f.process(1))
-	stack := []frame{{proc: 1, block: 2}}
-	writes := []loopWrite{{proc: 1, block: 3, val: 4}}
+	stack := []int32{2}
+	writes := []loopWrite{{loop: 3, val: 4}}
 
 	lane.insert(chunkKey{pos: 1}, &chunk{steps: 3}, stack, writes)
 	lane.insert(chunkKey{pos: 1}, &chunk{steps: 5}, nil, nil)
 	c := lane.lookup(chunkKey{pos: 1})
-	if c == nil || c.steps != 3 || c.key != (chunkKey{pos: 1}) || c.endStackLen != 1 || len(c.tail) != 5 {
+	if c == nil || c.steps != 3 || c.key != (chunkKey{pos: 1}) || c.endStackLen != 1 || len(c.tail) != 3 {
 		t.Fatalf("first writer lost: %+v", c)
 	}
-	stack[0], writes[0] = frame{}, loopWrite{}
-	if want := []int32{1, 2, 1, 3, 4}; !slices.Equal(c.tail, want) {
+	stack[0], writes[0] = 0, loopWrite{}
+	if want := []int32{2, 3, 4}; !slices.Equal(c.tail, want) {
 		t.Fatalf("kept tail %v, want %v: it shares the recorder's buffers", c.tail, want)
 	}
 
@@ -206,7 +226,7 @@ func TestMemoFullRecordsNothing(t *testing.T) {
 	f := newMemoFixture(t, 1e6)
 	memo := NewSegmentMemo(16)
 	first := f.process(1)
-	dispatch(first, f.lane(memo, first), 5000, 20000)
+	dispatch(first, f.lane(memo, first), 5000, 40)
 	full := memo.Stats()
 	if full.Chunks != 16 || full.Fill() != 1 {
 		t.Fatalf("memo did not fill: %+v", full)
@@ -214,10 +234,10 @@ func TestMemoFullRecordsNothing(t *testing.T) {
 
 	p := f.process(2)
 	lane := f.lane(memo, p)
-	dispatch(p, lane, 5000, 20000) // grow the recorder's buffers
-	allocs := testing.AllocsPerRun(20, func() { dispatch(p, lane, 5000, 5000) })
+	dispatch(p, lane, 5000, 40) // grow the recorder's buffers
+	allocs := testing.AllocsPerRun(20, func() { dispatch(p, lane, 5000, 10) })
 	if allocs != 0 {
-		t.Errorf("full memo: %v allocations per 5000 moves, want 0", allocs)
+		t.Errorf("full memo: %v allocations per 10 slices, want 0", allocs)
 	}
 	st := memo.Stats()
 	if st.Chunks != full.Chunks || st.RecordedSteps != full.RecordedSteps {
@@ -228,7 +248,7 @@ func TestMemoFullRecordsNothing(t *testing.T) {
 	}
 
 	again := f.process(1)
-	dispatch(again, f.lane(memo, again), 5000, 20000)
+	dispatch(again, f.lane(memo, again), 5000, 40)
 	if memo.Stats().Hits == 0 {
 		t.Error("full memo stopped serving hits")
 	}
@@ -312,7 +332,7 @@ func TestLaneConcurrentInsertLookup(t *testing.T) {
 					t.Errorf("lookup %d returned the chunk of %+v", i, c.key)
 					return
 				}
-				lane.insert(key(i), &chunk{steps: 1}, []frame{{proc: int32(g)}}, nil)
+				lane.insert(key(i), &chunk{steps: 1}, []int32{int32(g)}, nil)
 				if lane.lookup(key(i)) == nil {
 					t.Errorf("chunk %d missing after its insert", i)
 					return
@@ -334,16 +354,16 @@ func TestLaneConcurrentInsertLookup(t *testing.T) {
 
 // TestChunkHeaderSize pins the compact header, key included.
 func TestChunkHeaderSize(t *testing.T) {
-	if size := unsafe.Sizeof(chunk{}); size > 120 {
-		t.Fatalf("chunk header is %d bytes, want at most 120", size)
+	if size := unsafe.Sizeof(chunk{}); size > 112 {
+		t.Fatalf("chunk header is %d bytes, want at most 112", size)
 	}
 }
 
 // maxBytesPerChunk bounds what a kept chunk of the fill fixture costs:
 // header, tail and its share of the table slots. The implementation
-// measured 179.9 bytes (a 120-byte header, 43.9 bytes of tail and 16
+// measured 156.0 bytes (a 112-byte header, 28.0 bytes of tail and 16
 // bytes of table at half load); the bound leaves 10% on top.
-const maxBytesPerChunk = 198
+const maxBytesPerChunk = 172
 
 // TestMemoBytesPerChunk fills a memo from the fixture and bounds the bytes
 // each kept chunk holds: its header, its tail, and the lane table slots
@@ -354,7 +374,7 @@ func TestMemoBytesPerChunk(t *testing.T) {
 	memo := NewSegmentMemo(limit)
 	for seed := uint64(1); memo.Stats().Fill() < 1; seed++ {
 		p := f.process(seed)
-		dispatch(p, f.lane(memo, p), 5000, 100000)
+		dispatch(p, f.lane(memo, p), 5000, 200)
 	}
 	var tail, slots int
 	for _, l := range memo.lanes {
@@ -442,8 +462,9 @@ func TestMemoRefusesWideRecordings(t *testing.T) {
 }
 
 // The memo benchmarks time the dispatch regimes on the nested fixture:
-// recording into a fresh memo and stepping past a full one, per move, and
-// replaying a warm lane, per pass. Plain Step is the cold baseline.
+// recording into a fresh memo and stepping past a full one, per 5000-cycle
+// slice, and replaying a warm lane, per pass. Plain Step, per step, is the
+// cold baseline.
 func BenchmarkStepPlain(b *testing.B) {
 	f := newMemoFixture(b, 1e9)
 	p := NewProcess(1, f.img, &f.cm, 1, nil)
@@ -455,11 +476,11 @@ func BenchmarkStepPlain(b *testing.B) {
 
 func BenchmarkMemoRecord(b *testing.B) {
 	f := newMemoFixture(b, 1e9)
-	const laneMoves = 1 << 14
+	const laneSlices = 32
 	b.ReportAllocs()
-	for done := 0; done < b.N; done += laneMoves {
+	for done := 0; done < b.N; done += laneSlices {
 		p := f.process(uint64(done) + 1)
-		dispatch(p, f.lane(NewSegmentMemo(0), p), 5000, min(laneMoves, b.N-done))
+		dispatch(p, f.lane(NewSegmentMemo(0), p), 5000, min(laneSlices, b.N-done))
 	}
 }
 
@@ -468,7 +489,7 @@ func BenchmarkMemoRecordFull(b *testing.B) {
 	memo := NewSegmentMemo(16)
 	p := f.process(1)
 	lane := f.lane(memo, p)
-	dispatch(p, lane, 5000, 20000)
+	dispatch(p, lane, 5000, 40)
 	b.ReportAllocs()
 	b.ResetTimer()
 	dispatch(p, lane, 5000, b.N)
@@ -476,16 +497,125 @@ func BenchmarkMemoRecordFull(b *testing.B) {
 
 func BenchmarkMemoReplay(b *testing.B) {
 	f := newMemoFixture(b, 1e9)
-	const passMoves = 1 << 14
+	const passSlices = 32
 	memo := NewSegmentMemo(0)
 	warm := f.process(1)
 	lane := f.lane(memo, warm)
-	dispatch(warm, lane, 5000, passMoves)
+	dispatch(warm, lane, 5000, passSlices)
 	b.ReportAllocs()
 	b.ResetTimer()
 	before := memo.Stats().ReplayedSteps
 	for i := 0; i < b.N; i++ {
-		dispatch(f.process(1), lane, 5000, passMoves)
+		dispatch(f.process(1), lane, 5000, passSlices)
 	}
 	b.ReportMetric(float64(memo.Stats().ReplayedSteps-before)/float64(b.N), "replayed-steps/op")
+}
+
+// maskHook requests an affinity change at every other phase mark, so a
+// run meets marks that stop it and marks that do not.
+type maskHook struct{ marks int }
+
+func (h *maskHook) OnMark(p *Process, markID, coreID int) MarkAction {
+	h.marks++
+	return MarkAction{Mask: uint64(h.marks%2) << 1}
+}
+func (h *maskHook) OnExit(p *Process) {}
+
+// TestRunLaneMatchesStepLoop drives three processes of one image through
+// the same random slice budgets: one by RunLane, one by the per-step loop
+// it replaces (each with a memo of its own), and one plain, without a
+// memo. Every call must return the same cycles and stopping step, and
+// after every slice the three must agree on counters, program counter,
+// stack, loop counters and rng state, the two memoized ones also on their
+// state hashes and memo counters. Each seed runs three times: the second
+// run slices like the first and replays what it recorded, the third slices
+// differently, so replays meet budgets their chunks do not fit.
+func TestRunLaneMatchesStepLoop(t *testing.T) {
+	nested := newMemoFixture(t, 300)
+	for _, img := range []*Image{nested.img, instrumentedImage(t)} {
+		cm := DefaultCostModel()
+		runMemo, refMemo := NewSegmentMemo(0), NewSegmentMemo(0)
+		for seed := uint64(1); seed <= 8; seed++ {
+			for pass := uint64(0); pass < 3; pass++ {
+				run := NewProcess(1, img, &cm, seed, &maskHook{})
+				ref := NewProcess(1, img, &cm, seed, &maskHook{})
+				plain := NewProcess(1, img, &cm, seed, &maskHook{})
+				run.EnableMemo()
+				ref.EnableMemo()
+				runLane := runMemo.LaneFor(run, nested.par, 4096, nested.par.PsPerCycle)
+				refLane := refMemo.LaneFor(ref, nested.par, 4096, nested.par.PsPerCycle)
+				plainLane := NewSegmentMemo(0).LaneFor(plain, nested.par, 4096, nested.par.PsPerCycle)
+				if ran, res := run.RunLane(runLane, 0, 0); ran != 0 || res != (StepResult{}) {
+					t.Fatalf("RunLane with no budget ran %d cycles to %+v", ran, res)
+				}
+				budgets := rng.New(seed<<8 | pass/2)
+				for slice := 0; !run.Exited(); slice++ {
+					where := fmt.Sprintf("%s seed %d pass %d slice %d", img.Name, seed, pass, slice)
+					budget := int64(1 + budgets.Intn(12000))
+					for used := int64(0); used < budget && !run.Exited(); {
+						ranRun, resRun := run.RunLane(runLane, 0, budget-used)
+						ranRef, resRef := stepLoop(ref, refLane, budget-used)
+						ranPlain, resPlain := stepLoop(plain, plainLane, budget-used)
+						// A replay ends a memoized run where the plain one
+						// ends on a native step: only the stop must agree.
+						resPlain.Cycles = resRun.Cycles
+						if ranRun != ranRef || resRun != resRef || ranRun != ranPlain || resRun != resPlain {
+							t.Fatalf("%s: RunLane ran %d cycles to %+v, step loop %d to %+v, plain %d to %+v",
+								where, ranRun, resRun, ranRef, resRef, ranPlain, resPlain)
+						}
+						used += ranRun
+					}
+					run.EndSlice()
+					ref.EndSlice()
+					for _, q := range []*Process{ref, plain} {
+						if run.Counters != q.Counters || run.pc != q.pc || !slices.Equal(run.stack, q.stack) ||
+							!slices.Equal(run.loopCounts, q.loopCounts) || run.rand.State() != q.rand.State() ||
+							run.MarksExecuted != q.MarksExecuted || run.Exited() != q.Exited() {
+							t.Fatalf("%s: RunLane left pc %d stack %v loops %v counters %+v, reference pc %d stack %v loops %v counters %+v",
+								where, run.pc, run.stack, run.loopCounts, run.Counters, q.pc, q.stack, q.loopCounts, q.Counters)
+						}
+					}
+					rm, fm := run.memo, ref.memo
+					if rm.stackHash != fm.stackHash || rm.loopHash != fm.loopHash || rm.rec.active != fm.rec.active ||
+						runMemo.Stats() != refMemo.Stats() {
+						t.Fatalf("%s: RunLane memo %+v hashes %x/%x, step loop memo %+v hashes %x/%x", where,
+							runMemo.Stats(), rm.stackHash, rm.loopHash, refMemo.Stats(), fm.stackHash, fm.loopHash)
+					}
+				}
+			}
+		}
+		if st := runMemo.Stats(); st.Hits == 0 || st.Misses == 0 {
+			t.Fatalf("%s: the runs never replayed or never recorded: %+v", img.Name, st)
+		}
+	}
+}
+
+// TestBranchThresholdMatchesFloat64 checks that the integer branch draw
+// takes a branch on exactly the draws where the float draw it replaced
+// does: at the edges of each threshold and on a million random draws.
+func TestBranchThresholdMatchesFloat64(t *testing.T) {
+	a, b := 0.1, 0.2
+	const draws = 1 << 53
+	for _, p := range []float64{
+		0, math.SmallestNonzeroFloat64, 1.0 / draws, 0.25, a + b, 1 - 1.0/draws, 1,
+		math.NaN(), -0.5, 1.5,
+	} {
+		th := branchThreshold(p)
+		edge := math.Ceil(p * draws)
+		for _, x := range []float64{edge - 1, edge, draws - 1} {
+			if !(x >= 0 && x < draws) {
+				continue
+			}
+			u := uint64(x)
+			if want, got := float64(u)/draws < p, u < th; got != want {
+				t.Errorf("p=%g: draw %d taken %v, float draw %v", p, u, got, want)
+			}
+		}
+		floats, ints := rng.New(uint64(th)+1), rng.New(uint64(th)+1)
+		for i := 0; i < 1_000_000; i++ {
+			if want, got := floats.Float64() < p, ints.Uint64()>>11 < th; got != want {
+				t.Fatalf("p=%g: random draw %d taken %v, float draw %v", p, i, got, want)
+			}
+		}
+	}
 }

@@ -37,11 +37,6 @@ type QuantumHook interface {
 	OnQuantum(p *Process, coreID int) MarkAction
 }
 
-// frame is a call-stack entry: where to resume in the caller.
-type frame struct {
-	proc, block int32
-}
-
 // StepResult reports one basic-block execution.
 type StepResult struct {
 	// Cycles consumed by the block (including mark payloads).
@@ -72,12 +67,15 @@ type Process struct {
 	cm   *CostModel
 	rand *rng.Source
 
-	curProc, curBlock int32
-	stack             []frame
-	exited            bool
-	// loopCounts holds per-block counted-branch progress, allocated lazily
-	// per procedure.
-	loopCounts [][]int32
+	// pc is the global id of the block to execute next, and stack holds
+	// the global ids of the blocks each open call returns to, outermost
+	// first.
+	pc     int32
+	stack  []int32
+	exited bool
+	// loopCounts holds each counted back edge's progress, indexed by its
+	// loop-counter index (blockInfo.loop).
+	loopCounts []int32
 	// memo, when non-nil, holds segment-memoization state: incremental
 	// hashes over the interpreter state and the active chunk recorder.
 	// Enabled by the kernel at spawn when a run carries a SegmentMemo.
@@ -92,14 +90,14 @@ type Process struct {
 // branch outcomes, making every execution deterministic.
 func NewProcess(pid int, img *Image, cm *CostModel, seed uint64, hook MarkHook) *Process {
 	return &Process{
-		PID:      pid,
-		Img:      img,
-		Hook:     hook,
-		cm:       cm,
-		rand:     rng.New(seed),
-		curProc:  img.entry,
-		curBlock: 0,
-		stack:    make([]frame, 0, 64),
+		PID:        pid,
+		Img:        img,
+		Hook:       hook,
+		cm:         cm,
+		rand:       rng.New(seed),
+		pc:         img.entry,
+		stack:      make([]int32, 0, 64),
+		loopCounts: make([]int32, img.loops),
 	}
 }
 
@@ -183,7 +181,7 @@ func (p *Process) execMarks(info *blockInfo, core *CoreParams, coreID int, res *
 // and effective cache share, advances control flow, and returns the cost.
 // Step must not be called after the process has exited.
 func (p *Process) Step(core *CoreParams, coreID int, shareKB float64) StepResult {
-	info := &p.Img.blocks[p.curProc][p.curBlock]
+	info := &p.Img.blocks[p.pc]
 	var res StepResult
 
 	// Phase marks run first: they sit at the top of the block.
@@ -211,36 +209,34 @@ func (p *Process) Step(core *CoreParams, coreID int, shareKB float64) StepResult
 func (p *Process) advanceControl(info *blockInfo, res *StepResult) {
 	switch info.kind {
 	case termFall:
-		p.curBlock = info.fall
+		p.pc = info.fall
 	case termBranch:
 		if info.tripCount > 0 {
 			// Counted loop: taken tripCount-1 consecutive times, then fall
 			// through once; the counter then resets for re-entry.
-			proc, blk := p.curProc, p.curBlock
-			c := p.loopCounter()
+			c := &p.loopCounts[info.loop]
 			old := *c
 			*c++
 			if *c < info.tripCount {
-				p.curBlock = info.taken
+				p.pc = info.taken
 			} else {
 				*c = 0
-				p.curBlock = info.fall
+				p.pc = info.fall
 			}
 			if p.memo != nil {
-				p.memo.noteLoopWrite(proc, blk, old, *c)
+				p.memo.noteLoopWrite(info, old, *c)
 			}
-		} else if p.rand.Float64() < info.takenProb {
-			p.curBlock = info.taken
+		} else if p.rand.Uint64()>>11 < info.takenThresh {
+			p.pc = info.taken
 		} else {
-			p.curBlock = info.fall
+			p.pc = info.fall
 		}
 	case termCall:
 		if p.memo != nil {
-			p.memo.stackHash ^= frameHash(len(p.stack), p.curProc, info.fall)
+			p.memo.noteFrame(p.Img.blocks[info.fall].frameKey, len(p.stack))
 		}
-		p.stack = append(p.stack, frame{proc: p.curProc, block: info.fall})
-		p.curProc = info.callee
-		p.curBlock = 0
+		p.stack = append(p.stack, info.fall)
+		p.pc = info.callee
 	case termRet:
 		if len(p.stack) == 0 {
 			p.exited = true
@@ -253,27 +249,10 @@ func (p *Process) advanceControl(info *blockInfo, res *StepResult) {
 		top := p.stack[len(p.stack)-1]
 		p.stack = p.stack[:len(p.stack)-1]
 		if p.memo != nil {
-			p.memo.stackHash ^= frameHash(len(p.stack), top.proc, top.block)
+			p.memo.noteFrame(p.Img.blocks[top].frameKey, len(p.stack))
 		}
-		p.curProc = top.proc
-		p.curBlock = top.block
+		p.pc = top
 	}
-}
-
-// loopCounter returns the counted-branch counter cell for the current block.
-func (p *Process) loopCounter() *int32 {
-	return p.loopCell(p.curProc, p.curBlock)
-}
-
-// loopCell returns (allocating lazily) the loop-counter cell for a block.
-func (p *Process) loopCell(proc, block int32) *int32 {
-	if p.loopCounts == nil {
-		p.loopCounts = make([][]int32, len(p.Img.blocks))
-	}
-	if p.loopCounts[proc] == nil {
-		p.loopCounts[proc] = make([]int32, len(p.Img.blocks[proc]))
-	}
-	return &p.loopCounts[proc][block]
 }
 
 // RunIsolated executes the process to completion on a single core with a

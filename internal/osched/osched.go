@@ -846,15 +846,15 @@ func (k *Kernel) dispatch(core int) {
 	for used < sliceCycles {
 		var res exec.StepResult
 		if lane != nil {
-			if adv := t.Proc.Advance(lane, sliceCycles-used); adv > 0 {
-				used += adv
-				continue
-			}
-			res = t.Proc.StepLane(lane, core)
+			// RunLane returns at a mark's affinity request, at exit, or
+			// with the slice spent.
+			var ran int64
+			ran, res = t.Proc.RunLane(lane, core, sliceCycles-used)
+			used += ran
 		} else {
 			res = t.Proc.Step(par, core, share)
+			used += res.Cycles
 		}
-		used += res.Cycles
 		if res.Exited {
 			exited = true
 			break

@@ -113,6 +113,9 @@ func TestDecodeErrors(t *testing.T) {
 		"dup header":         "program x entry=0\nprogram y entry=0\n",
 		"end outside proc":   "program x entry=0\nend\n",
 		"bad trips":          "program x entry=0\nproc main\nbranch target=0 trips=zero\nret\nend\n",
+		"NaN probability":    "program x entry=0\nproc main\nbranch target=0 p=NaN\nret\nend\n",
+		"NaN locality":       "program x entry=0\nproc main\nload ws=64 loc=NaN\nret\nend\n",
+		"infinite ws":        "program x entry=0\nproc main\nload ws=+Inf loc=0.5\nret\nend\n",
 	}
 	for name, img := range cases {
 		if _, err := Decode(strings.NewReader(img)); err == nil {

@@ -24,10 +24,21 @@ func FuzzProgDecode(f *testing.F) {
 	f.Add([]byte("# comment\nprogram x entry=0\nproc main\n  intalu\n  ret\nend\n"))
 	f.Add([]byte("program x entry=0\nproc main\nbranch target=0 trips=10\nret\nend\n"))
 	f.Add([]byte("program x entry=1\nproc main\nintalu\nend\n"))
+	f.Add([]byte("program x entry=0\nproc main\nbranch target=0 p=NaN\nret\nend\n"))
+	f.Add([]byte("program x entry=0\nproc main\nload ws=NaN loc=NaN\nret\nend\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		// The fixed point below cannot catch a NaN probability, which
+		// round-trips; the interpreter needs every one in [0,1].
+		for _, pr := range p.Procs {
+			for _, in := range pr.Instrs {
+				if in.Op == isa.Branch && !(in.TakenProb >= 0 && in.TakenProb <= 1) {
+					t.Fatalf("decoded branch probability %g outside [0,1]", in.TakenProb)
+				}
+			}
 		}
 		first := encodeBytes(t, p)
 		again, err := Decode(bytes.NewReader(first))

@@ -11,6 +11,7 @@ package prog
 
 import (
 	"fmt"
+	"math"
 
 	"phasetune/internal/isa"
 )
@@ -86,7 +87,8 @@ func (p *Program) Clone() *Program {
 
 // Validate checks structural well-formedness: non-empty procedures, branch
 // and jump targets within their procedure, call targets within the program,
-// probabilities within [0, 1], and a final instruction that cannot fall off
+// probabilities and localities within [0, 1] (NaN is outside), finite
+// non-negative working sets, and a final instruction that cannot fall off
 // the end of its procedure.
 func (p *Program) Validate() error {
 	if len(p.Procs) == 0 {
@@ -114,7 +116,8 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("%s/%s+%d: %v target %d out of range [0,%d)",
 						p.Name, pr.Name, ii, in.Op, in.Target, len(pr.Instrs))
 				}
-				if in.Op == isa.Branch && (in.TakenProb < 0 || in.TakenProb > 1) {
+				// Each range check is written so that NaN fails it.
+				if in.Op == isa.Branch && !(in.TakenProb >= 0 && in.TakenProb <= 1) {
 					return fmt.Errorf("%s/%s+%d: branch probability %g outside [0,1]",
 						p.Name, pr.Name, ii, in.TakenProb)
 				}
@@ -124,12 +127,12 @@ func (p *Program) Validate() error {
 						p.Name, pr.Name, ii, in.Target, len(p.Procs))
 				}
 			case isa.Load, isa.Store:
-				if in.Mem.Locality < 0 || in.Mem.Locality > 1 {
+				if !(in.Mem.Locality >= 0 && in.Mem.Locality <= 1) {
 					return fmt.Errorf("%s/%s+%d: memory locality %g outside [0,1]",
 						p.Name, pr.Name, ii, in.Mem.Locality)
 				}
-				if in.Mem.WorkingSetKB < 0 {
-					return fmt.Errorf("%s/%s+%d: negative working set %g",
+				if !(in.Mem.WorkingSetKB >= 0 && in.Mem.WorkingSetKB <= math.MaxFloat64) {
+					return fmt.Errorf("%s/%s+%d: working set %g not finite and non-negative",
 						p.Name, pr.Name, ii, in.Mem.WorkingSetKB)
 				}
 			}

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"math"
 	"testing"
 
 	"phasetune/internal/isa"
@@ -128,19 +129,41 @@ func TestValidateCatchesDuplicateProcNames(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesBadProbability runs every float a program carries
+// through Validate at and past the edges of its range: NaN, infinities
+// and out-of-range values are refused, the edges accepted.
 func TestValidateCatchesBadProbability(t *testing.T) {
-	p := &Program{
-		Name: "bad",
-		Procs: []*Procedure{{
-			Name: "main",
-			Instrs: []isa.Instruction{
-				{Op: isa.Branch, Target: 0, TakenProb: 1.5},
-				{Op: isa.Ret},
-			},
-		}},
+	nan, inf := math.NaN(), math.Inf(1)
+	branch := func(p float64) isa.Instruction { return isa.Instruction{Op: isa.Branch, Target: 0, TakenProb: p} }
+	load := func(ws, loc float64) isa.Instruction {
+		return isa.Instruction{Op: isa.Load, Mem: isa.MemRef{WorkingSetKB: ws, Locality: loc}}
 	}
-	if err := p.Validate(); err == nil {
-		t.Error("Validate accepted probability > 1")
+	for _, tc := range []struct {
+		name string
+		in   isa.Instruction
+		ok   bool
+	}{
+		{"p=0", branch(0), true},
+		{"p=1", branch(1), true},
+		{"p=1.5", branch(1.5), false},
+		{"p=-0.5", branch(-0.5), false},
+		{"p=NaN", branch(nan), false},
+		{"loc=0 ws=0", load(0, 0), true},
+		{"loc=1 ws=max", load(math.MaxFloat64, 1), true},
+		{"loc=1.1", load(64, 1.1), false},
+		{"loc=-0.1", load(64, -0.1), false},
+		{"loc=NaN", load(64, nan), false},
+		{"ws=-1", load(-1, 0.5), false},
+		{"ws=NaN", load(nan, 0.5), false},
+		{"ws=+Inf", load(inf, 0.5), false},
+	} {
+		p := &Program{
+			Name:  "bad",
+			Procs: []*Procedure{{Name: "main", Instrs: []isa.Instruction{tc.in, {Op: isa.Ret}}}},
+		}
+		if err := p.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok %v", tc.name, err, tc.ok)
+		}
 	}
 }
 
