@@ -66,9 +66,9 @@ const maxChunkSteps = 256
 const _ = uint16(maxChunkSteps)
 
 // DefaultMemoChunks is the default bound on cached chunks across all
-// lanes. On the quick showdown grid a kept chunk costs 146.5 bytes (its
-// 120-byte header, 12.7 bytes of tail and 13.8 bytes of lane table), so
-// the full memo holds about 38 MB. When full, the memo stops recording
+// lanes. On the quick showdown grid a kept chunk costs 134.2 bytes (its
+// 112-byte header, 8.4 bytes of tail and 13.8 bytes of lane table), so
+// the full memo holds about 35 MB. When full, the memo stops recording
 // new chunks but keeps serving hits.
 const DefaultMemoChunks = 1 << 18
 

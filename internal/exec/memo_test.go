@@ -469,6 +469,7 @@ func BenchmarkStepPlain(b *testing.B) {
 	f := newMemoFixture(b, 1e9)
 	p := NewProcess(1, f.img, &f.cm, 1, nil)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Step(f.par, 0, 4096)
 	}
@@ -478,6 +479,7 @@ func BenchmarkMemoRecord(b *testing.B) {
 	f := newMemoFixture(b, 1e9)
 	const laneSlices = 32
 	b.ReportAllocs()
+	b.ResetTimer()
 	for done := 0; done < b.N; done += laneSlices {
 		p := f.process(uint64(done) + 1)
 		dispatch(p, f.lane(NewSegmentMemo(0), p), 5000, min(laneSlices, b.N-done))
