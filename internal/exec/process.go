@@ -205,11 +205,20 @@ func (p *Process) Step(core *CoreParams, coreID int, shareKB float64) StepResult
 }
 
 // advanceControl moves the program counter past the current block,
-// maintaining the memo's incremental state hashes when enabled.
+// maintaining the memo's incremental state hashes when enabled. It is
+// small enough to inline into the step loops, so the common fallthrough
+// costs no call; the other terminators go through branchControl.
 func (p *Process) advanceControl(info *blockInfo, res *StepResult) {
-	switch info.kind {
-	case termFall:
+	if info.kind == termFall {
 		p.pc = info.fall
+		return
+	}
+	p.branchControl(info, res)
+}
+
+// branchControl is advanceControl for branches, calls and returns.
+func (p *Process) branchControl(info *blockInfo, res *StepResult) {
+	switch info.kind {
 	case termBranch:
 		if info.tripCount > 0 {
 			// Counted loop: taken tripCount-1 consecutive times, then fall
