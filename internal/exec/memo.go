@@ -392,13 +392,9 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// The state-hash constants. Each block's keys are precomputed from them
-// at image build (blockInfo.posKey, loopKey, frameKey): the position word
-// is posKey ^ stackHash ^ loopHash, a frame at a given depth hashes as
-// mix64(frameKey + depth·hashGamma), and a loop cell holding a non-zero
-// value as mix64(loopKey + value·hashGamma). Zero-valued cells contribute
-// nothing, and frames and cells combine by XOR, so pushing and popping
-// the same frame, or writing a cell and restoring it, cancels exactly.
+// The state-hash constants, folded into each block's keys at image build.
+// Frames and non-zero loop cells combine by XOR, so a push and its pop, or
+// a cell write and its reset, cancel exactly.
 const (
 	hashGamma = 0x9e3779b97f4a7c15
 	frameSeed = 0x8f51a2c4b3e6d970
@@ -606,14 +602,11 @@ func (p *Process) StepLane(lane *Lane, coreID int) StepResult {
 	return res
 }
 
-// RunLane runs the process under a lane for up to budget cycles: the
-// loop of Advance and StepLane a dispatch burst would run, in one call.
-// It stops once the budget is spent, the process exits, or a phase mark
-// requests an affinity change, returning the cycles used and the last
-// native step's result (zero when a replay spent the budget). As with
-// Advance, it looks the memo up only while no recording is open, and
-// replays a chunk only if every one of its steps would have started
-// within the budget. The process must have EnableMemo armed.
+// RunLane runs the Advance-else-StepLane loop of a dispatch burst in one
+// call, for up to budget cycles. It stops once the budget is spent, the
+// process exits, or a phase mark requests an affinity change, returning
+// the cycles used and the last native step's result (zero when a replay
+// spent the budget). The process must have EnableMemo armed.
 func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res StepResult) {
 	if budget <= 0 {
 		return 0, StepResult{}
@@ -622,11 +615,9 @@ func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res
 }
 
 // runLane is the one interpreter loop under a lane, shared by StepLane and
-// RunLane. It checks the budget after each replay or native step, so with
-// lookup off and no budget it takes exactly one native step (StepLane),
-// and it returns after the move that spends the budget, at exit, or at a
-// mark's affinity request. With lookup set, each state reached while no
-// recording is open is first offered to the memo.
+// RunLane. It checks the budget after each move, so with lookup off and no
+// budget it takes exactly one native step. With lookup set, each state
+// reached while no recording is open is first offered to the memo.
 func (p *Process) runLane(lane *Lane, coreID int, budget int64, lookup bool) (used int64, res StepResult) {
 	m := p.memo
 	blocks, cost := p.Img.blocks, lane.cost
