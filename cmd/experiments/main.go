@@ -15,8 +15,7 @@
 // numbers where applicable. -quick shrinks workload sizes for a fast pass.
 // All drivers run on the concurrent sweep engine with one shared artifact
 // cache for the whole invocation: -workers bounds the pool (0 = GOMAXPROCS)
-// and -cachestats reports how often the static pipeline was actually run,
-// and how full the segment memo got and how often it served a lookup.
+// and -cachestats reports how often the static pipeline was actually run.
 // The same campaigns can be served to worker processes with cmd/sweepd,
 // with byte-identical results.
 //
@@ -128,7 +127,7 @@ func run(args []string, stdout io.Writer) error {
 	seedsFlag := fs.String("seeds", "", "comma-separated workload seeds (default 5,42,99)")
 	quick := fs.Bool("quick", false, "shrink workloads for a fast pass")
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	cachestats := fs.Bool("cachestats", false, "print artifact cache and segment memo statistics at exit")
+	cachestats := fs.Bool("cachestats", false, "print artifact cache statistics at exit")
 	altsFlag := fs.String("alts", "", "breakdown: comma-separated alternation counts (default 4,16,64,256,1024,4096)")
 	windowsFlag := fs.String("windows", "", "breakdown: comma-separated window sizes in instructions (default 2000,4000,8000,16000,32000)")
 	benchout := fs.String("benchout", "", "campaigns: append each campaign's tables to this measurement history (e.g. BENCH_sweep.json)")
@@ -222,9 +221,6 @@ func run(args []string, stdout io.Writer) error {
 		s := cfg.Cache.Stats()
 		fmt.Fprintf(out, "\nartifact cache: %d entries, %d pipeline runs, %d hits\n",
 			s.Entries, s.Misses, s.Hits)
-		m := cfg.Memo.Stats()
-		fmt.Fprintf(out, "segment memo: %d lanes, %d of %d chunks (fill %.2f), hit rate %.3f, %d steps replayed, %d recorded\n",
-			m.Lanes, m.Chunks, m.Limit, m.Fill(), m.HitRate(), m.ReplayedSteps, m.RecordedSteps)
 	}
 	return out.err
 }

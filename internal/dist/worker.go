@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"phasetune/internal/exec"
 	"phasetune/internal/sim"
 	"phasetune/internal/workload"
 )
@@ -57,7 +56,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		return fmt.Errorf("dist: rebuild suite: %w", err)
 	}
 	cache := sim.NewImageCache()
-	memo := exec.NewSegmentMemo(0)
 
 	// Heartbeat at a third of the lease TTL for as long as the worker
 	// lives, so healthy-but-slow runs never lose their lease.
@@ -89,7 +87,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if len(lr.Specs) != len(lr.Indices) {
 				return fmt.Errorf("dist: lease %s: %d specs for %d indices", lr.LeaseID, len(lr.Specs), len(lr.Indices))
 			}
-			if err := w.runLease(ctx, reg, suite, cache, memo, lr, &runs); err != nil {
+			if err := w.runLease(ctx, reg, suite, cache, lr, &runs); err != nil {
 				return err
 			}
 		default:
@@ -100,11 +98,10 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // runLease executes and commits one lease's specs in order.
 func (w *Worker) runLease(ctx context.Context, reg *RegisterReply, suite []*workload.Benchmark,
-	cache *sim.ImageCache, memo *exec.SegmentMemo, lr *LeaseReply, runs *int) error {
+	cache *sim.ImageCache, lr *LeaseReply, runs *int) error {
 
 	for k, idx := range lr.Indices {
 		cfg, rerr := reg.Env.RunConfig(lr.Specs[k], suite, cache)
-		cfg.Memo = memo
 		var res *sim.Result
 		if rerr == nil {
 			res, rerr = sim.RunContext(ctx, cfg)

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"phasetune/internal/cfg"
 	"phasetune/internal/instrument"
@@ -81,7 +82,8 @@ func branchThreshold(p float64) uint64 {
 
 // Image is an executable program image: the (optionally instrumented)
 // program plus everything the interpreter precomputes. Images are immutable
-// after construction and shared by all processes executing the same binary.
+// after construction, apart from their lazily built cost tables, and
+// shared by all processes executing the same binary.
 type Image struct {
 	// Name is the program name.
 	Name string
@@ -96,6 +98,60 @@ type Image struct {
 	entry  int32       // global id of the entry procedure's first block
 	loops  int32       // counted back edges, each with a loop-counter index
 	memSig place.MemStats
+
+	// lanes holds the image's cost tables, one lane per pricing
+	// environment, each built at the first dispatch burst that needs it
+	// (Process.Lane). Images shared through an ImageCache share them.
+	laneMu sync.Mutex
+	lanes  map[priceKey]*Lane
+}
+
+// priceKey identifies a pricing environment: processes of one image that
+// agree on every field price every block identically.
+type priceKey struct {
+	par         CoreParams
+	shareBits   uint64 // math.Float64bits of the effective cache share
+	syscallBits uint64 // math.Float64bits of the cost model's syscall cost
+	fastPs      int64  // fastest clock, prices the ledger counterfactual
+}
+
+// blockCost is one block's precomputed pricing under a lane. Building it
+// once per lane also removes the per-step math.Exp from the native path.
+type blockCost struct {
+	ic       int64 // body cycles (identical to Step's truncation)
+	actualPs int64 // ic × PsPerCycle
+	idealPs  int64 // fastest-clock counterfactual picoseconds
+}
+
+// Lane returns the process's image priced under one environment (core
+// type, effective cache share, fastest clock, and the process's syscall
+// cost), building its cost table on first use. The lane is shared by
+// every process of the image and carries no memo, so RunLane on it steps
+// natively from the table. The process keeps the last lane it got, which
+// spares most dispatch bursts the image's lock and map.
+func (p *Process) Lane(par *CoreParams, shareKB float64, fastPs int64) *Lane {
+	img, syscall := p.Img, p.cm.SyscallCycles
+	key := priceKey{*par, math.Float64bits(shareKB), math.Float64bits(syscall), fastPs}
+	if l := p.lane; l != nil && l.key == key {
+		return l
+	}
+	img.laneMu.Lock()
+	l := img.lanes[key]
+	if l == nil {
+		l = &Lane{key: key, par: *par, shareKB: shareKB, cost: make([]blockCost, len(img.blocks))}
+		for b := range l.cost {
+			info := &img.blocks[b]
+			ic := bodyCycles(info, par, syscall, shareKB)
+			l.cost[b] = blockCost{ic, ic * par.PsPerCycle, bodyIdealPs(info, par, ic, shareKB, fastPs)}
+		}
+		if img.lanes == nil {
+			img.lanes = map[priceKey]*Lane{}
+		}
+		img.lanes[key] = l
+	}
+	img.laneMu.Unlock()
+	p.lane = l
+	return l
 }
 
 // MemSignature returns the image's aggregate shared-cache pressure

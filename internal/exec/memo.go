@@ -1,8 +1,11 @@
-// Segment-outcome memoization. Campaign grids re-simulate the same code
-// over and over: across a policy column most of a task's phase segments
-// execute identically under different placements, so stepping them
-// block-by-block every time is pure waste (ROADMAP item 4, paper §V's
-// dependence on cheap large-grid ablations).
+// Segment-outcome memoization, opt-in. Campaign grids re-simulate the
+// same code over and over: across a policy column many of a task's phase
+// segments execute identically under different placements. The memo
+// replays such segments instead of stepping them. No run uses it unless
+// its caller attaches one (osched.Kernel.Memo, sim.RunConfig.Memo): since
+// the interpreter went flat, stepping natively from the image's cost
+// tables (Process.Lane) costs less than the memo's hashing, lookups and
+// recording on every measured campaign.
 //
 // A run of steps is a pure function of the interpreter state it starts
 // from — (image, program counter, call stack, loop counters, rng stream
@@ -30,9 +33,9 @@
 //
 // Within a chunk nothing is observable: counters and the ledger are plain
 // integer sums, so one batched add equals the per-step adds it replaces,
-// and the per-lane cost tables are built from the same bodyCycles /
-// bodyIdealPs helpers the plain interpreter uses — memoized and
-// unmemoized runs price every block identically by construction.
+// and a memo's lane prices from the image lane's cost table, the one an
+// unmemoized run steps from — memoized and unmemoized runs price every
+// block identically by construction.
 //
 // Concurrency follows the ImageCache singleflight idiom: lanes and chunks
 // are immutable once published, lookups take a read lock, and the first
@@ -101,22 +104,6 @@ func (s *slab[T]) take(n int) []T {
 	return s.block[i : i+n : i+n]
 }
 
-// laneKey identifies a pricing environment: runs that agree on every field
-// price every block identically and may share cached chunks. Images are
-// compared by identity — the ImageCache already dedupes them by content,
-// so identity equality is content equality within a process. The flip side:
-// cross-run memo reuse requires the runs to draw images from one shared
-// cache; runs that re-prepare their own images land in fresh lanes and
-// record from scratch. Sessions, sweeps, and dist workers all pair the
-// memo with a shared cache.
-type laneKey struct {
-	img         *Image
-	par         CoreParams
-	shareBits   uint64 // math.Float64bits of the effective cache share
-	syscallBits uint64 // math.Float64bits of the cost model's syscall cost
-	fastPs      int64  // fastest clock, prices the ledger counterfactual
-}
-
 // chunkKey identifies an interpreter state within a lane: the exact rng
 // stream position (splitmix64 state is one word, so this dimension is
 // collision-free) plus a hash of (program counter, call stack, loop
@@ -162,21 +149,16 @@ func (c *chunk) split() (stack, writes []int32) {
 	return c.tail[:c.endStackLen], c.tail[c.endStackLen:]
 }
 
-// blockCost is one block's precomputed pricing under a lane. Building it
-// once per lane also removes the per-step math.Exp from the native path.
-type blockCost struct {
-	ic       int64 // body cycles (identical to Step's truncation)
-	actualPs int64 // ic × PsPerCycle
-	idealPs  int64 // fastest-clock counterfactual picoseconds
-}
-
 // laneMinSlots is a fresh lane's table length.
 const laneMinSlots = 8
 
-// Lane is the per-pricing-environment view of the memo: the block cost
-// tables plus the chunk store.
+// Lane is an image priced under one environment: its block cost table
+// and, on a memo's lane, the chunk store. The image's own lanes
+// (Process.Lane) carry no memo and no store; a memo's lane shares the
+// image lane's table.
 type Lane struct {
 	memo    *SegmentMemo
+	key     priceKey // an image lane's environment (zero on a memo's lane)
 	par     CoreParams
 	shareKB float64
 	cost    []blockCost // indexed by global block id
@@ -273,8 +255,10 @@ type SegmentMemo struct {
 	replayedSteps atomic.Uint64
 	recordedSteps atomic.Uint64
 
+	// lanes maps each image lane (Process.Lane) to the memo's lane over
+	// the same table.
 	mu    sync.RWMutex
-	lanes map[laneKey]*Lane
+	lanes map[*Lane]*Lane
 
 	// The slabs hold every kept chunk across all lanes: its header and
 	// its tail.
@@ -292,7 +276,7 @@ func NewSegmentMemo(maxChunks int) *SegmentMemo {
 	if maxChunks <= 0 {
 		maxChunks = DefaultMemoChunks
 	}
-	return &SegmentMemo{limit: int64(maxChunks), lanes: map[laneKey]*Lane{}}
+	return &SegmentMemo{limit: int64(maxChunks), lanes: map[*Lane]*Lane{}}
 }
 
 // MemoStats is a point-in-time snapshot of memo effectiveness.
@@ -344,42 +328,18 @@ func (m *SegmentMemo) Stats() MemoStats {
 
 // LaneFor resolves (building on first use) the lane for a process's image
 // under the given pricing environment. Called once per dispatch burst.
+// Lanes key on the image lane they price from, so images are compared by
+// identity: the ImageCache already dedupes them by content, and cross-run
+// reuse requires the runs to draw images from one shared cache.
 func (m *SegmentMemo) LaneFor(p *Process, par *CoreParams, shareKB float64, fastPs int64) *Lane {
-	key := laneKey{
-		img:         p.Img,
-		par:         *par,
-		shareBits:   math.Float64bits(shareKB),
-		syscallBits: math.Float64bits(p.cm.SyscallCycles),
-		fastPs:      fastPs,
-	}
-	m.mu.RLock()
-	l := m.lanes[key]
-	m.mu.RUnlock()
-	if l != nil {
-		return l
-	}
+	base := p.Lane(par, shareKB, fastPs)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if l = m.lanes[key]; l != nil {
-		return l
+	l := m.lanes[base]
+	if l == nil {
+		l = &Lane{memo: m, par: base.par, shareKB: base.shareKB, cost: base.cost, table: make([]*chunk, laneMinSlots)}
+		m.lanes[base] = l
 	}
-	l = &Lane{
-		memo:    m,
-		par:     *par,
-		shareKB: shareKB,
-		table:   make([]*chunk, laneMinSlots),
-		cost:    make([]blockCost, len(p.Img.blocks)),
-	}
-	for b := range l.cost {
-		info := &p.Img.blocks[b]
-		ic := bodyCycles(info, par, p.cm.SyscallCycles, shareKB)
-		l.cost[b] = blockCost{
-			ic:       ic,
-			actualPs: ic * par.PsPerCycle,
-			idealPs:  bodyIdealPs(info, par, ic, shareKB, fastPs),
-		}
-	}
-	m.lanes[key] = l
 	return l
 }
 
@@ -533,9 +493,9 @@ func (p *Process) EnableMemo() {
 // `for used < slice`).
 // A lookup miss arms the recorder, so the following native steps build the
 // chunk that will serve this state next time. No lookup happens while a
-// recording is open.
+// recording is open, nor on a lane without a memo.
 func (p *Process) Advance(lane *Lane, budget int64) int64 {
-	if m := p.memo; m == nil || m.rec.active {
+	if m := p.memo; m == nil || m.rec.active || lane.memo == nil {
 		return 0
 	}
 	return p.replay(lane, budget)
@@ -606,7 +566,8 @@ func (p *Process) StepLane(lane *Lane, coreID int) StepResult {
 // call, for up to budget cycles. It stops once the budget is spent, the
 // process exits, or a phase mark requests an affinity change, returning
 // the cycles used and the last native step's result (zero when a replay
-// spent the budget). The process must have EnableMemo armed.
+// spent the budget). Unless both the process (EnableMemo) and the lane
+// carry a memo, every step is native, priced from the lane's cost table.
 func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res StepResult) {
 	if budget <= 0 {
 		return 0, StepResult{}
@@ -616,10 +577,16 @@ func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res
 
 // runLane is the one interpreter loop under a lane, shared by StepLane and
 // RunLane. It checks the budget after each move, so with lookup off and no
-// budget it takes exactly one native step. With lookup set, each state
-// reached while no recording is open is first offered to the memo.
+// budget it takes exactly one native step. With a memo and lookup set,
+// each state reached while no recording is open is first offered to the
+// memo. Without one it looks up and records nothing; advanceControl still
+// keeps an armed process's state hashes.
 func (p *Process) runLane(lane *Lane, coreID int, budget int64, lookup bool) (used int64, res StepResult) {
 	m := p.memo
+	if lane.memo == nil {
+		m = nil
+	}
+	lookup = lookup && m != nil
 	blocks, cost := p.Img.blocks, lane.cost
 	for {
 		if lookup && !m.rec.active {
@@ -632,7 +599,7 @@ func (p *Process) runLane(lane *Lane, coreID int, budget int64, lookup bool) (us
 			}
 		}
 		info := &blocks[p.pc]
-		if m.rec.active && (len(info.markIDs) > 0 || (info.kind == termRet && len(p.stack) == 0)) {
+		if m != nil && m.rec.active && (len(info.markIDs) > 0 || (info.kind == termRet && len(p.stack) == 0)) {
 			// Observer boundary: close the recording before executing it.
 			m.finalize(p)
 		}
@@ -652,7 +619,7 @@ func (p *Process) runLane(lane *Lane, coreID int, budget int64, lookup bool) (us
 
 		p.advanceControl(info, &res)
 
-		if m.rec.active {
+		if m != nil && m.rec.active {
 			// The recording was closed above if this step carried a mark
 			// or exited, so the whole step belongs to the chunk.
 			m.rec.steps++

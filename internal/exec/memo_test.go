@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"phasetune/internal/amp"
+	"phasetune/internal/ledger"
 	"phasetune/internal/prog"
 	"phasetune/internal/rng"
 )
@@ -523,17 +524,23 @@ func (h *maskHook) OnMark(p *Process, markID, coreID int) MarkAction {
 }
 func (h *maskHook) OnExit(p *Process) {}
 
-// TestRunLaneMatchesStepLoop drives three processes of one image through
-// the same random slice budgets: one by RunLane, one by the per-step loop
-// it replaces (each with a memo of its own), and one plain, without a
-// memo. Every call must return the same cycles and stopping step, and
-// after every slice the three must agree on counters, program counter,
-// stack, loop counters and rng state, the two memoized ones also on their
-// state hashes and memo counters. Each seed runs three times: the second
-// run slices like the first and replays what it recorded, the third slices
-// differently, so replays meet budgets their chunks do not fit.
+// TestRunLaneMatchesStepLoop drives four processes of one image through
+// the same random slice budgets on the slow core: one by RunLane, one by
+// the per-step loop it replaces (each with a memo of its own), one plain,
+// without a memo, stepping through Step's float pricing, and one by
+// RunLane on the image's own lane, with no memo, as the kernel runs by
+// default. Every call must return the same cycles and stopping step, and
+// after every slice the four must agree on counters, program counter,
+// stack, loop counters, rng state and the ledger work they charged (which
+// pins the tables' fastest-clock counterfactual to Step's), the two
+// memoized ones also on their state hashes and memo counters. Each seed
+// runs three times: the second run slices like the first and replays what
+// it recorded, the third slices differently, so replays meet budgets
+// their chunks do not fit.
 func TestRunLaneMatchesStepLoop(t *testing.T) {
 	nested := newMemoFixture(t, 300)
+	ps := ParamsFor(DefaultCostModel(), amp.Quad2Fast2Slow())
+	slow, fastPs := &ps[1], ps[0].PsPerCycle
 	for _, img := range []*Image{nested.img, instrumentedImage(t)} {
 		cm := DefaultCostModel()
 		runMemo, refMemo := NewSegmentMemo(0), NewSegmentMemo(0)
@@ -542,11 +549,17 @@ func TestRunLaneMatchesStepLoop(t *testing.T) {
 				run := NewProcess(1, img, &cm, seed, &maskHook{})
 				ref := NewProcess(1, img, &cm, seed, &maskHook{})
 				plain := NewProcess(1, img, &cm, seed, &maskHook{})
+				table := NewProcess(1, img, &cm, seed, &maskHook{})
+				procs := []*Process{run, ref, plain, table}
+				for _, q := range procs {
+					q.Work = ledger.NewCollector(1, fastPs).Work()
+				}
 				run.EnableMemo()
 				ref.EnableMemo()
-				runLane := runMemo.LaneFor(run, nested.par, 4096, nested.par.PsPerCycle)
-				refLane := refMemo.LaneFor(ref, nested.par, 4096, nested.par.PsPerCycle)
-				plainLane := NewSegmentMemo(0).LaneFor(plain, nested.par, 4096, nested.par.PsPerCycle)
+				runLane := runMemo.LaneFor(run, slow, 4096, fastPs)
+				refLane := refMemo.LaneFor(ref, slow, 4096, fastPs)
+				plainLane := NewSegmentMemo(0).LaneFor(plain, slow, 4096, fastPs)
+				tableLane := table.Lane(slow, 4096, fastPs)
 				if ran, res := run.RunLane(runLane, 0, 0); ran != 0 || res != (StepResult{}) {
 					t.Fatalf("RunLane with no budget ran %d cycles to %+v", ran, res)
 				}
@@ -558,23 +571,30 @@ func TestRunLaneMatchesStepLoop(t *testing.T) {
 						ranRun, resRun := run.RunLane(runLane, 0, budget-used)
 						ranRef, resRef := stepLoop(ref, refLane, budget-used)
 						ranPlain, resPlain := stepLoop(plain, plainLane, budget-used)
-						// A replay ends a memoized run where the plain one
-						// ends on a native step: only the stop must agree.
-						resPlain.Cycles = resRun.Cycles
-						if ranRun != ranRef || resRun != resRef || ranRun != ranPlain || resRun != resPlain {
-							t.Fatalf("%s: RunLane ran %d cycles to %+v, step loop %d to %+v, plain %d to %+v",
-								where, ranRun, resRun, ranRef, resRef, ranPlain, resPlain)
+						ranTable, resTable := table.RunLane(tableLane, 0, budget-used)
+						// A replay ends a memoized run where the native ones
+						// end on a step: only the stop must agree.
+						resPlain.Cycles, resTable.Cycles = resRun.Cycles, resRun.Cycles
+						if ranRun != ranRef || resRun != resRef || ranRun != ranPlain || resRun != resPlain ||
+							ranRun != ranTable || resRun != resTable {
+							t.Fatalf("%s: RunLane ran %d cycles to %+v, step loop %d to %+v, plain %d to %+v, table %d to %+v",
+								where, ranRun, resRun, ranRef, resRef, ranPlain, resPlain, ranTable, resTable)
 						}
 						used += ranRun
 					}
-					run.EndSlice()
-					ref.EndSlice()
-					for _, q := range []*Process{ref, plain} {
+					for _, q := range procs {
+						q.EndSlice()
+					}
+					work := run.Work.Drain()
+					for _, q := range procs[1:] {
 						if run.Counters != q.Counters || run.pc != q.pc || !slices.Equal(run.stack, q.stack) ||
 							!slices.Equal(run.loopCounts, q.loopCounts) || run.rand.State() != q.rand.State() ||
 							run.MarksExecuted != q.MarksExecuted || run.Exited() != q.Exited() {
 							t.Fatalf("%s: RunLane left pc %d stack %v loops %v counters %+v, reference pc %d stack %v loops %v counters %+v",
 								where, run.pc, run.stack, run.loopCounts, run.Counters, q.pc, q.stack, q.loopCounts, q.Counters)
+						}
+						if got := q.Work.Drain(); !slices.Equal(work, got) {
+							t.Fatalf("%s: RunLane charged ledger work %+v, reference %+v", where, work, got)
 						}
 					}
 					rm, fm := run.memo, ref.memo

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+
 	"phasetune/internal/ledger"
 	"phasetune/internal/perfcnt"
 	"phasetune/internal/rng"
@@ -76,6 +78,8 @@ type Process struct {
 	// loopCounts holds each counted back edge's progress, indexed by its
 	// loop-counter index (blockInfo.loop).
 	loopCounts []int32
+	// lane is the image lane Lane returned last.
+	lane *Lane
 	// memo, when non-nil, holds segment-memoization state: incremental
 	// hashes over the interpreter state and the active chunk recorder.
 	// Enabled by the kernel at spawn when a run carries a SegmentMemo.
@@ -114,10 +118,9 @@ func (p *Process) SetSpilled(s bool) {
 }
 
 // bodyCycles prices one execution of a block's body on a core with the
-// given cache share. It is the single source of truth for block cost: the
-// plain interpreter calls it per step and the segment memo's per-lane cost
-// tables are built from it, so memoized and unmemoized runs price every
-// block identically by construction. Products feeding additions are
+// given cache share. It is the single source of truth for block cost: Step
+// calls it per step and every lane's cost table is built from it, so Step
+// and RunLane price every block identically by construction. Products feeding additions are
 // explicitly converted so the compiler cannot contract them into FMAs —
 // the cross-architecture half of the determinism contract (DESIGN.md §13).
 func bodyCycles(info *blockInfo, core *CoreParams, syscallCycles, shareKB float64) int64 {
@@ -140,7 +143,8 @@ func bodyCycles(info *blockInfo, core *CoreParams, syscallCycles, shareKB float6
 // ledger: the DRAM portion is wall-clock fixed (MemCycles ∝ frequency,
 // PsPerCycle ∝ 1/frequency), so only the compute portion is repriced at the
 // fastest clock. Truncated to integer picoseconds per block so any grouping
-// of steps sums to the same total (the memo's identity contract).
+// of steps sums to the same total (the memo's identity contract), and so a
+// cost table prices it once per block.
 func bodyIdealPs(info *blockInfo, core *CoreParams, ic int64, shareKB float64, fastPs int64) int64 {
 	var memCycles float64
 	if info.l1MissRefs > 0 {
@@ -267,14 +271,20 @@ func (p *Process) branchControl(info *blockInfo, res *StepResult) {
 // RunIsolated executes the process to completion on a single core with a
 // fixed cache share, returning total cycles. It is used for isolation
 // timings (fairness metrics need per-process isolation runtimes) and tests.
-// maxCycles bounds runaway programs (0 means no bound).
+// maxCycles bounds runaway programs (0 means no bound). It prices from the
+// image's cost table, at the ledger's fastest clock when a Work is attached.
 func (p *Process) RunIsolated(core *CoreParams, coreID int, shareKB float64, maxCycles int64) (cycles int64) {
-	for !p.exited {
-		r := p.Step(core, coreID, shareKB)
-		cycles += r.Cycles
-		if maxCycles > 0 && cycles >= maxCycles {
-			break
-		}
+	fastPs := core.PsPerCycle
+	if p.Work != nil {
+		fastPs = p.Work.FastPs()
+	}
+	lane := p.Lane(core, shareKB, fastPs)
+	if maxCycles <= 0 {
+		maxCycles = math.MaxInt64
+	}
+	for !p.exited && cycles < maxCycles {
+		used, _ := p.RunLane(lane, coreID, maxCycles-cycles)
+		cycles += used
 	}
 	return cycles
 }

@@ -59,10 +59,12 @@ type Config struct {
 	// Cache is the shared artifact cache; every driver's image
 	// preparations go through it. Fabric workers keep their own.
 	Cache *sim.ImageCache
-	// Memo is the shared segment memo: repeated segment executions across
-	// a campaign's policy columns and seeds replay in O(1). Invisible to
+	// Memo, when set, is a segment memo shared by every run of every
+	// driver: repeated segment executions replay in O(1). Invisible to
 	// results, so memoized campaigns reproduce unmemoized ones byte for
-	// byte. Fabric workers attach their own.
+	// byte. Off (nil) by default, since stepping from the images' cost
+	// tables costs less than recording and replay. Fabric workers never
+	// attach one.
 	Memo *exec.SegmentMemo
 	// Ledger enables conserved cycle accounting on every run of every
 	// driver (sim.RunConfig.Ledger via the environment wire form). The
@@ -90,7 +92,6 @@ func Default() (Config, error) {
 		Typing:      phase.Options{}.Normalized(),
 		Tuning:      tuning.DefaultConfig(),
 		Cache:       sim.NewImageCache(),
-		Memo:        exec.NewSegmentMemo(0),
 	}, nil
 }
 
@@ -101,14 +102,6 @@ func (c *Config) cache() *sim.ImageCache {
 		c.Cache = sim.NewImageCache()
 	}
 	return c.Cache
-}
-
-// memo returns the campaign segment memo, building one on first use.
-func (c *Config) memo() *exec.SegmentMemo {
-	if c.Memo == nil {
-		c.Memo = exec.NewSegmentMemo(0)
-	}
-	return c.Memo
 }
 
 // artifact fetches one benchmark's prepared image through the shared cache.
@@ -159,7 +152,7 @@ func (c *Config) runCfg(p sim.Policy, params transition.Params, tcfg tuning.Conf
 }
 
 // sweep executes the grid across the local worker pool with the shared
-// artifact cache and segment memo. Results come back in input order,
+// artifact cache (and the segment memo, if one is set). Results come back in input order,
 // byte-identical to the same campaign served to fabric workers.
 func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
 	env := c.Env()
@@ -174,7 +167,7 @@ func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
 	return sim.Sweep(context.Background(), cfgs, sim.SweepOptions{
 		Workers: c.Workers,
 		Cache:   c.cache(),
-		Memo:    c.memo(),
+		Memo:    c.Memo,
 	})
 }
 

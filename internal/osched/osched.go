@@ -342,6 +342,8 @@ type Kernel struct {
 	// Memoization is invisible to every observer — marks, monitor windows,
 	// ledger charges, traces — so a memoized run is byte-identical to an
 	// unmemoized one; the memo may be shared across concurrent kernels.
+	// Off (nil) by default: every burst then steps natively from the
+	// image's cost table, which costs less than recording and replay.
 	Memo *exec.SegmentMemo
 
 	params  []exec.CoreParams
@@ -394,7 +396,7 @@ func NewKernel(m *amp.Machine, cost exec.CostModel, cfg Config) (*Kernel, error)
 		k.typeCores[c.Type]++
 	}
 	// Fastest clock: prices the ledger's useful-work counterfactual and
-	// keys memo lanes (ledgered and unledgered runs must share lanes).
+	// keys cost tables (ledgered and unledgered runs must share tables).
 	k.fastPs = k.params[0].PsPerCycle
 	for _, p := range k.params[1:] {
 		if p.PsPerCycle < k.fastPs {
@@ -834,27 +836,22 @@ func (k *Kernel) dispatch(core int) {
 	// The effective share is constant for the whole burst: Attach/Detach
 	// bracket the loop and no other handler runs in between, so hoisting
 	// the lookup out of the step loop is exact — and it is what lets the
-	// memo key a lane on the share.
+	// whole burst price from one lane's cost table.
 	share := k.Cache.ShareKB(cs.l2)
 	var lane *exec.Lane
 	if k.Memo != nil {
 		lane = k.Memo.LaneFor(t.Proc, par, share, k.fastPs)
+	} else {
+		lane = t.Proc.Lane(par, share, k.fastPs)
 	}
 
 	exited := false
 	migrate := false
 	for used < sliceCycles {
-		var res exec.StepResult
-		if lane != nil {
-			// RunLane returns at a mark's affinity request, at exit, or
-			// with the slice spent.
-			var ran int64
-			ran, res = t.Proc.RunLane(lane, core, sliceCycles-used)
-			used += ran
-		} else {
-			res = t.Proc.Step(par, core, share)
-			used += res.Cycles
-		}
+		// RunLane returns at a mark's affinity request, at exit, or with
+		// the slice spent.
+		ran, res := t.Proc.RunLane(lane, core, sliceCycles-used)
+		used += ran
 		if res.Exited {
 			exited = true
 			break

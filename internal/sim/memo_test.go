@@ -164,9 +164,12 @@ func TestMemoFullIdentity(t *testing.T) {
 }
 
 // TestMemoPropertyRandomConfigs drives random (policy, machine, arrivals,
-// ledger, trace) combinations through memoized and unmemoized execution
-// and requires byte-identical results — and, when tracing, byte-identical
-// trace files, since memoization must be invisible to observers too.
+// ledger, trace) combinations through the three lane sources and requires
+// byte-identical results — and, when tracing, byte-identical trace files,
+// since neither the tables nor the memo may be visible to observers: no
+// cache and no memo (private images, each pricing from its own tables),
+// the shared cache (the default: tables shared with every earlier trial),
+// and the shared cache with a memo.
 func TestMemoPropertyRandomConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	machines := []*amp.Machine{
@@ -176,6 +179,9 @@ func TestMemoPropertyRandomConfigs(t *testing.T) {
 	}
 	cache := NewImageCache()
 	traceJSON := func(tr *trace.Tracer) []byte {
+		if tr == nil {
+			return nil
+		}
 		var buf bytes.Buffer
 		if err := tr.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -193,28 +199,35 @@ func TestMemoPropertyRandomConfigs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := memoConfig(t, machine, mode, open, seed)
 			cfg.Ledger = ledger
-			cfg.Cache = cache
 			cfg.DurationSec = 1 + rng.Float64()
 
-			var plainTrace, memoTrace *trace.Tracer
-			if traced {
-				plainTrace, memoTrace = trace.New(), trace.New()
-			}
-
-			plainCfg := cfg
-			plainCfg.Trace = plainTrace
-			plain := runBytes(t, plainCfg, nil)
-
-			memoCfg := cfg
-			memoCfg.Trace = memoTrace
-			memo := exec.NewSegmentMemo(0)
-			cold := runBytes(t, memoCfg, memo)
-
-			if !bytes.Equal(plain, cold) {
-				t.Errorf("memoized result diverged from unmemoized run")
-			}
-			if traced && !bytes.Equal(traceJSON(plainTrace), traceJSON(memoTrace)) {
-				t.Errorf("memoized trace diverged from unmemoized trace")
+			var want, wantTrace []byte
+			for i, way := range []struct {
+				name  string
+				cache *ImageCache
+				memo  *exec.SegmentMemo
+			}{
+				{"private images", nil, nil},
+				{"shared cache", cache, nil},
+				{"shared cache and memo", cache, exec.NewSegmentMemo(0)},
+			} {
+				c := cfg
+				c.Cache = way.cache
+				if traced {
+					c.Trace = trace.New()
+				}
+				got := runBytes(t, c, way.memo)
+				gotTrace := traceJSON(c.Trace)
+				if i == 0 {
+					want, wantTrace = got, gotTrace
+					continue
+				}
+				if !bytes.Equal(want, got) {
+					t.Errorf("%s: result diverged from the private-image run", way.name)
+				}
+				if !bytes.Equal(wantTrace, gotTrace) {
+					t.Errorf("%s: trace diverged from the private-image run", way.name)
+				}
 			}
 		})
 	}

@@ -8,9 +8,10 @@ import (
 )
 
 // TestSessionMemoInvisibleAndWarm pins the public memo contract: sessions
-// memoize by default, results are byte-identical with the memo off, warm
-// reruns replay from cache, and a memo shared across sessions (with the
-// image cache that anchors its lanes) carries its outcomes over.
+// carry no memo by default, one attached with WithSegmentMemo gives the
+// same bytes cold and warm, warm reruns replay from cache, and a memo
+// shared across sessions (with the image cache that anchors its lanes)
+// carries its outcomes over.
 func TestSessionMemoInvisibleAndWarm(t *testing.T) {
 	suite, err := phasetune.Suite()
 	if err != nil {
@@ -19,19 +20,16 @@ func TestSessionMemoInvisibleAndWarm(t *testing.T) {
 	specs := sweepGrid(t, suite)
 	ctx := context.Background()
 
-	bare := phasetune.NewSession(phasetune.WithoutSegmentMemo(), phasetune.WithWorkers(2))
+	bare := phasetune.NewSession(phasetune.WithWorkers(2))
 	if bare.Memo() != nil {
-		t.Fatal("WithoutSegmentMemo left a memo attached")
+		t.Fatal("default session carries a memo")
 	}
 	want, err := bare.Sweep(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sess := phasetune.NewSession(phasetune.WithWorkers(2))
-	if sess.Memo() == nil {
-		t.Fatal("default session carries no memo")
-	}
+	sess := phasetune.NewSession(phasetune.WithSegmentMemo(phasetune.NewSegmentMemo(0)), phasetune.WithWorkers(2))
 	cold, err := sess.Sweep(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -43,10 +41,10 @@ func TestSessionMemoInvisibleAndWarm(t *testing.T) {
 	for i := range specs {
 		ref := encode(t, want[i])
 		if got := encode(t, cold[i]); string(got) != string(ref) {
-			t.Errorf("spec %d: cold memoized result differs from memo-off run", i)
+			t.Errorf("spec %d: cold memoized result differs from default run", i)
 		}
 		if got := encode(t, warm[i]); string(got) != string(ref) {
-			t.Errorf("spec %d: warm memoized result differs from memo-off run", i)
+			t.Errorf("spec %d: warm memoized result differs from default run", i)
 		}
 	}
 	stats := sess.MemoStats()
@@ -80,7 +78,8 @@ func TestSessionMemoInvisibleAndWarm(t *testing.T) {
 }
 
 // TestMemoCountersPinned runs a small grid sequentially and pins every
-// memo counter, for the default bound and for a bound the grid fills. The
+// counter of an attached memo, for the default bound and for a bound the
+// grid fills. The
 // grid runs one workload under policies that share images, so chunks
 // recorded by one cell replay in the next; a sequential sweep makes the
 // counts deterministic. A change to chunk boundaries, lookup cadence or
@@ -100,19 +99,19 @@ func TestMemoCountersPinned(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		opt  phasetune.SessionOption
+		memo *phasetune.SegmentMemo
 		want phasetune.MemoStats
 	}{
-		{"default", phasetune.WithWorkers(1), phasetune.MemoStats{
+		{"default", phasetune.NewSegmentMemo(0), phasetune.MemoStats{
 			Lanes: 28, Chunks: 7212, Limit: 262144, Hits: 1348, Misses: 7212,
 			ReplayedSteps: 252532, RecordedSteps: 1397802,
 		}},
-		{"full", phasetune.WithSegmentMemoSize(2000), phasetune.MemoStats{
+		{"full", phasetune.NewSegmentMemo(2000), phasetune.MemoStats{
 			Lanes: 28, Chunks: 2000, Limit: 2000, Hits: 337, Misses: 8187,
 			ReplayedSteps: 66967, RecordedSteps: 413406,
 		}},
 	} {
-		sess := phasetune.NewSession(tc.opt, phasetune.WithWorkers(1))
+		sess := phasetune.NewSession(phasetune.WithSegmentMemo(tc.memo), phasetune.WithWorkers(1))
 		if _, err := sess.Sweep(context.Background(), specs); err != nil {
 			t.Fatal(err)
 		}

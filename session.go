@@ -72,8 +72,6 @@ type Session struct {
 	placement PlacementConfig
 	cache     *ImageCache
 	memo      *SegmentMemo
-	memoOff   bool
-	memoSize  int
 	workers   int
 	events    Events
 	tracer    *Tracer
@@ -139,24 +137,13 @@ func WithPlacement(c PlacementConfig) SessionOption { return func(s *Session) { 
 // machines — images depend only on program content and the cost model.
 func WithCache(c *ImageCache) SessionOption { return func(s *Session) { s.cache = c } }
 
-// WithSegmentMemo shares an existing segment memo (default: a fresh memo
-// per session). Pass the same memo to several sessions so campaigns over
-// the same images replay each other's segment outcomes; the memo is safe
-// for concurrent use and invisible to results.
+// WithSegmentMemo attaches a segment memo to the session's runs (default:
+// none). Pass the same memo to several sessions so campaigns over the same
+// images replay each other's segment outcomes; the memo is safe for
+// concurrent use and invisible to results. Without one, runs step every
+// block natively from cost tables shared through the image cache, which
+// costs less than recording and replay on every measured campaign.
 func WithSegmentMemo(m *SegmentMemo) SessionOption { return func(s *Session) { s.memo = m } }
-
-// WithSegmentMemoSize bounds the session's segment memo to maxChunks
-// cached chunks (default DefaultMemoChunks). When full, the memo stops
-// recording but keeps serving hits. Ignored when WithSegmentMemo supplies
-// a memo built elsewhere.
-func WithSegmentMemoSize(maxChunks int) SessionOption {
-	return func(s *Session) { s.memoSize = maxChunks }
-}
-
-// WithoutSegmentMemo disables segment memoization for the session's runs.
-// Results are byte-identical either way — the switch exists for memory-
-// constrained environments and for A/B-testing the memo itself.
-func WithoutSegmentMemo() SessionOption { return func(s *Session) { s.memoOff = true } }
 
 // WithWorkers bounds the sweep worker pool (default: GOMAXPROCS).
 func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n } }
@@ -204,13 +191,6 @@ func NewSession(opts ...SessionOption) *Session {
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.memoOff {
-		s.memo = nil
-	} else if s.memo == nil {
-		// Memoization is on by default: it is invisible to results and
-		// collapses the redundant re-execution inside campaign grids.
-		s.memo = exec.NewSegmentMemo(s.memoSize)
-	}
 	return s
 }
 
@@ -220,12 +200,12 @@ func (s *Session) Cache() *ImageCache { return s.cache }
 // CacheStats reports the session cache's hit/miss counters.
 func (s *Session) CacheStats() CacheStats { return s.cache.Stats() }
 
-// Memo returns the session's segment memo (nil when disabled), for stats
-// or sharing across sessions.
+// Memo returns the session's segment memo (nil unless WithSegmentMemo
+// attached one), for stats or sharing across sessions.
 func (s *Session) Memo() *SegmentMemo { return s.memo }
 
 // MemoStats reports the segment memo's lane/chunk counts and hit rates.
-// The zero value is returned when memoization is disabled.
+// The zero value is returned when the session carries no memo.
 func (s *Session) MemoStats() MemoStats { return s.memo.Stats() }
 
 // RunSpec configures one run within a session. Zero values inherit the

@@ -39,15 +39,15 @@ func benchSweepSpecs(b *testing.B) []phasetune.RunSpec {
 }
 
 // BenchmarkGridSequential is the pre-sweep architecture: every run gets a
-// fresh session without a segment memo, so it re-executes the full static
-// pipeline for every benchmark in every run.
+// fresh session, so it re-executes the full static pipeline for every
+// benchmark in every run.
 func BenchmarkGridSequential(b *testing.B) {
 	specs := benchSweepSpecs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
-			if _, err := phasetune.NewSession(phasetune.WithoutSegmentMemo()).Run(spec); err != nil {
+			if _, err := phasetune.NewSession().Run(spec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -72,10 +72,4 @@ func BenchmarkGridSweep(b *testing.B) {
 	stats := sess.CacheStats()
 	b.ReportMetric(float64(stats.Misses), "pipeline-runs")
 	b.ReportMetric(float64(stats.Hits), "cache-hits")
-	// The session's segment memo records the first iteration and replays
-	// the rest: from b.N >= 2 the hit rate is the fraction of chunk
-	// lookups served without re-stepping the interpreter.
-	memo := sess.MemoStats()
-	b.ReportMetric(memo.HitRate(), "memo-hit-rate")
-	b.ReportMetric(float64(memo.ReplayedSteps), "memo-replayed-steps")
 }

@@ -41,8 +41,8 @@ func encode(t testing.TB, res *phasetune.RunResult) []byte {
 // TestSweepMatchesSequentialRun asserts the acceptance property of the
 // sweep engine: for a fixed grid, Sweep over a concurrent worker pool with
 // a shared artifact cache returns results byte-identical to the equivalent
-// sequential loop over one fresh, memo-less session per run (which shares
-// nothing and re-runs the static pipeline every time).
+// sequential loop over one fresh session per run (which shares nothing and
+// re-runs the static pipeline every time).
 func TestSweepMatchesSequentialRun(t *testing.T) {
 	suite, err := phasetune.Suite()
 	if err != nil {
@@ -53,7 +53,7 @@ func TestSweepMatchesSequentialRun(t *testing.T) {
 	// Sequential reference: nothing shared between runs.
 	var want [][]byte
 	for _, spec := range specs {
-		res, err := phasetune.NewSession(phasetune.WithoutSegmentMemo()).Run(spec)
+		res, err := phasetune.NewSession().Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
