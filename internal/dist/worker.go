@@ -16,14 +16,13 @@ var errCrashed = errors.New("dist: worker crashed (test hook)")
 
 // Worker executes leases from a coordinator. It registers once, rebuilds
 // the session environment from the coordinator's EnvSpec (suite generation
-// included), and then loops: lease, run, commit. One artifact cache and one
-// segment memo live for the worker's whole lifetime, so each distinct
-// (benchmark, technique) image is prepared once per worker no matter how
-// many leases touch it, and segment outcomes recorded by one lease replay
-// in later ones — the warm-cache property that makes long campaigns cheap.
-// Both are strictly worker-local: memoization is invisible to results
-// (DESIGN.md §13), so sharded merges stay byte-identical without the memo
-// ever crossing the wire.
+// included), and then loops: lease, run, commit. One artifact cache lives
+// for the worker's whole lifetime, so each distinct (benchmark, technique)
+// image, with its cost tables, is prepared once per worker no matter how
+// many leases touch it — the warm-cache property that makes long campaigns
+// cheap. The cache is strictly worker-local and invisible to results
+// (DESIGN.md §13), so sharded merges stay byte-identical without it ever
+// crossing the wire.
 type Worker struct {
 	// Name labels the worker at registration (shows up in worker IDs).
 	Name string

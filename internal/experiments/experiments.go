@@ -152,8 +152,9 @@ func (c *Config) runCfg(p sim.Policy, params transition.Params, tcfg tuning.Conf
 }
 
 // sweep executes the grid across the local worker pool with the shared
-// artifact cache (and the segment memo, if one is set). Results come back in input order,
-// byte-identical to the same campaign served to fabric workers.
+// artifact cache (and the segment memo, if one is set). Results come back
+// in input order, byte-identical to the same campaign served to fabric
+// workers.
 func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
 	env := c.Env()
 	cfgs := make([]sim.RunConfig, len(grid))

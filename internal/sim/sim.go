@@ -122,7 +122,8 @@ type RunConfig struct {
 	// executions replay in O(1) (exec.SegmentMemo). Memoization is
 	// invisible: a memoized run's Result is byte-identical to an
 	// unmemoized one. Like Trace it is process-local and never crosses
-	// the dist wire — workers attach their own memo.
+	// the dist wire. Nil by default: runs then step from the images' cost
+	// tables.
 	Memo *exec.SegmentMemo
 	// Events, when set, receives per-run progress callbacks.
 	Events Events
