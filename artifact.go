@@ -1,9 +1,6 @@
 package phasetune
 
-import (
-	"phasetune/internal/exec"
-	"phasetune/internal/sim"
-)
+import "phasetune/internal/sim"
 
 // Staged static pipeline.
 //
@@ -27,15 +24,6 @@ type (
 	// CacheStats reports cache effectiveness (Misses counts static
 	// pipeline executions, Hits requests served without one).
 	CacheStats = sim.CacheStats
-	// SegmentMemo is a content-keyed, concurrency-safe cache of segment
-	// outcomes: runs of interpreter steps whose deltas replay in O(1).
-	// Memoization is invisible — a memoized run's Result is byte-identical
-	// to an unmemoized one (see DESIGN.md §13).
-	SegmentMemo = exec.SegmentMemo
-	// MemoStats reports segment-memo effectiveness (lookup hits/misses and
-	// interpreter steps replayed from cache versus stepped natively while
-	// recording).
-	MemoStats = exec.MemoStats
 )
 
 // Analyze runs the technique-independent front half of the static pipeline:
@@ -49,11 +37,3 @@ func Analyze(p *Program, topts TypingOptions) (*Analysis, error) {
 // NewImageCache returns an empty artifact cache. Pass it to sessions with
 // WithCache to share prepared images across an experiment campaign.
 func NewImageCache() *ImageCache { return sim.NewImageCache() }
-
-// NewSegmentMemo returns an empty segment memo bounded to maxChunks cached
-// chunks (<=0 uses DefaultMemoChunks). Pass it to sessions with
-// WithSegmentMemo to share memoized segment outcomes across a campaign.
-func NewSegmentMemo(maxChunks int) *SegmentMemo { return exec.NewSegmentMemo(maxChunks) }
-
-// DefaultMemoChunks is the default segment-memo size bound.
-const DefaultMemoChunks = exec.DefaultMemoChunks

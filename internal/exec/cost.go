@@ -11,6 +11,12 @@
 // 1.6 GHz cores and gains almost nothing from the fast ones. IPC measured
 // by the tuning runtime consequently identifies the core type a section
 // wastes the fewest cycles on (paper §II-B).
+//
+// Execution is native, one block per step. Each image prices its blocks
+// once per pricing environment into a cost table (Process.Lane), and the
+// kernel runs every dispatch burst through RunLane on it; Step, which
+// prices each block in floating point, is the reference the tables must
+// match (DESIGN.md §13).
 package exec
 
 import (

@@ -48,13 +48,6 @@ type blockInfo struct {
 	// markIDs lists phase marks executed at the top of this block, in order.
 	markIDs []int32
 
-	// The block's segment-memo keys, from k = proc<<32 | block (its
-	// procedure index and its index within the procedure): posKey =
-	// mix64(k+hashGamma) keys the program counter, loopKey =
-	// mix64(k+loopSeed) seeds its loop-counter cell, and frameKey =
-	// k+frameSeed seeds a call-stack frame returning to it.
-	posKey, loopKey, frameKey uint64
-
 	// baseCycles is the core-type-independent pipeline cost of the block's
 	// instructions (per-class CPI summed), excluding memory stalls.
 	baseCycles float64
@@ -115,6 +108,15 @@ type priceKey struct {
 	fastPs      int64  // fastest clock, prices the ledger counterfactual
 }
 
+// Lane is an image priced under one environment: the cost table RunLane
+// steps from. Built and shared through Process.Lane.
+type Lane struct {
+	key     priceKey
+	par     CoreParams
+	shareKB float64
+	cost    []blockCost // indexed by global block id
+}
+
 // blockCost is one block's precomputed pricing under a lane. Building it
 // once per lane also removes the per-step math.Exp from the native path.
 type blockCost struct {
@@ -126,8 +128,7 @@ type blockCost struct {
 // Lane returns the process's image priced under one environment (core
 // type, effective cache share, fastest clock, and the process's syscall
 // cost), building its cost table on first use. The lane is shared by
-// every process of the image and carries no memo, so RunLane on it steps
-// natively from the table. The process keeps the last lane it got, which
+// every process of the image. The process keeps the last lane it got, which
 // spares most dispatch bursts the image's lock and map.
 func (p *Process) Lane(par *CoreParams, shareKB float64, fastPs int64) *Lane {
 	img, syscall := p.Img, p.cm.SyscallCycles
@@ -206,7 +207,7 @@ func NewImage(p *prog.Program, bin *instrument.Binary, cm CostModel) (*Image, er
 	if bin != nil {
 		img.Marks = bin.Marks
 	}
-	for pi, g := range graphs {
+	for _, g := range graphs {
 		for bi, b := range g.Blocks {
 			info, err := summarizeBlock(b, g, cm, starts)
 			if err != nil {
@@ -217,10 +218,6 @@ func NewImage(p *prog.Program, bin *instrument.Binary, cm CostModel) (*Image, er
 				info.loop = img.loops
 				img.loops++
 			}
-			k := uint64(uint32(pi))<<32 | uint64(uint32(bi))
-			info.posKey = mix64(k + hashGamma)
-			info.loopKey = mix64(k + loopSeed)
-			info.frameKey = k + frameSeed
 			img.blocks = append(img.blocks, info)
 		}
 	}

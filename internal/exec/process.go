@@ -80,10 +80,6 @@ type Process struct {
 	loopCounts []int32
 	// lane is the image lane Lane returned last.
 	lane *Lane
-	// memo, when non-nil, holds segment-memoization state: incremental
-	// hashes over the interpreter state and the active chunk recorder.
-	// Enabled by the kernel at spawn when a run carries a SegmentMemo.
-	memo *memoState
 
 	// MarksExecuted counts dynamic phase-mark executions (diagnostics and
 	// the time-overhead experiment).
@@ -142,9 +138,9 @@ func bodyCycles(info *blockInfo, core *CoreParams, syscallCycles, shareKB float6
 // bodyIdealPs prices the block's fastest-clock counterfactual for the cycle
 // ledger: the DRAM portion is wall-clock fixed (MemCycles ∝ frequency,
 // PsPerCycle ∝ 1/frequency), so only the compute portion is repriced at the
-// fastest clock. Truncated to integer picoseconds per block so any grouping
-// of steps sums to the same total (the memo's identity contract), and so a
-// cost table prices it once per block.
+// fastest clock. Truncated to integer picoseconds per block, so a cost
+// table prices it once per block and any grouping of steps sums to the same
+// total.
 func bodyIdealPs(info *blockInfo, core *CoreParams, ic int64, shareKB float64, fastPs int64) int64 {
 	var memCycles float64
 	if info.l1MissRefs > 0 {
@@ -159,8 +155,7 @@ func bodyIdealPs(info *blockInfo, core *CoreParams, ic int64, shareKB float64, f
 }
 
 // execMarks runs the phase marks at the top of a block: counter and ledger
-// charges plus the tuning-runtime hook. Marks are observer boundaries — the
-// memo never records across them, so they always execute natively.
+// charges plus the tuning-runtime hook.
 func (p *Process) execMarks(info *blockInfo, core *CoreParams, coreID int, res *StepResult) {
 	for _, mid := range info.markIDs {
 		p.Counters.Add(uint64(p.cm.MarkInstrs), uint64(p.cm.MarkCycles))
@@ -208,8 +203,7 @@ func (p *Process) Step(core *CoreParams, coreID int, shareKB float64) StepResult
 	return res
 }
 
-// advanceControl moves the program counter past the current block,
-// maintaining the memo's incremental state hashes when enabled. It is
+// advanceControl moves the program counter past the current block. It is
 // small enough to inline into the step loops, so the common fallthrough
 // costs no call; the other terminators go through branchControl.
 func (p *Process) advanceControl(info *blockInfo, res *StepResult) {
@@ -228,7 +222,6 @@ func (p *Process) branchControl(info *blockInfo, res *StepResult) {
 			// Counted loop: taken tripCount-1 consecutive times, then fall
 			// through once; the counter then resets for re-entry.
 			c := &p.loopCounts[info.loop]
-			old := *c
 			*c++
 			if *c < info.tripCount {
 				p.pc = info.taken
@@ -236,18 +229,12 @@ func (p *Process) branchControl(info *blockInfo, res *StepResult) {
 				*c = 0
 				p.pc = info.fall
 			}
-			if p.memo != nil {
-				p.memo.noteLoopWrite(info, old, *c)
-			}
 		} else if p.rand.Uint64()>>11 < info.takenThresh {
 			p.pc = info.taken
 		} else {
 			p.pc = info.fall
 		}
 	case termCall:
-		if p.memo != nil {
-			p.memo.noteFrame(p.Img.blocks[info.fall].frameKey, len(p.stack))
-		}
 		p.stack = append(p.stack, info.fall)
 		p.pc = info.callee
 	case termRet:
@@ -261,11 +248,42 @@ func (p *Process) branchControl(info *blockInfo, res *StepResult) {
 		}
 		top := p.stack[len(p.stack)-1]
 		p.stack = p.stack[:len(p.stack)-1]
-		if p.memo != nil {
-			p.memo.noteFrame(p.Img.blocks[top].frameKey, len(p.stack))
-		}
 		p.pc = top
 	}
+}
+
+// RunLane steps the process natively for up to budget cycles, pricing
+// every block from the lane's cost table: one dispatch burst. It stops
+// once the budget is spent, the process exits, or a phase mark requests an
+// affinity change, returning the cycles used and the last step's result.
+// Results are identical to a loop of Step by construction (the tables are
+// built from the same helpers).
+func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res StepResult) {
+	blocks, cost := p.Img.blocks, lane.cost
+	for used < budget {
+		info := &blocks[p.pc]
+		res = StepResult{}
+		if len(info.markIDs) > 0 {
+			p.execMarks(info, &lane.par, coreID, &res)
+		}
+		bc := &cost[p.pc]
+		if p.Work != nil {
+			p.Work.Add(bc.actualPs, bc.idealPs)
+		}
+		p.Counters.Add(uint64(info.instrs), uint64(bc.ic))
+		if info.memRefs > 0 {
+			p.Counters.AddMem(uint64(info.memRefs))
+		}
+		res.Cycles += bc.ic
+
+		p.advanceControl(info, &res)
+
+		used += res.Cycles
+		if res.Exited || res.WantMask != 0 {
+			break
+		}
+	}
+	return used, res
 }
 
 // RunIsolated executes the process to completion on a single core with a

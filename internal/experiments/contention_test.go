@@ -9,7 +9,6 @@ import (
 
 	"phasetune/internal/amp"
 	"phasetune/internal/dist"
-	"phasetune/internal/exec"
 	"phasetune/internal/place"
 	"phasetune/internal/sim"
 	"phasetune/internal/workload"
@@ -293,24 +292,4 @@ func TestContentionShardedMergeByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Memoized execution must be invisible to the priced path too.
-	memo := exec.NewSegmentMemo(0)
-	for i, sp := range grid {
-		rc, err := camp.Env.RunConfig(sp, cfg.Suite, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc.Memo = memo
-		res, err := sim.Run(rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := dist.EncodeResult(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seq[i], blob) {
-			t.Errorf("spec %d: memoized result bytes differ from plain", i)
-		}
-	}
 }

@@ -59,12 +59,9 @@ type Config struct {
 	// Cache is the shared artifact cache; every driver's image
 	// preparations go through it. Fabric workers keep their own.
 	Cache *sim.ImageCache
-	// Memo, when set, is a segment memo shared by every run of every
-	// driver: repeated segment executions replay in O(1). Invisible to
-	// results, so memoized campaigns reproduce unmemoized ones byte for
-	// byte. Off (nil) by default, since stepping from the images' cost
-	// tables costs less than recording and replay. Fabric workers never
-	// attach one.
+	// Memo is ignored: the segment memo is gone.
+	//
+	// Deprecated: kept until bench/ drops it.
 	Memo *exec.SegmentMemo
 	// Ledger enables conserved cycle accounting on every run of every
 	// driver (sim.RunConfig.Ledger via the environment wire form). The
@@ -152,9 +149,8 @@ func (c *Config) runCfg(p sim.Policy, params transition.Params, tcfg tuning.Conf
 }
 
 // sweep executes the grid across the local worker pool with the shared
-// artifact cache (and the segment memo, if one is set). Results come back
-// in input order, byte-identical to the same campaign served to fabric
-// workers.
+// artifact cache. Results come back in input order, byte-identical to the
+// same campaign served to fabric workers.
 func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
 	env := c.Env()
 	cfgs := make([]sim.RunConfig, len(grid))
@@ -168,7 +164,6 @@ func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
 	return sim.Sweep(context.Background(), cfgs, sim.SweepOptions{
 		Workers: c.Workers,
 		Cache:   c.cache(),
-		Memo:    c.Memo,
 	})
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"phasetune/internal/amp"
 	"phasetune/internal/cfg"
 	"phasetune/internal/exec"
@@ -123,15 +125,15 @@ type TypingAccuracyResult struct {
 // TypingAccuracy profiles every large block of every suite benchmark on both
 // core types in isolation and compares k-means types with the IPC-derived
 // oracle.
-func TypingAccuracy(cfg Config, ipcThreshold float64) (TypingAccuracyResult, error) {
-	pars := exec.ParamsFor(cfg.Cost, cfg.Machine)
+func TypingAccuracy(c Config, ipcThreshold float64) (TypingAccuracyResult, error) {
+	pars := exec.ParamsFor(c.Cost, c.Machine)
 	totalCommon, totalAgree := 0, 0
-	for _, b := range cfg.Suite {
-		graphs, err := cfg2graphs(b.Prog)
+	for _, b := range c.Suite {
+		graphs, err := cfg.BuildAll(b.Prog)
 		if err != nil {
 			return TypingAccuracyResult{}, err
 		}
-		static, err := phase.ClusterBlocks(b.Prog, graphs, cfg.Typing)
+		static, err := phase.ClusterBlocks(b.Prog, graphs, c.Typing)
 		if err != nil {
 			return TypingAccuracyResult{}, err
 		}
@@ -146,7 +148,7 @@ func TypingAccuracy(cfg Config, ipcThreshold float64) (TypingAccuracyResult, err
 				}
 				var vals []float64
 				for t := range pars {
-					vals = append(vals, exec.BlockIPC(blk, &pars[t], cfg.Cost, cfg.Machine.L2s[0].SizeKB))
+					vals = append(vals, exec.BlockIPC(blk, &pars[t], c.Cost, c.Machine.L2s[0].SizeKB))
 				}
 				ipc[key] = vals
 			}
@@ -173,8 +175,6 @@ func TypingAccuracy(cfg Config, ipcThreshold float64) (TypingAccuracyResult, err
 		Blocks:    totalCommon,
 	}, nil
 }
-
-func cfg2graphs(p *prog.Program) ([]*cfg.Graph, error) { return cfg.BuildAll(p) }
 
 // ---------------------------------------------------------------------------
 // §VII — the 3-core (2 fast, 1 slow) future-work configuration.
@@ -382,7 +382,7 @@ func runTemporal(cfg Config, seed uint64, resampleCycles uint64) (*sim.Result, e
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunWithHook(rc, func(k *osched.Kernel, img *exec.Image) exec.MarkHook {
+	return sim.RunWithHookContext(context.Background(), rc, func(k *osched.Kernel, img *exec.Image) exec.MarkHook {
 		return NewTemporalTuner(cfg.Tuning, cfg.Machine, resampleCycles)
 	})
 }

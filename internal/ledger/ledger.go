@@ -222,10 +222,9 @@ type Segment struct {
 	// IdealPs estimates the same work's cost at the fastest clock with
 	// unchanged memory-stall time. Integer picoseconds, truncated per block
 	// by the interpreter: per-block truncation makes the accumulated value
-	// independent of how a run of steps is grouped, which the segment memo
-	// depends on (replaying a cached chunk adds one precomputed sum). It is
-	// clamped into [0, ActualPs] at charge time, so conservation never
-	// depends on it.
+	// independent of how a run of steps is grouped, so a cost table prices
+	// it once per block. It is clamped into [0, ActualPs] at charge time, so
+	// conservation never depends on it.
 	IdealPs int64
 	// MarkPs is phase-mark payload time.
 	MarkPs int64

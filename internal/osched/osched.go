@@ -337,14 +337,6 @@ type Kernel struct {
 	// bit-identical to an unledgered one. Spawn attaches a step-attribution
 	// accumulator (ledger.Work) to each process it admits.
 	Ledger *ledger.Collector
-	// Memo, when set, caches segment outcomes so repeated executions replay
-	// in O(1) (exec.SegmentMemo). It must be set before the first Spawn.
-	// Memoization is invisible to every observer — marks, monitor windows,
-	// ledger charges, traces — so a memoized run is byte-identical to an
-	// unmemoized one; the memo may be shared across concurrent kernels.
-	// Off (nil) by default: every burst then steps natively from the
-	// image's cost table, which costs less than recording and replay.
-	Memo *exec.SegmentMemo
 
 	params  []exec.CoreParams
 	fastPs  int64
@@ -467,6 +459,9 @@ func (k *Kernel) Samples() []Sample { return k.samples }
 // Params returns the per-core-type execution parameters.
 func (k *Kernel) Params() []exec.CoreParams { return k.params }
 
+// FastPs returns the picoseconds per cycle of the machine's fastest clock.
+func (k *Kernel) FastPs() int64 { return k.fastPs }
+
 // push schedules an event.
 func (k *Kernel) push(ps int64, kind evKind, core int) {
 	k.seq++
@@ -511,11 +506,6 @@ func (k *Kernel) Spawn(p *exec.Process, name string, slot int, affinity uint64) 
 		if p.Work == nil {
 			p.Work = k.Ledger.Work()
 		}
-	}
-	if k.Memo != nil {
-		// Arm before the first step: the memo's incremental state hashes
-		// must cover the process's whole execution.
-		p.EnableMemo()
 	}
 	k.live++
 	if k.live > k.peakLive {
@@ -838,12 +828,7 @@ func (k *Kernel) dispatch(core int) {
 	// the lookup out of the step loop is exact — and it is what lets the
 	// whole burst price from one lane's cost table.
 	share := k.Cache.ShareKB(cs.l2)
-	var lane *exec.Lane
-	if k.Memo != nil {
-		lane = k.Memo.LaneFor(t.Proc, par, share, k.fastPs)
-	} else {
-		lane = t.Proc.Lane(par, share, k.fastPs)
-	}
+	lane := t.Proc.Lane(par, share, k.fastPs)
 
 	exited := false
 	migrate := false
@@ -864,8 +849,6 @@ func (k *Kernel) dispatch(core int) {
 			}
 		}
 	}
-	// A slice boundary is observer-visible: close any open recording.
-	t.Proc.EndSlice()
 
 	k.Cache.Detach(cs.l2)
 	k.totalInstr += t.Proc.Counters.Instructions - instrBefore

@@ -33,16 +33,6 @@ func (c *Counters) Add(instrs, cycles uint64) {
 // AddMem accumulates retired memory references.
 func (c *Counters) AddMem(refs uint64) { c.MemRefs += refs }
 
-// AddBatch accumulates a whole run of block executions in one flush. The
-// segment memo uses it to replay a cached chunk's counter deltas in O(1);
-// because the fields are plain integer totals, a batched add is exactly the
-// sum of the per-block adds it replaces.
-func (c *Counters) AddBatch(instrs, cycles, memRefs uint64) {
-	c.Instructions += instrs
-	c.Cycles += cycles
-	c.MemRefs += memRefs
-}
-
 // IPC returns instructions per cycle for a counter delta; zero cycles yield
 // zero (the paper's metric: IPC = instructions retired / cycles, §III).
 func IPC(instrs, cycles uint64) float64 {

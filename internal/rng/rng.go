@@ -23,16 +23,6 @@ func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// State exposes the raw generator state. splitmix64 keeps its entire
-// stream position in one word, which is what makes execution state
-// snapshot/restore (and content-keying cached segment outcomes on the
-// stream position) exact: two sources with equal State produce identical
-// streams forever.
-func (s *Source) State() uint64 { return s.state }
-
-// SetState restores a position previously captured with State.
-func (s *Source) SetState(v uint64) { s.state = v }
-
 // golden gamma, the splitmix64 state increment.
 const gamma = 0x9e3779b97f4a7c15
 

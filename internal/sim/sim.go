@@ -118,12 +118,10 @@ type RunConfig struct {
 	// Cache, when set, serves prepared images from the shared artifact
 	// cache instead of re-running the static pipeline per run.
 	Cache *ImageCache
-	// Memo, when set, caches segment outcomes across runs so repeated
-	// executions replay in O(1) (exec.SegmentMemo). Memoization is
-	// invisible: a memoized run's Result is byte-identical to an
-	// unmemoized one. Like Trace it is process-local and never crosses
-	// the dist wire. Nil by default: runs then step from the images' cost
-	// tables.
+	// Memo is ignored: the segment memo is gone and every run steps from
+	// its images' cost tables.
+	//
+	// Deprecated: kept until bench/ drops it.
 	Memo *exec.SegmentMemo
 	// Events, when set, receives per-run progress callbacks.
 	Events Events
@@ -225,11 +223,6 @@ func Run(cfg RunConfig) (*Result, error) {
 // advances and returns ctx.Err() if it fires mid-run.
 func RunContext(ctx context.Context, cfg RunConfig) (*Result, error) {
 	return RunWithHookContext(ctx, cfg, nil)
-}
-
-// RunWithHook is RunWithHookContext without cancellation.
-func RunWithHook(cfg RunConfig, factory HookFactory) (*Result, error) {
-	return RunWithHookContext(context.Background(), cfg, factory)
 }
 
 // RunWithHookContext is RunContext with a custom per-process hook factory.
@@ -336,18 +329,11 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		return nil, err
 	}
 	kernel.Trace = cfg.Trace
-	kernel.Memo = cfg.Memo
 	var col *ledger.Collector
 	if cfg.Ledger {
-		// Useful work is priced at the machine's fastest clock (smallest
-		// per-cycle cost): the counterfactual of perfect placement.
-		fastPs := kernel.Params()[0].PsPerCycle
-		for _, p := range kernel.Params() {
-			if p.PsPerCycle < fastPs {
-				fastPs = p.PsPerCycle
-			}
-		}
-		col = ledger.NewCollector(len(machine.Cores), fastPs)
+		// Useful work is priced at the machine's fastest clock: the
+		// counterfactual of perfect placement.
+		col = ledger.NewCollector(len(machine.Cores), kernel.FastPs())
 		kernel.Ledger = col
 	}
 	if cfg.CacheStats {

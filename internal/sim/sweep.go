@@ -15,8 +15,9 @@ type SweepOptions struct {
 	// Cache, when set, is injected into every run that does not already
 	// carry one, so the whole sweep shares prepared images.
 	Cache *ImageCache
-	// Memo, when set, is injected into every run that does not already
-	// carry one, so the whole sweep shares memoized segment outcomes.
+	// Memo is ignored: the segment memo is gone.
+	//
+	// Deprecated: kept until bench/ drops it.
 	Memo *exec.SegmentMemo
 	// Events, when set, is injected into every run that does not already
 	// carry hooks.
@@ -38,9 +39,6 @@ func Sweep(ctx context.Context, grid []RunConfig, opts SweepOptions) ([]*Result,
 		cfg := grid[i]
 		if cfg.Cache == nil {
 			cfg.Cache = opts.Cache
-		}
-		if cfg.Memo == nil {
-			cfg.Memo = opts.Memo
 		}
 		if cfg.Events.OnImage == nil && cfg.Events.OnProgress == nil {
 			cfg.Events = opts.Events

@@ -71,7 +71,6 @@ type Session struct {
 	online    OnlineConfig
 	placement PlacementConfig
 	cache     *ImageCache
-	memo      *SegmentMemo
 	workers   int
 	events    Events
 	tracer    *Tracer
@@ -137,14 +136,6 @@ func WithPlacement(c PlacementConfig) SessionOption { return func(s *Session) { 
 // machines — images depend only on program content and the cost model.
 func WithCache(c *ImageCache) SessionOption { return func(s *Session) { s.cache = c } }
 
-// WithSegmentMemo attaches a segment memo to the session's runs (default:
-// none). Pass the same memo to several sessions so campaigns over the same
-// images replay each other's segment outcomes; the memo is safe for
-// concurrent use and invisible to results. Without one, runs step every
-// block natively from cost tables shared through the image cache, which
-// costs less than recording and replay on every measured campaign.
-func WithSegmentMemo(m *SegmentMemo) SessionOption { return func(s *Session) { s.memo = m } }
-
 // WithWorkers bounds the sweep worker pool (default: GOMAXPROCS).
 func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n } }
 
@@ -199,14 +190,6 @@ func (s *Session) Cache() *ImageCache { return s.cache }
 
 // CacheStats reports the session cache's hit/miss counters.
 func (s *Session) CacheStats() CacheStats { return s.cache.Stats() }
-
-// Memo returns the session's segment memo (nil unless WithSegmentMemo
-// attached one), for stats or sharing across sessions.
-func (s *Session) Memo() *SegmentMemo { return s.memo }
-
-// MemoStats reports the segment memo's lane/chunk counts and hit rates.
-// The zero value is returned when the session carries no memo.
-func (s *Session) MemoStats() MemoStats { return s.memo.Stats() }
 
 // RunSpec configures one run within a session. Zero values inherit the
 // session defaults; only what varies per run needs to be set.
@@ -308,7 +291,7 @@ func (s *Session) wireSpec(spec RunSpec) (dist.Spec, error) {
 
 // runConfig lowers a spec onto the session environment through the wire
 // form, exactly as a fabric worker does, then attaches the session's
-// process-local memo and observers. Only a built Workload skips
+// process-local observers. Only a built Workload skips
 // materialization, and only suite-drawn workloads generate the suite.
 func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
 	sp, err := s.wireSpec(spec)
@@ -329,7 +312,7 @@ func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
 			return sim.RunConfig{}, err
 		}
 	}
-	cfg.Memo, cfg.Events, cfg.Trace = s.memo, s.events, s.tracer
+	cfg.Events, cfg.Trace = s.events, s.tracer
 	return cfg, nil
 }
 
