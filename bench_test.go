@@ -15,6 +15,7 @@ import (
 	"phasetune/internal/cfg"
 	"phasetune/internal/exec"
 	"phasetune/internal/experiments"
+	"phasetune/internal/osched"
 	"phasetune/internal/phase"
 	"phasetune/internal/rng"
 	"phasetune/internal/sim"
@@ -104,7 +105,7 @@ func BenchmarkFig5CyclesPerSwitch(b *testing.B) {
 			}
 		}
 		b.ReportMetric(min, "min-cycles/switch")
-		b.ReportMetric(float64(cfg.Sched.CoreSwitchCycles), "switch-cost-cycles")
+		b.ReportMetric(osched.CoreSwitchCycles, "switch-cost-cycles")
 	}
 }
 

@@ -224,7 +224,6 @@ func run(o options) error {
 	tcfg := phasetune.DefaultTuning()
 	tcfg.Delta = o.delta
 	ocfg := phasetune.DefaultOnline()
-	ocfg.Delta = o.delta
 	if o.window > 0 {
 		ocfg.WindowInstrs = o.window
 	}
@@ -253,10 +252,6 @@ func run(o options) error {
 		phasetune.WithTuning(tcfg),
 		phasetune.WithOnline(ocfg),
 		phasetune.WithEvents(events),
-	}
-	if o.arrivals != "" {
-		// Open systems run oversubscribed by design.
-		sessOpts = append(sessOpts, phasetune.WithOvercommit(phasetune.OvercommitConfig{Enabled: true}))
 	}
 	var tracer *phasetune.Tracer
 	if o.trace != "" {

@@ -64,18 +64,15 @@ func TestHybridShardedCampaignGolden(t *testing.T) {
 
 // TestServingShardedCampaignGolden pins the open-system serving form's
 // fabric contract: Arrivals specs — fleet, arrival schedule, and per-job
-// seeds regenerated on each worker, overcommit dispatcher rebuilt from the
-// environment — are served to fabric workers over loopback and merge
+// seeds regenerated on each worker, overcommit dispatcher on for every
+// open spec — are served to fabric workers over loopback and merge
 // byte-identically to sequential RunContext
 // runs of the same specs. This is what lets sweepd workers split a serving
 // campaign.
 func TestServingShardedCampaignGolden(t *testing.T) {
 	machine := phasetune.QuadAMP()
 	newSess := func() *phasetune.Session {
-		return phasetune.NewSession(
-			phasetune.WithMachine(machine),
-			phasetune.WithOvercommit(phasetune.OvercommitConfig{Enabled: true}),
-		)
+		return phasetune.NewSession(phasetune.WithMachine(machine))
 	}
 	var specs []phasetune.RunSpec
 	for _, seed := range []uint64{3, 9} {

@@ -16,10 +16,7 @@ import (
 
 func main() {
 	machine := phasetune.QuadAMP()
-	sess := phasetune.NewSession(
-		phasetune.WithMachine(machine),
-		phasetune.WithOvercommit(phasetune.OvercommitConfig{Enabled: true}),
-	)
+	sess := phasetune.NewSession(phasetune.WithMachine(machine))
 
 	const (
 		horizon  = 45.0 // admissions stop here...

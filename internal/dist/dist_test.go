@@ -31,7 +31,6 @@ func testCampaign() Campaign {
 		Version: SpecVersion,
 		Machine: *amp.Quad2Fast2Slow(),
 		Cost:    exec.DefaultCostModel(),
-		Sched:   osched.DefaultConfig(),
 		Typing:  phase.Options{K: 2, MinBlockInstrs: 5},
 	}
 	loop45 := transition.Params{Technique: transition.Loop, MinSize: 45, PropagateThroughUntyped: true}
@@ -539,53 +538,65 @@ func TestRegisterRejectsWireVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestStallingSchedulerRefused pins that scheduler periods which never
-// advance the simulated clock come back as errors instead of a worker
-// spinning until its context fires, which on the fabric is never: the
-// worker's heartbeats keep its lease alive. Environment periods are
-// refused by Validate, NewCoordinator and the run; that includes the
-// monitor period the dynamic detector ticks on. Every run has a deadline,
-// so a regression fails instead of hanging.
-func TestStallingSchedulerRefused(t *testing.T) {
-	probe := Spec{Queues: workload.Spec{Slots: 2, QueueLen: 2, Seed: 1}, DurationSec: 2,
-		Tuning: tuning.DefaultConfig(), Online: online.DefaultConfig(), Seed: 1}
-	probe.Mode = sim.PolicyDynamicProbe.Lower(&probe.Params, &probe.Tuning, &probe.Online)
-	run := func(t *testing.T, env EnvSpec, sp Spec) {
-		t.Helper()
-		suite, err := env.Suite()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, err := env.RunConfig(sp, suite, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		if _, err := sim.RunContext(ctx, rc); err == nil || ctx.Err() != nil {
-			t.Fatalf("run error = %v, want a scheduler error before the deadline", err)
-		}
+// slowQuad returns the quad machine with every clock scaled so its slowest
+// core type runs hz cycles per second (nominal ratios kept).
+func slowQuad(hz float64) amp.Machine {
+	m := *amp.Quad2Fast2Slow()
+	m.Types = append([]amp.CoreType(nil), m.Types...)
+	slowGHz := m.Types[len(m.Types)-1].FreqGHz
+	for i := range m.Types {
+		m.Types[i].CyclesPerSec = hz * m.Types[i].FreqGHz / slowGHz
 	}
-	for name, edit := range map[string]func(*osched.Config){
-		"timeslice 0":          func(c *osched.Config) { c.TimesliceSec = 0 },
-		"timeslice -1":         func(c *osched.Config) { c.TimesliceSec = -1 },
-		"balance interval 0":   func(c *osched.Config) { c.BalanceIntervalSec = 0 },
-		"sample interval 0":    func(c *osched.Config) { c.SampleIntervalSec = 0 },
-		"sample interval tiny": func(c *osched.Config) { c.SampleIntervalSec = 1e-300 },
-		// The detector ticks on the monitor period, so a sub-picosecond
-		// monitor would stall the probe run below.
-		"probe tick tiny": func(c *osched.Config) { c.MonitorIntervalSec = 1e-300 },
+	return m
+}
+
+// envTransport serves a real coordinator but hands a registering worker
+// the given environment instead of the coordinator's.
+type envTransport struct {
+	LocalTransport
+	env EnvSpec
+}
+
+func (t envTransport) Register(ctx context.Context, name string) (*RegisterReply, error) {
+	reg, err := t.LocalTransport.Register(ctx, name)
+	if err == nil {
+		reg.Env = t.env
+	}
+	return reg, err
+}
+
+// TestStallingSchedulerRefused pins the one stall an environment can still
+// carry: the scheduler's periods are constants, but the machine arrives
+// from the wire, and one whose slowest core type retires less than a cycle
+// per fixed timeslice (under 10 cycles/s) would spin a worker until its
+// context fires, which on the fabric is never: the worker's heartbeats
+// keep its lease alive. Validate, NewCoordinator and a registering worker
+// all refuse it; the worker's deadline turns a regression into a failure
+// instead of a hang.
+func TestStallingSchedulerRefused(t *testing.T) {
+	for name, hz := range map[string]float64{
+		"half a cycle per timeslice": 0.5 / osched.TimesliceSec,
+		"tiny clock":                 1e-300,
 	} {
 		t.Run(name, func(t *testing.T) {
 			camp := testCampaign()
-			edit(&camp.Env.Sched)
+			camp.Env.Machine = slowQuad(hz)
 			if err := camp.Env.Validate(); err == nil {
 				t.Error("Validate accepted the environment")
 			}
 			if _, err := NewCoordinator(camp, Options{}); err == nil {
 				t.Error("NewCoordinator accepted the campaign")
 			}
-			run(t, camp.Env, probe)
+			coord, err := NewCoordinator(testCampaign(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			w := Worker{Name: "slow", Transport: envTransport{LocalTransport{coord}, camp.Env}}
+			if err := w.Run(ctx); err == nil || ctx.Err() != nil {
+				t.Fatalf("worker error = %v, want a refusal before the deadline", err)
+			}
 		})
 	}
 }

@@ -125,32 +125,47 @@ func FuzzSpecLower(f *testing.F) {
 	})
 }
 
+func mustMarshal(f *testing.F, v any) []byte {
+	f.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return blob
+}
+
 func FuzzEnvSpecDecode(f *testing.F) {
 	camps := corpusSpecs(f)
 	for _, camp := range camps {
-		blob, err := json.Marshal(camp.Env)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(blob)
+		f.Add(mustMarshal(f, camp.Env))
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":-9,"machine":{"cores":null}}`))
-	// Environments whose scheduler periods never advance the clock: each
-	// once spun a worker forever, so Validate must refuse them.
-	for _, stall := range []func(*osched.Config){
-		func(c *osched.Config) { c.TimesliceSec = 0 },
-		func(c *osched.Config) { c.TimesliceSec = -1 },
-		func(c *osched.Config) { c.BalanceIntervalSec = 0 },
-		func(c *osched.Config) { c.SampleIntervalSec = 0 },
-		func(c *osched.Config) { c.SampleIntervalSec = 1e-300 },
-		func(c *osched.Config) { c.MonitorIntervalSec = 1e-300 },
-	} {
-		env := camps[0].Env
-		stall(&env.Sched)
-		blob, err := json.Marshal(env)
-		if err != nil {
+	// A v7 environment still carrying the scheduler periods, switch costs
+	// and overcommit switch that v8 made constants: refused on its version.
+	v7 := bytes.Replace(mustMarshal(f, camps[0].Env),
+		[]byte(`"version":8`), []byte(`"version":7`), 1)
+	v7 = bytes.Replace(v7, []byte(`"sched":{"CounterSlots":0}`), []byte(`"sched":{"TimesliceSec":0,`+
+		`"BalanceIntervalSec":0.25,"SampleIntervalSec":1e-300,"MonitorIntervalSec":0.1,"CoreSwitchCycles":50,`+
+		`"ContextSwitchCycles":40,"CounterSlots":0,"Overcommit":{"Enabled":true,"MinSliceSec":0}}`), 1)
+	if !bytes.Contains(v7, []byte(`"TimesliceSec"`)) {
+		f.Fatalf("v7 seed lost its scheduler keys:\n%s", v7)
+	}
+	// A machine whose slowest core type runs 5 cycles/s retires half a cycle
+	// per timeslice: the one stall an environment can still carry.
+	slow := camps[0].Env
+	slow.Machine.Types = append([]amp.CoreType(nil), slow.Machine.Types...)
+	slowGHz := slow.Machine.Types[len(slow.Machine.Types)-1].FreqGHz
+	for i := range slow.Machine.Types {
+		slow.Machine.Types[i].CyclesPerSec = 5 * slow.Machine.Types[i].FreqGHz / slowGHz
+	}
+	for _, blob := range [][]byte{v7, mustMarshal(f, slow)} {
+		var env dist.EnvSpec
+		if err := json.Unmarshal(blob, &env); err != nil {
 			f.Fatal(err)
+		}
+		if env.Validate() == nil {
+			f.Fatalf("Validate accepted a refused environment:\n%s", blob)
 		}
 		f.Add(blob)
 	}

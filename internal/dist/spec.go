@@ -7,7 +7,7 @@
 // configuration and the result are plain data. The fabric therefore never
 // moves programs, images, or simulator state between processes; it moves
 // *recipes*. A Campaign carries the serialized environment (machine, cost
-// model, scheduler, typing — EnvSpec) plus one wire Spec per run (workload
+// model, counter pool, typing — EnvSpec) plus one wire Spec per run (workload
 // construction parameters, mode, technique, tuning, online config, seed).
 // A worker rebuilds the benchmark suite from the environment — suite
 // generation is deterministic in (cost, machine), and the synthetic
@@ -58,7 +58,7 @@ import (
 // hybrid's drift-damping knob (online.HybridConfig.Drift), both of which
 // change run results and result encodings (online.Stats.Damped); v4 added
 // the open-system serving form (workload.Spec.Arrivals lowering to a
-// stream run, osched.Config.Overcommit in the environment) and the
+// stream run, the overcommit switch in the environment) and the
 // overcommit fields in result encodings (sim.Result.PeakRunnable,
 // OvercommitSlices); v5 added campaign-wide cycle accounting
 // (EnvSpec.Ledger lowering to sim.RunConfig.Ledger) and the ledger
@@ -72,8 +72,13 @@ import (
 // byte-identically to v5 payloads, but run semantics diverge whenever
 // they are set, hence the bump; v7 dropped thirteen fixed runtime knobs
 // (DESIGN.md §8): a v7 spec is its v6 form minus those keys, every Result
-// is unchanged, and dynamic and hybrid specs need the monitor period.
-const SpecVersion = 7
+// is unchanged, and dynamic and hybrid specs need the monitor period; v8
+// made the scheduler's periods, switch costs and overcommit switch osched
+// constants and dropped tuning.Config.Mode and online.Config.Delta
+// (DESIGN.md §7): a v8 campaign is its v7 form minus those ten keys,
+// overcommit is on exactly for open specs, the detector and hybrid decide
+// at Tuning.Delta, and every Result is unchanged.
+const SpecVersion = 8
 
 // EnvSpec is the serialized session environment: everything a worker needs
 // to rebuild the simulation stack that is shared by every run of a
@@ -88,7 +93,8 @@ type EnvSpec struct {
 	Machine amp.Machine `json:"machine"`
 	// Cost is the shared cost model.
 	Cost exec.CostModel `json:"cost"`
-	// Sched is the scheduler configuration.
+	// Sched is the scheduler's counter pool (osched.Config); the periods
+	// and switch costs are osched constants and never cross the wire.
 	Sched osched.Config `json:"sched"`
 	// Typing configures static block typing.
 	Typing phase.Options `json:"typing"`
@@ -100,8 +106,8 @@ type EnvSpec struct {
 }
 
 // Validate checks the environment is structurally sound, speaks this
-// build's wire version, and has scheduler periods that advance the clock
-// (osched.Config.Validate).
+// build's wire version, and has a machine the fixed scheduler timeslice
+// advances (osched.Config.Validate).
 func (e *EnvSpec) Validate() error {
 	if e.Version != SpecVersion {
 		return fmt.Errorf("dist: env: wire version %d, this build speaks %d", e.Version, SpecVersion)

@@ -17,17 +17,17 @@ import (
 // config — changes a digest. Update them only together with a SpecVersion
 // bump.
 var campaignPins = map[string]string{
-	"showdown/quad-2f2s":    "cc343c4e571810d1949c07d2ef277f3f399fceaa29a34a2f3e08c4d95152ffa2",
-	"showdown/tri-2f1s":     "f02bdb25b1a83c5c4e056df8577dbd07b614795996d9770af087d496c85749d8",
-	"showdown/hex-2b2m2l":   "a1d37a83d389ef72d893a7614afc98e89cc89717202b2e96a51f83928b4f2bc8",
-	"serving/quad-2f2s":     "07c8dd67d951c26a20b81131d1af83a9113cd8fa27663446260a332eda0164a8",
-	"serving/hex-2b2m2l":    "40ee0990819506e35053d0e83345e8d0d59a3a15d39d221e8bec6f4f653fc5ff",
-	"contention/hex-2b2m2l": "580bd66764b5de92d20267708a26b42923eb27d54c1f7d274aaf8e5f866b42f3",
-	"contention/quad-2f2s":  "a4faf92635d2ba081845e4e20257b6a3eebdb5d545c6474c351431862f73c943",
-	"breakdown/quad-2f2s":   "9d5a81c94c13ca8cffcd85cc279261000c7ce1fba46c2bf574aef75fbeef4ac0",
-	"breakdown/hex-2b2m2l":  "5dd06b9825e17edfc37ba84100d39231246925d7c158e1a1c58bfa02d8d7dcca",
-	"window":                "25261240f90f993f52af297a448ecc416d5cb0d9bc45ae70cb7a0eba09da490c",
-	"grid":                  "942b6b4cfb97b52e8a28d37ca1e8244a4d944cb30a0f25c496979b9e6a379450",
+	"showdown/quad-2f2s":    "08d7a264a6643476c787f9285ed9f13b1667bd9ca2974e3879b24ec0b9c56eee",
+	"showdown/tri-2f1s":     "b6911996fcb48a18d9cef07d5ec853a714e24628c7242fc47fdd8e535cb64ff0",
+	"showdown/hex-2b2m2l":   "afe1c5e8f4bd1c01346df975bc0de321dd4b00341fefac19f44eab58a5698b8a",
+	"serving/quad-2f2s":     "6384aa2048893d729c48cd1467d47eaa3975b8f848326c23902bf8ce8f114852",
+	"serving/hex-2b2m2l":    "dd102a14aa5869453e2da7a52aae65c08cb5b36c8b5b02ffeb0063471dd843ee",
+	"contention/hex-2b2m2l": "2bf68db22b8a97a63f5c470699b80acc747a3826bbd0be169bb9cc6a9a8ec9fc",
+	"contention/quad-2f2s":  "07ceef9b7ca9eb20157f9ff8739784ced88d7aeffa2b80c4fa05f1d310e0f401",
+	"breakdown/quad-2f2s":   "6864966e4a2b164cccbc794bbb03a059b6fb5d390580662027c6f6681c5278e3",
+	"breakdown/hex-2b2m2l":  "70d3c866b99f3dd70bde50eeeb101e666f178dcd83acc1f63cdf2a861a920d7e",
+	"window":                "0030cf86b71bafa5599a603d7f255841fb602f72e507d54e39a45e4d2e9494b3",
+	"grid":                  "1c6daf7f196d86f4f645fa69ba0d7bcc3cceea3eb50cf222d61dac12de64c070",
 }
 
 func quickCampaigns(t *testing.T) map[string]dist.Campaign {
@@ -62,8 +62,8 @@ func TestCampaignWirePinned(t *testing.T) {
 		t.Fatalf("%d campaigns built, %d pinned", len(camps), len(campaignPins))
 	}
 	for name, camp := range camps {
-		if camp.Env.Version != 7 {
-			t.Errorf("%s: SpecVersion %d, pinned at 7", name, camp.Env.Version)
+		if camp.Env.Version != 8 {
+			t.Errorf("%s: SpecVersion %d, pinned at 8", name, camp.Env.Version)
 		}
 		blob, err := json.Marshal(camp)
 		if err != nil {

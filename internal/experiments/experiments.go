@@ -37,7 +37,7 @@ type Config struct {
 	Machine *amp.Machine
 	// Cost is the timing model.
 	Cost exec.CostModel
-	// Sched is the scheduler configuration.
+	// Sched is the scheduler's counter pool (CounterContention varies it).
 	Sched osched.Config
 	// Suite is the benchmark suite.
 	Suite []*workload.Benchmark
@@ -80,7 +80,6 @@ func Default() (Config, error) {
 	return Config{
 		Machine:     machine,
 		Cost:        cost,
-		Sched:       osched.DefaultConfig(),
 		Suite:       suite,
 		Slots:       18,
 		QueueLen:    256,
@@ -134,7 +133,7 @@ func (c Config) campaign(machine *amp.Machine, grid func(Config) []dist.Spec) di
 // travels as its construction parameters, so the same cell runs locally or
 // on a remote worker with bit-identical results. The policy lowers onto
 // the cell through sim.Policy.Lower; detector policies start from the
-// online detector's defaults at the run's δ.
+// online detector's defaults and decide at the run's δ (tcfg.Delta).
 func (c *Config) runCfg(p sim.Policy, params transition.Params, tcfg tuning.Config,
 	errFrac float64, seed uint64, durationSec float64) dist.Spec {
 
@@ -143,7 +142,6 @@ func (c *Config) runCfg(p sim.Policy, params transition.Params, tcfg tuning.Conf
 		DurationSec: durationSec, Params: params, Tuning: tcfg, Online: online.DefaultConfig(),
 		TypingError: errFrac, Seed: seed,
 	}
-	sp.Online.Delta = tcfg.Delta
 	sp.Mode = p.Lower(&sp.Params, &sp.Tuning, &sp.Online)
 	return sp
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"phasetune/internal/osched"
 	"phasetune/internal/transition"
 )
 
@@ -94,9 +95,9 @@ func TestTable1SwitchShape(t *testing.T) {
 		if r.Switches == 0 {
 			continue
 		}
-		if r.CyclesPerSwitch < 5*float64(cfg.Sched.CoreSwitchCycles) {
+		if r.CyclesPerSwitch < 5*osched.CoreSwitchCycles {
 			t.Errorf("%s: %.0f cycles/switch does not amortize cost %d",
-				r.Benchmark, r.CyclesPerSwitch, cfg.Sched.CoreSwitchCycles)
+				r.Benchmark, r.CyclesPerSwitch, osched.CoreSwitchCycles)
 		}
 	}
 }
@@ -134,7 +135,7 @@ func TestSwitchCostMeasurement(t *testing.T) {
 	}
 	// The measured cost must be within a small factor of the configured
 	// cost (the probe methodology is approximate, like the paper's).
-	configured := float64(cfg.Sched.CoreSwitchCycles + cfg.Sched.ContextSwitchCycles)
+	configured := float64(osched.CoreSwitchCycles + osched.ContextSwitchCycles)
 	if r.CyclesPerSwitch < 0.3*configured || r.CyclesPerSwitch > 10*configured {
 		t.Errorf("measured %.0f cycles/switch vs configured %.0f", r.CyclesPerSwitch, configured)
 	}

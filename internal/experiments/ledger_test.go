@@ -53,9 +53,6 @@ func TestLedgerConservation(t *testing.T) {
 		for _, mode := range []string{"closed", "open"} {
 			mcfg := ledgerConfig(t)
 			mcfg.Machine = machine
-			if mode == "open" {
-				mcfg = servingConfig(mcfg, machine)
-			}
 			suite, err := workload.Suite(mcfg.Cost, machine)
 			if err != nil {
 				t.Fatal(err)

@@ -91,16 +91,6 @@ type ServingRow struct {
 	QueueingSec, ServiceSec, SlicingSec float64
 }
 
-// servingConfig specializes the shared config to one serving machine:
-// overcommit on (open systems run oversubscribed by design) and the
-// machine swapped in.
-func servingConfig(cfg Config, machine *amp.Machine) Config {
-	mcfg := cfg
-	mcfg.Machine = machine
-	mcfg.Sched.Overcommit.Enabled = true
-	return mcfg
-}
-
 // servingRunCfg builds one wire spec: the policy cell (showdownRunCfg) with
 // the workload swapped for the open-system arrival form.
 func servingRunCfg(cfg Config, p sim.Policy, load float64, seed uint64) dist.Spec {
@@ -124,7 +114,7 @@ func servingRows(machine *amp.Machine) []ServingRow {
 }
 
 // servingGrid builds one machine's (load × policy × seed) grid, load-major
-// (cfg must already be specialized via servingConfig).
+// (cfg.Machine must be the serving machine).
 func servingGrid(cfg Config) []dist.Spec {
 	return seedGrid(cfg.Seeds, servingRows(cfg.Machine), func(r ServingRow, seed uint64) dist.Spec {
 		return servingRunCfg(cfg, r.Policy, r.Load, seed)
@@ -132,11 +122,11 @@ func servingGrid(cfg Config) []dist.Spec {
 }
 
 // ServingCampaign packages one machine's serving grid as a distributable
-// campaign (cmd/sweepd serves it to workers). The environment carries the
-// overcommit-enabled scheduler, so workers reproduce the open-system
-// semantics from the wire form alone.
+// campaign (cmd/sweepd serves it to workers). Every spec carries its
+// arrival process, and every open run uses the overcommit dispatcher, so
+// workers reproduce the open-system semantics from the wire form alone.
 func ServingCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
-	return servingConfig(cfg, machine).campaign(machine, servingGrid)
+	return cfg.campaign(machine, servingGrid)
 }
 
 // ServingTraceRun re-runs one representative serving cell — the first
@@ -147,8 +137,8 @@ func ServingCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 // as the sweep's), so the returned summary matches the sweep's seed-0
 // cell and the trace is byte-stable across invocations.
 func ServingTraceRun(cfg Config, tr *trace.Tracer) (serve.Stats, error) {
-	machine := ServingMachines()[0]
-	mcfg := servingConfig(cfg, machine)
+	mcfg := cfg
+	mcfg.Machine = ServingMachines()[0]
 	spec := servingRunCfg(mcfg, sim.PolicyHybrid, 1.0, mcfg.Seeds[0])
 	rc, err := mcfg.Env().RunConfig(spec, mcfg.Suite, nil)
 	if err != nil {
@@ -172,7 +162,8 @@ func Serving(cfg Config, machines []*amp.Machine) ([]ServingRow, error) {
 	}
 	var rows []ServingRow
 	for _, machine := range machines {
-		mcfg := servingConfig(cfg, machine)
+		mcfg := cfg
+		mcfg.Machine = machine
 		cells, err := mcfg.sweepCells(servingGrid(mcfg))
 		if err != nil {
 			return nil, err

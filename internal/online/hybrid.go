@@ -75,18 +75,19 @@ type hybridState struct {
 // representative sections (tuning MinSectionInstrs).
 const minBoundaryInstrs = 200
 
-// NewHybrid builds the hybrid runtime for one kernel. The hardware pool
-// should be the kernel's own so counter contention stays modeled; pcfg
-// parameterizes the shared engine's capacity arbitration (the zero value
-// is unpriced). Of cfg, the hybrid consumes WindowInstrs, Delta and
-// Hybrid.Drift; the policy is unused (marks classify, the engine places).
-func NewHybrid(cfg Config, pcfg place.Config, machine *amp.Machine, hw *perfcnt.Hardware) *Hybrid {
+// NewHybrid builds the hybrid runtime for one kernel. delta is the run's
+// Algorithm 2 threshold (tuning.Config.Delta). The hardware pool should be
+// the kernel's own so counter contention stays modeled; pcfg parameterizes
+// the shared engine's capacity arbitration (the zero value is unpriced).
+// Of cfg, the hybrid consumes WindowInstrs and Hybrid.Drift; the policy is
+// unused (marks classify, the engine places).
+func NewHybrid(cfg Config, delta float64, pcfg place.Config, machine *amp.Machine, hw *perfcnt.Hardware) *Hybrid {
 	cfg = cfg.Normalized()
 	return &Hybrid{
 		cfg:       cfg,
 		machine:   machine,
 		hw:        hw,
-		engine:    place.NewEngine(machine, cfg.Delta, pcfg),
+		engine:    place.NewEngine(machine, delta, pcfg),
 		taskByPID: map[int]*osched.Task{},
 		byPID:     map[int]*hybridState{},
 	}

@@ -11,6 +11,7 @@ import (
 	"phasetune/internal/prog"
 	"phasetune/internal/sim"
 	"phasetune/internal/transition"
+	"phasetune/internal/tuning"
 	"phasetune/internal/workload"
 )
 
@@ -52,7 +53,7 @@ func TestHybridMeasuresDecidesAndRefreshes(t *testing.T) {
 	res, err := sim.Run(sim.RunConfig{
 		Machine: machine, Cost: &cm,
 		Workload:    &workload.Workload{Slots: [][]*workload.Benchmark{{bench}}},
-		DurationSec: 60, Mode: sim.Hybrid, Seed: 3,
+		DurationSec: 60, Mode: sim.Hybrid, Tuning: tuning.DefaultConfig(), Seed: 3,
 		Params: transition.Params{Technique: transition.BasicBlock, MinSize: 15, PropagateThroughUntyped: true},
 	})
 	if err != nil {
@@ -133,7 +134,7 @@ func TestHybridConvergesToAlgorithm2(t *testing.T) {
 			res, err := sim.Run(sim.RunConfig{
 				Machine: machine, Cost: &cm,
 				Workload:    &workload.Workload{Slots: [][]*workload.Benchmark{{bench}}},
-				DurationSec: 120, Mode: sim.Hybrid, Seed: 3,
+				DurationSec: 120, Mode: sim.Hybrid, Tuning: tuning.DefaultConfig(), Seed: 3,
 				Params: transition.Params{Technique: transition.BasicBlock, MinSize: 15, PropagateThroughUntyped: true},
 			})
 			if err != nil {
@@ -169,7 +170,7 @@ func hybridRun(t *testing.T, ocfg online.Config) *sim.Result {
 	res, err := sim.Run(sim.RunConfig{
 		Machine: machine, Cost: &cm,
 		Workload:    &workload.Workload{Slots: [][]*workload.Benchmark{{bench}, {bench}}},
-		DurationSec: 60, Mode: sim.Hybrid, Seed: 3, Online: ocfg,
+		DurationSec: 60, Mode: sim.Hybrid, Tuning: tuning.DefaultConfig(), Seed: 3, Online: ocfg,
 		Params: transition.Params{Technique: transition.BasicBlock, MinSize: 15, PropagateThroughUntyped: true},
 	})
 	if err != nil {

@@ -80,17 +80,19 @@ type Manager struct {
 	claims []place.Claim
 }
 
-// NewManager builds the runtime for one kernel. The hardware pool should be
-// the kernel's own (kernel.Hardware) so counter contention with any other
-// monitoring stays modeled. pcfg parameterizes the shared placement
-// engine's arbitration (the zero value is unpriced).
-func NewManager(cfg Config, pcfg place.Config, machine *amp.Machine, hw *perfcnt.Hardware) *Manager {
+// NewManager builds the runtime for one kernel. delta is the run's
+// Algorithm 2 threshold (tuning.Config.Delta), which the probe policy's
+// placement decisions use. The hardware pool should be the kernel's own
+// (kernel.Hardware) so counter contention with any other monitoring stays
+// modeled. pcfg parameterizes the shared placement engine's arbitration
+// (the zero value is unpriced).
+func NewManager(cfg Config, delta float64, pcfg place.Config, machine *amp.Machine, hw *perfcnt.Hardware) *Manager {
 	cfg = cfg.Normalized()
 	return &Manager{
 		cfg:     cfg,
 		machine: machine,
 		hw:      hw,
-		engine:  place.NewEngine(machine, cfg.Delta, pcfg),
+		engine:  place.NewEngine(machine, delta, pcfg),
 	}
 }
 

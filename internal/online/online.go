@@ -80,16 +80,16 @@ func (p PolicyKind) String() string {
 }
 
 // Config parameterizes the online detector, which ticks on the kernel's
-// monitor period (osched.Config.MonitorIntervalSec).
+// fixed monitor period (osched.MonitorIntervalSec). Its Algorithm 2
+// threshold δ is not part of it: the detector and the hybrid take the
+// run's tuning δ (tuning.Config.Delta), as the oracle does, so every
+// policy of a run decides at the same δ.
 type Config struct {
 	// Policy selects the reassignment policy.
 	Policy PolicyKind
 	// WindowInstrs is the detection window: a signature is produced every
 	// time a monitored process retires this many instructions.
 	WindowInstrs uint64
-	// Delta is the IPC threshold of Algorithm 2 for the probe policy's
-	// placement decisions.
-	Delta float64
 	// Hybrid holds the knobs only the marks+windows hybrid runtime reads;
 	// the window detector ignores them.
 	Hybrid HybridConfig
@@ -134,15 +134,12 @@ type HybridConfig struct {
 const DefaultDrift = 0.05
 
 // DefaultConfig returns the operating point used by the showdown
-// experiments: windows of 8000 instructions (at the default 0.1 s monitor
-// tick a loaded task closes one every tick or two), and the same δ as the
-// static runtime so placement decisions differ only in how the IPC samples
-// were obtained.
+// experiments: windows of 8000 instructions (at the 0.1 s monitor tick a
+// loaded task closes one every tick or two).
 func DefaultConfig() Config {
 	return Config{
 		Policy:       Probe,
 		WindowInstrs: 8000,
-		Delta:        0.06,
 	}
 }
 
@@ -152,9 +149,6 @@ func (c Config) Normalized() Config {
 	d := DefaultConfig()
 	if c.WindowInstrs == 0 {
 		c.WindowInstrs = d.WindowInstrs
-	}
-	if c.Delta == 0 {
-		c.Delta = d.Delta
 	}
 	return c
 }

@@ -13,6 +13,7 @@ import (
 	"phasetune/internal/prog"
 	"phasetune/internal/sim"
 	"phasetune/internal/transition"
+	"phasetune/internal/tuning"
 	"phasetune/internal/workload"
 )
 
@@ -122,13 +123,14 @@ func TestProbeConvergesToAlgorithm2(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := stableProgram(t, tc.name, tc.mix, 20000)
-			want := machine.TypeMask(place.Select(machine, isolatedIPC(t, p, cm, machine), ocfg.Delta))
+			tcfg := tuning.DefaultConfig()
+			want := machine.TypeMask(place.Select(machine, isolatedIPC(t, p, cm, machine), tcfg.Delta))
 
 			bench := &workload.Benchmark{Spec: workload.BenchSpec{Name: tc.name}, Prog: p}
 			w := &workload.Workload{Slots: [][]*workload.Benchmark{{bench}}}
 			res, err := sim.Run(sim.RunConfig{
 				Machine: machine, Cost: &cm,
-				Workload: w, DurationSec: 60, Mode: sim.Dynamic, Online: ocfg, Seed: 3,
+				Workload: w, DurationSec: 60, Mode: sim.Dynamic, Tuning: tcfg, Online: ocfg, Seed: 3,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -154,8 +156,7 @@ func TestProbeConvergesToAlgorithm2(t *testing.T) {
 func TestBoundedCounterPoolDefersSampling(t *testing.T) {
 	machine := amp.Quad2Fast2Slow()
 	cm := exec.DefaultCostModel()
-	sched := osched.DefaultConfig()
-	sched.CounterSlots = 2
+	sched := osched.Config{CounterSlots: 2}
 
 	mix := prog.BlockMix{IntALU: 20, IntMul: 4, Load: 4, Store: 2, WorkingSetKB: 64, Locality: 0.98}
 	var slots [][]*workload.Benchmark
@@ -168,7 +169,7 @@ func TestBoundedCounterPoolDefersSampling(t *testing.T) {
 	res, err := sim.Run(sim.RunConfig{
 		Machine: machine, Cost: &cm, Sched: &sched,
 		Workload:    &workload.Workload{Slots: slots},
-		DurationSec: 40, Mode: sim.Dynamic, Seed: 11,
+		DurationSec: 40, Mode: sim.Dynamic, Tuning: tuning.DefaultConfig(), Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +193,7 @@ func TestUnboundedPoolNoDefers(t *testing.T) {
 	res, err := sim.Run(sim.RunConfig{
 		Machine: machine, Cost: &cm,
 		Workload:    &workload.Workload{Slots: [][]*workload.Benchmark{{bench}}},
-		DurationSec: 30, Mode: sim.Dynamic, Seed: 1,
+		DurationSec: 30, Mode: sim.Dynamic, Tuning: tuning.DefaultConfig(), Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

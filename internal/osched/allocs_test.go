@@ -29,7 +29,7 @@ func TestDispatchAllocationSteadyState(t *testing.T) {
 	}
 
 	const windowSec = 4.0
-	dispatches := int64(windowSec / k.Config.TimesliceSec * float64(len(k.Params())))
+	dispatches := int64(windowSec / TimesliceSec * float64(len(k.Params())))
 
 	runtime.GC()
 	var before, after runtime.MemStats

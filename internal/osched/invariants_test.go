@@ -1,30 +1,78 @@
 package osched
 
 import (
+	"bytes"
+	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 
 	"phasetune/internal/amp"
 	"phasetune/internal/exec"
+	"phasetune/internal/trace"
 )
+
+// burst is one dispatch burst as the kernel's trace records it.
+type burst struct {
+	core, pid  int
+	start, end int64
+}
+
+// tracedBursts reads the burst spans back out of a traced run, in
+// dispatch order.
+func tracedBursts(t *testing.T, tr *trace.Tracer) []burst {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string      `json:"name"`
+			Ts   json.Number `json:"ts"`
+			Dur  json.Number `json:"dur"`
+			Tid  int         `json:"tid"`
+			Args struct {
+				Task int `json:"task"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	// Stamps are microseconds with exactly six decimals: whole ps.
+	ps := func(n json.Number) int64 {
+		whole, frac, _ := strings.Cut(n.String(), ".")
+		v, err := strconv.ParseInt(whole+frac, 10, 64)
+		if err != nil {
+			t.Fatalf("trace stamp %q: %v", n, err)
+		}
+		return v
+	}
+	var out []burst
+	for _, e := range doc.TraceEvents {
+		if e.Name == "burst" {
+			start := ps(e.Ts)
+			out = append(out, burst{core: e.Tid - trace.CoreTid(0), pid: e.Args.Task, start: start, end: start + ps(e.Dur)})
+		}
+	}
+	return out
+}
 
 // TestNoOverlappingBursts replays the regression that motivated arrival
 // events: a single process must never occupy two cores in overlapping
 // simulated intervals, even while its affinity ping-pongs.
 func TestNoOverlappingBursts(t *testing.T) {
 	k := newKernel(t)
+	k.Trace = trace.New()
 	img := markedImage(t, k)
 	hook := &pingPongHook{masks: []uint64{0b0001, 0b0100}}
 	p := exec.NewProcess(k.NextPID(), img, &k.Cost, 1, hook)
 	k.Spawn(p, "pingpong", -1, 0)
-
-	type burst struct{ start, end int64 }
-	var bursts []burst
-	k.TraceBurst = func(core int, task *Task, cycles, startPs, endPs int64) {
-		bursts = append(bursts, burst{startPs, endPs})
-	}
 	if err := k.RunUntilDone(1e6); err != nil {
 		t.Fatal(err)
 	}
+	bursts := tracedBursts(t, k.Trace)
 	for i := 1; i < len(bursts); i++ {
 		if bursts[i].start < bursts[i-1].end {
 			t.Fatalf("burst %d starts at %d before burst %d ends at %d",
@@ -41,13 +89,14 @@ func TestNoOverlappingBursts(t *testing.T) {
 // spawn, so wall time equals busy time.
 func TestTimeConservation(t *testing.T) {
 	k := newKernel(t)
+	k.Trace = trace.New()
 	task := spawnProg(t, k, computeProgram(2000), 1)
-	var busyPs int64
-	k.TraceBurst = func(core int, tk *Task, cycles, startPs, endPs int64) {
-		busyPs += endPs - startPs
-	}
 	if err := k.RunUntilDone(1e6); err != nil {
 		t.Fatal(err)
+	}
+	var busyPs int64
+	for _, b := range tracedBursts(t, k.Trace) {
+		busyPs += b.end - b.start
 	}
 	wall := task.CompletionPs - task.ArrivalPs
 	if wall != busyPs {
@@ -79,36 +128,52 @@ func TestKernelInstructionConservation(t *testing.T) {
 // restricted task must run on an allowed core.
 func TestAffinityAlwaysRespected(t *testing.T) {
 	k := newKernel(t)
+	k.Trace = trace.New()
 	img, err := exec.NewImage(computeProgram(3000), nil, k.Cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := exec.NewProcess(k.NextPID(), img, &k.Cost, 1, nil)
-	pinned := k.Spawn(p, "pinned", -1, 0b1010)
+	k.Spawn(p, "pinned", -1, 0b1010)
 	for i := 0; i < 5; i++ {
 		spawnProg(t, k, computeProgram(3000), uint64(i+10))
-	}
-	k.TraceBurst = func(core int, task *Task, cycles, startPs, endPs int64) {
-		if task == pinned && (0b1010&(1<<uint(core))) == 0 {
-			t.Fatalf("pinned task ran on disallowed core %d", core)
-		}
 	}
 	if err := k.RunUntilDone(1e7); err != nil {
 		t.Fatal(err)
 	}
+	ran := 0
+	for _, b := range tracedBursts(t, k.Trace) {
+		if b.pid != p.PID {
+			continue
+		}
+		ran++
+		if 0b1010&(1<<uint(b.core)) == 0 {
+			t.Fatalf("pinned task ran on disallowed core %d", b.core)
+		}
+	}
+	if ran == 0 {
+		t.Fatal("pinned task never ran")
+	}
 }
 
 // overcommitKernel builds a quad kernel with the proportional-share
-// overcommit dispatcher enabled.
+// overcommit dispatcher on.
 func overcommitKernel(t *testing.T) *Kernel {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Overcommit.Enabled = true
-	k, err := NewKernel(amp.Quad2Fast2Slow(), exec.DefaultCostModel(), cfg)
-	if err != nil {
-		t.Fatalf("NewKernel: %v", err)
-	}
+	k := newKernel(t)
+	k.Overcommit = true
 	return k
+}
+
+// quantumCheck is a mark hook whose quantum callback runs the check at the
+// end of every slice the task spends on a core.
+type quantumCheck func()
+
+func (quantumCheck) OnMark(*exec.Process, int, int) exec.MarkAction { return exec.MarkAction{} }
+func (quantumCheck) OnExit(*exec.Process)                           {}
+func (c quantumCheck) OnQuantum(*exec.Process, int) exec.MarkAction {
+	c()
+	return exec.MarkAction{}
 }
 
 // TestOvercommitNoCoreRunsTwoTasks: under heavy oversubscription with
@@ -116,19 +181,20 @@ func overcommitKernel(t *testing.T) *Kernel {
 // simulated time — time multiplexing shares the core, it never doubles it.
 func TestOvercommitNoCoreRunsTwoTasks(t *testing.T) {
 	k := overcommitKernel(t)
+	k.Trace = trace.New()
 	for i := 0; i < 16; i++ {
 		spawnProg(t, k, computeProgram(800), uint64(i+1))
 	}
-	lastEnd := map[int]int64{}
-	k.TraceBurst = func(core int, task *Task, cycles, startPs, endPs int64) {
-		if startPs < lastEnd[core] {
-			t.Fatalf("core %d burst starts at %d before previous ends at %d",
-				core, startPs, lastEnd[core])
-		}
-		lastEnd[core] = endPs
-	}
 	if err := k.RunUntilDone(1e7); err != nil {
 		t.Fatal(err)
+	}
+	lastEnd := map[int]int64{}
+	for _, b := range tracedBursts(t, k.Trace) {
+		if b.start < lastEnd[b.core] {
+			t.Fatalf("core %d burst starts at %d before previous ends at %d",
+				b.core, b.start, lastEnd[b.core])
+		}
+		lastEnd[b.core] = b.end
 	}
 	if k.OvercommitSlices() == 0 {
 		t.Error("16 tasks on 4 cores produced no shortened slices")
@@ -173,14 +239,13 @@ func TestOvercommitEveryJobCompletesUnderCapacity(t *testing.T) {
 // TestOvercommitScaleInvariant: the per-type scale factor stays in (0, 1],
 // and whenever a type is oversubscribed, demand × scale never exceeds its
 // core count — the proportional-share capacity invariant, checked at every
-// burst boundary of a loaded run.
+// slice end of a loaded run.
 func TestOvercommitScaleInvariant(t *testing.T) {
 	k := overcommitKernel(t)
-	for i := 0; i < 12; i++ {
-		spawnProg(t, k, memoryProgram(120), uint64(i+1))
-	}
 	types := len(k.Machine.Types)
-	k.TraceBurst = func(core int, task *Task, cycles, startPs, endPs int64) {
+	checks := 0
+	check := quantumCheck(func() {
+		checks++
 		for typ := 0; typ < types; typ++ {
 			f := k.OvercommitScale(amp.CoreTypeID(typ))
 			if !(f > 0 && f <= 1) {
@@ -193,14 +258,25 @@ func TestOvercommitScaleInvariant(t *testing.T) {
 					typ, demand, f, shares, capacity)
 			}
 		}
+	})
+	prog := memoryProgram(120)
+	for i := 0; i < 12; i++ {
+		img, err := exec.NewImage(prog, nil, k.Cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Spawn(exec.NewProcess(k.NextPID(), img, &k.Cost, uint64(i+1), check), prog.Name, -1, 0)
 	}
 	if err := k.RunUntilDone(1e7); err != nil {
 		t.Fatal(err)
 	}
+	if checks == 0 || k.OvercommitSlices() == 0 {
+		t.Fatalf("%d slice ends checked, %d shortened slices; want an oversubscribed run", checks, k.OvercommitSlices())
+	}
 }
 
 // TestOvercommitDisabledChargesNothing: with the dispatcher off, the same
-// oversubscribed workload must shorten zero slices — the config gate, and
+// oversubscribed workload must shorten zero slices — the kernel switch, and
 // the guarantee that closed-system runs are untouched by the subsystem.
 func TestOvercommitDisabledChargesNothing(t *testing.T) {
 	k := newKernel(t)

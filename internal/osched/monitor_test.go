@@ -7,6 +7,7 @@ import (
 	"phasetune/internal/exec"
 	"phasetune/internal/isa"
 	"phasetune/internal/prog"
+	"phasetune/internal/trace"
 )
 
 // loopProgram builds a long-running straight-line loop.
@@ -44,9 +45,7 @@ func (c *tickCounter) OnTick(k *Kernel, atPs int64) {
 func TestMonitorTickPeriod(t *testing.T) {
 	machine := amp.Quad2Fast2Slow()
 	cm := exec.DefaultCostModel()
-	cfg := DefaultConfig()
-	cfg.MonitorIntervalSec = 0.5
-	k, err := NewKernel(machine, cm, cfg)
+	k, err := NewKernel(machine, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +59,12 @@ func TestMonitorTickPeriod(t *testing.T) {
 	k.Spawn(exec.NewProcess(k.NextPID(), img, &cm, 1, nil), "loop", -1, 0)
 	k.Run(5.0)
 
-	if mon.ticks < 9 || mon.ticks > 10 {
-		t.Fatalf("monitor ticked %d times over 5s at 0.5s period, want 9-10", mon.ticks)
+	if mon.ticks < 49 || mon.ticks > 50 {
+		t.Fatalf("monitor ticked %d times over 5s at %gs period, want 49-50", mon.ticks, MonitorIntervalSec)
 	}
 	for i := 1; i < len(mon.atPs); i++ {
-		if d := mon.atPs[i] - mon.atPs[i-1]; d != SecToPs(0.5) {
-			t.Fatalf("tick %d interval %d ps, want %d", i, d, SecToPs(0.5))
+		if d := mon.atPs[i] - mon.atPs[i-1]; d != SecToPs(MonitorIntervalSec) {
+			t.Fatalf("tick %d interval %d ps, want %d", i, d, SecToPs(MonitorIntervalSec))
 		}
 	}
 }
@@ -75,7 +74,7 @@ func TestMonitorTickPeriod(t *testing.T) {
 func TestMonitorDisabledWithoutMonitor(t *testing.T) {
 	machine := amp.Quad2Fast2Slow()
 	cm := exec.DefaultCostModel()
-	k, err := NewKernel(machine, cm, DefaultConfig())
+	k, err := NewKernel(machine, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,23 +111,14 @@ func (a *affinitySetter) OnTick(k *Kernel, atPs int64) {
 func TestSetAffinityFromMonitor(t *testing.T) {
 	machine := amp.Quad2Fast2Slow()
 	cm := exec.DefaultCostModel()
-	cfg := DefaultConfig()
-	cfg.MonitorIntervalSec = 0.2
-	k, err := NewKernel(machine, cm, cfg)
+	k, err := NewKernel(machine, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	k.Trace = trace.New()
 	target := machine.NumCores() - 1
 	setter := &affinitySetter{mask: amp.CoreMask(target)}
 	k.Monitor = setter
-
-	var afterPin []int
-	pinnedAt := int64(-1)
-	k.TraceBurst = func(core int, task *Task, cycles, startPs, endPs int64) {
-		if pinnedAt >= 0 && startPs > pinnedAt {
-			afterPin = append(afterPin, core)
-		}
-	}
 
 	img, err := exec.NewImage(loopProgram(t, 3_000_000), nil, cm)
 	if err != nil {
@@ -139,8 +129,14 @@ func TestSetAffinityFromMonitor(t *testing.T) {
 	if !setter.applied {
 		t.Fatal("monitor never fired")
 	}
-	pinnedAt = k.NowPs()
+	pinnedAt := k.NowPs()
 	k.Run(3.0)
+	var afterPin []int
+	for _, b := range tracedBursts(t, k.Trace) {
+		if b.start > pinnedAt {
+			afterPin = append(afterPin, b.core)
+		}
+	}
 
 	if task.Affinity != setter.mask {
 		t.Fatalf("affinity %b, want %b", task.Affinity, setter.mask)
@@ -165,7 +161,7 @@ func TestPenalizeChargesCycles(t *testing.T) {
 	cm := exec.DefaultCostModel()
 
 	runWith := func(charge int64) (completionPs int64, instrs uint64) {
-		k, err := NewKernel(machine, cm, DefaultConfig())
+		k, err := NewKernel(machine, cm, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,100 +44,56 @@ func SecToPs(s float64) int64 {
 // PsToSec converts picoseconds to seconds.
 func PsToSec(ps int64) float64 { return float64(ps) / PsPerSec }
 
-// Config holds scheduler constants.
-type Config struct {
+// The scheduler's fixed constants. The paper measures against one kernel,
+// stock Linux 2.6.22's O(1) scheduler, so none of them is a per-run knob.
+const (
 	// TimesliceSec is the scheduling quantum (Linux O(1) default ~100 ms).
-	TimesliceSec float64
+	TimesliceSec = 0.1
 	// BalanceIntervalSec is the period of the load balancer.
-	BalanceIntervalSec float64
+	BalanceIntervalSec = 0.25
 	// SampleIntervalSec is the period of throughput sampling.
-	SampleIntervalSec float64
-	// MonitorIntervalSec is the period of the task monitor (Kernel.Monitor);
-	// non-positive disables the monitor event even when a monitor is set.
+	SampleIntervalSec = 1.0
+	// MonitorIntervalSec is the period of the task monitor (Kernel.Monitor).
 	// The online phase-detection runtime observes per-process counters on
 	// this tick (§V's dynamic competitor); it is distinct from throughput
-	// sampling so detection cadence can be tuned without touching metrics.
-	MonitorIntervalSec float64
+	// sampling, which feeds the metrics.
+	MonitorIntervalSec = 0.1
 	// CoreSwitchCycles is charged to a process when it migrates between
-	// cores (the paper measures ~1000 cycles per switch, §IV-B3).
-	CoreSwitchCycles int64
+	// cores. The paper measures ~1000 cycles per switch (§IV-B3) against
+	// code sections of ~10^10 cycles (Fig. 5); under the simulation's 1/20
+	// time scale sections are 20x shorter, so preserving the paper's
+	// amortization ratios scales the switch micro-costs by the same
+	// divisor: 1000/20 = 50 cycles. The switch-cost experiment reports both
+	// the simulated and the descaled equivalent value.
+	CoreSwitchCycles = 50
 	// ContextSwitchCycles is charged when a core switches between tasks.
-	ContextSwitchCycles int64
+	ContextSwitchCycles = 40
+	// minSliceSec floors the overcommit dispatcher's scaled slice so
+	// extreme overcommit cannot degenerate into pure context-switch thrash.
+	minSliceSec = TimesliceSec / 8
+)
+
+// Config holds the one scheduler value a run varies.
+type Config struct {
 	// CounterSlots bounds concurrently active performance-counter event
 	// sets (0 = unlimited). PAPI virtualizes counters per thread — the
 	// kernel saves and restores counter state at context switches — so
 	// concurrent per-process event sets are effectively unbounded; the
 	// bounded mode exists for the counter-contention ablation.
 	CounterSlots int
-	// Overcommit configures the proportional-share dispatcher used by
-	// open-system serving runs, where runnable tasks can exceed cores.
-	Overcommit OvercommitConfig
 }
 
-// OvercommitConfig parameterizes the proportional-share dispatcher — the
-// hypervisor-scheduler two-phase idiom adapted to the O(1) kernel. Phase 1
-// computes a demand/capacity scale factor per core type (Kernel.
-// OvercommitScale): with d runnable tasks contending for c cores of a
-// type, each task's fair share of a scheduling round is c/d of a full
-// timeslice. Phase 2 turns the fractional share into a concrete bounded
-// execution slice at dispatch time: the quantum shrinks to
-// TimesliceSec * c/d (floored at MinSliceSec), so d tasks time-multiplex
-// through c cores with per-type shares summing to exactly the type's
-// capacity. Placement policies compose unchanged — overcommit only
-// shortens slices, never overrides affinity — and the extra slice
-// boundaries charge context-switch cost through the existing
-// Config.ContextSwitchCycles path, so "overcommit costs switching time"
-// is part of the simulation.
-type OvercommitConfig struct {
-	// Enabled turns on slice scaling. Off, the kernel behaves exactly as
-	// before: oversubscribed cores round-robin full timeslices.
-	Enabled bool
-	// MinSliceSec floors the scaled slice so extreme overcommit cannot
-	// degenerate into pure context-switch thrash. Non-positive defaults to
-	// TimesliceSec/8.
-	MinSliceSec float64
-}
-
-// DefaultConfig returns the configuration used by the experiments.
-//
-// Switch costs are scaled: the paper measures ~1000 cycles per core switch
-// (§IV-B3) against code sections of ~10^10 cycles (Fig. 5). Under the
-// simulation's 1/20 time scale sections are 20x shorter, so preserving the
-// paper's amortization ratios requires scaling the switch micro-costs by
-// the same divisor: 1000/20 = 50 cycles per core switch. The switch-cost
-// experiment reports both the simulated and the descaled equivalent value.
-func DefaultConfig() Config {
-	return Config{
-		TimesliceSec:        0.1,
-		BalanceIntervalSec:  0.25,
-		SampleIntervalSec:   1.0,
-		MonitorIntervalSec:  0.1,
-		CoreSwitchCycles:    50,
-		ContextSwitchCycles: 40,
-		CounterSlots:        0,
-	}
-}
-
-// Validate rejects periods that never advance the simulated clock: a
-// timeslice shorter than one cycle of m's slowest core type (its bursts
-// would retire nothing), and a balance, sample or positive monitor period
-// under 1 ps (its event would re-fire at the same instant). A monitor
-// period <= 0 disables the monitor. Long periods are slow, not stuck, and
-// pass.
-func (c Config) Validate(m *amp.Machine) error {
+// Validate rejects a machine the fixed timeslice cannot advance: one whose
+// slowest core type retires less than one cycle per TimesliceSec (its
+// bursts would retire nothing and the clock would stall). The machine
+// arrives from the wire, so this is the one stall an environment can still
+// carry.
+func (Config) Validate(m *amp.Machine) error {
 	for _, t := range m.Types {
-		if !(c.TimesliceSec*t.CyclesPerSec >= 1) {
-			return fmt.Errorf("osched: timeslice %g s is shorter than one %s cycle", c.TimesliceSec, t.Name)
+		if !(TimesliceSec*t.CyclesPerSec >= 1) {
+			return fmt.Errorf("osched: core type %s runs %g cycles/s, under one cycle per %g s timeslice",
+				t.Name, t.CyclesPerSec, TimesliceSec)
 		}
-	}
-	if SecToPs(c.BalanceIntervalSec) < 1 {
-		return fmt.Errorf("osched: balance interval %g s is under 1 ps", c.BalanceIntervalSec)
-	}
-	if SecToPs(c.SampleIntervalSec) < 1 {
-		return fmt.Errorf("osched: sample interval %g s is under 1 ps", c.SampleIntervalSec)
-	}
-	if c.MonitorIntervalSec > 0 && SecToPs(c.MonitorIntervalSec) < 1 {
-		return fmt.Errorf("osched: monitor interval %g s is under 1 ps", c.MonitorIntervalSec)
 	}
 	return nil
 }
@@ -186,12 +142,12 @@ type Task struct {
 // exit). For an in-flight task it is the core the current burst runs on.
 func (t *Task) Core() int { return t.core }
 
-// TaskMonitor observes the machine at a fixed period (the kernel's
-// Config.MonitorIntervalSec). It is the OS-level hook the online
-// phase-detection runtime hangs off: at every tick it may read any task's
-// virtualized counters, charge monitoring cost (Penalize), and reassign
-// tasks (SetAffinity). Ticks run synchronously inside the event loop, so a
-// monitor needs no locking of kernel state.
+// TaskMonitor observes the machine at a fixed period (MonitorIntervalSec).
+// It is the OS-level hook the online phase-detection runtime hangs off: at
+// every tick it may read any task's virtualized counters, charge
+// monitoring cost (Penalize), and reassign tasks (SetAffinity). Ticks run
+// synchronously inside the event loop, so a monitor needs no locking of
+// kernel state.
 type TaskMonitor interface {
 	// OnTick fires once per monitor interval with the simulated timestamp.
 	OnTick(k *Kernel, atPs int64)
@@ -308,8 +264,6 @@ type Kernel struct {
 	Machine *amp.Machine
 	// Cost is the shared cost model.
 	Cost exec.CostModel
-	// Config holds scheduler constants.
-	Config Config
 	// Hardware is the performance-counter pool the tuning runtime draws on.
 	Hardware *perfcnt.Hardware
 	// Cache tracks shared-L2 occupancy.
@@ -321,11 +275,25 @@ type Kernel struct {
 	// drivers use it for progress reporting).
 	OnSample func(k *Kernel, atPs int64)
 	// Monitor, when set, receives periodic OnTick callbacks every
-	// Config.MonitorIntervalSec (the online phase-detection runtime).
-	// It must be set before the first Run* call.
+	// MonitorIntervalSec (the online phase-detection runtime). It must be
+	// set before the first Run* call.
 	Monitor TaskMonitor
-	// TraceBurst, when set, fires after every run burst (diagnostics).
-	TraceBurst func(core int, t *Task, cycles, startPs, endPs int64)
+	// Overcommit turns on the proportional-share dispatcher — the
+	// hypervisor-scheduler two-phase idiom adapted to the O(1) kernel — for
+	// open-system runs, where runnable tasks can exceed cores. Phase 1
+	// computes a demand/capacity scale factor per core type
+	// (OvercommitScale): with d runnable tasks contending for c cores of a
+	// type, each task's fair share of a scheduling round is c/d of a full
+	// timeslice. Phase 2 turns the share into a bounded execution slice at
+	// dispatch time: the quantum shrinks to TimesliceSec * c/d (floored at
+	// TimesliceSec/8), so d tasks time-multiplex through c cores with
+	// per-type shares summing to exactly the type's capacity. Placement
+	// policies compose unchanged — overcommit only shortens slices, never
+	// overrides affinity — and the extra slice boundaries charge
+	// ContextSwitchCycles, so "overcommit costs switching time" is part of
+	// the simulation. Off, oversubscribed cores round-robin full
+	// timeslices. Set it before the first Run* call.
+	Overcommit bool
 	// Trace, when set, receives scheduler events (burst spans, migrations,
 	// timers, runnable-depth counters). Nil disables tracing; emit sites
 	// never read tracer state back, so a traced run is bit-identical to an
@@ -365,7 +333,7 @@ type Kernel struct {
 }
 
 // NewKernel boots a kernel on the machine. It refuses an invalid machine
-// and scheduler periods that could not advance time (Config.Validate).
+// and one the fixed timeslice cannot advance (Config.Validate).
 func NewKernel(m *amp.Machine, cost exec.CostModel, cfg Config) (*Kernel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -376,7 +344,6 @@ func NewKernel(m *amp.Machine, cost exec.CostModel, cfg Config) (*Kernel, error)
 	k := &Kernel{
 		Machine:  m,
 		Cost:     cost,
-		Config:   cfg,
 		Hardware: perfcnt.NewHardware(cfg.CounterSlots),
 		Cache:    cache.New(m),
 		params:   exec.ParamsFor(cost, m),
@@ -564,7 +531,7 @@ func (k *Kernel) enqueue(t *Task, core int) {
 		target := k.pickCore(t, core)
 		if target != core {
 			t.Migrations++
-			t.pendingCycles += k.Config.CoreSwitchCycles
+			t.pendingCycles += CoreSwitchCycles
 			core = target
 		}
 	}
@@ -676,19 +643,19 @@ func (k *Kernel) handle(e event) {
 		k.enqueue(e.task, e.core)
 	case evBalance:
 		k.balance()
-		k.push(k.nowPs+SecToPs(k.Config.BalanceIntervalSec), evBalance, -1)
+		k.push(k.nowPs+SecToPs(BalanceIntervalSec), evBalance, -1)
 	case evSample:
 		k.samples = append(k.samples, Sample{AtPs: k.nowPs, Instructions: k.totalInstr})
 		k.traceRunnable()
 		if k.OnSample != nil {
 			k.OnSample(k, k.nowPs)
 		}
-		k.push(k.nowPs+SecToPs(k.Config.SampleIntervalSec), evSample, -1)
+		k.push(k.nowPs+SecToPs(SampleIntervalSec), evSample, -1)
 	case evMonitor:
 		if k.Monitor != nil {
 			k.Monitor.OnTick(k, k.nowPs)
 		}
-		k.push(k.nowPs+SecToPs(k.Config.MonitorIntervalSec), evMonitor, -1)
+		k.push(k.nowPs+SecToPs(MonitorIntervalSec), evMonitor, -1)
 	case evTimer:
 		if k.Trace != nil {
 			k.Trace.Instant("sched", "timer", trace.PidMachine, trace.TidKernel, k.nowPs)
@@ -745,15 +712,15 @@ func (k *Kernel) ensurePeriodicEvents() {
 	}
 	if !k.balancing {
 		k.balancing = true
-		k.push(k.nowPs+SecToPs(k.Config.BalanceIntervalSec), evBalance, -1)
+		k.push(k.nowPs+SecToPs(BalanceIntervalSec), evBalance, -1)
 	}
 	if !k.sampling {
 		k.sampling = true
-		k.push(k.nowPs+SecToPs(k.Config.SampleIntervalSec), evSample, -1)
+		k.push(k.nowPs+SecToPs(SampleIntervalSec), evSample, -1)
 	}
-	if !k.monitoring && k.Monitor != nil && k.Config.MonitorIntervalSec > 0 {
+	if !k.monitoring && k.Monitor != nil {
 		k.monitoring = true
-		k.push(k.nowPs+SecToPs(k.Config.MonitorIntervalSec), evMonitor, -1)
+		k.push(k.nowPs+SecToPs(MonitorIntervalSec), evMonitor, -1)
 	}
 }
 
@@ -777,20 +744,16 @@ func (k *Kernel) dispatch(core int) {
 	queueWaitPs := k.nowPs - t.lastQueuedPs
 
 	par := &k.params[cs.typ]
-	sliceCycles := int64(k.Config.TimesliceSec * par.CyclesPerSec)
+	sliceCycles := int64(TimesliceSec * par.CyclesPerSec)
 	ocScale := 1.0
-	if k.Config.Overcommit.Enabled {
+	if k.Overcommit {
 		// Phase 2 of the overcommit dispatcher: turn the fractional share
 		// into a bounded execution slice. The shortened quantum produces
 		// more slice boundaries, each charging ContextSwitchCycles below —
 		// the switching cost of time-multiplexing is paid, not assumed away.
 		if f := k.OvercommitScale(cs.typ); f < 1 {
-			minSec := k.Config.Overcommit.MinSliceSec
-			if minSec <= 0 {
-				minSec = k.Config.TimesliceSec / 8
-			}
 			scaled := int64(float64(sliceCycles) * f)
-			if min := int64(minSec * par.CyclesPerSec); scaled < min {
+			if min := int64(minSliceSec * par.CyclesPerSec); scaled < min {
 				scaled = min
 			}
 			if scaled < 1 {
@@ -816,7 +779,7 @@ func (k *Kernel) dispatch(core int) {
 		t.pendingCycles, t.pendMonitor = 0, 0
 	}
 	if cs.lastTask != t && cs.lastTask != nil {
-		ctxCycles = k.Config.ContextSwitchCycles
+		ctxCycles = ContextSwitchCycles
 		used += ctxCycles
 	}
 	cs.lastTask = t
@@ -902,9 +865,6 @@ func (k *Kernel) dispatch(core int) {
 			t.Proc.Work.Recycle(segs)
 		}
 	}
-	if k.TraceBurst != nil {
-		k.TraceBurst(core, t, used, k.nowPs, end)
-	}
 	if k.Trace != nil {
 		reason := "slice"
 		if exited {
@@ -947,7 +907,7 @@ func (k *Kernel) dispatch(core int) {
 		}
 	case migrate:
 		t.Migrations++
-		t.pendingCycles += k.Config.CoreSwitchCycles
+		t.pendingCycles += CoreSwitchCycles
 		t.arriveHead = true
 		target := k.pickCore(t, core)
 		if k.Trace != nil {
@@ -995,7 +955,7 @@ func (k *Kernel) balance() {
 			}
 			k.cores[src].queue = append(q[:i], q[i+1:]...)
 			t.Migrations++
-			t.pendingCycles += k.Config.CoreSwitchCycles
+			t.pendingCycles += CoreSwitchCycles
 			if k.Trace != nil {
 				k.Trace.Instant("sched", "balance.move", trace.PidMachine, trace.TidKernel, k.nowPs,
 					trace.Arg{Key: "task", Value: t.Proc.PID},
@@ -1033,7 +993,7 @@ func (k *Kernel) SetAffinity(t *Task, mask uint64) {
 	}
 	k.removeFromQueue(t)
 	t.Migrations++
-	t.pendingCycles += k.Config.CoreSwitchCycles
+	t.pendingCycles += CoreSwitchCycles
 	k.enqueue(t, k.pickCore(t, t.core))
 }
 

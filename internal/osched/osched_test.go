@@ -29,7 +29,7 @@ func memoryProgram(trips float64) *prog.Program {
 
 func newKernel(t *testing.T) *Kernel {
 	t.Helper()
-	k, err := NewKernel(amp.Quad2Fast2Slow(), exec.DefaultCostModel(), DefaultConfig())
+	k, err := NewKernel(amp.Quad2Fast2Slow(), exec.DefaultCostModel(), Config{})
 	if err != nil {
 		t.Fatalf("NewKernel: %v", err)
 	}
@@ -352,43 +352,39 @@ func TestSecPsConversions(t *testing.T) {
 	}
 }
 
-// TestConfigValidateRejectsStallingPeriods pins the scheduler check: every
-// period that cannot advance the simulated clock is refused, by Validate
-// and by NewKernel, while 1 ps periods, a one-cycle timeslice and a
-// disabled monitor still pass.
-func TestConfigValidateRejectsStallingPeriods(t *testing.T) {
+// clockedQuad returns the quad machine with every clock scaled so its
+// slowest core type runs slowHz cycles per second (nominal ratios kept).
+func clockedQuad(slowHz float64) *amp.Machine {
 	m := amp.Quad2Fast2Slow()
-	slowCycle := 1 / m.Types[len(m.Types)-1].CyclesPerSec
+	slowGHz := m.Types[len(m.Types)-1].FreqGHz
+	for i := range m.Types {
+		m.Types[i].CyclesPerSec = slowHz * m.Types[i].FreqGHz / slowGHz
+	}
+	return m
+}
+
+// TestConfigValidateRejectsStallingPeriods pins the one stall a machine
+// can still bring: a slowest core type that retires less than one cycle
+// per fixed timeslice is refused, by Validate and by NewKernel, while one
+// cycle per timeslice passes.
+func TestConfigValidateRejectsStallingPeriods(t *testing.T) {
 	cases := []struct {
 		name string
-		edit func(*Config)
+		m    *amp.Machine
 		ok   bool
 	}{
-		{"default", func(*Config) {}, true},
-		{"timeslice zero", func(c *Config) { c.TimesliceSec = 0 }, false},
-		{"timeslice negative", func(c *Config) { c.TimesliceSec = -1 }, false},
-		{"timeslice NaN", func(c *Config) { c.TimesliceSec = math.NaN() }, false},
-		{"timeslice half a slow cycle", func(c *Config) { c.TimesliceSec = slowCycle / 2 }, false},
-		{"timeslice one slow cycle", func(c *Config) { c.TimesliceSec = slowCycle }, true},
-		{"balance zero", func(c *Config) { c.BalanceIntervalSec = 0 }, false},
-		{"sample zero", func(c *Config) { c.SampleIntervalSec = 0 }, false},
-		{"sample 1e-300", func(c *Config) { c.SampleIntervalSec = 1e-300 }, false},
-		{"monitor 1e-300", func(c *Config) { c.MonitorIntervalSec = 1e-300 }, false},
-		{"periods 1 ps", func(c *Config) {
-			c.BalanceIntervalSec, c.SampleIntervalSec, c.MonitorIntervalSec = 1e-12, 1e-12, 1e-12
-		}, true},
-		{"monitor zero disables", func(c *Config) { c.MonitorIntervalSec = 0 }, true},
-		{"monitor negative disables", func(c *Config) { c.MonitorIntervalSec = -1 }, true},
+		{"default", amp.Quad2Fast2Slow(), true},
+		{"timeslice half a slow cycle", clockedQuad(0.5 / TimesliceSec), false},
+		{"timeslice one slow cycle", clockedQuad(1 / TimesliceSec), true},
+		{"slow clock NaN", clockedQuad(math.NaN()), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			tc.edit(&cfg)
-			err := cfg.Validate(m)
+			err := Config{}.Validate(tc.m)
 			if (err == nil) != tc.ok {
-				t.Fatalf("Validate(%+v) = %v, want ok=%v", cfg, err, tc.ok)
+				t.Fatalf("Validate = %v, want ok=%v", err, tc.ok)
 			}
-			if _, kerr := NewKernel(m, exec.DefaultCostModel(), cfg); (kerr == nil) != tc.ok {
+			if _, kerr := NewKernel(tc.m, exec.DefaultCostModel(), Config{}); (kerr == nil) != tc.ok {
 				t.Fatalf("NewKernel error = %v, want ok=%v", kerr, tc.ok)
 			}
 		})

@@ -41,8 +41,7 @@ func TestAtTimerTieBreakRegistrationOrder(t *testing.T) {
 // (seeded inside Run); timers registered after the run started follow it.
 func TestAtTimerVsSampleSamePicosecond(t *testing.T) {
 	k := newKernel(t)
-	k.Config.SampleIntervalSec = 1.0
-	samplePs := SecToPs(1.0)
+	samplePs := SecToPs(SampleIntervalSec)
 
 	var order []string
 	k.OnSample = func(_ *Kernel, atPs int64) {
@@ -72,7 +71,6 @@ func TestAtTimerVsSampleSamePicosecond(t *testing.T) {
 
 	// The same schedule replays identically: determinism of the tie-break.
 	k2 := newKernel(t)
-	k2.Config.SampleIntervalSec = 1.0
 	var order2 []string
 	k2.OnSample = func(_ *Kernel, atPs int64) {
 		if atPs == samplePs {

@@ -5,7 +5,7 @@
 // The pieces of the open-system model live where they belong — arrival
 // processes in internal/workload (ArrivalSpec, Spec.MaterializeOpen), the
 // proportional-share overcommit dispatcher in internal/osched
-// (OvercommitConfig, Kernel.OvercommitScale), per-job sojourn accounting
+// (Kernel.Overcommit, Kernel.OvercommitScale), per-job sojourn accounting
 // in internal/sim and internal/metrics — and this package ties them
 // together with the two calculations every serving experiment needs:
 //

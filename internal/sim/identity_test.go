@@ -10,7 +10,6 @@ import (
 
 	"phasetune/internal/amp"
 	"phasetune/internal/exec"
-	"phasetune/internal/osched"
 	"phasetune/internal/phase"
 	"phasetune/internal/trace"
 	"phasetune/internal/transition"
@@ -25,8 +24,8 @@ import (
 var identityModes = []Mode{Baseline, Tuned, Dynamic, Oracle, Hybrid}
 
 // identityConfig builds one run cell. Closed cells draw a slot-queue workload
-// from the suite; open cells materialize a Poisson stream and enable the
-// overcommit dispatcher the way serving experiments do.
+// from the suite; open cells materialize a Poisson stream, which runs under
+// the overcommit dispatcher like every open run.
 func identityConfig(t testing.TB, machine *amp.Machine, mode Mode, open bool, seed uint64) RunConfig {
 	t.Helper()
 	cost := exec.DefaultCostModel()
@@ -47,10 +46,7 @@ func identityConfig(t testing.TB, machine *amp.Machine, mode Mode, open bool, se
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := osched.DefaultConfig()
-		sched.Overcommit.Enabled = true
 		cfg.Stream = stream
-		cfg.Sched = &sched
 	} else {
 		suite, err := workload.Suite(cost, machine)
 		if err != nil {

@@ -120,9 +120,7 @@ func TestRandomProgramsSurviveFullPipeline(t *testing.T) {
 				t.Fatalf("trial %d %s: %v", i, params.Name(), err)
 			}
 			// Execute bounded with a tuner attached; must not panic or hang.
-			hw := osched.DefaultConfig()
-			_ = hw
-			kern, err := osched.NewKernel(machine, cost, osched.DefaultConfig())
+			kern, err := osched.NewKernel(machine, cost, osched.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

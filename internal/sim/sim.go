@@ -80,7 +80,8 @@ type RunConfig struct {
 	Machine *amp.Machine
 	// Cost is the shared cost model; zero value defaults.
 	Cost *exec.CostModel
-	// Sched configures the scheduler; nil defaults.
+	// Sched configures the scheduler's counter pool; nil is unbounded. The
+	// scheduler's periods and switch costs are osched constants.
 	Sched *osched.Config
 	// Workload supplies the slot queues (closed-system runs). Exactly one
 	// of Workload and Stream must be set.
@@ -88,9 +89,9 @@ type RunConfig struct {
 	// Stream supplies an open-system arrival schedule instead of slot
 	// queues: jobs from the serving fleet are admitted at their arrival
 	// times via kernel timers, and each job's sojourn time is its
-	// admission-to-completion interval. Open runs usually enable
-	// Sched.Overcommit so demand beyond core supply time-multiplexes
-	// fairly.
+	// admission-to-completion interval. Every open run turns on the
+	// kernel's overcommit dispatcher (osched.Kernel.Overcommit), so demand
+	// beyond core supply time-multiplexes fairly; closed runs never do.
 	Stream *workload.Stream
 	// DurationSec is the experiment length in simulated seconds.
 	DurationSec float64
@@ -99,11 +100,13 @@ type RunConfig struct {
 	// Params is the marking technique (used when Mode != Baseline).
 	Params transition.Params
 	// Tuning configures the runtime (used when Mode == Tuned; Overhead
-	// forces all-cores mode). Oracle mode reads only Tuning.Delta.
+	// installs the all-cores hook instead). Tuning.Delta is the run's
+	// Algorithm 2 threshold for every policy: the oracle, the dynamic
+	// detector and the hybrid read it too.
 	Tuning tuning.Config
 	// Online configures the dynamic detector (used when Mode == Dynamic or
 	// Hybrid; zero fields take online.DefaultConfig values). The detector
-	// ticks on Sched.MonitorIntervalSec, which those modes require > 0.
+	// ticks on the kernel's fixed osched.MonitorIntervalSec.
 	Online online.Config
 	// Placement parameterizes the shared placement engine's capacity
 	// arbitration (contention pricing on or off) for every engine-backed
@@ -185,8 +188,8 @@ type Result struct {
 	// exceeding the core count demonstrably exercised overcommit.
 	PeakRunnable int
 	// OvercommitSlices counts dispatch slices the proportional-share
-	// dispatcher shortened (zero unless Sched.Overcommit is enabled and
-	// demand exceeded capacity).
+	// dispatcher shortened (zero for closed runs, and for open runs whose
+	// demand never exceeded capacity).
 	OvercommitSlices uint64
 	// Ledger is the run's conserved cycle accounting (nil unless
 	// RunConfig.Ledger was set). The omitempty tag keeps a ledger-off
@@ -226,10 +229,10 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Result, error) {
 }
 
 // RunWithHookContext is RunContext with a custom per-process hook factory.
-// When factory is nil, Tuned and Overhead modes install the standard tuning
-// runtime and Baseline installs no hook. A non-nil factory overrides the
-// hook choice (used by the temporal-adaptation baseline from the
-// related-work ablation).
+// When factory is nil, Tuned mode installs the standard tuning runtime,
+// Overhead the all-cores hook (tuning.AllCores), and Baseline no hook. A
+// non-nil factory overrides the hook choice (used by the
+// temporal-adaptation baseline from the related-work ablation).
 func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory) (*Result, error) {
 	if cfg.Mode < Baseline || cfg.Mode > Hybrid {
 		// An unknown mode must fail loudly: it would otherwise fall through
@@ -245,13 +248,9 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	if cfg.Cost != nil {
 		cost = *cfg.Cost
 	}
-	sched := osched.DefaultConfig()
+	var sched osched.Config
 	if cfg.Sched != nil {
 		sched = *cfg.Sched
-	}
-	if (cfg.Mode == Dynamic || cfg.Mode == Hybrid) && sched.MonitorIntervalSec <= 0 {
-		return nil, fmt.Errorf("sim: %v mode needs the kernel monitor, but the monitor interval is %g s",
-			cfg.Mode, sched.MonitorIntervalSec)
 	}
 	closed := cfg.Workload != nil && cfg.Workload.NumSlots() > 0
 	open := cfg.Stream != nil
@@ -329,6 +328,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		return nil, err
 	}
 	kernel.Trace = cfg.Trace
+	kernel.Overcommit = open
 	var col *ledger.Collector
 	if cfg.Ledger {
 		// Useful work is priced at the machine's fastest clock: the
@@ -343,11 +343,11 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	var hybrid *online.Hybrid
 	switch cfg.Mode {
 	case Dynamic:
-		monitor = online.NewManager(cfg.Online, cfg.Placement, machine, kernel.Hardware)
+		monitor = online.NewManager(cfg.Online, cfg.Tuning.Delta, cfg.Placement, machine, kernel.Hardware)
 		monitor.SetTracer(cfg.Trace)
 		kernel.Monitor = monitor
 	case Hybrid:
-		hybrid = online.NewHybrid(cfg.Online, cfg.Placement, machine, kernel.Hardware)
+		hybrid = online.NewHybrid(cfg.Online, cfg.Tuning.Delta, cfg.Placement, machine, kernel.Hardware)
 		hybrid.SetTracer(cfg.Trace)
 		kernel.Monitor = hybrid
 	}
@@ -358,18 +358,11 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		}
 	}
 
-	tcfg := cfg.Tuning
-	switch cfg.Mode {
-	case Tuned:
-		tcfg.Mode = tuning.ModeTune
-	case Overhead:
-		tcfg.Mode = tuning.ModeAllCores
-	}
 	// Capacity-aware static runs share one placement engine across every
 	// tuner of the kernel — spill arbitration needs the machine-wide view.
 	var spillEng *place.Engine
-	if cfg.Mode == Tuned && tcfg.Spill {
-		spillEng = place.NewEngine(machine, tcfg.Delta, cfg.Placement)
+	if cfg.Mode == Tuned && cfg.Tuning.Spill {
+		spillEng = place.NewEngine(machine, cfg.Tuning.Delta, cfg.Placement)
 		spillEng.SetTracer(cfg.Trace)
 	}
 
@@ -382,8 +375,10 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		switch {
 		case factory != nil:
 			hook = factory(k, img)
-		case cfg.Mode == Tuned || cfg.Mode == Overhead:
-			t := tuning.NewTuner(tcfg, machine, k.Hardware, img)
+		case cfg.Mode == Overhead:
+			hook = tuning.AllCores(machine.AllMask())
+		case cfg.Mode == Tuned:
+			t := tuning.NewTuner(cfg.Tuning, machine, k.Hardware, img)
 			if spillEng != nil {
 				t.SetEngine(spillEng)
 			}
@@ -566,8 +561,6 @@ func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]Isola
 		machine = amp.Quad2Fast2Slow()
 	}
 	topts := spec.Typing.Normalized()
-	tcfg := spec.Tuning
-	tcfg.Mode = tuning.ModeTune
 
 	results := make([]IsolationResult, len(spec.Suite))
 	runOne := func(b *workload.Benchmark) (IsolationResult, error) {
@@ -585,9 +578,9 @@ func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]Isola
 		}
 		var hook exec.MarkHook
 		if spec.Mode == Tuned {
-			t := tuning.NewTuner(tcfg, machine, kernel.Hardware, img)
-			if tcfg.Spill {
-				t.SetEngine(place.NewEngine(machine, tcfg.Delta, place.Config{}))
+			t := tuning.NewTuner(spec.Tuning, machine, kernel.Hardware, img)
+			if spec.Tuning.Spill {
+				t.SetEngine(place.NewEngine(machine, spec.Tuning.Delta, place.Config{}))
 			}
 			hook = t
 		}

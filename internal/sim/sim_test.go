@@ -7,7 +7,6 @@ import (
 	"phasetune/internal/amp"
 	"phasetune/internal/exec"
 	"phasetune/internal/metrics"
-	"phasetune/internal/osched"
 	"phasetune/internal/phase"
 	"phasetune/internal/transition"
 	"phasetune/internal/tuning"
@@ -174,7 +173,7 @@ func TestIsolationTable(t *testing.T) {
 	}
 	s := suite(t)
 	spec := IsolationSpec{Suite: s, Machine: amp.Quad2Fast2Slow(), Cost: exec.DefaultCostModel(),
-		Sched: osched.DefaultConfig(), Mode: Baseline, Seed: 1}
+		Mode: Baseline, Seed: 1}
 	iso, err := IsolationContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -243,27 +242,5 @@ func TestPrepareImageStats(t *testing.T) {
 func TestRunRejectsEmptyWorkload(t *testing.T) {
 	if _, err := Run(RunConfig{Workload: &workload.Workload{}, DurationSec: 1}); err == nil {
 		t.Error("empty workload accepted")
-	}
-}
-
-// TestDetectorRunsNeedTheMonitor pins that a dynamic or hybrid run refuses
-// an environment with the kernel monitor off: the detector ticks on the
-// monitor period, so the run would otherwise be a baseline in disguise.
-// Modes without a detector still run there.
-func TestDetectorRunsNeedTheMonitor(t *testing.T) {
-	w := workload.BuildWorkload(suite(t), 2, 2, 1)
-	for _, period := range []float64{0, -1} {
-		sched := osched.DefaultConfig()
-		sched.MonitorIntervalSec = period
-		for _, mode := range []Mode{Dynamic, Hybrid} {
-			_, err := Run(RunConfig{Workload: w, DurationSec: 1, Mode: mode, Params: loopParams(),
-				Tuning: tuning.DefaultConfig(), Sched: &sched, Seed: 1})
-			if err == nil {
-				t.Errorf("%v run with monitor interval %g: no error", mode, period)
-			}
-		}
-		if _, err := Run(RunConfig{Workload: w, DurationSec: 1, Mode: Baseline, Sched: &sched, Seed: 1}); err != nil {
-			t.Errorf("baseline run with monitor interval %g: %v", period, err)
-		}
 	}
 }

@@ -12,26 +12,12 @@
 package tuning
 
 import (
-	"fmt"
-
 	"phasetune/internal/amp"
 	"phasetune/internal/exec"
 	"phasetune/internal/perfcnt"
 	"phasetune/internal/phase"
 	"phasetune/internal/place"
 	"phasetune/internal/trace"
-)
-
-// Mode selects the runtime behavior of phase marks.
-type Mode int
-
-const (
-	// ModeTune is normal operation: monitor representatives, then switch.
-	ModeTune Mode = iota
-	// ModeAllCores makes every mark issue an affinity call naming *all*
-	// cores — the paper's time-overhead measurement (§IV-B2): marks run,
-	// affinity API is exercised, but placement never changes.
-	ModeAllCores
 )
 
 // Config parameterizes the tuner.
@@ -48,8 +34,6 @@ type Config struct {
 	// disables the bound — the strict reading of the paper, where samples
 	// close only at the next phase mark.
 	MaxMonitorCycles uint64
-	// Mode selects behavior.
-	Mode Mode
 	// PinSingleCore pins decided phase types to the single chosen core
 	// instead of all cores of its type. The paper's Algorithm 2 returns one
 	// core; pinning to the core's *type* lets the OS balance within the
@@ -105,11 +89,10 @@ type Tuner struct {
 
 	// table accumulates representative-section IPC per (phase type, core
 	// type) and holds each phase type's Decision once it is fixed.
-	table   *place.Table
-	cur     phase.Type
-	mon     monitorState
-	allMask uint64
-	tr      *trace.Tracer
+	table *place.Table
+	cur   phase.Type
+	mon   monitorState
+	tr    *trace.Tracer
 
 	// SwitchRequests counts affinity calls issued (diagnostics; actual
 	// migrations are counted by the kernel).
@@ -137,7 +120,6 @@ func NewTuner(cfg Config, machine *amp.Machine, hw *perfcnt.Hardware, marks mark
 		marks:   marks,
 		table:   place.NewTable(len(machine.Types)),
 		cur:     phase.Untyped,
-		allMask: machine.AllMask(),
 	}
 }
 
@@ -174,12 +156,6 @@ func (tu *Tuner) OnMark(p *exec.Process, markID int, coreID int) exec.MarkAction
 	// A mark ends the section being monitored, whatever its type.
 	if tu.mon.active {
 		tu.finishMonitor(p)
-	}
-
-	if tu.cfg.Mode == ModeAllCores {
-		tu.cur = pt
-		tu.SwitchRequests++
-		return exec.MarkAction{Mask: tu.allMask}
 	}
 
 	if pt == tu.cur {
@@ -281,7 +257,7 @@ func (tu *Tuner) OnExit(p *exec.Process) {
 // inside the same section. Once the decision lands, the section is steered
 // to its assigned cores without waiting for the next phase mark.
 func (tu *Tuner) OnQuantum(p *exec.Process, coreID int) exec.MarkAction {
-	if tu.cfg.MaxMonitorCycles == 0 || !tu.mon.active || tu.cfg.Mode != ModeTune {
+	if tu.cfg.MaxMonitorCycles == 0 || !tu.mon.active {
 		return exec.MarkAction{}
 	}
 	_, cycles := tu.mon.es.Stop(&p.Counters)
@@ -302,13 +278,16 @@ func (tu *Tuner) Decided(pt phase.Type) bool {
 	return tu.table.DecisionOf(int(pt)) != nil
 }
 
-// String renders a mode for diagnostics.
-func (m Mode) String() string {
-	switch m {
-	case ModeTune:
-		return "tune"
-	case ModeAllCores:
-		return "all-cores"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
+// AllCores is the mark hook of the paper's time-overhead runs (§IV-B2):
+// every mark issues an affinity call naming all cores, so marks run and
+// the affinity API is exercised, but placement never changes. Its value
+// is the machine's all-cores mask (amp.Machine.AllMask).
+type AllCores uint64
+
+// OnMark implements exec.MarkHook.
+func (m AllCores) OnMark(*exec.Process, int, int) exec.MarkAction {
+	return exec.MarkAction{Mask: uint64(m)}
 }
+
+// OnExit implements exec.MarkHook; the hook holds nothing.
+func (AllCores) OnExit(*exec.Process) {}

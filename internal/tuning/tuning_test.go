@@ -236,22 +236,15 @@ func TestTunerPinSingleCore(t *testing.T) {
 
 func TestAllCoresMode(t *testing.T) {
 	m := quad()
-	hw := perfcnt.NewHardware(8)
-	cfg := DefaultConfig()
-	cfg.Mode = ModeAllCores
-	tu := NewTuner(cfg, m, hw, fakeMarks{0: 0, 1: 1})
+	hook := AllCores(m.AllMask())
 	p := newProc()
 	for i := 0; i < 10; i++ {
-		act := tu.OnMark(p, i%2, 0)
-		if act.Mask != m.AllMask() {
-			t.Fatalf("all-cores mode returned mask %b, want all", act.Mask)
+		if act := hook.OnMark(p, i%2, 0); act.Mask != m.AllMask() {
+			t.Fatalf("all-cores hook returned mask %b, want all", act.Mask)
 		}
 	}
-	if hw.InUse() != 0 || tu.SamplesTaken != 0 {
-		t.Error("all-cores mode monitored")
-	}
-	if tu.SwitchRequests != 10 {
-		t.Errorf("switch requests = %d, want 10 (every mark issues the API call)", tu.SwitchRequests)
+	if _, ok := exec.MarkHook(hook).(exec.QuantumHook); ok {
+		t.Error("all-cores hook has quantum callbacks; overhead runs must not monitor")
 	}
 }
 
@@ -331,12 +324,6 @@ func TestOnExitReleasesEventSet(t *testing.T) {
 	}
 	if tu.SamplesTaken != 1 {
 		t.Error("exit-closed section not recorded as sample")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if ModeTune.String() != "tune" || ModeAllCores.String() != "all-cores" || Mode(7).String() != "mode(7)" {
-		t.Error("mode strings wrong")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 func ledgerSession(machine *phasetune.Machine, on bool) *phasetune.Session {
 	opts := []phasetune.SessionOption{
 		phasetune.WithMachine(machine),
-		phasetune.WithOvercommit(phasetune.OvercommitConfig{Enabled: true}),
 	}
 	if on {
 		opts = append(opts, phasetune.WithLedger())

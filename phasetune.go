@@ -67,7 +67,6 @@ import (
 	"phasetune/internal/ledger"
 	"phasetune/internal/metrics"
 	"phasetune/internal/online"
-	"phasetune/internal/osched"
 	"phasetune/internal/phase"
 	"phasetune/internal/place"
 	"phasetune/internal/prog"
@@ -100,8 +99,6 @@ type (
 	Machine = amp.Machine
 	// CostModel fixes shared microarchitectural constants.
 	CostModel = exec.CostModel
-	// SchedulerConfig holds OS scheduler constants.
-	SchedulerConfig = osched.Config
 )
 
 // QuadAMP returns the paper's evaluation machine: 2x2.4 GHz + 2x1.6 GHz,
@@ -120,10 +117,6 @@ func SymmetricMachine(n int, ghz float64) *Machine { return amp.Symmetric(n, ghz
 
 // DefaultCost returns the calibrated cost model.
 func DefaultCost() CostModel { return exec.DefaultCostModel() }
-
-// DefaultScheduler returns the scheduler configuration used by the
-// experiments.
-func DefaultScheduler() SchedulerConfig { return osched.DefaultConfig() }
 
 // Static analysis and instrumentation.
 type (
@@ -163,8 +156,8 @@ type (
 	// OnlineConfig parameterizes the online phase detector (window size,
 	// Algorithm 2 threshold) used by the dynamic and hybrid policies; the
 	// policy sets its reassignment rule and drift threshold. The detector
-	// ticks on the scheduler's monitor period
-	// (SchedulerConfig.MonitorIntervalSec).
+	// ticks on the scheduler's fixed 0.1 s monitor period and decides at
+	// the run's tuning δ (TuningConfig.Delta).
 	OnlineConfig = online.Config
 	// OnlineStats reports what the online detector did during a run
 	// (windows sampled, monitoring cycles charged, switches); see
@@ -247,9 +240,6 @@ type (
 	ArrivalSpec = workload.ArrivalSpec
 	// ArrivalKind selects the arrival process family.
 	ArrivalKind = workload.ArrivalKind
-	// OvercommitConfig configures the scheduler's proportional-share
-	// overcommit dispatcher (see WithOvercommit).
-	OvercommitConfig = osched.OvercommitConfig
 	// ServingStats summarizes a serving run: admission/completion counts,
 	// exact sojourn quantiles, and overcommit evidence.
 	ServingStats = serve.Stats

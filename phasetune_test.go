@@ -1,9 +1,7 @@
 package phasetune_test
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"phasetune"
 )
@@ -106,23 +104,5 @@ func TestDefaultExperimentsConfig(t *testing.T) {
 	}
 	if len(cfg.Suite) != 15 {
 		t.Errorf("suite size %d", len(cfg.Suite))
-	}
-}
-
-// TestSessionRefusesStallingScheduler checks the public run path refuses a
-// scheduler whose timeslice retires nothing, rather than spinning.
-func TestSessionRefusesStallingScheduler(t *testing.T) {
-	suite, err := phasetune.Suite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := phasetune.DefaultScheduler()
-	sc.TimesliceSec = 0
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	_, err = phasetune.NewSession(phasetune.WithScheduler(sc)).RunContext(ctx,
-		phasetune.RunSpec{Workload: phasetune.NewWorkload(suite, 2, 2, 1), DurationSec: 2, Seed: 1})
-	if err == nil || ctx.Err() != nil {
-		t.Fatalf("Run error = %v, want a scheduler error before the deadline", err)
 	}
 }

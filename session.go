@@ -55,7 +55,7 @@ const (
 func ParsePolicy(s string) (Policy, error) { return sim.ParsePolicy(s) }
 
 // Session is a configured simulation environment: machine, cost model,
-// scheduler, typing and tuning defaults, a shared artifact cache, and a
+// typing and tuning defaults, a shared artifact cache, and a
 // worker budget. Sessions are cheap to create, and one session can execute
 // any number of runs and sweeps — every image prepared along the way lands
 // in the session cache and is reused by later runs, so a 15-benchmark
@@ -65,7 +65,6 @@ func ParsePolicy(s string) (Policy, error) { return sim.ParsePolicy(s) }
 type Session struct {
 	machine   *Machine
 	cost      CostModel
-	sched     SchedulerConfig
 	typing    TypingOptions
 	tuning    TuningConfig
 	online    OnlineConfig
@@ -94,21 +93,6 @@ func WithMachine(m *Machine) SessionOption { return func(s *Session) { s.machine
 
 // WithCost sets the cost model (default: DefaultCost).
 func WithCost(c CostModel) SessionOption { return func(s *Session) { s.cost = c } }
-
-// WithScheduler sets the scheduler configuration (default: DefaultScheduler).
-func WithScheduler(sc SchedulerConfig) SessionOption { return func(s *Session) { s.sched = sc } }
-
-// WithOvercommit configures the scheduler's proportional-share overcommit
-// dispatcher (off by default). Open-system serving runs (RunSpec.Arrivals)
-// usually want it enabled so oversubscribed core types time-multiplex
-// fractional shares instead of starving the run queue tail:
-//
-//	sess := phasetune.NewSession(
-//	    phasetune.WithOvercommit(phasetune.OvercommitConfig{Enabled: true}),
-//	)
-func WithOvercommit(oc OvercommitConfig) SessionOption {
-	return func(s *Session) { s.sched.Overcommit = oc }
-}
 
 // WithTyping sets the static typing options (default: DefaultTyping).
 func WithTyping(t TypingOptions) SessionOption {
@@ -173,7 +157,6 @@ func NewSession(opts ...SessionOption) *Session {
 	s := &Session{
 		machine: QuadAMP(),
 		cost:    DefaultCost(),
-		sched:   DefaultScheduler(),
 		typing:  DefaultTyping(),
 		tuning:  DefaultTuning(),
 		online:  DefaultOnline(),
@@ -208,8 +191,9 @@ type RunSpec struct {
 	// per-job sojourn times. Mutually exclusive with Workload and Queues;
 	// Seed drives both the arrival schedule and per-job process seeds.
 	// Arrivals-based specs are serializable, so they shard (Serve) like
-	// Queues-based ones. Open systems usually want the overcommit
-	// dispatcher on — see WithOvercommit.
+	// Queues-based ones. Every arrivals run uses the scheduler's overcommit
+	// dispatcher, so oversubscribed core types time-multiplex fractional
+	// shares instead of starving the run queue tail.
 	Arrivals *ArrivalSpec
 	// DurationSec is the run length in simulated seconds. For arrivals
 	// runs, keep it comfortably past ArrivalSpec.HorizonSec so admitted
@@ -248,7 +232,7 @@ func (s *Session) Suite() ([]*Benchmark, error) {
 // session is lowered onto, locally or on a fabric worker.
 func (s *Session) env() dist.EnvSpec {
 	return dist.EnvSpec{Version: dist.SpecVersion, Machine: *s.machine, Cost: s.cost,
-		Sched: s.sched, Typing: s.typing, Ledger: s.ledger}
+		Typing: s.typing, Ledger: s.ledger}
 }
 
 // wireSpec is the one lowering of a run spec onto the fabric's wire form:

@@ -21,7 +21,6 @@ func traceSpec(machine *phasetune.Machine) phasetune.RunSpec {
 func traceSession(machine *phasetune.Machine, tr *phasetune.Tracer) *phasetune.Session {
 	return phasetune.NewSession(
 		phasetune.WithMachine(machine),
-		phasetune.WithOvercommit(phasetune.OvercommitConfig{Enabled: true}),
 		phasetune.WithTrace(tr),
 	)
 }
