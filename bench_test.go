@@ -323,6 +323,10 @@ func BenchmarkInstrumentPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpreterSteps times the kernel's step loop, RunLane, over
+// every suite image on the quad machine's fast core: each op runs one
+// 100,000-cycle burst of each image's process, restarting a process that
+// exits. It reports ns per simulated thousand instructions.
 func BenchmarkInterpreterSteps(b *testing.B) {
 	machine := amp.Quad2Fast2Slow()
 	cost := exec.DefaultCostModel()
@@ -330,21 +334,33 @@ func BenchmarkInterpreterSteps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	img, err := exec.NewImage(suite[0].Prog, nil, cost)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pars := exec.ParamsFor(cost, machine)
+	par := &exec.ParamsFor(cost, machine)[0]
 	r := rng.New(1)
-	p := exec.NewProcess(1, img, &cost, r.Uint64(), nil)
+	procs := make([]*exec.Process, len(suite))
+	for i, bm := range suite {
+		img, err := exec.NewImage(bm.Prog, nil, cost)
+		if err != nil {
+			b.Fatal(err)
+		}
+		procs[i] = exec.NewProcess(1, img, &cost, r.Uint64(), nil)
+	}
+	var instrs uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p.Exited() {
-			p = exec.NewProcess(1, img, &cost, r.Uint64(), nil)
+		for j, p := range procs {
+			if p.Exited() {
+				instrs += p.Counters.Instructions
+				p = exec.NewProcess(1, p.Img, &cost, r.Uint64(), nil)
+				procs[j] = p
+			}
+			p.RunLane(p.Lane(par, 4096, par.PsPerCycle), 0, 100_000)
 		}
-		p.Step(&pars[0], 0, 4096)
 	}
+	for _, p := range procs {
+		instrs += p.Counters.Instructions
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(instrs)/1000), "ns/kinstr")
 }
 
 func BenchmarkWorkloadSecond(b *testing.B) {

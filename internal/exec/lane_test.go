@@ -72,6 +72,23 @@ func BenchmarkStepPlain(b *testing.B) {
 	}
 }
 
+// BenchmarkRunLane times the kernel's step loop, RunLane, on the nested
+// fixture's slow core in 100,000-cycle bursts. It reports ns per simulated
+// thousand instructions.
+func BenchmarkRunLane(b *testing.B) {
+	img := nestedImage(b, 1e9)
+	cm := DefaultCostModel()
+	ps := ParamsFor(cm, amp.Quad2Fast2Slow())
+	p := NewProcess(1, img, &cm, 1, nil)
+	lane := p.Lane(&ps[1], 4096, ps[0].PsPerCycle)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.RunLane(lane, 0, 100_000)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(p.Counters.Instructions)/1000), "ns/kinstr")
+}
+
 // maskHook requests an affinity change at every other phase mark, so a
 // run meets marks that stop it and marks that do not.
 type maskHook struct{ marks int }

@@ -1,0 +1,225 @@
+package exec_test
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"phasetune/internal/amp"
+	"phasetune/internal/cfg"
+	"phasetune/internal/exec"
+	"phasetune/internal/isa"
+	"phasetune/internal/perfcnt"
+	"phasetune/internal/phase"
+	"phasetune/internal/prog"
+	"phasetune/internal/prog/progtest"
+	"phasetune/internal/rng"
+	"phasetune/internal/workload"
+)
+
+// at names a basic block as (procedure index, block index in its CFG).
+type at struct{ proc, block int }
+
+// reference is an interpreter written against prog.Program and its CFGs
+// alone, with none of the image's flattening (global ids, successor ids,
+// dense loop indexes, integer branch thresholds, cost tables): one block
+// per step, a call stack of return blocks, a counter per counted back
+// edge, branches drawn as rng.Float64() < p, and float pricing.
+type reference struct {
+	graphs  []*cfg.Graph
+	cm      exec.CostModel
+	par     *exec.CoreParams
+	shareKB float64
+	rand    *rng.Source
+
+	pc       at
+	stack    []at
+	loops    map[at]int32
+	exited   bool
+	counters perfcnt.Counters
+}
+
+func newReference(p *prog.Program, cm exec.CostModel, par *exec.CoreParams, shareKB float64, seed uint64) (*reference, error) {
+	graphs, err := cfg.BuildAll(p)
+	if err != nil {
+		return nil, err
+	}
+	return &reference{graphs: graphs, cm: cm, par: par, shareKB: shareKB, rand: rng.New(seed),
+		pc: at{p.Entry, graphs[p.Entry].BlockOf(0)}, loops: map[at]int32{}}, nil
+}
+
+// step executes the block at r.pc and returns the cycles it cost.
+func (r *reference) step() int64 {
+	g := r.graphs[r.pc.proc]
+	b := g.Blocks[r.pc.block]
+	var cycles float64
+	var instrs, memRefs, marks int64
+	syscall := false
+	for _, in := range b.Instrs {
+		if in.Op == isa.PhaseMark {
+			marks++
+			continue
+		}
+		cycles += r.cm.CPI[in.Op]
+		instrs++
+		if in.Op.IsMemory() {
+			memRefs++
+		}
+		syscall = syscall || in.Op == isa.Syscall
+	}
+	if memRefs > 0 {
+		prof := phase.BlockProfile(b)
+		l1miss := float64(memRefs) * prof.L1MissFraction()
+		cycles += float64(l1miss * (r.par.L2HitCycles + float64(prof.MissRatio(r.shareKB)*r.par.MemCycles)))
+	}
+	if syscall {
+		cycles += r.cm.SyscallCycles
+	}
+	ic := int64(cycles)
+	if ic < 1 && instrs > 0 {
+		ic = 1
+	}
+	r.counters.Add(uint64(instrs+marks*r.cm.MarkInstrs), uint64(ic+marks*r.cm.MarkCycles))
+	r.counters.AddMem(uint64(memRefs))
+
+	last := b.Instrs[len(b.Instrs)-1]
+	to := func(instr int) at { return at{r.pc.proc, g.BlockOf(instr)} }
+	switch last.Op {
+	case isa.Branch:
+		var taken bool
+		if last.TripCount > 0 {
+			r.loops[r.pc]++
+			if taken = r.loops[r.pc] < last.TripCount; !taken {
+				delete(r.loops, r.pc)
+			}
+		} else {
+			taken = r.rand.Float64() < last.TakenProb
+		}
+		if taken {
+			r.pc = to(last.Target)
+		} else {
+			r.pc = to(b.End)
+		}
+	case isa.Jump:
+		r.pc = to(last.Target)
+	case isa.Call:
+		r.stack = append(r.stack, to(b.End))
+		r.pc = at{last.Target, r.graphs[last.Target].BlockOf(0)}
+	case isa.Ret:
+		if len(r.stack) == 0 {
+			r.exited = true
+			break
+		}
+		r.pc = r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
+	default:
+		r.pc = to(b.End)
+	}
+	return ic + marks*r.cm.MarkCycles
+}
+
+// lockstep runs p as an image through RunLane and through the reference,
+// on the slow core of the quad machine, for up to calls RunLane calls with
+// random budgets below maxBudget; half of them are one cycle, which runs
+// exactly one block, so the (proc, block) visit sequence is compared block
+// by block. After every call both must agree on cycles, next block, call
+// stack, loop counters, counters, rng state and exit.
+func lockstep(t *testing.T, p *prog.Program, seed uint64, calls int, maxBudget int) {
+	t.Helper()
+	cm := exec.DefaultCostModel()
+	par := &exec.ParamsFor(cm, amp.Quad2Fast2Slow())[1]
+	const shareKB = 2048
+	img, err := exec.NewImage(p, nil, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newReference(p, cm, par, shareKB, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// gid maps a block to the global id the image should give it: the
+	// procedures' blocks laid end to end in procedure order.
+	starts := make([]int32, len(ref.graphs)+1)
+	for i, g := range ref.graphs {
+		starts[i+1] = starts[i] + int32(len(g.Blocks))
+	}
+	gid := func(a at) int32 { return starts[a.proc] + int32(a.block) }
+
+	run := exec.NewProcess(1, img, &cm, seed, nil)
+	lane := run.Lane(par, shareKB, par.PsPerCycle)
+	budgets := rng.New(^seed)
+	for call := 0; call < calls && !run.Exited(); call++ {
+		budget := int64(1)
+		if budgets.Intn(2) == 0 {
+			budget += int64(budgets.Intn(maxBudget))
+		}
+		used, res := run.RunLane(lane, 0, budget)
+		var refUsed int64
+		for refUsed < budget && !ref.exited {
+			refUsed += ref.step()
+		}
+		where := fmt.Sprintf("%s seed %d call %d (budget %d)", p.Name, seed, call, budget)
+		pc, stack, loopCount, rand := exec.ControlState(run)
+		refStack := make([]int32, len(ref.stack))
+		for i, a := range ref.stack {
+			refStack[i] = gid(a)
+		}
+		if used != refUsed || res.Exited != ref.exited || pc != gid(ref.pc) || !slices.Equal(stack, refStack) {
+			t.Fatalf("%s: RunLane ran %d cycles to block %d stack %v exited %v; reference %d cycles to %v = block %d stack %v exited %v",
+				where, used, pc, stack, res.Exited, refUsed, ref.pc, gid(ref.pc), refStack, ref.exited)
+		}
+		if run.Counters != ref.counters || rand != *ref.rand {
+			t.Fatalf("%s: RunLane counters %+v, reference %+v (or the branch rng drifted)", where, run.Counters, ref.counters)
+		}
+		for pi, g := range ref.graphs {
+			for bi, b := range g.Blocks {
+				if last := b.Instrs[len(b.Instrs)-1]; last.Op != isa.Branch || last.TripCount == 0 {
+					continue
+				}
+				a := at{pi, bi}
+				if got, want := loopCount(gid(a)), ref.loops[a]; got != want {
+					t.Fatalf("%s: counted edge %v at trip %d, reference %d", where, a, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestInterpreterMatchesReference runs every benchgen suite program, and
+// the small builder programs of the decoder's fuzz corpus, through RunLane
+// and the reference interpreter in lockstep.
+func TestInterpreterMatchesReference(t *testing.T) {
+	cm := exec.DefaultCostModel()
+	suite, err := workload.Suite(cm, amp.Quad2Fast2Slow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range suite {
+		lockstep(t, b.Prog, 1, 400, 40000)
+	}
+	for _, p := range progtest.Programs() {
+		for seed := uint64(1); seed <= 4; seed++ {
+			lockstep(t, p, seed, 1000, 5000)
+		}
+	}
+}
+
+// FuzzInterpreterMatchesReference decodes a program and runs it through
+// RunLane and the reference interpreter in lockstep. Programs the decoder
+// or image build refuses are skipped.
+func FuzzInterpreterMatchesReference(f *testing.F) {
+	for _, data := range progtest.Corpus() {
+		f.Add(data, uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		p, err := prog.Decode(bytes.NewReader(data))
+		if err != nil || p.NumInstrs() > 4096 {
+			return
+		}
+		if _, err := exec.NewImage(p, nil, exec.DefaultCostModel()); err != nil {
+			return
+		}
+		lockstep(t, p, seed, 200, 5000)
+	})
+}
