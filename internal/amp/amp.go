@@ -119,8 +119,9 @@ func (m *Machine) Validate() error {
 	if len(m.Types) == 0 {
 		return fmt.Errorf("amp: machine %q has no core types", m.Name)
 	}
+	// Each check is written so that NaN fails it.
 	for i, t := range m.Types {
-		if t.FreqGHz <= 0 || t.CyclesPerSec <= 0 {
+		if !(t.FreqGHz > 0) || !(t.CyclesPerSec > 0) {
 			return fmt.Errorf("amp: machine %q type %d has non-positive clock", m.Name, i)
 		}
 	}
@@ -129,7 +130,7 @@ func (m *Machine) Validate() error {
 	for i, t := range m.Types[1:] {
 		nominal := t.FreqGHz / t0.FreqGHz
 		scaled := t.CyclesPerSec / t0.CyclesPerSec
-		if math.Abs(nominal-scaled) > 1e-9 {
+		if !(math.Abs(nominal-scaled) <= 1e-9) {
 			return fmt.Errorf("amp: machine %q type %d: scaled clock ratio %.6f != nominal %.6f",
 				m.Name, i+1, scaled, nominal)
 		}

@@ -138,6 +138,21 @@ func TestValidateRejectsBadMachines(t *testing.T) {
 			Cores: []Core{{ID: 0, Type: 0, L2: 0}},
 			L2s:   []L2Group{{SizeKB: 64, Cores: []int{0}}},
 		},
+		"NaN freq": {
+			Name: "x",
+			Types: []CoreType{
+				{Name: "a", FreqGHz: 2, CyclesPerSec: 200},
+				{Name: "b", FreqGHz: math.NaN(), CyclesPerSec: 100},
+			},
+			Cores: []Core{{ID: 0, Type: 0, L2: 0}, {ID: 1, Type: 1, L2: 0}},
+			L2s:   []L2Group{{SizeKB: 64, Cores: []int{0, 1}}},
+		},
+		"NaN clock": {
+			Name:  "x",
+			Types: []CoreType{{Name: "a", FreqGHz: 1, CyclesPerSec: math.NaN()}},
+			Cores: []Core{{ID: 0, Type: 0, L2: 0}},
+			L2s:   []L2Group{{SizeKB: 64, Cores: []int{0}}},
+		},
 		"l2 membership mismatch": {
 			Name:  "x",
 			Types: []CoreType{{Name: "a", FreqGHz: 1, CyclesPerSec: 1}},
