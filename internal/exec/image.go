@@ -37,6 +37,11 @@ type blockInfo struct {
 	taken     int32 // global id of the taken successor
 	fall      int32 // global id of the fallthrough successor (-1 none: ret/exit)
 	callee    int32 // global id of the callee's entry block for termCall
+	// The fused chain this block heads (buildChains); chainLast < 0: none.
+	chainLast  int32 // global id of the chain's last block
+	chainLoop  int32 // loop-counter index of the counted edge it crosses (-1 none)
+	chainTrips int32 // that edge's trip count
+	chainEdges int32 // edges followed from this block to chainLast
 	// takenThresh is the branch's taken probability as a threshold on a
 	// 53-bit draw (branchThreshold).
 	takenThresh uint64
@@ -45,6 +50,8 @@ type blockInfo struct {
 	instrs int64
 	// memRefs is the retired memory-reference count per execution.
 	memRefs int64
+	// chainInstrs and chainMemRefs sum instrs and memRefs over the chain.
+	chainInstrs, chainMemRefs int64
 	// markIDs lists phase marks executed at the top of this block, in order.
 	markIDs []int32
 
@@ -56,6 +63,58 @@ type blockInfo struct {
 	l1MissRefs float64
 	// profile is the block's aggregated reuse profile.
 	profile reuse.Profile
+}
+
+// maxChainEdges caps a fused chain, so a cycle of mark-free jumps that
+// never leaves itself still ends.
+const maxChainEdges = 64
+
+// chainSucc is the block a chain moves to from b: the taken side of a
+// counted back edge, else the fallthrough or jump target.
+func (b *blockInfo) chainSucc() int32 {
+	if b.kind == termBranch {
+		return b.taken
+	}
+	return b.fall
+}
+
+// buildChains gives every mark-free fallthrough block the chain it heads:
+// the blocks a native run executes next with no observation point and no
+// choice, which RunLane charges as one step. A chain follows fallthroughs
+// and jumps through mark-free blocks, crosses at most one counted back
+// edge on its taken side, and ends at the first block that ends any other
+// way (a random or second counted branch, a call or a return), or after
+// maxChainEdges edges. Its last block's terminator runs as a plain step's.
+// Crossing the counted edge is valid only while that loop's counter plus
+// one stays below its trip count (RunLane's guard).
+func buildChains(blocks []blockInfo) {
+	for h := range blocks {
+		head := &blocks[h]
+		head.chainLast, head.chainLoop = -1, -1
+		if head.kind != termFall || len(head.markIDs) > 0 {
+			continue
+		}
+		cur, loop, trips, edges := int32(h), int32(-1), int32(0), int32(0)
+		instrs, memRefs := head.instrs, head.memRefs
+		for edges < maxChainEdges {
+			b := &blocks[cur]
+			crosses := b.kind == termBranch && b.tripCount > 1 && loop < 0
+			if b.kind != termFall && !crosses || len(blocks[b.chainSucc()].markIDs) > 0 {
+				break
+			}
+			if crosses {
+				loop, trips = b.loop, b.tripCount
+			}
+			cur = b.chainSucc()
+			edges++
+			instrs += blocks[cur].instrs
+			memRefs += blocks[cur].memRefs
+		}
+		if edges > 0 {
+			head.chainLast, head.chainLoop, head.chainTrips, head.chainEdges = cur, loop, trips, edges
+			head.chainInstrs, head.chainMemRefs = instrs, memRefs
+		}
+	}
 }
 
 // branchThreshold converts a taken probability into the integer threshold
@@ -117,12 +176,15 @@ type Lane struct {
 	cost    []blockCost // indexed by global block id
 }
 
-// blockCost is one block's precomputed pricing under a lane. Building it
-// once per lane also removes the per-step math.Exp from the native path.
+// blockCost is one block's precomputed pricing under a lane, and that of
+// the chain it heads (zero without one). Building it once per lane also
+// removes the per-step math.Exp from the native path. Actual picoseconds
+// are not stored: they are always cycles × PsPerCycle.
 type blockCost struct {
-	ic       int64 // body cycles (identical to Step's truncation)
-	actualPs int64 // ic × PsPerCycle
-	idealPs  int64 // fastest-clock counterfactual picoseconds
+	ic      int64 // body cycles (identical to Step's truncation)
+	idealPs int64 // fastest-clock counterfactual picoseconds
+	// chainIC and chainIdealPs sum ic and idealPs over the chain.
+	chainIC, chainIdealPs int64
 }
 
 // Lane returns the process's image priced under one environment (core
@@ -143,7 +205,23 @@ func (p *Process) Lane(par *CoreParams, shareKB float64, fastPs int64) *Lane {
 		for b := range l.cost {
 			info := &img.blocks[b]
 			ic := bodyCycles(info, par, syscall, shareKB)
-			l.cost[b] = blockCost{ic, ic * par.PsPerCycle, bodyIdealPs(info, par, ic, shareKB, fastPs)}
+			l.cost[b] = blockCost{ic: ic, idealPs: bodyIdealPs(info, par, ic, shareKB, fastPs)}
+		}
+		// Chain sums walk every edge, so a block the chain visits twice
+		// is charged twice.
+		for h := range l.cost {
+			info, c := &img.blocks[h], &l.cost[h]
+			if info.chainLast < 0 {
+				continue
+			}
+			for b, e := int32(h), int32(0); ; e++ {
+				c.chainIC += l.cost[b].ic
+				c.chainIdealPs += l.cost[b].idealPs
+				if e == info.chainEdges {
+					break
+				}
+				b = img.blocks[b].chainSucc()
+			}
 		}
 		if img.lanes == nil {
 			img.lanes = map[priceKey]*Lane{}
@@ -221,6 +299,7 @@ func NewImage(p *prog.Program, bin *instrument.Binary, cm CostModel) (*Image, er
 			img.blocks = append(img.blocks, info)
 		}
 	}
+	buildChains(img.blocks)
 	img.memSig = memSignature(img.blocks)
 	return img, nil
 }

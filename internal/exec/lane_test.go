@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"phasetune/internal/amp"
+	"phasetune/internal/instrument"
+	"phasetune/internal/isa"
 	"phasetune/internal/ledger"
 	"phasetune/internal/prog"
 	"phasetune/internal/rng"
@@ -42,6 +44,124 @@ func nestedImage(t testing.TB, outer float64) *Image {
 		t.Fatal(err)
 	}
 	return img
+}
+
+// chainImage holds the chain shapes a fused step must get right: a
+// fallthrough preheader into a single-block counted loop, so the chain
+// crosses the loop's edge and ends at the same block, its own guard (with
+// two trips the guard fails on every entry, with three it passes once);
+// a chain that ends in a call; and chains from both arms of a branch that
+// end in the return at exit.
+func chainImage(t testing.TB) *Image {
+	b := prog.NewBuilder("chains")
+	main := b.Proc("main")
+	b.SetEntry("main")
+	main.Loop(400, func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{IntALU: 3})
+		pb.Loop(2, func(pb *prog.ProcBuilder) {
+			pb.Straight(prog.BlockMix{Load: 2, WorkingSetKB: 8192, Locality: 0.4})
+		})
+		pb.Straight(prog.BlockMix{IntALU: 1})
+		pb.Loop(3, func(pb *prog.ProcBuilder) { pb.Straight(prog.BlockMix{IntMul: 2}) })
+		pb.Straight(prog.BlockMix{IntMul: 2})
+		pb.CallProc("leaf")
+	})
+	main.IfElse(0.5, func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{FPAdd: 1})
+	}, func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{FPMul: 1})
+	})
+	main.Straight(prog.BlockMix{FPAdd: 2}).Ret()
+	b.Proc("leaf").Straight(prog.BlockMix{Store: 1, WorkingSetKB: 64, Locality: 0.9}).Ret()
+	img, err := NewImage(b.MustBuild(), nil, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// jumpCycleImage never exits: two mark-free blocks jump to each other, so
+// only the length cap ends their chains.
+func jumpCycleImage(t testing.TB) *Image {
+	p := &prog.Program{Name: "jumpcycle", Procs: []*prog.Procedure{{Name: "main", Instrs: []isa.Instruction{
+		{Op: isa.IntALU}, {Op: isa.Jump, Target: 2},
+		{Op: isa.IntMul}, {Op: isa.Jump, Target: 0},
+	}}}}
+	img, err := NewImage(p, nil, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// midMarkImage is an instrumented image whose marks sit where chains
+// would otherwise run through: block M (mark 0) inside a counted loop's
+// fallthrough path, and block M2 (mark 1) on its exit.
+//
+//	A: intalu intalu; jump A2   A2: intmul; jump M
+//	M: mark 0; load load; jump B   B: intalu; jump L
+//	L: intalu; branch A trips=400   M2: mark 1; fpadd; jump E   E: fpadd; ret
+func midMarkImage(t testing.TB) *Image {
+	mem := isa.MemRef{WorkingSetKB: 4096, Locality: 0.5, StrideB: 8}
+	p := &prog.Program{Name: "midmark", Procs: []*prog.Procedure{{Name: "main", Instrs: []isa.Instruction{
+		{Op: isa.IntALU}, {Op: isa.IntALU}, {Op: isa.Jump, Target: 3},
+		{Op: isa.IntMul}, {Op: isa.Jump, Target: 5},
+		{Op: isa.PhaseMark, MarkID: 0}, {Op: isa.Load, Mem: mem}, {Op: isa.Load, Mem: mem}, {Op: isa.Jump, Target: 9},
+		{Op: isa.IntALU}, {Op: isa.Jump, Target: 11},
+		{Op: isa.IntALU}, {Op: isa.Branch, Target: 0, TakenProb: 1 - 1.0/400, TripCount: 400},
+		{Op: isa.PhaseMark, MarkID: 1}, {Op: isa.FPAdd}, {Op: isa.Jump, Target: 16},
+		{Op: isa.FPAdd}, {Op: isa.Ret},
+	}}}}
+	bin := &instrument.Binary{Prog: p, Marks: []instrument.Mark{{ID: 0, Type: 1}, {ID: 1, Type: 0}}}
+	img, err := NewImage(p, bin, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestChainsFollowTheirShapes pins the chains the fixtures above exist
+// for, by the instruction index of their first and last blocks in main,
+// so that TestRunLaneMatchesStepLoop runs the shapes it claims to.
+func TestChainsFollowTheirShapes(t *testing.T) {
+	type chain struct {
+		head, last, edges int
+		crosses           bool
+	}
+	chains := func(img *Image) map[int]chain {
+		g := img.Graphs[0]
+		got := map[int]chain{}
+		for _, blk := range g.Blocks {
+			info := &img.blocks[blk.ID]
+			if info.chainLast < 0 {
+				continue
+			}
+			last := g.Blocks[info.chainLast]
+			got[blk.Start] = chain{blk.Start, last.Start, int(info.chainEdges), info.chainLoop >= 0}
+		}
+		return got
+	}
+	for _, tc := range []struct {
+		img  *Image
+		want []chain
+	}{
+		// main: 0 preheader, 3 two-trip loop, 6 its exit block, 7
+		// three-trip loop, 10 pre-call block, 12 call, 13 outer latch, 14
+		// if-head, 15 else arm, 17 then arm, 18 exit block.
+		{chainImage(t), []chain{{0, 3, 2, true}, {6, 7, 2, true}, {10, 12, 1, false}, {15, 18, 1, false}, {17, 18, 1, false}}},
+		{jumpCycleImage(t), []chain{{0, 0, maxChainEdges, false}, {2, 2, maxChainEdges, false}}},
+		{midMarkImage(t), []chain{{0, 3, 1, false}, {9, 3, 3, true}}},
+	} {
+		got := chains(tc.img)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: chains %v, want %v", tc.img.Name, got, tc.want)
+		}
+		for _, w := range tc.want {
+			if got[w.head] != w {
+				t.Errorf("%s: chain at %d is %+v, want %+v", tc.img.Name, w.head, got[w.head], w)
+			}
+		}
+	}
 }
 
 // stepLoop is the reference RunLane must match: Step, with its per-step
@@ -101,15 +221,19 @@ func (h *maskHook) OnExit(p *Process) {}
 
 // TestRunLaneMatchesStepLoop drives two processes of one image through
 // the same random slice budgets on the slow core: one by RunLane on the
-// image's lane, as the kernel runs, and one by the Step loop, with its
-// float pricing. Every call must return the same cycles and stopping step,
-// and after every slice the two must agree on counters, program counter,
-// stack, loop counters, rng state and the ledger work they charged (which
-// pins the table's fastest-clock counterfactual to Step's).
+// image's lane, as the kernel runs, with its fused chains, and one by the
+// Step loop, one block per step with float pricing. Every call must return
+// the same cycles and stopping step, and after every slice the two must
+// agree on counters, program counter, stack, loop counters, rng state and
+// the ledger work they charged (which pins the table's fastest-clock
+// counterfactual to Step's). The jump cycle never exits, so each run
+// stops after 200 slices.
 func TestRunLaneMatchesStepLoop(t *testing.T) {
 	ps := ParamsFor(DefaultCostModel(), amp.Quad2Fast2Slow())
 	slow, fastPs := &ps[1], ps[0].PsPerCycle
-	for _, img := range []*Image{nestedImage(t, 300), instrumentedImage(t)} {
+	for _, img := range []*Image{
+		nestedImage(t, 300), instrumentedImage(t), chainImage(t), jumpCycleImage(t), midMarkImage(t),
+	} {
 		cm := DefaultCostModel()
 		for seed := uint64(1); seed <= 8; seed++ {
 			run := NewProcess(1, img, &cm, seed, &maskHook{})
@@ -122,7 +246,7 @@ func TestRunLaneMatchesStepLoop(t *testing.T) {
 				t.Fatalf("RunLane with no budget ran %d cycles to %+v", ran, res)
 			}
 			budgets := rng.New(seed)
-			for slice := 0; !run.Exited(); slice++ {
+			for slice := 0; slice < 200 && !run.Exited(); slice++ {
 				where := fmt.Sprintf("%s seed %d slice %d", img.Name, seed, slice)
 				budget := int64(1 + budgets.Intn(12000))
 				for used := int64(0); used < budget && !run.Exited(); {

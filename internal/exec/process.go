@@ -256,19 +256,47 @@ func (p *Process) branchControl(info *blockInfo, res *StepResult) {
 // every block from the lane's cost table: one dispatch burst. It stops
 // once the budget is spent, the process exits, or a phase mark requests an
 // affinity change, returning the cycles used and the last step's result.
-// Results are identical to a loop of Step by construction (the tables are
-// built from the same helpers).
+//
+// A block that heads a fused chain (buildChains) runs its whole chain as
+// one step when the native loop would have started every block in it,
+// that is when used plus the cycles before the last block stays below
+// the budget, and when the counted edge the chain crosses, if any, is not
+// on its last trip. The step charges the chain's sums and returns the
+// last block's result. Results are identical to a loop of Step by
+// construction (the tables are built from the same helpers).
 func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res StepResult) {
-	blocks, cost := p.Img.blocks, lane.cost
+	blocks, cost, psPerCycle := p.Img.blocks, lane.cost, lane.par.PsPerCycle
 	for used < budget {
-		info := &blocks[p.pc]
+		info, bc := &blocks[p.pc], &cost[p.pc]
+		if last := info.chainLast; last >= 0 &&
+			(info.chainLoop < 0 || p.loopCounts[info.chainLoop]+1 < info.chainTrips) {
+			if lastIC := cost[last].ic; used+bc.chainIC-lastIC < budget {
+				if info.chainLoop >= 0 {
+					p.loopCounts[info.chainLoop]++
+				}
+				if p.Work != nil {
+					p.Work.Add(bc.chainIC*psPerCycle, bc.chainIdealPs)
+				}
+				p.Counters.Add(uint64(info.chainInstrs), uint64(bc.chainIC))
+				if info.chainMemRefs > 0 {
+					p.Counters.AddMem(uint64(info.chainMemRefs))
+				}
+				res = StepResult{Cycles: lastIC}
+				p.pc = last // where an exit leaves it
+				p.advanceControl(&blocks[last], &res)
+				used += bc.chainIC
+				if res.Exited {
+					break
+				}
+				continue
+			}
+		}
 		res = StepResult{}
 		if len(info.markIDs) > 0 {
 			p.execMarks(info, &lane.par, coreID, &res)
 		}
-		bc := &cost[p.pc]
 		if p.Work != nil {
-			p.Work.Add(bc.actualPs, bc.idealPs)
+			p.Work.Add(bc.ic*psPerCycle, bc.idealPs)
 		}
 		p.Counters.Add(uint64(info.instrs), uint64(bc.ic))
 		if info.memRefs > 0 {
