@@ -12,11 +12,12 @@
 // by the tuning runtime consequently identifies the core type a section
 // wastes the fewest cycles on (paper §II-B).
 //
-// Execution is native, one block per step. Each image prices its blocks
-// once per pricing environment into a cost table (Process.Lane), and the
-// kernel runs every dispatch burst through RunLane on it; Step, which
-// prices each block in floating point, is the reference the tables must
-// match (DESIGN.md §13).
+// Execution is native. Each image prices its blocks once per pricing
+// environment into a cost table (Process.Lane), and the kernel runs every
+// dispatch burst through RunLane on it, which takes a chain of mark-free
+// fallthrough blocks as one step when that cannot move a slice end or a
+// loop exit; Step, which runs one block per step and prices it in floating
+// point, is the reference the tables must match (DESIGN.md §13).
 package exec
 
 import (

@@ -214,13 +214,9 @@ func (p *Process) Lane(par *CoreParams, shareKB float64, fastPs int64) *Lane {
 			if info.chainLast < 0 {
 				continue
 			}
-			for b, e := int32(h), int32(0); ; e++ {
+			for b, e := int32(h), int32(0); e <= info.chainEdges; b, e = img.blocks[b].chainSucc(), e+1 {
 				c.chainIC += l.cost[b].ic
 				c.chainIdealPs += l.cost[b].idealPs
-				if e == info.chainEdges {
-					break
-				}
-				b = img.blocks[b].chainSucc()
 			}
 		}
 		if img.lanes == nil {

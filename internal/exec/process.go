@@ -39,7 +39,8 @@ type QuantumHook interface {
 	OnQuantum(p *Process, coreID int) MarkAction
 }
 
-// StepResult reports one basic-block execution.
+// StepResult reports one step: a basic block's execution, or for a fused
+// chain (RunLane), that of the chain's last block.
 type StepResult struct {
 	// Cycles consumed by the block (including mark payloads).
 	Cycles int64
