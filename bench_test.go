@@ -246,11 +246,15 @@ func BenchmarkAblationLookahead(b *testing.B) {
 			}
 			marks := 0
 			for _, bench := range cfg.Suite {
-				_, stats, err := sim.PrepareImage(bench.Prog, params, cfg.Typing, 0, 1, cfg.Cost)
+				a, err := sim.Analyze(bench.Prog, cfg.Typing, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				marks += stats.Marks
+				art, err := a.Instrument(params, cfg.Cost)
+				if err != nil {
+					b.Fatal(err)
+				}
+				marks += art.Stats.Marks
 			}
 			if la == 0 {
 				b.ReportMetric(float64(marks), "marks-lookahead0")
@@ -316,8 +320,11 @@ func BenchmarkInstrumentPipeline(b *testing.B) {
 	cost := exec.DefaultCostModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.PrepareImage(p, experiments.BestParams(),
-			phase.Options{K: 2, MinBlockInstrs: 5}, 0, 1, cost); err != nil {
+		a, err := sim.Analyze(p, phase.Options{K: 2, MinBlockInstrs: 5}, 0, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.Instrument(experiments.BestParams(), cost); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,88 +27,6 @@ func shardedGrid() []phasetune.RunSpec {
 	return specs
 }
 
-// TestHybridShardedCampaignGolden is the golden contract for the new
-// policy: a PolicyHybrid campaign served over loopback to fabric workers —
-// per-worker caches, wire-format specs, placement engines rebuilt on each
-// worker —
-// merges byte-identically to running the same specs sequentially through
-// RunContext. The hybrid runtime spans both hook planes (marks and the
-// kernel monitor), so this pins that the whole engine-backed path is a
-// pure function of its spec.
-func TestHybridShardedCampaignGolden(t *testing.T) {
-	var specs []phasetune.RunSpec
-	for _, seed := range []uint64{3, 9} {
-		specs = append(specs, phasetune.RunSpec{
-			Queues:      &phasetune.WorkloadSpec{Slots: 4, QueueLen: 4, Seed: seed},
-			DurationSec: 8, Policy: phasetune.PolicyHybrid, Seed: seed,
-		})
-	}
-	sess := phasetune.NewSession(phasetune.WithMachine(phasetune.TriTypeAMP()))
-	var want []string
-	for _, spec := range specs {
-		res, err := sess.RunContext(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, string(encode(t, res)))
-	}
-	for _, workers := range []int{2, 3} {
-		got := serveLoopback(t, phasetune.NewSession(phasetune.WithMachine(phasetune.TriTypeAMP())), specs, workers)
-		for i := range got {
-			if string(encode(t, got[i])) != want[i] {
-				t.Errorf("workers=%d: hybrid spec %d differs from sequential run", workers, i)
-			}
-		}
-	}
-}
-
-// TestServingShardedCampaignGolden pins the open-system serving form's
-// fabric contract: Arrivals specs — fleet, arrival schedule, and per-job
-// seeds regenerated on each worker, overcommit dispatcher on for every
-// open spec — are served to fabric workers over loopback and merge
-// byte-identically to sequential RunContext
-// runs of the same specs. This is what lets sweepd workers split a serving
-// campaign.
-func TestServingShardedCampaignGolden(t *testing.T) {
-	machine := phasetune.QuadAMP()
-	newSess := func() *phasetune.Session {
-		return phasetune.NewSession(phasetune.WithMachine(machine))
-	}
-	var specs []phasetune.RunSpec
-	for _, seed := range []uint64{3, 9} {
-		for _, policy := range []phasetune.Policy{phasetune.PolicyNone, phasetune.PolicyHybrid} {
-			arr := phasetune.ServingArrivals(machine, phasetune.ArrivalPoisson, 1.2, 6)
-			specs = append(specs, phasetune.RunSpec{
-				Arrivals: &arr, DurationSec: 8, Policy: policy, Seed: seed,
-			})
-		}
-	}
-	sess := newSess()
-	var want []string
-	overcommitted := false
-	for _, spec := range specs {
-		res, err := sess.RunContext(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.PeakRunnable > len(machine.Cores) {
-			overcommitted = true
-		}
-		want = append(want, string(encode(t, res)))
-	}
-	if !overcommitted {
-		t.Error("no serving run ever exceeded the core count at 1.2x load")
-	}
-	for _, workers := range []int{2, 3} {
-		got := serveLoopback(t, newSess(), specs, workers)
-		for i := range got {
-			if string(encode(t, got[i])) != want[i] {
-				t.Errorf("workers=%d: serving spec %d differs from sequential run", workers, i)
-			}
-		}
-	}
-}
-
 // TestServeRejectsUnserializableSpecs: specs that cannot cross a process
 // boundary — a built Workload, or no workload at all — are rejected with
 // ErrNeedQueues before the coordinator listens.

@@ -160,23 +160,3 @@ func (cg *CallGraph) BottomUpOrder() []int {
 	})
 	return order
 }
-
-// Recursive reports whether procedure p participates in recursion (its SCC
-// has more than one member, or it calls itself).
-func (cg *CallGraph) Recursive(p int) bool {
-	for _, c := range cg.Callees[p] {
-		if c == p {
-			return true
-		}
-	}
-	n := 0
-	for q := 0; q < cg.NumProcs; q++ {
-		if cg.SCC[q] == cg.SCC[p] {
-			n++
-			if n > 1 {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -224,11 +224,9 @@ func TestNestedLoopForest(t *testing.T) {
 	}
 }
 
-func TestLoopDepthAndInnermost(t *testing.T) {
+func TestLoopDepth(t *testing.T) {
 	g := nestedLoops(t)
-	loops := g.NaturalLoops()
-	depth := LoopDepth(g, loops)
-	inner := InnermostLoop(g, loops)
+	depth := LoopDepth(g, g.NaturalLoops())
 	maxDepth := 0
 	for _, d := range depth {
 		if d > maxDepth {
@@ -237,14 +235,6 @@ func TestLoopDepthAndInnermost(t *testing.T) {
 	}
 	if maxDepth != 2 {
 		t.Errorf("max loop depth = %d, want 2", maxDepth)
-	}
-	for b, l := range inner {
-		if depth[b] == 0 && l != -1 {
-			t.Errorf("block %d outside loops has innermost loop %d", b, l)
-		}
-		if depth[b] > 0 && l == -1 {
-			t.Errorf("block %d inside loops has no innermost loop", b)
-		}
 	}
 }
 
@@ -328,8 +318,8 @@ func TestCallGraph(t *testing.T) {
 	if pos[leafIdx] > pos[midIdx] || pos[midIdx] > pos[mainIdx] {
 		t.Errorf("bottom-up order %v does not place callees first", order)
 	}
-	if cg.Recursive(mainIdx) || cg.Recursive(leafIdx) {
-		t.Error("non-recursive procedures reported recursive")
+	if cg.SCC[mainIdx] == cg.SCC[midIdx] || cg.SCC[midIdx] == cg.SCC[leafIdx] {
+		t.Errorf("non-recursive procedures share an SCC: %v", cg.SCC)
 	}
 }
 
@@ -350,9 +340,6 @@ func TestCallGraphRecursion(t *testing.T) {
 		t.Fatalf("BuildAll: %v", err)
 	}
 	cg := BuildCallGraph(p, graphs)
-	if !cg.Recursive(0) || !cg.Recursive(1) {
-		t.Error("mutual recursion not detected")
-	}
 	if cg.SCC[0] != cg.SCC[1] {
 		t.Errorf("mutually recursive procs in different SCCs: %v", cg.SCC)
 	}

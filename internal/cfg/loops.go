@@ -153,21 +153,3 @@ func LoopDepth(g *Graph, loops []*Loop) []int {
 	}
 	return depth
 }
-
-// InnermostLoop returns, for each block, the ID of the innermost loop
-// containing it, or -1.
-func InnermostLoop(g *Graph, loops []*Loop) []int {
-	inner := make([]int, len(g.Blocks))
-	for i := range inner {
-		inner[i] = -1
-	}
-	for _, l := range loops {
-		for _, b := range l.Blocks {
-			cur := inner[b]
-			if cur == -1 || len(loops[cur].Blocks) > len(l.Blocks) {
-				inner[b] = l.ID
-			}
-		}
-	}
-	return inner
-}

@@ -61,19 +61,6 @@ func TestBreakdownShape(t *testing.T) {
 	}
 }
 
-// TestBreakdownGridShardsByteIdentical is the breakdown's determinism pin:
-// the same grid through the local worker pool and sharded across fabric
-// workers commits byte-identical results — the alternation-axis specs
-// (workload regenerated from (cost, machine) on the worker) included.
-func TestBreakdownGridShardsByteIdentical(t *testing.T) {
-	cfg, err := Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg = cfg.Scale(4, 30, []uint64{5})
-	requireFabricMatchesSweep(t, cfg, breakdownGrid(cfg, []int{16, 1024}, []uint64{8000}))
-}
-
 // TestBreakdownDynamicDegradesPastWindow pins the map's monotone segment —
 // the paper's §V claim in one inequality: at a fixed window, the
 // dynamic-vs-static delta at an alternation rate whose phase period has

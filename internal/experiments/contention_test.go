@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
 	"phasetune/internal/amp"
-	"phasetune/internal/dist"
-	"phasetune/internal/place"
 	"phasetune/internal/sim"
-	"phasetune/internal/workload"
 )
 
 // contentionTestConfig returns a scaled config for the antagonist campaign:
@@ -130,63 +126,6 @@ func TestContentionSeparatesAntagonistsOnHex(t *testing.T) {
 	}
 }
 
-// TestContentionLedgerConservationPriced extends the ledger's conservation
-// property to contention-priced runs: relief moves and adjusted-rate spills
-// reshuffle placements, but every cycle must still land in exactly one
-// category — across the engine-backed policies, both campaign machines, and
-// both system modes.
-func TestContentionLedgerConservationPriced(t *testing.T) {
-	if testing.Short() {
-		t.Skip("policy x machine x mode grid")
-	}
-	for _, machine := range ContentionMachines() {
-		for _, mode := range []string{"closed", "open"} {
-			mcfg := ledgerConfig(t)
-			mcfg.Machine = machine
-			suite, err := workload.Suite(mcfg.Cost, machine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mcfg.Suite = suite
-			for _, p := range ContentionPolicies() {
-				if !p.EngineBacked() {
-					continue
-				}
-				var spec dist.Spec
-				if mode == "open" {
-					spec = servingRunCfg(mcfg, p, 1.25, mcfg.Seeds[0])
-					spec.Placement.Contention = &place.ContentionConfig{}
-					spec.CacheStats = true
-				} else {
-					spec = contentionRunCfg(mcfg, ContentionCell{Policy: p, Priced: true}, mcfg.Seeds[0])
-				}
-				rc, err := mcfg.Env().RunConfig(spec, mcfg.Suite, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sim.Run(rc)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", machine.Name, mode, p, err)
-				}
-				l := res.Ledger
-				if l == nil {
-					t.Fatalf("%s/%s/%s: Result.Ledger is nil", machine.Name, mode, p)
-				}
-				if err := l.Verify(); err != nil {
-					t.Errorf("%s/%s/%s: %v", machine.Name, mode, p, err)
-				}
-				if got, want := l.Total.Total(), int64(l.Cores)*l.HorizonPs; got != want {
-					t.Errorf("%s/%s/%s: total %d ps, want cores x horizon = %d ps",
-						machine.Name, mode, p, got, want)
-				}
-				if res.CacheStats == nil {
-					t.Errorf("%s/%s/%s: CacheStats requested but nil", machine.Name, mode, p)
-				}
-			}
-		}
-	}
-}
-
 // TestContentionSpecWireCompat pins the wire-format contract of the v6
 // fields: a spec not using contention pricing or cache stats encodes without
 // the new keys — byte-identical to a v5 spec payload — while priced specs
@@ -230,63 +169,4 @@ func TestContentionSpecWireCompat(t *testing.T) {
 			t.Errorf("priced antagonist spec missing %q: %s", key, blob)
 		}
 	}
-}
-
-// TestContentionShardedMergeByteIdentical pins the fabric contract for the
-// v6 fields: a contention-priced campaign cell — antagonist fleet, cache
-// stats, priced placement — merges byte-identically whether it runs
-// sequentially, sharded across local workers, or under the segment memo.
-func TestContentionShardedMergeByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("duplicate sweep")
-	}
-	cfg := contentionTestConfig(t)
-	cfg = cfg.Scale(4, 20, []uint64{5})
-	cfg.Machine = amp.Hex2Big2Medium2Little()
-	cfg.Ledger = true
-	suite, err := workload.Suite(cfg.Cost, cfg.Machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Suite = suite
-	grid := []dist.Spec{
-		contentionRunCfg(cfg, ContentionCell{Policy: sim.PolicyStaticSpill, Priced: true}, 5),
-		contentionRunCfg(cfg, ContentionCell{Policy: sim.PolicyOracle, Priced: true}, 5),
-	}
-	camp := dist.Campaign{Env: cfg.Env(), Specs: grid}
-
-	var seq [][]byte
-	for _, sp := range grid {
-		rc, err := camp.Env.RunConfig(sp, cfg.Suite, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.CacheStats == nil {
-			t.Fatal("sequential run dropped CacheStats")
-		}
-		blob, err := dist.EncodeResult(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq = append(seq, blob)
-	}
-
-	sharded, err := dist.RunLocal(context.Background(), camp, dist.LocalOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range grid {
-		blob, err := dist.EncodeResult(sharded[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seq[i], blob) {
-			t.Errorf("spec %d: sharded result bytes differ from sequential", i)
-		}
-	}
-
 }

@@ -84,9 +84,6 @@ func (c OpClass) String() string {
 // IsMemory reports whether the class references data memory.
 func (c OpClass) IsMemory() bool { return c == Load || c == Store }
 
-// IsFloat reports whether the class is a floating-point operation.
-func (c OpClass) IsFloat() bool { return c == FPAdd || c == FPMul || c == FPDiv }
-
 // IsControl reports whether the class transfers control.
 func (c OpClass) IsControl() bool {
 	switch c {
@@ -95,11 +92,6 @@ func (c OpClass) IsControl() bool {
 	}
 	return false
 }
-
-// EndsBlock reports whether an instruction of this class terminates a basic
-// block. Calls and syscalls end blocks because the CFG represents them as
-// special nodes (paper §II-A1a: N = B̄ ∪ S).
-func (c OpClass) EndsBlock() bool { return c.IsControl() || c == Syscall }
 
 // encodedSize is the default encoded size in bytes per class, loosely modeled
 // on common x86-64 encodings. PhaseMark has no default: instrumentation sets
@@ -178,9 +170,6 @@ func (in Instruction) SizeBytes() int {
 	return encodedSize[in.Op]
 }
 
-// DefaultSize returns the default encoded size for a class.
-func DefaultSize(c OpClass) int { return encodedSize[c] }
-
 // Mix is a static instruction-class histogram, the raw material of the
 // paper's block-typing features.
 type Mix struct {
@@ -201,8 +190,3 @@ func (m Mix) Total() int {
 
 // MemOps returns the number of memory-referencing instructions.
 func (m Mix) MemOps() int { return m.Counts[Load] + m.Counts[Store] }
-
-// FloatOps returns the number of floating-point instructions.
-func (m Mix) FloatOps() int {
-	return m.Counts[FPAdd] + m.Counts[FPMul] + m.Counts[FPDiv]
-}

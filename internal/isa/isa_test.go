@@ -6,9 +6,6 @@ func TestOpClassPredicates(t *testing.T) {
 	if !Load.IsMemory() || !Store.IsMemory() || IntALU.IsMemory() {
 		t.Error("IsMemory wrong")
 	}
-	if !FPAdd.IsFloat() || !FPDiv.IsFloat() || Load.IsFloat() {
-		t.Error("IsFloat wrong")
-	}
 	for _, c := range []OpClass{Branch, Jump, Call, Ret} {
 		if !c.IsControl() {
 			t.Errorf("%v not control", c)
@@ -17,14 +14,11 @@ func TestOpClassPredicates(t *testing.T) {
 	if Syscall.IsControl() {
 		t.Error("syscall is not a control transfer")
 	}
-	if !Syscall.EndsBlock() || !Call.EndsBlock() || IntALU.EndsBlock() {
-		t.Error("EndsBlock wrong")
-	}
 }
 
 func TestSizes(t *testing.T) {
 	in := Instruction{Op: IntALU}
-	if in.SizeBytes() != DefaultSize(IntALU) || in.SizeBytes() <= 0 {
+	if in.SizeBytes() != encodedSize[IntALU] || in.SizeBytes() <= 0 {
 		t.Errorf("IntALU size = %d", in.SizeBytes())
 	}
 	// Explicit size override (phase marks).
@@ -34,8 +28,8 @@ func TestSizes(t *testing.T) {
 	}
 	// Every regular class has a positive default encoding.
 	for c := IntALU; c < PhaseMark; c++ {
-		if DefaultSize(c) <= 0 {
-			t.Errorf("class %v has default size %d", c, DefaultSize(c))
+		if encodedSize[c] <= 0 {
+			t.Errorf("class %v has default size %d", c, encodedSize[c])
 		}
 	}
 }
@@ -61,8 +55,5 @@ func TestMix(t *testing.T) {
 	}
 	if m.MemOps() != 3 {
 		t.Errorf("MemOps = %d", m.MemOps())
-	}
-	if m.FloatOps() != 1 {
-		t.Errorf("FloatOps = %d", m.FloatOps())
 	}
 }

@@ -226,12 +226,15 @@ func TestOracleDecisionsSplitTypes(t *testing.T) {
 		}
 	}
 	topts := phase.Options{K: 2, MinBlockInstrs: 5}
-	img, _, err := sim.PrepareImage(equake.Prog,
-		transition.Params{Technique: transition.Loop, MinSize: 45, PropagateThroughUntyped: true},
-		topts, 0, 1, cm)
+	a, err := sim.Analyze(equake.Prog, topts, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	art, err := a.Instrument(transition.Params{Technique: transition.Loop, MinSize: 45, PropagateThroughUntyped: true}, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := art.Image
 	decs, err := online.OracleDecisions(img, topts, cm, machine, 0.06, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package online
 
 import (
+	"sort"
+
 	"phasetune/internal/amp"
 	"phasetune/internal/exec"
 	"phasetune/internal/phase"
@@ -74,8 +76,16 @@ func OracleDecisions(img *exec.Image, topts phase.Options, cm exec.CostModel,
 		}
 	}
 
+	// With an engine every decision is a trace event, so the types go in
+	// order: map order would make two traces of one run differ.
+	types := make([]phase.Type, 0, len(accs))
+	for pt := range accs {
+		types = append(types, pt)
+	}
+	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
 	out := make(map[phase.Type]place.Decision, len(accs))
-	for pt, a := range accs {
+	for _, pt := range types {
+		a := accs[pt]
 		if a.w <= 0 {
 			continue
 		}

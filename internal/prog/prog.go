@@ -63,16 +63,6 @@ func (p *Program) NumInstrs() int {
 	return n
 }
 
-// ProcByName returns the procedure with the given name, or nil.
-func (p *Program) ProcByName(name string) *Procedure {
-	for _, pr := range p.Procs {
-		if pr.Name == name {
-			return pr
-		}
-	}
-	return nil
-}
-
 // Clone returns a deep copy of the program. Instrumentation clones before
 // rewriting so the original image remains available for comparison.
 func (p *Program) Clone() *Program {

@@ -42,7 +42,7 @@ func TestBuilderProducesValidProgram(t *testing.T) {
 
 func TestLoopBranchTargetsHead(t *testing.T) {
 	p := testProgram(t)
-	main := p.ProcByName("main")
+	main := p.Procs[p.Entry]
 	var branch *isa.Instruction
 	for i := range main.Instrs {
 		if main.Instrs[i].Op == isa.Branch {
@@ -224,7 +224,8 @@ func TestSizeBytesCountsEncodings(t *testing.T) {
 	b := NewBuilder("size")
 	b.Proc("main").Straight(BlockMix{IntALU: 2, Load: 1}).Ret()
 	p := b.MustBuild()
-	want := 2*isa.DefaultSize(isa.IntALU) + isa.DefaultSize(isa.Load) + isa.DefaultSize(isa.Ret)
+	size := func(c isa.OpClass) int { return isa.Instruction{Op: c}.SizeBytes() }
+	want := 2*size(isa.IntALU) + size(isa.Load) + size(isa.Ret)
 	if got := p.SizeBytes(); got != want {
 		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}

@@ -17,7 +17,6 @@ package reuse
 
 import (
 	"math"
-	"sort"
 )
 
 // Profile is an analytic reuse-distance profile for a stream of memory
@@ -156,44 +155,4 @@ func MissRatioFromTrace(trace []uint64, lineBytes, capacityLines int) float64 {
 		}
 	}
 	return float64(misses) / float64(len(trace))
-}
-
-// FitProfile fits an exponential Profile to an observed stack-distance
-// multiset: Locality is the fraction of distances below l1Lines, and
-// WorkingSetKB is the mean distance of the rest converted to KiB.
-func FitProfile(dists []int, cold int, lineBytes, l1Lines int) Profile {
-	total := len(dists) + cold
-	if total == 0 {
-		return Profile{}
-	}
-	near := 0
-	var far []int
-	for _, d := range dists {
-		if d < l1Lines {
-			near++
-		} else {
-			far = append(far, d)
-		}
-	}
-	sort.Ints(far)
-	loc := float64(near) / float64(total)
-	if len(far) == 0 && cold == 0 {
-		return Profile{Locality: loc}
-	}
-	sum := 0.0
-	for _, d := range far {
-		sum += float64(d)
-	}
-	// Cold misses behave like infinite distances; approximate them with the
-	// maximum observed distance (or l1Lines when none observed).
-	maxd := float64(l1Lines)
-	if len(far) > 0 {
-		maxd = float64(far[len(far)-1])
-	}
-	sum += float64(cold) * maxd
-	mean := sum / float64(len(far)+cold)
-	return Profile{
-		WorkingSetKB: mean * float64(lineBytes) / 1024,
-		Locality:     loc,
-	}
 }

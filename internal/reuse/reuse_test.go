@@ -136,30 +136,6 @@ func TestMissRatioFromTraceLRU(t *testing.T) {
 	}
 }
 
-func TestFitProfileSeparatesPopulations(t *testing.T) {
-	// 60% near reuses (distance 0), 40% far (distance 64 lines = 4 KiB).
-	var dists []int
-	for i := 0; i < 60; i++ {
-		dists = append(dists, 0)
-	}
-	for i := 0; i < 40; i++ {
-		dists = append(dists, 64)
-	}
-	p := FitProfile(dists, 0, 64, 8)
-	if math.Abs(p.Locality-0.6) > 1e-9 {
-		t.Errorf("fitted locality = %g, want 0.6", p.Locality)
-	}
-	if math.Abs(p.WorkingSetKB-4) > 1e-9 {
-		t.Errorf("fitted working set = %g KiB, want 4", p.WorkingSetKB)
-	}
-}
-
-func TestFitProfileEmpty(t *testing.T) {
-	if p := FitProfile(nil, 0, 64, 8); p != (Profile{}) {
-		t.Errorf("FitProfile(empty) = %+v, want zero", p)
-	}
-}
-
 func TestAnalyticMatchesTraceShape(t *testing.T) {
 	// The analytic exponential model and an exact LRU simulation must agree
 	// on ordering: bigger cache -> fewer misses, for a random-ish trace with

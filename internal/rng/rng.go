@@ -88,27 +88,6 @@ func (s *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a standard normally distributed value (mean 0,
-// stddev 1) using the Marsaglia polar method.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
-}
-
 // Geometric returns a sample from a geometric distribution with success
 // probability p, counting the number of failures before the first success
 // (support {0, 1, 2, ...}, mean (1-p)/p). It panics unless 0 < p <= 1.

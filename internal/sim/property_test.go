@@ -8,7 +8,6 @@ import (
 	"phasetune/internal/exec"
 	"phasetune/internal/isa"
 	"phasetune/internal/osched"
-	"phasetune/internal/phase"
 	"phasetune/internal/prog"
 	"phasetune/internal/rng"
 	"phasetune/internal/transition"
@@ -115,10 +114,7 @@ func TestRandomProgramsSurviveFullPipeline(t *testing.T) {
 			}
 		}
 		for _, params := range techniques {
-			img, _, err := PrepareImage(p, params, phase.Options{K: 2, MinBlockInstrs: 5}, 0, uint64(i), cost)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", i, params.Name(), err)
-			}
+			img := instrumentFor(t, p, params, cost).Image
 			// Execute bounded with a tuner attached; must not panic or hang.
 			kern, err := osched.NewKernel(machine, cost, osched.Config{})
 			if err != nil {
@@ -171,12 +167,9 @@ func TestMarkCostsAccounted(t *testing.T) {
 	r := rng.New(31)
 	for i := 0; i < 10; i++ {
 		p := randomProgram(r, i)
-		img, _, err := PrepareImage(p, transition.Params{
+		img := instrumentFor(t, p, transition.Params{
 			Technique: transition.BasicBlock, MinSize: 10, PropagateThroughUntyped: true,
-		}, phase.Options{K: 2, MinBlockInstrs: 5}, 0, uint64(i), cost)
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, cost).Image
 		proc := exec.NewProcess(1, img, &cost, 5, nil)
 		proc.RunIsolated(&pars[0], 0, 4096, 2_000_000)
 		wantInstr := proc.MarksExecuted * uint64(cost.MarkInstrs)
@@ -195,12 +188,10 @@ func TestRandomMarkedImagesValid(t *testing.T) {
 	r := rng.New(99)
 	for i := 0; i < 25; i++ {
 		p := randomProgram(r, i)
-		img, stats, err := PrepareImage(p, transition.Params{
+		art := instrumentFor(t, p, transition.Params{
 			Technique: transition.BasicBlock, MinSize: 10, PropagateThroughUntyped: true,
-		}, phase.Options{K: 2, MinBlockInstrs: 5}, 0, uint64(i), cost)
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, cost)
+		img, stats := art.Image, art.Stats
 		seen := map[int]int{}
 		bytes := 0
 		for _, pr := range img.Prog.Procs {

@@ -578,11 +578,9 @@ func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]Isola
 		}
 		var hook exec.MarkHook
 		if spec.Mode == Tuned {
-			t := tuning.NewTuner(spec.Tuning, machine, kernel.Hardware, img)
-			if spec.Tuning.Spill {
-				t.SetEngine(place.NewEngine(machine, spec.Tuning.Delta, place.Config{}))
-			}
-			hook = t
+			// A lone process makes a single claim, which arbitration never
+			// spills, so isolation runs need no placement engine.
+			hook = tuning.NewTuner(spec.Tuning, machine, kernel.Hardware, img)
 		}
 		p := exec.NewProcess(kernel.NextPID(), img, &kernel.Cost, spec.Seed^uint64(len(b.Name())), hook)
 		task := kernel.Spawn(p, b.Name(), 0, 0)

@@ -8,6 +8,7 @@ import (
 	"phasetune/internal/exec"
 	"phasetune/internal/metrics"
 	"phasetune/internal/phase"
+	"phasetune/internal/prog"
 	"phasetune/internal/transition"
 	"phasetune/internal/tuning"
 	"phasetune/internal/workload"
@@ -20,6 +21,21 @@ func suite(t *testing.T) []*workload.Benchmark {
 		t.Fatalf("Suite: %v", err)
 	}
 	return s
+}
+
+// instrumentFor runs the whole static pipeline on one program, Analyze then
+// Instrument, with the typing options these tests share.
+func instrumentFor(t testing.TB, p *prog.Program, params transition.Params, cm exec.CostModel) *Artifact {
+	t.Helper()
+	a, err := Analyze(p, phase.Options{K: 2, MinBlockInstrs: 5}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := a.Instrument(params, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art
 }
 
 func loopParams() transition.Params {
@@ -221,11 +237,8 @@ func TestPrepareImageStats(t *testing.T) {
 	if gems == nil {
 		t.Fatal("suite missing 459.GemsFDTD")
 	}
-	img, stats, err := PrepareImage(gems.Prog, loopParams(), phase.Options{K: 2, MinBlockInstrs: 5},
-		0, 1, exec.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
+	art := instrumentFor(t, gems.Prog, loopParams(), exec.DefaultCostModel())
+	img, stats := art.Image, art.Stats
 	// A single-behavior benchmark must collapse to one phase type and carry
 	// no marks (Table 1 shows zero switches for GemsFDTD).
 	if stats.EffectiveK != 1 {

@@ -251,19 +251,3 @@ func prepareArtifact(p *prog.Program, spec ImageSpec, cm exec.CostModel) (*Artif
 	}
 	return a.Instrument(spec.Params, cm)
 }
-
-// PrepareImage runs the full static pipeline for one program under one
-// technique: CFGs -> typing (with optional error injection) -> summarization
-// -> transition plan -> instrumentation -> executable image. It is the
-// one-shot composition of Analyze and Analysis.Instrument.
-func PrepareImage(p *prog.Program, params transition.Params, topts phase.Options,
-	errFrac float64, errSeed uint64, cm exec.CostModel) (*exec.Image, ImageStats, error) {
-
-	art, err := prepareArtifact(p, ImageSpec{
-		Params: params, Typing: topts, ErrFrac: errFrac, ErrSeed: errSeed,
-	}, cm)
-	if err != nil {
-		return nil, ImageStats{}, err
-	}
-	return art.Image, art.Stats, nil
-}

@@ -334,15 +334,3 @@ func applyElimination(loops []*cfg.Loop, infos []LoopInfo) {
 		}
 	}
 }
-
-// MarkingLoops returns the loops surviving in T for a procedure, the units
-// the loop-level marking technique places phase marks around.
-func (s *Summary) MarkingLoops(proc int) []LoopInfo {
-	var out []LoopInfo
-	for _, li := range s.Loops[proc] {
-		if li.InT {
-			out = append(out, li)
-		}
-	}
-	return out
-}
