@@ -132,6 +132,7 @@ func TestSpecRoundTrip(t *testing.T) {
 // any shard count, RunLocal's merged results are byte-identical to running
 // the grid sequentially in one process.
 func TestShardedByteIdenticalToSequential(t *testing.T) {
+	t.Parallel()
 	camp := testCampaign()
 	want := sequentialRaw(t, camp)
 	for _, shards := range []int{1, 2, 3, 5} {
@@ -146,6 +147,7 @@ func TestShardedByteIdenticalToSequential(t *testing.T) {
 // TestShardedChunkSizesByteIdentical varies the lease chunking, which
 // changes scheduling but must not change output.
 func TestShardedChunkSizesByteIdentical(t *testing.T) {
+	t.Parallel()
 	camp := testCampaign()
 	want := sequentialRaw(t, camp)
 	for _, chunk := range []int{2, 3, len(camp.Specs)} {
@@ -445,6 +447,7 @@ func (t *flakyTransport) Commit(ctx context.Context, req CommitRequest) (*Commit
 // TestWorkerSurvivesTransientTransportFailures: one dropped lease poll and
 // one dropped commit per spec must not kill the worker or the campaign.
 func TestWorkerSurvivesTransientTransportFailures(t *testing.T) {
+	t.Parallel()
 	camp := testCampaign()
 	camp.Specs = camp.Specs[:2]
 	want := sequentialRaw(t, camp)
@@ -467,6 +470,7 @@ func TestWorkerSurvivesTransientTransportFailures(t *testing.T) {
 // two workers against an httptest server — and demands byte-identical
 // output again.
 func TestHTTPFabricByteIdentical(t *testing.T) {
+	t.Parallel()
 	camp := testCampaign()
 	want := sequentialRaw(t, camp)
 	coord, err := NewCoordinator(camp, Options{})

@@ -162,6 +162,7 @@ func FuzzRunInvariants(f *testing.F) {
 		f.Add(mustMarshal(f, camp))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		t.Parallel() // the seeds share nothing, so plain go test runs them side by side
 		var camp dist.Campaign
 		if err := json.Unmarshal(data, &camp); err != nil {
 			return
