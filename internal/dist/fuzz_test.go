@@ -109,6 +109,9 @@ func FuzzSpecLower(f *testing.F) {
 	f.Add([]byte(`{"queues":{"slots":4,"queue_len":-1,"fleet":"antagonist"}}`))
 	f.Add([]byte(`{"queues":{"slots":-2,"queue_len":3,"alternations":64}}`))
 	f.Add([]byte(`{"queues":{"slots":1048576,"queue_len":1048576}}`))
+	f.Add([]byte(`{"queues":{"slots":1048576}}`))
+	f.Add([]byte(`{"queues":{"slots":1048577}}`))
+	f.Add([]byte(`{"queues":{"slots":1048577,"fleet":"antagonist"}}`))
 	f.Add([]byte(`{"queues":{"seed":3,"arrivals":{"kind":1,"rate_per_sec":2,"horizon_sec":9}}}`))
 	f.Add([]byte(`{"queues":{"arrivals":{"kind":1,"rate_per_sec":1,"horizon_sec":1e6,"cycle_sec":1e-6}}}`))
 	f.Add([]byte(`{"queues":{"arrivals":{"kind":0,"rate_per_sec":1,"horizon_sec":10,"max_jobs":1099511627776}}}`))

@@ -37,8 +37,7 @@ const (
 	// DurationSec × the summed clock of every core (the hex at 8 s).
 	maxCoreCycles = 8 * 1.2e6
 	// maxQueued bounds a closed spec's Slots and its Slots × QueueLen
-	// (workload.Spec.Validate bounds only the product, so an empty-queue
-	// spec may still ask for any number of slots).
+	// (workload.Spec.Validate bounds each only at workload.MaxQueuedJobs).
 	maxQueued = 64
 	// maxArrivals bounds an open spec's expected arrivals, RatePerSec ×
 	// HorizonSec (or MaxJobs when lower).
@@ -202,7 +201,14 @@ func checkRunInvariants(t *testing.T, camp dist.Campaign, suite []*workload.Benc
 		cfg.Trace = trace.New()
 		res, err := sim.Run(cfg)
 		if err != nil {
-			return // a spec that fails to run is not a run to check
+			// A spec that fails to run is not a run to check, unless the
+			// ledger alone makes it fail: an observer must not change a
+			// run's outcome, and a burst the ledger cannot tile is an error.
+			cfg.Ledger, cfg.Trace = false, nil
+			if _, offErr := sim.Run(cfg); camp.Env.Ledger && offErr == nil {
+				t.Fatalf("spec %d: ledgered run fails where the ledger-off run does not: %v", i, err)
+			}
+			return
 		}
 		want[i] = encodeResult(t, res)
 		traces[i] = traceBytes(t, cfg.Trace)

@@ -29,10 +29,12 @@
 // to exactly its wall-clock span because they are computed by distributing
 // the burst's integer cycle count (elapsed = used × psPerCycle distributes
 // over the integer summands of used), and each core's idle time is defined
-// as the horizon minus its busy time. Σ categories == cores × horizon is
-// therefore an integer identity, checked by Verify on every policy, both
-// machines' run modes, and across the sharded fabric (the ledger is plain
-// data inside Result, so byte-identical merge extends to it for free).
+// as the horizon minus its busy time. Charge checks the per-burst identity
+// (no category books a remainder), and Finalize returns the first burst
+// that breaks it. Σ categories == cores × horizon is therefore an integer
+// identity, checked by Verify on every policy, both machines' run modes,
+// and across the sharded fabric (the ledger is plain data inside Result,
+// so byte-identical merge extends to it for free).
 //
 // The ledger is nil-safe and byte-identical-off, exactly like the tracer:
 // a run with the ledger enabled produces the same Result bytes (once the
@@ -331,6 +333,7 @@ type Collector struct {
 	tasks   []TaskLedger
 	taskIdx map[int]int
 	phases  map[int]*Breakdown
+	err     error // the first burst whose categories missed its span
 }
 
 // NewCollector creates a collector for a machine with the given core count
@@ -367,10 +370,10 @@ func (c *Collector) phase(p int) *Breakdown {
 	return b
 }
 
-// Charge books one burst. The burst's categories sum exactly to
-// EndPs − StartPs when the process carried a Work accumulator; a process
-// without one (kernel-level tests) charges its step time wholly to the
-// useful category so conservation still holds.
+// Charge books one burst. Its categories must sum exactly to
+// EndPs − StartPs: nothing books an unattributed remainder, so a charge
+// site that stops reporting is an error Finalize returns, not time
+// silently counted as useful.
 func (c *Collector) Charge(b Burst) {
 	var d Breakdown
 	d.MigrationPs = b.MigrateCycles * b.PsPerCycle
@@ -407,11 +410,9 @@ func (c *Collector) Charge(b Burst) {
 		}
 		ph.MarksPs += s.MarkPs
 	}
-	// A Work-less process's step time is unattributed; book the residual
-	// as unphased useful work so the burst still tiles its span.
-	if residual := (b.EndPs - b.StartPs) - d.BusyPs(); residual > 0 {
-		d.UsefulPs += residual
-		c.phase(PhaseUntyped).UsefulPs += residual
+	if span := b.EndPs - b.StartPs; d.BusyPs() != span && c.err == nil {
+		c.err = fmt.Errorf("ledger: pid %d burst on core %d at %d ps: categories sum to %d ps, span is %d ps",
+			b.PID, b.Core, b.StartPs, d.BusyPs(), span)
 	}
 
 	c.cores[b.Core].add(d)
@@ -426,9 +427,13 @@ func (c *Collector) Charge(b Burst) {
 
 // Finalize closes the accounting at the later of nowPs and the last burst
 // end (bursts dispatched before the horizon may end after it) and returns
-// the run's ledger. The collector can keep accumulating afterwards, but a
-// typical run finalizes once.
-func (c *Collector) Finalize(nowPs int64) *Ledger {
+// the run's ledger, or the first burst whose categories did not tile its
+// span. The collector can keep accumulating afterwards, but a typical run
+// finalizes once.
+func (c *Collector) Finalize(nowPs int64) (*Ledger, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	horizon := nowPs
 	for _, end := range c.coreEnd {
 		if end > horizon {
@@ -454,5 +459,5 @@ func (c *Collector) Finalize(nowPs int64) *Ledger {
 	for _, p := range phases {
 		l.PerPhase = append(l.PerPhase, PhaseLedger{Phase: p, Breakdown: *c.phases[p]})
 	}
-	return l
+	return l, nil
 }

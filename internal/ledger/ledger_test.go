@@ -33,7 +33,10 @@ func twoBurstCollector() *Collector {
 }
 
 func TestVerifyAcceptsBalancedLedger(t *testing.T) {
-	l := twoBurstCollector().Finalize(12000)
+	l, err := twoBurstCollector().Finalize(12000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +69,32 @@ func TestVerifyRejectsOnePicosecondImbalance(t *testing.T) {
 		"phase step time": func(l *Ledger) { l.PerPhase[0].UsefulPs-- },
 		"core count":      func(l *Ledger) { l.Cores++ },
 	} {
-		l := twoBurstCollector().Finalize(12000)
+		l, err := twoBurstCollector().Finalize(12000)
+		if err != nil {
+			t.Fatal(err)
+		}
 		perturb(l)
 		if err := l.Verify(); err == nil {
 			t.Errorf("%s: Verify accepted a one-picosecond imbalance", name)
+		}
+	}
+}
+
+// TestFinalizeRejectsUntiledBurst books a burst whose categories fall one
+// picosecond short of its span, and one that overruns it: with no
+// remainder category to absorb the difference, Finalize must refuse both.
+func TestFinalizeRejectsUntiledBurst(t *testing.T) {
+	for name, endPs := range map[string]int64{"short": 5201, "overrun": 5199} {
+		c := NewCollector(1, 400)
+		c.AddTask(1, "task")
+		w := c.Work()
+		w.Add(4000, 4000)
+		w.AddMark(400)
+		c.Charge(Burst{Core: 0, PID: 1, PsPerCycle: 400, StartPs: 0, EndPs: 5200, CtxCycles: 2, Segs: w.Drain()})
+		c.Charge(Burst{Core: 0, PID: 1, PsPerCycle: 400, StartPs: 5200, EndPs: 5200 + endPs, CtxCycles: 2,
+			Segs: []Segment{{Phase: PhaseUntyped, ActualPs: 4000, IdealPs: 4000, MarkPs: 400}}})
+		if l, err := c.Finalize(20000); err == nil || !strings.Contains(err.Error(), "span") {
+			t.Errorf("%s burst: Finalize = %+v, %v; want a span error", name, l, err)
 		}
 	}
 }

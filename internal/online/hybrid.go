@@ -75,19 +75,17 @@ type hybridState struct {
 // representative sections (tuning MinSectionInstrs).
 const minBoundaryInstrs = 200
 
-// NewHybrid builds the hybrid runtime for one kernel. delta is the run's
-// Algorithm 2 threshold (tuning.Config.Delta). The hardware pool should be
-// the kernel's own so counter contention stays modeled; pcfg parameterizes
-// the shared engine's capacity arbitration (the zero value is unpriced).
-// Of cfg, the hybrid consumes WindowInstrs and Hybrid.Drift; the policy is
-// unused (marks classify, the engine places).
-func NewHybrid(cfg Config, delta float64, pcfg place.Config, machine *amp.Machine, hw *perfcnt.Hardware) *Hybrid {
-	cfg = cfg.Normalized()
+// NewHybrid builds the hybrid runtime for one kernel on the run's
+// placement engine, which makes every decision and arbitration. The
+// hardware pool should be the kernel's own so counter contention stays
+// modeled. Of cfg, the hybrid consumes WindowInstrs and Hybrid.Drift; the
+// policy is unused (marks classify, the engine places).
+func NewHybrid(cfg Config, engine *place.Engine, hw *perfcnt.Hardware) *Hybrid {
 	return &Hybrid{
-		cfg:       cfg,
-		machine:   machine,
+		cfg:       cfg.Normalized(),
+		machine:   engine.Capacity().Machine(),
 		hw:        hw,
-		engine:    place.NewEngine(machine, delta, pcfg),
+		engine:    engine,
 		taskByPID: map[int]*osched.Task{},
 		byPID:     map[int]*hybridState{},
 	}
@@ -96,14 +94,11 @@ func NewHybrid(cfg Config, delta float64, pcfg place.Config, machine *amp.Machin
 // Stats returns the aggregate monitoring statistics.
 func (m *Hybrid) Stats() Stats { return m.stats }
 
-// SetTracer attaches a trace sink to the runtime and its placement
-// engine: boundary window closes, re-decisions, and drift-damped
-// refreshes are emitted stamped at the kernel's simulated clock. Nil
-// disables tracing.
-func (m *Hybrid) SetTracer(tr *trace.Tracer) {
-	m.tr = tr
-	m.engine.SetTracer(tr)
-}
+// SetTracer attaches a trace sink to the runtime: boundary window closes,
+// re-decisions, and drift-damped refreshes are emitted stamped at the
+// kernel's simulated clock. Nil disables tracing. The engine's tracer is
+// its owner's to attach.
+func (m *Hybrid) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
 // Hook returns the per-process mark hook of one image's process. The
 // simulator installs it on every spawned process of a hybrid run.
@@ -345,7 +340,7 @@ func (m *Hybrid) OnTick(k *osched.Kernel, atPs int64) {
 		}
 		mask, spilled := m.engine.Place(st.pid, *dec)
 		st.proc.SetSpilled(spilled)
-		m.apply(k, st, mask)
+		apply(k, st.task, &st.wantMask, mask, &m.stats)
 	}
 }
 
@@ -363,7 +358,7 @@ func (m *Hybrid) sample(k *osched.Kernel, st *hybridState) {
 			m.closeWindow(st, st.task.Core(), true)
 			if st.cur != phase.Untyped && st.table.DecisionOf(int(st.cur)) == nil {
 				st.probing = true
-				m.apply(k, st, m.machine.TypeMask(st.table.LeastMeasured(int(st.cur), st.pid)))
+				apply(k, st.task, &st.wantMask, m.machine.TypeMask(st.table.LeastMeasured(int(st.cur), st.pid)), &m.stats)
 			}
 		}
 	}
@@ -371,17 +366,5 @@ func (m *Hybrid) sample(k *osched.Kernel, st *hybridState) {
 		st.es = perfcnt.Start(&st.proc.Counters)
 		st.openMigr = st.task.Migrations
 		st.open = true
-	}
-}
-
-// apply requests an affinity mask for a task, counting only real changes.
-func (m *Hybrid) apply(k *osched.Kernel, st *hybridState, mask uint64) {
-	if mask == 0 || mask == st.wantMask {
-		return
-	}
-	st.wantMask = mask
-	if st.task.Affinity != mask {
-		m.stats.Switches++
-		k.SetAffinity(st.task, mask)
 	}
 }

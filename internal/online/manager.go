@@ -80,32 +80,27 @@ type Manager struct {
 	claims []place.Claim
 }
 
-// NewManager builds the runtime for one kernel. delta is the run's
-// Algorithm 2 threshold (tuning.Config.Delta), which the probe policy's
-// placement decisions use. The hardware pool should be the kernel's own
-// (kernel.Hardware) so counter contention with any other monitoring stays
-// modeled. pcfg parameterizes the shared placement engine's arbitration
-// (the zero value is unpriced).
-func NewManager(cfg Config, delta float64, pcfg place.Config, machine *amp.Machine, hw *perfcnt.Hardware) *Manager {
-	cfg = cfg.Normalized()
+// NewManager builds the runtime for one kernel on the run's placement
+// engine, which makes the probe policy's decisions and every arbitration.
+// The hardware pool should be the kernel's own (kernel.Hardware) so
+// counter contention with any other monitoring stays modeled.
+func NewManager(cfg Config, engine *place.Engine, hw *perfcnt.Hardware) *Manager {
 	return &Manager{
-		cfg:     cfg,
-		machine: machine,
+		cfg:     cfg.Normalized(),
+		machine: engine.Capacity().Machine(),
 		hw:      hw,
-		engine:  place.NewEngine(machine, delta, pcfg),
+		engine:  engine,
 	}
 }
 
 // Stats returns the aggregate monitoring statistics.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// SetTracer attaches a trace sink to the runtime and its placement
-// engine: window closes, classifications, and decisions are emitted
-// stamped at the kernel's simulated clock. Nil disables tracing.
-func (m *Manager) SetTracer(tr *trace.Tracer) {
-	m.tr = tr
-	m.engine.SetTracer(tr)
-}
+// SetTracer attaches a trace sink to the runtime: window closes,
+// classifications, and decisions are emitted stamped at the kernel's
+// simulated clock. Nil disables tracing. The engine's tracer is its
+// owner's to attach.
+func (m *Manager) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
 // OnTick implements osched.TaskMonitor: adopt newly spawned tasks, retire
 // exited ones, close matured windows, and apply the reassignment policy.
@@ -232,7 +227,7 @@ func (m *Manager) probe(k *osched.Kernel, ts *taskState) {
 	}
 	if probeN == 0 {
 		ts.probing = true
-		m.apply(k, ts, m.machine.TypeMask(probeType))
+		apply(k, ts.task, &ts.wantMask, m.machine.TypeMask(probeType), &m.stats)
 		return
 	}
 	f := make([]float64, len(m.machine.Types))
@@ -281,19 +276,21 @@ func (m *Manager) probeRebalance(k *osched.Kernel) {
 		// Ledger attribution: arbitration overriding the task's own
 		// Algorithm 2 choice is a knowing spill, not a misprediction.
 		ts.task.Proc.SetSpilled(assigned[i] != claims[i].Dec.Choice)
-		m.apply(k, ts, m.machine.TypeMask(assigned[i]))
+		apply(k, ts.task, &ts.wantMask, m.machine.TypeMask(assigned[i]), &m.stats)
 	}
 }
 
-// apply requests an affinity mask for a task, counting only real changes.
-func (m *Manager) apply(k *osched.Kernel, ts *taskState, mask uint64) {
-	if mask == 0 || mask == ts.wantMask {
+// apply requests an affinity mask for a task on behalf of a kernel-side
+// runtime, counting only real changes: want holds the mask the runtime
+// last requested for the task.
+func apply(k *osched.Kernel, t *osched.Task, want *uint64, mask uint64, stats *Stats) {
+	if mask == 0 || mask == *want {
 		return
 	}
-	ts.wantMask = mask
-	if ts.task.Affinity != mask {
-		m.stats.Switches++
-		k.SetAffinity(ts.task, mask)
+	*want = mask
+	if t.Affinity != mask {
+		stats.Switches++
+		k.SetAffinity(t, mask)
 	}
 }
 
@@ -327,6 +324,6 @@ func (m *Manager) greedyRebalance(k *osched.Kernel) {
 	m.claims = claims
 	assigned := m.engine.AssignRanked(claims)
 	for i, ts := range scored {
-		m.apply(k, ts, m.machine.TypeMask(assigned[i]))
+		apply(k, ts.task, &ts.wantMask, m.machine.TypeMask(assigned[i]), &m.stats)
 	}
 }

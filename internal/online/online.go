@@ -18,7 +18,7 @@
 //     asymmetric multicore processors"): per-phase speedup estimates drive
 //     either a greedy IPC ranking over fast-core slots or a sampling probe
 //     that measures each phase on every core type and then applies the
-//     paper's own Algorithm 2 (place.Select) — mark-free.
+//     paper's own Algorithm 2 (place.Engine.Decide) — mark-free.
 //
 // The Manager hangs off the kernel's periodic TaskMonitor hook, draws
 // counter event sets from the same bounded perfcnt.Hardware pool as the
@@ -36,9 +36,10 @@
 // its per-phase place.Table; HybridConfig.Drift damps its re-decisions to
 // estimate movements above an ε threshold) and the perfect-knowledge
 // oracle (OracleDecisions precomputed, OracleHook at marks), the
-// showdown's upper bound. All three turn evidence into masks through
-// internal/place alone: Engine.Decide fixes a decision, Engine.Place or
-// Engine.Arbitrate arbitrates it, and a decision carries the image's
+// showdown's upper bound. All three turn evidence into masks through the
+// run's one place.Engine, which each takes in its constructor:
+// Engine.Decide fixes a decision, Engine.Place or Engine.Arbitrate
+// arbitrates it, and a decision carries the image's
 // exec.Image.MemSignature as is.
 package online
 
@@ -62,9 +63,10 @@ const (
 	// measures the ratio instead.
 	Greedy PolicyKind = iota
 	// Probe steers each newly detected phase across every core type,
-	// measures its windowed IPC there, and then fixes the phase's placement
-	// with the paper's Algorithm 2 (place.Select) — the mark-free temporal
-	// analogue of the static runtime's representative-section sampling.
+	// measures its windowed IPC there, and then fixes the phase's
+	// placement with the paper's Algorithm 2 (place.Engine.Decide) — the
+	// mark-free temporal analogue of the static runtime's
+	// representative-section sampling.
 	Probe
 )
 

@@ -1,6 +1,7 @@
 package online_test
 
 import (
+	"reflect"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -208,8 +209,9 @@ func TestUnboundedPoolNoDefers(t *testing.T) {
 // TestOracleDecisionsSplitTypes checks the oracle computes opposite
 // placements for a memory-bound and a compute-bound phase of an
 // alternating benchmark (the discriminating signal of the whole paper),
-// and that an engine-backed precompute fixes the same choices with the
-// spill-pricing rates and per-phase signature filled in.
+// with the spill-pricing rates and per-phase signature filled in, and
+// that a contention-priced engine fixes the same decisions: pricing
+// changes arbitration, never Decide.
 func TestOracleDecisionsSplitTypes(t *testing.T) {
 	machine := amp.Quad2Fast2Slow()
 	cm := exec.DefaultCostModel()
@@ -235,7 +237,7 @@ func TestOracleDecisionsSplitTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := art.Image
-	decs, err := online.OracleDecisions(img, topts, cm, machine, 0.06, nil)
+	decs, err := online.OracleDecisions(img, topts, cm, place.NewEngine(machine, 0.06, place.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,14 +248,17 @@ func TestOracleDecisionsSplitTypes(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Fatalf("oracle decisions %v use %d distinct core types, want both", decs, len(distinct))
 	}
-	priced, err := online.OracleDecisions(img, topts, cm, machine, 0.06, place.NewEngine(machine, 0.06, place.Config{}))
+	priced, err := online.OracleDecisions(img, topts, cm,
+		place.NewEngine(machine, 0.06, place.Config{Contention: &place.ContentionConfig{}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pt, dec := range decs {
-		got := priced[pt]
-		if got.Choice != dec.Choice || len(got.Rates) != len(machine.Types) || got.Mem == nil || *got.Mem != *dec.Mem {
-			t.Errorf("phase %d: engine-backed decision %+v, plain %+v", pt, got, dec)
+		if len(dec.Rates) != len(machine.Types) || dec.Mem == nil {
+			t.Errorf("phase %d: decision %+v lacks rates or signature", pt, dec)
+		}
+		if got := priced[pt]; !reflect.DeepEqual(got, dec) {
+			t.Errorf("phase %d: priced-engine decision %+v, unpriced %+v", pt, got, dec)
 		}
 	}
 }

@@ -20,16 +20,17 @@ import (
 // placements are exact from the first mark, with zero monitoring overhead
 // and zero misprediction.
 //
-// With eng nil the choice is place.Select at delta. Contention-priced runs
-// pass the run-wide engine, whose Decide adds the spill-pricing rates its
-// arbitration needs (delta is then the engine's own).
+// Every decision is the run's engine's Decide, at the engine's δ, with the
+// spill-pricing rates its arbitration needs; only a contention-priced
+// run's marks claim capacity with them (NewOracleHook).
 //
 // The image must have been instrumented under the same typing options with
 // no injected clustering error (block typing is re-derived here and must
 // match the mark types the instrumenter embedded).
 func OracleDecisions(img *exec.Image, topts phase.Options, cm exec.CostModel,
-	m *amp.Machine, delta float64, eng *place.Engine) (map[phase.Type]place.Decision, error) {
+	eng *place.Engine) (map[phase.Type]place.Decision, error) {
 
+	m := eng.Capacity().Machine()
 	typing, err := phase.ClusterBlocks(img.Prog, img.Graphs, topts)
 	if err != nil {
 		return nil, err
@@ -76,8 +77,8 @@ func OracleDecisions(img *exec.Image, topts phase.Options, cm exec.CostModel,
 		}
 	}
 
-	// With an engine every decision is a trace event, so the types go in
-	// order: map order would make two traces of one run differ.
+	// Every decision is a trace event, so the types go in order: map order
+	// would make two traces of one run differ.
 	types := make([]phase.Type, 0, len(accs))
 	for pt := range accs {
 		types = append(types, pt)
@@ -93,12 +94,7 @@ func OracleDecisions(img *exec.Image, topts phase.Options, cm exec.CostModel,
 		for t := range ipc {
 			ipc[t] = a.ipcW[t] / a.w
 		}
-		var dec place.Decision
-		if eng != nil {
-			dec = eng.Decide(ipc)
-		} else {
-			dec = place.Decision{Choice: place.Select(m, ipc, delta)}
-		}
+		dec := eng.Decide(ipc)
 		dec.Mem = &place.MemStats{L2RefsPerInstr: a.l2W / a.w, Profile: a.prof}
 		out[pt] = dec
 	}

@@ -293,21 +293,3 @@ func TestOvercommitDisabledChargesNothing(t *testing.T) {
 		t.Errorf("peak live %d, want 12", k.PeakLive())
 	}
 }
-
-// TestExitDuringMonitoring: a process that dies while its tuner holds an
-// event set must release it (failure-injection for the OnExit path).
-func TestCacheOccupancyBalanced(t *testing.T) {
-	// After a full run, every L2 group must be back to zero occupants.
-	k := newKernel(t)
-	for i := 0; i < 6; i++ {
-		spawnProg(t, k, memoryProgram(150), uint64(i+1))
-	}
-	if err := k.RunUntilDone(1e7); err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 2; g++ {
-		if n := k.Cache.Occupants(g); n != 0 {
-			t.Errorf("L2 group %d still has %d occupants after drain", g, n)
-		}
-	}
-}

@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"phasetune/internal/amp"
-	"phasetune/internal/cache"
 	"phasetune/internal/exec"
 	"phasetune/internal/ledger"
 	"phasetune/internal/perfcnt"
@@ -253,6 +252,7 @@ type coreState struct {
 	id       int
 	typ      amp.CoreTypeID
 	l2       int
+	shareKB  float64 // L2 capacity bursts here are priced at: the whole group's (no occupancy model)
 	queue    []*Task
 	busy     bool // a dispatch event is in flight for this core
 	lastTask *Task
@@ -266,8 +266,6 @@ type Kernel struct {
 	Cost exec.CostModel
 	// Hardware is the performance-counter pool the tuning runtime draws on.
 	Hardware *perfcnt.Hardware
-	// Cache tracks shared-L2 occupancy.
-	Cache *cache.Model
 	// OnExit, when set, fires after a task completes (workloads use it to
 	// start the next job in the slot queue).
 	OnExit func(k *Kernel, t *Task)
@@ -345,13 +343,12 @@ func NewKernel(m *amp.Machine, cost exec.CostModel, cfg Config) (*Kernel, error)
 		Machine:  m,
 		Cost:     cost,
 		Hardware: perfcnt.NewHardware(cfg.CounterSlots),
-		Cache:    cache.New(m),
 		params:   exec.ParamsFor(cost, m),
 	}
 	k.typeCores = make([]int, len(m.Types))
 	k.runnable = make([]int, len(m.Types))
 	for _, c := range m.Cores {
-		k.cores = append(k.cores, coreState{id: c.ID, typ: c.Type, l2: c.L2})
+		k.cores = append(k.cores, coreState{id: c.ID, typ: c.Type, l2: c.L2, shareKB: m.L2s[c.L2].SizeKB})
 		k.typeCores[c.Type]++
 	}
 	// Fastest clock: prices the ledger's useful-work counterfactual and
@@ -785,13 +782,9 @@ func (k *Kernel) dispatch(core int) {
 	cs.lastTask = t
 
 	instrBefore := t.Proc.Counters.Instructions
-	k.Cache.Attach(cs.l2)
-	// The effective share is constant for the whole burst: Attach/Detach
-	// bracket the loop and no other handler runs in between, so hoisting
-	// the lookup out of the step loop is exact — and it is what lets the
-	// whole burst price from one lane's cost table.
-	share := k.Cache.ShareKB(cs.l2)
-	lane := t.Proc.Lane(par, share, k.fastPs)
+	// The share is constant for the whole burst, which is what lets it
+	// price from one lane's cost table.
+	lane := t.Proc.Lane(par, cs.shareKB, k.fastPs)
 
 	exited := false
 	migrate := false
@@ -813,7 +806,6 @@ func (k *Kernel) dispatch(core int) {
 		}
 	}
 
-	k.Cache.Detach(cs.l2)
 	k.totalInstr += t.Proc.Counters.Instructions - instrBefore
 
 	// End-of-quantum hook: bounded monitoring windows (exec.QuantumHook).

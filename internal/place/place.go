@@ -49,7 +49,7 @@ import (
 )
 
 // Config parameterizes the arbitration (the Algorithm 2 threshold δ is a
-// separate Engine argument because each runtime carries its own δ knob).
+// separate Engine argument: it is the run's tuning knob, not arbitration's).
 // The zero value is the unpriced engine every runtime uses by default.
 type Config struct {
 	// Contention, when non-nil, prices shared-L2 occupancy and DRAM
@@ -246,7 +246,7 @@ type Engine struct {
 	tr *trace.Tracer
 }
 
-// NewEngine builds an engine for one machine. delta is the runtime's
+// NewEngine builds an engine for one machine. delta is the run's
 // Algorithm 2 threshold; cfg parameterizes arbitration (the zero value is
 // unpriced).
 func NewEngine(m *amp.Machine, delta float64, cfg Config) *Engine {

@@ -8,6 +8,7 @@ import (
 	"phasetune/internal/exec"
 	"phasetune/internal/isa"
 	"phasetune/internal/osched"
+	"phasetune/internal/place"
 	"phasetune/internal/prog"
 	"phasetune/internal/rng"
 	"phasetune/internal/transition"
@@ -120,7 +121,8 @@ func TestRandomProgramsSurviveFullPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tu := tuning.NewTuner(tuning.DefaultConfig(), machine, kern.Hardware, img)
+			tcfg := tuning.DefaultConfig()
+			tu := tuning.NewTuner(tcfg, place.NewEngine(machine, tcfg.Delta, place.Config{}), kern.Hardware, img)
 			proc := exec.NewProcess(1, img, &cost, uint64(i)+7, tu)
 			var cycles int64
 			for !proc.Exited() && cycles < 3_000_000 {

@@ -100,17 +100,18 @@ type RunConfig struct {
 	// Params is the marking technique (used when Mode != Baseline).
 	Params transition.Params
 	// Tuning configures the runtime (used when Mode == Tuned; Overhead
-	// installs the all-cores hook instead). Tuning.Delta is the run's
-	// Algorithm 2 threshold for every policy: the oracle, the dynamic
-	// detector and the hybrid read it too.
+	// installs the all-cores hook instead). Tuning.Delta is the δ of the
+	// run's one placement engine, so it is the Algorithm 2 threshold of
+	// every policy.
 	Tuning tuning.Config
 	// Online configures the dynamic detector (used when Mode == Dynamic or
 	// Hybrid; zero fields take online.DefaultConfig values). The detector
 	// ticks on the kernel's fixed osched.MonitorIntervalSec.
 	Online online.Config
-	// Placement parameterizes the shared placement engine's capacity
-	// arbitration (contention pricing on or off) for every engine-backed
-	// mode: Dynamic, Hybrid, Tuned with Tuning.Spill, and a priced Oracle.
+	// Placement parameterizes the run's placement engine's capacity
+	// arbitration (contention pricing on or off). Its claims come from the
+	// engine-backed modes: Dynamic, Hybrid, Tuned with Tuning.Spill, and an
+	// Oracle run whose Placement is priced.
 	Placement place.Config
 	// TypingOpts configures static block typing.
 	TypingOpts phase.Options
@@ -280,14 +281,17 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		spec.ErrFrac = 0
 	}
 	images := map[*workload.Benchmark]*exec.Image{}
-	// Contention-priced oracle runs register claims on one run-wide engine
-	// (built from the same placement config every other engine-backed mode
-	// uses); unpriced oracle marks pin to the chosen type without one.
+	// One placement engine serves the run: every runtime's Algorithm 2
+	// decision is its Decide at the run's δ, and the engine-backed modes
+	// claim capacity on it. Runtimes differ only in pinning versus
+	// claiming: the static tuner claims under Tuning.Spill, and oracle
+	// marks claim only when the run is contention-priced.
+	eng := place.NewEngine(machine, cfg.Tuning.Delta, cfg.Placement)
+	eng.SetTracer(cfg.Trace)
 	var oracleEng *place.Engine
 	oracleDecs := map[*exec.Image]map[phase.Type]place.Decision{}
-	if cfg.Mode == Oracle && cfg.Placement.Contention != nil {
-		oracleEng = place.NewEngine(machine, cfg.Tuning.Delta, cfg.Placement)
-		oracleEng.SetTracer(cfg.Trace)
+	if cfg.Placement.Contention != nil {
+		oracleEng = eng
 	}
 	res := &Result{Images: map[string]ImageStats{}, DurationSec: cfg.DurationSec}
 	benchGroups := [][]*workload.Benchmark{}
@@ -311,7 +315,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 			images[b] = art.Image
 			res.Images[b.Name()] = art.Stats
 			if cfg.Mode == Oracle {
-				decs, err := online.OracleDecisions(art.Image, topts, cost, machine, cfg.Tuning.Delta, oracleEng)
+				decs, err := online.OracleDecisions(art.Image, topts, cost, eng)
 				if err != nil {
 					return nil, fmt.Errorf("sim: oracle %s: %w", b.Name(), err)
 				}
@@ -343,11 +347,11 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	var hybrid *online.Hybrid
 	switch cfg.Mode {
 	case Dynamic:
-		monitor = online.NewManager(cfg.Online, cfg.Tuning.Delta, cfg.Placement, machine, kernel.Hardware)
+		monitor = online.NewManager(cfg.Online, eng, kernel.Hardware)
 		monitor.SetTracer(cfg.Trace)
 		kernel.Monitor = monitor
 	case Hybrid:
-		hybrid = online.NewHybrid(cfg.Online, cfg.Tuning.Delta, cfg.Placement, machine, kernel.Hardware)
+		hybrid = online.NewHybrid(cfg.Online, eng, kernel.Hardware)
 		hybrid.SetTracer(cfg.Trace)
 		kernel.Monitor = hybrid
 	}
@@ -356,14 +360,6 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		kernel.OnSample = func(k *osched.Kernel, atPs int64) {
 			onProgress(osched.PsToSec(atPs))
 		}
-	}
-
-	// Capacity-aware static runs share one placement engine across every
-	// tuner of the kernel — spill arbitration needs the machine-wide view.
-	var spillEng *place.Engine
-	if cfg.Mode == Tuned && cfg.Tuning.Spill {
-		spillEng = place.NewEngine(machine, cfg.Tuning.Delta, cfg.Placement)
-		spillEng.SetTracer(cfg.Trace)
 	}
 
 	// The hook choice is per-process and mode-dependent; the closed slot
@@ -378,12 +374,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		case cfg.Mode == Overhead:
 			hook = tuning.AllCores(machine.AllMask())
 		case cfg.Mode == Tuned:
-			t := tuning.NewTuner(cfg.Tuning, machine, k.Hardware, img)
-			if spillEng != nil {
-				t.SetEngine(spillEng)
-			}
-			t.SetTracer(cfg.Trace)
-			hook = t
+			hook = tuning.NewTuner(cfg.Tuning, eng, k.Hardware, img)
 		case cfg.Mode == Oracle:
 			hook = online.NewOracleHook(machine, oracleEng, img, oracleDecs[img])
 		case cfg.Mode == Hybrid:
@@ -510,7 +501,9 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		res.Online = &stats
 	}
 	if col != nil {
-		res.Ledger = col.Finalize(kernel.NowPs())
+		if res.Ledger, err = col.Finalize(kernel.NowPs()); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
 	}
 	res.CacheStats = kernel.CacheStats()
 	return res, nil
@@ -579,8 +572,9 @@ func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]Isola
 		var hook exec.MarkHook
 		if spec.Mode == Tuned {
 			// A lone process makes a single claim, which arbitration never
-			// spills, so isolation runs need no placement engine.
-			hook = tuning.NewTuner(spec.Tuning, machine, kernel.Hardware, img)
+			// spills, so an unpriced engine of its own serves each run.
+			eng := place.NewEngine(machine, spec.Tuning.Delta, place.Config{})
+			hook = tuning.NewTuner(spec.Tuning, eng, kernel.Hardware, img)
 		}
 		p := exec.NewProcess(kernel.NextPID(), img, &kernel.Cost, spec.Seed^uint64(len(b.Name())), hook)
 		task := kernel.Spawn(p, b.Name(), 0, 0)

@@ -17,7 +17,7 @@ func TestOnQuantumClosesLongSections(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
 	cfg.MaxMonitorCycles = 1000
-	tu := NewTuner(cfg, m, hw, fakeMarks{0: 0})
+	tu := newTuner(cfg, m, hw, fakeMarks{0: 0})
 	p := &exec.Process{}
 
 	// One mark starts monitoring; the section then runs "forever" with only
@@ -47,7 +47,7 @@ func TestOnQuantumRespectsBound(t *testing.T) {
 	m := amp.Quad2Fast2Slow()
 	cfg := DefaultConfig()
 	cfg.MaxMonitorCycles = 1000000
-	tu := NewTuner(cfg, m, perfcnt.NewHardware(0), fakeMarks{0: 0})
+	tu := newTuner(cfg, m, perfcnt.NewHardware(0), fakeMarks{0: 0})
 	p := &exec.Process{}
 	tu.OnMark(p, 0, 0)
 	p.Counters.Add(100, 100) // far below the bound
@@ -65,7 +65,7 @@ func TestOnQuantumDisabled(t *testing.T) {
 	m := amp.Quad2Fast2Slow()
 	cfg := DefaultConfig()
 	cfg.MaxMonitorCycles = 0
-	tu := NewTuner(cfg, m, perfcnt.NewHardware(0), fakeMarks{0: 0})
+	tu := newTuner(cfg, m, perfcnt.NewHardware(0), fakeMarks{0: 0})
 	p := &exec.Process{}
 	tu.OnMark(p, 0, 0)
 	p.Counters.Add(1e9, 1e9)
@@ -81,7 +81,7 @@ func TestOnQuantumSteersDecidedSections(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
 	cfg.MaxMonitorCycles = 1000
-	tu := NewTuner(cfg, m, perfcnt.NewHardware(0), fakeMarks{0: 0})
+	tu := newTuner(cfg, m, perfcnt.NewHardware(0), fakeMarks{0: 0})
 	p := &exec.Process{}
 	tu.OnMark(p, 0, 0)
 	var lastMask uint64

@@ -17,12 +17,13 @@ import (
 	"phasetune/internal/perfcnt"
 	"phasetune/internal/phase"
 	"phasetune/internal/place"
-	"phasetune/internal/trace"
 )
 
 // Config parameterizes the tuner.
 type Config struct {
-	// Delta is the paper's IPC threshold δ in Algorithm 2.
+	// Delta is the paper's IPC threshold δ in Algorithm 2. The run driver
+	// builds the run's placement engine from it; the tuner itself decides
+	// through that engine and never reads it.
 	Delta float64
 	// MinSectionInstrs discards monitoring samples shorter than this many
 	// instructions (too short to estimate IPC).
@@ -41,8 +42,8 @@ type Config struct {
 	// experiments.AblationPinMode compares both.
 	PinSingleCore bool
 	// Spill enables capacity-aware spill arbitration: decided phase types
-	// register their measured per-type rates as claims with a shared
-	// placement engine (one per kernel), and masks come from the engine's
+	// register their measured per-type rates as claims with the run's
+	// placement engine, and masks come from the engine's
 	// capacity arbitration instead of a raw type pin. This is the ablation
 	// that fixes static pin-to-type herding on memory-dominant workloads
 	// (every task's Algorithm 2 choice lands on the slow cores while fast
@@ -82,17 +83,16 @@ type Tuner struct {
 	hw      *perfcnt.Hardware
 	marks   markTable
 
-	// engine is the shared placement engine (one per kernel) when spill
-	// arbitration is on; nil reproduces the plain pin-to-type runtime.
+	// engine is the run's placement engine (one per kernel): every
+	// decision is its Decide, and under Config.Spill every mask comes out
+	// of its arbitration.
 	engine *place.Engine
-	pid    int
 
 	// table accumulates representative-section IPC per (phase type, core
 	// type) and holds each phase type's Decision once it is fixed.
 	table *place.Table
 	cur   phase.Type
 	mon   monitorState
-	tr    *trace.Tracer
 
 	// SwitchRequests counts affinity calls issued (diagnostics; actual
 	// migrations are counted by the kernel).
@@ -106,44 +106,35 @@ type markTable interface {
 	MarkType(id int) phase.Type
 }
 
-// SetTracer attaches a trace sink to this tuner (nil disables). The
-// shared spill engine's tracer is attached by the run driver that owns
-// the engine.
-func (tu *Tuner) SetTracer(tr *trace.Tracer) { tu.tr = tr }
-
-// NewTuner builds the runtime for one process.
-func NewTuner(cfg Config, machine *amp.Machine, hw *perfcnt.Hardware, marks markTable) *Tuner {
+// NewTuner builds the runtime for one process. engine is the run's
+// placement engine, shared by every tuner of the kernel; its tracer
+// records the tuner's decisions.
+func NewTuner(cfg Config, engine *place.Engine, hw *perfcnt.Hardware, marks markTable) *Tuner {
+	machine := engine.Capacity().Machine()
 	return &Tuner{
 		cfg:     cfg,
 		machine: machine,
 		hw:      hw,
 		marks:   marks,
+		engine:  engine,
 		table:   place.NewTable(len(machine.Types)),
 		cur:     phase.Untyped,
 	}
 }
-
-// SetEngine attaches the shared placement engine that capacity-aware spill
-// (Config.Spill) arbitrates through. One engine serves every tuner of a
-// kernel; the simulator wires it when the run config asks for spill.
-func (tu *Tuner) SetEngine(e *place.Engine) { tu.engine = e }
-
-// spilling reports whether masks come from shared-engine arbitration.
-func (tu *Tuner) spilling() bool { return tu.engine != nil && tu.cfg.Spill }
 
 // maskFor resolves a decided phase type's affinity mask: the engine's
 // arbitrated mask under spill, the fixed pin otherwise. The ledger learns
 // whether arbitration parked the process off its chosen type, so asymmetry
 // loss under a knowing spill is charged to the spill category.
 func (tu *Tuner) maskFor(p *exec.Process, dec *place.Decision) uint64 {
-	if !tu.spilling() {
+	if !tu.cfg.Spill {
 		mask := tu.machine.TypeMask(dec.Choice)
 		if tu.cfg.PinSingleCore {
 			mask &= -mask // the type's lowest-numbered core
 		}
 		return mask
 	}
-	mask, spilled := tu.engine.Place(tu.pid, *dec)
+	mask, spilled := tu.engine.Place(p.PID, *dec)
 	p.SetSpilled(spilled)
 	return mask
 }
@@ -151,7 +142,6 @@ func (tu *Tuner) maskFor(p *exec.Process, dec *place.Decision) uint64 {
 // OnMark implements exec.MarkHook: the executable payload of a phase mark.
 func (tu *Tuner) OnMark(p *exec.Process, markID int, coreID int) exec.MarkAction {
 	pt := tu.marks.MarkType(markID)
-	tu.pid = p.PID
 
 	// A mark ends the section being monitored, whatever its type.
 	if tu.mon.active {
@@ -169,7 +159,7 @@ func (tu *Tuner) OnMark(p *exec.Process, markID int, coreID int) exec.MarkAction
 	}
 	// An undecided phase is not a capacity claim — probing overrides
 	// arbitration until the decision lands.
-	if tu.spilling() {
+	if tu.cfg.Spill {
 		tu.engine.Leave(p.PID)
 		p.SetSpilled(false)
 	}
@@ -217,25 +207,12 @@ func (tu *Tuner) finishMonitor(p *exec.Process) {
 // decide fixes the section-to-core assignment for a phase type from its
 // mean representative IPC per core type.
 func (tu *Tuner) decide(p *exec.Process, pt phase.Type) {
-	f := tu.table.Means(int(pt))
-	var dec place.Decision
-	if tu.spilling() {
-		dec = tu.engine.Decide(f)
+	dec := tu.engine.Decide(tu.table.Means(int(pt)))
+	if tu.cfg.Spill {
 		// Attach the image's shared-cache signature so contention-priced
 		// arbitration can project crowding costs. Inert (never read) when
 		// the engine's pricing is off.
 		dec.Mem = p.Img.MemSignature()
-	} else {
-		dec = place.Decision{Choice: place.Select(tu.machine, f, tu.cfg.Delta)}
-		// The spill path's decision is traced inside engine.Decide; the
-		// plain pin-to-type path reports its rationale here.
-		if tu.tr != nil {
-			tu.tr.InstantNow("place", "decide", trace.PidTasks, tu.pid,
-				trace.Arg{Key: "ipc", Value: f},
-				trace.Arg{Key: "choice", Value: tu.machine.Types[dec.Choice].Name},
-				trace.Arg{Key: "delta", Value: tu.cfg.Delta},
-				trace.Arg{Key: "phase", Value: int(pt)})
-		}
 	}
 	tu.table.SetDecision(int(pt), dec)
 }
@@ -246,7 +223,7 @@ func (tu *Tuner) OnExit(p *exec.Process) {
 	if tu.mon.active {
 		tu.finishMonitor(p)
 	}
-	if tu.spilling() {
+	if tu.cfg.Spill {
 		tu.engine.Leave(p.PID)
 	}
 }

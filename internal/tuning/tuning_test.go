@@ -17,6 +17,11 @@ func (f fakeMarks) MarkType(id int) phase.Type { return f[id] }
 
 func quad() *amp.Machine { return amp.Quad2Fast2Slow() }
 
+// newTuner builds a tuner on an unpriced engine of its own at cfg.Delta.
+func newTuner(cfg Config, m *amp.Machine, hw *perfcnt.Hardware, marks markTable) *Tuner {
+	return NewTuner(cfg, place.NewEngine(m, cfg.Delta, place.Config{}), hw, marks)
+}
+
 func TestSelectMemoryBoundPicksSlow(t *testing.T) {
 	m := quad()
 	// f[fast]=0.4, f[slow]=0.7: gap 0.3 > δ=0.15 -> slow.
@@ -107,7 +112,7 @@ func TestTunerDecidesAfterSampling(t *testing.T) {
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
-	tu := NewTuner(cfg, m, hw, marks)
+	tu := newTuner(cfg, m, hw, marks)
 	p := newProc()
 
 	// First mark of type 0: tuner should steer to some core type and start
@@ -148,7 +153,7 @@ func TestTunerDecidedMarksJustSwitch(t *testing.T) {
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
-	tu := NewTuner(cfg, m, hw, marks)
+	tu := newTuner(cfg, m, hw, marks)
 	p := newProc()
 	for i := 0; i < 30 && (!tu.Decided(0) || !tu.Decided(1)); i++ {
 		tu.OnMark(p, 0, 0)
@@ -181,7 +186,7 @@ func TestTunerComputePinsFastMemoryPinsSlow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
 	cfg.Delta = 0.15
-	tu := NewTuner(cfg, m, hw, marks)
+	tu := newTuner(cfg, m, hw, marks)
 	p := newProc()
 	// Compute section: IPC 1.0 on both types. Memory section: IPC 0.4 fast,
 	// 0.7 slow. The probe order is internal; feed IPC by probed type.
@@ -220,7 +225,7 @@ func TestTunerPinSingleCore(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
 	cfg.PinSingleCore = true
-	tu := NewTuner(cfg, m, hw, fakeMarks{0: 0, 1: 1})
+	tu := newTuner(cfg, m, hw, fakeMarks{0: 0, 1: 1})
 	p := newProc()
 	for i := 0; i < 30 && !tu.Decided(0); i++ {
 		tu.OnMark(p, 0, 0)
@@ -252,7 +257,7 @@ func TestSameTypeMarkIsNoop(t *testing.T) {
 	m := quad()
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
-	tu := NewTuner(cfg, m, perfcnt.NewHardware(8), fakeMarks{0: 0, 1: 0})
+	tu := newTuner(cfg, m, perfcnt.NewHardware(8), fakeMarks{0: 0, 1: 0})
 	p := newProc()
 	tu.OnMark(p, 0, 0)
 	p.Counters.Add(1000, 1000)
@@ -271,7 +276,7 @@ func TestShortSectionsRejected(t *testing.T) {
 	m := quad()
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 1000
-	tu := NewTuner(cfg, m, perfcnt.NewHardware(8), fakeMarks{0: 0, 1: 1})
+	tu := newTuner(cfg, m, perfcnt.NewHardware(8), fakeMarks{0: 0, 1: 1})
 	p := newProc()
 	tu.OnMark(p, 0, 0)
 	p.Counters.Add(10, 10) // far below MinSectionInstrs
@@ -289,7 +294,7 @@ func TestCounterContentionDefersMonitoring(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
-	tu := NewTuner(cfg, m, hw, fakeMarks{0: 0, 1: 1})
+	tu := newTuner(cfg, m, hw, fakeMarks{0: 0, 1: 1})
 	p := newProc()
 	act := tu.OnMark(p, 0, 0)
 	if act.Mask == 0 {
@@ -311,7 +316,7 @@ func TestOnExitReleasesEventSet(t *testing.T) {
 	hw := perfcnt.NewHardware(4)
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
-	tu := NewTuner(cfg, m, hw, fakeMarks{0: 0})
+	tu := newTuner(cfg, m, hw, fakeMarks{0: 0})
 	p := newProc()
 	tu.OnMark(p, 0, 0)
 	if hw.InUse() != 1 {
@@ -369,8 +374,7 @@ func TestTunerSpillArbitratesHerd(t *testing.T) {
 	slowMask := m.TypeMask(amp.SlowType)
 	masks := map[uint64]int{}
 	for pid := 1; pid <= 3; pid++ {
-		tu := NewTuner(cfg, m, hw, marks)
-		tu.SetEngine(eng)
+		tu := NewTuner(cfg, eng, hw, marks)
 		p := &exec.Process{PID: pid}
 		driveMemDecision(t, tu, p)
 		if c := choice(tu, 0); c != amp.SlowType {
@@ -393,8 +397,9 @@ func TestTunerSpillArbitratesHerd(t *testing.T) {
 	}
 }
 
-// TestTunerWithoutSpillHerds is the control: the plain runtime pins every
-// memory phase to the slow type (the herding the spill ablation fixes).
+// TestTunerWithoutSpillHerds is the control: on the same shared engine the
+// plain runtime pins every memory phase to the slow type (the herding the
+// spill ablation fixes). Pinning versus claiming is the only difference.
 func TestTunerWithoutSpillHerds(t *testing.T) {
 	m := quad()
 	hw := perfcnt.NewHardware(16)
@@ -402,9 +407,10 @@ func TestTunerWithoutSpillHerds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinSectionInstrs = 10
 	cfg.Delta = 0.15
+	eng := place.NewEngine(m, cfg.Delta, place.Config{})
 	slowMask := m.TypeMask(amp.SlowType)
 	for pid := 1; pid <= 3; pid++ {
-		tu := NewTuner(cfg, m, hw, marks)
+		tu := NewTuner(cfg, eng, hw, marks)
 		p := &exec.Process{PID: pid}
 		driveMemDecision(t, tu, p)
 		tu.OnMark(p, 1, 0)

@@ -748,20 +748,21 @@ func (s Spec) Build(suite []*Benchmark) *Workload {
 	return BuildWorkload(suite, s.Slots, s.QueueLen, s.Seed)
 }
 
-// MaxQueuedJobs caps a closed workload's job count, Slots×QueueLen, as a
-// runaway guard on wire specs (the campaigns queue a few thousand jobs).
+// MaxQueuedJobs caps a closed workload's slot count and its job count,
+// Slots×QueueLen, as a runaway guard on wire specs (the campaigns queue a
+// few thousand jobs).
 const MaxQueuedJobs = 1 << 20
 
 // Validate checks the closed-workload construction parameters: queue
-// lengths must be non-negative, Slots×QueueLen must stay within
-// MaxQueuedJobs, and a named fleet must exist. Materialize calls it; open
+// lengths must be non-negative, Slots and Slots×QueueLen must each stay
+// within MaxQueuedJobs, and a named fleet must exist. Materialize calls it; open
 // specs (Arrivals set) leave Slots and QueueLen unused, and MaterializeOpen
 // validates their arrival process instead.
 func (s Spec) Validate() error {
 	if s.Slots < 0 || s.QueueLen < 0 {
 		return fmt.Errorf("workload: negative queues (%d slots of %d jobs)", s.Slots, s.QueueLen)
 	}
-	if s.QueueLen > 0 && s.Slots > MaxQueuedJobs/s.QueueLen {
+	if s.Slots > MaxQueuedJobs || (s.QueueLen > 0 && s.Slots > MaxQueuedJobs/s.QueueLen) {
 		return fmt.Errorf("workload: %d slots of %d jobs exceed the %d-job ceiling", s.Slots, s.QueueLen, MaxQueuedJobs)
 	}
 	if s.Fleet != "" && s.Fleet != FleetAntagonist {

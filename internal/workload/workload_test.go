@@ -152,6 +152,23 @@ func TestBuildWorkloadShape(t *testing.T) {
 	}
 }
 
+// TestSpecValidateBoundsSlots checks Slots is bounded on its own: an
+// empty-queue spec must not ask a worker for 2^40 slots, with or without
+// the antagonist fleet, while the ceiling itself stays valid.
+func TestSpecValidateBoundsSlots(t *testing.T) {
+	for _, fleet := range []string{"", FleetAntagonist} {
+		if err := (Spec{Slots: 1 << 40, Fleet: fleet}).Validate(); err == nil {
+			t.Errorf("fleet %q: 2^40 slots validated", fleet)
+		}
+		if err := (Spec{Slots: MaxQueuedJobs + 1, Fleet: fleet}).Validate(); err == nil {
+			t.Errorf("fleet %q: %d slots validated", fleet, MaxQueuedJobs+1)
+		}
+		if err := (Spec{Slots: MaxQueuedJobs, QueueLen: 1, Fleet: fleet}).Validate(); err != nil {
+			t.Errorf("fleet %q: the ceiling itself refused: %v", fleet, err)
+		}
+	}
+}
+
 func TestBuildWorkloadDeterministicAndSeedSensitive(t *testing.T) {
 	s := suite(t)
 	a := BuildWorkload(s, 6, 16, 9)
