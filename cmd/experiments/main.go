@@ -68,13 +68,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"phasetune/internal/benchhist"
 	"phasetune/internal/experiments"
+	"phasetune/internal/prof"
 	"phasetune/internal/sim"
 	"phasetune/internal/textplot"
 	"phasetune/internal/trace"
@@ -157,35 +156,19 @@ func run(args []string, stdout io.Writer) error {
 			*runFlag, strings.Join(experiments.CampaignNames(), ", "))
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	// Create the trace path now so a bad path fails in milliseconds.
+	if *traceFlag != "" {
+		f, err := os.Create(*traceFlag)
 		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	// Create the output paths now so a bad path fails in milliseconds; the
-	// heap profile itself is taken at exit, after the whole invocation.
-	for _, path := range []struct{ flag, path string }{{"-memprofile", *memprofile}, {"-trace", *traceFlag}} {
-		if path.path == "" {
-			continue
-		}
-		f, err := os.Create(path.path)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path.flag, err)
+			return fmt.Errorf("-trace: %w", err)
 		}
 		f.Close()
 	}
-	if *memprofile != "" {
-		defer writeMemProfile(*memprofile)
+	stopProfiles, err := prof.Start("experiments", *cpuprofile, *memprofile)
+	if err != nil {
+		return err
 	}
+	defer stopProfiles()
 
 	cfg, err := experiments.FlagConfig(*quick, *slots, *duration, *seedsFlag)
 	if err != nil {
@@ -299,21 +282,6 @@ func traceServing(w io.Writer, cfg experiments.Config, path string) error {
 		st.Admitted, st.Completed)
 	fmt.Fprintf(w, "wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n", tr.Len(), path)
 	return nil
-}
-
-// writeMemProfile records the heap after a final GC, so the profile shows
-// live retention rather than transient sweep garbage.
-func writeMemProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: -memprofile:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: -memprofile:", err)
-	}
 }
 
 func header(w io.Writer, title string) {

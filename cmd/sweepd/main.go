@@ -49,14 +49,13 @@ import (
 	"fmt"
 	"os"
 	osexec "os/exec"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"phasetune/internal/amp"
 	"phasetune/internal/dist"
 	"phasetune/internal/experiments"
+	"phasetune/internal/prof"
 	"phasetune/internal/sim"
 )
 
@@ -240,30 +239,11 @@ func verifyAgainstSequential(camp dist.Campaign, raws []json.RawMessage) error {
 }
 
 func runWorker(url, name, cpuprofile, memprofile string) error {
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := prof.Start("sweepd", cpuprofile, memprofile)
+	if err != nil {
+		return err
 	}
-	if memprofile != "" {
-		// Validate the path now so a typo fails before the campaign, not
-		// after it; the real profile is written at exit.
-		f, err := os.Create(memprofile)
-		if err != nil {
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-		f.Close()
-		defer writeHeapProfile(memprofile)
-	}
+	defer stopProfiles()
 	w := &dist.Worker{Name: name, Transport: &dist.Client{BaseURL: url}}
 	fmt.Printf("sweepd: worker %q connecting to %s\n", name, url)
 	if err := w.Run(context.Background()); err != nil {
@@ -271,19 +251,4 @@ func runWorker(url, name, cpuprofile, memprofile string) error {
 	}
 	fmt.Printf("sweepd: worker %q done\n", name)
 	return nil
-}
-
-// writeHeapProfile snapshots the heap after a final GC. Failures are
-// reported, not fatal: the campaign's results already committed.
-func writeHeapProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweepd: -memprofile:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "sweepd: -memprofile:", err)
-	}
 }

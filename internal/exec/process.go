@@ -6,6 +6,7 @@ import (
 	"phasetune/internal/ledger"
 	"phasetune/internal/perfcnt"
 	"phasetune/internal/rng"
+	"phasetune/internal/trace"
 )
 
 // MarkAction is what the tuning runtime asks for at a phase mark.
@@ -66,6 +67,10 @@ type Process struct {
 	// run's ledger. The interpreter only writes to it — attribution never
 	// feeds back into execution, so an attached Work cannot perturb a run.
 	Work *ledger.Work
+	// Trace, when non-nil, receives an instant at every phase mark that
+	// reaches the hook. Like Work it is attached at spawn and only written
+	// to, so a traced process executes exactly as an untraced one.
+	Trace *trace.Tracer
 
 	cm   *CostModel
 	rand *rng.Source
@@ -156,7 +161,7 @@ func bodyIdealPs(info *blockInfo, core *CoreParams, ic int64, shareKB float64, f
 }
 
 // execMarks runs the phase marks at the top of a block: counter and ledger
-// charges plus the tuning-runtime hook.
+// charges, the trace instant, and the tuning-runtime hook.
 func (p *Process) execMarks(info *blockInfo, core *CoreParams, coreID int, res *StepResult) {
 	for _, mid := range info.markIDs {
 		p.Counters.Add(uint64(p.cm.MarkInstrs), uint64(p.cm.MarkCycles))
@@ -169,6 +174,11 @@ func (p *Process) execMarks(info *blockInfo, core *CoreParams, coreID int, res *
 			p.Work.AddMark(p.cm.MarkCycles * core.PsPerCycle)
 		}
 		if p.Hook != nil {
+			if p.Trace != nil {
+				p.Trace.InstantNow("exec", "mark", trace.PidTasks, p.PID,
+					trace.Arg{Key: "mark", Value: int(mid)},
+					trace.Arg{Key: "core", Value: coreID})
+			}
 			act := p.Hook.OnMark(p, int(mid), coreID)
 			if act.Mask != 0 {
 				res.WantMask = act.Mask

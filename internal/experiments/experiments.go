@@ -333,21 +333,17 @@ type SwitchRow struct {
 // Table1Switches runs every benchmark alone under the best technique,
 // fanning the suite across the worker pool.
 func Table1Switches(cfg Config) ([]SwitchRow, error) {
-	iso, err := sim.IsolationContext(context.Background(), sim.IsolationSpec{
-		Suite: cfg.Suite, Machine: cfg.Machine, Cost: cfg.Cost, Sched: cfg.Sched,
-		Mode: sim.Tuned, Params: BestParams(), Tuning: cfg.Tuning, Typing: cfg.Typing,
-		Seed: 1, Workers: cfg.Workers, Cache: cfg.cache(),
-	})
+	iso, err := cfg.isolation(sim.Tuned, BestParams())
 	if err != nil {
 		return nil, err
 	}
 	var rows []SwitchRow
-	for _, b := range cfg.Suite {
-		r := iso[b.Name()]
+	for i, b := range cfg.Suite {
+		r := iso[i]
 		row := SwitchRow{
 			Benchmark:       b.Name(),
 			Switches:        r.Migrations,
-			RuntimeSec:      r.RuntimeSec,
+			RuntimeSec:      r.FlowSec(),
 			PaperSwitches:   b.Spec.PaperSwitches,
 			PaperRuntimeSec: b.Spec.PaperRuntimeSec,
 		}
@@ -602,17 +598,22 @@ func gridTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
 // IsolationTimes returns per-benchmark baseline isolation runtimes (the t_j
 // of max-stretch).
 func IsolationTimes(cfg Config) (map[string]float64, error) {
-	iso, err := sim.IsolationContext(context.Background(), sim.IsolationSpec{
-		Suite: cfg.Suite, Machine: cfg.Machine, Cost: cfg.Cost, Sched: cfg.Sched,
-		Mode: sim.Baseline, Typing: cfg.Typing, Seed: 1,
-		Workers: cfg.Workers, Cache: cfg.cache(),
-	})
+	iso, err := cfg.isolation(sim.Baseline, transition.Params{})
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]float64, len(iso))
-	for n, r := range iso {
-		out[n] = r.RuntimeSec
+	for _, r := range iso {
+		out[r.Name] = r.FlowSec()
 	}
 	return out, nil
+}
+
+// isolation runs every suite benchmark alone under mode (Baseline or
+// Tuned) with run seed 1, fanning the suite across the worker pool.
+func (c *Config) isolation(mode sim.Mode, params transition.Params) ([]metrics.TaskStat, error) {
+	return sim.IsolationContext(context.Background(), sim.RunConfig{
+		Machine: c.Machine, Cost: &c.Cost, Sched: &c.Sched, Mode: mode, Params: params,
+		Tuning: c.Tuning, TypingOpts: c.Typing, Seed: 1, Cache: c.cache(),
+	}, c.Suite, c.Workers)
 }

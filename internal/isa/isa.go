@@ -84,15 +84,6 @@ func (c OpClass) String() string {
 // IsMemory reports whether the class references data memory.
 func (c OpClass) IsMemory() bool { return c == Load || c == Store }
 
-// IsControl reports whether the class transfers control.
-func (c OpClass) IsControl() bool {
-	switch c {
-	case Branch, Jump, Call, Ret:
-		return true
-	}
-	return false
-}
-
 // encodedSize is the default encoded size in bytes per class, loosely modeled
 // on common x86-64 encodings. PhaseMark has no default: instrumentation sets
 // the exact mark size explicitly (paper: "each phase mark is at most 78

@@ -6,14 +6,6 @@ func TestOpClassPredicates(t *testing.T) {
 	if !Load.IsMemory() || !Store.IsMemory() || IntALU.IsMemory() {
 		t.Error("IsMemory wrong")
 	}
-	for _, c := range []OpClass{Branch, Jump, Call, Ret} {
-		if !c.IsControl() {
-			t.Errorf("%v not control", c)
-		}
-	}
-	if Syscall.IsControl() {
-		t.Error("syscall is not a control transfer")
-	}
 }
 
 func TestSizes(t *testing.T) {

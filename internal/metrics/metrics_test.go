@@ -143,12 +143,6 @@ func TestMeanAndGeoMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("empty Mean != 0")
 	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %g, want 2", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with negative != 0")
-	}
 }
 
 func TestFlowSecAndCompleted(t *testing.T) {

@@ -42,7 +42,6 @@ type Hybrid struct {
 	taskByPID map[int]*osched.Task
 	states    []*hybridState // first-mark order (deterministic passes)
 	byPID     map[int]*hybridState
-	tr        *trace.Tracer
 }
 
 // hybridState is one process's bookkeeping.
@@ -80,6 +79,8 @@ const minBoundaryInstrs = 200
 // hardware pool should be the kernel's own so counter contention stays
 // modeled. Of cfg, the hybrid consumes WindowInstrs and Hybrid.Drift; the
 // policy is unused (marks classify, the engine places).
+// Boundary window closes, re-decisions and drift-damped refreshes are
+// traced to the engine's tracer, stamped at the kernel's simulated clock.
 func NewHybrid(cfg Config, engine *place.Engine, hw *perfcnt.Hardware) *Hybrid {
 	return &Hybrid{
 		cfg:       cfg.Normalized(),
@@ -93,12 +94,6 @@ func NewHybrid(cfg Config, engine *place.Engine, hw *perfcnt.Hardware) *Hybrid {
 
 // Stats returns the aggregate monitoring statistics.
 func (m *Hybrid) Stats() Stats { return m.stats }
-
-// SetTracer attaches a trace sink to the runtime: boundary window closes,
-// re-decisions, and drift-damped refreshes are emitted stamped at the
-// kernel's simulated clock. Nil disables tracing. The engine's tracer is
-// its owner's to attach.
-func (m *Hybrid) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
 // Hook returns the per-process mark hook of one image's process. The
 // simulator installs it on every spawned process of a hybrid run.
@@ -226,14 +221,14 @@ func (m *Hybrid) closeWindow(st *hybridState, coreID int, atTick bool) {
 	if st.task == nil || st.task.Migrations != st.openMigr || cycles == 0 ||
 		st.cur == phase.Untyped || instrs < minInstrs || coreID < 0 {
 		m.stats.Discarded++
-		if m.tr != nil {
-			m.tr.InstantNow("online", "window.discard", trace.PidTasks, st.pid)
+		if tr := m.engine.Tracer(); tr != nil {
+			tr.InstantNow("online", "window.discard", trace.PidTasks, st.pid)
 		}
 		return
 	}
 	ct := m.machine.Cores[coreID].Type
-	if m.tr != nil {
-		m.tr.InstantNow("online", "window", trace.PidTasks, st.pid,
+	if tr := m.engine.Tracer(); tr != nil {
+		tr.InstantNow("online", "window", trace.PidTasks, st.pid,
 			trace.Arg{Key: "phase", Value: int(st.cur)},
 			trace.Arg{Key: "ipc", Value: perfcnt.IPC(instrs, cycles)},
 			trace.Arg{Key: "instrs", Value: instrs},
@@ -261,8 +256,8 @@ func (m *Hybrid) record(st *hybridState, pt phase.Type, ct amp.CoreTypeID, ipc f
 	first := st.table.DecisionOf(key) == nil
 	if !first && m.cfg.Hybrid.Drift > 0 && st.table.Drift(key) <= m.cfg.Hybrid.Drift {
 		m.stats.Damped++
-		if m.tr != nil {
-			m.tr.InstantNow("online", "damped", trace.PidTasks, st.pid,
+		if tr := m.engine.Tracer(); tr != nil {
+			tr.InstantNow("online", "damped", trace.PidTasks, st.pid,
 				trace.Arg{Key: "phase", Value: key},
 				trace.Arg{Key: "drift", Value: st.table.Drift(key)},
 				trace.Arg{Key: "threshold", Value: m.cfg.Hybrid.Drift})
@@ -281,12 +276,12 @@ func (m *Hybrid) record(st *hybridState, pt phase.Type, ct amp.CoreTypeID, ipc f
 	} else {
 		m.stats.Refreshes++
 	}
-	if m.tr != nil {
+	if tr := m.engine.Tracer(); tr != nil {
 		name := "decision"
 		if !first {
 			name = "redecide"
 		}
-		m.tr.InstantNow("online", name, trace.PidTasks, st.pid,
+		tr.InstantNow("online", name, trace.PidTasks, st.pid,
 			trace.Arg{Key: "phase", Value: key},
 			trace.Arg{Key: "choice", Value: m.machine.Types[dec.Choice].Name})
 	}

@@ -71,7 +71,6 @@ type Manager struct {
 	seen  int // cursor into kernel.Tasks()
 	live  []*taskState
 	stats Stats
-	tr    *trace.Tracer
 
 	// placed and claims are the rebalance passes' per-tick scratch: the
 	// engine reads the claims without keeping them, so one pair of buffers
@@ -83,7 +82,9 @@ type Manager struct {
 // NewManager builds the runtime for one kernel on the run's placement
 // engine, which makes the probe policy's decisions and every arbitration.
 // The hardware pool should be the kernel's own (kernel.Hardware) so
-// counter contention with any other monitoring stays modeled.
+// counter contention with any other monitoring stays modeled. Window
+// closes, classifications and decisions are traced to the engine's tracer,
+// stamped at the kernel's simulated clock.
 func NewManager(cfg Config, engine *place.Engine, hw *perfcnt.Hardware) *Manager {
 	return &Manager{
 		cfg:     cfg.Normalized(),
@@ -95,12 +96,6 @@ func NewManager(cfg Config, engine *place.Engine, hw *perfcnt.Hardware) *Manager
 
 // Stats returns the aggregate monitoring statistics.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// SetTracer attaches a trace sink to the runtime: window closes,
-// classifications, and decisions are emitted stamped at the kernel's
-// simulated clock. Nil disables tracing. The engine's tracer is its
-// owner's to attach.
-func (m *Manager) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
 // OnTick implements osched.TaskMonitor: adopt newly spawned tasks, retire
 // exited ones, close matured windows, and apply the reassignment policy.
@@ -165,8 +160,8 @@ func (m *Manager) sample(k *osched.Kernel, ts *taskState) {
 
 		if cycles == 0 || t.Migrations != ts.openMigr || t.Core() < 0 {
 			m.stats.Discarded++
-			if m.tr != nil {
-				m.tr.InstantNow("online", "window.discard", trace.PidTasks, t.Proc.PID)
+			if tr := m.engine.Tracer(); tr != nil {
+				tr.InstantNow("online", "window.discard", trace.PidTasks, t.Proc.PID)
 			}
 		} else {
 			sig := Signature{
@@ -181,8 +176,8 @@ func (m *Manager) sample(k *osched.Kernel, ts *taskState) {
 			if founded {
 				m.stats.Phases++
 			}
-			if m.tr != nil {
-				m.tr.InstantNow("online", "window", trace.PidTasks, t.Proc.PID,
+			if tr := m.engine.Tracer(); tr != nil {
+				tr.InstantNow("online", "window", trace.PidTasks, t.Proc.PID,
 					trace.Arg{Key: "phase", Value: phase},
 					trace.Arg{Key: "ipc", Value: sig.IPC},
 					trace.Arg{Key: "mem_frac", Value: sig.MemFrac},
@@ -239,8 +234,8 @@ func (m *Manager) probe(k *osched.Kernel, ts *taskState) {
 	ts.decisions[phase] = &dec
 	ts.probing = false
 	m.stats.Decisions++
-	if m.tr != nil {
-		m.tr.InstantNow("online", "decision", trace.PidTasks, ts.task.Proc.PID,
+	if tr := m.engine.Tracer(); tr != nil {
+		tr.InstantNow("online", "decision", trace.PidTasks, ts.task.Proc.PID,
 			trace.Arg{Key: "phase", Value: phase},
 			trace.Arg{Key: "choice", Value: m.machine.Types[dec.Choice].Name})
 	}

@@ -295,7 +295,8 @@ type Kernel struct {
 	// Trace, when set, receives scheduler events (burst spans, migrations,
 	// timers, runnable-depth counters). Nil disables tracing; emit sites
 	// never read tracer state back, so a traced run is bit-identical to an
-	// untraced one.
+	// untraced one. Spawn hands it to each process it admits (exec.Process
+	// traces its own phase marks).
 	Trace *trace.Tracer
 	// Ledger, when set, receives conserved cycle-attribution charges at
 	// every dispatch-slice boundary. Like the tracer it is nil-safe and
@@ -471,6 +472,7 @@ func (k *Kernel) Spawn(p *exec.Process, name string, slot int, affinity uint64) 
 			p.Work = k.Ledger.Work()
 		}
 	}
+	p.Trace = k.Trace
 	k.live++
 	if k.live > k.peakLive {
 		k.peakLive = k.live

@@ -47,7 +47,6 @@ type Hardware struct {
 	slots  int
 	inUse  int
 	defers uint64
-	peak   int
 }
 
 // NewHardware returns a pool with the given number of concurrently usable
@@ -64,9 +63,6 @@ func (h *Hardware) TryAcquire() bool {
 		return false
 	}
 	h.inUse++
-	if h.inUse > h.peak {
-		h.peak = h.inUse
-	}
 	return true
 }
 
@@ -84,9 +80,6 @@ func (h *Hardware) Defers() uint64 { return h.defers }
 
 // InUse returns the number of currently held event sets.
 func (h *Hardware) InUse() int { return h.inUse }
-
-// Peak returns the maximum simultaneous event sets ever held.
-func (h *Hardware) Peak() int { return h.peak }
 
 // EventSet is one active measurement: a snapshot of a process's counters.
 type EventSet struct {

@@ -267,6 +267,11 @@ func (e *Engine) Capacity() *Capacity { return e.capacity }
 // reads tracer state, so placements are identical with or without it.
 func (e *Engine) SetTracer(tr *trace.Tracer) { e.tr = tr }
 
+// Tracer returns the attached trace sink (nil when untraced). The runtimes
+// that decide through the engine emit their own events to it, so one
+// attachment traces a run's whole placement path.
+func (e *Engine) Tracer() *trace.Tracer { return e.tr }
+
 // Decide fixes a phase's placement: Algorithm 2 over the measured IPC
 // vector plus the per-type instruction rates arbitration prices spills with.
 func (e *Engine) Decide(ipc []float64) Decision {

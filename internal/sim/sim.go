@@ -229,12 +229,31 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Result, error) {
 	return RunWithHookContext(ctx, cfg, nil)
 }
 
-// RunWithHookContext is RunContext with a custom per-process hook factory.
-// When factory is nil, Tuned mode installs the standard tuning runtime,
-// Overhead the all-cores hook (tuning.AllCores), and Baseline no hook. A
-// non-nil factory overrides the hook choice (used by the
-// temporal-adaptation baseline from the related-work ablation).
-func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory) (*Result, error) {
+// monitor is the online runtime of a Dynamic or Hybrid run: the kernel
+// ticks it, and its statistics are the run's Result.Online.
+type monitor interface {
+	osched.TaskMonitor
+	Stats() online.Stats
+}
+
+// assembly is one run wired and ready to admit jobs: its prepared images,
+// its booted kernel with the observers and online monitor attached, and the
+// mode's per-process mark hook, all deciding through the run's one
+// placement engine. Workload runs and isolation runs both start from it.
+type assembly struct {
+	kernel  *osched.Kernel
+	images  map[*workload.Benchmark]*exec.Image
+	hook    func(k *osched.Kernel, img *exec.Image) exec.MarkHook
+	monitor monitor
+	col     *ledger.Collector
+	res     *Result
+}
+
+// assemble validates cfg and wires its run. When factory is nil, Tuned mode
+// installs the standard tuning runtime, Overhead the all-cores hook
+// (tuning.AllCores), Oracle and Hybrid their runtimes' hooks, and Baseline
+// and Dynamic no hook; a non-nil factory overrides the choice.
+func assemble(ctx context.Context, cfg RunConfig, factory HookFactory) (*assembly, error) {
 	if cfg.Mode < Baseline || cfg.Mode > Hybrid {
 		// An unknown mode must fail loudly: it would otherwise fall through
 		// every hook switch and run as a silent baseline — a spec from a
@@ -280,7 +299,10 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		// typing and requires the mark types to match it).
 		spec.ErrFrac = 0
 	}
-	images := map[*workload.Benchmark]*exec.Image{}
+	a := &assembly{
+		images: map[*workload.Benchmark]*exec.Image{},
+		res:    &Result{Images: map[string]ImageStats{}, DurationSec: cfg.DurationSec},
+	}
 	// One placement engine serves the run: every runtime's Algorithm 2
 	// decision is its Decide at the run's δ, and the engine-backed modes
 	// claim capacity on it. Runtimes differ only in pinning versus
@@ -293,7 +315,6 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	if cfg.Placement.Contention != nil {
 		oracleEng = eng
 	}
-	res := &Result{Images: map[string]ImageStats{}, DurationSec: cfg.DurationSec}
 	benchGroups := [][]*workload.Benchmark{}
 	if closed {
 		benchGroups = cfg.Workload.Slots
@@ -302,7 +323,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	}
 	for _, slot := range benchGroups {
 		for _, b := range slot {
-			if _, ok := images[b]; ok {
+			if _, ok := a.images[b]; ok {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
@@ -312,8 +333,8 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 			if err != nil {
 				return nil, fmt.Errorf("sim: %s: %w", b.Name(), err)
 			}
-			images[b] = art.Image
-			res.Images[b.Name()] = art.Stats
+			a.images[b] = art.Image
+			a.res.Images[b.Name()] = art.Stats
 			if cfg.Mode == Oracle {
 				decs, err := online.OracleDecisions(art.Image, topts, cost, eng)
 				if err != nil {
@@ -331,30 +352,27 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	if err != nil {
 		return nil, err
 	}
+	a.kernel = kernel
 	kernel.Trace = cfg.Trace
 	kernel.Overcommit = open
-	var col *ledger.Collector
 	if cfg.Ledger {
 		// Useful work is priced at the machine's fastest clock: the
 		// counterfactual of perfect placement.
-		col = ledger.NewCollector(len(machine.Cores), kernel.FastPs())
-		kernel.Ledger = col
+		a.col = ledger.NewCollector(len(machine.Cores), kernel.FastPs())
+		kernel.Ledger = a.col
 	}
 	if cfg.CacheStats {
 		kernel.EnableCacheStats()
 	}
-	var monitor *online.Manager
 	var hybrid *online.Hybrid
 	switch cfg.Mode {
 	case Dynamic:
-		monitor = online.NewManager(cfg.Online, eng, kernel.Hardware)
-		monitor.SetTracer(cfg.Trace)
-		kernel.Monitor = monitor
+		a.monitor = online.NewManager(cfg.Online, eng, kernel.Hardware)
 	case Hybrid:
 		hybrid = online.NewHybrid(cfg.Online, eng, kernel.Hardware)
-		hybrid.SetTracer(cfg.Trace)
-		kernel.Monitor = hybrid
+		a.monitor = hybrid
 	}
+	kernel.Monitor = a.monitor
 	if cfg.Events.OnProgress != nil {
 		onProgress := cfg.Events.OnProgress
 		kernel.OnSample = func(k *osched.Kernel, atPs int64) {
@@ -362,28 +380,65 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		}
 	}
 
-	// The hook choice is per-process and mode-dependent; the closed slot
-	// driver and the open arrival driver build hooks identically. With a
-	// tracer attached, the chosen hook is wrapped so mark boundaries emit
-	// instants before delegating.
-	mkHook := func(k *osched.Kernel, img *exec.Image) exec.MarkHook {
-		var hook exec.MarkHook
+	// The hook choice is per-process and mode-dependent; every driver
+	// builds hooks through spawn.
+	a.hook = func(k *osched.Kernel, img *exec.Image) exec.MarkHook {
 		switch {
 		case factory != nil:
-			hook = factory(k, img)
+			return factory(k, img)
 		case cfg.Mode == Overhead:
-			hook = tuning.AllCores(machine.AllMask())
+			return tuning.AllCores(machine.AllMask())
 		case cfg.Mode == Tuned:
-			hook = tuning.NewTuner(cfg.Tuning, eng, k.Hardware, img)
+			return tuning.NewTuner(cfg.Tuning, eng, k.Hardware, img)
 		case cfg.Mode == Oracle:
-			hook = online.NewOracleHook(machine, oracleEng, img, oracleDecs[img])
+			return online.NewOracleHook(machine, oracleEng, img, oracleDecs[img])
 		case cfg.Mode == Hybrid:
-			hook = hybrid.Hook(img)
+			return hybrid.Hook(img)
 		}
-		return traceMarkHook(cfg.Trace, hook)
+		return nil
 	}
+	return a, nil
+}
 
-	if closed {
+// spawn admits one job of benchmark b: a process of its image, seeded with
+// seed and carrying the mode's mark hook.
+func (a *assembly) spawn(b *workload.Benchmark, seed uint64, slot int) *osched.Task {
+	k := a.kernel
+	img := a.images[b]
+	p := exec.NewProcess(k.NextPID(), img, &k.Cost, seed, a.hook(k, img))
+	return k.Spawn(p, b.Name(), slot, 0)
+}
+
+// taskStat is the run record of one task.
+func taskStat(t *osched.Task) metrics.TaskStat {
+	stat := metrics.TaskStat{
+		Name:          t.Name,
+		Slot:          t.Slot,
+		ArrivalSec:    osched.PsToSec(t.ArrivalPs),
+		CompletionSec: -1,
+		Migrations:    t.Migrations,
+		Instructions:  t.Proc.Counters.Instructions,
+		Cycles:        t.Proc.Counters.Cycles,
+		MarksExecuted: t.Proc.MarksExecuted,
+		FinalAffinity: t.Affinity,
+	}
+	if t.State == osched.TaskExited {
+		stat.CompletionSec = osched.PsToSec(t.CompletionPs)
+	}
+	return stat
+}
+
+// RunWithHookContext is RunContext with a custom per-process hook factory.
+// A nil factory installs each mode's own hook (see assemble); a non-nil one
+// overrides the choice (used by the temporal-adaptation baseline from the
+// related-work ablation).
+func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory) (*Result, error) {
+	a, err := assemble(ctx, cfg, factory)
+	if err != nil {
+		return nil, err
+	}
+	kernel, res := a.kernel, a.res
+	if cfg.Stream == nil {
 		// Per-slot queue positions; spawn the next job of a slot on
 		// completion.
 		positions := make([]int, cfg.Workload.NumSlots())
@@ -392,24 +447,22 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		for i := range slotSeeds {
 			slotSeeds[i] = seeds.Split()
 		}
-		spawnNext := func(k *osched.Kernel, slot int) {
+		spawnNext := func(slot int) {
 			q := cfg.Workload.Slots[slot]
 			if positions[slot] >= len(q) {
 				return // queue drained
 			}
 			b := q[positions[slot]]
 			positions[slot]++
-			img := images[b]
-			p := exec.NewProcess(k.NextPID(), img, &kernel.Cost, slotSeeds[slot].Uint64(), mkHook(k, img))
-			k.Spawn(p, b.Name(), slot, 0)
+			a.spawn(b, slotSeeds[slot].Uint64(), slot)
 		}
 		kernel.OnExit = func(k *osched.Kernel, t *osched.Task) {
 			if t.Slot >= 0 {
-				spawnNext(k, t.Slot)
+				spawnNext(t.Slot)
 			}
 		}
 		for slot := range cfg.Workload.Slots {
-			spawnNext(kernel, slot)
+			spawnNext(slot)
 		}
 	} else {
 		// Open system: admit each arrival at its timestamp via a kernel
@@ -418,19 +471,17 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		// same jobs with the same branch seeds — the open-system analogue of
 		// the paper's "the same queues were used for each experiment".
 		seeds := rng.New(cfg.Seed)
-		for i, a := range cfg.Stream.Arrivals {
-			b := cfg.Stream.Fleet[a.Fleet]
-			img := images[b]
+		for i, arr := range cfg.Stream.Arrivals {
+			b := cfg.Stream.Fleet[arr.Fleet]
 			seed := seeds.Uint64()
 			idx := i
-			kernel.At(osched.SecToPs(a.AtSec), func(k *osched.Kernel) {
+			kernel.At(osched.SecToPs(arr.AtSec), func(k *osched.Kernel) {
 				if cfg.Trace != nil {
 					cfg.Trace.Instant("sim", "admit", trace.PidMachine, trace.TidKernel, k.NowPs(),
 						trace.Arg{Key: "arrival", Value: idx},
 						trace.Arg{Key: "name", Value: b.Name()})
 				}
-				p := exec.NewProcess(k.NextPID(), img, &kernel.Cost, seed, mkHook(k, img))
-				k.Spawn(p, b.Name(), idx, 0)
+				a.spawn(b, seed, idx)
 			})
 		}
 	}
@@ -438,7 +489,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	if cfg.Trace != nil {
 		cfg.Trace.Instant("sim", "run.start", trace.PidMachine, trace.TidKernel, kernel.NowPs(),
 			trace.Arg{Key: "mode", Value: cfg.Mode.String()},
-			trace.Arg{Key: "machine", Value: machine.Name},
+			trace.Arg{Key: "machine", Value: kernel.Machine.Name},
 			trace.Arg{Key: "duration_sec", Value: cfg.DurationSec},
 			trace.Arg{Key: "seed", Value: cfg.Seed})
 	}
@@ -452,20 +503,6 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	}
 
 	for _, t := range kernel.Tasks() {
-		stat := metrics.TaskStat{
-			Name:          t.Name,
-			Slot:          t.Slot,
-			ArrivalSec:    osched.PsToSec(t.ArrivalPs),
-			CompletionSec: -1,
-			Migrations:    t.Migrations,
-			Instructions:  t.Proc.Counters.Instructions,
-			Cycles:        t.Proc.Counters.Cycles,
-			MarksExecuted: t.Proc.MarksExecuted,
-			FinalAffinity: t.Affinity,
-		}
-		if t.State == osched.TaskExited {
-			stat.CompletionSec = osched.PsToSec(t.CompletionPs)
-		}
 		if cfg.Trace != nil {
 			// One lifetime span per task, emitted post-run so unfinished
 			// tasks close at the horizon.
@@ -480,7 +517,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 				trace.Arg{Key: "instructions", Value: t.Proc.Counters.Instructions},
 				trace.Arg{Key: "done", Value: done})
 		}
-		res.Tasks = append(res.Tasks, stat)
+		res.Tasks = append(res.Tasks, taskStat(t))
 	}
 	for _, s := range kernel.Samples() {
 		res.Samples = append(res.Samples, metrics.ThroughputSample{
@@ -492,16 +529,12 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	res.CounterDefers = kernel.Hardware.Defers()
 	res.PeakRunnable = kernel.PeakLive()
 	res.OvercommitSlices = kernel.OvercommitSlices()
-	if monitor != nil {
-		stats := monitor.Stats()
+	if a.monitor != nil {
+		stats := a.monitor.Stats()
 		res.Online = &stats
 	}
-	if hybrid != nil {
-		stats := hybrid.Stats()
-		res.Online = &stats
-	}
-	if col != nil {
-		if res.Ledger, err = col.Finalize(kernel.NowPs()); err != nil {
+	if a.col != nil {
+		if res.Ledger, err = a.col.Finalize(kernel.NowPs()); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
@@ -509,101 +542,37 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	return res, nil
 }
 
-// IsolationResult is one benchmark's isolation run.
-type IsolationResult struct {
-	// RuntimeSec is the completion time running alone on the machine.
-	RuntimeSec float64
-	// Migrations counts core switches (Table 1's "Switches" column when run
-	// tuned).
-	Migrations int
-	// Cycles and Instructions are final counters.
-	Cycles, Instructions uint64
-	// MarksExecuted counts dynamic mark executions.
-	MarksExecuted uint64
-}
-
-// IsolationSpec configures an isolation campaign: every suite benchmark
-// runs alone on the machine.
-type IsolationSpec struct {
-	Suite   []*workload.Benchmark
-	Machine *amp.Machine
-	Cost    exec.CostModel
-	Sched   osched.Config
-	// Mode is Baseline (the t_j reference times) or Tuned (Table 1's
-	// switch counts); any other mode is an error.
-	Mode   Mode
-	Params transition.Params
-	Tuning tuning.Config
-	Typing phase.Options
-	Seed   uint64
-	// Workers bounds concurrent isolation runs (<=1 means sequential).
-	Workers int
-	// Cache, when set, serves prepared images.
-	Cache *ImageCache
-}
-
-// IsolationContext runs the isolation campaign with cancellation, fanning
-// the suite across spec.Workers goroutines. Results are independent of the
-// worker count: each benchmark's run is a pure function of the spec.
-func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]IsolationResult, error) {
-	if spec.Mode != Baseline && spec.Mode != Tuned {
-		return nil, fmt.Errorf("sim: isolation runs baseline or tuned, not %v", spec.Mode)
+// IsolationContext runs every suite benchmark alone on cfg's machine — a
+// one-job closed workload run until the job exits — fanning the suite
+// across workers goroutines (<=0 uses GOMAXPROCS), and returns the jobs'
+// records in suite order: FlowSec is the isolation runtime (the t_j of
+// max-stretch under Baseline) and Migrations Table 1's switch count (under
+// Tuned). Runs are built like any other; cfg's Workload, Stream and
+// DurationSec are ignored, and cfg.Mode must be Baseline or Tuned. Results
+// are independent of the worker count: each run is a pure function of cfg
+// and its benchmark.
+func IsolationContext(ctx context.Context, cfg RunConfig, suite []*workload.Benchmark, workers int) ([]metrics.TaskStat, error) {
+	if cfg.Mode != Baseline && cfg.Mode != Tuned {
+		return nil, fmt.Errorf("sim: isolation runs baseline or tuned, not %v", cfg.Mode)
 	}
-	machine := spec.Machine
-	if machine == nil {
-		machine = amp.Quad2Fast2Slow()
-	}
-	topts := spec.Typing.Normalized()
-
-	results := make([]IsolationResult, len(spec.Suite))
-	runOne := func(b *workload.Benchmark) (IsolationResult, error) {
-		art, _, err := prepare(spec.Cache, b.Prog, ImageSpec{
-			Baseline: spec.Mode == Baseline,
-			Params:   spec.Params, Typing: topts, ErrSeed: spec.Seed,
-		}, spec.Cost)
-		if err != nil {
-			return IsolationResult{}, fmt.Errorf("sim: isolation %s: %w", b.Name(), err)
-		}
-		img := art.Image
-		kernel, err := osched.NewKernel(machine, spec.Cost, spec.Sched)
-		if err != nil {
-			return IsolationResult{}, err
-		}
-		var hook exec.MarkHook
-		if spec.Mode == Tuned {
-			// A lone process makes a single claim, which arbitration never
-			// spills, so an unpriced engine of its own serves each run.
-			eng := place.NewEngine(machine, spec.Tuning.Delta, place.Config{})
-			hook = tuning.NewTuner(spec.Tuning, eng, kernel.Hardware, img)
-		}
-		p := exec.NewProcess(kernel.NextPID(), img, &kernel.Cost, spec.Seed^uint64(len(b.Name())), hook)
-		task := kernel.Spawn(p, b.Name(), 0, 0)
-		if err := kernel.RunUntilDone(1e6); err != nil {
-			return IsolationResult{}, fmt.Errorf("sim: isolation %s: %w", b.Name(), err)
-		}
-		return IsolationResult{
-			RuntimeSec:    osched.PsToSec(task.CompletionPs - task.ArrivalPs),
-			Migrations:    task.Migrations,
-			Cycles:        p.Counters.Cycles,
-			Instructions:  p.Counters.Instructions,
-			MarksExecuted: p.MarksExecuted,
-		}, nil
-	}
-
-	err := ForEach(ctx, len(spec.Suite), spec.Workers, func(i int) error {
-		r, err := runOne(spec.Suite[i])
+	stats := make([]metrics.TaskStat, len(suite))
+	err := ForEach(ctx, len(suite), workers, func(i int) error {
+		b := suite[i]
+		one := cfg
+		one.Workload, one.Stream = &workload.Workload{Slots: [][]*workload.Benchmark{{b}}}, nil
+		a, err := assemble(ctx, one, nil)
 		if err != nil {
 			return err
 		}
-		results[i] = r
+		t := a.spawn(b, cfg.Seed^uint64(len(b.Name())), 0)
+		if err := a.kernel.RunUntilDone(1e6); err != nil {
+			return fmt.Errorf("sim: isolation %s: %w", b.Name(), err)
+		}
+		stats[i] = taskStat(t)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]IsolationResult, len(spec.Suite))
-	for i, b := range spec.Suite {
-		out[b.Name()] = results[i]
-	}
-	return out, nil
+	return stats, nil
 }

@@ -188,18 +188,17 @@ func TestIsolationTable(t *testing.T) {
 		t.Skip("isolation simulation")
 	}
 	s := suite(t)
-	spec := IsolationSpec{Suite: s, Machine: amp.Quad2Fast2Slow(), Cost: exec.DefaultCostModel(),
-		Mode: Baseline, Seed: 1}
-	iso, err := IsolationContext(context.Background(), spec)
+	cfg := RunConfig{Machine: amp.Quad2Fast2Slow(), Mode: Baseline, Seed: 1}
+	iso, err := IsolationContext(context.Background(), cfg, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Isolation runs only the two modes its callers use; the rest must fail
 	// loudly instead of running as a silent baseline.
 	for _, mode := range []Mode{Overhead, Dynamic, Hybrid, Oracle, Mode(99)} {
-		bad := spec
+		bad := cfg
 		bad.Mode = mode
-		if _, err := IsolationContext(context.Background(), bad); err == nil {
+		if _, err := IsolationContext(context.Background(), bad, s, 0); err == nil {
 			t.Errorf("isolation accepted mode %v", mode)
 		}
 	}
@@ -208,20 +207,22 @@ func TestIsolationTable(t *testing.T) {
 	}
 	// Runtimes should roughly match the designed targets (within 40%: the
 	// generator's analytic estimate ignores queueing and rounding).
-	for _, b := range s {
-		r := iso[b.Name()]
-		if r.RuntimeSec <= 0 {
-			t.Errorf("%s: no isolation runtime", b.Name())
+	flow := map[string]float64{}
+	for i, b := range s {
+		r := iso[i]
+		if r.Name != b.Name() || !r.Completed() || r.FlowSec() <= 0 {
+			t.Errorf("%s: no isolation runtime (record %+v)", b.Name(), r)
 			continue
 		}
-		ratio := r.RuntimeSec / b.Spec.TargetSec
+		flow[r.Name] = r.FlowSec()
+		ratio := r.FlowSec() / b.Spec.TargetSec
 		if ratio < 0.5 || ratio > 1.6 {
 			t.Errorf("%s: isolation runtime %.1fs vs target %.1fs (ratio %.2f)",
-				b.Name(), r.RuntimeSec, b.Spec.TargetSec, ratio)
+				b.Name(), r.FlowSec(), b.Spec.TargetSec, ratio)
 		}
 	}
 	// Relative ordering of the longest vs shortest benchmarks must hold.
-	if iso["410.bwaves"].RuntimeSec < iso["164.gzip"].RuntimeSec {
+	if flow["410.bwaves"] < flow["164.gzip"] {
 		t.Error("bwaves not longer than gzip")
 	}
 }
