@@ -183,16 +183,9 @@ func run(o options) error {
 	}
 	spec := phasetune.RunSpec{DurationSec: o.duration, Seed: o.seed, Policy: pol}
 
-	var tech transition.Technique
-	switch o.technique {
-	case "bb":
-		tech = transition.BasicBlock
-	case "interval":
-		tech = transition.Interval
-	case "loop":
-		tech = transition.Loop
-	default:
-		return fmt.Errorf("unknown technique %q", o.technique)
+	tech, err := transition.ParseTechnique(o.technique)
+	if err != nil {
+		return err
 	}
 	spec.Params = phasetune.TechniqueParams{
 		Technique: tech, MinSize: o.minSize, PropagateThroughUntyped: true,

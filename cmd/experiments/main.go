@@ -36,12 +36,10 @@
 // -run serving is the open-system experiment: Poisson arrivals at offered
 // loads 0.5×–1.5× of machine capacity, overcommit scheduling, and the
 // sojourn-time tail (p50/p95/p99/p999) per placement policy on the quad
-// and hex machines. -trace additionally re-runs one representative cell
-// (first machine, hybrid policy, load 1.0×) with the deterministic tracer
-// attached and writes the Chrome trace-event JSON timeline to the given
-// path — one traced run, outside the sweep, because concurrent cells would
-// interleave events nondeterministically. The path is validated (created)
-// up front.
+// and hex machines. A tracer serves one run, so to trace the -quick
+// campaign's representative cell (quad, hybrid, load 1.0×) run it alone:
+// `ampsim -policy hybrid -arrivals poisson -load 1.0 -duration 200 -trace
+// FILE` writes its timeline.
 //
 // -run contention is the shared-cache herding experiment: every placement
 // policy unpriced and every engine-backed policy contention-priced on the
@@ -58,8 +56,8 @@
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole invocation
 // (the CPU profile spans every sweep; the heap profile is taken after a
-// final GC at exit). Both paths are validated (created) up front, matching
-// -trace, so a bad path fails in milliseconds.
+// final GC at exit). Both paths are validated (created) up front, so a bad
+// path fails in milliseconds.
 package main
 
 import (
@@ -76,7 +74,6 @@ import (
 	"phasetune/internal/prof"
 	"phasetune/internal/sim"
 	"phasetune/internal/textplot"
-	"phasetune/internal/trace"
 	"phasetune/internal/workload"
 )
 
@@ -130,7 +127,6 @@ func run(args []string, stdout io.Writer) error {
 	altsFlag := fs.String("alts", "", "breakdown: comma-separated alternation counts (default 4,16,64,256,1024,4096)")
 	windowsFlag := fs.String("windows", "", "breakdown: comma-separated window sizes in instructions (default 2000,4000,8000,16000,32000)")
 	benchout := fs.String("benchout", "", "campaigns: append each campaign's tables to this measurement history (e.g. BENCH_sweep.json)")
-	traceFlag := fs.String("trace", "", "serving: write a Chrome trace-event JSON timeline of one representative serving run to this path")
 	ledgerFlag := fs.Bool("ledger", false, "enable conserved cycle accounting and print attribution columns")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this path")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile (after final GC) to this path")
@@ -147,8 +143,6 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case len(selected) == 0:
 		return fmt.Errorf("unknown experiment %q", *runFlag)
-	case *traceFlag != "" && *runFlag != "serving":
-		return fmt.Errorf("-trace only applies to -run serving (a tracer serves one run; sweeps run cells concurrently)")
 	case (*altsFlag != "" || *windowsFlag != "") && *runFlag != "breakdown" && *runFlag != "all":
 		return fmt.Errorf("-alts and -windows only apply to -run breakdown (or all)")
 	case *benchout != "" && *runFlag != "all" && selected[0].campaign == "":
@@ -156,14 +150,6 @@ func run(args []string, stdout io.Writer) error {
 			*runFlag, strings.Join(experiments.CampaignNames(), ", "))
 	}
 
-	// Create the trace path now so a bad path fails in milliseconds.
-	if *traceFlag != "" {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			return fmt.Errorf("-trace: %w", err)
-		}
-		f.Close()
-	}
 	stopProfiles, err := prof.Start("experiments", *cpuprofile, *memprofile)
 	if err != nil {
 		return err
@@ -193,11 +179,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		if err = cmp.Or(err, out.err); err != nil {
 			return fmt.Errorf("%s: %w", exp.name, err)
-		}
-	}
-	if *traceFlag != "" {
-		if err := traceServing(out, cfg, *traceFlag); err != nil {
-			return err
 		}
 	}
 	if *cachestats {
@@ -264,23 +245,6 @@ func runCampaign(w io.Writer, name string, cfg experiments.Config, axes experime
 		return err
 	}
 	fmt.Fprintf(w, "\nappended %s table entry to %s\n", c.Name, benchout)
-	return nil
-}
-
-// traceServing re-runs the representative serving cell with the tracer
-// attached and writes its timeline to path.
-func traceServing(w io.Writer, cfg experiments.Config, path string) error {
-	tr := trace.New()
-	st, err := experiments.ServingTraceRun(cfg, tr)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteFile(path); err != nil {
-		return fmt.Errorf("-trace: %w", err)
-	}
-	fmt.Fprintf(w, "\ntraced representative run (hybrid, load 1.00x): %d admitted, %d completed\n",
-		st.Admitted, st.Completed)
-	fmt.Fprintf(w, "wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n", tr.Len(), path)
 	return nil
 }
 
@@ -404,11 +368,11 @@ func fig8(w io.Writer, cfg experiments.Config) error {
 	return benchhist.Render(w, []benchhist.Table{t})
 }
 
-func printAblation(w io.Writer, rows []experiments.AblationRow) {
+func printAblation(w io.Writer, rows []experiments.FairnessRow) {
 	t := benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
 		col("avg-time%", "%", "%+.2f"), col("tput%", "%", "%+.2f"), col("max-stretch%", "%", "%+.2f")}}
 	for _, r := range rows {
-		t.AddRow(r.Name, r.AvgTimePct, r.ThroughputPct, r.MaxStretchPct)
+		t.AddRow(r.Variant, r.AvgTimePct, r.ThroughputPct, r.MaxStretchPct)
 	}
 	benchhist.Render(w, []benchhist.Table{t})
 }
@@ -469,14 +433,13 @@ func ablations(w io.Writer, cfg experiments.Config) error {
 	printAblation(w, rows)
 
 	header(w, "Ablation — static marks: propagation vs naive edge rule")
-	rows, err = experiments.AblationPropagation(cfg)
+	propagate, naive, err := experiments.AblationPropagation(cfg)
 	if err != nil {
 		return err
 	}
 	t := benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""), col("total static marks", "marks", "%.0f")}}
-	for _, r := range rows {
-		t.AddRow(r.Name, r.AvgTimePct)
-	}
+	t.AddRow("propagate", float64(propagate))
+	t.AddRow("naive-edges", float64(naive))
 	benchhist.Render(w, []benchhist.Table{t})
 
 	header(w, "Ablation — counter contention with 4 bounded event sets")

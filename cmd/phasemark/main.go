@@ -62,16 +62,9 @@ func run(bench, load, technique string, minSize, lookahead int, verbose bool) er
 		}
 	}
 
-	var tech transition.Technique
-	switch technique {
-	case "bb":
-		tech = transition.BasicBlock
-	case "interval":
-		tech = transition.Interval
-	case "loop":
-		tech = transition.Loop
-	default:
-		return fmt.Errorf("unknown technique %q", technique)
+	tech, err := transition.ParseTechnique(technique)
+	if err != nil {
+		return err
 	}
 	params := transition.Params{
 		Technique: tech, MinSize: minSize, Lookahead: lookahead,

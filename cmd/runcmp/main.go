@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 
+	"phasetune"
 	"phasetune/internal/amp"
 	"phasetune/internal/experiments"
 	"phasetune/internal/ledger"
@@ -94,8 +95,8 @@ func ms(ps int64) float64 { return float64(ps) / 1e9 }
 
 // resolveSide materializes one side of the diff: an existing file loads as
 // a committed result (its run must have carried a ledger); anything else
-// parses as a policy name (sim.ParsePolicy) and runs on the selected
-// machine with accounting forced on.
+// parses as a policy name and runs through a phasetune.Session on the
+// selected machine with accounting on, exactly as `ampsim -ledger` runs it.
 func resolveSide(arg, machineName string, slots int, duration float64, seed uint64, quick bool) (*ledger.Ledger, string, error) {
 	if _, err := os.Stat(arg); err == nil {
 		data, err := os.ReadFile(arg)
@@ -124,7 +125,7 @@ func resolveSide(arg, machineName string, slots int, duration float64, seed uint
 		return res.Ledger, arg, nil
 	}
 
-	p, err := sim.ParsePolicy(arg)
+	p, err := phasetune.ParsePolicy(arg)
 	if err != nil {
 		return nil, "", err
 	}
@@ -132,13 +133,17 @@ func resolveSide(arg, machineName string, slots int, duration float64, seed uint
 	if err != nil {
 		return nil, "", err
 	}
-	// LedgerCell runs the one -seed cell, so the config's seed list is unused.
+	// The experiments config supplies the -quick and default workload
+	// sizes; the run itself is the one -seed cell, as ampsim runs it.
 	cfg, err := experiments.FlagConfig(quick, slots, duration, "")
 	if err != nil {
 		return nil, "", err
 	}
-	cfg.Machine = machine
-	res, err := experiments.LedgerCell(cfg, p, seed)
+	sess := phasetune.NewSession(phasetune.WithMachine(machine), phasetune.WithLedger())
+	res, err := sess.Run(phasetune.RunSpec{
+		Queues:      &phasetune.WorkloadSpec{Slots: cfg.Slots, QueueLen: cfg.QueueLen, Seed: seed},
+		DurationSec: cfg.DurationSec, Policy: p, Seed: seed,
+	})
 	if err != nil {
 		return nil, "", err
 	}

@@ -13,6 +13,7 @@ package dist_test
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -147,7 +148,7 @@ func FuzzEnvSpecDecode(f *testing.F) {
 	// A v7 environment still carrying the scheduler periods, switch costs
 	// and overcommit switch that v8 made constants: refused on its version.
 	v7 := bytes.Replace(mustMarshal(f, camps[0].Env),
-		[]byte(`"version":8`), []byte(`"version":7`), 1)
+		[]byte(`"version":`+strconv.Itoa(dist.SpecVersion)), []byte(`"version":7`), 1)
 	v7 = bytes.Replace(v7, []byte(`"sched":{"CounterSlots":0}`), []byte(`"sched":{"TimesliceSec":0,`+
 		`"BalanceIntervalSec":0.25,"SampleIntervalSec":1e-300,"MonitorIntervalSec":0.1,"CoreSwitchCycles":50,`+
 		`"ContextSwitchCycles":40,"CounterSlots":0,"Overcommit":{"Enabled":true,"MinSliceSec":0}}`), 1)

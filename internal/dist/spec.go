@@ -77,8 +77,12 @@ import (
 // constants and dropped tuning.Config.Mode and online.Config.Delta
 // (DESIGN.md §7): a v8 campaign is its v7 form minus those ten keys,
 // overcommit is on exactly for open specs, the detector and hybrid decide
-// at Tuning.Delta, and every Result is unchanged.
-const SpecVersion = 8
+// at Tuning.Delta, and every Result is unchanged; v9 dropped
+// tuning.Config.MinSectionInstrs: the static tuner and the hybrid share
+// one sample floor (perfcnt.MinSampleInstrs, 200 instructions, the value
+// every campaign already sent), so a v9 spec is its v8 form minus that key
+// and every Result is unchanged.
+const SpecVersion = 9
 
 // EnvSpec is the serialized session environment: everything a worker needs
 // to rebuild the simulation stack that is shared by every run of a

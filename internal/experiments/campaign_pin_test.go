@@ -17,17 +17,17 @@ import (
 // config — changes a digest. Update them only together with a SpecVersion
 // bump.
 var campaignPins = map[string]string{
-	"showdown/quad-2f2s":    "08d7a264a6643476c787f9285ed9f13b1667bd9ca2974e3879b24ec0b9c56eee",
-	"showdown/tri-2f1s":     "b6911996fcb48a18d9cef07d5ec853a714e24628c7242fc47fdd8e535cb64ff0",
-	"showdown/hex-2b2m2l":   "afe1c5e8f4bd1c01346df975bc0de321dd4b00341fefac19f44eab58a5698b8a",
-	"serving/quad-2f2s":     "6384aa2048893d729c48cd1467d47eaa3975b8f848326c23902bf8ce8f114852",
-	"serving/hex-2b2m2l":    "dd102a14aa5869453e2da7a52aae65c08cb5b36c8b5b02ffeb0063471dd843ee",
-	"contention/hex-2b2m2l": "2bf68db22b8a97a63f5c470699b80acc747a3826bbd0be169bb9cc6a9a8ec9fc",
-	"contention/quad-2f2s":  "07ceef9b7ca9eb20157f9ff8739784ced88d7aeffa2b80c4fa05f1d310e0f401",
-	"breakdown/quad-2f2s":   "6864966e4a2b164cccbc794bbb03a059b6fb5d390580662027c6f6681c5278e3",
-	"breakdown/hex-2b2m2l":  "70d3c866b99f3dd70bde50eeeb101e666f178dcd83acc1f63cdf2a861a920d7e",
-	"window":                "0030cf86b71bafa5599a603d7f255841fb602f72e507d54e39a45e4d2e9494b3",
-	"grid":                  "1c6daf7f196d86f4f645fa69ba0d7bcc3cceea3eb50cf222d61dac12de64c070",
+	"showdown/quad-2f2s":    "1dac2de69da31de4911aa818bf5065349e05dec04c0e4f024fa1b397ed342f65",
+	"showdown/tri-2f1s":     "773348c8101d46387555d5f52dd4a94a288fe553a261fb22b3a206a996955611",
+	"showdown/hex-2b2m2l":   "d7739fc46d5953db7b1e4e7f3cee3338cc7db8224215c0cc18877718c280ef84",
+	"serving/quad-2f2s":     "0d1a8b82e663344facc99926917fcdf6ce34d2ca81b3a095a95a8f540ba76681",
+	"serving/hex-2b2m2l":    "52a4dd6f5646b7581121eb2199eafd96ff87891a6017a85068959341182ac2fe",
+	"contention/hex-2b2m2l": "6d9766f2d2018904a67683fda4cb5a356b48a07da7058f4f651891e628b70a38",
+	"contention/quad-2f2s":  "53adb18c43e5193c88c54d20aef494b1d6832338a1aadcc654648fa82d11c081",
+	"breakdown/quad-2f2s":   "ba65e8a7d0a0375d78cf6efc1902298c0885a2f3d3c949fcd299dec5a205658c",
+	"breakdown/hex-2b2m2l":  "6cc24bb0ba27a96663a6d30b962a22337f60bba4090d6e6c31cb87d8c642aa3d",
+	"window":                "93034bbac644fe067102edf681d969e3dc9c7395c4688c21636bc2daf9ca5ab3",
+	"grid":                  "e15c0289bc1ef9f317245c63368d2147877eb53b99111e03c3e5f35e469117bf",
 }
 
 func quickCampaigns(t *testing.T) map[string]dist.Campaign {
@@ -62,8 +62,8 @@ func TestCampaignWirePinned(t *testing.T) {
 		t.Fatalf("%d campaigns built, %d pinned", len(camps), len(campaignPins))
 	}
 	for name, camp := range camps {
-		if camp.Env.Version != 8 {
-			t.Errorf("%s: SpecVersion %d, pinned at 8", name, camp.Env.Version)
+		if camp.Env.Version != 9 {
+			t.Errorf("%s: SpecVersion %d, pinned at 9", name, camp.Env.Version)
 		}
 		blob, err := json.Marshal(camp)
 		if err != nil {

@@ -126,7 +126,18 @@ type TypingAccuracyResult struct {
 // core types in isolation and compares k-means types with the IPC-derived
 // oracle.
 func TypingAccuracy(c Config, ipcThreshold float64) (TypingAccuracyResult, error) {
-	pars := exec.ParamsFor(c.Cost, c.Machine)
+	m := c.Machine
+	pars := exec.ParamsFor(c.Cost, m)
+	// Each core type runs under the L2 group of the core it stands for
+	// (its first), as the scheduler prices it.
+	shareKB := make([]float64, len(pars))
+	for t := range pars {
+		coreID := 0
+		if ids := m.CoresOfType(pars[t].Type); len(ids) > 0 {
+			coreID = ids[0]
+		}
+		shareKB[t] = m.L2s[m.Cores[coreID].L2].SizeKB
+	}
 	totalCommon, totalAgree := 0, 0
 	for _, b := range c.Suite {
 		graphs, err := cfg.BuildAll(b.Prog)
@@ -138,7 +149,7 @@ func TypingAccuracy(c Config, ipcThreshold float64) (TypingAccuracyResult, error
 			return TypingAccuracyResult{}, err
 		}
 		// Observed IPC per block per core type, from the block cost model
-		// itself (execution in isolation with the full cache share).
+		// itself (execution in isolation with its group's full L2).
 		ipc := map[phase.BlockKey][]float64{}
 		for pi, g := range graphs {
 			for _, blk := range g.Blocks {
@@ -148,7 +159,7 @@ func TypingAccuracy(c Config, ipcThreshold float64) (TypingAccuracyResult, error
 				}
 				var vals []float64
 				for t := range pars {
-					vals = append(vals, exec.BlockIPC(blk, &pars[t], c.Cost, c.Machine.L2s[0].SizeKB))
+					vals = append(vals, exec.BlockIPC(blk, &pars[t], c.Cost, shareKB[t]))
 				}
 				ipc[key] = vals
 			}
@@ -179,56 +190,29 @@ func TypingAccuracy(c Config, ipcThreshold float64) (TypingAccuracyResult, error
 // ---------------------------------------------------------------------------
 // §VII — the 3-core (2 fast, 1 slow) future-work configuration.
 
-// ThreeCoreResult compares tuned and baseline average process time on the
-// 3-core machine (paper: ~32% speedup).
-type ThreeCoreResult struct {
-	// AvgTimePct is the percent decrease in raw average process time.
-	AvgTimePct float64
-	// MatchedAvgPct is the instance-matched decrease (censoring-free).
-	MatchedAvgPct float64
-	// ThroughputPct is the throughput improvement.
-	ThroughputPct float64
-}
-
-// ThreeCore runs the Table 2 headline comparison on the 3-core machine.
-func ThreeCore(cfg Config) (ThreeCoreResult, error) {
+// ThreeCore runs the Table 2 headline comparison on the 3-core machine
+// (paper: ~32% speedup).
+func ThreeCore(cfg Config) (FairnessRow, error) {
 	cfg, err := cfg.on(amp.ThreeCore2Fast1Slow())
 	if err != nil {
-		return ThreeCoreResult{}, err
+		return FairnessRow{}, err
 	}
 	rows, err := Table2Fairness(cfg, []transition.Params{BestParams()})
 	if err != nil {
-		return ThreeCoreResult{}, err
+		return FairnessRow{}, err
 	}
-	return ThreeCoreResult{
-		AvgTimePct:    rows[0].AvgTimePct,
-		MatchedAvgPct: rows[0].MatchedAvgPct,
-		ThroughputPct: rows[0].ThroughputPct,
-	}, nil
+	return rows[0], nil
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5, "Experiment drivers").
-
-// AblationRow is a generic named comparison row.
-type AblationRow struct {
-	Name          string
-	AvgTimePct    float64
-	ThroughputPct float64
-	MaxStretchPct float64
-}
-
-// ablationRow names a Table 2 row's ablation columns.
-func ablationRow(name string, r FairnessRow) AblationRow {
-	return AblationRow{Name: name, AvgTimePct: r.AvgTimePct, ThroughputPct: r.ThroughputPct,
-		MaxStretchPct: r.MaxStretchPct}
-}
+// Ablations (DESIGN.md §5, "Experiment drivers"). Each comparison is a list
+// of Table 2 rows whose Variant names the ablation arm.
 
 // ablateTuning runs the best technique's Table 2 row once per named
 // variant of the runtime configuration; edit turns cfg.Tuning into
 // variant i.
-func ablateTuning(cfg Config, names []string, edit func(t *tuning.Config, i int)) ([]AblationRow, error) {
-	rows := make([]AblationRow, len(names))
+func ablateTuning(cfg Config, names []string, edit func(t *tuning.Config, i int)) ([]FairnessRow, error) {
+	rows := make([]FairnessRow, len(names))
 	for i, name := range names {
 		c := cfg
 		edit(&c.Tuning, i)
@@ -236,14 +220,15 @@ func ablateTuning(cfg Config, names []string, edit func(t *tuning.Config, i int)
 		if err != nil {
 			return nil, err
 		}
-		rows[i] = ablationRow(name, res[0])
+		rows[i] = res[0]
+		rows[i].Variant = name
 	}
 	return rows, nil
 }
 
 // AblationPinMode compares pin-to-core-type (default) against pin-to-single-
 // core (the paper's literal Algorithm 2 output) for the best technique.
-func AblationPinMode(cfg Config) ([]AblationRow, error) {
+func AblationPinMode(cfg Config) ([]FairnessRow, error) {
 	return ablateTuning(cfg, []string{"pin-type", "pin-core"}, func(t *tuning.Config, i int) {
 		t.PinSingleCore = i == 1
 	})
@@ -251,7 +236,7 @@ func AblationPinMode(cfg Config) ([]AblationRow, error) {
 
 // AblationMonitorBound compares bounded monitoring windows (the configured
 // bound) against the strict paper reading (samples close only at marks).
-func AblationMonitorBound(cfg Config) ([]AblationRow, error) {
+func AblationMonitorBound(cfg Config) ([]FairnessRow, error) {
 	return ablateTuning(cfg, []string{"bounded-monitor", "mark-only-monitor"}, func(t *tuning.Config, i int) {
 		if i == 1 {
 			t.MaxMonitorCycles = 0
@@ -260,27 +245,22 @@ func AblationMonitorBound(cfg Config) ([]AblationRow, error) {
 }
 
 // AblationPropagation compares type propagation through untyped sections
-// against the naive edge rule, in static mark counts.
-func AblationPropagation(cfg Config) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, propagate := range []bool{true, false} {
+// against the naive edge rule: the suite's total static mark count under
+// each.
+func AblationPropagation(cfg Config) (propagate, naive int, err error) {
+	var marks [2]int
+	for i, prop := range []bool{true, false} {
 		params := BestParams()
-		params.PropagateThroughUntyped = propagate
-		marks := 0
+		params.PropagateThroughUntyped = prop
 		for _, b := range cfg.Suite {
 			art, err := cfg.artifact(b, params)
 			if err != nil {
-				return nil, err
+				return 0, 0, err
 			}
-			marks += art.Stats.Marks
+			marks[i] += art.Stats.Marks
 		}
-		name := "propagate"
-		if !propagate {
-			name = "naive-edges"
-		}
-		rows = append(rows, AblationRow{Name: name, AvgTimePct: float64(marks)})
 	}
-	return rows, nil
+	return marks[0], marks[1], nil
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +328,7 @@ func (t *TemporalTuner) OnQuantum(p *exec.Process, coreID int) exec.MarkAction {
 
 // AblationTemporal compares positional (phase-mark) adaptation with the
 // temporal resampling baseline.
-func AblationTemporal(cfg Config, resampleCycles uint64) ([]AblationRow, error) {
+func AblationTemporal(cfg Config, resampleCycles uint64) ([]FairnessRow, error) {
 	rows, err := Table2Fairness(cfg, []transition.Params{BestParams()})
 	if err != nil {
 		return nil, err
@@ -371,7 +351,8 @@ func AblationTemporal(cfg Config, resampleCycles uint64) ([]AblationRow, error) 
 	if err != nil {
 		return nil, err
 	}
-	return []AblationRow{ablationRow("positional(loop45)", rows[0]), ablationRow("temporal(kumar)", row)}, nil
+	rows[0].Variant, row.Variant = "positional(loop45)", "temporal(kumar)"
+	return []FairnessRow{rows[0], row}, nil
 }
 
 // runTemporal is the baseline cell of one seed with TemporalTuner hooks on

@@ -162,24 +162,6 @@ func Showdown(cfg Config, machines []*amp.Machine) ([]ShowdownRow, error) {
 	return rows, nil
 }
 
-// LedgerCell runs one showdown cell — one (machine, policy, seed) — with
-// cycle accounting forced on and returns the full result, ledger included.
-// cmd/runcmp uses it to rebuild the two sides of a policy diff without
-// sweeping the whole grid; cfg.Machine selects the machine and cfg.Suite
-// may be nil (it is regenerated here).
-func LedgerCell(cfg Config, p sim.Policy, seed uint64) (*sim.Result, error) {
-	mcfg, err := cfg.on(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	mcfg.Ledger = true
-	results, err := mcfg.sweep([]dist.Spec{showdownRunCfg(mcfg, p, seed)})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
 // CounterContentionResult reports one policy under a bounded counter pool
 // (the paper's "processes seldom have to wait" claim, §III).
 type CounterContentionResult struct {

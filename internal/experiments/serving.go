@@ -10,7 +10,6 @@ import (
 	"phasetune/internal/metrics"
 	"phasetune/internal/serve"
 	"phasetune/internal/sim"
-	"phasetune/internal/trace"
 	"phasetune/internal/workload"
 )
 
@@ -127,29 +126,6 @@ func servingGrid(cfg Config) []dist.Spec {
 // workers reproduce the open-system semantics from the wire form alone.
 func ServingCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 	return cfg.campaign(machine, servingGrid)
-}
-
-// ServingTraceRun re-runs one representative serving cell — the first
-// serving machine, the hybrid policy, offered load 1.0× — with the given
-// tracer attached. It runs outside the sweep because a tracer serves one
-// run: concurrent sweep cells would interleave their events
-// nondeterministically. The cell itself is deterministic (same wire spec
-// as the sweep's), so the returned summary matches the sweep's seed-0
-// cell and the trace is byte-stable across invocations.
-func ServingTraceRun(cfg Config, tr *trace.Tracer) (serve.Stats, error) {
-	mcfg := cfg
-	mcfg.Machine = ServingMachines()[0]
-	spec := servingRunCfg(mcfg, sim.PolicyHybrid, 1.0, mcfg.Seeds[0])
-	rc, err := mcfg.Env().RunConfig(spec, mcfg.Suite, nil)
-	if err != nil {
-		return serve.Stats{}, err
-	}
-	rc.Trace = tr
-	res, err := sim.Run(rc)
-	if err != nil {
-		return serve.Stats{}, err
-	}
-	return serve.Summarize(res), nil
 }
 
 // Serving runs the offered-load × policy latency sweep on the given

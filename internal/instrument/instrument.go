@@ -74,14 +74,10 @@ func (b *Binary) SpaceOverhead() float64 {
 // NumMarks returns the number of inserted marks.
 func (b *Binary) NumMarks() int { return len(b.Marks) }
 
-// Apply instruments a program according to plan. The input program is not
-// modified. Block IDs in the plan refer to the CFGs of the *original*
-// program, which callers must have built with identical cfg semantics.
-//
-// The blockStart function maps (proc, block) to the block's first
-// instruction index and blockEnd to one past its last; they come from the
-// CFGs the plan was computed on.
-func Apply(p *prog.Program, plan *transition.Plan, blockStart, blockEnd func(proc, block int) int) (*Binary, error) {
+// ApplyWithGraphs instruments a program according to plan. The input
+// program is not modified. Block IDs in the plan refer to graphs, the CFGs
+// of the *original* program the plan was computed on.
+func ApplyWithGraphs(p *prog.Program, plan *transition.Plan, graphs []*cfg.Graph) (*Binary, error) {
 	out := p.Clone()
 	bin := &Binary{Prog: out, OrigBytes: p.SizeBytes(), Plan: plan}
 
@@ -92,7 +88,7 @@ func Apply(p *prog.Program, plan *transition.Plan, blockStart, blockEnd func(pro
 	}
 
 	for _, ps := range sortedProcs(perProc) {
-		if err := rewriteProc(bin, out, ps.proc, ps.sites, blockStart, blockEnd); err != nil {
+		if err := rewriteProc(bin, out, ps.proc, ps.sites, graphs[ps.proc]); err != nil {
 			return nil, err
 		}
 	}
@@ -101,14 +97,6 @@ func Apply(p *prog.Program, plan *transition.Plan, blockStart, blockEnd func(pro
 		return nil, fmt.Errorf("instrument: rewritten program invalid: %w", err)
 	}
 	return bin, nil
-}
-
-// ApplyWithGraphs is Apply with block accessors derived from the program's
-// CFGs (the graphs the plan was computed on).
-func ApplyWithGraphs(p *prog.Program, plan *transition.Plan, graphs []*cfg.Graph) (*Binary, error) {
-	start := func(proc, block int) int { return graphs[proc].Blocks[block].Start }
-	end := func(proc, block int) int { return graphs[proc].Blocks[block].End }
-	return Apply(p, plan, start, end)
 }
 
 type procSites struct {
@@ -132,8 +120,9 @@ func sortedProcs(m map[int][]transition.MarkSite) []procSites {
 }
 
 // rewriteProc rewrites one procedure: inline insertions at fallthrough mark
-// sites, stubs for taken-edge mark sites, and target remapping.
-func rewriteProc(bin *Binary, p *prog.Program, pi int, sites []transition.MarkSite, blockStart, blockEnd func(proc, block int) int) error {
+// sites, stubs for taken-edge mark sites, and target remapping. g is the
+// procedure's original CFG.
+func rewriteProc(bin *Binary, p *prog.Program, pi int, sites []transition.MarkSite, g *cfg.Graph) error {
 	proc := p.Procs[pi]
 	n := len(proc.Instrs)
 
@@ -147,7 +136,7 @@ func rewriteProc(bin *Binary, p *prog.Program, pi int, sites []transition.MarkSi
 	stubs := map[stubKey]transition.MarkSite{}
 
 	for _, s := range sites {
-		tgt := blockStart(s.Proc, s.To)
+		tgt := g.Blocks[s.To].Start
 		if tgt < 0 || tgt >= n {
 			return fmt.Errorf("instrument: proc %d: mark target instr %d out of range", pi, tgt)
 		}
@@ -156,7 +145,7 @@ func rewriteProc(bin *Binary, p *prog.Program, pi int, sites []transition.MarkSi
 			continue
 		}
 		// Taken edge: the source block's terminating branch/jump.
-		bEnd := blockEnd(s.Proc, s.From) - 1
+		bEnd := g.Blocks[s.From].End - 1
 		if bEnd < 0 || bEnd >= n {
 			return fmt.Errorf("instrument: proc %d: mark source instr %d out of range", pi, bEnd)
 		}

@@ -41,10 +41,10 @@ type Hybrid struct {
 	seen      int // cursor into kernel.Tasks()
 	taskByPID map[int]*osched.Task
 	states    []*hybridState // first-mark order (deterministic passes)
-	byPID     map[int]*hybridState
 }
 
-// hybridState is one process's bookkeeping.
+// hybridState is one process's bookkeeping, created at its first mark and
+// held by its hook.
 type hybridState struct {
 	pid  int
 	proc *exec.Process
@@ -69,11 +69,6 @@ type hybridState struct {
 	exited   bool
 }
 
-// minBoundaryInstrs is the floor below which a boundary-closed window is
-// too short to estimate IPC — the same floor the static runtime applies to
-// representative sections (tuning MinSectionInstrs).
-const minBoundaryInstrs = 200
-
 // NewHybrid builds the hybrid runtime for one kernel on the run's
 // placement engine, which makes every decision and arbitration. The
 // hardware pool should be the kernel's own so counter contention stays
@@ -88,7 +83,6 @@ func NewHybrid(cfg Config, engine *place.Engine, hw *perfcnt.Hardware) *Hybrid {
 		hw:        hw,
 		engine:    engine,
 		taskByPID: map[int]*osched.Task{},
-		byPID:     map[int]*hybridState{},
 	}
 }
 
@@ -105,24 +99,23 @@ func (m *Hybrid) Hook(img *exec.Image) exec.MarkHook {
 type hybridHook struct {
 	m   *Hybrid
 	img *exec.Image
+	st  *hybridState // nil until the process's first mark
 }
 
-// state returns (creating) the process's runtime state.
-func (m *Hybrid) state(p *exec.Process) *hybridState {
-	st, ok := m.byPID[p.PID]
-	if !ok {
-		st = &hybridState{
+// state returns the process's runtime state, creating it at the first mark.
+func (h *hybridHook) state(p *exec.Process) *hybridState {
+	if h.st == nil {
+		h.st = &hybridState{
 			pid:    p.PID,
 			proc:   p,
-			task:   m.taskByPID[p.PID],
+			task:   h.m.taskByPID[p.PID],
 			cur:    phase.Untyped,
-			table:  place.NewTable(len(m.machine.Types)),
+			table:  place.NewTable(len(h.m.machine.Types)),
 			phases: map[phase.Type]bool{},
 		}
-		m.byPID[p.PID] = st
-		m.states = append(m.states, st)
+		h.m.states = append(h.m.states, h.st)
 	}
-	return st
+	return h.st
 }
 
 // OnMark implements exec.MarkHook: a phase boundary. On a real transition
@@ -135,7 +128,7 @@ func (m *Hybrid) state(p *exec.Process) *hybridState {
 // evidence to the boundary-window floor.
 func (h *hybridHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction {
 	m := h.m
-	st := m.state(p)
+	st := h.state(p)
 	pt := h.img.MarkType(markID)
 	if pt == st.cur {
 		return exec.MarkAction{}
@@ -178,9 +171,8 @@ func (h *hybridHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction
 
 // OnExit implements exec.MarkHook.
 func (h *hybridHook) OnExit(p *exec.Process) {
-	m := h.m
-	st, ok := m.byPID[p.PID]
-	if !ok {
+	m, st := h.m, h.st
+	if st == nil {
 		return
 	}
 	if st.open {
@@ -214,7 +206,7 @@ func (m *Hybrid) closeWindow(st *hybridState, coreID int, atTick bool) {
 	instrs, cycles := st.es.Stop(&st.proc.Counters)
 	m.hw.Release()
 	st.open = false
-	minInstrs := uint64(minBoundaryInstrs)
+	minInstrs := uint64(perfcnt.MinSampleInstrs)
 	if atTick {
 		minInstrs = m.cfg.WindowInstrs
 	}
@@ -312,7 +304,6 @@ func (m *Hybrid) OnTick(k *osched.Kernel, atPs int64) {
 				st.open = false
 			}
 			m.engine.Leave(st.pid)
-			delete(m.byPID, st.pid)
 			continue
 		}
 		if st.task != nil {

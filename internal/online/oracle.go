@@ -36,6 +36,10 @@ func OracleDecisions(img *exec.Image, topts phase.Options, cm exec.CostModel,
 		return nil, err
 	}
 	pars := exec.ParamsFor(cm, m)
+	// Every core type is priced at group 0's L2, not at its own group's as
+	// the scheduler prices it: bench/golden.json pins the hex and tri oracle
+	// bytes this produces. ROADMAP item 9 (shared L2 contending in
+	// execution) re-measures the oracle and mends this with it.
 	shareKB := m.L2s[0].SizeKB
 
 	// Per phase type, per core type: instruction-weighted IPC sums plus

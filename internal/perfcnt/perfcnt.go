@@ -42,6 +42,11 @@ func IPC(instrs, cycles uint64) float64 {
 	return float64(instrs) / float64(cycles)
 }
 
+// MinSampleInstrs is the floor below which a measurement is too short to
+// estimate IPC: the static tuner discards shorter representative-section
+// samples and the hybrid shorter boundary-closed windows.
+const MinSampleInstrs = 200
+
 // Hardware is the bounded pool of counter event sets.
 type Hardware struct {
 	slots  int

@@ -55,15 +55,33 @@ const (
 	PolicyOverhead
 )
 
-var policyNames = [...]string{
-	"none", "static", "static/spill", "dynamic/greedy", "dynamic/probe",
-	"hybrid", "hybrid/damped", "oracle", "overhead",
+// policies is the one policy table: each policy's name, the run mode it
+// lowers to, whether the shared engine's capacity arbitration places it
+// (engine), whether it spills (tuning.Config.Spill), and — for the
+// detector modes — the online reassignment rule and drift threshold.
+var policies = [...]struct {
+	name   string
+	mode   Mode
+	engine bool
+	spill  bool
+	online online.PolicyKind
+	drift  float64
+}{
+	PolicyNone:          {name: "none", mode: Baseline},
+	PolicyStatic:        {name: "static", mode: Tuned},
+	PolicyStaticSpill:   {name: "static/spill", mode: Tuned, engine: true, spill: true},
+	PolicyDynamicGreedy: {name: "dynamic/greedy", mode: Dynamic, online: online.Greedy},
+	PolicyDynamicProbe:  {name: "dynamic/probe", mode: Dynamic, engine: true, online: online.Probe},
+	PolicyHybrid:        {name: "hybrid", mode: Hybrid, engine: true, online: online.Probe},
+	PolicyHybridDamped:  {name: "hybrid/damped", mode: Hybrid, engine: true, online: online.Probe, drift: online.DefaultDrift},
+	PolicyOracle:        {name: "oracle", mode: Oracle, engine: true},
+	PolicyOverhead:      {name: "overhead", mode: Overhead},
 }
 
 // String names the policy; ParsePolicy inverts it.
 func (p Policy) String() string {
-	if p >= 0 && int(p) < len(policyNames) {
-		return policyNames[p]
+	if p >= 0 && int(p) < len(policies) {
+		return policies[p].name
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
 }
@@ -71,41 +89,23 @@ func (p Policy) String() string {
 // ParsePolicy resolves a policy name. Names are exactly the String forms;
 // there are no aliases.
 func ParsePolicy(s string) (Policy, error) {
-	for i, name := range policyNames {
-		if name == s {
+	names := make([]string, len(policies))
+	for i, e := range policies {
+		if e.name == s {
 			return Policy(i), nil
 		}
+		names[i] = e.name
 	}
-	return 0, fmt.Errorf("unknown policy %q (want %s)", s, strings.Join(policyNames[:], "|"))
+	return 0, fmt.Errorf("unknown policy %q (want %s)", s, strings.Join(names, "|"))
 }
 
 // Mode returns the run mode the policy lowers to.
-func (p Policy) Mode() Mode {
-	switch p {
-	case PolicyStatic, PolicyStaticSpill:
-		return Tuned
-	case PolicyDynamicGreedy, PolicyDynamicProbe:
-		return Dynamic
-	case PolicyHybrid, PolicyHybridDamped:
-		return Hybrid
-	case PolicyOracle:
-		return Oracle
-	case PolicyOverhead:
-		return Overhead
-	}
-	return Baseline
-}
+func (p Policy) Mode() Mode { return policies[p].mode }
 
 // EngineBacked reports whether the policy's placements flow through the
 // shared engine's capacity arbitration (place.Engine.Arbitrate) — the
 // policies whose decisions contention pricing can change.
-func (p Policy) EngineBacked() bool {
-	switch p {
-	case PolicyStaticSpill, PolicyDynamicProbe, PolicyHybrid, PolicyHybridDamped, PolicyOracle:
-		return true
-	}
-	return false
-}
+func (p Policy) EngineBacked() bool { return policies[p].engine }
 
 // BestParams is the paper's best marking variant, Loop[45]: the technique
 // instrumented policies run when the caller names none.
@@ -120,23 +120,15 @@ func BestParams() transition.Params {
 // the policy's reassignment rule and drift threshold. Every other field is
 // the caller's and passes through unchanged.
 func (p Policy) Lower(params *transition.Params, tcfg *tuning.Config, ocfg *online.Config) Mode {
-	mode := p.Mode()
-	if mode != Baseline && mode != Dynamic && *params == (transition.Params{}) {
+	e := policies[p]
+	if e.mode != Baseline && e.mode != Dynamic && *params == (transition.Params{}) {
 		*params = BestParams()
 	}
-	tcfg.Spill = p == PolicyStaticSpill
-	switch mode {
-	case Dynamic, Hybrid:
-		ocfg.Policy = online.Probe
-		if p == PolicyDynamicGreedy {
-			ocfg.Policy = online.Greedy
-		}
-		ocfg.Hybrid.Drift = 0
-		if p == PolicyHybridDamped {
-			ocfg.Hybrid.Drift = online.DefaultDrift
-		}
-	default:
+	tcfg.Spill = e.spill
+	if e.mode == Dynamic || e.mode == Hybrid {
+		ocfg.Policy, ocfg.Hybrid.Drift = e.online, e.drift
+	} else {
 		*ocfg = online.Config{}
 	}
-	return mode
+	return e.mode
 }

@@ -53,6 +53,20 @@ func (t Technique) String() string {
 	return fmt.Sprintf("technique(%d)", int(t))
 }
 
+// ParseTechnique resolves a technique's command-line name: bb, interval or
+// loop.
+func ParseTechnique(s string) (Technique, error) {
+	switch s {
+	case "bb":
+		return BasicBlock, nil
+	case "interval":
+		return Interval, nil
+	case "loop":
+		return Loop, nil
+	}
+	return 0, fmt.Errorf("unknown technique %q", s)
+}
+
 // Params configures plan computation.
 type Params struct {
 	// Technique is the section granularity.

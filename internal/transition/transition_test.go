@@ -218,3 +218,14 @@ func TestTechniqueString(t *testing.T) {
 		t.Error("technique names wrong")
 	}
 }
+
+func TestParseTechnique(t *testing.T) {
+	for name, want := range map[string]Technique{"bb": BasicBlock, "interval": Interval, "loop": Loop} {
+		if got, err := ParseTechnique(name); err != nil || got != want {
+			t.Errorf("ParseTechnique(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseTechnique("Loop"); err == nil || err.Error() != `unknown technique "Loop"` {
+		t.Errorf("ParseTechnique(%q) error %v", "Loop", err)
+	}
+}

@@ -15,7 +15,6 @@ func TestOnQuantumClosesLongSections(t *testing.T) {
 	m := amp.Quad2Fast2Slow()
 	hw := perfcnt.NewHardware(0)
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	cfg.MaxMonitorCycles = 1000
 	tu := newTuner(cfg, m, hw, fakeMarks{0: 0})
 	p := &exec.Process{}
@@ -79,7 +78,6 @@ func TestOnQuantumDisabled(t *testing.T) {
 func TestOnQuantumSteersDecidedSections(t *testing.T) {
 	m := amp.Quad2Fast2Slow()
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	cfg.MaxMonitorCycles = 1000
 	tu := newTuner(cfg, m, perfcnt.NewHardware(0), fakeMarks{0: 0})
 	p := &exec.Process{}

@@ -25,9 +25,6 @@ type Config struct {
 	// builds the run's placement engine from it; the tuner itself decides
 	// through that engine and never reads it.
 	Delta float64
-	// MinSectionInstrs discards monitoring samples shorter than this many
-	// instructions (too short to estimate IPC).
-	MinSectionInstrs uint64
 	// MaxMonitorCycles bounds one monitoring window: a section still being
 	// monitored after this many cycles yields its sample early, and the
 	// tuner moves on to probing the next core type within the same section
@@ -63,7 +60,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Delta:            0.06,
-		MinSectionInstrs: 200,
 		MaxMonitorCycles: 40000,
 	}
 }
@@ -190,7 +186,7 @@ func (tu *Tuner) finishMonitor(p *exec.Process) {
 	tu.hw.Release()
 	mon := tu.mon
 	tu.mon = monitorState{}
-	if instrs < tu.cfg.MinSectionInstrs || cycles == 0 {
+	if instrs < perfcnt.MinSampleInstrs || cycles == 0 {
 		return // too short to be a representative measurement
 	}
 	key := int(mon.ptype)

@@ -111,7 +111,6 @@ func TestTunerDecidesAfterSampling(t *testing.T) {
 	hw := perfcnt.NewHardware(8)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	tu := newTuner(cfg, m, hw, marks)
 	p := newProc()
 
@@ -152,7 +151,6 @@ func TestTunerDecidedMarksJustSwitch(t *testing.T) {
 	hw := perfcnt.NewHardware(8)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	tu := newTuner(cfg, m, hw, marks)
 	p := newProc()
 	for i := 0; i < 30 && (!tu.Decided(0) || !tu.Decided(1)); i++ {
@@ -184,7 +182,6 @@ func TestTunerComputePinsFastMemoryPinsSlow(t *testing.T) {
 	hw := perfcnt.NewHardware(8)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	cfg.Delta = 0.15
 	tu := newTuner(cfg, m, hw, marks)
 	p := newProc()
@@ -223,7 +220,6 @@ func TestTunerPinSingleCore(t *testing.T) {
 	m := quad()
 	hw := perfcnt.NewHardware(8)
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	cfg.PinSingleCore = true
 	tu := newTuner(cfg, m, hw, fakeMarks{0: 0, 1: 1})
 	p := newProc()
@@ -256,7 +252,6 @@ func TestAllCoresMode(t *testing.T) {
 func TestSameTypeMarkIsNoop(t *testing.T) {
 	m := quad()
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	tu := newTuner(cfg, m, perfcnt.NewHardware(8), fakeMarks{0: 0, 1: 0})
 	p := newProc()
 	tu.OnMark(p, 0, 0)
@@ -274,12 +269,10 @@ func TestSameTypeMarkIsNoop(t *testing.T) {
 
 func TestShortSectionsRejected(t *testing.T) {
 	m := quad()
-	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 1000
-	tu := newTuner(cfg, m, perfcnt.NewHardware(8), fakeMarks{0: 0, 1: 1})
+	tu := newTuner(DefaultConfig(), m, perfcnt.NewHardware(8), fakeMarks{0: 0, 1: 1})
 	p := newProc()
 	tu.OnMark(p, 0, 0)
-	p.Counters.Add(10, 10) // far below MinSectionInstrs
+	p.Counters.Add(perfcnt.MinSampleInstrs-1, 1000) // just below the sample floor
 	tu.OnMark(p, 1, 0)
 	if tu.SamplesTaken != 0 {
 		t.Error("short section accepted as sample")
@@ -293,7 +286,6 @@ func TestCounterContentionDefersMonitoring(t *testing.T) {
 		t.Fatal("setup: could not hog slot")
 	}
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	tu := newTuner(cfg, m, hw, fakeMarks{0: 0, 1: 1})
 	p := newProc()
 	act := tu.OnMark(p, 0, 0)
@@ -315,7 +307,6 @@ func TestOnExitReleasesEventSet(t *testing.T) {
 	m := quad()
 	hw := perfcnt.NewHardware(4)
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	tu := newTuner(cfg, m, hw, fakeMarks{0: 0})
 	p := newProc()
 	tu.OnMark(p, 0, 0)
@@ -366,7 +357,6 @@ func TestTunerSpillArbitratesHerd(t *testing.T) {
 	hw := perfcnt.NewHardware(16)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	cfg.Delta = 0.15
 	cfg.Spill = true
 	eng := place.NewEngine(m, cfg.Delta, place.Config{})
@@ -405,7 +395,6 @@ func TestTunerWithoutSpillHerds(t *testing.T) {
 	hw := perfcnt.NewHardware(16)
 	marks := fakeMarks{0: 0, 1: 1}
 	cfg := DefaultConfig()
-	cfg.MinSectionInstrs = 10
 	cfg.Delta = 0.15
 	eng := place.NewEngine(m, cfg.Delta, place.Config{})
 	slowMask := m.TypeMask(amp.SlowType)

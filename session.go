@@ -99,20 +99,18 @@ func WithTyping(t TypingOptions) SessionOption {
 	return func(s *Session) { s.typing = t.Normalized() }
 }
 
-// WithTuning sets the default runtime tuning configuration (default:
-// DefaultTuning). Individual runs may override it via RunSpec.Tuning.
+// WithTuning sets the runtime tuning configuration of every run (default:
+// DefaultTuning).
 func WithTuning(t TuningConfig) SessionOption { return func(s *Session) { s.tuning = t } }
 
-// WithOnline sets the default online-detector configuration used by the
-// dynamic and hybrid policies (default: DefaultOnline). Individual runs may
-// override it via RunSpec.Online; the policy sets its reassignment rule and
-// drift threshold.
+// WithOnline sets the online-detector configuration used by the dynamic
+// and hybrid policies (default: DefaultOnline); the policy sets its
+// reassignment rule and drift threshold.
 func WithOnline(c OnlineConfig) SessionOption { return func(s *Session) { s.online = c } }
 
-// WithPlacement sets the default shared-placement-engine configuration —
+// WithPlacement sets the shared-placement-engine configuration —
 // contention pricing on or off (default: unpriced) — used by every
 // engine-backed policy (Policy.EngineBacked).
-// Individual runs may override it via RunSpec.Placement.
 func WithPlacement(c PlacementConfig) SessionOption { return func(s *Session) { s.placement = c } }
 
 // WithCache shares an existing artifact cache (default: a fresh cache).
@@ -174,8 +172,8 @@ func (s *Session) Cache() *ImageCache { return s.cache }
 // CacheStats reports the session cache's hit/miss counters.
 func (s *Session) CacheStats() CacheStats { return s.cache.Stats() }
 
-// RunSpec configures one run within a session. Zero values inherit the
-// session defaults; only what varies per run needs to be set.
+// RunSpec configures one run within a session; the session supplies every
+// configuration the run shares with its siblings.
 type RunSpec struct {
 	// Workload supplies the slot queues. Exactly one of Workload and
 	// Queues must be set; Workload wins when both are.
@@ -204,14 +202,6 @@ type RunSpec struct {
 	// Params is the marking technique, used by instrumented policies
 	// (static, hybrid, oracle, overhead). Zero Params default to BestParams.
 	Params TechniqueParams
-	// Tuning overrides the session tuning configuration when non-nil.
-	Tuning *TuningConfig
-	// Online overrides the session online-detector configuration when
-	// non-nil (dynamic and hybrid policies).
-	Online *OnlineConfig
-	// Placement overrides the session placement-engine configuration when
-	// non-nil (engine-backed policies, see Policy.EngineBacked).
-	Placement *PlacementConfig
 	// TypingError injects clustering error (Fig. 7 methodology).
 	TypingError float64
 	// Seed drives workload process seeds and error injection.
@@ -236,9 +226,9 @@ func (s *Session) env() dist.EnvSpec {
 }
 
 // wireSpec is the one lowering of a run spec onto the fabric's wire form:
-// it resolves the per-run overrides against the session defaults, lowers
-// the policy onto them (sim.Policy.Lower), and folds Arrivals into the
-// workload description. Local runs and fabric campaigns both go through
+// it takes the session's tuning, online and placement configurations,
+// lowers the policy onto them (sim.Policy.Lower), and folds Arrivals into
+// the workload description. Local runs and fabric campaigns both go through
 // it, which is why a fabric's merged output is byte-identical to a local
 // Sweep. A built Workload has no wire form; its Spec carries zero Queues.
 func (s *Session) wireSpec(spec RunSpec) (dist.Spec, error) {
@@ -252,6 +242,9 @@ func (s *Session) wireSpec(spec RunSpec) (dist.Spec, error) {
 	if spec.Workload == nil && queues == nil {
 		return dist.Spec{}, ErrNeedQueues
 	}
+	if spec.Policy < PolicyNone || spec.Policy > PolicyOverhead {
+		return dist.Spec{}, fmt.Errorf("phasetune: unknown %s", spec.Policy)
+	}
 	sp := dist.Spec{
 		DurationSec: spec.DurationSec, Params: spec.Params,
 		Tuning: s.tuning, Online: s.online, Placement: s.placement,
@@ -259,15 +252,6 @@ func (s *Session) wireSpec(spec RunSpec) (dist.Spec, error) {
 	}
 	if spec.Workload == nil {
 		sp.Queues = *queues
-	}
-	if spec.Tuning != nil {
-		sp.Tuning = *spec.Tuning
-	}
-	if spec.Online != nil {
-		sp.Online = *spec.Online
-	}
-	if spec.Placement != nil {
-		sp.Placement = *spec.Placement
 	}
 	sp.Mode = spec.Policy.Lower(&sp.Params, &sp.Tuning, &sp.Online)
 	return sp, nil
@@ -324,26 +308,27 @@ func (s *Session) Instrument(p *Program, params TechniqueParams) (*Artifact, err
 }
 
 // MeasureIPC runs the program to completion alone on each of the session
-// machine's core types (full cache share, no instrumentation) and returns
-// the measured IPC per type — the signal Algorithm 2 consumes. The image is
-// prepared through the session cache; seed drives branch outcomes, so equal
-// seeds give bit-identical measurements.
+// machine's core types (no instrumentation) and returns the measured IPC
+// per type — the signal Algorithm 2 consumes. Each type runs on its first
+// core with the full share of that core's L2 group, as the scheduler
+// prices it. The image is prepared through the session cache; seed drives
+// branch outcomes, so equal seeds give bit-identical measurements.
 func (s *Session) MeasureIPC(p *Program, seed uint64) ([]float64, error) {
 	art, err := s.cache.Get(p, ImageSpec{Baseline: true}, s.cost)
 	if err != nil {
 		return nil, err
 	}
-	cost := s.cost
-	pars := exec.ParamsFor(cost, s.machine)
+	cost, m := s.cost, s.machine
+	pars := exec.ParamsFor(cost, m)
 	ipcs := make([]float64, len(pars))
 	for t := range pars {
 		coreID := 0
-		if ids := s.machine.CoresOfType(pars[t].Type); len(ids) > 0 {
+		if ids := m.CoresOfType(pars[t].Type); len(ids) > 0 {
 			coreID = ids[0]
 		}
 		proc := exec.NewProcess(1, art.Image, &cost, seed, nil)
 		es := perfcnt.Start(&proc.Counters)
-		proc.RunIsolated(&pars[t], coreID, s.machine.L2s[0].SizeKB, 0)
+		proc.RunIsolated(&pars[t], coreID, m.L2s[m.Cores[coreID].L2].SizeKB, 0)
 		instrs, cycles := es.Stop(&proc.Counters)
 		ipcs[t] = perfcnt.IPC(instrs, cycles)
 	}
