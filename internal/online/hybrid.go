@@ -38,7 +38,9 @@ type Hybrid struct {
 	engine  *place.Engine
 	stats   Stats
 
-	seen      int // cursor into kernel.Tasks()
+	seen int // cursor into kernel.Tasks()
+	// taskByPID holds the spawned tasks no state has bound yet: a task
+	// leaves it when its process's state binds it or when it exits first.
 	taskByPID map[int]*osched.Task
 	states    []*hybridState // first-mark order (deterministic passes)
 }
@@ -108,7 +110,7 @@ func (h *hybridHook) state(p *exec.Process) *hybridState {
 		h.st = &hybridState{
 			pid:    p.PID,
 			proc:   p,
-			task:   h.m.taskByPID[p.PID],
+			task:   h.m.bind(p.PID),
 			cur:    phase.Untyped,
 			table:  place.NewTable(len(h.m.machine.Types)),
 			phases: map[phase.Type]bool{},
@@ -116,6 +118,14 @@ func (h *hybridHook) state(p *exec.Process) *hybridState {
 		h.m.states = append(h.m.states, h.st)
 	}
 	return h.st
+}
+
+// bind takes a spawned task out of taskByPID for its process's state; nil
+// until the first monitor tick after spawn has seen it.
+func (m *Hybrid) bind(pid int) *osched.Task {
+	t := m.taskByPID[pid]
+	delete(m.taskByPID, pid)
+	return t
 }
 
 // OnMark implements exec.MarkHook: a phase boundary. On a real transition
@@ -173,6 +183,7 @@ func (h *hybridHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction
 func (h *hybridHook) OnExit(p *exec.Process) {
 	m, st := h.m, h.st
 	if st == nil {
+		delete(m.taskByPID, p.PID)
 		return
 	}
 	if st.open {
@@ -289,14 +300,15 @@ func (m *Hybrid) record(st *hybridState, pt phase.Type, ct amp.CoreTypeID, ipc f
 func (m *Hybrid) OnTick(k *osched.Kernel, atPs int64) {
 	tasks := k.Tasks()
 	for ; m.seen < len(tasks); m.seen++ {
-		t := tasks[m.seen]
-		m.taskByPID[t.Proc.PID] = t
+		if t := tasks[m.seen]; t.State != osched.TaskExited {
+			m.taskByPID[t.Proc.PID] = t
+		}
 	}
 
 	kept := m.states[:0]
 	for _, st := range m.states {
 		if st.task == nil {
-			st.task = m.taskByPID[st.pid]
+			st.task = m.bind(st.pid)
 		}
 		if st.exited || (st.task != nil && st.task.State == osched.TaskExited) {
 			if st.open {
