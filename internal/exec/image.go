@@ -31,7 +31,11 @@ type blockInfo struct {
 	// The fields a step reads come first, so they share cache lines.
 	kind termKind
 	// syscall marks syscall special nodes (extra fixed cost).
-	syscall   bool
+	syscall bool
+	// diamond marks a chain head whose chain, and the chains of both
+	// successors of its random last branch, loop through one counted
+	// edge back to that branch (buildChains): RunLane runs it as a loop.
+	diamond   bool
 	tripCount int32 // >0: counted loop back edge (taken tripCount-1 times)
 	loop      int32 // counted back edge's loop-counter index (-1 none)
 	taken     int32 // global id of the taken successor
@@ -87,6 +91,13 @@ func (b *blockInfo) chainSucc() int32 {
 // maxChainEdges edges. Its last block's terminator runs as a plain step's.
 // Crossing the counted edge is valid only while that loop's counter plus
 // one stays below its trip count (RunLane's guard).
+//
+// It then marks each diamond arm: a chain head whose chain crosses a
+// counted edge and ends at a mark-free random branch H, where both of H's
+// successors head chains that end at H across the same counted edge. From
+// an arm, a native run repeats arm chain, H's draw, arm chain, with no
+// observation point in between, so RunLane runs those iterations in one
+// inner loop. A loop body of any other shape keeps the step loop.
 func buildChains(blocks []blockInfo) {
 	for h := range blocks {
 		head := &blocks[h]
@@ -114,6 +125,21 @@ func buildChains(blocks []blockInfo) {
 			head.chainLast, head.chainLoop, head.chainTrips, head.chainEdges = cur, loop, trips, edges
 			head.chainInstrs, head.chainMemRefs = instrs, memRefs
 		}
+	}
+	for a := range blocks {
+		arm := &blocks[a]
+		if arm.chainLoop < 0 {
+			continue
+		}
+		h := &blocks[arm.chainLast] // mark-free, as every block a chain enters
+		if h.kind != termBranch || h.tripCount != 0 {
+			continue
+		}
+		same := func(s int32) bool {
+			b := &blocks[s]
+			return b.chainLast == arm.chainLast && b.chainLoop == arm.chainLoop && b.chainTrips == arm.chainTrips
+		}
+		arm.diamond = same(h.taken) && same(h.fall)
 	}
 }
 

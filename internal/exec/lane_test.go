@@ -11,6 +11,7 @@ import (
 	"phasetune/internal/isa"
 	"phasetune/internal/ledger"
 	"phasetune/internal/prog"
+	"phasetune/internal/prog/progtest"
 	"phasetune/internal/rng"
 )
 
@@ -120,6 +121,107 @@ func midMarkImage(t testing.TB) *Image {
 	return img
 }
 
+// diamondImage runs three phase-body diamonds, as workload.emitPhaseBody
+// emits them (a head ending in a random branch, two arms and a join ending
+// in the counted back edge), inside a long outer loop, so slices end
+// inside them, on their last trips and between them: an even one, one
+// with a nil else arm, and one that always takes its then arm.
+func diamondImage(t testing.TB) *Image {
+	b := prog.NewBuilder("diamonds")
+	main := b.Proc("main")
+	b.SetEntry("main")
+	then := func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{IntMul: 3, Load: 1, WorkingSetKB: 8192, Locality: 0.4})
+	}
+	els := func(pb *prog.ProcBuilder) { pb.Straight(prog.BlockMix{FPAdd: 5}) }
+	main.Loop(150, func(pb *prog.ProcBuilder) {
+		for _, d := range []struct {
+			trips, pThen float64
+			els          func(*prog.ProcBuilder)
+		}{{40, 0.5, els}, {25, 0.5, nil}, {9, 1, els}} {
+			pb.Loop(d.trips, func(pb *prog.ProcBuilder) {
+				pb.Straight(prog.BlockMix{IntALU: 6, Store: 1, WorkingSetKB: 256, Locality: 0.9})
+				pb.IfElse(d.pThen, then, d.els)
+			})
+		}
+	}).Ret()
+	img, err := NewImage(b.MustBuild(), nil, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// markedDiamondImage is an instrumented image of two diamond loops with a
+// phase mark where a diamond may not have one: in the first loop's head
+// (mark 0), and in the second loop's then arm (mark 1).
+func markedDiamondImage(t testing.TB) *Image {
+	b := prog.NewBuilder("markeddiamonds")
+	main := b.Proc("main")
+	b.SetEntry("main")
+	mark := func(id int) func(*prog.ProcBuilder) {
+		return func(pb *prog.ProcBuilder) { pb.Emit(isa.Instruction{Op: isa.PhaseMark, MarkID: id}) }
+	}
+	arm := func(pb *prog.ProcBuilder) { pb.Straight(prog.BlockMix{IntALU: 3}) }
+	main.Loop(30, func(pb *prog.ProcBuilder) {
+		mark(0)(pb)
+		pb.Straight(prog.BlockMix{IntMul: 2}).IfElse(0.5, arm, arm)
+	})
+	main.Loop(30, func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{IntMul: 2}).IfElse(0.5, func(pb *prog.ProcBuilder) { mark(1)(pb); arm(pb) }, arm)
+	}).Ret()
+	p := b.MustBuild()
+	bin := &instrument.Binary{Prog: p, Marks: []instrument.Mark{{ID: 0, Type: 0}, {ID: 1, Type: 1}}}
+	img, err := NewImage(p, bin, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestDiamondArmsFollowTheirShapes pins which blocks RunLane runs as
+// diamond loops: both arms of every diamond loop that crosses its counted
+// edge (trips ≥ 2; the join ends in a branch, so it heads no chain), and
+// no block of
+// a one-trip loop, of a loop whose head or arm holds a mark, or of a body
+// of another shape.
+func TestDiamondArmsFollowTheirShapes(t *testing.T) {
+	arms := func(img *Image) int {
+		n := 0
+		for i := range img.blocks {
+			if img.blocks[i].diamond {
+				n++
+			}
+		}
+		return n
+	}
+	for _, p := range progtest.Diamonds() {
+		img, err := NewImage(p, nil, DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 2
+		switch p.Name {
+		case "diamond-trips1", "diamond-markhead", "diamond-markarm":
+			want = 0
+		}
+		if got := arms(img); got != want {
+			t.Errorf("%s: %d diamond arms, want %d", p.Name, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		img  *Image
+		want int
+	}{
+		{diamondImage(t), 6}, {markedDiamondImage(t), 0},
+		{nestedImage(t, 5), 0}, {chainImage(t), 0}, {jumpCycleImage(t), 0}, {midMarkImage(t), 0},
+	} {
+		if got := arms(tc.img); got != tc.want {
+			t.Errorf("%s: %d diamond arms, want %d", tc.img.Name, got, tc.want)
+		}
+	}
+}
+
 // TestChainsFollowTheirShapes pins the chains the fixtures above exist
 // for, by the instruction index of their first and last blocks in main,
 // so that TestRunLaneMatchesStepLoop runs the shapes it claims to.
@@ -209,6 +311,30 @@ func BenchmarkRunLane(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(p.Counters.Instructions)/1000), "ns/kinstr")
 }
 
+// BenchmarkRunLaneDiamond times RunLane on the diamond fixture's slow
+// core in 100,000-cycle bursts, restarting the process when it exits: the
+// shape of a generated phase loop, which RunLane runs as one inner loop.
+// It reports ns per simulated thousand instructions.
+func BenchmarkRunLaneDiamond(b *testing.B) {
+	img := diamondImage(b)
+	cm := DefaultCostModel()
+	ps := ParamsFor(cm, amp.Quad2Fast2Slow())
+	p := NewProcess(1, img, &cm, 1, nil)
+	lane := p.Lane(&ps[1], 4096, ps[0].PsPerCycle)
+	var instrs uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p.Exited() {
+			instrs += p.Counters.Instructions
+			p = NewProcess(1, img, &cm, uint64(i), nil)
+		}
+		p.RunLane(lane, 0, 100_000)
+	}
+	instrs += p.Counters.Instructions
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(instrs)/1000), "ns/kinstr")
+}
+
 // maskHook requests an affinity change at every other phase mark, so a
 // run meets marks that stop it and marks that do not.
 type maskHook struct{ marks int }
@@ -233,6 +359,7 @@ func TestRunLaneMatchesStepLoop(t *testing.T) {
 	slow, fastPs := &ps[1], ps[0].PsPerCycle
 	for _, img := range []*Image{
 		nestedImage(t, 300), instrumentedImage(t), chainImage(t), jumpCycleImage(t), midMarkImage(t),
+		diamondImage(t), markedDiamondImage(t),
 	} {
 		cm := DefaultCostModel()
 		for seed := uint64(1); seed <= 8; seed++ {

@@ -275,10 +275,56 @@ func (p *Process) branchControl(info *blockInfo, res *StepResult) {
 // on its last trip. The step charges the chain's sums and returns the
 // last block's result. Results are identical to a loop of Step by
 // construction (the tables are built from the same helpers).
+//
+// From a diamond arm (buildChains), RunLane runs whole loop iterations in
+// an inner loop: each takes an arm's chain under exactly the chain guard,
+// then draws H's branch to pick the next arm, with no branch on the draw.
+// It counts the iterations per arm and on exit charges the sums once and
+// writes back the pc, the loop counter and the rng. That equals one chain
+// step per iteration: the sums are integer, the draws come in the same
+// order, and no mark, hook, trace instant or ledger phase change can occur
+// inside a mark-free diamond, so one ledger Work.Add into the open segment
+// equals many.
 func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res StepResult) {
 	blocks, cost, psPerCycle := p.Img.blocks, lane.cost, lane.par.PsPerCycle
 	for used < budget {
 		info, bc := &blocks[p.pc], &cost[p.pc]
+		if info.diamond {
+			h, hIC := &blocks[info.chainLast], cost[info.chainLast].ic
+			loop, trips := info.chainLoop, info.chainTrips
+			// Iteration k takes the chain of arms[s]: this block's first
+			// (s = 2), then H's fallthrough (0) or taken (1) side as H's
+			// draw picks it; n counts the iterations per arm.
+			arms := [3]int32{h.fall, h.taken, p.pc}
+			armIC := [3]int64{cost[h.fall].chainIC, cost[h.taken].chainIC, bc.chainIC}
+			c, r, s := p.loopCounts[loop], *p.rand, uint64(2)
+			var n [3]int64
+			for c+1 < trips && used+armIC[s]-hIC < budget {
+				c++
+				used += armIC[s]
+				n[s]++
+				s = (r.Uint64()>>11 - h.takenThresh) >> 63 // 1 when the draw is below the threshold
+			}
+			if c != p.loopCounts[loop] {
+				p.pc, p.loopCounts[loop], *p.rand = arms[s], c, r
+				var ic, idealPs, instrs, memRefs int64
+				for i, a := range arms {
+					ic += n[i] * cost[a].chainIC
+					idealPs += n[i] * cost[a].chainIdealPs
+					instrs += n[i] * blocks[a].chainInstrs
+					memRefs += n[i] * blocks[a].chainMemRefs
+				}
+				if p.Work != nil {
+					p.Work.Add(ic*psPerCycle, idealPs)
+				}
+				p.Counters.Add(uint64(instrs), uint64(ic))
+				if memRefs > 0 {
+					p.Counters.AddMem(uint64(memRefs))
+				}
+				res = StepResult{Cycles: hIC}
+				continue
+			}
+		}
 		if last := info.chainLast; last >= 0 &&
 			(info.chainLoop < 0 || p.loopCounts[info.chainLoop]+1 < info.chainTrips) {
 			if lastIC := cost[last].ic; used+bc.chainIC-lastIC < budget {

@@ -15,6 +15,8 @@ import (
 	"phasetune/internal/prog"
 	"phasetune/internal/prog/progtest"
 	"phasetune/internal/rng"
+	"phasetune/internal/sim"
+	"phasetune/internal/transition"
 	"phasetune/internal/workload"
 )
 
@@ -119,21 +121,42 @@ func (r *reference) step() int64 {
 	return ic + marks*r.cm.MarkCycles
 }
 
-// lockstep runs p as an image through RunLane and through the reference,
-// on the slow core of the quad machine, for up to calls RunLane calls with
-// random budgets below maxBudget; half of them are one cycle, which runs
-// exactly one block, so the (proc, block) visit sequence is compared block
-// by block. After every call both must agree on cycles, next block, call
-// stack, loop counters, counters, rng state and exit.
+// randomBudgets returns RunLane budgets below maxBudget drawn from seed;
+// half of them are one cycle, which runs exactly one block, so the
+// (proc, block) visit sequence is compared block by block.
+func randomBudgets(seed uint64, maxBudget int) func() int64 {
+	budgets := rng.New(seed)
+	return func() int64 {
+		budget := int64(1)
+		if budgets.Intn(2) == 0 {
+			budget += int64(budgets.Intn(maxBudget))
+		}
+		return budget
+	}
+}
+
+// lockstep runs p as an uninstrumented image through RunLane and through
+// the reference, with random budgets below maxBudget (randomBudgets).
 func lockstep(t *testing.T, p *prog.Program, seed uint64, calls int, maxBudget int) {
+	t.Helper()
+	img, err := exec.NewImage(p, nil, exec.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lockstepImage(t, img, seed, calls, randomBudgets(^seed, maxBudget))
+}
+
+// lockstepImage runs img through RunLane and its program through the
+// reference, on the slow core of the quad machine, for up to calls
+// RunLane calls with the budgets next returns. After every call both
+// must agree on cycles, next block, call stack, loop counters, counters
+// (phase marks included), rng state and exit.
+func lockstepImage(t *testing.T, img *exec.Image, seed uint64, calls int, next func() int64) {
 	t.Helper()
 	cm := exec.DefaultCostModel()
 	par := &exec.ParamsFor(cm, amp.Quad2Fast2Slow())[1]
 	const shareKB = 2048
-	img, err := exec.NewImage(p, nil, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := img.Prog
 	ref, err := newReference(p, cm, par, shareKB, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -148,12 +171,8 @@ func lockstep(t *testing.T, p *prog.Program, seed uint64, calls int, maxBudget i
 
 	run := exec.NewProcess(1, img, &cm, seed, nil)
 	lane := run.Lane(par, shareKB, par.PsPerCycle)
-	budgets := rng.New(^seed)
 	for call := 0; call < calls && !run.Exited(); call++ {
-		budget := int64(1)
-		if budgets.Intn(2) == 0 {
-			budget += int64(budgets.Intn(maxBudget))
-		}
+		budget := next()
 		used, res := run.RunLane(lane, 0, budget)
 		var refUsed int64
 		for refUsed < budget && !ref.exited {
@@ -187,8 +206,13 @@ func lockstep(t *testing.T, p *prog.Program, seed uint64, calls int, maxBudget i
 }
 
 // TestInterpreterMatchesReference runs every benchgen suite program, and
-// the small builder programs of the decoder's fuzz corpus, through RunLane
-// and the reference interpreter in lockstep.
+// the small builder programs of the decoder's fuzz corpus (diamond loops
+// among them), through RunLane and the reference interpreter in lockstep.
+// The suite also runs as the instrumented images campaigns execute, under
+// the loop technique (Loop[45]) and the most mark-dense basic-block one
+// (BB[10,0]). Neither marks a block of a phase-loop diamond, so the
+// diamonds that hold a mark in their head or then arm come from the
+// corpus: they must run block by block, with the mark charged.
 func TestInterpreterMatchesReference(t *testing.T) {
 	cm := exec.DefaultCostModel()
 	suite, err := workload.Suite(cm, amp.Quad2Fast2Slow())
@@ -198,11 +222,89 @@ func TestInterpreterMatchesReference(t *testing.T) {
 	for _, b := range suite {
 		lockstep(t, b.Prog, 1, 400, 40000)
 	}
+	for _, params := range []transition.Params{
+		sim.BestParams(),
+		{Technique: transition.BasicBlock, MinSize: 10, PropagateThroughUntyped: true},
+	} {
+		marks := 0
+		for _, b := range suite {
+			a, err := sim.Analyze(b.Prog, phase.Options{}.Normalized(), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			art, err := a.Instrument(params, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			marks += art.Image.NumMarks()
+			lockstepImage(t, art.Image, 1, 400, randomBudgets(^uint64(1), 40000))
+		}
+		if marks == 0 {
+			t.Errorf("%+v: the instrumented suite holds no marks", params)
+		}
+	}
 	for _, p := range progtest.Programs() {
 		for seed := uint64(1); seed <= 4; seed++ {
 			lockstep(t, p, seed, 1000, 5000)
 		}
 	}
+}
+
+// TestDiamondSliceEnds runs each diamond loop program in lockstep with
+// slices that end where the inner loop's guards must stop it: a budget of
+// one cycle throughout, and a first slice that ends mid-loop or within a
+// cycle of where the loop's last trip starts (its counted edge then falls
+// through), followed by random slices.
+func TestDiamondSliceEnds(t *testing.T) {
+	cm := exec.DefaultCostModel()
+	par := &exec.ParamsFor(cm, amp.Quad2Fast2Slow())[1]
+	for _, p := range progtest.Diamonds() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			img, err := exec.NewImage(p, nil, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lockstepImage(t, img, seed, 100_000, func() int64 { return 1 })
+			last := lastTripCycles(t, p, cm, par, seed)
+			for _, first := range []int64{last / 2, last - 1, last, last + 1} {
+				if first < 1 {
+					continue
+				}
+				budgets := randomBudgets(seed, 3000)
+				next := func() int64 {
+					if b := first; b > 0 {
+						first = 0
+						return b
+					}
+					return budgets()
+				}
+				lockstepImage(t, img, seed, 1000, next)
+			}
+		}
+	}
+}
+
+// lastTripCycles returns the cycles the reference runs p for before the
+// last trip of the first counted loop to reach its final trip begins: the
+// first point where a counted edge's counter stands at its trip count
+// less one.
+func lastTripCycles(t *testing.T, p *prog.Program, cm exec.CostModel, par *exec.CoreParams, seed uint64) int64 {
+	t.Helper()
+	ref, err := newReference(p, cm, par, 2048, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var used int64
+	for !ref.exited {
+		used += ref.step()
+		for a, n := range ref.loops {
+			b := ref.graphs[a.proc].Blocks[a.block]
+			if n == b.Instrs[len(b.Instrs)-1].TripCount-1 {
+				return used
+			}
+		}
+	}
+	return used
 }
 
 // FuzzInterpreterMatchesReference decodes a program and runs it through

@@ -32,8 +32,8 @@ func Corpus() [][]byte {
 
 // Programs builds small programs covering every instruction shape the
 // encoder renders: memory descriptors, counted and probabilistic branches,
-// calls, syscalls and phase marks. Suite-sized images slow a fuzzer down
-// without reaching new states.
+// calls, syscalls and phase marks, plus Diamonds. Suite-sized images slow a
+// fuzzer down without reaching new states.
 func Programs() []*prog.Program {
 	b := prog.NewBuilder("calls")
 	leaf := b.Proc("leaf")
@@ -64,5 +64,60 @@ func Programs() []*prog.Program {
 			{Op: isa.Ret},
 		},
 	}}}
-	return []*prog.Program{b.MustBuild(), g.MustBuild(), marked}
+	return append([]*prog.Program{b.MustBuild(), g.MustBuild(), marked}, Diamonds()...)
+}
+
+// Diamonds builds counted loops around an IfElse, the shape of a generated
+// phase body iteration (a head block ending in a random branch, two arms
+// and a join ending in the counted back edge), which the interpreter runs
+// as one inner loop: 1, 2 and 1000 trips, then-arm probabilities 0, 0.5 and
+// 1, a nil else arm, a phase mark at the top of the head or of the then
+// arm, and a diamond nested in an outer counted loop.
+func Diamonds() []*prog.Program {
+	mark := func(pb *prog.ProcBuilder, on bool) {
+		if on {
+			pb.Emit(isa.Instruction{Op: isa.PhaseMark, Bytes: 5})
+		}
+	}
+	diamond := func(pb *prog.ProcBuilder, trips, pThen float64, els, headMark, armMark bool) {
+		pb.Loop(trips, func(pb *prog.ProcBuilder) {
+			mark(pb, headMark)
+			pb.Straight(prog.BlockMix{IntALU: 4, Load: 1, WorkingSetKB: 4096, Locality: 0.6})
+			var elsArm func(*prog.ProcBuilder)
+			if els {
+				elsArm = func(pb *prog.ProcBuilder) { pb.Straight(prog.BlockMix{FPMul: 2, Store: 1, WorkingSetKB: 64}) }
+			}
+			pb.IfElse(pThen, func(pb *prog.ProcBuilder) {
+				mark(pb, armMark)
+				pb.Straight(prog.BlockMix{IntMul: 3})
+			}, elsArm)
+		})
+	}
+	var out []*prog.Program
+	for _, d := range []struct {
+		name                   string
+		trips, pThen           float64
+		els, headMark, armMark bool
+	}{
+		{"diamond-trips1", 1, 0.5, true, false, false},
+		{"diamond-trips2", 2, 0.5, true, false, false},
+		{"diamond-trips1000", 1000, 0.5, true, false, false},
+		{"diamond-p0", 60, 0, true, false, false},
+		{"diamond-p1", 60, 1, true, false, false},
+		{"diamond-noelse", 60, 0.5, false, false, false},
+		{"diamond-markhead", 60, 0.5, true, true, false},
+		{"diamond-markarm", 60, 0.5, true, false, true},
+	} {
+		b := prog.NewBuilder(d.name)
+		diamond(b.Proc("main"), d.trips, d.pThen, d.els, d.headMark, d.armMark)
+		b.Proc("main").Ret()
+		out = append(out, b.MustBuild())
+	}
+	b := prog.NewBuilder("diamond-nested")
+	main := b.Proc("main")
+	main.Loop(5, func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{IntALU: 2})
+		diamond(pb, 30, 0.3, true, false, false)
+	}).Ret()
+	return append(out, b.MustBuild())
 }
