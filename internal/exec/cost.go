@@ -16,8 +16,12 @@
 // environment into a cost table (Process.Lane), and the kernel runs every
 // dispatch burst through RunLane on it, which takes a chain of mark-free
 // fallthrough blocks as one step when that cannot move a slice end or a
-// loop exit; Step, which runs one block per step and prices it in floating
-// point, is the reference the tables must match (DESIGN.md §13).
+// loop exit, and runs a counted loop around a mark-free branch diamond (a
+// generated phase loop) as an inner loop of such steps that charges its
+// integer sums once, so the totals, the branch draws and the slice ends
+// equal the step loop's. Step, which runs one block per step and prices
+// it in floating point, is the reference the tables must match
+// (DESIGN.md §13).
 package exec
 
 import (

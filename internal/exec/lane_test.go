@@ -152,39 +152,11 @@ func diamondImage(t testing.TB) *Image {
 	return img
 }
 
-// markedDiamondImage is an instrumented image of two diamond loops with a
-// phase mark where a diamond may not have one: in the first loop's head
-// (mark 0), and in the second loop's then arm (mark 1).
-func markedDiamondImage(t testing.TB) *Image {
-	b := prog.NewBuilder("markeddiamonds")
-	main := b.Proc("main")
-	b.SetEntry("main")
-	mark := func(id int) func(*prog.ProcBuilder) {
-		return func(pb *prog.ProcBuilder) { pb.Emit(isa.Instruction{Op: isa.PhaseMark, MarkID: id}) }
-	}
-	arm := func(pb *prog.ProcBuilder) { pb.Straight(prog.BlockMix{IntALU: 3}) }
-	main.Loop(30, func(pb *prog.ProcBuilder) {
-		mark(0)(pb)
-		pb.Straight(prog.BlockMix{IntMul: 2}).IfElse(0.5, arm, arm)
-	})
-	main.Loop(30, func(pb *prog.ProcBuilder) {
-		pb.Straight(prog.BlockMix{IntMul: 2}).IfElse(0.5, func(pb *prog.ProcBuilder) { mark(1)(pb); arm(pb) }, arm)
-	}).Ret()
-	p := b.MustBuild()
-	bin := &instrument.Binary{Prog: p, Marks: []instrument.Mark{{ID: 0, Type: 0}, {ID: 1, Type: 1}}}
-	img, err := NewImage(p, bin, DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return img
-}
-
 // TestDiamondArmsFollowTheirShapes pins which blocks RunLane runs as
 // diamond loops: both arms of every diamond loop that crosses its counted
 // edge (trips ≥ 2; the join ends in a branch, so it heads no chain), and
-// no block of
-// a one-trip loop, of a loop whose head or arm holds a mark, or of a body
-// of another shape.
+// no block of a one-trip loop, of a loop whose head or arm holds a mark,
+// or of a body of another shape.
 func TestDiamondArmsFollowTheirShapes(t *testing.T) {
 	arms := func(img *Image) int {
 		n := 0
@@ -213,7 +185,7 @@ func TestDiamondArmsFollowTheirShapes(t *testing.T) {
 		img  *Image
 		want int
 	}{
-		{diamondImage(t), 6}, {markedDiamondImage(t), 0},
+		{diamondImage(t), 6},
 		{nestedImage(t, 5), 0}, {chainImage(t), 0}, {jumpCycleImage(t), 0}, {midMarkImage(t), 0},
 	} {
 		if got := arms(tc.img); got != tc.want {
@@ -347,7 +319,8 @@ func (h *maskHook) OnExit(p *Process) {}
 
 // TestRunLaneMatchesStepLoop drives two processes of one image through
 // the same random slice budgets on the slow core: one by RunLane on the
-// image's lane, as the kernel runs, with its fused chains, and one by the
+// image's lane, as the kernel runs, with its fused chains and diamond
+// loops (the corpus's diamonds among the images), and one by the
 // Step loop, one block per step with float pricing. Every call must return
 // the same cycles and stopping step, and after every slice the two must
 // agree on counters, program counter, stack, loop counters, rng state and
@@ -357,10 +330,18 @@ func (h *maskHook) OnExit(p *Process) {}
 func TestRunLaneMatchesStepLoop(t *testing.T) {
 	ps := ParamsFor(DefaultCostModel(), amp.Quad2Fast2Slow())
 	slow, fastPs := &ps[1], ps[0].PsPerCycle
-	for _, img := range []*Image{
-		nestedImage(t, 300), instrumentedImage(t), chainImage(t), jumpCycleImage(t), midMarkImage(t),
-		diamondImage(t), markedDiamondImage(t),
-	} {
+	images := []*Image{
+		nestedImage(t, 300), instrumentedImage(t), chainImage(t), jumpCycleImage(t), midMarkImage(t), diamondImage(t),
+	}
+	for _, p := range progtest.Diamonds() {
+		// The marked diamonds' marks all have id 0.
+		img, err := NewImage(p, &instrument.Binary{Prog: p, Marks: []instrument.Mark{{ID: 0, Type: 1}}}, DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, img)
+	}
+	for _, img := range images {
 		cm := DefaultCostModel()
 		for seed := uint64(1); seed <= 8; seed++ {
 			run := NewProcess(1, img, &cm, seed, &maskHook{})
