@@ -15,12 +15,14 @@
 // Execution is native. Each image prices its blocks once per pricing
 // environment into a cost table (Process.Lane), and the kernel runs every
 // dispatch burst through RunLane on it, which takes a chain of mark-free
-// fallthrough blocks as one step when that cannot move a slice end or a
-// loop exit, and runs a counted loop around a mark-free branch diamond (a
-// generated phase loop) as an inner loop of such steps that charges its
-// integer sums once, so the totals, the branch draws and the slice ends
-// equal the step loop's. Step, which runs one block per step and prices
-// it in floating point, is the reference the tables must match
+// blocks whose path is fixed (fallthroughs, one counted back edge, calls,
+// and returns whose target is known) as one step when that cannot move a
+// slice end or a loop exit, and runs a counted loop around a mark-free
+// branch diamond (a generated phase loop, inline or in a helper procedure
+// the loop calls) as an inner loop of such steps that charges its integer
+// sums once, so the totals, the branch draws, the call stack and the
+// slice ends equal the step loop's. Step, which runs one block per step
+// and prices it in floating point, is the reference the tables must match
 // (DESIGN.md §13).
 package exec
 

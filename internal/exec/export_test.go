@@ -15,3 +15,19 @@ func ControlState(p *Process) (pc int32, stack []int32, loopCount func(gid int32
 	}
 	return p.pc, p.stack, loopCount, *p.rand
 }
+
+// DiamondArms counts the diamond arms (buildChains) in each procedure of
+// img, by procedure name.
+func DiamondArms(img *Image) map[string]int {
+	arms := map[string]int{}
+	b := 0
+	for _, g := range img.Graphs {
+		for range g.Blocks {
+			if img.blocks[b].diamond {
+				arms[g.ProcName]++
+			}
+			b++
+		}
+	}
+	return arms
+}

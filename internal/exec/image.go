@@ -41,21 +41,31 @@ type blockInfo struct {
 	taken     int32 // global id of the taken successor
 	fall      int32 // global id of the fallthrough successor (-1 none: ret/exit)
 	callee    int32 // global id of the callee's entry block for termCall
+	// retTo is a return's target when it is known statically: the return
+	// block of the only call site of a procedure other than the entry
+	// (-1 none).
+	retTo int32
 	// The fused chain this block heads (buildChains); chainLast < 0: none.
 	chainLast  int32 // global id of the chain's last block
 	chainLoop  int32 // loop-counter index of the counted edge it crosses (-1 none)
 	chainTrips int32 // that edge's trip count
 	chainEdges int32 // edges followed from this block to chainLast
+	// The chain's stack effect, applied before chainLast's terminator:
+	// pop the outer frame chainPop, then push the return block chainPush
+	// (-1 none). The chain leaves the stack as it found it when they are
+	// equal.
+	chainPop, chainPush int32
 	// takenThresh is the branch's taken probability as a threshold on a
 	// 53-bit draw (branchThreshold).
 	takenThresh uint64
 	// instrs is the retired-instruction count (phase marks excluded; they
-	// are charged via CostModel.MarkInstrs).
-	instrs int64
+	// are charged via CostModel.MarkInstrs). Counts are int32, as block
+	// ids are: a chain holds far fewer than 2³¹ instructions.
+	instrs int32
 	// memRefs is the retired memory-reference count per execution.
-	memRefs int64
+	memRefs int32
 	// chainInstrs and chainMemRefs sum instrs and memRefs over the chain.
-	chainInstrs, chainMemRefs int64
+	chainInstrs, chainMemRefs int32
 	// markIDs lists phase marks executed at the top of this block, in order.
 	markIDs []int32
 
@@ -73,56 +83,101 @@ type blockInfo struct {
 // never leaves itself still ends.
 const maxChainEdges = 64
 
-// chainSucc is the block a chain moves to from b: the taken side of a
-// counted back edge, else the fallthrough or jump target.
-func (b *blockInfo) chainSucc() int32 {
-	if b.kind == termBranch {
-		return b.taken
+// chainWalk follows a chain from its head, one edge at a time. It is the
+// one successor rule: buildChains defines chains by it and Process.Lane
+// sums their costs by it.
+type chainWalk struct {
+	cur   int32 // global id of the block reached
+	edges int32 // edges followed from the head
+	loop  int32 // loop-counter index of the counted edge crossed (-1 none)
+	trips int32 // that edge's trip count
+	pop   int32 // the outer frame a return popped (-1 none)
+	push  int32 // the return block a call pushed and no return popped (-1 none)
+}
+
+// walkFrom starts a walk at head h.
+func walkFrom(h int) chainWalk {
+	return chainWalk{cur: int32(h), loop: -1, pop: -1, push: -1}
+}
+
+// next moves the walk from its block to the block a native run executes
+// next with no choice and no observation point, or reports false where
+// the chain must end: the successor holds a mark, or the block ends in a
+// random or second counted branch, a call with a pushed frame still open,
+// or a return whose target is not known (neither the chain's own pushed
+// frame nor, with no outer frame popped yet, a static retTo).
+func (w *chainWalk) next(blocks []blockInfo) bool {
+	b, to := &blocks[w.cur], *w
+	to.cur = b.fall
+	switch b.kind {
+	case termBranch:
+		if b.tripCount <= 1 || w.loop >= 0 {
+			return false
+		}
+		to.cur, to.loop, to.trips = b.taken, b.loop, b.tripCount
+	case termCall:
+		if w.push >= 0 {
+			return false
+		}
+		to.cur, to.push = b.callee, b.fall
+	case termRet:
+		switch {
+		case w.push >= 0:
+			to.cur, to.push = w.push, -1
+		case w.pop < 0 && b.retTo >= 0:
+			to.cur, to.pop = b.retTo, b.retTo
+		default:
+			return false
+		}
 	}
-	return b.fall
+	if len(blocks[to.cur].markIDs) > 0 {
+		return false
+	}
+	to.edges++
+	*w = to
+	return true
 }
 
 // buildChains gives every mark-free fallthrough block the chain it heads:
 // the blocks a native run executes next with no observation point and no
 // choice, which RunLane charges as one step. A chain follows fallthroughs
 // and jumps through mark-free blocks, crosses at most one counted back
-// edge on its taken side, and ends at the first block that ends any other
-// way (a random or second counted branch, a call or a return), or after
-// maxChainEdges edges. Its last block's terminator runs as a plain step's.
-// Crossing the counted edge is valid only while that loop's counter plus
-// one stays below its trip count (RunLane's guard).
+// edge on its taken side, and follows calls and returns whose targets are
+// fixed (chainWalk): a call into its callee while the chain holds no
+// other pushed frame, a return to the frame the chain's own call pushed,
+// and, once, a return that pops an outer frame known statically (retTo).
+// It ends at the first block that ends any other way, or after
+// maxChainEdges edges. Its last block's terminator runs as a plain
+// step's, after the chain's stack effect (one outer frame popped, one
+// return block pushed) is applied. Crossing the counted edge is valid
+// only while that loop's counter plus one stays below its trip count
+// (RunLane's guard).
 //
 // It then marks each diamond arm: a chain head whose chain crosses a
-// counted edge and ends at a mark-free random branch H, where both of H's
-// successors head chains that end at H across the same counted edge. From
-// an arm, a native run repeats arm chain, H's draw, arm chain, with no
-// observation point in between, so RunLane runs those iterations in one
-// inner loop. A loop body of any other shape keeps the step loop.
+// counted edge, leaves the stack as it found it, and ends at a mark-free
+// random branch H, where both of H's successors head chains of that shape
+// ending at H across the same counted edge. From an arm, a native run
+// repeats arm chain, H's draw, arm chain, with no observation point in
+// between, so RunLane runs those iterations in one inner loop. That takes
+// in a phase loop whose body calls a helper procedure holding the diamond:
+// its arms' chains return, cross the loop's edge and call the helper again
+// (pop R, push R). A loop body of any other shape keeps the step loop.
 func buildChains(blocks []blockInfo) {
 	for h := range blocks {
 		head := &blocks[h]
-		head.chainLast, head.chainLoop = -1, -1
+		head.chainLast, head.chainLoop, head.chainPop, head.chainPush = -1, -1, -1, -1
 		if head.kind != termFall || len(head.markIDs) > 0 {
 			continue
 		}
-		cur, loop, trips, edges := int32(h), int32(-1), int32(0), int32(0)
+		w := walkFrom(h)
 		instrs, memRefs := head.instrs, head.memRefs
-		for edges < maxChainEdges {
-			b := &blocks[cur]
-			crosses := b.kind == termBranch && b.tripCount > 1 && loop < 0
-			if b.kind != termFall && !crosses || len(blocks[b.chainSucc()].markIDs) > 0 {
-				break
-			}
-			if crosses {
-				loop, trips = b.loop, b.tripCount
-			}
-			cur = b.chainSucc()
-			edges++
-			instrs += blocks[cur].instrs
-			memRefs += blocks[cur].memRefs
+		for w.edges < maxChainEdges && w.next(blocks) {
+			instrs += blocks[w.cur].instrs
+			memRefs += blocks[w.cur].memRefs
 		}
-		if edges > 0 {
-			head.chainLast, head.chainLoop, head.chainTrips, head.chainEdges = cur, loop, trips, edges
+		if w.edges > 0 {
+			head.chainLast, head.chainLoop, head.chainTrips, head.chainEdges = w.cur, w.loop, w.trips, w.edges
+			head.chainPop, head.chainPush = w.pop, w.push
 			head.chainInstrs, head.chainMemRefs = instrs, memRefs
 		}
 	}
@@ -137,9 +192,10 @@ func buildChains(blocks []blockInfo) {
 		}
 		same := func(s int32) bool {
 			b := &blocks[s]
-			return b.chainLast == arm.chainLast && b.chainLoop == arm.chainLoop && b.chainTrips == arm.chainTrips
+			return b.chainLast == arm.chainLast && b.chainLoop == arm.chainLoop && b.chainTrips == arm.chainTrips &&
+				b.chainPop == b.chainPush
 		}
-		arm.diamond = same(h.taken) && same(h.fall)
+		arm.diamond = same(int32(a)) && same(h.taken) && same(h.fall)
 	}
 }
 
@@ -240,9 +296,12 @@ func (p *Process) Lane(par *CoreParams, shareKB float64, fastPs int64) *Lane {
 			if info.chainLast < 0 {
 				continue
 			}
-			for b, e := int32(h), int32(0); e <= info.chainEdges; b, e = img.blocks[b].chainSucc(), e+1 {
-				c.chainIC += l.cost[b].ic
-				c.chainIdealPs += l.cost[b].idealPs
+			for w := walkFrom(h); ; w.next(img.blocks) {
+				c.chainIC += l.cost[w.cur].ic
+				c.chainIdealPs += l.cost[w.cur].idealPs
+				if w.edges == info.chainEdges {
+					break
+				}
 			}
 		}
 		if img.lanes == nil {
@@ -290,11 +349,14 @@ func NewImage(p *prog.Program, bin *instrument.Binary, cm CostModel) (*Image, er
 	if err != nil {
 		return nil, err
 	}
-	// starts[pi] is the global id of procedure pi's first block.
-	starts := make([]int32, len(graphs))
+	// starts[pi] is the global id of procedure pi's first block, and
+	// site[pi] the return block of pi's only call site (-1 none, -2
+	// several); one allocation holds both.
+	starts := make([]int32, 2*len(graphs))
+	starts, site := starts[:len(graphs)], starts[len(graphs):]
 	n := 0
 	for pi, g := range graphs {
-		starts[pi] = int32(n)
+		starts[pi], site[pi] = int32(n), -1
 		n += len(g.Blocks)
 	}
 	img := &Image{
@@ -318,7 +380,26 @@ func NewImage(p *prog.Program, bin *instrument.Binary, cm CostModel) (*Image, er
 				info.loop = img.loops
 				img.loops++
 			}
+			if info.kind == termCall {
+				if callee := b.Instrs[len(b.Instrs)-1].Target; site[callee] == -1 {
+					site[callee] = info.fall
+				} else {
+					site[callee] = -2
+				}
+			}
 			img.blocks = append(img.blocks, info)
+		}
+	}
+	// Every run of a procedure other than the entry was called, so when it
+	// has one call site, its returns always go to that site's return block.
+	for pi, g := range graphs {
+		if pi == p.Entry || site[pi] < 0 {
+			continue
+		}
+		for bi := range g.Blocks {
+			if info := &img.blocks[starts[pi]+int32(bi)]; info.kind == termRet {
+				info.retTo = site[pi]
+			}
 		}
 	}
 	buildChains(img.blocks)
@@ -335,7 +416,7 @@ func memSignature(blocks []blockInfo) place.MemStats {
 	refs := 0
 	for i := range blocks {
 		info := &blocks[i]
-		instrs += info.instrs
+		instrs += int64(info.instrs)
 		l1Miss += info.l1MissRefs
 		if info.memRefs > 0 {
 			sig.Profile = reuse.Combine(sig.Profile, refs, info.profile, int(info.memRefs))
@@ -352,7 +433,7 @@ func memSignature(blocks []blockInfo) place.MemStats {
 // procedure indexes to the global ids of their first blocks.
 func summarizeBlock(b *cfg.Block, g *cfg.Graph, cm CostModel, starts []int32) (blockInfo, error) {
 	base := starts[g.ProcIndex]
-	info := blockInfo{fall: -1, taken: -1, callee: -1}
+	info := blockInfo{fall: -1, taken: -1, callee: -1, retTo: -1}
 	var memRefs int
 	for _, in := range b.Instrs {
 		if in.Op == isa.PhaseMark {
@@ -370,7 +451,7 @@ func summarizeBlock(b *cfg.Block, g *cfg.Graph, cm CostModel, starts []int32) (b
 			info.syscall = true
 		}
 	}
-	info.memRefs = int64(memRefs)
+	info.memRefs = int32(memRefs)
 	info.l1MissRefs = float64(memRefs) * info.profile.L1MissFraction()
 
 	last := b.Instrs[len(b.Instrs)-1]

@@ -152,11 +152,42 @@ func diamondImage(t testing.TB) *Image {
 	return img
 }
 
+// callLoopImage runs two phase loops the way workload.Generate emits a
+// Helper phase, each a counted loop whose body calls a procedure holding
+// the phase-body diamond, inside a long outer loop, so slices end inside
+// the callees, on the loops' last trips and between them.
+func callLoopImage(t testing.TB) *Image {
+	b := prog.NewBuilder("callloops")
+	main := b.Proc("main")
+	b.SetEntry("main")
+	main.Loop(150, func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{IntALU: 3})
+		pb.Loop(40, func(pb *prog.ProcBuilder) { pb.CallProc("mem") })
+		pb.Loop(25, func(pb *prog.ProcBuilder) { pb.CallProc("fp") })
+	}).Ret()
+	for _, name := range []string{"mem", "fp"} {
+		b.Proc(name).Straight(prog.BlockMix{IntALU: 6, Load: 2, WorkingSetKB: 8192, Locality: 0.4}).
+			IfElse(0.5, func(pb *prog.ProcBuilder) {
+				pb.Straight(prog.BlockMix{IntMul: 3, Load: 1, WorkingSetKB: 256, Locality: 0.9})
+			}, func(pb *prog.ProcBuilder) {
+				pb.Straight(prog.BlockMix{FPAdd: 5})
+			}).Ret()
+	}
+	img, err := NewImage(b.MustBuild(), nil, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 // TestDiamondArmsFollowTheirShapes pins which blocks RunLane runs as
 // diamond loops: both arms of every diamond loop that crosses its counted
-// edge (trips ≥ 2; the join ends in a branch, so it heads no chain), and
-// no block of a one-trip loop, of a loop whose head or arm holds a mark,
-// or of a body of another shape.
+// edge (trips ≥ 2; the join ends in a branch, so it heads no chain), the
+// same two arms when the diamond sits in a procedure the loop calls from
+// its only call site, and no block of a one-trip loop, of a loop whose
+// head or arm holds a mark, of a call loop whose callee has two call
+// sites or a mark at its entry or return site, or of a body of another
+// shape. TestSuiteHelperLoopsAreDiamonds pins the suite's call loops.
 func TestDiamondArmsFollowTheirShapes(t *testing.T) {
 	arms := func(img *Image) int {
 		n := 0
@@ -167,14 +198,15 @@ func TestDiamondArmsFollowTheirShapes(t *testing.T) {
 		}
 		return n
 	}
-	for _, p := range progtest.Diamonds() {
+	for _, p := range append(progtest.Diamonds(), progtest.CallLoops()...) {
 		img, err := NewImage(p, nil, DefaultCostModel())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := 2
 		switch p.Name {
-		case "diamond-trips1", "diamond-markhead", "diamond-markarm":
+		case "diamond-trips1", "diamond-markhead", "diamond-markarm",
+			"callloop-twosites", "callloop-markentry", "callloop-markreturn", "callloop-recursive", "callloop-selfloop":
 			want = 0
 		}
 		if got := arms(img); got != want {
@@ -185,7 +217,7 @@ func TestDiamondArmsFollowTheirShapes(t *testing.T) {
 		img  *Image
 		want int
 	}{
-		{diamondImage(t), 6},
+		{diamondImage(t), 6}, {callLoopImage(t), 4},
 		{nestedImage(t, 5), 0}, {chainImage(t), 0}, {jumpCycleImage(t), 0}, {midMarkImage(t), 0},
 	} {
 		if got := arms(tc.img); got != tc.want {
@@ -195,23 +227,27 @@ func TestDiamondArmsFollowTheirShapes(t *testing.T) {
 }
 
 // TestChainsFollowTheirShapes pins the chains the fixtures above exist
-// for, by the instruction index of their first and last blocks in main,
-// so that TestRunLaneMatchesStepLoop runs the shapes it claims to.
+// for, naming their first and last blocks by procedure and instruction
+// index, so that TestRunLaneMatchesStepLoop runs the shapes it claims to.
 func TestChainsFollowTheirShapes(t *testing.T) {
 	type chain struct {
-		head, last, edges int
-		crosses           bool
+		head, last string
+		edges      int
+		crosses    bool
 	}
-	chains := func(img *Image) map[int]chain {
-		g := img.Graphs[0]
-		got := map[int]chain{}
-		for _, blk := range g.Blocks {
-			info := &img.blocks[blk.ID]
-			if info.chainLast < 0 {
-				continue
+	chains := func(img *Image) map[string]chain {
+		// name maps a global block id to "procedure:instruction index".
+		var name []string
+		for _, g := range img.Graphs {
+			for _, blk := range g.Blocks {
+				name = append(name, fmt.Sprintf("%s:%d", g.ProcName, blk.Start))
 			}
-			last := g.Blocks[info.chainLast]
-			got[blk.Start] = chain{blk.Start, last.Start, int(info.chainEdges), info.chainLoop >= 0}
+		}
+		got := map[string]chain{}
+		for b, info := range img.blocks {
+			if info.chainLast >= 0 {
+				got[name[b]] = chain{name[b], name[info.chainLast], int(info.chainEdges), info.chainLoop >= 0}
+			}
 		}
 		return got
 	}
@@ -221,10 +257,24 @@ func TestChainsFollowTheirShapes(t *testing.T) {
 	}{
 		// main: 0 preheader, 3 two-trip loop, 6 its exit block, 7
 		// three-trip loop, 10 pre-call block, 12 call, 13 outer latch, 14
-		// if-head, 15 else arm, 17 then arm, 18 exit block.
-		{chainImage(t), []chain{{0, 3, 2, true}, {6, 7, 2, true}, {10, 12, 1, false}, {15, 18, 1, false}, {17, 18, 1, false}}},
-		{jumpCycleImage(t), []chain{{0, 0, maxChainEdges, false}, {2, 2, maxChainEdges, false}}},
-		{midMarkImage(t), []chain{{0, 3, 1, false}, {9, 3, 3, true}}},
+		// if-head, 15 else arm, 17 then arm, 18 exit block. The chain at 10
+		// calls leaf, returns from it to the latch, crosses the latch's
+		// edge and ends at the two-trip loop, its second counted edge.
+		{chainImage(t), []chain{
+			{"main:0", "main:3", 2, true}, {"main:6", "main:7", 2, true}, {"main:10", "main:3", 5, true},
+			{"main:15", "main:18", 1, false}, {"main:17", "main:18", 1, false},
+		}},
+		{jumpCycleImage(t), []chain{{"main:0", "main:0", maxChainEdges, false}, {"main:2", "main:2", maxChainEdges, false}}},
+		{midMarkImage(t), []chain{{"main:0", "main:3", 1, false}, {"main:9", "main:3", 3, true}}},
+		// main: 0 preamble, 3 the call to mem; mem and fp: 0 the diamond's
+		// head, 9 its else arm, 15 its then arm. The preamble's chain ends
+		// in mem; each arm's returns, crosses its loop's edge and calls
+		// its procedure again.
+		{callLoopImage(t), []chain{
+			{"main:0", "mem:0", 2, false},
+			{"mem:9", "mem:0", 4, true}, {"mem:15", "mem:0", 4, true},
+			{"fp:9", "fp:0", 4, true}, {"fp:15", "fp:0", 4, true},
+		}},
 	} {
 		got := chains(tc.img)
 		if len(got) != len(tc.want) {
@@ -232,7 +282,7 @@ func TestChainsFollowTheirShapes(t *testing.T) {
 		}
 		for _, w := range tc.want {
 			if got[w.head] != w {
-				t.Errorf("%s: chain at %d is %+v, want %+v", tc.img.Name, w.head, got[w.head], w)
+				t.Errorf("%s: chain at %s is %+v, want %+v", tc.img.Name, w.head, got[w.head], w)
 			}
 		}
 	}
@@ -283,12 +333,19 @@ func BenchmarkRunLane(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(p.Counters.Instructions)/1000), "ns/kinstr")
 }
 
-// BenchmarkRunLaneDiamond times RunLane on the diamond fixture's slow
-// core in 100,000-cycle bursts, restarting the process when it exits: the
-// shape of a generated phase loop, which RunLane runs as one inner loop.
-// It reports ns per simulated thousand instructions.
-func BenchmarkRunLaneDiamond(b *testing.B) {
-	img := diamondImage(b)
+// BenchmarkRunLaneDiamond times RunLane on the diamond fixture: the shape
+// of a generated inline phase loop, which RunLane runs as one inner loop.
+func BenchmarkRunLaneDiamond(b *testing.B) { benchRunLaneRestarting(b, diamondImage(b)) }
+
+// BenchmarkRunLaneCallLoop times RunLane on the call-loop fixture: the
+// shape of a generated Helper phase loop, which RunLane runs as one inner
+// loop once chains cross the call and the return.
+func BenchmarkRunLaneCallLoop(b *testing.B) { benchRunLaneRestarting(b, callLoopImage(b)) }
+
+// benchRunLaneRestarting times RunLane on img's slow core in
+// 100,000-cycle bursts, restarting the process when it exits. It reports
+// ns per simulated thousand instructions.
+func benchRunLaneRestarting(b *testing.B, img *Image) {
 	cm := DefaultCostModel()
 	ps := ParamsFor(cm, amp.Quad2Fast2Slow())
 	p := NewProcess(1, img, &cm, 1, nil)
@@ -320,8 +377,8 @@ func (h *maskHook) OnExit(p *Process) {}
 // TestRunLaneMatchesStepLoop drives two processes of one image through
 // the same random slice budgets on the slow core: one by RunLane on the
 // image's lane, as the kernel runs, with its fused chains and diamond
-// loops (the corpus's diamonds among the images), and one by the
-// Step loop, one block per step with float pricing. Every call must return
+// loops (the corpus's diamonds and call loops among the images), and one
+// by the Step loop, one block per step with float pricing. Every call must return
 // the same cycles and stopping step, and after every slice the two must
 // agree on counters, program counter, stack, loop counters, rng state and
 // the ledger work they charged (which pins the table's fastest-clock
@@ -332,9 +389,10 @@ func TestRunLaneMatchesStepLoop(t *testing.T) {
 	slow, fastPs := &ps[1], ps[0].PsPerCycle
 	images := []*Image{
 		nestedImage(t, 300), instrumentedImage(t), chainImage(t), jumpCycleImage(t), midMarkImage(t), diamondImage(t),
+		callLoopImage(t),
 	}
-	for _, p := range progtest.Diamonds() {
-		// The marked diamonds' marks all have id 0.
+	for _, p := range append(progtest.Diamonds(), progtest.CallLoops()...) {
+		// The marked diamonds' and call loops' marks all have id 0.
 		img, err := NewImage(p, &instrument.Binary{Prog: p, Marks: []instrument.Mark{{ID: 0, Type: 1}}}, DefaultCostModel())
 		if err != nil {
 			t.Fatal(err)

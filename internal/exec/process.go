@@ -272,19 +272,24 @@ func (p *Process) branchControl(info *blockInfo, res *StepResult) {
 // one step when the native loop would have started every block in it,
 // that is when used plus the cycles before the last block stays below
 // the budget, and when the counted edge the chain crosses, if any, is not
-// on its last trip. The step charges the chain's sums and returns the
-// last block's result. Results are identical to a loop of Step by
-// construction (the tables are built from the same helpers).
+// on its last trip. The step charges the chain's sums, applies the
+// chain's stack effect (the calls and returns it crossed: pop its outer
+// frame, push its open return block), and then runs the last block's
+// terminator and returns that block's result. Results are identical to a
+// loop of Step by construction (the tables are built from the same
+// helpers, and the chain's returns pop only frames known statically).
 //
 // From a diamond arm (buildChains), RunLane runs whole loop iterations in
 // an inner loop: each takes an arm's chain under exactly the chain guard,
 // then draws H's branch to pick the next arm, with no branch on the draw.
-// It counts the iterations per arm and on exit charges the sums once and
-// writes back the pc, the loop counter and the rng. That equals one chain
-// step per iteration: the sums are integer, the draws come in the same
-// order, and no mark, hook, trace instant or ledger phase change can occur
-// inside a mark-free diamond, so one ledger Work.Add into the open segment
-// equals many.
+// An arm's chain leaves the stack as it found it, so the loop touches no
+// frame, even when each iteration returns from and calls again a helper
+// procedure holding the diamond. It counts the iterations per arm and on
+// exit charges the sums once and writes back the pc, the loop counter and
+// the rng. That equals one chain step per iteration: the sums are
+// integer, the draws come in the same order, and no mark, hook, trace
+// instant or ledger phase change can occur inside a mark-free diamond, so
+// one ledger Work.Add into the open segment equals many.
 func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res StepResult) {
 	blocks, cost, psPerCycle := p.Img.blocks, lane.cost, lane.par.PsPerCycle
 	for used < budget {
@@ -299,6 +304,19 @@ func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res
 			armIC := [3]int64{cost[h.fall].chainIC, cost[h.taken].chainIC, bc.chainIC}
 			c, r, s := p.loopCounts[loop], *p.rand, uint64(2)
 			var n [3]int64
+			// First run the k iterations that pass both guards whatever
+			// arms they take (each costs at most the dearest arm), only
+			// counting the taken draws; then go on under the guards.
+			if k := min(int64(trips-1-c), (budget+hIC-1-used)/max(armIC[0], armIC[1], armIC[2])); k > 0 {
+				var taken int64
+				for i := int64(1); i < k; i++ {
+					taken += int64((r.Uint64()>>11 - h.takenThresh) >> 63)
+				}
+				n = [3]int64{k - 1 - taken, taken, 1}
+				used += n[0]*armIC[0] + n[1]*armIC[1] + armIC[2]
+				c += int32(k)
+				s = (r.Uint64()>>11 - h.takenThresh) >> 63
+			}
 			for c+1 < trips && used+armIC[s]-hIC < budget {
 				c++
 				used += armIC[s]
@@ -311,8 +329,8 @@ func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res
 				for i, a := range arms {
 					ic += n[i] * cost[a].chainIC
 					idealPs += n[i] * cost[a].chainIdealPs
-					instrs += n[i] * blocks[a].chainInstrs
-					memRefs += n[i] * blocks[a].chainMemRefs
+					instrs += n[i] * int64(blocks[a].chainInstrs)
+					memRefs += n[i] * int64(blocks[a].chainMemRefs)
 				}
 				if p.Work != nil {
 					p.Work.Add(ic*psPerCycle, idealPs)
@@ -337,6 +355,14 @@ func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res
 				p.Counters.Add(uint64(info.chainInstrs), uint64(bc.chainIC))
 				if info.chainMemRefs > 0 {
 					p.Counters.AddMem(uint64(info.chainMemRefs))
+				}
+				if info.chainPop != info.chainPush {
+					if info.chainPop >= 0 {
+						p.stack = p.stack[:len(p.stack)-1]
+					}
+					if info.chainPush >= 0 {
+						p.stack = append(p.stack, info.chainPush)
+					}
 				}
 				res = StepResult{Cycles: lastIC}
 				p.pc = last // where an exit leaves it

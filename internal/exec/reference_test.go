@@ -214,19 +214,40 @@ func lockstepImage(t *testing.T, img *exec.Image, seed uint64, calls int, next f
 // diamonds that hold a mark in their head or then arm come from the
 // corpus: they must run block by block, with the mark charged.
 func TestInterpreterMatchesReference(t *testing.T) {
+	suite, instrumented := instrumentedSuite(t)
+	for _, b := range suite {
+		lockstep(t, b.Prog, 1, 400, 40000)
+	}
+	for _, images := range instrumented {
+		for _, img := range images {
+			lockstepImage(t, img, 1, 400, randomBudgets(^uint64(1), 40000))
+		}
+	}
+	for _, p := range progtest.Programs() {
+		for seed := uint64(1); seed <= 4; seed++ {
+			lockstep(t, p, seed, 1000, 5000)
+		}
+	}
+}
+
+// instrumentedSuite returns the benchgen suite on the quad machine and
+// its images instrumented under the loop technique (Loop[45]) and the
+// most mark-dense basic-block one (BB[10,0]), one list per technique in
+// suite order.
+func instrumentedSuite(t *testing.T) ([]*workload.Benchmark, [][]*exec.Image) {
+	t.Helper()
 	cm := exec.DefaultCostModel()
 	suite, err := workload.Suite(cm, amp.Quad2Fast2Slow())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range suite {
-		lockstep(t, b.Prog, 1, 400, 40000)
-	}
+	var out [][]*exec.Image
 	for _, params := range []transition.Params{
 		sim.BestParams(),
 		{Technique: transition.BasicBlock, MinSize: 10, PropagateThroughUntyped: true},
 	} {
 		marks := 0
+		var images []*exec.Image
 		for _, b := range suite {
 			a, err := sim.Analyze(b.Prog, phase.Options{}.Normalized(), 0, 0)
 			if err != nil {
@@ -237,28 +258,59 @@ func TestInterpreterMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			marks += art.Image.NumMarks()
-			lockstepImage(t, art.Image, 1, 400, randomBudgets(^uint64(1), 40000))
+			images = append(images, art.Image)
 		}
 		if marks == 0 {
 			t.Errorf("%+v: the instrumented suite holds no marks", params)
 		}
+		out = append(out, images)
 	}
-	for _, p := range progtest.Programs() {
-		for seed := uint64(1); seed <= 4; seed++ {
-			lockstep(t, p, seed, 1000, 5000)
+	return suite, out
+}
+
+// TestSuiteHelperLoopsAreDiamonds pins that RunLane runs every Helper
+// phase loop of the suite as a diamond loop: the procedure the loop calls
+// holds two diamond arms, in the uninstrumented image and under Loop[45]
+// and BB[10,0].
+func TestSuiteHelperLoopsAreDiamonds(t *testing.T) {
+	suite, instrumented := instrumentedSuite(t)
+	helpers := 0
+	for i, b := range suite {
+		plain, err := exec.NewImage(b.Prog, nil, exec.DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
 		}
+		images := []*exec.Image{plain}
+		for _, imgs := range instrumented {
+			images = append(images, imgs[i])
+		}
+		for pi, ph := range b.Spec.Phases() {
+			if !ph.Helper {
+				continue
+			}
+			helpers++
+			name := fmt.Sprintf("phase%d_%s", pi, ph.Kind)
+			for ti, img := range images {
+				if got := exec.DiamondArms(img)[name]; got != 2 {
+					t.Errorf("%s image %d: helper %s holds %d diamond arms, want 2", b.Name(), ti, name, got)
+				}
+			}
+		}
+	}
+	if helpers == 0 {
+		t.Error("the suite has no Helper phase")
 	}
 }
 
-// TestDiamondSliceEnds runs each diamond loop program in lockstep with
-// slices that end where the inner loop's guards must stop it: a budget of
-// one cycle throughout, and a first slice that ends mid-loop or within a
-// cycle of where the loop's last trip starts (its counted edge then falls
-// through), followed by random slices.
+// TestDiamondSliceEnds runs each diamond loop and call loop program in
+// lockstep with slices that end where the inner loop's guards must stop
+// it: a budget of one cycle throughout, and a first slice that ends
+// mid-loop or within a cycle of where the loop's last trip starts (its
+// counted edge then falls through), followed by random slices.
 func TestDiamondSliceEnds(t *testing.T) {
 	cm := exec.DefaultCostModel()
 	par := &exec.ParamsFor(cm, amp.Quad2Fast2Slow())[1]
-	for _, p := range progtest.Diamonds() {
+	for _, p := range append(progtest.Diamonds(), progtest.CallLoops()...) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			img, err := exec.NewImage(p, nil, cm)
 			if err != nil {

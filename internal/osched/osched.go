@@ -734,8 +734,10 @@ func (k *Kernel) dispatch(core int) {
 	// Pop by shifting down, not by reslicing off the front: reslicing
 	// strands the popped slot's capacity, so every queue would reallocate
 	// on append at a steady cadence. Shifting keeps the buffer anchored
-	// and the hot loop allocation-free; queues are a handful of tasks, so
-	// the copy is cheaper than the allocs it avoids.
+	// and the hot loop allocation-free. Queues are not always short: at
+	// 1.5× offered load a quad run holds 166–174 live tasks on 4 cores in
+	// the bench's serving grid (333 in a 200 s ampsim run), so a queue can
+	// be tens of tasks deep, and each pop copies that many pointers.
 	n := copy(cs.queue, cs.queue[1:])
 	cs.queue[n] = nil
 	cs.queue = cs.queue[:n]

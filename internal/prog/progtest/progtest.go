@@ -32,8 +32,8 @@ func Corpus() [][]byte {
 
 // Programs builds small programs covering every instruction shape the
 // encoder renders: memory descriptors, counted and probabilistic branches,
-// calls, syscalls and phase marks, plus Diamonds. Suite-sized images slow a
-// fuzzer down without reaching new states.
+// calls, syscalls and phase marks, plus Diamonds and CallLoops. Suite-sized
+// images slow a fuzzer down without reaching new states.
 func Programs() []*prog.Program {
 	b := prog.NewBuilder("calls")
 	leaf := b.Proc("leaf")
@@ -64,7 +64,8 @@ func Programs() []*prog.Program {
 			{Op: isa.Ret},
 		},
 	}}}
-	return append([]*prog.Program{b.MustBuild(), g.MustBuild(), marked}, Diamonds()...)
+	out := append([]*prog.Program{b.MustBuild(), g.MustBuild(), marked}, Diamonds()...)
+	return append(out, CallLoops()...)
 }
 
 // Diamonds builds counted loops around an IfElse, the shape of a generated
@@ -119,5 +120,97 @@ func Diamonds() []*prog.Program {
 		pb.Straight(prog.BlockMix{IntALU: 2})
 		diamond(pb, 30, 0.3, true, false, false)
 	}).Ret()
+	return append(out, b.MustBuild())
+}
+
+// CallLoops builds counted loops whose body calls a procedure holding a
+// branch diamond, the shape of a generated Helper phase loop, which the
+// interpreter runs as one inner loop when the callee has one call site:
+// that shape itself; the callee called from two sites, so its return
+// target is known only at run time; a phase mark at the callee's entry or
+// at the return site; calls nested two deep, the last of which returns
+// straight into its caller's return; direct recursion; and entry
+// procedures that call themselves, whose outermost return exits, one of
+// them from a counted loop whose every iteration pushes a frame.
+func CallLoops() []*prog.Program {
+	body := func(pb *prog.ProcBuilder, entryMark bool) *prog.ProcBuilder {
+		if entryMark {
+			pb.Emit(isa.Instruction{Op: isa.PhaseMark, Bytes: 5})
+		}
+		pb.Straight(prog.BlockMix{IntALU: 3, Load: 1, WorkingSetKB: 2048, Locality: 0.7})
+		return pb.IfElse(0.5,
+			func(pb *prog.ProcBuilder) { pb.Straight(prog.BlockMix{IntMul: 2}) },
+			func(pb *prog.ProcBuilder) { pb.Straight(prog.BlockMix{FPAdd: 3, Store: 1, WorkingSetKB: 32}) })
+	}
+	var out []*prog.Program
+	for _, c := range []struct {
+		name                  string
+		sites                 int
+		entryMark, returnMark bool
+	}{
+		{"callloop", 1, false, false},
+		{"callloop-twosites", 2, false, false},
+		{"callloop-markentry", 1, true, false},
+		{"callloop-markreturn", 1, false, true},
+	} {
+		b := prog.NewBuilder(c.name)
+		main := b.Proc("main")
+		b.SetEntry("main")
+		for s := 0; s < c.sites; s++ {
+			main.Loop(float64(40-15*s), func(pb *prog.ProcBuilder) {
+				pb.CallProc("body")
+				if c.returnMark {
+					pb.Emit(isa.Instruction{Op: isa.PhaseMark, Bytes: 5})
+				}
+			})
+		}
+		main.Ret()
+		body(b.Proc("body"), c.entryMark).Ret()
+		out = append(out, b.MustBuild())
+	}
+
+	b := prog.NewBuilder("callloop-nested")
+	main := b.Proc("main")
+	b.SetEntry("main")
+	main.Loop(25, func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{IntALU: 1})
+		pb.CallProc("mid")
+	}).Ret()
+	b.Proc("mid").Straight(prog.BlockMix{IntALU: 2}).
+		Loop(4, func(pb *prog.ProcBuilder) { pb.CallProc("body") }).
+		CallProc("leaf").Ret()
+	body(b.Proc("body"), false).Ret()
+	b.Proc("leaf").Straight(prog.BlockMix{FPMul: 1}).
+		IfElse(0.5, func(pb *prog.ProcBuilder) { pb.Straight(prog.BlockMix{IntMul: 1}) }, nil).Ret()
+	out = append(out, b.MustBuild())
+
+	b = prog.NewBuilder("callloop-recursive")
+	main = b.Proc("main")
+	b.SetEntry("main")
+	main.Loop(20, func(pb *prog.ProcBuilder) { pb.CallProc("rec") }).Ret()
+	b.Proc("rec").Straight(prog.BlockMix{IntALU: 2}).
+		IfElse(0.4, func(pb *prog.ProcBuilder) { pb.CallProc("rec") }, nil).
+		Straight(prog.BlockMix{IntMul: 1}).Ret()
+	out = append(out, b.MustBuild())
+
+	b = prog.NewBuilder("callloop-entryself")
+	main = b.Proc("main")
+	b.SetEntry("main")
+	main.Loop(10, func(pb *prog.ProcBuilder) {
+		pb.Straight(prog.BlockMix{IntALU: 2, Load: 1, WorkingSetKB: 512})
+		pb.IfElse(0.5, func(pb *prog.ProcBuilder) { pb.Straight(prog.BlockMix{IntMul: 1}) }, nil)
+	})
+	main.IfElse(0.4, func(pb *prog.ProcBuilder) { pb.CallProc("main") }, nil)
+	main.Straight(prog.BlockMix{FPAdd: 1}).Ret()
+	out = append(out, b.MustBuild())
+
+	// The entry's diamond join crosses a counted edge forward into a call
+	// to the entry itself, whose first block is the diamond's head: each
+	// iteration pushes a frame, so the loop is no diamond loop.
+	b = prog.NewBuilder("callloop-selfloop")
+	main = b.Proc("main")
+	b.SetEntry("main")
+	call := main.NewLabel()
+	body(main, false).BranchCounted(call, 60).Ret().Bind(call).CallProc("main").Ret()
 	return append(out, b.MustBuild())
 }
