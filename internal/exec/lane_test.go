@@ -268,7 +268,7 @@ func TestChainsFollowTheirShapes(t *testing.T) {
 		{midMarkImage(t), []chain{{"main:0", "main:3", 1, false}, {"main:9", "main:3", 3, true}}},
 		// main: 0 preamble, 3 the call to mem; mem and fp: 0 the diamond's
 		// head, 9 its else arm, 15 its then arm. The preamble's chain ends
-		// in mem; each arm's returns, crosses its loop's edge and calls
+		// in mem; each arm's chain returns, crosses its loop's edge and calls
 		// its procedure again.
 		{callLoopImage(t), []chain{
 			{"main:0", "mem:0", 2, false},

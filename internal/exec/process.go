@@ -282,14 +282,16 @@ func (p *Process) branchControl(info *blockInfo, res *StepResult) {
 // From a diamond arm (buildChains), RunLane runs whole loop iterations in
 // an inner loop: each takes an arm's chain under exactly the chain guard,
 // then draws H's branch to pick the next arm, with no branch on the draw.
-// An arm's chain leaves the stack as it found it, so the loop touches no
-// frame, even when each iteration returns from and calls again a helper
-// procedure holding the diamond. It counts the iterations per arm and on
-// exit charges the sums once and writes back the pc, the loop counter and
-// the rng. That equals one chain step per iteration: the sums are
-// integer, the draws come in the same order, and no mark, hook, trace
-// instant or ledger phase change can occur inside a mark-free diamond, so
-// one ledger Work.Add into the open segment equals many.
+// It first runs, unguarded, the iterations that pass the guard whatever
+// arms they take, and counts only their taken draws. An arm's chain
+// leaves the stack as it found it, so the loop touches no frame, even
+// when each iteration returns from and calls again a helper procedure
+// holding the diamond. It counts the iterations per arm and on exit
+// charges the sums once and writes back the pc, the loop counter and the
+// rng. That equals one chain step per iteration: the sums are integer,
+// the draws come in the same order, and no mark, hook, trace instant or
+// ledger phase change can occur inside a mark-free diamond, so one ledger
+// Work.Add into the open segment equals many.
 func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res StepResult) {
 	blocks, cost, psPerCycle := p.Img.blocks, lane.cost, lane.par.PsPerCycle
 	for used < budget {
@@ -297,7 +299,7 @@ func (p *Process) RunLane(lane *Lane, coreID int, budget int64) (used int64, res
 		if info.diamond {
 			h, hIC := &blocks[info.chainLast], cost[info.chainLast].ic
 			loop, trips := info.chainLoop, info.chainTrips
-			// Iteration k takes the chain of arms[s]: this block's first
+			// Each iteration takes the chain of arms[s]: this block's first
 			// (s = 2), then H's fallthrough (0) or taken (1) side as H's
 			// draw picks it; n counts the iterations per arm.
 			arms := [3]int32{h.fall, h.taken, p.pc}
