@@ -269,9 +269,10 @@ func AblationPropagation(cfg Config) (propagate, naive int, err error) {
 
 // TemporalTuner is a time-driven adaptation baseline: every ResampleCycles
 // it rotates the process across core types measuring IPC, then pins to the
-// Algorithm 2 choice, and repeats forever. It ignores phase marks.
+// Algorithm 2 choice of the run's engine, and repeats forever. It ignores
+// phase marks.
 type TemporalTuner struct {
-	cfg      tuning.Config
+	eng      *place.Engine
 	machine  *amp.Machine
 	resample uint64
 
@@ -283,8 +284,8 @@ type TemporalTuner struct {
 }
 
 // NewTemporalTuner builds the baseline hook.
-func NewTemporalTuner(cfg tuning.Config, machine *amp.Machine, resampleCycles uint64) *TemporalTuner {
-	return &TemporalTuner{cfg: cfg, machine: machine, resample: resampleCycles,
+func NewTemporalTuner(eng *place.Engine, machine *amp.Machine, resampleCycles uint64) *TemporalTuner {
+	return &TemporalTuner{eng: eng, machine: machine, resample: resampleCycles,
 		samples: make([]float64, len(machine.Types))}
 }
 
@@ -322,7 +323,7 @@ func (t *TemporalTuner) OnQuantum(p *exec.Process, coreID int) exec.MarkAction {
 	// Round complete: pin to the Algorithm 2 choice until next resample.
 	t.active = false
 	t.lastCycles = now
-	target := place.Select(t.machine, t.samples, t.cfg.Delta)
+	target := t.eng.Decide(t.samples).Choice
 	return exec.MarkAction{Mask: t.machine.TypeMask(target)}
 }
 
@@ -358,12 +359,12 @@ func AblationTemporal(cfg Config, resampleCycles uint64) ([]FairnessRow, error) 
 // runTemporal is the baseline cell of one seed with TemporalTuner hooks on
 // its uninstrumented images.
 func runTemporal(cfg Config, seed uint64, resampleCycles uint64) (*sim.Result, error) {
-	sp := cfg.runCfg(sim.PolicyNone, transition.Params{}, tuning.Config{}, 0, seed, cfg.DurationSec)
+	sp := cfg.runCfg(sim.PolicyNone, transition.Params{}, cfg.Tuning, 0, seed, cfg.DurationSec)
 	rc, err := cfg.Env().RunConfig(sp, cfg.Suite, cfg.cache())
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunWithHookContext(context.Background(), rc, func(k *osched.Kernel, img *exec.Image) exec.MarkHook {
-		return NewTemporalTuner(cfg.Tuning, cfg.Machine, resampleCycles)
+	return sim.RunWithHookContext(context.Background(), rc, func(k *osched.Kernel, img *exec.Image, eng *place.Engine) exec.MarkHook {
+		return NewTemporalTuner(eng, cfg.Machine, resampleCycles)
 	})
 }

@@ -215,8 +215,10 @@ type ImageStats struct {
 	EffectiveK int
 }
 
-// HookFactory builds the mark hook installed on each spawned process.
-type HookFactory func(k *osched.Kernel, img *exec.Image) exec.MarkHook
+// HookFactory builds the mark hook installed on each spawned process. eng
+// is the run's placement engine, so a custom hook decides at the run's δ
+// like every built-in runtime.
+type HookFactory func(k *osched.Kernel, img *exec.Image, eng *place.Engine) exec.MarkHook
 
 // Run executes one full workload simulation.
 func Run(cfg RunConfig) (*Result, error) {
@@ -385,7 +387,7 @@ func assemble(ctx context.Context, cfg RunConfig, factory HookFactory) (*assembl
 	a.hook = func(k *osched.Kernel, img *exec.Image) exec.MarkHook {
 		switch {
 		case factory != nil:
-			return factory(k, img)
+			return factory(k, img, eng)
 		case cfg.Mode == Overhead:
 			return tuning.AllCores(machine.AllMask())
 		case cfg.Mode == Tuned:
