@@ -22,8 +22,7 @@ var tiny = []string{"-quick", "-slots", "4", "-duration", "24", "-workers", "2"}
 var breakdownAxes = []string{"-alts", "8,512", "-windows", "4000,16000"}
 
 // stdoutPins are sha256 digests of the printed tables of every -run target
-// at the tiny configuration: each campaign, and each paper figure or check
-// printed outside the registry. They pin the bytes a reader sees: a change
+// at the tiny configuration. They pin the bytes a reader sees: a change
 // to a column, a format verb, a caption or a chart changes a digest.
 var stdoutPins = []struct {
 	name string
@@ -39,17 +38,17 @@ var stdoutPins = []struct {
 	{"showdown-ledger", []string{"-run", "showdown", "-ledger"}, "cdba6b13931d65a17137fea3de1c30079f1d6b492f2031bc8fc765f7ee624409"},
 	{"serving-ledger", []string{"-run", "serving", "-ledger"}, "45275ab04827e7d478a9d1d928f30f045d16f6993e9f5dcd570911bb4d675c9f"},
 	{"breakdown-ledger", append([]string{"-run", "breakdown", "-ledger"}, breakdownAxes...), "040ff177061a50c84f9b568f714e3e552bebad0e0bcb76cd3100b84b19ecbee2"},
-	{"fig3", []string{"-run", "fig3"}, "807d70c8c09adbd83582a4277729509289d20a6db4a4bd9e439eed4af01578ff"},
+	{"fig3", []string{"-run", "fig3"}, "8f3f820c2d510d6bb2cef9afe4e4233848af1c8571be2d8d165fa579a2c54801"},
 	{"fig4", []string{"-run", "fig4"}, "cb9935f17e40af48b27ae5c6caacc88167141dc9f7d881c1b2309b353c7e1e1a"},
 	{"table1", []string{"-run", "table1"}, "eba79c90829b59a001c6b8c88ca27a61ae9025dc6cce7791c6c9478784636c3a"},
 	{"fig5", []string{"-run", "fig5"}, "8a4f48278351aae7f82c00aa3d304bf8820eaa40aec68e5a1822ee7c1f780d03"},
 	{"fig6", []string{"-run", "fig6"}, "bcdb3e278b1a81dc6daf635dcb3c93baa39ba3b0ce42d4701fcca629e20d6eff"},
 	{"fig7", []string{"-run", "fig7"}, "68ef0e7010bf37683575c70403c661a39d7800319f51fbee3d456d8c2ebd2e7b"},
 	{"fig8", []string{"-run", "fig8"}, "c69a2a91acf5cf116bda36dbddffb42617f50e390e644a17e80e9804e5a03fb9"},
-	{"switchcost", []string{"-run", "switchcost"}, "8bc9c27bb296cb5b0c21660679200522c07f41b810f5ff7c8237607c84515b1c"},
-	{"typing", []string{"-run", "typing"}, "65799f0d27b8ed6369c75a63fbb67406e274b15194bb35e9e82287babcb5fad3"},
-	{"threecore", []string{"-run", "threecore"}, "db2b96b32a075705caf6d855694edab5d919046fe5825174f07b0bf7e2fb87df"},
-	{"ablations", []string{"-run", "ablations"}, "7f21a50f5bb8844b02b3148428c17048f07f8101e71cc5083abf5ffd764ced5a"},
+	{"switchcost", []string{"-run", "switchcost"}, "dba50b0dd177387f820383e83be620b96c39324f57a95c1982340851f390c847"},
+	{"typing", []string{"-run", "typing"}, "0fd1b0d4df26f549487aa947d875f83eb854fbaa30c6bdee31f5226a345c0261"},
+	{"threecore", []string{"-run", "threecore"}, "3655c0f7e6c320513ef422cdf568b68951568e45a35e9a4498e47d97ab7563e0"},
+	{"ablations", []string{"-run", "ablations"}, "544f13151070fef490cb76e93e94ca6e0e49d0b4672d19e202af780877c1aba5"},
 }
 
 func TestPrintedTablesPinned(t *testing.T) {
@@ -65,15 +64,11 @@ func TestPrintedTablesPinned(t *testing.T) {
 	}
 }
 
-// TestBenchoutAppendsOneTableEntry runs every registry campaign with
-// -benchout and checks the history holds exactly one `table` entry for it,
-// free of NaN, whose tables redraw to the bytes the run printed.
+// TestBenchoutAppendsOneTableEntry runs every registry entry with -benchout
+// and checks the history holds exactly one `table` entry for it, free of
+// NaN, whose tables redraw to the bytes the run printed.
 func TestBenchoutAppendsOneTableEntry(t *testing.T) {
-	for _, name := range experiments.CampaignNames() {
-		c, err := experiments.LookupCampaign(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range experiments.Campaigns() {
 		path := filepath.Join(t.TempDir(), "hist.json")
 		args := append(append([]string{}, tiny...), "-run", c.Name, "-benchout", path)
 		if c.Name == "breakdown" {
@@ -123,11 +118,9 @@ func TestFlagMisuseRejected(t *testing.T) {
 	}{
 		{[]string{"-run", "showdown", "-alts", "8,512"}, "-alts"},
 		{[]string{"-run", "window", "-windows", "4000"}, "-windows"},
-		{[]string{"-run", "fig3", "-benchout", hist}, "not a campaign"},
-		{[]string{"-run", "table1", "-benchout", hist}, "not a campaign"},
 		{[]string{"-run", "contention", "-trace", hist}, "-trace"},
 		{[]string{"-run", "breakdown", "-alts", "0"}, "bad alternation count"},
-		{[]string{"-run", "nope"}, "unknown experiment"},
+		{[]string{"-run", "nope"}, `unknown experiment "nope" (want all|fig3|`},
 		{[]string{"-run", "showdown", "-shards", "2"}, "flag provided but not defined"},
 	} {
 		var out bytes.Buffer
@@ -150,8 +143,8 @@ type brokenStdout struct{}
 func (brokenStdout) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
 
 // TestStdoutWriteErrorFails pins that a run whose tables cannot be written
-// fails, whichever printer hit the error: fig3 and typing ignore what
-// fmt.Fprint returns, fig4 returns Render's error.
+// fails, whatever Render drew: a chart (fig3), a one-row table (typing) or
+// a grid (fig4).
 func TestStdoutWriteErrorFails(t *testing.T) {
 	for _, name := range []string{"fig3", "typing", "fig4"} {
 		err := run(append(append([]string{}, tiny...), "-run", name), brokenStdout{})

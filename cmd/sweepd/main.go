@@ -66,7 +66,7 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:7077", "coordinator listen address")
 		connect     = flag.String("connect", "", "coordinator URL (worker mode)")
 		name        = flag.String("name", "", "worker label")
-		campaign    = flag.String("campaign", "showdown", "campaign to serve: "+strings.Join(experiments.CampaignNames(), "|"))
+		campaign    = flag.String("campaign", "showdown", "campaign to serve: "+strings.Join(experiments.Names(experiments.FabricCampaigns()), "|"))
 		machineFlag = flag.String("machine", "quad", "campaign machine: quad|tri|hex (or a full machine name)")
 		quick       = flag.Bool("quick", false, "shrink workloads for a fast pass")
 		slots       = flag.Int("slots", 0, "workload slots (0 = default)")
@@ -120,7 +120,7 @@ type coordOpts struct {
 // buildCampaign resolves the campaign and the machine through their
 // registries and cuts the campaign's grid from the configuration.
 func buildCampaign(o coordOpts) (dist.Campaign, error) {
-	c, err := experiments.LookupCampaign(o.campaign)
+	c, err := experiments.Lookup(experiments.FabricCampaigns(), o.campaign)
 	if err != nil {
 		return dist.Campaign{}, err
 	}

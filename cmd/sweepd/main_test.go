@@ -7,11 +7,11 @@ import (
 	"phasetune/internal/experiments"
 )
 
-// TestBuildCampaignResolvesRegistry checks that every registry campaign is
-// cut for the machine asked for, and that unknown names fail listing the
-// valid ones.
+// TestBuildCampaignResolvesRegistry checks that every registry entry with a
+// wire grid is cut for the machine asked for, and that unknown names and
+// entries without a wire grid fail listing the valid ones.
 func TestBuildCampaignResolvesRegistry(t *testing.T) {
-	names := experiments.CampaignNames()
+	names := experiments.Names(experiments.FabricCampaigns())
 	for _, tc := range []struct {
 		name     string
 		machines []string
@@ -24,6 +24,8 @@ func TestBuildCampaignResolvesRegistry(t *testing.T) {
 			func(n string) string { return n }, `unknown machine "bogus"`},
 		{"unknown campaign", []string{"quad"},
 			func(string) string { return "nope" }, strings.Join(names, "|")},
+		{"entry without a wire grid", []string{"quad"},
+			func(string) string { return "fig3" }, `unknown campaign "fig3" (want ` + strings.Join(names, "|") + ")"},
 	} {
 		for _, name := range names {
 			for _, machine := range tc.machines {

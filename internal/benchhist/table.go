@@ -109,18 +109,24 @@ func (t *Table) AddRow(vals ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Chart kinds: the four charts campaigns draw, each reading its labels
+// Chart kinds: the seven charts experiments draw, each reading its labels
 // from the first column. A heatmap draws (row key, column key, value) rows
 // as a grid with a break-even band of ±Tolerance, its corner label made of
 // the first two column names; a quantile strip draws (name, p50, p95, p99,
 // p999) rows on a shared axis, negative quantiles (NoData) reading as no
-// samples; bars draw (name, value) rows; stacked bars draw each row as one
-// composition bar whose segments are the remaining columns.
+// samples; bars and log bars draw (name, value) rows, on a linear and a
+// log10 scale; stacked bars draw each row as one composition bar whose
+// segments are the remaining columns; a box plot draws (name, min, q1,
+// median, q3, max) rows on a shared axis; a series draws (x, y) rows, its
+// axes named by the two column names.
 const (
 	ChartHeatmap       = "heatmap"
 	ChartQuantileStrip = "quantile-strip"
 	ChartBars          = "bars"
+	ChartLogBars       = "log-bars"
 	ChartStackedBars   = "stacked-bars"
+	ChartBoxPlot       = "box-plot"
+	ChartSeries        = "series"
 )
 
 // Chart is a table's chart hint.
@@ -130,8 +136,8 @@ type Chart struct {
 	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
-// chartWidth is the bar width every chart draws at.
-const chartWidth = 48
+// chartWidth is the bar width charts draw at; a series draws narrower.
+const chartWidth, seriesWidth = 48, 36
 
 // Render writes the tables in order: each title as a caption after a blank
 // line, then the table's chart if it has one, else its grid. cmd/experiments
@@ -152,7 +158,8 @@ func Render(w io.Writer, tables []Table) error {
 }
 
 // chartColumns is how many columns each chart reads.
-var chartColumns = map[string]int{ChartHeatmap: 3, ChartQuantileStrip: 5, ChartBars: 2, ChartStackedBars: 2}
+var chartColumns = map[string]int{ChartHeatmap: 3, ChartQuantileStrip: 5, ChartBars: 2, ChartLogBars: 2,
+	ChartStackedBars: 2, ChartBoxPlot: 6, ChartSeries: 2}
 
 // draw renders the table body: its chart, or the grid for tables without
 // one (or with a chart this build cannot draw from the columns given).
@@ -165,13 +172,7 @@ func (t Table) draw() string {
 	// vals[c][r] is the first number of cell (r, c+1), NaN when absent.
 	vals := make([][]float64, len(t.Columns)-1)
 	for c := range vals {
-		for _, row := range t.Rows {
-			v := math.NaN()
-			if c+1 < len(row) && len(row[c+1].Nums) > 0 {
-				v = row[c+1].Nums[0]
-			}
-			vals[c] = append(vals[c], v)
-		}
+		vals[c] = t.nums(c + 1)
 	}
 	kind := ""
 	if t.Chart != nil && chartColumns[t.Chart.Kind] > 0 && len(t.Columns) >= chartColumns[t.Chart.Kind] {
@@ -180,6 +181,12 @@ func (t Table) draw() string {
 	switch kind {
 	case ChartBars:
 		return textplot.Bars(labels, vals[0], chartWidth)
+	case ChartLogBars:
+		return textplot.LogBars(labels, vals[0], chartWidth)
+	case ChartBoxPlot:
+		return textplot.BoxPlot(labels, vals[0], vals[1], vals[2], vals[3], vals[4], chartWidth)
+	case ChartSeries:
+		return textplot.Series(names[0], names[1], t.nums(0), vals[0], seriesWidth)
 	case ChartQuantileStrip:
 		for _, q := range vals[:4] {
 			for r, v := range q {
@@ -220,6 +227,18 @@ func (t Table) draw() string {
 		grid.AddRow(cells...)
 	}
 	return grid.String()
+}
+
+// nums returns the first number of column c in every row, NaN when absent.
+func (t Table) nums(c int) []float64 {
+	out := make([]float64, len(t.Rows))
+	for r, row := range t.Rows {
+		out[r] = math.NaN()
+		if c < len(row) && len(row[c].Nums) > 0 {
+			out[r] = row[c].Nums[0]
+		}
+	}
+	return out
 }
 
 // labels formats column c of every row.

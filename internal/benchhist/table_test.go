@@ -55,6 +55,20 @@ func TestRenderChartsMatchTextplot(t *testing.T) {
 		Chart: &Chart{Kind: ChartStackedBars}}
 	stacked.AddRow("none", 60.0, 40.0)
 	stacked.AddRow("static", 70.0, 30.0)
+	box := Table{Columns: []Column{Col("variant", "", ""), Col("min%", "%", "%.2f"), Col("q1%", "%", "%.2f"),
+		Col("median%", "%", "%.2f"), Col("q3%", "%", "%.2f"), Col("max%", "%", "%.2f"), Col("marks", "marks", "%.2f")},
+		Chart: &Chart{Kind: ChartBoxPlot}}
+	box.AddRow("none", 1.0, 2.0, 3.0, 4.0, 5.0, 7.0)
+	box.AddRow("static", 0.5, 1.0, 1.5, 6.0, 9.0, 8.0)
+	logBars := Table{Columns: []Column{Col("benchmark", "", ""), Col("cycles/switch", "cycles", "%.0f")},
+		Chart: &Chart{Kind: ChartLogBars}}
+	logBars.AddRow("none", 10.0)
+	logBars.AddRow("static", 1e4)
+	series := Table{Columns: []Column{Col("delta", "ratio", "%.2f"), Col("tput +%", "%", "%+.2f")},
+		Chart: &Chart{Kind: ChartSeries}}
+	series.AddRow(0.0, -1.5)
+	series.AddRow(0.1, 2.5)
+	series.AddRow(0.4, 0.5)
 
 	nan := math.NaN()
 	for _, tc := range []struct {
@@ -69,6 +83,10 @@ func TestRenderChartsMatchTextplot(t *testing.T) {
 		{"bars", bars, textplot.Bars(names, []float64{0.5, 1}, chartWidth)},
 		{"stacked", stacked, textplot.StackedBars(names, []string{"useful", "idle"},
 			[][]float64{{60, 40}, {70, 30}}, chartWidth)},
+		{"box", box, textplot.BoxPlot(names, []float64{1, 0.5}, []float64{2, 1}, []float64{3, 1.5},
+			[]float64{4, 6}, []float64{5, 9}, 48)},
+		{"log bars", logBars, textplot.LogBars(names, []float64{10, 1e4}, 48)},
+		{"series", series, textplot.Series("delta", "tput +%", []float64{0, 0.1, 0.4}, []float64{-1.5, 2.5, 0.5}, 36)},
 	} {
 		if got := render(t, tc.table); got != tc.want {
 			t.Errorf("%s rendered as\n%s\nwant\n%s", tc.name, got, tc.want)
@@ -92,6 +110,26 @@ func TestRenderSurvivesMalformedTables(t *testing.T) {
 		t.Errorf("unknown chart kind did not fall back to the grid:\n%s", got)
 	}
 	render(t, narrow, short)
+
+	// A chart given fewer columns than it reads draws the grid.
+	for _, kind := range []string{ChartBoxPlot, ChartLogBars, ChartSeries} {
+		few := Table{Columns: []Column{Col("a", "", "")}, Rows: [][]Cell{{{Label: "x"}}, {{Label: "y"}}}}
+		if kind == ChartBoxPlot {
+			few = ragged
+		}
+		plain := render(t, few)
+		few.Chart = &Chart{Kind: kind}
+		if got := render(t, few); got != plain {
+			t.Errorf("%s over %d columns did not fall back to the grid:\n%s", kind, len(few.Columns), got)
+		}
+	}
+	// Missing numbers draw as charts without panicking.
+	for _, kind := range []string{ChartBoxPlot, ChartLogBars, ChartSeries} {
+		holes := Table{Columns: []Column{Col("a", "", ""), Col("b", "", ""), Col("c", "", ""), Col("d", "", ""),
+			Col("e", "", ""), Col("f", "", "")}, Rows: [][]Cell{{{Label: "x"}}, {{Nums: []float64{1}}, {Nums: []float64{2}}}},
+			Chart: &Chart{Kind: kind}}
+		render(t, holes)
+	}
 }
 
 func TestCellJSONRoundTrip(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§IV), plus the ablations called out in DESIGN.md.
-// Each driver is a pure function of its Config and returns typed rows; the
-// cmd/experiments binary renders them as paper-style tables and the root
-// bench harness replays them under testing.B.
+// Each driver is a pure function of its Config and returns typed rows; its
+// registry entry (registry.go) reduces them to the tables cmd/experiments
+// prints, and the root bench harness replays them under testing.B.
 //
 // Every driver runs on the sim.Sweep engine: run grids fan out across a
 // bounded worker pool (Config.Workers) and all static-pipeline products are
@@ -267,6 +267,24 @@ func Fig3SpaceOverhead(cfg Config) ([]SpaceRow, error) {
 	return rows, nil
 }
 
+// fig3Tables runs Fig. 3 and reduces it to the box table and its box plot.
+func fig3Tables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Fig3SpaceOverhead(cfg)
+	tables, err := tabulate(rows, err, benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
+		col("min%", "%", "%.2f"), col("q1%", "%", "%.2f"), col("median%", "%", "%.2f"), col("q3%", "%", "%.2f"),
+		col("max%", "%", "%.2f"), col("marks/bench", "marks", "%.2f")}},
+		func(r SpaceRow) []any {
+			b := r.Box
+			return []any{r.Variant, 100 * b.Min, 100 * b.Q1, 100 * b.Median, 100 * b.Q3, 100 * b.Max, r.MeanMarks}
+		})
+	if err != nil {
+		return nil, err
+	}
+	plot := tables[0]
+	plot.Title, plot.Chart = "space overhead % across benchmarks", &benchhist.Chart{Kind: benchhist.ChartBoxPlot}
+	return append(tables, plot), nil
+}
+
 // ---------------------------------------------------------------------------
 // Fig. 4 — time overhead (all-cores mode) per technique variant.
 
@@ -308,6 +326,14 @@ func Fig4TimeOverhead(cfg Config, variants []transition.Params) ([]TimeOverheadR
 		}
 	}
 	return rows, nil
+}
+
+// fig4Tables runs Fig. 4 and reduces it to one table.
+func fig4Tables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Fig4TimeOverhead(cfg, nil)
+	return tabulate(rows, err, benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
+		col("overhead%", "%", "%.3f"), col("marks executed", "marks", "%.0f")}},
+		func(r TimeOverheadRow) []any { return []any{r.Variant, r.OverheadPct, r.MarksExecuted} })
 }
 
 // ---------------------------------------------------------------------------
@@ -355,6 +381,26 @@ func Table1Switches(cfg Config) ([]SwitchRow, error) {
 	return rows, nil
 }
 
+// table1Tables runs Table 1 and reduces it to one table.
+func table1Tables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Table1Switches(cfg)
+	return tabulate(rows, err, benchhist.Table{Columns: []benchhist.Column{col("benchmark", "", ""),
+		col("switches", "count", "%.0f"), col("paper/20", "count", "%.0f"), col("runtime(s)", "s", "%.1f"),
+		col("paper(s)/20", "s", "%.1f")}},
+		func(r SwitchRow) []any {
+			return []any{r.Benchmark, r.Switches, r.PaperSwitches / workload.ScaleDivisor,
+				r.RuntimeSec, r.PaperRuntimeSec / workload.ScaleDivisor}
+		})
+}
+
+// fig5Tables runs Table 1 and charts its cycles per switch on a log scale.
+func fig5Tables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Table1Switches(cfg)
+	return tabulate(rows, err, benchhist.Table{Columns: []benchhist.Column{col("benchmark", "", ""),
+		col("cycles/switch", "cycles", "%.3g")}, Chart: &benchhist.Chart{Kind: benchhist.ChartLogBars}},
+		func(r SwitchRow) []any { return []any{r.Benchmark, r.CyclesPerSwitch} })
+}
+
 // ---------------------------------------------------------------------------
 // Fig. 6 — throughput vs. IPC threshold δ.
 
@@ -392,6 +438,14 @@ func Fig6Thresholds(cfg Config, deltas []float64) ([]ThresholdRow, error) {
 	return rows, nil
 }
 
+// fig6Tables runs Fig. 6 and charts it as a series.
+func fig6Tables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Fig6Thresholds(cfg, nil)
+	return tabulate(rows, err, benchhist.Table{Columns: []benchhist.Column{col("delta", "ratio", "%.3g"),
+		col("tput +%", "%", "%.3g")}, Chart: &benchhist.Chart{Kind: benchhist.ChartSeries}},
+		func(r ThresholdRow) []any { return []any{r.Delta, r.ImprovementPct} })
+}
+
 // ---------------------------------------------------------------------------
 // Fig. 7 — throughput vs. injected clustering error.
 
@@ -422,6 +476,14 @@ func Fig7ClusteringError(cfg Config, errors []float64) ([]ErrorRow, error) {
 		rows[i] = ErrorRow{ErrorPct: e * 100, ImprovementPct: imps[i]}
 	}
 	return rows, nil
+}
+
+// fig7Tables runs Fig. 7 and charts it as a series.
+func fig7Tables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Fig7ClusteringError(cfg, nil)
+	return tabulate(rows, err, benchhist.Table{Columns: []benchhist.Column{col("error %", "%", "%.3g"),
+		col("tput +%", "%", "%.3g")}, Chart: &benchhist.Chart{Kind: benchhist.ChartSeries}},
+		func(r ErrorRow) []any { return []any{r.ErrorPct, r.ImprovementPct} })
 }
 
 // tunedSpec is one tuned-run configuration in a throughput comparison grid.
@@ -583,16 +645,20 @@ func TechniqueCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 // gridTables runs Table 2 and reduces it to one table.
 func gridTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
 	rows, err := Table2Fairness(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
+	return tabulate(rows, err, benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
 		col("max-flow%", "%", "%+.2f"), col("max-stretch%", "%", "%+.2f"), col("avg-time%", "%", "%+.2f"),
-		col("matched-avg%", "%", "%+.2f"), col("tput%", "%", "%+.2f")}}
-	for _, r := range rows {
-		t.AddRow(r.Variant, r.MaxFlowPct, r.MaxStretchPct, r.AvgTimePct, r.MatchedAvgPct, r.ThroughputPct)
-	}
-	return []benchhist.Table{t}, nil
+		col("matched-avg%", "%", "%+.2f"), col("tput%", "%", "%+.2f")}},
+		func(r FairnessRow) []any {
+			return []any{r.Variant, r.MaxFlowPct, r.MaxStretchPct, r.AvgTimePct, r.MatchedAvgPct, r.ThroughputPct}
+		})
+}
+
+// fig8Tables runs Table 2 and reduces it to Fig. 8's (x, y) points.
+func fig8Tables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	rows, err := Table2Fairness(cfg, nil)
+	return tabulate(rows, err, benchhist.Table{Columns: []benchhist.Column{col("variant", "", ""),
+		col("x=max-stretch%", "%", "%+.2f"), col("y=avg-time%", "%", "%+.2f")}},
+		func(r FairnessRow) []any { return []any{r.Variant, r.MaxStretchPct, r.AvgTimePct} })
 }
 
 // IsolationTimes returns per-benchmark baseline isolation runtimes (the t_j

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
 	"phasetune/internal/amp"
+	"phasetune/internal/benchhist"
 	"phasetune/internal/cfg"
 	"phasetune/internal/exec"
 	"phasetune/internal/instrument"
@@ -98,6 +100,14 @@ func SwitchCost(cfg Config) (SwitchCostResult, error) {
 	}, nil
 }
 
+// switchCostTables runs the §IV-B3 probe and reduces it to one row.
+func switchCostTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	r, err := SwitchCost(cfg)
+	return tabulate([]SwitchCostResult{r}, err, benchhist.Table{Columns: []benchhist.Column{
+		col("cycles/switch", "cycles", "%.0f"), col("descaled", "cycles", "%.0f"), col("switches", "count", "%.0f")}},
+		func(r SwitchCostResult) []any { return []any{r.CyclesPerSwitch, r.DescaledCycles, r.Switches} })
+}
+
 type alternator struct {
 	masks []uint64
 	i     int
@@ -187,6 +197,15 @@ func TypingAccuracy(c Config, ipcThreshold float64) (TypingAccuracyResult, error
 	}, nil
 }
 
+// typingTables runs the typing check at IPC threshold 0.06 and reduces it
+// to one row.
+func typingTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	r, err := TypingAccuracy(cfg, 0.06)
+	return tabulate([]TypingAccuracyResult{r}, err, benchhist.Table{Columns: []benchhist.Column{
+		col("agreement%", "%", "%.1f"), col("blocks", "count", "%.0f"), col("misclassified%", "%", "%.1f")}},
+		func(r TypingAccuracyResult) []any { return []any{100 * r.Agreement, r.Blocks, 100 * (1 - r.Agreement)} })
+}
+
 // ---------------------------------------------------------------------------
 // §VII — the 3-core (2 fast, 1 slow) future-work configuration.
 
@@ -202,6 +221,14 @@ func ThreeCore(cfg Config) (FairnessRow, error) {
 		return FairnessRow{}, err
 	}
 	return rows[0], nil
+}
+
+// threeCoreTables runs the 3-core comparison and reduces it to one row.
+func threeCoreTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	r, err := ThreeCore(cfg)
+	return tabulate([]FairnessRow{r}, err, benchhist.Table{Columns: []benchhist.Column{
+		col("avg-time%", "%", "%+.2f"), col("matched-avg%", "%", "%+.2f"), col("tput%", "%", "%+.2f")}},
+		func(r FairnessRow) []any { return []any{r.AvgTimePct, r.MatchedAvgPct, r.ThroughputPct} })
 }
 
 // ---------------------------------------------------------------------------
@@ -261,6 +288,49 @@ func AblationPropagation(cfg Config) (propagate, naive int, err error) {
 		}
 	}
 	return marks[0], marks[1], nil
+}
+
+// ablationTables runs every ablation, one table each; the entry's title
+// names the first, and captions name the others.
+func ablationTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
+	var tables []benchhist.Table
+	for _, a := range []struct {
+		title string
+		run   func(Config) ([]FairnessRow, error)
+	}{
+		{"", AblationPinMode},
+		{"bounded monitoring vs mark-only monitoring", AblationMonitorBound},
+		{"positional (phase marks) vs temporal (interval resampling)",
+			func(c Config) ([]FairnessRow, error) { return AblationTemporal(c, 50000) }},
+	} {
+		rows, err := a.run(cfg)
+		t, err := tabulate(rows, err, benchhist.Table{Title: a.title, Columns: []benchhist.Column{
+			col("variant", "", ""), col("avg-time%", "%", "%+.2f"), col("tput%", "%", "%+.2f"),
+			col("max-stretch%", "%", "%+.2f")}},
+			func(r FairnessRow) []any { return []any{r.Variant, r.AvgTimePct, r.ThroughputPct, r.MaxStretchPct} })
+		if err != nil {
+			return nil, err
+		}
+		tables = append(tables, t...)
+	}
+
+	propagate, naive, err := AblationPropagation(cfg)
+	if err != nil {
+		return nil, err
+	}
+	marks := benchhist.Table{Title: "static marks: propagation vs naive edge rule",
+		Columns: []benchhist.Column{col("variant", "", ""), col("total static marks", "marks", "%.0f")}}
+	marks.AddRow("propagate", propagate)
+	marks.AddRow("naive-edges", naive)
+
+	cc, err := CounterContention(cfg, sim.PolicyStatic, 4)
+	if err != nil {
+		return nil, err
+	}
+	counters := benchhist.Table{Title: fmt.Sprintf("counter contention with %d bounded event sets", cc.Slots),
+		Columns: []benchhist.Column{col("deferrals", "count", "%.0f"), col("marks executed", "marks", "%.0f")}}
+	counters.AddRow(cc.Defers, cc.Marks)
+	return append(tables, marks, counters), nil
 }
 
 // ---------------------------------------------------------------------------

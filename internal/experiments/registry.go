@@ -2,27 +2,32 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"phasetune/internal/amp"
 	"phasetune/internal/benchhist"
 	"phasetune/internal/dist"
+	"phasetune/internal/workload"
 )
 
-// Campaign is one entry of the campaign registry: a grid the fabric can
-// serve (Build) plus a driver whose typed rows reduce to generic tables
-// (Tables). Everything downstream is generic over the registry:
-// cmd/experiments prints every campaign with benchhist.Render and records
-// it as one `table` history entry, cmd/sweepd resolves -campaign here, and
-// benchjson -history redraws recorded tables with the same Render.
+// Campaign is one entry of the registry: one -run target of cmd/experiments
+// (a paper figure, table or check, or a campaign of this reproduction),
+// whose driver's typed rows reduce to generic tables (Tables), plus the
+// wire grid the fabric can serve (Build) where it has one. Everything
+// downstream is generic over the registry: cmd/experiments prints every
+// entry with benchhist.Render and records it as one `table` history entry,
+// cmd/sweepd serves the entries with a Build, and benchjson -history
+// redraws recorded tables with the same Render.
 type Campaign struct {
 	// Name is the registry key; Title heads the printed tables.
 	Name, Title string
-	// Build cuts the campaign's wire grid on one machine.
+	// Build cuts the campaign's wire grid on one machine; nil for entries
+	// the fabric does not serve.
 	Build func(Config, *amp.Machine) dist.Campaign
-	// Tables runs the campaign on its default machines and reduces the
-	// typed rows to the tables it prints.
+	// Tables runs the entry on its default machines and reduces the typed
+	// rows to the tables it prints.
 	Tables func(Config, Axes) ([]benchhist.Table, error)
 }
 
@@ -33,12 +38,23 @@ type Axes struct {
 	Windows []uint64
 }
 
-// registry is every campaign, in the order tools list them.
+// registry is every entry, in -run all order.
 var registry = []Campaign{
-	{"showdown", "§V showdown — static marks vs dynamic online detection vs oracle (paper's central claim)",
-		ShowdownCampaign, showdownTables},
+	{"fig3", "Fig. 3 — space overhead per technique (paper: best Loop[45] < 4%)", nil, fig3Tables},
+	{"fig4", "Fig. 4 — time overhead, all-cores mode (paper: as low as 0.14%)", nil, fig4Tables},
+	{"table1", fmt.Sprintf("Table 1 — switches per benchmark, Loop[45] (paper values scaled by 1/%d)", workload.ScaleDivisor),
+		nil, table1Tables},
+	{"fig5", "Fig. 5 — average cycles per core switch, log scale", nil, fig5Tables},
+	{"fig6", "Fig. 6 — throughput vs IPC threshold, BB[15,0] (paper: optimum between extremes)", nil, fig6Tables},
+	{"fig7", "Fig. 7 — throughput vs clustering error, BB[15,0] (paper: robust to 20%)", nil, fig7Tables},
 	{"grid", "Table 2 — fairness vs stock Linux, % decrease (paper best Loop[45]: 12.04/20.41/35.95)",
 		TechniqueCampaign, gridTables},
+	{"fig8", "Fig. 8 — speedup vs fairness trade-off (avg time vs max stretch)", nil, fig8Tables},
+	{"switchcost", "§IV-B3 — core switch cost (paper: ~1000 cycles)", nil, switchCostTables},
+	{"typing", "§II-A3 — static typing accuracy (paper: ~15% misclassified)", nil, typingTables},
+	{"threecore", "§VII — 3-core (2 fast, 1 slow) machine (paper: ~32% speedup)", nil, threeCoreTables},
+	{"showdown", "§V showdown — static marks vs dynamic online detection vs oracle (paper's central claim)",
+		ShowdownCampaign, showdownTables},
 	{"window", "Window-size sweep — online WindowInstrs vs throughput and switches (dynamic Fig. 6 analogue)",
 		WindowCampaign, windowTables},
 	{"breakdown", "Misprediction-cost breakdown map — alternation rate × window size (§V, quantitative)",
@@ -47,25 +63,35 @@ var registry = []Campaign{
 		ServingCampaign, servingTables},
 	{"contention", "Shared-cache contention — antagonist herding vs contention-priced placement",
 		ContentionCampaign, contentionTables},
+	{"ablations", "Ablations — one design choice changed per table, first pin to core type vs single core",
+		nil, ablationTables},
 }
 
-// CampaignNames returns the registry names in order.
-func CampaignNames() []string {
-	names := make([]string, len(registry))
-	for i, c := range registry {
+// Campaigns returns the registry in order.
+func Campaigns() []Campaign { return slices.Clone(registry) }
+
+// FabricCampaigns returns the entries with a wire grid, in order.
+func FabricCampaigns() []Campaign {
+	return slices.DeleteFunc(Campaigns(), func(c Campaign) bool { return c.Build == nil })
+}
+
+// Names returns the entries' names.
+func Names(cs []Campaign) []string {
+	names := make([]string, len(cs))
+	for i, c := range cs {
 		names[i] = c.Name
 	}
 	return names
 }
 
-// LookupCampaign resolves a registry name; the error lists every name.
-func LookupCampaign(name string) (Campaign, error) {
-	for _, c := range registry {
+// Lookup resolves a name among cs; the error lists their names.
+func Lookup(cs []Campaign, name string) (Campaign, error) {
+	for _, c := range cs {
 		if c.Name == name {
 			return c, nil
 		}
 	}
-	return Campaign{}, fmt.Errorf("unknown campaign %q (want %s)", name, strings.Join(CampaignNames(), "|"))
+	return Campaign{}, fmt.Errorf("unknown campaign %q (want %s)", name, strings.Join(Names(cs), "|"))
 }
 
 // FlagConfig assembles the configuration the command-line tools cut
@@ -100,6 +126,19 @@ func FlagConfig(quick bool, slots int, durationSec float64, seeds string) (Confi
 
 // col abbreviates benchhist.Col for the campaigns' column lists.
 var col = benchhist.Col
+
+// tabulate reduces a driver's rows to one table: t's columns and chart,
+// one row per element with the cells row returns. A driver error passes
+// through.
+func tabulate[R any](rows []R, err error, t benchhist.Table, row func(R) []any) ([]benchhist.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		t.AddRow(row(r)...)
+	}
+	return []benchhist.Table{t}, nil
+}
 
 // runs splits rows into maximal runs of equal key, in order: the
 // per-machine (or per-load) groups a campaign charts one by one.

@@ -101,16 +101,11 @@ func WindowSweep(cfg Config, windows []uint64, policies []sim.Policy) ([]WindowR
 // windowTables runs the window sweep and reduces it to one table.
 func windowTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
 	rows, err := WindowSweep(cfg, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := benchhist.Table{Columns: []benchhist.Column{
+	return tabulate(rows, err, benchhist.Table{Columns: []benchhist.Column{
 		col("window", "instr", "%.0f"), col("policy", "", ""), col("tput%", "%", "%+.2f"),
 		col("online-switches", "count", "%.0f"), col("windows", "count", "%.0f"),
 		col("monitor%", "%", "%.3f"),
-	}}
-	for _, r := range rows {
-		t.AddRow(r.WindowInstrs, r.Policy.String(), r.ThroughputPct, r.OnlineSwitches, r.Windows, r.MonitorPct)
-	}
-	return []benchhist.Table{t}, nil
+	}}, func(r WindowRow) []any {
+		return []any{r.WindowInstrs, r.Policy.String(), r.ThroughputPct, r.OnlineSwitches, r.Windows, r.MonitorPct}
+	})
 }

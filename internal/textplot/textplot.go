@@ -248,7 +248,8 @@ func LogBars(names []string, values []float64, width int) string {
 	return b.String()
 }
 
-// Series renders an x/y sweep as aligned columns with a small bar.
+// Series renders an x/y sweep as aligned columns with a small bar. Bars
+// are clamped to [0, width], so a non-finite y cannot make one negative.
 func Series(xLabel, yLabel string, xs, ys []float64, width int) string {
 	if width <= 0 {
 		width = 40
@@ -265,7 +266,7 @@ func Series(xLabel, yLabel string, xs, ys []float64, width int) string {
 	fmt.Fprintf(&b, "%10s  %10s\n", xLabel, yLabel)
 	for i := range xs {
 		n := int(float64(width) * (ys[i] - lo) / (hi - lo))
-		fmt.Fprintf(&b, "%10.3g  %10.3g  %s\n", xs[i], ys[i], strings.Repeat("*", n))
+		fmt.Fprintf(&b, "%10.3g  %10.3g  %s\n", xs[i], ys[i], strings.Repeat("*", min(max(n, 0), width)))
 	}
 	return b.String()
 }
