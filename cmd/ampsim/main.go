@@ -191,27 +191,17 @@ func run(o options) error {
 		Technique: tech, MinSize: o.minSize, PropagateThroughUntyped: true,
 	}
 
-	cost := phasetune.DefaultCost()
+	// A suite draw, or with -alt the synthetic alternation-rate axis: the
+	// anchored alternation fleet (alternator + antiphase rotation + stable
+	// anchors). The session materializes either.
+	spec.Workload = phasetune.WorkloadSpec{Slots: o.slots, QueueLen: 256, Seed: o.seed, Alternations: o.alt}
 	if o.arrivals != "" {
 		kind, err := phasetune.ParseArrivalKind(o.arrivals)
 		if err != nil {
 			return err
 		}
 		arr := phasetune.ServingArrivals(machine, kind, o.load, 0.75*o.duration)
-		spec.Arrivals = &arr
-	} else if o.alt > 0 {
-		// The synthetic alternation-rate axis: the anchored alternation
-		// fleet (alternator + antiphase rotation + stable anchors),
-		// materialized by the session.
-		spec.Queues = &phasetune.WorkloadSpec{
-			Slots: o.slots, QueueLen: 256, Seed: o.seed, Alternations: o.alt,
-		}
-	} else {
-		suite, err := phasetune.SuiteFor(cost, machine)
-		if err != nil {
-			return err
-		}
-		spec.Workload = phasetune.NewWorkload(suite, o.slots, 256, o.seed)
+		spec.Workload = phasetune.WorkloadSpec{Seed: o.seed, Arrivals: &arr}
 	}
 
 	tcfg := phasetune.DefaultTuning()
@@ -241,7 +231,6 @@ func run(o options) error {
 
 	sessOpts := []phasetune.SessionOption{
 		phasetune.WithMachine(machine),
-		phasetune.WithCost(cost),
 		phasetune.WithTuning(tcfg),
 		phasetune.WithOnline(ocfg),
 		phasetune.WithEvents(events),
@@ -276,9 +265,9 @@ func run(o options) error {
 	if o.alt > 0 {
 		t.AddRow("workload", fmt.Sprintf("alt.x%d anchored fleet", o.alt))
 	}
-	if spec.Arrivals != nil {
+	if arr := spec.Workload.Arrivals; arr != nil {
 		t.AddRow("arrivals", fmt.Sprintf("%s @ %.2fx load (%.2f jobs/s)",
-			o.arrivals, o.load, spec.Arrivals.RatePerSec))
+			o.arrivals, o.load, arr.RatePerSec))
 	} else {
 		t.AddRow("slots", fmt.Sprintf("%d", o.slots))
 	}
@@ -288,7 +277,7 @@ func run(o options) error {
 	t.AddRow("avg process time", fmt.Sprintf("%.2fs", metrics.AvgProcessTime(res.Tasks)))
 	t.AddRow("max flow", fmt.Sprintf("%.2fs", metrics.MaxFlow(res.Tasks)))
 	t.AddRow("throughput", fmt.Sprintf("%.4g instr/s", tput))
-	if spec.Arrivals != nil {
+	if spec.Workload.Arrivals != nil {
 		st := phasetune.SummarizeServing(res)
 		if st.Empty() {
 			t.AddRow("sojourn", "n/a (no jobs completed)")

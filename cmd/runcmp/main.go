@@ -141,7 +141,7 @@ func resolveSide(arg, machineName string, slots int, duration float64, seed uint
 	}
 	sess := phasetune.NewSession(phasetune.WithMachine(machine), phasetune.WithLedger())
 	res, err := sess.Run(phasetune.RunSpec{
-		Queues:      &phasetune.WorkloadSpec{Slots: cfg.Slots, QueueLen: cfg.QueueLen, Seed: seed},
+		Workload:    phasetune.WorkloadSpec{Slots: cfg.Slots, QueueLen: cfg.QueueLen, Seed: seed},
 		DurationSec: cfg.DurationSec, Policy: p, Seed: seed,
 	})
 	if err != nil {

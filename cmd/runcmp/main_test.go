@@ -36,7 +36,7 @@ func TestPolicySideMatchesSessionLedger(t *testing.T) {
 		}
 		sess := phasetune.NewSession(phasetune.WithMachine(machine), phasetune.WithLedger())
 		res, err := sess.Run(phasetune.RunSpec{
-			Queues:      &phasetune.WorkloadSpec{Slots: slots, QueueLen: 256, Seed: seed},
+			Workload:    phasetune.WorkloadSpec{Slots: slots, QueueLen: 256, Seed: seed},
 			DurationSec: duration, Policy: pol, Seed: seed,
 		})
 		if err != nil {

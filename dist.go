@@ -2,7 +2,6 @@ package phasetune
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -17,21 +16,12 @@ import (
 // only: in-process sharding never beat Session.Sweep, so the protocol's
 // in-process transport (dist.RunLocal) is kept as a test harness.
 
-// ErrNeedQueues reports a spec with no serializable workload: it sets no
-// workload at all, or (for Serve) a built Workload, which cannot cross a
-// process boundary. Serve wraps it per offending spec (match with
-// errors.Is).
-var ErrNeedQueues = errors.New("phasetune: spec has no serializable workload: set RunSpec.Queues or Arrivals")
-
 // campaign lowers run specs onto the wire format: the session environment
 // plus one wire spec per run, lowered exactly as a local run is
 // (Session.wireSpec).
 func (s *Session) campaign(specs []RunSpec) (dist.Campaign, error) {
 	camp := dist.Campaign{Env: s.env(), Specs: make([]dist.Spec, len(specs))}
 	for i, spec := range specs {
-		if spec.Workload != nil {
-			return dist.Campaign{}, fmt.Errorf("spec %d: built Workload: %w", i, ErrNeedQueues)
-		}
 		sp, err := s.wireSpec(spec)
 		if err != nil {
 			return dist.Campaign{}, fmt.Errorf("spec %d: %w", i, err)

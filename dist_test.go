@@ -2,82 +2,47 @@ package phasetune_test
 
 import (
 	"context"
-	"errors"
+	"strings"
 	"sync"
 	"testing"
 
 	"phasetune"
 )
 
-// shardedGrid mirrors sweepGrid in serializable form: Queues instead of a
-// built Workload, plus dynamic- and hybrid-policy cells so policy
-// resolution (and the placement engine) crosses the wire too.
+// shardedGrid is a grid for the fabric: baseline and static cells plus
+// dynamic- and hybrid-policy cells, so policy resolution (and the
+// placement engine) crosses the wire too.
 func shardedGrid() []phasetune.RunSpec {
 	loop45 := phasetune.BestParams()
 	var specs []phasetune.RunSpec
 	for _, seed := range []uint64{1, 2} {
-		q := &phasetune.WorkloadSpec{Slots: 3, QueueLen: 4, Seed: seed}
+		q := phasetune.WorkloadSpec{Slots: 3, QueueLen: 4, Seed: seed}
 		specs = append(specs,
-			phasetune.RunSpec{Queues: q, DurationSec: 5, Policy: phasetune.PolicyNone, Seed: seed},
-			phasetune.RunSpec{Queues: q, DurationSec: 5, Policy: phasetune.PolicyStatic, Params: loop45, Seed: seed},
-			phasetune.RunSpec{Queues: q, DurationSec: 5, Policy: phasetune.PolicyDynamicProbe, Seed: seed},
-			phasetune.RunSpec{Queues: q, DurationSec: 5, Policy: phasetune.PolicyHybrid, Seed: seed},
+			phasetune.RunSpec{Workload: q, DurationSec: 5, Policy: phasetune.PolicyNone, Seed: seed},
+			phasetune.RunSpec{Workload: q, DurationSec: 5, Policy: phasetune.PolicyStatic, Params: loop45, Seed: seed},
+			phasetune.RunSpec{Workload: q, DurationSec: 5, Policy: phasetune.PolicyDynamicProbe, Seed: seed},
+			phasetune.RunSpec{Workload: q, DurationSec: 5, Policy: phasetune.PolicyHybrid, Seed: seed},
 		)
 	}
 	return specs
 }
 
-// TestServeRejectsUnserializableSpecs: specs that cannot cross a process
-// boundary — a built Workload, or no workload at all — are rejected with
-// ErrNeedQueues before the coordinator listens.
+// TestServeRejectsUnserializableSpecs: a spec whose workload sets neither
+// slots nor arrivals describes no jobs, and Serve rejects it before the
+// coordinator listens.
 func TestServeRejectsUnserializableSpecs(t *testing.T) {
-	suite, err := phasetune.Suite()
-	if err != nil {
-		t.Fatal(err)
+	// A coordinator that listens would wait for workers forever;
+	// cancelling on listen turns that into a prompt failure.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	listened := false
+	_, err := phasetune.Serve(ctx, phasetune.NewSession(), []phasetune.RunSpec{{DurationSec: 1, Seed: 1}},
+		phasetune.ServeOptions{Addr: "127.0.0.1:0", OnListen: func(string) { listened = true; cancel() }})
+	if err == nil || !strings.Contains(err.Error(), "neither Slots nor Arrivals") {
+		t.Errorf("error %v, want the empty-workload refusal", err)
 	}
-	for name, spec := range map[string]phasetune.RunSpec{
-		"built workload": {Workload: phasetune.NewWorkload(suite, 2, 2, 1), DurationSec: 1, Seed: 1},
-		"no workload":    {DurationSec: 1, Seed: 1},
-	} {
-		// A coordinator that listens would wait for workers forever;
-		// cancelling on listen turns that into a prompt failure.
-		ctx, cancel := context.WithCancel(context.Background())
-		listened := false
-		_, err := phasetune.Serve(ctx, phasetune.NewSession(), []phasetune.RunSpec{spec},
-			phasetune.ServeOptions{Addr: "127.0.0.1:0", OnListen: func(string) { listened = true; cancel() }})
-		cancel()
-		if !errors.Is(err, phasetune.ErrNeedQueues) {
-			t.Errorf("%s: error %v, want ErrNeedQueues", name, err)
-		}
-		if listened {
-			t.Errorf("%s: Serve listened before rejecting the spec", name)
-		}
-	}
-}
-
-// TestQueuesSpecsRunLocally: Queues-based specs work through the plain
-// local path too (RunContext builds the workload from the session suite),
-// and give the same bytes as the equivalent built-Workload spec.
-func TestQueuesSpecsRunLocally(t *testing.T) {
-	suite, err := phasetune.Suite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := phasetune.NewSession()
-	viaQueues, err := sess.Run(phasetune.RunSpec{
-		Queues: &phasetune.WorkloadSpec{Slots: 2, QueueLen: 2, Seed: 7}, DurationSec: 3, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaWorkload, err := sess.Run(phasetune.RunSpec{
-		Workload: phasetune.NewWorkload(suite, 2, 2, 7), DurationSec: 3, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(encode(t, viaQueues)) != string(encode(t, viaWorkload)) {
-		t.Error("Queues-based run differs from built-Workload run")
+	if listened {
+		t.Error("Serve listened before rejecting the spec")
 	}
 }
 

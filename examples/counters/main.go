@@ -34,21 +34,22 @@ func main() {
 	})
 
 	fmt.Printf("%-10s %12s %12s %10s\n", "phase", "IPC fast", "IPC slow", "gap")
-	results := map[string][]float64{}
-	for _, prog := range []*phasetune.Program{compute, memory} {
+	progs := []*phasetune.Program{compute, memory}
+	results := make([][]float64, len(progs))
+	for i, prog := range progs {
 		ipcs, err := sess.MeasureIPC(prog, 42)
 		if err != nil {
 			log.Fatal(err)
 		}
-		results[prog.Name] = ipcs
+		results[i] = ipcs
 		fmt.Printf("%-10s %12.3f %12.3f %10.3f\n", prog.Name, ipcs[0], ipcs[1], ipcs[1]-ipcs[0])
 	}
 
 	delta := phasetune.DefaultTuning().Delta
 	fmt.Printf("\nAlgorithm 2 with delta = %.2f:\n", delta)
-	for name, ipcs := range results {
-		target := phasetune.Select(machine, ipcs, delta)
-		fmt.Printf("  %-10s -> %s cores\n", name, machine.Types[target].Name)
+	for i, prog := range progs {
+		target := phasetune.Select(machine, results[i], delta)
+		fmt.Printf("  %-10s -> %s cores\n", prog.Name, machine.Types[target].Name)
 	}
 }
 

@@ -15,13 +15,9 @@ import (
 func main() {
 	machine := phasetune.ThreeCoreAMP()
 	cost := phasetune.DefaultCost()
-	suite, err := phasetune.SuiteFor(cost, machine)
-	if err != nil {
-		log.Fatal(err)
-	}
 	// A single slow core serves the DRAM-bound phases on this machine, so
 	// keep the workload lighter than the quad experiments.
-	w := phasetune.NewWorkload(suite, 8, 256, 11)
+	w := phasetune.WorkloadSpec{Slots: 8, QueueLen: 256, Seed: 11}
 	const duration = 400
 
 	// A session pinned to the 3-core machine; the binaries themselves are

@@ -16,16 +16,12 @@ import (
 
 func main() {
 	sess := phasetune.NewSession()
-	suite, err := phasetune.Suite()
-	if err != nil {
-		log.Fatal(err)
-	}
 	const (
 		slots    = 18
 		duration = 100.0
 		seed     = 5
 	)
-	w := phasetune.NewWorkload(suite, slots, 256, seed)
+	w := phasetune.WorkloadSpec{Slots: slots, QueueLen: 256, Seed: seed}
 
 	policies := []phasetune.Policy{
 		phasetune.PolicyNone, phasetune.PolicyStatic,

@@ -34,7 +34,8 @@ func main() {
 		for _, policy := range policies {
 			arr := phasetune.ServingArrivals(machine, phasetune.ArrivalPoisson, load, horizon)
 			specs = append(specs, phasetune.RunSpec{
-				Arrivals: &arr, DurationSec: duration, Policy: policy, Seed: seed,
+				Workload:    phasetune.WorkloadSpec{Seed: seed, Arrivals: &arr},
+				DurationSec: duration, Policy: policy, Seed: seed,
 			})
 		}
 	}

@@ -15,11 +15,7 @@ import (
 )
 
 func main() {
-	suite, err := phasetune.Suite()
-	if err != nil {
-		log.Fatal(err)
-	}
-	w := phasetune.NewWorkload(suite, 18, 256, 5)
+	w := phasetune.WorkloadSpec{Slots: 18, QueueLen: 256, Seed: 5}
 	const duration = 400
 
 	sess := phasetune.NewSession()

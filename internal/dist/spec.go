@@ -178,32 +178,11 @@ type Spec struct {
 // (cost, machine) instead of the suite; materialization is the only step
 // that can fail.
 func (e EnvSpec) RunConfig(sp Spec, suite []*workload.Benchmark, cache *sim.ImageCache) (sim.RunConfig, error) {
-	cfg := e.BuiltRunConfig(sp, nil, cache)
-	var err error
-	if sp.Queues.Arrivals != nil {
-		// Open-system serving spec: the worker regenerates the serving
-		// fleet and the arrival schedule from (cost, machine, spec, seed),
-		// both pure functions, exactly as it regenerates the suite.
-		cfg.Stream, err = sp.Queues.MaterializeOpen(e.Cost, cfg.Machine)
-	} else {
-		cfg.Workload, err = sp.Queues.Materialize(suite, e.Cost, cfg.Machine)
-	}
-	if err != nil {
-		return sim.RunConfig{}, fmt.Errorf("dist: materialize workload: %w", err)
-	}
-	return cfg, nil
-}
-
-// BuiltRunConfig is RunConfig around a workload built in-process, which
-// stands in for sp.Queues and is not materialized. Built workloads have no
-// wire form, so only in-process runs (phasetune.Session) take this path.
-func (e EnvSpec) BuiltRunConfig(sp Spec, w *workload.Workload, cache *sim.ImageCache) sim.RunConfig {
 	m := e.Machine
 	cost := e.Cost
 	sched := e.Sched
-	return sim.RunConfig{
+	cfg := sim.RunConfig{
 		Machine: &m, Cost: &cost, Sched: &sched,
-		Workload:    w,
 		DurationSec: sp.DurationSec,
 		Mode:        sp.Mode,
 		Params:      sp.Params,
@@ -217,6 +196,19 @@ func (e EnvSpec) BuiltRunConfig(sp Spec, w *workload.Workload, cache *sim.ImageC
 		Ledger:      e.Ledger,
 		CacheStats:  sp.CacheStats,
 	}
+	var err error
+	if sp.Queues.Arrivals != nil {
+		// Open-system serving spec: the worker regenerates the serving
+		// fleet and the arrival schedule from (cost, machine, spec, seed),
+		// both pure functions, exactly as it regenerates the suite.
+		cfg.Stream, err = sp.Queues.MaterializeOpen(e.Cost, cfg.Machine)
+	} else {
+		cfg.Workload, err = sp.Queues.Materialize(suite, e.Cost, cfg.Machine)
+	}
+	if err != nil {
+		return sim.RunConfig{}, fmt.Errorf("dist: materialize workload: %w", err)
+	}
+	return cfg, nil
 }
 
 // Campaign is a complete distributable sweep: one environment plus the run

@@ -542,33 +542,32 @@ type FairnessRow struct {
 
 // matchedAvgImprovement compares mean flow times over the job instances
 // completed in both runs. Compared runs share workload queues, so (slot,
-// per-slot spawn ordinal) identifies the same job in both.
+// per-slot spawn ordinal) identifies the same job in both. The sums run in
+// the base run's spawn order, so every call gives the same bits.
 func matchedAvgImprovement(base, tuned []metrics.TaskStat) float64 {
 	type key struct{ slot, ordinal int }
-	collect := func(stats []metrics.TaskStat) map[key]float64 {
+	each := func(stats []metrics.TaskStat, f func(key, metrics.TaskStat)) {
 		next := map[int]int{}
-		out := map[key]float64{}
 		for _, t := range stats {
-			k := key{t.Slot, next[t.Slot]}
+			f(key{t.Slot, next[t.Slot]}, t)
 			next[t.Slot]++
-			if t.Completed() {
-				out[k] = t.FlowSec()
-			}
 		}
-		return out
 	}
-	b, tn := collect(base), collect(tuned)
+	tunedFlow := map[key]float64{}
+	each(tuned, func(k key, t metrics.TaskStat) {
+		if t.Completed() {
+			tunedFlow[k] = t.FlowSec()
+		}
+	})
 	var bSum, tSum float64
 	n := 0
-	for k, bf := range b {
-		tf, ok := tn[k]
-		if !ok {
-			continue
+	each(base, func(k key, t metrics.TaskStat) {
+		if tf, ok := tunedFlow[k]; ok && t.Completed() {
+			bSum += t.FlowSec()
+			tSum += tf
+			n++
 		}
-		bSum += bf
-		tSum += tf
-		n++
-	}
+	})
 	if n == 0 || bSum == 0 {
 		return 0
 	}

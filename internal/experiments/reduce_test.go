@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"phasetune/internal/dist"
@@ -44,6 +45,32 @@ func TestSeedGridIsCellMajor(t *testing.T) {
 	for i, sp := range grid {
 		if k, seed := float64(i/2+1), []uint64{5, 42}[i%2]; sp.DurationSec != k || sp.Seed != seed {
 			t.Errorf("spec %d = (key %v, seed %d), want (%v, %d)", i, sp.DurationSec, sp.Seed, k, seed)
+		}
+	}
+}
+
+// TestMatchedAvgImprovementIsDeterministic requires the matched flow-time
+// comparison to come out bit-identical on every call: the sums must follow
+// a fixed order, not a map's iteration order, or mixed-magnitude flow times
+// move MatchedAvgPct in its last bits from run to run.
+func TestMatchedAvgImprovementIsDeterministic(t *testing.T) {
+	const slots, perSlot = 12, 30
+	var base, tuned []metrics.TaskStat
+	for i := 0; i < slots*perSlot; i++ {
+		slot := i % slots
+		scale := math.Pow(10, float64(i%7)-3) // 1e-3 .. 1e3 seconds
+		flow := scale * (1 + float64(i*7919%101)/37)
+		end := -1.0 // every ninth job is still running
+		if i%9 != 0 {
+			end = float64(i) + flow
+		}
+		base = append(base, metrics.TaskStat{Slot: slot, ArrivalSec: float64(i), CompletionSec: end})
+		tuned = append(tuned, metrics.TaskStat{Slot: slot, ArrivalSec: float64(i), CompletionSec: float64(i) + 0.9*flow})
+	}
+	want := math.Float64bits(matchedAvgImprovement(base, tuned))
+	for call := 0; call < 50; call++ {
+		if got := math.Float64bits(matchedAvgImprovement(base, tuned)); got != want {
+			t.Fatalf("call %d: %v != %v", call, math.Float64frombits(got), math.Float64frombits(want))
 		}
 	}
 }

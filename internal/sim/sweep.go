@@ -19,12 +19,6 @@ type SweepOptions struct {
 	//
 	// Deprecated: kept until bench/ drops it.
 	Memo *exec.SegmentMemo
-	// Events, when set, is injected into every run that does not already
-	// carry hooks.
-	Events Events
-	// OnDone, when set, fires after each run completes (from the worker's
-	// goroutine; index is the run's position in the input grid).
-	OnDone func(index int, res *Result, err error)
 }
 
 // Sweep executes a grid of runs across a bounded worker pool and returns
@@ -40,13 +34,7 @@ func Sweep(ctx context.Context, grid []RunConfig, opts SweepOptions) ([]*Result,
 		if cfg.Cache == nil {
 			cfg.Cache = opts.Cache
 		}
-		if cfg.Events.OnImage == nil && cfg.Events.OnProgress == nil {
-			cfg.Events = opts.Events
-		}
 		res, err := RunContext(ctx, cfg)
-		if opts.OnDone != nil {
-			opts.OnDone(i, res, err)
-		}
 		if err != nil {
 			return err
 		}

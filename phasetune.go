@@ -35,15 +35,14 @@
 //   - Session.Sweep, which fans a grid of RunSpecs across a bounded worker
 //     pool with deterministic, input-ordered results;
 //   - the distributed sweep fabric (Serve, Work, and the cmd/sweepd
-//     binary), which shards a campaign of serializable specs
-//     (RunSpec.Queues) across worker processes — leases, heartbeats, crash
-//     re-dispatch — and merges results byte-identically to a
-//     single-process Sweep.
+//     binary), which shards a campaign of RunSpecs (each names its
+//     workload by recipe, RunSpec.Workload) across worker processes —
+//     leases, heartbeats, crash re-dispatch — and merges results
+//     byte-identically to a single-process Sweep.
 //
 // The quickest way in:
 //
-//	suite, _ := phasetune.Suite()
-//	w := phasetune.NewWorkload(suite, 18, 256, 1)
+//	w := phasetune.WorkloadSpec{Slots: 18, QueueLen: 256, Seed: 1}
 //	sess := phasetune.NewSession()
 //	results, _ := sess.Sweep(ctx, []phasetune.RunSpec{
 //	    {Workload: w, DurationSec: 400, Seed: 7, Policy: phasetune.PolicyNone},
@@ -191,11 +190,12 @@ func Select(m *Machine, ipcPerType []float64, delta float64) amp.CoreTypeID {
 type (
 	// Benchmark is a generated suite member.
 	Benchmark = workload.Benchmark
-	// Workload is a constant-size slot-queue workload.
-	Workload = workload.Workload
-	// WorkloadSpec describes a workload by its construction parameters
-	// (slots, queue length, seed) — the serializable identity a session
-	// resolves against its own suite. Distributed sweeps require it.
+	// WorkloadSpec describes a run's workload by its construction
+	// parameters (RunSpec.Workload): slots, queue length and seed for a
+	// suite draw (the paper's §IV-A2 construction; the same seed always
+	// yields the same queues), or the alternation axis, a named fleet, or
+	// an arrival process. It is the serializable identity a session
+	// materializes against its own suite, locally or on the fabric.
 	WorkloadSpec = workload.Spec
 	// RunResult is the outcome of a run.
 	RunResult = sim.Result
@@ -207,17 +207,6 @@ type (
 // Table 1 on the default machine and cost model.
 func Suite() ([]*Benchmark, error) {
 	return workload.Suite(exec.DefaultCostModel(), amp.Quad2Fast2Slow())
-}
-
-// SuiteFor generates the suite for a specific machine and cost model.
-func SuiteFor(cost CostModel, m *Machine) ([]*Benchmark, error) {
-	return workload.Suite(cost, m)
-}
-
-// NewWorkload draws a slot-queue workload from the suite (the paper's
-// §IV-A2 construction). The same seed always yields the same queues.
-func NewWorkload(suite []*Benchmark, slots, queueLen int, seed uint64) *Workload {
-	return workload.BuildWorkload(suite, slots, queueLen, seed)
 }
 
 // Metrics.
@@ -236,7 +225,8 @@ func MaxStretch(tasks []TaskStat, isolationSec map[string]float64) (float64, err
 // Open-system serving.
 type (
 	// ArrivalSpec describes an open-system arrival process (kind, rate,
-	// horizon); set it on RunSpec.Arrivals to run a serving workload.
+	// horizon); set it on RunSpec.Workload.Arrivals to run a serving
+	// workload, whose schedule Workload.Seed drives.
 	ArrivalSpec = workload.ArrivalSpec
 	// ArrivalKind selects the arrival process family.
 	ArrivalKind = workload.ArrivalKind

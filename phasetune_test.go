@@ -57,7 +57,7 @@ func TestPublicSuiteAndWorkload(t *testing.T) {
 	if len(suite) != 15 {
 		t.Fatalf("suite has %d members", len(suite))
 	}
-	w := phasetune.NewWorkload(suite, 4, 8, 1)
+	w := phasetune.WorkloadSpec{Slots: 4, QueueLen: 8, Seed: 1}
 	res, err := phasetune.NewSession().Run(phasetune.RunSpec{Workload: w, DurationSec: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ type Session struct {
 	ledger    bool
 
 	// suiteOnce lazily generates the benchmark suite for (cost, machine),
-	// shared by every run whose spec describes its workload as Queues.
+	// shared by every run whose workload is a suite draw.
 	suiteOnce sync.Once
 	suite     []*Benchmark
 	suiteErr  error
@@ -175,25 +175,18 @@ func (s *Session) CacheStats() CacheStats { return s.cache.Stats() }
 // RunSpec configures one run within a session; the session supplies every
 // configuration the run shares with its siblings.
 type RunSpec struct {
-	// Workload supplies the slot queues. Exactly one of Workload and
-	// Queues must be set; Workload wins when both are.
-	Workload *Workload
-	// Queues describes the workload by its construction parameters
-	// (slots, queue length, seed) instead of a built queue set; the
-	// session builds it against its own suite. Queues-based specs are
-	// serializable, which is what the distributed fabric (Serve) requires.
-	Queues *WorkloadSpec
-	// Arrivals switches the run to the open-system serving form: instead of
-	// constant-size slot queues, jobs from the serving fleet arrive under
-	// the described process (Poisson, bursty, diurnal) and the run reports
-	// per-job sojourn times. Mutually exclusive with Workload and Queues;
-	// Seed drives both the arrival schedule and per-job process seeds.
-	// Arrivals-based specs are serializable, so they shard (Serve) like
-	// Queues-based ones. Every arrivals run uses the scheduler's overcommit
-	// dispatcher, so oversubscribed core types time-multiplex fractional
-	// shares instead of starving the run queue tail.
-	Arrivals *ArrivalSpec
-	// DurationSec is the run length in simulated seconds. For arrivals
+	// Workload describes the run's jobs by their construction recipe (the
+	// paper's §IV-A2 slot queues): a suite draw of Slots queues of QueueLen
+	// jobs from Seed, the alternation-rate axis (Alternations), a named
+	// fleet (Fleet), or, with Arrivals set, the open-system serving form,
+	// whose arrival schedule Workload.Seed drives. The session materializes
+	// it against its own suite, and the spec stays serializable, so the
+	// same RunSpec runs locally (Sweep) or on the fabric (Serve). Every
+	// serving run uses the scheduler's overcommit dispatcher, so
+	// oversubscribed core types time-multiplex fractional shares instead of
+	// starving the run queue tail.
+	Workload WorkloadSpec
+	// DurationSec is the run length in simulated seconds. For serving
 	// runs, keep it comfortably past ArrivalSpec.HorizonSec so admitted
 	// jobs can drain.
 	DurationSec float64
@@ -209,7 +202,7 @@ type RunSpec struct {
 }
 
 // Suite returns the benchmark suite for the session's cost model and
-// machine, generated once per session and reused. Queues-based run specs
+// machine, generated once per session and reused. Suite-drawn run specs
 // build their workloads against it.
 func (s *Session) Suite() ([]*Benchmark, error) {
 	s.suiteOnce.Do(func() {
@@ -226,32 +219,21 @@ func (s *Session) env() dist.EnvSpec {
 }
 
 // wireSpec is the one lowering of a run spec onto the fabric's wire form:
-// it takes the session's tuning, online and placement configurations,
-// lowers the policy onto them (sim.Policy.Lower), and folds Arrivals into
-// the workload description. Local runs and fabric campaigns both go through
-// it, which is why a fabric's merged output is byte-identical to a local
-// Sweep. A built Workload has no wire form; its Spec carries zero Queues.
+// it takes the session's tuning, online and placement configurations and
+// lowers the policy onto them (sim.Policy.Lower). Local runs and fabric
+// campaigns both go through it, which is why a fabric's merged output is
+// byte-identical to a local Sweep.
 func (s *Session) wireSpec(spec RunSpec) (dist.Spec, error) {
-	queues := spec.Queues
-	if spec.Arrivals != nil {
-		if spec.Workload != nil || queues != nil {
-			return dist.Spec{}, fmt.Errorf("phasetune: RunSpec.Arrivals is mutually exclusive with Workload and Queues")
-		}
-		queues = &WorkloadSpec{Seed: spec.Seed, Arrivals: spec.Arrivals}
-	}
-	if spec.Workload == nil && queues == nil {
-		return dist.Spec{}, ErrNeedQueues
+	if spec.Workload.Slots == 0 && spec.Workload.Arrivals == nil {
+		return dist.Spec{}, fmt.Errorf("phasetune: RunSpec.Workload sets neither Slots nor Arrivals")
 	}
 	if spec.Policy < PolicyNone || spec.Policy > PolicyOverhead {
 		return dist.Spec{}, fmt.Errorf("phasetune: unknown %s", spec.Policy)
 	}
 	sp := dist.Spec{
-		DurationSec: spec.DurationSec, Params: spec.Params,
+		Queues: spec.Workload, DurationSec: spec.DurationSec, Params: spec.Params,
 		Tuning: s.tuning, Online: s.online, Placement: s.placement,
 		TypingError: spec.TypingError, Seed: spec.Seed,
-	}
-	if spec.Workload == nil {
-		sp.Queues = *queues
 	}
 	sp.Mode = spec.Policy.Lower(&sp.Params, &sp.Tuning, &sp.Online)
 	return sp, nil
@@ -259,26 +241,21 @@ func (s *Session) wireSpec(spec RunSpec) (dist.Spec, error) {
 
 // runConfig lowers a spec onto the session environment through the wire
 // form, exactly as a fabric worker does, then attaches the session's
-// process-local observers. Only a built Workload skips
-// materialization, and only suite-drawn workloads generate the suite.
+// process-local observers. Only suite-drawn workloads generate the suite.
 func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
 	sp, err := s.wireSpec(spec)
 	if err != nil {
 		return sim.RunConfig{}, err
 	}
-	var cfg sim.RunConfig
-	if spec.Workload != nil {
-		cfg = s.env().BuiltRunConfig(sp, spec.Workload, s.cache)
-	} else {
-		var suite []*Benchmark
-		if q := sp.Queues; q.Arrivals == nil && q.Alternations <= 0 && q.Fleet == "" {
-			if suite, err = s.Suite(); err != nil {
-				return sim.RunConfig{}, err
-			}
-		}
-		if cfg, err = s.env().RunConfig(sp, suite, s.cache); err != nil {
+	var suite []*Benchmark
+	if q := sp.Queues; q.Arrivals == nil && q.Alternations <= 0 && q.Fleet == "" {
+		if suite, err = s.Suite(); err != nil {
 			return sim.RunConfig{}, err
 		}
+	}
+	cfg, err := s.env().RunConfig(sp, suite, s.cache)
+	if err != nil {
+		return sim.RunConfig{}, err
 	}
 	cfg.Events, cfg.Trace = s.events, s.tracer
 	return cfg, nil

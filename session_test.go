@@ -59,7 +59,7 @@ func TestMeasureIPCPricesEachTypeAtItsL2Group(t *testing.T) {
 // run with an error instead of indexing past the table.
 func TestRunRejectsUnknownPolicy(t *testing.T) {
 	spec := phasetune.RunSpec{
-		Queues:      &phasetune.WorkloadSpec{Slots: 1, QueueLen: 1, Seed: 1},
+		Workload:    phasetune.WorkloadSpec{Slots: 1, QueueLen: 1, Seed: 1},
 		DurationSec: 1, Policy: phasetune.PolicyOverhead + 1, Seed: 1,
 	}
 	if _, err := phasetune.NewSession().Run(spec); err == nil {

@@ -20,17 +20,8 @@ import (
 //
 // Session event hooks (WithEvents) fire from each run's worker goroutine,
 // so during a sweep they run concurrently and carry no run identity; hooks
-// must be safe for concurrent use. For per-run attribution use SweepFunc.
+// must be safe for concurrent use.
 func (s *Session) Sweep(ctx context.Context, specs []RunSpec) ([]*RunResult, error) {
-	return s.SweepFunc(ctx, specs, nil)
-}
-
-// SweepFunc is Sweep with a completion callback: done fires after each run
-// finishes (from the worker's goroutine), with the spec's input index. Use
-// it for progress reporting over long grids.
-func (s *Session) SweepFunc(ctx context.Context, specs []RunSpec,
-	done func(index int, res *RunResult, err error)) ([]*RunResult, error) {
-
 	grid := make([]sim.RunConfig, len(specs))
 	for i, spec := range specs {
 		cfg, err := s.runConfig(spec)
@@ -39,5 +30,5 @@ func (s *Session) SweepFunc(ctx context.Context, specs []RunSpec,
 		}
 		grid[i] = cfg
 	}
-	return sim.Sweep(ctx, grid, sim.SweepOptions{Workers: s.workers, OnDone: done})
+	return sim.Sweep(ctx, grid, sim.SweepOptions{Workers: s.workers})
 }

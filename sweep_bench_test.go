@@ -14,12 +14,7 @@ import (
 
 // benchSweepSpecs builds the shared grid: 3 technique variants x 2 seeds,
 // 4-slot workloads over the full suite, 10 simulated seconds.
-func benchSweepSpecs(b *testing.B) []phasetune.RunSpec {
-	b.Helper()
-	suite, err := phasetune.Suite()
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchSweepSpecs() []phasetune.RunSpec {
 	variants := []phasetune.TechniqueParams{
 		phasetune.BestParams(),
 		{Technique: phasetune.BasicBlock, MinSize: 15, PropagateThroughUntyped: true},
@@ -27,7 +22,7 @@ func benchSweepSpecs(b *testing.B) []phasetune.RunSpec {
 	}
 	var specs []phasetune.RunSpec
 	for _, seed := range []uint64{1, 2} {
-		w := phasetune.NewWorkload(suite, 4, 8, seed)
+		w := phasetune.WorkloadSpec{Slots: 4, QueueLen: 8, Seed: seed}
 		for _, params := range variants {
 			specs = append(specs, phasetune.RunSpec{
 				Workload: w, DurationSec: 10, Policy: phasetune.PolicyStatic,
@@ -42,7 +37,7 @@ func benchSweepSpecs(b *testing.B) []phasetune.RunSpec {
 // fresh session, so it re-executes the full static pipeline for every
 // benchmark in every run.
 func BenchmarkGridSequential(b *testing.B) {
-	specs := benchSweepSpecs(b)
+	specs := benchSweepSpecs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,7 +54,7 @@ func BenchmarkGridSequential(b *testing.B) {
 // artifact is prepared once per session — later sweeps of the campaign do
 // no static-pipeline work at all.
 func BenchmarkGridSweep(b *testing.B) {
-	specs := benchSweepSpecs(b)
+	specs := benchSweepSpecs()
 	sess := phasetune.NewSession()
 	b.ReportAllocs()
 	b.ResetTimer()

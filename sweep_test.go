@@ -11,13 +11,12 @@ import (
 // sweepGrid is a small but representative spec grid: two seeds, baseline
 // plus two technique families, exercising shared-workload comparisons and
 // distinct artifacts.
-func sweepGrid(t testing.TB, suite []*phasetune.Benchmark) []phasetune.RunSpec {
-	t.Helper()
+func sweepGrid() []phasetune.RunSpec {
 	loop45 := phasetune.BestParams()
 	bb15 := phasetune.TechniqueParams{Technique: phasetune.BasicBlock, MinSize: 15, PropagateThroughUntyped: true}
 	var specs []phasetune.RunSpec
 	for _, seed := range []uint64{1, 2} {
-		w := phasetune.NewWorkload(suite, 4, 8, seed)
+		w := phasetune.WorkloadSpec{Slots: 4, QueueLen: 8, Seed: seed}
 		specs = append(specs,
 			phasetune.RunSpec{Workload: w, DurationSec: 15, Policy: phasetune.PolicyNone, Seed: seed},
 			phasetune.RunSpec{Workload: w, DurationSec: 15, Policy: phasetune.PolicyStatic, Params: loop45, Seed: seed},
@@ -44,11 +43,7 @@ func encode(t testing.TB, res *phasetune.RunResult) []byte {
 // sequential loop over one fresh session per run (which shares nothing and
 // re-runs the static pipeline every time).
 func TestSweepMatchesSequentialRun(t *testing.T) {
-	suite, err := phasetune.Suite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := sweepGrid(t, suite)
+	specs := sweepGrid()
 
 	// Sequential reference: nothing shared between runs.
 	var want [][]byte
@@ -97,7 +92,7 @@ func TestSweepInstrumentsOncePerBenchmarkTechnique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := sweepGrid(t, suite)
+	specs := sweepGrid()
 
 	// Expected pipeline executions: distinct (benchmark, kind) pairs over
 	// the grid, where kind is baseline or the technique params. Error
@@ -111,7 +106,7 @@ func TestSweepInstrumentsOncePerBenchmarkTechnique(t *testing.T) {
 	requests := 0
 	for _, spec := range specs {
 		seen := map[string]bool{}
-		for _, slot := range spec.Workload.Slots {
+		for _, slot := range spec.Workload.Build(suite).Slots {
 			for _, b := range slot {
 				if seen[b.Name()] {
 					continue
@@ -148,15 +143,11 @@ func TestSweepInstrumentsOncePerBenchmarkTechnique(t *testing.T) {
 
 // TestRunContextCancellation asserts a cancelled context aborts a run.
 func TestRunContextCancellation(t *testing.T) {
-	suite, err := phasetune.Suite()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sess := phasetune.NewSession()
-	_, err = sess.RunContext(ctx, phasetune.RunSpec{
-		Workload: phasetune.NewWorkload(suite, 4, 8, 1), DurationSec: 1000, Seed: 1,
+	_, err := sess.RunContext(ctx, phasetune.RunSpec{
+		Workload: phasetune.WorkloadSpec{Slots: 4, QueueLen: 8, Seed: 1}, DurationSec: 1000, Seed: 1,
 	})
 	if err != context.Canceled {
 		t.Fatalf("RunContext with cancelled ctx = %v, want context.Canceled", err)

@@ -15,7 +15,10 @@ import (
 // admission timers).
 func traceSpec(machine *phasetune.Machine) phasetune.RunSpec {
 	arr := phasetune.ServingArrivals(machine, phasetune.ArrivalPoisson, 1.2, 6)
-	return phasetune.RunSpec{Arrivals: &arr, DurationSec: 8, Policy: phasetune.PolicyHybrid, Seed: 3}
+	return phasetune.RunSpec{
+		Workload:    phasetune.WorkloadSpec{Seed: 3, Arrivals: &arr},
+		DurationSec: 8, Policy: phasetune.PolicyHybrid, Seed: 3,
+	}
 }
 
 func traceSession(machine *phasetune.Machine, tr *phasetune.Tracer) *phasetune.Session {
