@@ -46,6 +46,23 @@ func TestServeRejectsUnserializableSpecs(t *testing.T) {
 	}
 }
 
+// TestServeRejectsEmptyQueues: a closed workload whose slots queue no jobs
+// is refused before the coordinator listens, as Run and Sweep refuse it.
+func TestServeRejectsEmptyQueues(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	listened := false
+	spec := phasetune.RunSpec{Workload: phasetune.WorkloadSpec{Slots: 2, Seed: 1}, DurationSec: 1, Seed: 1}
+	_, err := phasetune.Serve(ctx, phasetune.NewSession(), []phasetune.RunSpec{spec},
+		phasetune.ServeOptions{Addr: "127.0.0.1:0", OnListen: func(string) { listened = true; cancel() }})
+	if err == nil || !strings.Contains(err.Error(), "QueueLen must be at least 1") {
+		t.Errorf("error %v, want the empty-queue refusal", err)
+	}
+	if listened {
+		t.Error("Serve listened before rejecting the spec")
+	}
+}
+
 // TestServeAndWorkLoopback is the public fabric contract over loopback
 // HTTP: Serve coordinates, two Work goroutines execute (wire specs,
 // per-worker caches, deterministic merge), and the merged results match a

@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
 	"phasetune/internal/amp"
 	"phasetune/internal/prog"
+	"phasetune/internal/sim"
 	"phasetune/internal/workload"
 )
 
@@ -47,6 +49,7 @@ func TestRunConfigRejectsBadQueues(t *testing.T) {
 		{"negative queue_len", 4, -1, "negative queues"},
 		{"both negative", -3, -2, "negative queues"},
 		{"over ceiling", workload.MaxQueuedJobs, 2, "ceiling"},
+		{"empty queues", 2, 0, "QueueLen must be at least 1"},
 	}
 	for form, q := range forms {
 		for _, l := range lengths {
@@ -70,6 +73,19 @@ func TestRunConfigRejectsBadQueues(t *testing.T) {
 				t.Fatalf("RunConfig(%+v) error = %v, want an arrivals error", a, err)
 			}
 		})
+	}
+}
+
+// TestWorkerRefusesEmptyQueues: a closed spec whose slots queue no jobs
+// fails on the fabric — the worker reports the refusal and the campaign
+// fails — instead of committing an empty Result.
+func TestWorkerRefusesEmptyQueues(t *testing.T) {
+	camp := Campaign{Env: testCampaign().Env, Specs: []Spec{
+		{Queues: workload.Spec{Slots: 2, Seed: 1}, DurationSec: 1, Mode: sim.Baseline, Seed: 1},
+	}}
+	_, err := RunLocal(context.Background(), camp, LocalOptions{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "QueueLen must be at least 1") {
+		t.Fatalf("RunLocal error = %v, want the empty-queue refusal", err)
 	}
 }
 

@@ -129,6 +129,7 @@ type Task struct {
 	// State is the lifecycle state.
 	State TaskState
 
+	idx           int32 // index in Kernel.tasks: how run queues and events name the task
 	core          int   // current core (queue membership or running)
 	pendingCycles int64 // penalty cycles charged at next run (switch costs)
 	pendMonitor   int64 // portion of pendingCycles that is monitoring cost (Penalize)
@@ -167,20 +168,36 @@ type evKind uint8
 
 const (
 	evDispatch evKind = iota
-	evArrive
+	// evBurstEnd ends a burst that did not exit: the task arrives on core
+	// to, then core dispatches its next burst. It is the two events the
+	// burst would otherwise push at the same picosecond with consecutive
+	// sequence numbers, and nothing can sort between those.
+	evBurstEnd
 	evBalance
 	evSample
 	evMonitor
 	evTimer
 )
 
+// event is one pending kernel event, ordered by (ps, seq). It holds no
+// pointers — tasks and timer callbacks are named by index — so moving
+// events around the heap costs the garbage collector no write barriers,
+// and it packs into 24 bytes.
 type event struct {
 	ps   int64
 	seq  uint64
+	ref  int32 // task index (evBurstEnd) or timer index (evTimer)
+	core uint8 // the core that dispatches (evDispatch, evBurstEnd)
+	to   uint8 // the core the task arrives on (evBurstEnd)
 	kind evKind
-	core int
-	task *Task
-	fn   func(*Kernel) // evTimer callback
+}
+
+// before orders events by (ps, seq).
+func (e event) before(o event) bool {
+	if e.ps != o.ps {
+		return e.ps < o.ps
+	}
+	return e.seq < o.seq
 }
 
 // eventHeap is a binary min-heap ordered by (ps, seq) with its own typed
@@ -190,12 +207,7 @@ type event struct {
 // An allocs-per-dispatch regression test pins this property.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].ps != h[j].ps {
-		return h[i].ps < h[j].ps
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return h[i].before(h[j]) }
 
 // push inserts an event and sifts it up.
 func (h *eventHeap) push(e event) {
@@ -219,7 +231,6 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // drop the task/fn pointers so the GC can reclaim them
 	s = s[:n]
 	*h = s
 	i := 0
@@ -241,21 +252,14 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-func (h eventHeap) Peek() (event, bool) {
-	if len(h) == 0 {
-		return event{}, false
-	}
-	return h[0], true
-}
-
 type coreState struct {
 	id       int
 	typ      amp.CoreTypeID
 	l2       int
 	shareKB  float64 // L2 capacity bursts here are priced at: the whole group's (no occupancy model)
-	queue    []*Task
-	busy     bool // a dispatch event is in flight for this core
-	lastTask *Task
+	queue    []int32 // task indices, head first
+	busy     bool    // a dispatch event is in flight for this core
+	lastTask int32   // index of the task that ran last here (-1: none yet)
 }
 
 // Kernel is the simulated machine plus operating system.
@@ -305,15 +309,23 @@ type Kernel struct {
 	// accumulator (ledger.Work) to each process it admits.
 	Ledger *ledger.Collector
 
-	params  []exec.CoreParams
-	fastPs  int64
-	cores   []coreState
-	events  eventHeap
-	seq     uint64
-	nowPs   int64
-	tasks   []*Task
-	live    int
-	nextPID int
+	params []exec.CoreParams
+	fastPs int64
+	cores  []coreState
+	events eventHeap
+	seq    uint64
+	// Timers registered in non-decreasing time order wait in fifo (from
+	// fifoHead on) instead of the heap; the run loops merge the two by
+	// (ps, seq). An open run registers every arrival up front in time
+	// order, so the heap keeps only the few kernel events in flight.
+	fifo       []event
+	fifoHead   int
+	timers     []func(*Kernel) // callbacks by timer index; nil once fired
+	freeTimers []int32         // fired timer indices, reused by At
+	nowPs      int64
+	tasks      []*Task
+	live       int
+	nextPID    int
 
 	memStats   *CacheStats // per-group residency accounting (nil = off)
 	memBoundKB float64     // working-set threshold classifying tasks as memory-bound
@@ -349,7 +361,7 @@ func NewKernel(m *amp.Machine, cost exec.CostModel, cfg Config) (*Kernel, error)
 	k.typeCores = make([]int, len(m.Types))
 	k.runnable = make([]int, len(m.Types))
 	for _, c := range m.Cores {
-		k.cores = append(k.cores, coreState{id: c.ID, typ: c.Type, l2: c.L2, shareKB: m.L2s[c.L2].SizeKB})
+		k.cores = append(k.cores, coreState{id: c.ID, typ: c.Type, l2: c.L2, shareKB: m.L2s[c.L2].SizeKB, lastTask: -1})
 		k.typeCores[c.Type]++
 	}
 	// Fastest clock: prices the ledger's useful-work counterfactual and
@@ -427,19 +439,45 @@ func (k *Kernel) Params() []exec.CoreParams { return k.params }
 // FastPs returns the picoseconds per cycle of the machine's fastest clock.
 func (k *Kernel) FastPs() int64 { return k.fastPs }
 
-// push schedules an event.
+// push schedules an event. core is the dispatching core (evDispatch);
+// the periodic events ignore it.
 func (k *Kernel) push(ps int64, kind evKind, core int) {
 	k.seq++
-	k.events.push(event{ps: ps, seq: k.seq, kind: kind, core: core})
+	k.events.push(event{ps: ps, seq: k.seq, kind: kind, core: uint8(core)})
 }
 
-// pushArrive schedules a task arrival: the task is in flight (its burst
-// occupies the simulated interval up to ps) and joins the core's queue only
-// when the clock reaches ps. Routing every requeue through an arrival event
-// is what keeps a task from being visible in two places at once.
-func (k *Kernel) pushArrive(ps int64, t *Task, core int) {
+// pushBurstEnd schedules the end of a burst that did not exit: the task is
+// in flight (its burst occupies the simulated interval up to ps) and joins
+// core to's queue only when the clock reaches ps, and then core dispatches
+// again. Routing every requeue through the burst's end is what keeps a
+// task from being visible in two places at once.
+func (k *Kernel) pushBurstEnd(ps int64, t *Task, to, core int) {
 	k.seq++
-	k.events.push(event{ps: ps, seq: k.seq, kind: evArrive, core: core, task: t})
+	k.events.push(event{ps: ps, seq: k.seq, kind: evBurstEnd, ref: t.idx, core: uint8(core), to: uint8(to)})
+}
+
+// next returns the earliest pending event, merging the heap with the timer
+// FIFO by (ps, seq); inFifo says which of the two holds it, for drop.
+func (k *Kernel) next() (e event, inFifo, ok bool) {
+	if k.fifoHead < len(k.fifo) {
+		f := k.fifo[k.fifoHead]
+		if len(k.events) == 0 || f.before(k.events[0]) {
+			return f, true, true
+		}
+	}
+	if len(k.events) == 0 {
+		return event{}, false, false
+	}
+	return k.events[0], false, true
+}
+
+// drop removes the event next returned.
+func (k *Kernel) drop(inFifo bool) {
+	if inFifo {
+		k.fifoHead++
+	} else {
+		k.events.pop()
+	}
 }
 
 // Spawn creates a task for the process and enqueues it. The affinity mask 0
@@ -456,6 +494,7 @@ func (k *Kernel) Spawn(p *exec.Process, name string, slot int, affinity uint64) 
 		ArrivalPs:    k.nowPs,
 		CompletionPs: -1,
 		State:        TaskReady,
+		idx:          int32(len(k.tasks)),
 		core:         -1,
 		lastQueuedPs: k.nowPs,
 	}
@@ -555,11 +594,11 @@ func (k *Kernel) enqueue(t *Task, core int) {
 		t.arriveHead = false
 		// Shift in place rather than rebuilding the slice: queues keep
 		// their capacity, so steady-state enqueueing never allocates.
-		cs.queue = append(cs.queue, nil)
+		cs.queue = append(cs.queue, 0)
 		copy(cs.queue[1:], cs.queue)
-		cs.queue[0] = t
+		cs.queue[0] = t.idx
 	} else {
-		cs.queue = append(cs.queue, t)
+		cs.queue = append(cs.queue, t.idx)
 	}
 	if !cs.busy {
 		cs.busy = true
@@ -586,7 +625,7 @@ func (k *Kernel) RunCancellable(untilSec float64, cancelled func() bool) bool {
 	k.ensurePeriodicEvents()
 	countdown := cancelCheckEvents
 	for {
-		e, ok := k.events.Peek()
+		e, inFifo, ok := k.next()
 		if !ok || e.ps > horizon {
 			return false
 		}
@@ -598,7 +637,7 @@ func (k *Kernel) RunCancellable(untilSec float64, cancelled func() bool) bool {
 				}
 			}
 		}
-		k.events.pop()
+		k.drop(inFifo)
 		if e.ps > k.nowPs {
 			k.nowPs = e.ps
 		}
@@ -612,14 +651,14 @@ func (k *Kernel) RunUntilDone(maxSec float64) error {
 	horizon := SecToPs(maxSec)
 	k.ensurePeriodicEvents()
 	for k.live > 0 {
-		e, ok := k.events.Peek()
+		e, inFifo, ok := k.next()
 		if !ok {
 			return fmt.Errorf("osched: %d tasks live but no events pending", k.live)
 		}
 		if e.ps > horizon {
 			return fmt.Errorf("osched: horizon %.1fs exceeded with %d tasks live", maxSec, k.live)
 		}
-		k.events.pop()
+		k.drop(inFifo)
 		if e.ps > k.nowPs {
 			k.nowPs = e.ps
 		}
@@ -637,9 +676,10 @@ func (k *Kernel) handle(e event) {
 	}
 	switch e.kind {
 	case evDispatch:
-		k.dispatch(e.core)
-	case evArrive:
-		k.enqueue(e.task, e.core)
+		k.dispatch(int(e.core))
+	case evBurstEnd:
+		k.enqueue(k.tasks[e.ref], int(e.to))
+		k.dispatch(int(e.core))
 	case evBalance:
 		k.balance()
 		k.push(k.nowPs+SecToPs(BalanceIntervalSec), evBalance, -1)
@@ -659,8 +699,11 @@ func (k *Kernel) handle(e event) {
 		if k.Trace != nil {
 			k.Trace.Instant("sched", "timer", trace.PidMachine, trace.TidKernel, k.nowPs)
 		}
-		if e.fn != nil {
-			e.fn(k)
+		fn := k.timers[e.ref]
+		k.timers[e.ref] = nil
+		k.freeTimers = append(k.freeTimers, e.ref)
+		if fn != nil {
+			fn(k)
 		}
 	}
 }
@@ -683,18 +726,39 @@ func (k *Kernel) traceRunnable() {
 
 // At schedules fn to run inside the event loop at the given simulated
 // time (clamped to now if in the past). Timers interleave with kernel
-// events deterministically through the (time, sequence) heap order, and
-// the clock is advanced before the callback fires, so a Spawn from a timer
-// stamps the task's arrival at exactly the timer's instant — which is how
-// open-system run drivers admit jobs (sim's arrival schedule). Pending
-// timers do not count as live tasks: RunUntilDone returns once tasks are
-// drained even if future timers remain queued.
+// events deterministically in (time, sequence) order, and the clock is
+// advanced before the callback fires, so a Spawn from a timer stamps the
+// task's arrival at exactly the timer's instant — which is how open-system
+// run drivers admit jobs (sim's arrival schedule). A timer no earlier than
+// the last one still waiting in the FIFO joins the FIFO's tail in O(1);
+// an out-of-order one goes to the event heap. Pending timers do not count
+// as live tasks: RunUntilDone returns once tasks are drained even if
+// future timers remain queued.
 func (k *Kernel) At(ps int64, fn func(*Kernel)) {
 	if ps < k.nowPs {
 		ps = k.nowPs
 	}
+	var ref int32
+	if n := len(k.freeTimers); n > 0 {
+		ref = k.freeTimers[n-1]
+		k.freeTimers = k.freeTimers[:n-1]
+		k.timers[ref] = fn
+	} else {
+		ref = int32(len(k.timers))
+		k.timers = append(k.timers, fn)
+	}
 	k.seq++
-	k.events.push(event{ps: ps, seq: k.seq, kind: evTimer, fn: fn})
+	e := event{ps: ps, seq: k.seq, kind: evTimer, ref: ref}
+	if h := k.fifoHead; h > 0 && 2*h >= len(k.fifo) {
+		// Slide the waiting timers down so fired ones free their slots.
+		n := copy(k.fifo, k.fifo[h:])
+		k.fifo, k.fifoHead = k.fifo[:n], 0
+	}
+	if n := len(k.fifo); n > k.fifoHead && ps < k.fifo[n-1].ps {
+		k.events.push(e)
+		return
+	}
+	k.fifo = append(k.fifo, e)
 }
 
 // ensurePeriodicEvents seeds the balance and sample events once.
@@ -730,16 +794,16 @@ func (k *Kernel) dispatch(core int) {
 		cs.busy = false
 		return
 	}
-	t := cs.queue[0]
+	t := k.tasks[cs.queue[0]]
 	// Pop by shifting down, not by reslicing off the front: reslicing
 	// strands the popped slot's capacity, so every queue would reallocate
 	// on append at a steady cadence. Shifting keeps the buffer anchored
 	// and the hot loop allocation-free. Queues are not always short: at
 	// 1.5× offered load a quad run holds 166–174 live tasks on 4 cores in
 	// the bench's serving grid (333 in a 200 s ampsim run), so a queue can
-	// be tens of tasks deep, and each pop copies that many pointers.
+	// be tens of tasks deep. Each pop moves that many int32 task indices,
+	// a plain memmove: the queue holds no pointers, so no write barriers.
 	n := copy(cs.queue, cs.queue[1:])
-	cs.queue[n] = nil
 	cs.queue = cs.queue[:n]
 	t.State = TaskRunning
 	queueWaitPs := k.nowPs - t.lastQueuedPs
@@ -779,11 +843,11 @@ func (k *Kernel) dispatch(core int) {
 		used += t.pendingCycles
 		t.pendingCycles, t.pendMonitor = 0, 0
 	}
-	if cs.lastTask != t && cs.lastTask != nil {
+	if cs.lastTask != t.idx && cs.lastTask >= 0 {
 		ctxCycles = ContextSwitchCycles
 		used += ctxCycles
 	}
-	cs.lastTask = t
+	cs.lastTask = t.idx
 
 	instrBefore := t.Proc.Counters.Instructions
 	// The share is constant for the whole burst, which is what lets it
@@ -901,6 +965,9 @@ func (k *Kernel) dispatch(core int) {
 			k.OnExit(k, t)
 			k.nowPs = saved
 		}
+		// The core's next dispatch, sequenced after any Spawn from OnExit
+		// (a live task's burst end carries it instead).
+		k.push(end, evDispatch, core)
 	case migrate:
 		t.Migrations++
 		t.pendingCycles += CoreSwitchCycles
@@ -911,15 +978,13 @@ func (k *Kernel) dispatch(core int) {
 				trace.Arg{Key: "from", Value: core},
 				trace.Arg{Key: "to", Value: target})
 		}
-		k.pushArrive(end, t, target)
+		k.pushBurstEnd(end, t, target, core)
 	default:
 		// Slice expired: round-robin on the same core (or follow affinity if
 		// it moved under us without excluding this core). The task stays in
 		// flight until the burst's end.
-		k.pushArrive(end, t, core)
+		k.pushBurstEnd(end, t, core, core)
 	}
-
-	k.push(end, evDispatch, core)
 }
 
 // balance is the periodic load balancer: queue-length equalization honoring
@@ -945,7 +1010,7 @@ func (k *Kernel) balance() {
 		q := k.cores[src].queue
 		moved := false
 		for i := len(q) - 1; i >= 0; i-- {
-			t := q[i]
+			t := k.tasks[q[i]]
 			if t.Affinity&(1<<uint(dst)) == 0 {
 				continue
 			}
@@ -997,7 +1062,7 @@ func (k *Kernel) SetAffinity(t *Task, mask uint64) {
 func (k *Kernel) removeFromQueue(t *Task) {
 	q := k.cores[t.core].queue
 	for i, qt := range q {
-		if qt == t {
+		if qt == t.idx {
 			k.cores[t.core].queue = append(q[:i], q[i+1:]...)
 			return
 		}

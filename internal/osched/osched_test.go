@@ -390,3 +390,42 @@ func TestConfigValidateRejectsStallingPeriods(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkKernelOpenArrivals times an open run's event loop: 300 short
+// jobs admitted by timers registered up front in arrival order, as sim
+// admits an arrival schedule, on an overcommitted quad kernel (arrivals
+// outpace the four cores, so queues run several deep).
+func BenchmarkKernelOpenArrivals(b *testing.B) {
+	cost := exec.DefaultCostModel()
+	imgs := make([]*exec.Image, 2)
+	for i, p := range []*prog.Program{computeProgram(2e3), memoryProgram(1e3)} {
+		img, err := exec.NewImage(p, nil, cost)
+		if err != nil {
+			b.Fatal(err)
+		}
+		imgs[i] = img
+	}
+	const jobs = 300
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k, err := NewKernel(amp.Quad2Fast2Slow(), cost, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		k.Overcommit = true
+		for j := 0; j < jobs; j++ {
+			img := imgs[j%len(imgs)]
+			seed := uint64(j + 1)
+			k.At(SecToPs(0.0002*float64(j)), func(k *Kernel) {
+				k.Spawn(exec.NewProcess(k.NextPID(), img, &k.Cost, seed, nil), img.Prog.Name, j, 0)
+			})
+		}
+		k.Run(0.0002 * jobs) // admit every job
+		if err := k.RunUntilDone(1e4); err != nil {
+			b.Fatal(err)
+		}
+		if len(k.Tasks()) != jobs || k.PeakLive() <= 4 {
+			b.Fatalf("%d of %d jobs admitted, peak %d live: not overcommitted", len(k.Tasks()), jobs, k.PeakLive())
+		}
+	}
+}

@@ -141,3 +141,63 @@ func TestKernelTraceEvents(t *testing.T) {
 		t.Fatal("two identical traced runs exported different bytes")
 	}
 }
+
+// TestTimersFireInSeqOrder pins the merge of the timer FIFO with the event
+// heap: timers registered out of time order, at the same picosecond as one
+// another and as a burst's end, fire in (ps, seq) order — those registered
+// before the burst was dispatched ahead of its end, those registered after
+// it behind.
+func TestTimersFireInSeqOrder(t *testing.T) {
+	// The first burst's end, read off a twin kernel's pending events.
+	probe := newKernel(t)
+	spawnProg(t, probe, computeProgram(5e7), 1)
+	probe.Run(0)
+	end := int64(-1)
+	for _, e := range probe.events {
+		if e.kind == evBurstEnd {
+			end = e.ps
+		}
+	}
+	if end <= 0 {
+		t.Fatal("no burst end pending after the first dispatch")
+	}
+
+	k := newKernel(t)
+	task := spawnProg(t, k, computeProgram(5e7), 1)
+	type firing struct {
+		name  string
+		ps    int64
+		ended bool // the burst ending at end had requeued the task
+	}
+	var fired []firing
+	mark := func(name string) func(*Kernel) {
+		return func(k *Kernel) {
+			fired = append(fired, firing{name, k.NowPs(), task.lastQueuedPs == end})
+		}
+	}
+	k.At(end+10, mark("c")) // FIFO
+	k.At(end, mark("a"))    // earlier than the FIFO's tail: heap
+	k.At(end, mark("b"))    // same picosecond as a
+	k.At(end-10, mark("z"))
+	k.Run(0)             // dispatches the burst that ends at end
+	k.At(end, mark("d")) // same picosecond as the burst end, sequenced after it
+	k.At(end+10, mark("e"))
+	k.Run(PsToSec(end) + 0.01)
+
+	want := []firing{
+		{"z", end - 10, false},
+		{"a", end, false},
+		{"b", end, false},
+		{"d", end, true},
+		{"c", end + 10, true},
+		{"e", end + 10, true},
+	}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+}

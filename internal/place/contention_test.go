@@ -2,6 +2,7 @@ package place
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -202,7 +203,7 @@ func TestRelieveRespectsQuotaBand(t *testing.T) {
 func TestArbitratePricedDeterministic(t *testing.T) {
 	e := NewEngine(hex(), 0.15, Config{Contention: &ContentionConfig{}})
 	claims := herdClaims(e)
-	first := e.Arbitrate(claims)
+	first := slices.Clone(e.Arbitrate(claims)) // the engine reuses its result buffer
 	for i := 0; i < 5; i++ {
 		if got := e.Arbitrate(claims); !reflect.DeepEqual(got, first) {
 			t.Fatalf("pass %d diverged: %v vs %v", i, got, first)
@@ -216,7 +217,7 @@ func TestArbitratePricedStableUnderReassignment(t *testing.T) {
 	// assignment is a fixed point, not an oscillator.
 	e := NewEngine(hex(), 0.15, Config{Contention: &ContentionConfig{}})
 	claims := herdClaims(e)
-	assigned := e.Arbitrate(claims)
+	assigned := slices.Clone(e.Arbitrate(claims)) // the engine reuses its result buffer
 	for i := range claims {
 		claims[i].Prev, claims[i].HasPrev = assigned[i], true
 	}

@@ -42,6 +42,7 @@
 package place
 
 import (
+	"slices"
 	"sort"
 
 	"phasetune/internal/amp"
@@ -78,6 +79,11 @@ const (
 // 3% never masks a real difference.
 const tieEps = 0.03
 
+// maxInsertion is the length up to which sort.Slice sorts by plain
+// insertion sort (pdqsort's cutoff); Select runs that algorithm itself on
+// a stack array for machines with this many core types or fewer.
+const maxInsertion = 12
+
 // Select is the paper's Algorithm 2 generalized over core *types* (§VI-C
 // reduces many-core machines to a few types): sort candidates by measured
 // IPC ascending; start from the lowest; step to the next candidate only when
@@ -89,22 +95,30 @@ func Select(machine *amp.Machine, f []float64, delta float64) amp.CoreTypeID {
 	if n == 0 {
 		return 0
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	var buf [maxInsertion]int
+	var order []int
+	if n <= maxInsertion {
+		order = buf[:n]
+		for i := range order {
+			order[i] = i
+		}
+		// The tie window makes selectLess intransitive (a ties b and b ties
+		// c while a < c), so the order depends on the algorithm, not just
+		// the comparator: this is sort.Slice's insertion sort, step for
+		// step, and it allocates nothing.
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && selectLess(machine, f, order[j], order[j-1]); j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
+		}
+	} else {
+		big := make([]int, n)
+		for i := range big {
+			big[i] = i
+		}
+		sort.Slice(big, func(a, b int) bool { return selectLess(machine, f, big[a], big[b]) })
+		order = big
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := order[a], order[b]
-		hi := f[ca]
-		if f[cb] > hi {
-			hi = f[cb]
-		}
-		if d := f[ca] - f[cb]; d > tieEps*hi || d < -tieEps*hi {
-			return f[ca] < f[cb]
-		}
-		// Tie: faster type first.
-		return machine.Types[ca].FreqGHz > machine.Types[cb].FreqGHz
-	})
 	d := order[0]
 	for i := 0; i+1 < n; i++ {
 		theta := f[order[i+1]] - f[order[i]]
@@ -113,6 +127,20 @@ func Select(machine *amp.Machine, f []float64, delta float64) amp.CoreTypeID {
 		}
 	}
 	return amp.CoreTypeID(d)
+}
+
+// selectLess orders core types by measured IPC ascending, with IPCs within
+// tieEps relative ordered faster type first.
+func selectLess(machine *amp.Machine, f []float64, ca, cb int) bool {
+	hi := f[ca]
+	if f[cb] > hi {
+		hi = f[cb]
+	}
+	if d := f[ca] - f[cb]; d > tieEps*hi || d < -tieEps*hi {
+		return f[ca] < f[cb]
+	}
+	// Tie: faster type first.
+	return machine.Types[ca].FreqGHz > machine.Types[cb].FreqGHz
 }
 
 // Capacity is the core-type capacity model of one machine: per-type cycle
@@ -124,6 +152,7 @@ type Capacity struct {
 	fastType amp.CoreTypeID
 	slowType amp.CoreTypeID
 	numFast  int
+	masks    []uint64     // per-type affinity masks (amp.Machine.TypeMask)
 	groups   []typeGroups // per-type shared-L2 topology (contention pricing)
 }
 
@@ -138,6 +167,9 @@ func NewCapacity(m *amp.Machine) *Capacity {
 			c.slowType = amp.CoreTypeID(i)
 		}
 	}
+	for i := range m.Types {
+		c.masks = append(c.masks, m.TypeMask(amp.CoreTypeID(i)))
+	}
 	for _, core := range m.Cores {
 		cps := m.Types[core.Type].CyclesPerSec
 		c.typeCps[core.Type] += cps
@@ -151,6 +183,9 @@ func NewCapacity(m *amp.Machine) *Capacity {
 
 // Machine returns the described machine.
 func (c *Capacity) Machine() *amp.Machine { return c.machine }
+
+// TypeMask returns the affinity mask of every core of type t.
+func (c *Capacity) TypeMask(t amp.CoreTypeID) uint64 { return c.masks[t] }
 
 // NumTypes returns the core-type count.
 func (c *Capacity) NumTypes() int { return len(c.typeCps) }
@@ -172,12 +207,16 @@ func (c *Capacity) FastShare() float64 {
 // Quotas returns each type's capacity share of n tasks, rounded to nearest:
 // the demand level above which arbitration treats the type as oversubscribed.
 func (c *Capacity) Quotas(n int) []int {
-	out := make([]int, len(c.typeCps))
-	if c.totalCps == 0 {
-		return out
-	}
+	return c.quotas(make([]int, len(c.typeCps)), n)
+}
+
+// quotas is Quotas into out, which holds one entry per type.
+func (c *Capacity) quotas(out []int, n int) []int {
 	for i, cps := range c.typeCps {
-		out[i] = int(float64(n)*cps/c.totalCps + 0.5)
+		out[i] = 0
+		if c.totalCps != 0 {
+			out[i] = int(float64(n)*cps/c.totalCps + 0.5)
+		}
 	}
 	return out
 }
@@ -231,6 +270,20 @@ type claim struct {
 	placed   bool
 }
 
+// spill is one unpriced spill candidate: a claim index and the rate it
+// loses moving from one type to another.
+type spill struct {
+	loss float64
+	i    int32
+}
+
+// Per-pass state of one (over, under) type pair's spill candidates.
+const (
+	pairUnbuilt = iota // no spill from over to under yet this pass
+	pairHeap           // spills[pair] is a min-heap by (loss, index)
+	pairScan           // a NaN loss: the pair scans the claims each round
+)
+
 // Engine is the shared placement engine: Algorithm 2 decisions plus
 // registered-claim capacity arbitration. It is not safe for concurrent use;
 // every consumer runs inside the kernel's single-threaded event loop.
@@ -240,8 +293,16 @@ type Engine struct {
 	delta    float64
 
 	claims map[int]*claim
-	order  []int // claim ids in registration order (deterministic passes)
+	order  []*claim // registered claims in registration order (deterministic passes)
 	dirty  bool
+
+	// Arbitration buffers, reused by every pass.
+	pass     []Claim // rebalance's claims
+	assigned []amp.CoreTypeID
+	quota    []int
+	demand   []int
+	spills   [][]spill // per (over, under) pair, indexed over*types+under
+	pairs    []uint8   // per pair: pairUnbuilt, pairHeap or pairScan
 
 	tr *trace.Tracer
 }
@@ -250,11 +311,16 @@ type Engine struct {
 // Algorithm 2 threshold; cfg parameterizes arbitration (the zero value is
 // unpriced).
 func NewEngine(m *amp.Machine, delta float64, cfg Config) *Engine {
+	n := len(m.Types)
 	return &Engine{
 		capacity: NewCapacity(m),
 		priced:   cfg.Contention != nil,
 		delta:    delta,
 		claims:   map[int]*claim{},
+		quota:    make([]int, n),
+		demand:   make([]int, n),
+		spills:   make([][]spill, n*n),
+		pairs:    make([]uint8, n*n),
 	}
 }
 
@@ -298,30 +364,33 @@ func (e *Engine) Decide(ipc []float64) Decision {
 // little every sample, and re-arbitrating on each drift would churn
 // assignments machine-wide (the updated rates price the next natural
 // arbitration pass instead).
-func (e *Engine) Enter(id int, dec Decision) {
+func (e *Engine) Enter(id int, dec Decision) { e.enter(id, dec) }
+
+// enter is Enter, returning the claim.
+func (e *Engine) enter(id int, dec Decision) *claim {
 	if c, ok := e.claims[id]; ok {
 		if c.dec.Choice != dec.Choice {
 			e.dirty = true
 		}
 		c.dec = dec
-		return
+		return c
 	}
-	e.claims[id] = &claim{dec: dec}
-	e.order = append(e.order, id)
+	c := &claim{dec: dec}
+	e.claims[id] = c
+	e.order = append(e.order, c)
 	e.dirty = true
+	return c
 }
 
 // Leave withdraws a task's claim (process exit, phase under probe).
 func (e *Engine) Leave(id int) {
-	if _, ok := e.claims[id]; !ok {
+	c, ok := e.claims[id]
+	if !ok {
 		return
 	}
 	delete(e.claims, id)
-	for i, oid := range e.order {
-		if oid == id {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(e.order, c); i >= 0 {
+		e.order = slices.Delete(e.order, i, i+1)
 	}
 	e.dirty = true
 }
@@ -334,10 +403,16 @@ func (e *Engine) MaskFor(id int) uint64 {
 	if !ok {
 		return 0
 	}
+	return e.maskOf(c)
+}
+
+// maskOf returns a registered claim's arbitrated mask, re-arbitrating
+// first if claims changed.
+func (e *Engine) maskOf(c *claim) uint64 {
 	if e.dirty {
 		e.rebalance()
 	}
-	return e.capacity.machine.TypeMask(c.assigned)
+	return e.capacity.TypeMask(c.assigned)
 }
 
 // Place is the claim step every mark-driven runtime takes: it enters id's
@@ -345,9 +420,8 @@ func (e *Engine) MaskFor(id int) uint64 {
 // holds the task off dec.Choice — a knowing spill, which the cycle ledger
 // charges apart from misprediction.
 func (e *Engine) Place(id int, dec Decision) (mask uint64, spilled bool) {
-	e.Enter(id, dec)
-	mask = e.MaskFor(id)
-	return mask, mask != e.capacity.machine.TypeMask(dec.Choice)
+	mask = e.maskOf(e.enter(id, dec))
+	return mask, mask != e.capacity.TypeMask(dec.Choice)
 }
 
 // rebalance arbitrates all registered claims in registration order.
@@ -356,15 +430,15 @@ func (e *Engine) rebalance() {
 	if len(e.order) == 0 {
 		return
 	}
-	claims := make([]Claim, len(e.order))
-	for i, id := range e.order {
-		c := e.claims[id]
-		claims[i] = Claim{Dec: &c.dec, Prev: c.assigned, HasPrev: c.placed}
+	claims := e.pass[:0]
+	for _, c := range e.order {
+		claims = append(claims, Claim{Dec: &c.dec, Prev: c.assigned, HasPrev: c.placed})
 	}
+	e.pass = claims
 	assigned := e.Arbitrate(claims)
-	for i, id := range e.order {
-		e.claims[id].assigned = assigned[i]
-		e.claims[id].placed = true
+	for i, c := range e.order {
+		c.assigned = assigned[i]
+		c.placed = true
 	}
 }
 
@@ -376,10 +450,12 @@ func (e *Engine) rebalance() {
 // phase's measured per-type instruction rates, and a DRAM-bound task costs
 // ~nothing to run on a fast core (fixed wall-clock memory latency), so
 // memory phases spill to idle fast cores first. The pass is a pure function
-// of its inputs: identical claims always produce identical assignments.
+// of its inputs: identical claims always produce identical assignments. The
+// returned slice belongs to the engine and holds until its next pass.
 func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 	nTypes := e.capacity.NumTypes()
-	assigned := make([]amp.CoreTypeID, len(claims))
+	assigned := slices.Grow(e.assigned[:0], len(claims))[:len(claims)]
+	e.assigned = assigned
 	for i, c := range claims {
 		assigned[i] = c.Dec.Choice
 	}
@@ -387,11 +463,13 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 		return assigned
 	}
 
-	quota := e.capacity.Quotas(len(claims))
-	demand := make([]int, nTypes)
+	quota := e.capacity.quotas(e.quota, len(claims))
+	demand := e.demand
+	clear(demand)
 	for i := range claims {
 		demand[int(assigned[i])]++
 	}
+	clear(e.pairs)
 	if e.tr != nil {
 		e.tr.InstantNow("place", "arbitrate", trace.PidMachine, trace.TidKernel,
 			trace.Arg{Key: "claims", Value: len(claims)},
@@ -424,29 +502,14 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 			break
 		}
 		// Spill the claim whose measured rate loses least on the target
-		// type; prefer claims already assigned there (no new switch).
-		// Under contention pricing the loss compares *adjusted* rates at
-		// the projected occupancies — source crowded as-is, target with
-		// the spilled task added — so a memory phase leaving a thrashing
-		// group can price as a gain, not a loss.
-		best, bestLoss := -1, 0.0
-		for i := range claims {
-			if int(assigned[i]) != over {
-				continue
-			}
-			var loss float64
-			if e.priced {
-				loss = e.adjustedRate(claims[i].Dec, over, demand[over], bw) -
-					e.adjustedRate(claims[i].Dec, under, demand[under]+1, bw)
-			} else {
-				loss = claims[i].Dec.Rates[over] - claims[i].Dec.Rates[under]
-			}
-			if claims[i].HasPrev && int(claims[i].Prev) == under {
-				loss -= claims[i].Dec.Rates[over] * hysteresis
-			}
-			if best == -1 || loss < bestLoss {
-				best, bestLoss = i, loss
-			}
+		// type, the first such claim on a tie; prefer claims already
+		// assigned there (no new switch).
+		var best int
+		var bestLoss float64
+		if pair := over*nTypes + under; e.priced || e.pairs[pair] == pairScan {
+			best, bestLoss = e.scanSpill(claims, assigned, demand, over, under, bw)
+		} else {
+			best, bestLoss = e.popSpill(claims, assigned, over, under, pair)
 		}
 		if best == -1 {
 			break
@@ -466,6 +529,112 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 		e.relieve(claims, assigned, demand, quota, bw)
 	}
 	return assigned
+}
+
+// spillLoss is the rate an unpriced claim loses moving from type over to
+// type under, less the hysteresis discount when under is where it was.
+func spillLoss(c *Claim, over, under int) float64 {
+	loss := c.Dec.Rates[over] - c.Dec.Rates[under]
+	if c.HasPrev && int(c.Prev) == under {
+		loss -= c.Dec.Rates[over] * hysteresis
+	}
+	return loss
+}
+
+// scanSpill picks the spill from over to under by scanning every claim on
+// over. Under contention pricing the loss compares *adjusted* rates at the
+// projected occupancies — source crowded as-is, target with the spilled
+// task added — so a memory phase leaving a thrashing group can price as a
+// gain, not a loss. Those losses move with demand, so the priced pass
+// always scans.
+func (e *Engine) scanSpill(claims []Claim, assigned []amp.CoreTypeID, demand []int, over, under int, bw float64) (int, float64) {
+	best, bestLoss := -1, 0.0
+	for i := range claims {
+		if int(assigned[i]) != over {
+			continue
+		}
+		var loss float64
+		if e.priced {
+			loss = e.adjustedRate(claims[i].Dec, over, demand[over], bw) -
+				e.adjustedRate(claims[i].Dec, under, demand[under]+1, bw)
+			if claims[i].HasPrev && int(claims[i].Prev) == under {
+				loss -= claims[i].Dec.Rates[over] * hysteresis
+			}
+		} else {
+			loss = spillLoss(&claims[i], over, under)
+		}
+		if best == -1 || loss < bestLoss {
+			best, bestLoss = i, loss
+		}
+	}
+	return best, bestLoss
+}
+
+// popSpill picks the unpriced spill from over to under: the claim on over
+// with the least (loss, index), exactly what scanSpill would pick. An
+// unpriced loss depends only on the claim and the pair, never on demand,
+// so the pair's candidates are heaped once per pass, on its first spill.
+// Types only lose claims while over quota and only gain them while under
+// it, so a claim that leaves over never returns within the pass: a popped
+// claim no longer on over is skipped, and the rest stay in order. A NaN
+// loss has no place in that order (the scan keeps it only when it comes
+// first), so a pair holding one scans instead.
+func (e *Engine) popSpill(claims []Claim, assigned []amp.CoreTypeID, over, under, pair int) (int, float64) {
+	h := e.spills[pair]
+	if e.pairs[pair] == pairUnbuilt {
+		h = h[:0]
+		for i := range claims {
+			if int(assigned[i]) != over {
+				continue
+			}
+			loss := spillLoss(&claims[i], over, under)
+			if loss != loss {
+				e.pairs[pair] = pairScan
+				return e.scanSpill(claims, assigned, nil, over, under, 1)
+			}
+			h = append(h, spill{loss: loss, i: int32(i)})
+		}
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftDown(h, i)
+		}
+		e.pairs[pair] = pairHeap
+	}
+	for len(h) > 0 {
+		top := h[0]
+		n := len(h) - 1
+		h[0] = h[n]
+		h = h[:n]
+		siftDown(h, 0)
+		if int(assigned[top.i]) == over {
+			e.spills[pair] = h
+			return int(top.i), top.loss
+		}
+	}
+	e.spills[pair] = h
+	return -1, 0
+}
+
+// spillBefore orders spill candidates by (loss, index).
+func spillBefore(a, b spill) bool {
+	return a.loss < b.loss || (a.loss == b.loss && a.i < b.i)
+}
+
+// siftDown restores the min-heap property below h[i].
+func siftDown(h []spill, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && spillBefore(h[r], h[c]) {
+			c = r
+		}
+		if !spillBefore(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // AssignRanked places n utility-ranked tasks (index 0 = highest fast-core

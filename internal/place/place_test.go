@@ -2,6 +2,7 @@ package place
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -105,7 +106,7 @@ func TestArbitratePureAndDeterministic(t *testing.T) {
 			claims := randomClaims(r, m, 1+int(r.Uint64()%12))
 			snapshot := make([]Claim, len(claims))
 			copy(snapshot, claims)
-			a := e.Arbitrate(claims)
+			a := slices.Clone(e.Arbitrate(claims)) // the engine reuses its result buffer
 			b := e.Arbitrate(claims)
 			for i := range a {
 				if a[i] != b[i] {

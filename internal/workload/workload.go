@@ -754,13 +754,19 @@ func (s Spec) Build(suite []*Benchmark) *Workload {
 const MaxQueuedJobs = 1 << 20
 
 // Validate checks the closed-workload construction parameters: queue
-// lengths must be non-negative, Slots and Slots×QueueLen must each stay
-// within MaxQueuedJobs, and a named fleet must exist. Materialize calls it; open
-// specs (Arrivals set) leave Slots and QueueLen unused, and MaterializeOpen
-// validates their arrival process instead.
+// lengths must be non-negative, slots must queue at least one job each,
+// Slots and Slots×QueueLen must each stay within MaxQueuedJobs, and a
+// named fleet must exist. Materialize calls it; open specs (Arrivals set)
+// leave Slots and QueueLen unused, and MaterializeOpen validates their
+// arrival process instead.
 func (s Spec) Validate() error {
 	if s.Slots < 0 || s.QueueLen < 0 {
 		return fmt.Errorf("workload: negative queues (%d slots of %d jobs)", s.Slots, s.QueueLen)
+	}
+	if s.Arrivals == nil && s.Slots > 0 && s.QueueLen == 0 {
+		// Suite draws and fleets alike fill each slot with QueueLen jobs:
+		// without this the run would start nothing and report no error.
+		return fmt.Errorf("workload: %d slots of 0 jobs: QueueLen must be at least 1", s.Slots)
 	}
 	if s.Slots > MaxQueuedJobs || (s.QueueLen > 0 && s.Slots > MaxQueuedJobs/s.QueueLen) {
 		return fmt.Errorf("workload: %d slots of %d jobs exceed the %d-job ceiling", s.Slots, s.QueueLen, MaxQueuedJobs)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -166,6 +167,25 @@ func TestSpecValidateBoundsSlots(t *testing.T) {
 		if err := (Spec{Slots: MaxQueuedJobs, QueueLen: 1, Fleet: fleet}).Validate(); err != nil {
 			t.Errorf("fleet %q: the ceiling itself refused: %v", fleet, err)
 		}
+	}
+}
+
+// TestSpecValidateRefusesEmptyQueues: a closed spec with slots but no
+// jobs per slot would run empty without an error, on every closed form;
+// open specs leave both fields unused.
+func TestSpecValidateRefusesEmptyQueues(t *testing.T) {
+	for _, q := range []Spec{{Slots: 2}, {Slots: 1, Fleet: FleetAntagonist}, {Slots: 4, Alternations: 16}} {
+		if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "QueueLen must be at least 1") {
+			t.Errorf("%+v: error %v, want the empty-queue refusal", q, err)
+		}
+		q.QueueLen = 1
+		if err := q.Validate(); err != nil {
+			t.Errorf("%+v refused: %v", q, err)
+		}
+	}
+	open := Spec{Slots: 2, Arrivals: &ArrivalSpec{Kind: Poisson, RatePerSec: 1, HorizonSec: 1}}
+	if err := open.Validate(); err != nil {
+		t.Errorf("open spec refused for its unused QueueLen: %v", err)
 	}
 }
 

@@ -227,6 +227,11 @@ func (s *Session) wireSpec(spec RunSpec) (dist.Spec, error) {
 	if spec.Workload.Slots == 0 && spec.Workload.Arrivals == nil {
 		return dist.Spec{}, fmt.Errorf("phasetune: RunSpec.Workload sets neither Slots nor Arrivals")
 	}
+	if spec.Workload.Arrivals == nil {
+		if err := spec.Workload.Validate(); err != nil {
+			return dist.Spec{}, fmt.Errorf("phasetune: %w", err)
+		}
+	}
 	if spec.Policy < PolicyNone || spec.Policy > PolicyOverhead {
 		return dist.Spec{}, fmt.Errorf("phasetune: unknown %s", spec.Policy)
 	}

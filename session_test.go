@@ -1,6 +1,8 @@
 package phasetune_test
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"phasetune"
@@ -64,5 +66,22 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 	}
 	if _, err := phasetune.NewSession().Run(spec); err == nil {
 		t.Error("a run with an unknown policy was accepted")
+	}
+}
+
+// TestRunAndSweepRejectEmptyQueues: a closed workload whose slots queue no
+// jobs is refused with an error by Run and by Sweep, not run empty.
+func TestRunAndSweepRejectEmptyQueues(t *testing.T) {
+	spec := phasetune.RunSpec{
+		Workload:    phasetune.WorkloadSpec{Slots: 2, Seed: 1},
+		DurationSec: 1, Policy: phasetune.PolicyNone, Seed: 1,
+	}
+	sess := phasetune.NewSession()
+	if _, err := sess.Run(spec); err == nil || !strings.Contains(err.Error(), "QueueLen must be at least 1") {
+		t.Errorf("Run error = %v, want the empty-queue refusal", err)
+	}
+	if _, err := sess.Sweep(context.Background(), []phasetune.RunSpec{spec}); err == nil ||
+		!strings.Contains(err.Error(), "QueueLen must be at least 1") {
+		t.Errorf("Sweep error = %v, want the empty-queue refusal", err)
 	}
 }
