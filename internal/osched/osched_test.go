@@ -407,6 +407,7 @@ func BenchmarkKernelOpenArrivals(b *testing.B) {
 	}
 	const jobs = 300
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k, err := NewKernel(amp.Quad2Fast2Slow(), cost, Config{})
 		if err != nil {

@@ -338,6 +338,7 @@ func BenchmarkArbitrate(b *testing.B) {
 			e := NewEngine(m, 0.06, Config{})
 			claims := skewedClaims(rng.New(9), m, 170)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.Arbitrate(claims)
 			}
