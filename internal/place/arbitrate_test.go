@@ -235,7 +235,7 @@ func skewedClaims(r *rng.Source, m *amp.Machine, n int) []Claim {
 }
 
 // selectSortSlice is Select as it stood with sort.Slice: the reference
-// TestSelectMatchesSortSlice holds the in-place insertion sort to.
+// TestSelectMatchesSortSlice holds the allocation-free sort to.
 func selectSortSlice(machine *amp.Machine, f []float64, delta float64) amp.CoreTypeID {
 	n := len(f)
 	if n == 0 {
@@ -270,7 +270,8 @@ func selectSortSlice(machine *amp.Machine, f []float64, delta float64) amp.CoreT
 // the inputs where the comparator is intransitive: IPC vectors whose
 // entries sit within tieEps of one another (chains of ties that do not
 // tie end to end), machines whose types share a clock, and type counts
-// on both sides of the insertion-sort cutoff.
+// on both sides of pdqsort's insertion-sort cutoff (12) and of Select's
+// stack array (8).
 func TestSelectMatchesSortSlice(t *testing.T) {
 	r := rng.New(17)
 	clocks := [][]float64{{3.2, 2.4, 1.6}, {2, 2, 2}, {2, 1, 2}, {1, 3, 3}}

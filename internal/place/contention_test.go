@@ -116,7 +116,7 @@ func TestArbitrateUnpricedIgnoresMemStats(t *testing.T) {
 		}
 		return claims
 	}
-	plain := e.Arbitrate(mkClaims(false))
+	plain := slices.Clone(e.Arbitrate(mkClaims(false))) // the engine reuses its result buffer
 	withMem := e.Arbitrate(mkClaims(true))
 	if !reflect.DeepEqual(plain, withMem) {
 		t.Errorf("unpriced engine read Decision.Mem: %v vs %v", plain, withMem)

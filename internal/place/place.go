@@ -43,7 +43,6 @@ package place
 
 import (
 	"slices"
-	"sort"
 
 	"phasetune/internal/amp"
 	"phasetune/internal/trace"
@@ -79,11 +78,6 @@ const (
 // 3% never masks a real difference.
 const tieEps = 0.03
 
-// maxInsertion is the length up to which sort.Slice sorts by plain
-// insertion sort (pdqsort's cutoff); Select runs that algorithm itself on
-// a stack array for machines with this many core types or fewer.
-const maxInsertion = 12
-
 // Select is the paper's Algorithm 2 generalized over core *types* (§VI-C
 // reduces many-core machines to a few types): sort candidates by measured
 // IPC ascending; start from the lowest; step to the next candidate only when
@@ -95,30 +89,19 @@ func Select(machine *amp.Machine, f []float64, delta float64) amp.CoreTypeID {
 	if n == 0 {
 		return 0
 	}
-	var buf [maxInsertion]int
-	var order []int
-	if n <= maxInsertion {
-		order = buf[:n]
-		for i := range order {
-			order[i] = i
-		}
-		// The tie window makes selectLess intransitive (a ties b and b ties
-		// c while a < c), so the order depends on the algorithm, not just
-		// the comparator: this is sort.Slice's insertion sort, step for
-		// step, and it allocates nothing.
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && selectLess(machine, f, order[j], order[j-1]); j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-	} else {
-		big := make([]int, n)
-		for i := range big {
-			big[i] = i
-		}
-		sort.Slice(big, func(a, b int) bool { return selectLess(machine, f, big[a], big[b]) })
-		order = big
+	var buf [8]int
+	order := buf[:0]
+	if n > len(buf) {
+		order = make([]int, 0, n)
 	}
+	for i := 0; i < n; i++ {
+		order = append(order, i)
+	}
+	// The tie window makes selectCmp intransitive (a ties b and b ties c
+	// while a < c), so the order depends on the algorithm, not just the
+	// comparator. slices.SortFunc runs the pdqsort that sort.Slice runs,
+	// generated from the same source, without sort.Slice's allocations.
+	slices.SortFunc(order, func(a, b int) int { return selectCmp(machine, f, a, b) })
 	d := order[0]
 	for i := 0; i+1 < n; i++ {
 		theta := f[order[i+1]] - f[order[i]]
@@ -129,18 +112,30 @@ func Select(machine *amp.Machine, f []float64, delta float64) amp.CoreTypeID {
 	return amp.CoreTypeID(d)
 }
 
-// selectLess orders core types by measured IPC ascending, with IPCs within
+// selectCmp orders core types by measured IPC ascending, with IPCs within
 // tieEps relative ordered faster type first.
-func selectLess(machine *amp.Machine, f []float64, ca, cb int) bool {
+func selectCmp(machine *amp.Machine, f []float64, ca, cb int) int {
 	hi := f[ca]
 	if f[cb] > hi {
 		hi = f[cb]
 	}
 	if d := f[ca] - f[cb]; d > tieEps*hi || d < -tieEps*hi {
-		return f[ca] < f[cb]
+		switch {
+		case f[ca] < f[cb]:
+			return -1
+		case f[ca] > f[cb]:
+			return 1
+		}
+		return 0
 	}
 	// Tie: faster type first.
-	return machine.Types[ca].FreqGHz > machine.Types[cb].FreqGHz
+	switch fa, fb := machine.Types[ca].FreqGHz, machine.Types[cb].FreqGHz; {
+	case fa > fb:
+		return -1
+	case fa < fb:
+		return 1
+	}
+	return 0
 }
 
 // Capacity is the core-type capacity model of one machine: per-type cycle
