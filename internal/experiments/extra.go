@@ -343,7 +343,6 @@ func ablationTables(cfg Config, _ Axes) ([]benchhist.Table, error) {
 // phase marks.
 type TemporalTuner struct {
 	eng      *place.Engine
-	machine  *amp.Machine
 	resample uint64
 
 	lastCycles uint64
@@ -353,10 +352,11 @@ type TemporalTuner struct {
 	active     bool
 }
 
-// NewTemporalTuner builds the baseline hook.
-func NewTemporalTuner(eng *place.Engine, machine *amp.Machine, resampleCycles uint64) *TemporalTuner {
-	return &TemporalTuner{eng: eng, machine: machine, resample: resampleCycles,
-		samples: make([]float64, len(machine.Types))}
+// NewTemporalTuner builds the baseline hook on the run's engine, which
+// makes its decisions and masks.
+func NewTemporalTuner(eng *place.Engine, resampleCycles uint64) *TemporalTuner {
+	return &TemporalTuner{eng: eng, resample: resampleCycles,
+		samples: make([]float64, len(eng.Machine().Types))}
 }
 
 // OnMark ignores marks (charges only their cost).
@@ -378,7 +378,7 @@ func (t *TemporalTuner) OnQuantum(p *exec.Process, coreID int) exec.MarkAction {
 		t.active = true
 		t.probing = 0
 		t.es = perfcnt.Start(&p.Counters)
-		return exec.MarkAction{Mask: t.machine.TypeMask(0)}
+		return exec.MarkAction{Mask: t.eng.TypeMask(0)}
 	}
 	instrs, cycles := t.es.Stop(&p.Counters)
 	if cycles < t.resample/8 {
@@ -386,15 +386,15 @@ func (t *TemporalTuner) OnQuantum(p *exec.Process, coreID int) exec.MarkAction {
 	}
 	t.samples[t.probing] = perfcnt.IPC(instrs, cycles)
 	t.probing++
-	if t.probing < len(t.machine.Types) {
+	if t.probing < len(t.samples) {
 		t.es = perfcnt.Start(&p.Counters)
-		return exec.MarkAction{Mask: t.machine.TypeMask(amp.CoreTypeID(t.probing))}
+		return exec.MarkAction{Mask: t.eng.TypeMask(amp.CoreTypeID(t.probing))}
 	}
 	// Round complete: pin to the Algorithm 2 choice until next resample.
 	t.active = false
 	t.lastCycles = now
 	target := t.eng.Decide(t.samples).Choice
-	return exec.MarkAction{Mask: t.machine.TypeMask(target)}
+	return exec.MarkAction{Mask: t.eng.TypeMask(target)}
 }
 
 // AblationTemporal compares positional (phase-mark) adaptation with the
@@ -435,6 +435,6 @@ func runTemporal(cfg Config, seed uint64, resampleCycles uint64) (*sim.Result, e
 		return nil, err
 	}
 	return sim.RunWithHookContext(context.Background(), rc, func(k *osched.Kernel, img *exec.Image, eng *place.Engine) exec.MarkHook {
-		return NewTemporalTuner(eng, cfg.Machine, resampleCycles)
+		return NewTemporalTuner(eng, resampleCycles)
 	})
 }

@@ -81,7 +81,7 @@ type hybridState struct {
 func NewHybrid(cfg Config, engine *place.Engine, hw *perfcnt.Hardware) *Hybrid {
 	return &Hybrid{
 		cfg:       cfg.Normalized(),
-		machine:   engine.Capacity().Machine(),
+		machine:   engine.Machine(),
 		hw:        hw,
 		engine:    engine,
 		taskByPID: map[int]*osched.Task{},
@@ -168,7 +168,7 @@ func (h *hybridHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction
 	p.SetSpilled(false)
 	st.probing = true
 	ct := st.table.LeastMeasured(int(pt), st.pid)
-	mask := m.machine.TypeMask(ct)
+	mask := m.engine.TypeMask(ct)
 	// Reopen immediately when the probe target includes the current core —
 	// the window then measures the steered type from its first instruction.
 	if !st.open && st.task != nil && mask&(1<<uint(coreID)) != 0 && m.hw.TryAcquire() {
@@ -356,7 +356,7 @@ func (m *Hybrid) sample(k *osched.Kernel, st *hybridState) {
 			m.closeWindow(st, st.task.Core(), true)
 			if st.cur != phase.Untyped && st.table.DecisionOf(int(st.cur)) == nil {
 				st.probing = true
-				apply(k, st.task, &st.wantMask, m.machine.TypeMask(st.table.LeastMeasured(int(st.cur), st.pid)), &m.stats)
+				apply(k, st.task, &st.wantMask, m.engine.TypeMask(st.table.LeastMeasured(int(st.cur), st.pid)), &m.stats)
 			}
 		}
 	}

@@ -29,28 +29,15 @@ type taskState struct {
 	ipcEWMA float64
 	// decisions holds the probe policy's fixed per-phase placements, made
 	// by the shared engine (place.Engine.Decide) once every core type has
-	// been measured for the phase.
-	decisions map[int]*place.Decision
+	// been measured for the phase; nil while the phase is undecided. The
+	// classifier founds at most maxPhases phases.
+	decisions [maxPhases]*place.Decision
 	// probing is true while the probe policy is steering this task to an
 	// unmeasured core type; the placement pass leaves probing tasks alone.
 	probing bool
 	// wantMask is the mask this manager last requested for the task (0 =
 	// never reassigned), used to count real switches and damp flapping.
 	wantMask uint64
-}
-
-// prevType maps a task's last requested mask back to a core type for the
-// engine's hysteresis: HasPrev only when the mask is exactly one type's.
-func (ts *taskState) prevType(m *amp.Machine) (amp.CoreTypeID, bool) {
-	if ts.wantMask == 0 {
-		return 0, false
-	}
-	for i := range m.Types {
-		if ts.wantMask == m.TypeMask(amp.CoreTypeID(i)) {
-			return amp.CoreTypeID(i), true
-		}
-	}
-	return 0, false
 }
 
 // Manager is the online phase-detection runtime: it implements
@@ -88,7 +75,7 @@ type Manager struct {
 func NewManager(cfg Config, engine *place.Engine, hw *perfcnt.Hardware) *Manager {
 	return &Manager{
 		cfg:     cfg.Normalized(),
-		machine: engine.Capacity().Machine(),
+		machine: engine.Machine(),
 		hw:      hw,
 		engine:  engine,
 	}
@@ -109,10 +96,9 @@ func (m *Manager) OnTick(k *osched.Kernel, atPs int64) {
 			continue
 		}
 		m.live = append(m.live, &taskState{
-			task:      t,
-			cls:       NewClassifier(classifyEps, maxPhases, len(m.machine.Types)),
-			phase:     -1,
-			decisions: map[int]*place.Decision{},
+			task:  t,
+			cls:   NewClassifier(classifyEps, maxPhases, len(m.machine.Types)),
+			phase: -1,
 		})
 	}
 
@@ -209,7 +195,7 @@ func (m *Manager) sample(k *osched.Kernel, ts *taskState) {
 // probeRebalance.
 func (m *Manager) probe(k *osched.Kernel, ts *taskState) {
 	phase := ts.phase
-	if _, ok := ts.decisions[phase]; ok {
+	if ts.decisions[phase] != nil {
 		ts.probing = false
 		return
 	}
@@ -222,7 +208,7 @@ func (m *Manager) probe(k *osched.Kernel, ts *taskState) {
 	}
 	if probeN == 0 {
 		ts.probing = true
-		apply(k, ts.task, &ts.wantMask, m.machine.TypeMask(probeType), &m.stats)
+		apply(k, ts.task, &ts.wantMask, m.engine.TypeMask(probeType), &m.stats)
 		return
 	}
 	f := make([]float64, len(m.machine.Types))
@@ -254,11 +240,13 @@ func (m *Manager) probeRebalance(k *osched.Kernel) {
 		if ts.probing || ts.phase < 0 {
 			continue
 		}
-		dec, ok := ts.decisions[ts.phase]
-		if !ok {
+		dec := ts.decisions[ts.phase]
+		if dec == nil {
 			continue
 		}
-		prev, hasPrev := ts.prevType(m.machine)
+		// The last requested mask, mapped back to a core type, is the
+		// engine's hysteresis input.
+		prev, hasPrev := m.engine.TypeOf(ts.wantMask)
 		placed = append(placed, ts)
 		claims = append(claims, place.Claim{Dec: dec, Prev: prev, HasPrev: hasPrev})
 	}
@@ -271,7 +259,7 @@ func (m *Manager) probeRebalance(k *osched.Kernel) {
 		// Ledger attribution: arbitration overriding the task's own
 		// Algorithm 2 choice is a knowing spill, not a misprediction.
 		ts.task.Proc.SetSpilled(assigned[i] != claims[i].Dec.Choice)
-		apply(k, ts.task, &ts.wantMask, m.machine.TypeMask(assigned[i]), &m.stats)
+		apply(k, ts.task, &ts.wantMask, m.engine.TypeMask(assigned[i]), &m.stats)
 	}
 }
 
@@ -292,12 +280,9 @@ func apply(k *osched.Kernel, t *osched.Task, want *uint64, mask uint64, stats *S
 // greedyRebalance ranks scored tasks by smoothed IPC and hands the ranking
 // to the shared engine's fast-slot assignment (place.Engine.AssignRanked):
 // the fast type's capacity share goes to the top ranks, the rest to the
-// slowest type, with a hysteresis band at the quota boundary.
+// slowest type, with a hysteresis band at the quota boundary (none on a
+// symmetric machine, where the engine assigns nothing).
 func (m *Manager) greedyRebalance(k *osched.Kernel) {
-	cap := m.engine.Capacity()
-	if cap.FastType() == cap.SlowType() {
-		return // symmetric machine: nothing to place
-	}
 	scored := m.placed[:0]
 	for _, ts := range m.live {
 		if ts.windows > 0 {
@@ -313,12 +298,11 @@ func (m *Manager) greedyRebalance(k *osched.Kernel) {
 	})
 	claims := m.claims[:0]
 	for _, ts := range scored {
-		prev, hasPrev := ts.prevType(m.machine)
+		prev, hasPrev := m.engine.TypeOf(ts.wantMask)
 		claims = append(claims, place.Claim{Prev: prev, HasPrev: hasPrev})
 	}
 	m.claims = claims
-	assigned := m.engine.AssignRanked(claims)
-	for i, ts := range scored {
-		apply(k, ts.task, &ts.wantMask, m.machine.TypeMask(assigned[i]), &m.stats)
+	for i, ct := range m.engine.AssignRanked(claims) {
+		apply(k, scored[i].task, &scored[i].wantMask, m.engine.TypeMask(ct), &m.stats)
 	}
 }

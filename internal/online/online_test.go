@@ -206,21 +206,16 @@ func TestUnboundedPoolNoDefers(t *testing.T) {
 
 // --- Oracle ---------------------------------------------------------------
 
-// TestOracleDecisionsSplitTypes checks the oracle computes opposite
-// placements for a memory-bound and a compute-bound phase of an
-// alternating benchmark (the discriminating signal of the whole paper),
-// with the spill-pricing rates and per-phase signature filled in, and
-// that a contention-priced engine fixes the same decisions: pricing
-// changes arbitration, never Decide.
-func TestOracleDecisionsSplitTypes(t *testing.T) {
+// equakeImage instruments 183.equake, which alternates CPU and DRAM
+// phases, for the quad machine's oracle tests.
+func equakeImage(t *testing.T) (*amp.Machine, exec.CostModel, phase.Options, *exec.Image) {
+	t.Helper()
 	machine := amp.Quad2Fast2Slow()
 	cm := exec.DefaultCostModel()
 	suite, err := workload.Suite(cm, machine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 183.equake alternates CPU and DRAM phases: its oracle assignment must
-	// use both core types.
 	var equake *workload.Benchmark
 	for _, b := range suite {
 		if b.Name() == "183.equake" {
@@ -236,7 +231,18 @@ func TestOracleDecisionsSplitTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := art.Image
+	return machine, cm, topts, art.Image
+}
+
+// TestOracleDecisionsSplitTypes checks the oracle computes opposite
+// placements for a memory-bound and a compute-bound phase of an
+// alternating benchmark (the discriminating signal of the whole paper),
+// with the spill-pricing rates and per-phase signature filled in, and
+// that a contention-priced engine fixes the same decisions: pricing
+// changes arbitration, never Decide.
+func TestOracleDecisionsSplitTypes(t *testing.T) {
+	machine, cm, topts, img := equakeImage(t)
+	// equake's oracle assignment must use both core types.
 	decs, err := online.OracleDecisions(img, topts, cm, place.NewEngine(machine, 0.06, place.Config{}))
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +265,49 @@ func TestOracleDecisionsSplitTypes(t *testing.T) {
 		}
 		if got := priced[pt]; !reflect.DeepEqual(got, dec) {
 			t.Errorf("phase %d: priced-engine decision %+v, unpriced %+v", pt, got, dec)
+		}
+	}
+}
+
+// TestOracleHookClaimsOnlyOnPricedEngine pins the oracle's two placement
+// modes: on an unpriced engine a mark pins the chosen type without a
+// capacity claim; on a contention-priced engine the mark claims capacity
+// and the mask comes out of arbitration, until exit withdraws the claim.
+func TestOracleHookClaimsOnlyOnPricedEngine(t *testing.T) {
+	machine, cm, topts, img := equakeImage(t)
+	for _, cfg := range []place.Config{{}, {Contention: &place.ContentionConfig{}}} {
+		eng := place.NewEngine(machine, 0.06, cfg)
+		decs, err := online.OracleDecisions(img, topts, cm, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		markID := -1
+		for id := 0; id < img.NumMarks() && markID == -1; id++ {
+			if _, ok := decs[img.MarkType(id)]; ok {
+				markID = id
+			}
+		}
+		if markID == -1 {
+			t.Fatal("no mark of equake's image has an oracle decision")
+		}
+		hook := online.NewOracleHook(eng, img, decs)
+		p := exec.NewProcess(1, img, &cm, 7, hook)
+		mask := hook.OnMark(p, markID, 0).Mask
+		if !eng.Priced() {
+			if want := eng.TypeMask(decs[img.MarkType(markID)].Choice); mask != want {
+				t.Errorf("unpriced: mark mask %#x, want the chosen type's %#x", mask, want)
+			}
+			if got := eng.MaskFor(p.PID); got != 0 {
+				t.Errorf("unpriced: mark claimed capacity (MaskFor = %#x)", got)
+			}
+			continue
+		}
+		if got := eng.MaskFor(p.PID); got == 0 || got != mask {
+			t.Errorf("priced: MaskFor = %#x after a mark that returned %#x, want the claim's mask", got, mask)
+		}
+		hook.OnExit(p)
+		if got := eng.MaskFor(p.PID); got != 0 {
+			t.Errorf("priced: OnExit left a claim (MaskFor = %#x)", got)
 		}
 	}
 }

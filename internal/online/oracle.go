@@ -3,7 +3,6 @@ package online
 import (
 	"sort"
 
-	"phasetune/internal/amp"
 	"phasetune/internal/exec"
 	"phasetune/internal/phase"
 	"phasetune/internal/place"
@@ -22,7 +21,7 @@ import (
 //
 // Every decision is the run's engine's Decide, at the engine's δ, with the
 // spill-pricing rates its arbitration needs; only a contention-priced
-// run's marks claim capacity with them (NewOracleHook).
+// run's marks claim capacity with them (OracleHook).
 //
 // The image must have been instrumented under the same typing options with
 // no injected clustering error (block typing is re-derived here and must
@@ -30,7 +29,7 @@ import (
 func OracleDecisions(img *exec.Image, topts phase.Options, cm exec.CostModel,
 	eng *place.Engine) (map[phase.Type]place.Decision, error) {
 
-	m := eng.Capacity().Machine()
+	m := eng.Machine()
 	typing, err := phase.ClusterBlocks(img.Prog, img.Graphs, topts)
 	if err != nil {
 		return nil, err
@@ -107,23 +106,22 @@ func OracleDecisions(img *exec.Image, topts phase.Options, cm exec.CostModel,
 
 // OracleHook is the per-process mark hook of oracle runs: every phase mark
 // resolves to its precomputed decision instantly — no sampling, no
-// counters, no decision latency. Without an engine the mark pins the
-// section to every core of the chosen type; with the contention-priced
-// run's shared engine the decision is a capacity claim, and the mask comes
-// out of its arbitration — quota spills, contention pricing, and relief
-// included. It implements exec.MarkHook.
+// counters, no decision latency. On an unpriced engine the mark pins the
+// section to every core of the chosen type; on a contention-priced engine
+// (place.Engine.Priced) the decision is a capacity claim, and the mask
+// comes out of its arbitration — quota spills, contention pricing, and
+// relief included. It implements exec.MarkHook.
 type OracleHook struct {
-	machine *amp.Machine
-	eng     *place.Engine
-	img     *exec.Image
-	decs    map[phase.Type]place.Decision
+	eng  *place.Engine
+	img  *exec.Image
+	decs map[phase.Type]place.Decision
 }
 
-// NewOracleHook builds the hook; decs is the image's OracleDecisions table
-// (one map serves every process executing the image), eng the run-wide
-// engine of a contention-priced run or nil.
-func NewOracleHook(m *amp.Machine, eng *place.Engine, img *exec.Image, decs map[phase.Type]place.Decision) *OracleHook {
-	return &OracleHook{machine: m, eng: eng, img: img, decs: decs}
+// NewOracleHook builds the hook on the run's engine; decs is the image's
+// OracleDecisions table (one map serves every process executing the
+// image).
+func NewOracleHook(eng *place.Engine, img *exec.Image, decs map[phase.Type]place.Decision) *OracleHook {
+	return &OracleHook{eng: eng, img: img, decs: decs}
 }
 
 // OnMark implements exec.MarkHook.
@@ -132,8 +130,8 @@ func (h *OracleHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction
 	if !ok {
 		return exec.MarkAction{}
 	}
-	if h.eng == nil {
-		return exec.MarkAction{Mask: h.machine.TypeMask(dec.Choice)}
+	if !h.eng.Priced() {
+		return exec.MarkAction{Mask: h.eng.TypeMask(dec.Choice)}
 	}
 	mask, spilled := h.eng.Place(p.PID, dec)
 	p.SetSpilled(spilled)
@@ -142,7 +140,7 @@ func (h *OracleHook) OnMark(p *exec.Process, markID, coreID int) exec.MarkAction
 
 // OnExit implements exec.MarkHook: withdraw the process's capacity claim.
 func (h *OracleHook) OnExit(p *exec.Process) {
-	if h.eng == nil {
+	if !h.eng.Priced() {
 		return
 	}
 	h.eng.Leave(p.PID)

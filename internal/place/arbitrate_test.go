@@ -18,7 +18,7 @@ import (
 // the least loss. It is the oracle FuzzArbitrateMatchesScan holds Arbitrate
 // to, assignments and trace alike.
 func (e *Engine) arbitrateScan(claims []Claim) []amp.CoreTypeID {
-	nTypes := e.capacity.NumTypes()
+	nTypes := len(e.machine.Types)
 	assigned := make([]amp.CoreTypeID, len(claims))
 	for i, c := range claims {
 		assigned[i] = c.Dec.Choice
@@ -27,7 +27,7 @@ func (e *Engine) arbitrateScan(claims []Claim) []amp.CoreTypeID {
 		return assigned
 	}
 
-	quota := e.capacity.Quotas(len(claims))
+	quota := e.quotas(make([]int, nTypes), len(claims))
 	demand := make([]int, nTypes)
 	for i := range claims {
 		demand[int(assigned[i])]++
@@ -83,8 +83,8 @@ func (e *Engine) arbitrateScan(claims []Claim) []amp.CoreTypeID {
 		if e.tr != nil {
 			e.tr.InstantNow("place", "spill", trace.PidMachine, trace.TidKernel,
 				trace.Arg{Key: "claim", Value: best},
-				trace.Arg{Key: "from", Value: e.capacity.machine.Types[over].Name},
-				trace.Arg{Key: "to", Value: e.capacity.machine.Types[under].Name},
+				trace.Arg{Key: "from", Value: e.machine.Types[over].Name},
+				trace.Arg{Key: "to", Value: e.machine.Types[under].Name},
 				trace.Arg{Key: "loss", Value: bestLoss})
 		}
 		assigned[best] = amp.CoreTypeID(under)

@@ -112,18 +112,13 @@ func groupsOf(m *amp.Machine) []typeGroups {
 	return out
 }
 
-// GroupKB returns the (smallest) shared-L2 size backing cores of type t,
-// in KiB — the solo-occupant cache share contention pricing compares
-// crowded shares against.
-func (c *Capacity) GroupKB(t amp.CoreTypeID) float64 { return c.groups[t].groupKB }
-
-// EffectiveShareKB projects the per-task cache share on type t when demand
+// effectiveShareKB projects the per-task cache share on type t when demand
 // tasks of that type run concurrently: demand spreads evenly over the
 // type's cache groups (the scheduler balances queues), each group's
 // occupancy is capped at its same-type core count, and the group size is
 // divided by the projected occupancy. demand <= 1 returns the solo share.
-func (c *Capacity) EffectiveShareKB(t amp.CoreTypeID, demand int) float64 {
-	tg := c.groups[t]
+func (e *Engine) effectiveShareKB(t amp.CoreTypeID, demand int) float64 {
+	tg := e.groups[t]
 	if tg.numGroups == 0 || tg.groupKB <= 0 {
 		return 0
 	}
@@ -158,13 +153,13 @@ func (e *Engine) adjustedRate(dec *Decision, t int, demand int, bw float64) floa
 		return r
 	}
 	ct := amp.CoreTypeID(t)
-	share := e.capacity.EffectiveShareKB(ct, demand)
-	solo := e.capacity.GroupKB(ct)
+	share := e.effectiveShareKB(ct, demand)
+	solo := e.groups[ct].groupKB
 	extra := dec.Mem.L2RefsPerInstr * (dec.Mem.Profile.MissRatio(share) - dec.Mem.Profile.MissRatio(solo))
 	if extra <= 0 {
 		return r
 	}
-	stall := extra * missSecPerRef(e.capacity.machine.Types[t]) * bw
+	stall := extra * missSecPerRef(e.machine.Types[t]) * bw
 	// r instructions/sec at 1/r sec/instr picks up `stall` extra seconds
 	// per instruction: rate' = 1 / (1/r + stall).
 	return r / (1 + r*stall)
@@ -177,7 +172,7 @@ func (e *Engine) adjustedRate(dec *Decision, t int, demand int, bw float64) floa
 // assignment so every candidate move is priced against one consistent
 // bandwidth picture.
 func (e *Engine) bwFactor(claims []Claim, demand []int) float64 {
-	budget := budgetFrac * e.capacity.totalCps
+	budget := budgetFrac * e.totalCps
 	if budget <= 0 {
 		return 1
 	}
@@ -188,7 +183,7 @@ func (e *Engine) bwFactor(claims []Claim, demand []int) float64 {
 			continue
 		}
 		t := int(dec.Choice)
-		share := e.capacity.EffectiveShareKB(dec.Choice, demand[t])
+		share := e.effectiveShareKB(dec.Choice, demand[t])
 		total += dec.Rates[t] * dec.Mem.L2RefsPerInstr * dec.Mem.Profile.MissRatio(share)
 	}
 	if total <= budget {
@@ -207,7 +202,7 @@ func (e *Engine) bwFactor(claims []Claim, demand []int) float64 {
 // pass terminates well inside its round bound. Ties resolve to the lowest
 // claim index, then the lowest target type: deterministic.
 func (e *Engine) relieve(claims []Claim, assigned []amp.CoreTypeID, demand, quota []int, bw float64) {
-	nTypes := e.capacity.NumTypes()
+	nTypes := len(e.machine.Types)
 	for round := 0; round < len(claims)*nTypes; round++ {
 		bestI, bestT, bestGain := -1, -1, 0.0
 		for i := range claims {
@@ -238,8 +233,8 @@ func (e *Engine) relieve(claims []Claim, assigned []amp.CoreTypeID, demand, quot
 		if e.tr != nil {
 			e.tr.InstantNow("place", "relief", trace.PidMachine, trace.TidKernel,
 				trace.Arg{Key: "claim", Value: bestI},
-				trace.Arg{Key: "from", Value: e.capacity.machine.Types[from].Name},
-				trace.Arg{Key: "to", Value: e.capacity.machine.Types[bestT].Name},
+				trace.Arg{Key: "from", Value: e.machine.Types[from].Name},
+				trace.Arg{Key: "to", Value: e.machine.Types[bestT].Name},
 				trace.Arg{Key: "gain", Value: bestGain},
 				trace.Arg{Key: "bw", Value: bw})
 		}

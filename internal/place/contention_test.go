@@ -26,35 +26,35 @@ func flatDec(e *Engine, mem *MemStats) Decision {
 // --- Cache-group topology ---------------------------------------------------
 
 func TestEffectiveShareKBHexTopology(t *testing.T) {
-	c := NewCapacity(hex())
+	e := NewEngine(hex(), 0.15, Config{})
 	// Each hex type owns one 2-core group: big/medium 4096 KB, little 2048.
 	wantSolo := []float64{4096, 4096, 2048}
 	for ti, solo := range wantSolo {
 		ty := amp.CoreTypeID(ti)
-		if got := c.GroupKB(ty); got != solo {
-			t.Errorf("type %d GroupKB = %v, want %v", ti, got, solo)
+		if got := e.groups[ty].groupKB; got != solo {
+			t.Errorf("type %d groupKB = %v, want %v", ti, got, solo)
 		}
-		if got := c.EffectiveShareKB(ty, 0); got != solo {
+		if got := e.effectiveShareKB(ty, 0); got != solo {
 			t.Errorf("type %d share at demand 0 = %v, want solo %v", ti, got, solo)
 		}
-		if got := c.EffectiveShareKB(ty, 1); got != solo {
+		if got := e.effectiveShareKB(ty, 1); got != solo {
 			t.Errorf("type %d share at demand 1 = %v, want solo %v", ti, got, solo)
 		}
-		if got := c.EffectiveShareKB(ty, 2); got != solo/2 {
+		if got := e.effectiveShareKB(ty, 2); got != solo/2 {
 			t.Errorf("type %d share at demand 2 = %v, want %v", ti, got, solo/2)
 		}
 		// Occupancy caps at the group's core count: more demand than cores
 		// time-multiplexes, it does not shrink the concurrent share further.
-		if got := c.EffectiveShareKB(ty, 5); got != solo/2 {
+		if got := e.effectiveShareKB(ty, 5); got != solo/2 {
 			t.Errorf("type %d share at demand 5 = %v, want capped %v", ti, got, solo/2)
 		}
 	}
 }
 
 func TestEffectiveShareKBQuadSpreadsOverGroups(t *testing.T) {
-	c := NewCapacity(quad())
+	e := NewEngine(quad(), 0.15, Config{})
 	// Quad fast type: one 4096 KB group with 2 cores.
-	if got := c.EffectiveShareKB(amp.FastType, 2); got != 2048 {
+	if got := e.effectiveShareKB(amp.FastType, 2); got != 2048 {
 		t.Errorf("fast share at demand 2 = %v, want 2048", got)
 	}
 }
@@ -187,7 +187,7 @@ func TestRelieveRespectsQuotaBand(t *testing.T) {
 	e := NewEngine(hex(), 0.15, Config{Contention: &ContentionConfig{}})
 	claims := herdClaims(e)
 	assigned := e.Arbitrate(claims)
-	quota := e.Capacity().Quotas(len(claims))
+	quota := e.quotas(make([]int, 3), len(claims))
 	demand := make([]int, 3)
 	for _, a := range assigned {
 		demand[a]++
@@ -273,8 +273,7 @@ func TestEngineEnterLeavePriced(t *testing.T) {
 		dec.Mem = antMem()
 		e.Enter(id, dec)
 	}
-	m := e.Capacity().Machine()
-	littleMask := m.TypeMask(2)
+	littleMask := e.TypeMask(2)
 	onLittle := 0
 	for id := 0; id < 3; id++ {
 		if e.MaskFor(id) == littleMask {

@@ -138,100 +138,6 @@ func selectCmp(machine *amp.Machine, f []float64, ca, cb int) int {
 	return 0
 }
 
-// Capacity is the core-type capacity model of one machine: per-type cycle
-// capacity, capacity shares, and the quota arithmetic arbitration runs on.
-type Capacity struct {
-	machine  *amp.Machine
-	typeCps  []float64 // summed CyclesPerSec of the cores of each type
-	totalCps float64
-	fastType amp.CoreTypeID
-	slowType amp.CoreTypeID
-	numFast  int
-	masks    []uint64     // per-type affinity masks (amp.Machine.TypeMask)
-	groups   []typeGroups // per-type shared-L2 topology (contention pricing)
-}
-
-// NewCapacity builds the capacity model for a machine.
-func NewCapacity(m *amp.Machine) *Capacity {
-	c := &Capacity{machine: m, typeCps: make([]float64, len(m.Types)), groups: groupsOf(m)}
-	for i, t := range m.Types {
-		if t.CyclesPerSec > m.Types[c.fastType].CyclesPerSec {
-			c.fastType = amp.CoreTypeID(i)
-		}
-		if t.CyclesPerSec < m.Types[c.slowType].CyclesPerSec {
-			c.slowType = amp.CoreTypeID(i)
-		}
-	}
-	for i := range m.Types {
-		c.masks = append(c.masks, m.TypeMask(amp.CoreTypeID(i)))
-	}
-	for _, core := range m.Cores {
-		cps := m.Types[core.Type].CyclesPerSec
-		c.typeCps[core.Type] += cps
-		c.totalCps += cps
-		if core.Type == c.fastType {
-			c.numFast++
-		}
-	}
-	return c
-}
-
-// Machine returns the described machine.
-func (c *Capacity) Machine() *amp.Machine { return c.machine }
-
-// TypeMask returns the affinity mask of every core of type t.
-func (c *Capacity) TypeMask(t amp.CoreTypeID) uint64 { return c.masks[t] }
-
-// NumTypes returns the core-type count.
-func (c *Capacity) NumTypes() int { return len(c.typeCps) }
-
-// FastType returns the highest-clocked type; SlowType the lowest.
-func (c *Capacity) FastType() amp.CoreTypeID { return c.fastType }
-
-// SlowType returns the lowest-clocked core type.
-func (c *Capacity) SlowType() amp.CoreTypeID { return c.slowType }
-
-// FastShare returns the fast type's fraction of machine cycle capacity.
-func (c *Capacity) FastShare() float64 {
-	if c.totalCps == 0 {
-		return 0
-	}
-	return c.typeCps[c.fastType] / c.totalCps
-}
-
-// Quotas returns each type's capacity share of n tasks, rounded to nearest:
-// the demand level above which arbitration treats the type as oversubscribed.
-func (c *Capacity) Quotas(n int) []int {
-	return c.quotas(make([]int, len(c.typeCps)), n)
-}
-
-// quotas is Quotas into out, which holds one entry per type.
-func (c *Capacity) quotas(out []int, n int) []int {
-	for i, cps := range c.typeCps {
-		out[i] = 0
-		if c.totalCps != 0 {
-			out[i] = int(float64(n)*cps/c.totalCps + 0.5)
-		}
-	}
-	return out
-}
-
-// FastQuota returns how many of n utility-ranked tasks belong on the fast
-// type: its cycle-capacity share, but never below one task per fast core
-// while fast cores are undersubscribed (on an idle machine every task
-// belongs on a fast core; pinning the lower ranks to slow cores would only
-// idle capacity).
-func (c *Capacity) FastQuota(n int) int {
-	quota := int(float64(n)*c.FastShare() + 0.5)
-	if quota < c.numFast {
-		quota = c.numFast
-		if quota > n {
-			quota = n
-		}
-	}
-	return quota
-}
-
 // Decision is one phase's fixed placement: the Algorithm 2 choice plus the
 // measured per-type instruction rates (IPC × clock) arbitration uses to
 // price spilling the task onto another type.
@@ -279,13 +185,24 @@ const (
 	pairScan           // a NaN loss: the pair scans the claims each round
 )
 
-// Engine is the shared placement engine: Algorithm 2 decisions plus
-// registered-claim capacity arbitration. It is not safe for concurrent use;
-// every consumer runs inside the kernel's single-threaded event loop.
+// Engine is the shared placement engine: Algorithm 2 decisions, the
+// machine's core-type capacity model, and registered-claim capacity
+// arbitration. It is not safe for concurrent use; every consumer runs
+// inside the kernel's single-threaded event loop.
 type Engine struct {
-	capacity *Capacity
-	priced   bool // Config.Contention non-nil: contention pricing on
-	delta    float64
+	priced bool // Config.Contention non-nil: contention pricing on
+	delta  float64
+
+	// The capacity model: per-type cycle capacity and the quota
+	// arithmetic arbitration runs on.
+	machine  *amp.Machine
+	typeCps  []float64 // summed CyclesPerSec of the cores of each type
+	totalCps float64
+	fastType amp.CoreTypeID
+	slowType amp.CoreTypeID
+	numFast  int
+	masks    []uint64     // per-type affinity masks (amp.Machine.TypeMask)
+	groups   []typeGroups // per-type shared-L2 topology (contention pricing)
 
 	claims map[int]*claim
 	order  []*claim // registered claims in registration order (deterministic passes)
@@ -307,20 +224,95 @@ type Engine struct {
 // unpriced).
 func NewEngine(m *amp.Machine, delta float64, cfg Config) *Engine {
 	n := len(m.Types)
-	return &Engine{
-		capacity: NewCapacity(m),
-		priced:   cfg.Contention != nil,
-		delta:    delta,
-		claims:   map[int]*claim{},
-		quota:    make([]int, n),
-		demand:   make([]int, n),
-		spills:   make([][]spill, n*n),
-		pairs:    make([]uint8, n*n),
+	e := &Engine{
+		priced:  cfg.Contention != nil,
+		delta:   delta,
+		machine: m,
+		typeCps: make([]float64, n),
+		groups:  groupsOf(m),
+		claims:  map[int]*claim{},
+		quota:   make([]int, n),
+		demand:  make([]int, n),
+		spills:  make([][]spill, n*n),
+		pairs:   make([]uint8, n*n),
 	}
+	for i, t := range m.Types {
+		if t.CyclesPerSec > m.Types[e.fastType].CyclesPerSec {
+			e.fastType = amp.CoreTypeID(i)
+		}
+		if t.CyclesPerSec < m.Types[e.slowType].CyclesPerSec {
+			e.slowType = amp.CoreTypeID(i)
+		}
+		e.masks = append(e.masks, m.TypeMask(amp.CoreTypeID(i)))
+	}
+	for _, core := range m.Cores {
+		cps := m.Types[core.Type].CyclesPerSec
+		e.typeCps[core.Type] += cps
+		e.totalCps += cps
+		if core.Type == e.fastType {
+			e.numFast++
+		}
+	}
+	return e
 }
 
-// Capacity returns the engine's capacity model.
-func (e *Engine) Capacity() *Capacity { return e.capacity }
+// Machine returns the machine the engine places on.
+func (e *Engine) Machine() *amp.Machine { return e.machine }
+
+// Priced reports whether arbitration prices contention (Config.Contention
+// non-nil).
+func (e *Engine) Priced() bool { return e.priced }
+
+// TypeMask returns the affinity mask of every core of type t.
+func (e *Engine) TypeMask(t amp.CoreTypeID) uint64 { return e.masks[t] }
+
+// TypeOf returns the core type whose mask is exactly mask; false for a
+// mask that is no single type's, and for 0 (even where a type has no
+// cores).
+func (e *Engine) TypeOf(mask uint64) (amp.CoreTypeID, bool) {
+	if mask != 0 {
+		for i, m := range e.masks {
+			if m == mask {
+				return amp.CoreTypeID(i), true
+			}
+		}
+	}
+	return 0, false
+}
+
+// fastShare returns the fast type's fraction of machine cycle capacity.
+func (e *Engine) fastShare() float64 {
+	if e.totalCps == 0 {
+		return 0
+	}
+	return e.typeCps[e.fastType] / e.totalCps
+}
+
+// quotas fills out (one entry per type) with each type's capacity share of
+// n tasks, rounded to nearest: the demand level above which arbitration
+// treats the type as oversubscribed.
+func (e *Engine) quotas(out []int, n int) []int {
+	for i, cps := range e.typeCps {
+		out[i] = 0
+		if e.totalCps != 0 {
+			out[i] = int(float64(n)*cps/e.totalCps + 0.5)
+		}
+	}
+	return out
+}
+
+// fastQuota returns how many of n utility-ranked tasks belong on the fast
+// type: its cycle-capacity share, but never below one task per fast core
+// while fast cores are undersubscribed (on an idle machine every task
+// belongs on a fast core; pinning the lower ranks to slow cores would only
+// idle capacity).
+func (e *Engine) fastQuota(n int) int {
+	quota := int(float64(n)*e.fastShare() + 0.5)
+	if quota < e.numFast {
+		quota = min(e.numFast, n)
+	}
+	return quota
+}
 
 // SetTracer attaches a trace sink to the engine. Decisions and spill
 // moves are emitted stamped at the tracer's simulated clock (the kernel
@@ -338,14 +330,14 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tr }
 func (e *Engine) Decide(ipc []float64) Decision {
 	rates := make([]float64, len(ipc))
 	for i := range ipc {
-		rates[i] = ipc[i] * e.capacity.machine.Types[i].CyclesPerSec
+		rates[i] = ipc[i] * e.machine.Types[i].CyclesPerSec
 	}
-	dec := Decision{Choice: Select(e.capacity.machine, ipc, e.delta), Rates: rates}
+	dec := Decision{Choice: Select(e.machine, ipc, e.delta), Rates: rates}
 	if e.tr != nil {
 		e.tr.InstantNow("place", "decide", trace.PidMachine, trace.TidKernel,
 			trace.Arg{Key: "ipc", Value: append([]float64(nil), ipc...)},
 			trace.Arg{Key: "rates", Value: append([]float64(nil), rates...)},
-			trace.Arg{Key: "choice", Value: e.capacity.machine.Types[dec.Choice].Name},
+			trace.Arg{Key: "choice", Value: e.machine.Types[dec.Choice].Name},
 			trace.Arg{Key: "delta", Value: e.delta},
 			trace.Arg{Key: "claims", Value: len(e.claims)})
 	}
@@ -407,7 +399,7 @@ func (e *Engine) maskOf(c *claim) uint64 {
 	if e.dirty {
 		e.rebalance()
 	}
-	return e.capacity.TypeMask(c.assigned)
+	return e.TypeMask(c.assigned)
 }
 
 // Place is the claim step every mark-driven runtime takes: it enters id's
@@ -416,7 +408,7 @@ func (e *Engine) maskOf(c *claim) uint64 {
 // charges apart from misprediction.
 func (e *Engine) Place(id int, dec Decision) (mask uint64, spilled bool) {
 	mask = e.maskOf(e.enter(id, dec))
-	return mask, mask != e.capacity.TypeMask(dec.Choice)
+	return mask, mask != e.TypeMask(dec.Choice)
 }
 
 // rebalance arbitrates all registered claims in registration order.
@@ -448,7 +440,7 @@ func (e *Engine) rebalance() {
 // of its inputs: identical claims always produce identical assignments. The
 // returned slice belongs to the engine and holds until its next pass.
 func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
-	nTypes := e.capacity.NumTypes()
+	nTypes := len(e.machine.Types)
 	assigned := slices.Grow(e.assigned[:0], len(claims))[:len(claims)]
 	e.assigned = assigned
 	for i, c := range claims {
@@ -458,7 +450,7 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 		return assigned
 	}
 
-	quota := e.capacity.quotas(e.quota, len(claims))
+	quota := e.quotas(e.quota, len(claims))
 	demand := e.demand
 	clear(demand)
 	for i := range claims {
@@ -512,8 +504,8 @@ func (e *Engine) Arbitrate(claims []Claim) []amp.CoreTypeID {
 		if e.tr != nil {
 			e.tr.InstantNow("place", "spill", trace.PidMachine, trace.TidKernel,
 				trace.Arg{Key: "claim", Value: best},
-				trace.Arg{Key: "from", Value: e.capacity.machine.Types[over].Name},
-				trace.Arg{Key: "to", Value: e.capacity.machine.Types[under].Name},
+				trace.Arg{Key: "from", Value: e.machine.Types[over].Name},
+				trace.Arg{Key: "to", Value: e.machine.Types[under].Name},
 				trace.Arg{Key: "loss", Value: bestLoss})
 		}
 		assigned[best] = amp.CoreTypeID(under)
@@ -640,22 +632,27 @@ func siftDown(h []spill, i int) {
 // previous fast/slow assignment keeps its side, and an unplaced task takes
 // the raw quota cut — so the quota fills from a cold start even when it is
 // no larger than the band. Claims carry only Prev/HasPrev; Dec is unused.
+// On a machine whose fast and slow types coincide there is nothing to
+// place, and AssignRanked returns nil.
 func (e *Engine) AssignRanked(claims []Claim) []amp.CoreTypeID {
-	c := e.capacity
+	fast, slow := e.fastType, e.slowType
+	if fast == slow {
+		return nil
+	}
 	out := make([]amp.CoreTypeID, len(claims))
-	quota := c.FastQuota(len(claims))
+	quota := e.fastQuota(len(claims))
 	for i := range claims {
 		switch {
 		case i < quota-band:
-			out[i] = c.fastType
+			out[i] = fast
 		case i >= quota+band:
-			out[i] = c.slowType
-		case claims[i].HasPrev && (claims[i].Prev == c.fastType || claims[i].Prev == c.slowType):
+			out[i] = slow
+		case claims[i].HasPrev && (claims[i].Prev == fast || claims[i].Prev == slow):
 			out[i] = claims[i].Prev
 		case i < quota:
-			out[i] = c.fastType
+			out[i] = fast
 		default:
-			out[i] = c.slowType
+			out[i] = slow
 		}
 	}
 	return out

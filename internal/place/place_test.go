@@ -45,14 +45,14 @@ func TestSelectThreeTypes(t *testing.T) {
 	}
 }
 
-// --- Capacity --------------------------------------------------------------
+// --- Capacity model --------------------------------------------------------
 
 func TestCapacityQuotasSumNearTotal(t *testing.T) {
 	for _, m := range []*amp.Machine{quad(), hex(), amp.ThreeCore2Fast1Slow()} {
-		c := NewCapacity(m)
+		e := NewEngine(m, 0.06, Config{})
 		for n := 1; n <= 24; n++ {
 			sum := 0
-			for _, q := range c.Quotas(n) {
+			for _, q := range e.quotas(make([]int, len(m.Types)), n) {
 				sum += q
 			}
 			// Nearest-rounding can drift by at most one per type.
@@ -64,17 +64,17 @@ func TestCapacityQuotasSumNearTotal(t *testing.T) {
 }
 
 func TestCapacityFastQuotaClampsToFastCores(t *testing.T) {
-	c := NewCapacity(quad())
+	e := NewEngine(quad(), 0.06, Config{})
 	// 2 fast cores: even a 1-task ranking grants at most n, and small
 	// rankings fill the fast cores before pinning anything slow.
-	if q := c.FastQuota(1); q != 1 {
-		t.Errorf("FastQuota(1) = %d, want 1", q)
+	if q := e.fastQuota(1); q != 1 {
+		t.Errorf("fastQuota(1) = %d, want 1", q)
 	}
-	if q := c.FastQuota(2); q != 2 {
-		t.Errorf("FastQuota(2) = %d, want 2", q)
+	if q := e.fastQuota(2); q != 2 {
+		t.Errorf("fastQuota(2) = %d, want 2", q)
 	}
-	if q := c.FastQuota(10); q != 6 { // share 0.6
-		t.Errorf("FastQuota(10) = %d, want 6", q)
+	if q := e.fastQuota(10); q != 6 { // share 0.6
+		t.Errorf("fastQuota(10) = %d, want 6", q)
 	}
 }
 
@@ -124,12 +124,11 @@ func TestArbitrateReachesCapacityFixpoint(t *testing.T) {
 	r := rng.New(11)
 	for _, m := range []*amp.Machine{quad(), hex()} {
 		e := NewEngine(m, 0.06, Config{})
-		cap := e.Capacity()
 		for trial := 0; trial < 50; trial++ {
 			claims := randomClaims(r, m, 2+int(r.Uint64()%16))
 			assigned := e.Arbitrate(claims)
-			quota := cap.Quotas(len(claims))
-			demand := make([]int, cap.NumTypes())
+			quota := e.quotas(make([]int, len(m.Types)), len(claims))
+			demand := make([]int, len(m.Types))
 			for _, a := range assigned {
 				demand[a]++
 			}

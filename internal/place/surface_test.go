@@ -1,7 +1,7 @@
 package place
 
-// Surface tests for the engine's smaller contract points: capacity
-// accessors, config sentinel folding, the ranked-assignment path, the
+// Surface tests for the engine's smaller contract points: the capacity
+// model and type masks, config sentinel folding, the ranked-assignment path, the
 // claim-refresh fast path, trace emission neutrality, and the decision
 // table's query methods. These pin behaviors the big arbitration property
 // tests route around.
@@ -16,16 +16,16 @@ import (
 
 func TestCapacityAccessors(t *testing.T) {
 	for _, m := range []*amp.Machine{quad(), hex()} {
-		c := NewCapacity(m)
-		if c.Machine() != m {
+		e := NewEngine(m, 0.06, Config{})
+		if e.Machine() != m {
 			t.Errorf("%s: Machine() did not return the described machine", m.Name)
 		}
-		fast, slow := c.FastType(), c.SlowType()
+		fast, slow := e.fastType, e.slowType
 		if m.Types[fast].FreqGHz <= m.Types[slow].FreqGHz {
 			t.Errorf("%s: fast type %s not faster than slow type %s",
 				m.Name, m.Types[fast].Name, m.Types[slow].Name)
 		}
-		// FastShare must equal the fast type's summed core clock over the
+		// fastShare must equal the fast type's summed core clock over the
 		// machine total, recomputed here from the core list.
 		perType := make([]float64, len(m.Types))
 		total := 0.0
@@ -34,28 +34,64 @@ func TestCapacityAccessors(t *testing.T) {
 			total += m.Types[core.Type].CyclesPerSec
 		}
 		want := perType[fast] / total
-		if got := c.FastShare(); got != want {
-			t.Errorf("%s: FastShare = %v, want %v", m.Name, got, want)
+		if got := e.fastShare(); got != want {
+			t.Errorf("%s: fastShare = %v, want %v", m.Name, got, want)
 		}
-		if got := c.FastShare(); got <= 0 || got >= 1 {
-			t.Errorf("%s: FastShare = %v outside (0,1)", m.Name, got)
+		if got := e.fastShare(); got <= 0 || got >= 1 {
+			t.Errorf("%s: fastShare = %v outside (0,1)", m.Name, got)
 		}
+	}
+}
+
+func TestTypeOfInvertsTypeMask(t *testing.T) {
+	for _, m := range []*amp.Machine{quad(), amp.ThreeCore2Fast1Slow(), hex()} {
+		e := NewEngine(m, 0.06, Config{})
+		for i := range m.Types {
+			ty := amp.CoreTypeID(i)
+			if got, ok := e.TypeOf(e.TypeMask(ty)); !ok || got != ty {
+				t.Errorf("%s: TypeOf(TypeMask(%d)) = %d, %v", m.Name, ty, got, ok)
+			}
+		}
+		if got, ok := e.TypeOf(m.AllMask()); ok {
+			t.Errorf("%s: TypeOf(AllMask) = %d, want no type", m.Name, got)
+		}
+		if got, ok := e.TypeOf(0); ok {
+			t.Errorf("%s: TypeOf(0) = %d, want no type", m.Name, got)
+		}
+	}
+
+	// A core type without cores is a valid machine whose type mask is 0;
+	// mask 0 still names no type.
+	m := quad()
+	m.Types = append(m.Types, m.Types[amp.SlowType])
+	m.Types[2].Name = "coreless"
+	if err := m.Validate(); err != nil {
+		t.Fatalf("machine with a coreless type: %v", err)
+	}
+	e := NewEngine(m, 0.06, Config{})
+	if mask := e.TypeMask(2); mask != 0 {
+		t.Fatalf("coreless type mask = %#x, want 0", mask)
+	}
+	if got, ok := e.TypeOf(0); ok {
+		t.Errorf("coreless machine: TypeOf(0) = %d, want no type", got)
+	}
+	if got, ok := e.TypeOf(e.TypeMask(amp.SlowType)); !ok || got != amp.SlowType {
+		t.Errorf("coreless machine: TypeOf(slow mask) = %d, %v", got, ok)
 	}
 }
 
 func TestAssignRankedQuotaSplit(t *testing.T) {
 	for _, m := range []*amp.Machine{quad(), hex()} {
 		// Cold claims (no previous assignment) take the raw quota cut, band
-		// or no band: the split must be exactly FastQuota.
+		// or no band: the split must be exactly fastQuota.
 		e := NewEngine(m, 0.06, Config{})
-		c := e.Capacity()
 		n := 8
 		out := e.AssignRanked(make([]Claim, n))
-		quota := c.FastQuota(n)
+		quota := e.fastQuota(n)
 		for i, ct := range out {
-			want := c.FastType()
+			want := e.fastType
 			if i >= quota {
-				want = c.SlowType()
+				want = e.slowType
 			}
 			if ct != want {
 				t.Errorf("%s: rank %d assigned %s, want %s (quota %d)",
@@ -65,20 +101,27 @@ func TestAssignRankedQuotaSplit(t *testing.T) {
 	}
 }
 
+func TestAssignRankedSymmetricMachineAssignsNothing(t *testing.T) {
+	e := NewEngine(amp.Symmetric(4, 2.0), 0.06, Config{})
+	if out := e.AssignRanked(make([]Claim, 4)); out != nil {
+		t.Errorf("symmetric machine: AssignRanked = %v, want nil", out)
+	}
+}
+
 func TestAssignRankedHysteresisBand(t *testing.T) {
 	m := quad()
 	e := NewEngine(m, 0.06, Config{})
-	c := e.Capacity()
+	fast, slow := e.fastType, e.slowType
 	n := 8
-	quota := c.FastQuota(n)
+	quota := e.fastQuota(n)
 
 	// Cold start (no previous assignment): the band positions take the raw
 	// quota cut, so the quota fills even when it is no larger than the band.
 	cold := e.AssignRanked(make([]Claim, n))
 	for i, ct := range cold {
-		want := c.FastType()
+		want := fast
 		if i >= quota {
-			want = c.SlowType()
+			want = slow
 		}
 		if ct != want {
 			t.Errorf("cold rank %d assigned %s, want raw quota cut %s",
@@ -90,19 +133,19 @@ func TestAssignRankedHysteresisBand(t *testing.T) {
 	// its side instead of flapping.
 	claims := make([]Claim, n)
 	band := []int{quota - 1, quota} // both strictly inside quota±1
-	claims[band[0]] = Claim{Prev: c.SlowType(), HasPrev: true}
-	claims[band[1]] = Claim{Prev: c.FastType(), HasPrev: true}
+	claims[band[0]] = Claim{Prev: slow, HasPrev: true}
+	claims[band[1]] = Claim{Prev: fast, HasPrev: true}
 	out := e.AssignRanked(claims)
-	if out[band[0]] != c.SlowType() {
+	if out[band[0]] != slow {
 		t.Errorf("band rank %d flapped to %s despite previous slow assignment",
 			band[0], m.Types[out[band[0]]].Name)
 	}
-	if out[band[1]] != c.FastType() {
+	if out[band[1]] != fast {
 		t.Errorf("band rank %d flapped to %s despite previous fast assignment",
 			band[1], m.Types[out[band[1]]].Name)
 	}
 	// Outside the band the quota cut is unconditional.
-	if out[0] != c.FastType() || out[n-1] != c.SlowType() {
+	if out[0] != fast || out[n-1] != slow {
 		t.Errorf("ranks outside the band ignored the quota cut: %v", out)
 	}
 }

@@ -309,14 +309,10 @@ func assemble(ctx context.Context, cfg RunConfig, factory HookFactory) (*assembl
 	// decision is its Decide at the run's δ, and the engine-backed modes
 	// claim capacity on it. Runtimes differ only in pinning versus
 	// claiming: the static tuner claims under Tuning.Spill, and oracle
-	// marks claim only when the run is contention-priced.
+	// marks claim only when the engine is contention-priced.
 	eng := place.NewEngine(machine, cfg.Tuning.Delta, cfg.Placement)
 	eng.SetTracer(cfg.Trace)
-	var oracleEng *place.Engine
 	oracleDecs := map[*exec.Image]map[phase.Type]place.Decision{}
-	if cfg.Placement.Contention != nil {
-		oracleEng = eng
-	}
 	benchGroups := [][]*workload.Benchmark{}
 	if closed {
 		benchGroups = cfg.Workload.Slots
@@ -393,7 +389,7 @@ func assemble(ctx context.Context, cfg RunConfig, factory HookFactory) (*assembl
 		case cfg.Mode == Tuned:
 			return tuning.NewTuner(cfg.Tuning, eng, k.Hardware, img)
 		case cfg.Mode == Oracle:
-			return online.NewOracleHook(machine, oracleEng, img, oracleDecs[img])
+			return online.NewOracleHook(eng, img, oracleDecs[img])
 		case cfg.Mode == Hybrid:
 			return hybrid.Hook(img)
 		}

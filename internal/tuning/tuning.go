@@ -74,14 +74,13 @@ type monitorState struct {
 
 // Tuner is the per-process runtime. It implements exec.MarkHook.
 type Tuner struct {
-	cfg     Config
-	machine *amp.Machine
-	hw      *perfcnt.Hardware
-	marks   markTable
+	cfg   Config
+	hw    *perfcnt.Hardware
+	marks markTable
 
 	// engine is the run's placement engine (one per kernel): every
-	// decision is its Decide, and under Config.Spill every mask comes out
-	// of its arbitration.
+	// decision is its Decide, every mask its TypeMask, and under
+	// Config.Spill every mask comes out of its arbitration.
 	engine *place.Engine
 
 	// table accumulates representative-section IPC per (phase type, core
@@ -106,15 +105,13 @@ type markTable interface {
 // placement engine, shared by every tuner of the kernel; its tracer
 // records the tuner's decisions.
 func NewTuner(cfg Config, engine *place.Engine, hw *perfcnt.Hardware, marks markTable) *Tuner {
-	machine := engine.Capacity().Machine()
 	return &Tuner{
-		cfg:     cfg,
-		machine: machine,
-		hw:      hw,
-		marks:   marks,
-		engine:  engine,
-		table:   place.NewTable(len(machine.Types)),
-		cur:     phase.Untyped,
+		cfg:    cfg,
+		hw:     hw,
+		marks:  marks,
+		engine: engine,
+		table:  place.NewTable(len(engine.Machine().Types)),
+		cur:    phase.Untyped,
 	}
 }
 
@@ -124,7 +121,7 @@ func NewTuner(cfg Config, engine *place.Engine, hw *perfcnt.Hardware, marks mark
 // loss under a knowing spill is charged to the spill category.
 func (tu *Tuner) maskFor(p *exec.Process, dec *place.Decision) uint64 {
 	if !tu.cfg.Spill {
-		mask := tu.machine.TypeMask(dec.Choice)
+		mask := tu.engine.TypeMask(dec.Choice)
 		if tu.cfg.PinSingleCore {
 			mask &= -mask // the type's lowest-numbered core
 		}
@@ -176,7 +173,7 @@ func (tu *Tuner) probe(p *exec.Process, pt phase.Type) exec.MarkAction {
 		tu.mon = monitorState{active: true, ptype: pt, coreType: ct, es: perfcnt.Start(&p.Counters)}
 	}
 	tu.SwitchRequests++
-	return exec.MarkAction{Mask: tu.machine.TypeMask(ct)}
+	return exec.MarkAction{Mask: tu.engine.TypeMask(ct)}
 }
 
 // finishMonitor closes the active measurement and records the sample,
